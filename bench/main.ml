@@ -28,8 +28,6 @@ type opts = {
   figures : string list;      (* selected figure ids, [] = all *)
   domains : int;              (* work-pool width, 1 = sequential *)
   par_exec : bool;            (* block-scheduler execution per point *)
-  specialize : bool;          (* per-size program specialization *)
-  mode : Model.trace_mode;    (* record/replay vs legacy callback *)
   bechamel : bool;            (* run the micro-benchmarks *)
   check_json : string option; (* validate a trajectory file and exit *)
   diff_json : (string * string) option; (* compare two trajectories and exit *)
@@ -46,8 +44,7 @@ let die msg =
    every solver context the figures build inherits it. *)
 let parse_args argv =
   let quick = ref false and json = ref None and figures = ref [] in
-  let domains = ref 1 and mode = ref Model.Replay and no_bench = ref false in
-  let par_exec = ref false and no_specialize = ref false in
+  let domains = ref 1 and no_bench = ref false and par_exec = ref false in
   let check_json = ref None and diff_json = ref None in
   let list_figures = ref false in
   let timeout_ms = ref None and fuel = ref None in
@@ -58,19 +55,7 @@ let parse_args argv =
         ~doc:"run only figure ID (repeatable; see --list-figures)" figures;
       Cli.domains domains;
       Cli.par_exec par_exec;
-      Cli.flag "--no-specialize"
-        ~doc:
-          "execute the symbolic programs instead of per-size specialized \
-           ones (differential baseline; simulated rows must be identical)"
-        no_specialize;
-      Cli.choice "--trace-mode" ~docv:"MODE"
-        ~doc:
-          "replay (default: record once, replay per series) or callback \
-           (legacy: re-execute per series)"
-        [ ("replay", Model.Replay); ("callback", Model.Callback) ]
-        mode;
       Cli.flag "--no-bench" ~doc:"skip the Bechamel micro-benchmarks" no_bench;
-      Cli.flag "--no-bechamel" ~doc:"alias for --no-bench" no_bench;
       Cli.string_opt "--check-json" ~docv:"PATH"
         ~doc:"validate a BENCH_*.json file and exit" check_json;
       Cli.string_pair_opt "--diff-json" ~docv:"A B"
@@ -82,16 +67,12 @@ let parse_args argv =
   (match Cli.parse ~prog:"bench" ~specs (List.tl (Array.to_list argv)) with
   | Ok () -> ()
   | Error msg -> die msg);
-  if !par_exec && !mode = Model.Callback then
-    die "--par-exec requires --trace-mode replay";
   Polyhedra.Omega.set_default_budget ?fuel:!fuel ?timeout_ms:!timeout_ms ();
   { quick = !quick;
     json = !json;
     figures = !figures;
     domains = !domains;
     par_exec = !par_exec;
-    specialize = not !no_specialize;
-    mode = !mode;
     bechamel = not !no_bench;
     check_json = !check_json;
     diff_json = !diff_json;
@@ -140,10 +121,10 @@ let check_json path =
 (* Compare the simulated content of two trajectories: figure rows (all
    columns) and every simulated metric quantity (flops, instances,
    accesses, per-level stats, cycles, mflops).  Wall-clock fields
-   ("seconds", trace accounting) and run configuration ("domains",
-   "trace_mode") are ignored, so a --trace-mode callback run and a replay
-   run of the same figures must diff clean — that is the CI gate on the
-   record/replay pipeline. *)
+   ("seconds", trace accounting), dynamic scheduler counters and run
+   configuration ("domains") are ignored, so runs at any --domains, with
+   or without --par-exec, must diff clean against the committed golden
+   trajectory. *)
 let diff_json path_a path_b =
   let figures path =
     match Json.member "figures" (load_json path) with
@@ -215,130 +196,6 @@ let diff_json path_a path_b =
     exit 1
 
 (* ------------------------------------------------------------------ *)
-(* The shackled server figure (--figure server)                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Deliberately outside the F registry: it measures the daemon's disk
-   cache over a real Unix socket, not a simulated paper figure, so the CI
-   golden-diff gate never sees it and it only runs when asked for by
-   name.  Two passes share one cache directory — a cold daemon on an
-   empty cache, then a warm restart of a fresh process state on the same
-   directory — each serving the same legality workload twice over.  The
-   warm row must show zero solver solves: every verdict comes back from
-   the in-process memo or the disk. *)
-
-module Srv = Server.Daemon
-module Dcache = Server.Diskcache
-module SClient = Server.Client
-module SProto = Server.Proto
-
-let server_resolver () =
-  { Srv.rv_kernels = (fun () -> K.all ());
-    rv_spec =
-      (fun ~kernel ~spec ~size -> Experiments.Specs.lookup ~kernel ~spec ~size);
-    rv_params =
-      (fun ~kernel ~n ->
-        if String.equal kernel "cholesky_banded" then
-          [ ("N", n); ("BW", max 1 (n / 3)) ]
-        else [ ("N", n) ]);
-    rv_init = (fun ~kernel ~n -> Kernels.Inits.for_kernel kernel ~n) }
-
-let server_queries ~quick =
-  if quick then
-    [ ("matmul", "c", 8); ("matmul", "ca", 8); ("cholesky_right", "write", 6) ]
-  else
-    [ ("matmul", "c", 8); ("matmul", "ca", 8); ("matmul", "two-level", 16);
-      ("cholesky_right", "write", 6); ("cholesky_right", "full", 6);
-      ("qr", "columns", 6); ("gmtry", "write", 6); ("adi", "fused", 4) ]
-
-let server_pass ~dir ~socket ~queries label =
-  let cache = Dcache.open_dir dir in
-  let t = Srv.create ~cache (server_resolver ()) in
-  let d = Domain.spawn (fun () -> Srv.serve t ~socket) in
-  let rec wait n =
-    if not (Sys.file_exists socket) then begin
-      if n = 0 then failwith "bench: shackled daemon did not come up";
-      Unix.sleepf 0.02;
-      wait (n - 1)
-    end
-  in
-  wait 250;
-  let c = SClient.connect socket in
-  (* each query twice: the repeat must hit the in-process memo *)
-  List.iter
-    (fun (kernel, spec, size) ->
-      match
-        SClient.rpc c (SProto.Legal { kernel; spec; size; budget_ms = None })
-      with
-      | Ok (SProto.R_verdict _) -> ()
-      | Ok _ -> failwith "bench: legal RPC returned an unexpected reply shape"
-      | Error e ->
-        failwith
-          (Printf.sprintf "bench: %s pass, %s/%s: %s" label kernel spec
-             e.SProto.e_message))
-    (queries @ queries);
-  let stats =
-    match SClient.rpc c SProto.Stats with
-    | Ok (SProto.R_stats j) -> j
-    | _ -> failwith "bench: stats RPC failed"
-  in
-  ignore (SClient.rpc c SProto.Shutdown);
-  SClient.close c;
-  Domain.join d;
-  Dcache.close cache;
-  stats
-
-let server_figure ~quick () =
-  let t0 = Metrics.now_s () in
-  let dir = Filename.temp_file "shackled-bench" ".cache" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let socket = Filename.concat dir "shackled.sock" in
-  let queries = server_queries ~quick in
-  let cold = server_pass ~dir ~socket ~queries "cold" in
-  let warm = server_pass ~dir ~socket ~queries "warm" in
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (Sys.readdir dir);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  let geti j k =
-    match Option.bind j (Json.member k) with
-    | Some (Json.Int n) -> n
-    | _ -> 0
-  in
-  let row label stats =
-    let solver = Json.member "solver" stats in
-    let dc = Json.member "diskcache" stats in
-    let queries = geti solver "queries" in
-    let solves = geti (Some stats) "solves" in
-    let served = queries - solves in
-    { F.r_label = label;
-      r_cols =
-        [ ("queries", float_of_int queries);
-          ("solves", float_of_int solves);
-          ("memo hits", float_of_int (geti solver "cache_hits"));
-          ("disk hits", float_of_int (geti dc "hits"));
-          ( "hit rate %",
-            if queries = 0 then 0.0
-            else 100.0 *. float_of_int served /. float_of_int queries ) ] }
-  in
-  { F.f_id = "server";
-    f_title = "shackled daemon: cold start vs warm restart on one disk cache";
-    f_header = [ "queries"; "solves"; "memo hits"; "disk hits"; "hit rate %" ];
-    f_rows = [ row "cold (empty cache dir)" cold; row "warm (same cache dir)" warm ];
-    f_note =
-      "legality queries answered by a live shackled daemon over a Unix \
-       socket; the warm restart re-opens the cold pass's cache directory, \
-       so it must report zero Omega solves";
-    f_domains = 1;
-    f_par = 0;
-    f_mode = Model.Replay;
-    f_seconds = Metrics.now_s () -. t0;
-    f_codegen_seconds = 0.0;
-    f_solver = None;
-    f_metrics = [] }
-
-(* ------------------------------------------------------------------ *)
 (* Figures                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -360,16 +217,12 @@ let code_figures () =
   show_code "Figure 14(i): ADI input code" before;
   show_code "Figure 14(ii): ADI after the 1x1 storage-order shackle" after
 
-let perf_figures { quick; figures; domains; par_exec; specialize; mode; _ } =
+let perf_figures { quick; figures; domains; par_exec; _ } =
   (* with --par-exec the --domains value doubles as the block-scheduler
      worker count; simulated quantities are identical either way *)
   let par = if par_exec then domains else 0 in
-  (* "server" is resolved here, not in the F registry — see above *)
-  let want_server = List.mem "server" figures in
-  let rest = List.filter (fun id -> not (String.equal id "server")) figures in
   let wanted =
-    match rest with
-    | [] when want_server -> []
+    match figures with
     | [] -> F.ids
     | ids ->
       List.iter
@@ -377,35 +230,23 @@ let perf_figures { quick; figures; domains; par_exec; specialize; mode; _ } =
           if not (List.mem id F.ids) then
             die
               (Printf.sprintf "unknown figure %s (known: %s)" id
-                 (String.concat ", " ("server" :: F.ids))))
+                 (String.concat ", " F.ids)))
         ids;
       ids
   in
   section
     (Printf.sprintf
-       "Performance figures (simulated SP-2 stand-in; %d domain%s; %s trace \
-        mode%s; see DESIGN.md)"
+       "Performance figures (simulated SP-2 stand-in; %d domain%s%s; see \
+        DESIGN.md)"
        domains
        (if domains = 1 then "" else "s")
-       (Model.trace_mode_string mode)
-       (if par_exec then "; parallel block execution" else "")
-       ^ if specialize then "" else "; no specialization");
-  let figs =
-    List.map
-      (fun id ->
-        let fig =
-          Option.get (F.run_by_id id ~quick ~domains ~par ~mode ~specialize ())
-        in
-        show_figure fig;
-        fig)
-      wanted
-  in
-  if want_server then begin
-    let fig = server_figure ~quick () in
-    show_figure fig;
-    figs @ [ fig ]
-  end
-  else figs
+       (if par_exec then "; parallel block execution" else ""));
+  List.map
+    (fun id ->
+      let fig = Option.get (F.run_by_id id ~quick ~domains ~par ()) in
+      show_figure fig;
+      fig)
+    wanted
 
 (* ------------------------------------------------------------------ *)
 (* The JSON trajectory                                                 *)
@@ -419,8 +260,6 @@ let write_json path ~opts ~figures ~total_seconds =
         ("quick", Json.Bool opts.quick);
         ("domains", Json.Int opts.domains);
         ("par_exec", Json.Bool opts.par_exec);
-        ("specialize", Json.Bool opts.specialize);
-        ("trace_mode", Json.Str (Model.trace_mode_string opts.mode));
         ("total_seconds", Json.Float total_seconds);
         ("figures", Json.List (List.map F.figure_to_json figures)) ]
   in
@@ -553,7 +392,7 @@ let () =
    | Some (a, b) -> diff_json a b
    | None -> ());
   if opts.list_figures then begin
-    List.iter print_endline (F.ids @ [ "server" ]);
+    List.iter print_endline F.ids;
     exit 0
   end;
   let t0 = Metrics.now_s () in

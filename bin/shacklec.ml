@@ -396,7 +396,7 @@ let bounds_cmd =
                   write_file file
                     (Json.to_string ~pretty:true
                        (Json.Obj
-                          [ ("schema", Json.Str "bounds-report/1");
+                          [ ("schema", Json.Str Report.bounds_report);
                             ("kernel", Json.Str name);
                             ( "params",
                               Json.Obj
@@ -432,20 +432,13 @@ let sim_cmd =
       let size = ref 32 and n = ref 64 and bw = ref 8 in
       let tuned = ref false and machines = ref [] and qualities = ref [] in
       let par_exec = ref false and domains = ref 2 and cores = ref 2 in
-      let no_specialize = ref false and connect = ref None in
-      let budget_ms = ref None in
+      let connect = ref None and budget_ms = ref None in
       let specs =
         [ spec_flag spec; size_flag size; n_flag n; bw_flag bw;
           Cli.flag "--tuned"
             ~doc:"simulate with hand-tuned inner-loop quality (unless --quality)"
             tuned;
           machine_flag machines; quality_flag qualities;
-          Cli.flag "--no-specialize"
-            ~doc:
-              "record the symbolic program instead of the per-size \
-               specialized one (the trace, and so every simulated \
-               quantity, is identical either way)"
-            no_specialize;
           Cli.par_exec par_exec; Cli.domains domains;
           Cli.int "--cores" ~docv:"C"
             ~doc:
@@ -521,8 +514,6 @@ let sim_cmd =
                     in
                     (recording, Some (plan, res))
                   end
-                  else if !no_specialize then
-                    (Pipeline.record ?spec pipe ~params ~init, None)
                   else
                     (* per-size specialized variant: same trace, faster
                        interpretation (one Omega derivation per spec) *)
@@ -578,24 +569,28 @@ let search_cmd =
       Cli.run ~prog ~positional:(kernel_positional kernel)
         ~specs:[ size_flag size; n_flag n ] args (fun () ->
           with_kernel ~prog kernel (fun (name, p) ->
-              match Experiments.Autotune.autotune p ~size:!size ~n:!n ~kernel:name with
+              let options = { Tune.default_options with sizes = [ !size ] } in
+              match
+                Tune.best
+                  (Tune.tune ~options ~kernel:name ~params:[ ("N", !n) ] p)
+              with
               | None ->
                 print_endline
                   "no legal candidate (a statement may need a dummy reference)";
                 1
-              | Some (best, cycles) ->
+              | Some best ->
+                let c = best.Tune.s_cand in
                 Format.printf
                   "best candidate (%d factor%s, fully constrained: %b, %.0f \
                    simulated cycles at N=%d):@."
-                  best.Shackle.Search.factors
-                  (if best.Shackle.Search.factors = 1 then "" else "s")
-                  best.Shackle.Search.fully_constrained cycles !n;
-                Format.printf "%a@." Shackle.Spec.pp best.Shackle.Search.spec;
+                  c.Tune.c_factors
+                  (if c.Tune.c_factors = 1 then "" else "s")
+                  c.Tune.c_fully_constrained best.Tune.s_cycles !n;
+                Format.printf "%a@." Shackle.Spec.pp c.Tune.c_spec;
                 print_endline "--- generated code ---";
                 print_string
                   (Ast.program_to_string
-                     (Pipeline.codegen (Pipeline.create p)
-                        best.Shackle.Search.spec));
+                     (Pipeline.codegen (Pipeline.create p) c.Tune.c_spec));
                 0)))
 
 let parse_cmd =
@@ -664,8 +659,7 @@ let tune_cmd =
       let shuffle_seed = ref 0 and check_json = ref None in
       let timeout_ms = ref None and fuel = ref None and connect = ref None in
       let budget_ms = ref None in
-      let sweep_ns = ref [] and no_specialize = ref false in
-      let prune_bounds = ref false and no_prune_bounds = ref false in
+      let sweep_ns = ref [] and prune_bounds = ref false in
       let specs =
         [ Cli.int_list "--size" ~docv:"B"
             ~doc:"block size to enumerate (repeatable; default 16)" sizes;
@@ -677,12 +671,6 @@ let tune_cmd =
                the cached program through the solver-free specializer, \
                and ranking sums cycles over the sweep"
             sweep_ns;
-          Cli.flag "--no-specialize"
-            ~doc:
-              "evaluate symbolic programs instead of per-size specialized \
-               ones (ranked quantities are identical; only wall-clock \
-               changes)"
-            no_specialize;
           bw_flag bw;
           Cli.int "--depth" ~docv:"D"
             ~doc:"maximum Cartesian-product factors (default 2)" depth;
@@ -714,9 +702,6 @@ let tune_cmd =
                lower-bounded cycle cost exceeds the incumbent's simulated \
                cycles (same winner, less simulation)"
             prune_bounds;
-          Cli.flag "--no-prune-bounds"
-            ~doc:"force the default exhaustive evaluation (overrides --prune-bounds)"
-            no_prune_bounds;
           Cli.timeout_ms timeout_ms; Cli.fuel fuel; Cli.connect connect;
           Cli.budget_ms budget_ms;
           Cli.string_opt "--check-json" ~docv:"FILE"
@@ -732,7 +717,7 @@ let tune_cmd =
             | Ok j -> begin
               match Tune.check_report_json j with
               | Ok () ->
-                Printf.printf "%s: valid %s\n" file Tune.schema;
+                Printf.printf "%s: valid %s\n" file Report.tune_report;
                 0
               | Error msg ->
                 Printf.eprintf "%s: %s: %s\n" prog file msg;
@@ -781,8 +766,7 @@ let tune_cmd =
                     timeout_ms = !timeout_ms;
                     fuel = !fuel;
                     ns = List.sort_uniq compare !sweep_ns;
-                    specialize = not !no_specialize;
-                    prune_bounds = !prune_bounds && not !no_prune_bounds }
+                    prune_bounds = !prune_bounds }
                 in
                 let rp =
                   Tune.tune ~options

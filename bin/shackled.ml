@@ -170,7 +170,7 @@ let report_cmd args =
           let dc = Server.Diskcache.open_dir dir in
           let j =
             Json.Obj
-              [ ("schema", Json.Str "shackled-cache-report/1");
+              [ ("schema", Json.Str Report.shackled_cache_report);
                 ("file", Json.Str (Server.Diskcache.file dc));
                 ("entries", Json.Int (Server.Diskcache.entries dc));
                 ("bytes", Json.Int (Server.Diskcache.bytes_on_disk dc));

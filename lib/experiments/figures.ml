@@ -11,10 +11,7 @@
 
    Within a point, series sharing a program variant share one recording:
    the interpreter runs once ([Model.record]) and each (machine, quality)
-   series replays the captured trace ([Model.consume]).  Simulated
-   quantities are byte-identical to the legacy per-series execution path
-   ([Model.Callback]), which is kept selectable for differential checks;
-   only wall-clock drops. *)
+   series replays the captured trace ([Model.consume]). *)
 
 module Ast = Loopir.Ast
 module K = Kernels.Builders
@@ -38,7 +35,6 @@ type figure = {
   f_note : string;
   f_domains : int;   (* pool width the figure was computed with *)
   f_par : int;       (* block-scheduler workers per point; 0 = sequential *)
-  f_mode : Model.trace_mode; (* how the simulator was driven *)
   f_seconds : float; (* wall-clock of the whole figure *)
   f_codegen_seconds : float; (* symbolic codegen, shared by the whole sweep *)
   f_solver : Metrics.solver option; (* figure pipeline's solver counters *)
@@ -60,36 +56,25 @@ let sched_info_of_stats (st : Sched.stats) =
     sc_steals = st.Sched.st_steals;
     sc_stalls = st.Sched.st_stalls }
 
-(* One figure point, possibly multi-series.  In [Replay] mode the program
-   is executed exactly once; the recorded access stream is then fanned
-   over [Runner.map] into one simulator per (tag, quality) series.  In
-   [Callback] mode each series re-executes the interpreter through the
-   legacy per-access path — the differential baseline CI diffs against.
-   Results come back in series order, and one metrics row is recorded per
-   series either way, so figure rows and simulated quantities are
-   identical across modes.
+(* One figure point, possibly multi-series.  The program is executed
+   exactly once; the recorded access stream is then fanned over
+   [Runner.map] into one simulator per (tag, quality) series.  Results
+   come back in series order, with one metrics row recorded per series.
 
    [par = Some (pipe, spec, domains)] with [domains > 0] routes the one
    execution through the block scheduler instead ([Sched.record] over the
    task DAG of [spec]'s coordinate band): the recording is byte-identical
    to the sequential one, so every simulated quantity is unchanged; the
    only addition is a [sched_info] on the point's first metrics row.
-   Parallel execution needs the record/replay pipeline — combining it
-   with [Callback] mode is a caller error.
 
-   [specialize] (default true) instantiates the program at the point's
-   concrete parameters through [Pipeline.specialize] before the one
-   sequential recording: the symbolic derivation comes from the
-   pipeline's codegen cache, so an N sweep costs one Omega derivation,
-   and the interpreter runs straight-line specialized loops.  The access
-   trace is bit-identical to the symbolic program's, so every simulated
-   quantity is unchanged — CI diffs a specialized run against
-   [--no-specialize] the same way it diffs replay against callback.
-   Callback mode and par > 0 scheduler runs keep the symbolic program
-   (the scheduler peels the block band itself). *)
-let simulate_series ?layouts ?init ?(machine = Model.sp2_like)
-    ?(mode = Model.Replay) ?par ?(specialize = true) ~series prog ~n
-    ?(params = []) ~kernel () =
+   A sequential recording first instantiates the variant at the point's
+   concrete parameters through [Pipeline.specialize]: the symbolic
+   derivation comes from the pipeline's codegen cache, so an N sweep
+   costs one Omega derivation, and the interpreter runs straight-line
+   specialized loops.  Scheduler runs keep the symbolic program (the
+   scheduler peels the block band itself). *)
+let simulate_series ?layouts ?init ?(machine = Model.sp2_like) ?par ~series
+    prog ~n ?(params = []) ~kernel () =
   let params = ("N", n) :: params in
   let init =
     match init with
@@ -105,79 +90,62 @@ let simulate_series ?layouts ?init ?(machine = Model.sp2_like)
   let label tag =
     Printf.sprintf "%s/N=%d%s" kernel n (if tag = "" then "" else "/" ^ tag)
   in
-  match mode with
-  | Model.Callback ->
-    if par <> None then
-      invalid_arg
-        "simulate_series: parallel block execution requires replay mode";
-    List.map
-      (fun (tag, quality) ->
-        let sim = Model.Sim.create ~machine ~quality in
-        let r, seconds =
-          Metrics.timed (fun () -> Model.Sim.run sim ?layouts prog ~params ~init)
-        in
-        Metrics.record
-          (Metrics.of_result ~label:(label tag) ~machine:machine.Model.m_name
-             ~quality:quality.Model.q_name ~seconds r);
-        r)
+  let (recording, sched), record_seconds =
+    Metrics.timed (fun () ->
+        match par with
+        | None ->
+          (* specialization cost (a solver-free rewrite) is charged to
+             the recording like the interpretation it accelerates *)
+          let exec_prog =
+            match variant with
+            | Some (pipe, spec) -> Pipeline.specialize ?spec pipe ~params
+            | None -> prog
+          in
+          (Model.record ?layouts exec_prog ~params ~init, None)
+        | Some (pipe, spec, domains) ->
+          let plan = Sched.plan ~prog pipe ~spec ~params in
+          let recording, res = Sched.record ?layouts ~domains plan ~init in
+          (recording, Some (sched_info_of_stats res.Sched.x_stats)))
+  in
+  let tr = recording.Model.rec_trace in
+  (* consumes are independent; the pool is the structural fan-out even
+     though per-point series lists are small *)
+  let consumed =
+    Runner.map ~domains:1
+      (fun (_, quality) ->
+        Metrics.timed (fun () -> Model.consume ~machine ~quality recording))
       series
-  | Model.Replay ->
-    let (recording, sched), record_seconds =
-      Metrics.timed (fun () ->
-          match par with
-          | None ->
-            (* specialization cost (a solver-free rewrite) is charged to
-               the recording like the interpretation it accelerates *)
-            let exec_prog =
-              match (specialize, variant) with
-              | true, Some (pipe, spec) -> Pipeline.specialize ?spec pipe ~params
-              | _ -> prog
-            in
-            (Model.record ?layouts exec_prog ~params ~init, None)
-          | Some (pipe, spec, domains) ->
-            let plan = Sched.plan ~prog pipe ~spec ~params in
-            let recording, res = Sched.record ?layouts ~domains plan ~init in
-            (recording, Some (sched_info_of_stats res.Sched.x_stats)))
-    in
-    let tr = recording.Model.rec_trace in
-    (* consumes are independent; the pool is the structural fan-out even
-       though per-point series lists are small *)
-    let consumed =
-      Runner.map ~domains:1
-        (fun (_, quality) ->
-          Metrics.timed (fun () -> Model.consume ~machine ~quality recording))
-        series
-    in
-    List.mapi
-      (fun i ((tag, quality), (r, replay_seconds)) ->
-        (* charge the recording to the first series row; later rows reused
-           the trace for free *)
-        let first = i = 0 in
-        let trace =
-          { Metrics.tr_executions = (if first then 1 else 0);
-            tr_length = Trace.length tr;
-            tr_chunks = Trace.num_chunks tr;
-            tr_bytes = Trace.bytes tr;
-            tr_record_seconds = (if first then record_seconds else 0.0);
-            tr_replay_seconds = replay_seconds }
-        in
-        let seconds =
-          (if first then record_seconds else 0.0) +. replay_seconds
-        in
-        Metrics.record
-          (Metrics.of_result ~label:(label tag) ~machine:machine.Model.m_name
-             ~quality:quality.Model.q_name ~seconds ~trace
-             ?sched:(if first then sched else None)
-             r);
-        r)
-      (List.combine series consumed)
+  in
+  List.mapi
+    (fun i ((tag, quality), (r, replay_seconds)) ->
+      (* charge the recording to the first series row; later rows reused
+         the trace for free *)
+      let first = i = 0 in
+      let trace =
+        { Metrics.tr_executions = (if first then 1 else 0);
+          tr_length = Trace.length tr;
+          tr_chunks = Trace.num_chunks tr;
+          tr_bytes = Trace.bytes tr;
+          tr_record_seconds = (if first then record_seconds else 0.0);
+          tr_replay_seconds = replay_seconds }
+      in
+      let seconds =
+        (if first then record_seconds else 0.0) +. replay_seconds
+      in
+      Metrics.record
+        (Metrics.of_result ~label:(label tag) ~machine:machine.Model.m_name
+           ~quality:quality.Model.q_name ~seconds ~trace
+           ?sched:(if first then sched else None)
+           r);
+      r)
+    (List.combine series consumed)
 
 (* Single-series convenience wrapper, the shape most ablations use. *)
-let simulate ?layouts ?init ?machine ?mode ?par ?specialize ~quality
-    ?(tag = "") prog ~n ?params ~kernel () =
+let simulate ?layouts ?init ?machine ?par ~quality ?(tag = "") prog ~n
+    ?params ~kernel () =
   match
-    simulate_series ?layouts ?init ?machine ?mode ?par ?specialize
-      ~series:[ (tag, quality) ] prog ~n ?params ~kernel ()
+    simulate_series ?layouts ?init ?machine ?par ~series:[ (tag, quality) ]
+      prog ~n ?params ~kernel ()
   with
   | [ r ] -> r
   | _ -> assert false
@@ -195,8 +163,8 @@ let par_map ~domains items f =
    shares; [solver] snapshots the figure pipeline's Omega counters after
    the body ran, so the JSON records how many solves the sweep cost (the
    specialization path keeps this flat in the number of sizes). *)
-let build ~domains ?(par = 0) ?(codegen_seconds = 0.0) ?solver ~mode ~id
-    ~title ~header ~note body =
+let build ~domains ?(par = 0) ?(codegen_seconds = 0.0) ?solver ~id ~title
+    ~header ~note body =
   let (rows, metrics), seconds = Metrics.timed body in
   { f_id = id;
     f_title = title;
@@ -205,7 +173,6 @@ let build ~domains ?(par = 0) ?(codegen_seconds = 0.0) ?solver ~mode ~id
     f_note = note;
     f_domains = domains;
     f_par = par;
-    f_mode = mode;
     f_seconds = seconds;
     f_codegen_seconds = codegen_seconds;
     f_solver = Option.map (fun p -> Metrics.solver_of_ctx (Pipeline.solver p)) solver;
@@ -250,7 +217,7 @@ let fig14_code () =
    hand-blocked left-looking algorithm (here: the other product order) at
    tuned quality. *)
 let fig11_cholesky ?(sizes = [ 60; 120; 180; 240 ]) ?(block = 32)
-    ?(domains = 1) ?(par = 0) ?(mode = Model.Replay) ?(specialize = true) () =
+    ?(domains = 1) ?(par = 0) () =
   let p = K.cholesky_right () in
   let pipe = Pipeline.create p in
   let fb_spec = Specs.cholesky_fully_blocked ~size:block in
@@ -261,7 +228,7 @@ let fig11_cholesky ?(sizes = [ 60; 120; 180; 240 ]) ?(block = 32)
     Metrics.timed (fun () ->
         (Pipeline.codegen_cached pipe fb_spec, Pipeline.codegen_cached pipe ll_spec))
   in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~mode ~id:"fig11"
+  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"fig11"
     ~title:"Figure 11: Cholesky factorization (MFlops proxy vs N)"
     ~header:[ "input"; "compiler"; "compiler+DGEMM"; "LAPACK-style" ]
     ~note:
@@ -271,8 +238,7 @@ let fig11_cholesky ?(sizes = [ 60; 120; 180; 240 ]) ?(block = 32)
     (fun () ->
       par_map ~domains sizes (fun n ->
           let sim ?spec series prog =
-            simulate_series ~mode ~par:(pipe, spec, par) ~specialize ~series
-              prog ~n ~kernel:"cholesky_right" ()
+            simulate_series ~par:(pipe, spec, par) ~series prog ~n ~kernel:"cholesky_right" ()
           in
           (* series sharing a program variant share one recording; bind in
              series order so metrics are recorded left to right *)
@@ -299,14 +265,14 @@ let fig11_cholesky ?(sizes = [ 60; 120; 180; 240 ]) ?(block = 32)
 
 (* Figure 12: QR factorization, blocked by columns only. *)
 let fig12_qr ?(sizes = [ 40; 80; 120; 160 ]) ?(width = 16) ?(domains = 1)
-    ?(par = 0) ?(mode = Model.Replay) ?(specialize = true) () =
+    ?(par = 0) () =
   let p = K.qr () in
   let pipe = Pipeline.create p in
   let qr_spec = Specs.qr_columns ~width in
   let blocked, codegen_seconds =
     Metrics.timed (fun () -> Pipeline.codegen_cached pipe qr_spec)
   in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~mode ~id:"fig12"
+  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"fig12"
     ~title:"Figure 12: QR factorization (MFlops proxy vs N)"
     ~header:[ "input"; "compiler"; "compiler+DGEMM" ]
     ~note:
@@ -317,8 +283,7 @@ let fig12_qr ?(sizes = [ 40; 80; 120; 160 ]) ?(width = 16) ?(domains = 1)
     (fun () ->
       par_map ~domains sizes (fun n ->
           let sim ?spec series prog =
-            simulate_series ~mode ~par:(pipe, spec, par) ~specialize ~series
-              prog ~n ~kernel:"qr" ()
+            simulate_series ~par:(pipe, spec, par) ~series prog ~n ~kernel:"qr" ()
           in
           let input = List.hd (sim [ ("input", Model.untuned) ] p) in
           let compiler, dgemm =
@@ -338,9 +303,9 @@ let fig12_qr ?(sizes = [ 40; 80; 120; 160 ]) ?(width = 16) ?(domains = 1)
                 ("compiler+DGEMM", mflops dgemm) ] }))
 
 (* The input/shackled/speedup shape shared by the two Figure 13 kernels. *)
-let before_after ~domains ~par ~mode ~specialize ~codegen_seconds ~id ~title
-    ~note ~kernel ~n pipe input_prog (shackled_spec, shackled_prog) =
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~mode ~id ~title
+let before_after ~domains ~par ~codegen_seconds ~id ~title ~note ~kernel ~n
+    pipe input_prog (shackled_spec, shackled_prog) =
+  build ~domains ~par ~codegen_seconds ~solver:pipe ~id ~title
     ~header:[ "cycles"; "mflops"; "l1 misses" ] ~note
     (fun () ->
       let results, metrics =
@@ -349,9 +314,8 @@ let before_after ~domains ~par ~mode ~specialize ~codegen_seconds ~id ~title
             ("shackled", shackled_prog, Some shackled_spec) ]
           (fun (tag, prog, spec) ->
             ( tag,
-              simulate ~mode
-                ~par:(pipe, spec, par)
-                ~specialize ~quality:Model.untuned ~tag prog ~n ~kernel () ))
+              simulate ~par:(pipe, spec, par) ~quality:Model.untuned ~tag prog
+                ~n ~kernel () ))
       in
       let stat_row (label, r) =
         { r_label = label;
@@ -372,29 +336,28 @@ let before_after ~domains ~par ~mode ~specialize ~codegen_seconds ~id ~title
 
 (* Figure 13(i): the Gmtry kernel (Gaussian elimination). *)
 let fig13_gmtry ?(n = 192) ?(block = 32) ?(domains = 1) ?(par = 0)
-    ?(mode = Model.Replay) ?(specialize = true) () =
+    () =
   let p = K.gmtry () in
   let pipe = Pipeline.create p in
   let spec = Specs.gmtry_write ~size:block in
   let blocked, codegen_seconds =
     Metrics.timed (fun () -> Pipeline.codegen_cached pipe spec)
   in
-  before_after ~domains ~par ~mode ~specialize ~codegen_seconds ~id:"fig13i"
+  before_after ~domains ~par ~codegen_seconds ~id:"fig13i"
     ~title:
       (Printf.sprintf "Figure 13(i): Gmtry Gaussian elimination (N = %d)" n)
     ~note:"Paper: Gaussian elimination sped up ~3x by 2-D shackling."
     ~kernel:"gmtry" ~n pipe p (spec, blocked)
 
 (* Figure 13(ii): ADI. *)
-let fig13_adi ?(n = 1000) ?(domains = 1) ?(par = 0) ?(mode = Model.Replay)
-    ?(specialize = true) () =
+let fig13_adi ?(n = 1000) ?(domains = 1) ?(par = 0) () =
   let p = K.adi () in
   let pipe = Pipeline.create p in
   let spec = Specs.adi_fused () in
   let fused, codegen_seconds =
     Metrics.timed (fun () -> Pipeline.codegen_cached pipe spec)
   in
-  before_after ~domains ~par ~mode ~specialize ~codegen_seconds ~id:"fig13ii"
+  before_after ~domains ~par ~codegen_seconds ~id:"fig13ii"
     ~title:(Printf.sprintf "Figure 13(ii): ADI kernel (N = %d)" n)
     ~note:
       "Paper: transformed ADI runs 8.9x faster at n = 1000 (fusion + \
@@ -405,7 +368,7 @@ let fig13_adi ?(n = 1000) ?(domains = 1) ?(par = 0) ?(mode = Model.Replay)
    carries a fixed per-panel blocking cost (dgbtrf-style), so the compiler
    code wins at small bandwidths and LAPACK wins at large ones. *)
 let fig15_band ?(n = 400) ?(bands = [ 8; 16; 32; 64; 128 ]) ?(block = 32)
-    ?(domains = 1) ?(par = 0) ?(mode = Model.Replay) ?(specialize = true) () =
+    ?(domains = 1) ?(par = 0) () =
   let p = K.cholesky_banded () in
   let pipe = Pipeline.create p in
   let band_spec = Specs.cholesky_banded_write ~size:block in
@@ -413,7 +376,7 @@ let fig15_band ?(n = 400) ?(bands = [ 8; 16; 32; 64; 128 ]) ?(block = 32)
     Metrics.timed (fun () -> Pipeline.codegen_cached pipe band_spec)
   in
   let lapack_panel_cycles = 25_000.0 in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~mode ~id:"fig15"
+  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"fig15"
     ~title:
       (Printf.sprintf
          "Figure 15: banded Cholesky on band storage, N = %d (MFlops proxy \
@@ -433,9 +396,8 @@ let fig15_band ?(n = 400) ?(bands = [ 8; 16; 32; 64; 128 ]) ?(block = 32)
           in
           let compiler, lapack =
             match
-              simulate_series ~layouts ~init ~mode
+              simulate_series ~layouts ~init
                 ~par:(pipe, Some band_spec, par)
-                ~specialize
                 ~series:
                   [ (Printf.sprintf "BW=%d/compiler" bw, Model.untuned);
                     (Printf.sprintf "BW=%d/LAPACK-style" bw, Model.tuned) ]
@@ -462,12 +424,12 @@ let fig15_band ?(n = 400) ?(bands = [ 8; 16; 32; 64; 128 ]) ?(block = 32)
                 ("LAPACK-style", mf lapack_cycles lapack.Model.r_flops) ] }))
 
 (* Section 6.1: the six ways to shackle right-looking Cholesky. *)
-let tab_legality ?(domains = 1) ?(par = 0) ?(mode = Model.Replay) () =
+let tab_legality ?(domains = 1) ?(par = 0) () =
   let p = K.cholesky_right () in
   let pipe = Pipeline.create p in
   let blk size = Shackle.Blocking.blocks_2d ~array:"A" ~size in
   (* pure legality queries: nothing executes, so [par] is bookkeeping *)
-  build ~domains ~par ~solver:pipe ~mode ~id:"tab-legality"
+  build ~domains ~par ~solver:pipe ~id:"tab-legality"
     ~title:"Section 6.1: legality of the six Cholesky shackles"
     ~header:[ "legal" ]
     ~note:
@@ -492,10 +454,10 @@ let tab_legality ?(domains = 1) ?(par = 0) ?(mode = Model.Replay) () =
 
 (* Ablation: block size sweep for the fully blocked Cholesky. *)
 let abl_blocksize ?(n = 192) ?(blocks = [ 8; 16; 32; 64; 96 ]) ?(domains = 1)
-    ?(par = 0) ?(mode = Model.Replay) ?(specialize = true) () =
+    ?(par = 0) () =
   let p = K.cholesky_right () in
   let pipe = Pipeline.create p in
-  build ~domains ~par ~solver:pipe ~mode ~id:"abl-blocksize"
+  build ~domains ~par ~solver:pipe ~id:"abl-blocksize"
     ~title:(Printf.sprintf "Ablation: block size sweep, Cholesky N = %d" n)
     ~header:[ "mflops"; "l1 misses" ]
     ~note:
@@ -506,9 +468,9 @@ let abl_blocksize ?(n = 192) ?(blocks = [ 8; 16; 32; 64; 96 ]) ?(domains = 1)
           let spec = Specs.cholesky_fully_blocked ~size:b in
           let blocked = Pipeline.codegen_cached pipe spec in
           let r =
-            simulate ~mode
+            simulate
               ~par:(pipe, Some spec, par)
-              ~specialize ~quality:Model.untuned
+              ~quality:Model.untuned
               ~tag:(Printf.sprintf "block=%d" b)
               blocked ~n ~kernel:"cholesky_right" ()
           in
@@ -519,7 +481,7 @@ let abl_blocksize ?(n = 192) ?(blocks = [ 8; 16; 32; 64; 96 ]) ?(domains = 1)
 
 (* Ablation: shackling vs control-centric tiling on Cholesky (Section 3). *)
 let abl_tiling ?(n = 144) ?(block = 24) ?(domains = 1) ?(par = 0)
-    ?(mode = Model.Replay) ?(specialize = true) () =
+    () =
   let p = K.cholesky_right () in
   let pipe = Pipeline.create p in
   let sh_spec = Specs.cholesky_fully_blocked ~size:block in
@@ -530,7 +492,7 @@ let abl_tiling ?(n = 144) ?(block = 24) ?(domains = 1) ?(par = 0)
   (* the hand-tiled program has no shackle spec, so its scheduler plan is
      the trivial single task — still routed through [Sched] when par > 0 *)
   let tiled_pipe = Pipeline.create update_tiled in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~mode ~id:"abl-tiling"
+  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"abl-tiling"
     ~title:
       (Printf.sprintf
          "Ablation: control-centric tiling vs data shackling, Cholesky N = %d"
@@ -547,8 +509,8 @@ let abl_tiling ?(n = 144) ?(block = 24) ?(domains = 1) ?(par = 0)
           ("data shackled", shackled, (pipe, Some sh_spec, par)) ]
         (fun (label, prog, par) ->
           let r =
-            simulate ~mode ~par ~specialize ~quality:Model.untuned ~tag:label
-              prog ~n ~kernel:"cholesky_right" ()
+            simulate ~par ~quality:Model.untuned ~tag:label prog ~n
+              ~kernel:"cholesky_right" ()
           in
           { r_label = label;
             r_cols =
@@ -558,7 +520,7 @@ let abl_tiling ?(n = 144) ?(block = 24) ?(domains = 1) ?(par = 0)
 (* Ablation: one-level vs two-level blocking on the deeper machine
    (Section 6.3). *)
 let abl_multilevel ?(n = 250) ?(domains = 1) ?(par = 0)
-    ?(mode = Model.Replay) ?(specialize = true) () =
+    () =
   let p = K.matmul () in
   let pipe = Pipeline.create p in
   let one_spec = Specs.matmul_ca ~size:96 in
@@ -567,7 +529,7 @@ let abl_multilevel ?(n = 250) ?(domains = 1) ?(par = 0)
     Metrics.timed (fun () ->
         (Pipeline.codegen_cached pipe one_spec, Pipeline.codegen_cached pipe two_spec))
   in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~mode ~id:"abl-multilevel"
+  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"abl-multilevel"
     ~title:
       (Printf.sprintf
          "Section 6.3: multi-level blocking on a two-level hierarchy, \
@@ -584,9 +546,9 @@ let abl_multilevel ?(n = 250) ?(domains = 1) ?(par = 0)
           ("two-level 96/16", two, Some two_spec) ]
         (fun (label, prog, spec) ->
           let r =
-            simulate ~machine:Model.two_level ~mode
+            simulate ~machine:Model.two_level
               ~par:(pipe, spec, par)
-              ~specialize ~quality:Model.untuned ~tag:label prog ~n
+              ~quality:Model.untuned ~tag:label prog ~n
               ~kernel:"matmul" ()
           in
           let l1 = List.nth r.Model.r_levels 0
@@ -604,7 +566,7 @@ let abl_multilevel ?(n = 250) ?(domains = 1) ?(par = 0)
    separate; rows hold only simulated/counted quantities, so the figure is
    byte-identical across pool widths. *)
 let tune_figure ?(quick = false) ?(domains = 1) ?(par = 0)
-    ?(mode = Model.Replay) ?(specialize = true) () =
+    () =
   (* the autotuner's inner candidate evaluations stay sequential; [par]
      is stamped for bookkeeping only *)
   ignore par;
@@ -616,7 +578,7 @@ let tune_figure ?(quick = false) ?(domains = 1) ?(par = 0)
       [ ("matmul", K.matmul (), 64, [ 16 ]);
         ("cholesky_right", K.cholesky_right (), 128, [ 32 ]) ]
   in
-  build ~domains ~mode ~id:"tune"
+  build ~domains ~id:"tune"
     ~title:"Section 8: autotuned shackles (best candidate per kernel)"
     ~header:[ "cycles"; "mflops"; "speedup"; "legal"; "cache hits"; "headroom" ]
     ~note:
@@ -630,7 +592,7 @@ let tune_figure ?(quick = false) ?(domains = 1) ?(par = 0)
         List.map
           (fun (kernel, prog, n, sizes) ->
             let options =
-              { Tune.default_options with sizes; domains; specialize }
+              { Tune.default_options with sizes; domains }
             in
             let rp = Tune.tune ~options ~kernel ~params:[ ("N", n) ] prog in
             let row =
@@ -681,68 +643,43 @@ let tune_figure ?(quick = false) ?(domains = 1) ?(par = 0)
    block-scheduler worker count per simulation point (0 = sequential
    execution, the default). *)
 let runners :
-    (string
-    * (quick:bool ->
-      domains:int ->
-      par:int ->
-      mode:Model.trace_mode ->
-      specialize:bool ->
-      figure))
-    list =
+    (string * (quick:bool -> domains:int -> par:int -> figure)) list =
   [ ( "fig11",
-      fun ~quick ~domains ~par ~mode ~specialize ->
-        if quick then
-          fig11_cholesky ~sizes:[ 48; 96 ] ~domains ~par ~mode ~specialize ()
-        else fig11_cholesky ~domains ~par ~mode ~specialize () );
+      fun ~quick ~domains ~par ->
+        if quick then fig11_cholesky ~sizes:[ 48; 96 ] ~domains ~par ()
+        else fig11_cholesky ~domains ~par () );
     ( "fig12",
-      fun ~quick ~domains ~par ~mode ~specialize ->
-        if quick then
-          fig12_qr ~sizes:[ 40; 80 ] ~domains ~par ~mode ~specialize ()
-        else fig12_qr ~domains ~par ~mode ~specialize () );
+      fun ~quick ~domains ~par ->
+        if quick then fig12_qr ~sizes:[ 40; 80 ] ~domains ~par ()
+        else fig12_qr ~domains ~par () );
     ( "fig13i",
-      fun ~quick ~domains ~par ~mode ~specialize ->
-        fig13_gmtry
-          ~n:(if quick then 96 else 192)
-          ~domains ~par ~mode ~specialize () );
+      fun ~quick ~domains ~par ->
+        fig13_gmtry ~n:(if quick then 96 else 192) ~domains ~par () );
     ( "fig13ii",
-      fun ~quick ~domains ~par ~mode ~specialize ->
-        fig13_adi
-          ~n:(if quick then 300 else 1000)
-          ~domains ~par ~mode ~specialize () );
+      fun ~quick ~domains ~par ->
+        fig13_adi ~n:(if quick then 300 else 1000) ~domains ~par () );
     ( "fig15",
-      fun ~quick ~domains ~par ~mode ~specialize ->
-        if quick then
-          fig15_band ~n:200 ~bands:[ 8; 32 ] ~domains ~par ~mode ~specialize ()
-        else fig15_band ~domains ~par ~mode ~specialize () );
+      fun ~quick ~domains ~par ->
+        if quick then fig15_band ~n:200 ~bands:[ 8; 32 ] ~domains ~par ()
+        else fig15_band ~domains ~par () );
     ( "tab-legality",
-      fun ~quick:_ ~domains ~par ~mode ~specialize:_ ->
-        tab_legality ~domains ~par ~mode () );
+      fun ~quick:_ ~domains ~par -> tab_legality ~domains ~par () );
     ( "abl-blocksize",
-      fun ~quick ~domains ~par ~mode ~specialize ->
-        abl_blocksize
-          ~n:(if quick then 96 else 192)
-          ~domains ~par ~mode ~specialize () );
+      fun ~quick ~domains ~par ->
+        abl_blocksize ~n:(if quick then 96 else 192) ~domains ~par () );
     ( "abl-tiling",
-      fun ~quick ~domains ~par ~mode ~specialize ->
-        abl_tiling
-          ~n:(if quick then 96 else 144)
-          ~domains ~par ~mode ~specialize () );
+      fun ~quick ~domains ~par ->
+        abl_tiling ~n:(if quick then 96 else 144) ~domains ~par () );
     ( "abl-multilevel",
-      fun ~quick ~domains ~par ~mode ~specialize ->
-        abl_multilevel
-          ~n:(if quick then 120 else 250)
-          ~domains ~par ~mode ~specialize () );
+      fun ~quick ~domains ~par ->
+        abl_multilevel ~n:(if quick then 120 else 250) ~domains ~par () );
     ( "tune",
-      fun ~quick ~domains ~par ~mode ~specialize ->
-        tune_figure ~quick ~domains ~par ~mode ~specialize () ) ]
+      fun ~quick ~domains ~par -> tune_figure ~quick ~domains ~par () ) ]
 
 let ids = List.map fst runners
 
-let run_by_id id ~quick ~domains ?(par = 0) ?(mode = Model.Replay)
-    ?(specialize = true) () =
-  Option.map
-    (fun f -> f ~quick ~domains ~par ~mode ~specialize)
-    (List.assoc_opt id runners)
+let run_by_id id ~quick ~domains ?(par = 0) () =
+  Option.map (fun f -> f ~quick ~domains ~par) (List.assoc_opt id runners)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -787,7 +724,6 @@ let figure_to_json f =
        ("rows", Json.List (List.map row_to_json f.f_rows));
        ("domains", Json.Int f.f_domains);
        ("par_domains", Json.Int f.f_par);
-       ("trace_mode", Json.Str (Model.trace_mode_string f.f_mode));
        ("seconds", Json.Float f.f_seconds);
        ("codegen_seconds", Json.Float f.f_codegen_seconds) ]
     @ (match f.f_solver with

@@ -127,23 +127,23 @@ let stats_to_json (s : Oracle.stats) =
       ("bound_checked", Json.Int s.Oracle.bound_checked);
       ("gave_up", Json.Int s.Oracle.gave_up) ]
 
+(* Strict: a row lacking any counter is dropped like a torn line, and its
+   seed re-runs.  [load_checkpoint] only reads files whose meta line
+   matches the current campaign, so every counter is always present. *)
 let stats_of_json j =
   let int k =
     match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
   in
-  (* lenient: absent means 0, so checkpoints written before the par, wire,
-     stage and bound layers existed still parse *)
-  let par_checked = Option.value ~default:0 (int "par_checked") in
-  let wire_checked = Option.value ~default:0 (int "wire_checked") in
-  let chaos_checked = Option.value ~default:0 (int "chaos_checked") in
-  let stage_checked = Option.value ~default:0 (int "stage_checked") in
-  let bound_checked = Option.value ~default:0 (int "bound_checked") in
   match
-    ( int "specs", int "legal_specs", int "verified", int "skipped",
-      int "tune_checked", int "gave_up" )
+    ( ( int "specs", int "legal_specs", int "verified", int "skipped",
+        int "tune_checked", int "par_checked" ),
+      ( int "wire_checked", int "chaos_checked", int "stage_checked",
+        int "bound_checked", int "gave_up" ) )
   with
-  | Some specs, Some legal_specs, Some verified, Some skipped,
-    Some tune_checked, Some gave_up ->
+  | ( ( Some specs, Some legal_specs, Some verified, Some skipped,
+        Some tune_checked, Some par_checked ),
+      ( Some wire_checked, Some chaos_checked, Some stage_checked,
+        Some bound_checked, Some gave_up ) ) ->
     Some
       { Oracle.specs; legal_specs; verified; skipped; tune_checked;
         par_checked; wire_checked; chaos_checked; stage_checked;
@@ -217,7 +217,7 @@ let opt_int = function Some i -> Json.Int i | None -> Json.Null
 let meta_json ~first_seed ~seeds ~quick ~tune ~par ~wire ~stage ~bound
     ~timeout_ms ~fuel ~inject =
   Json.Obj
-    [ ("schema", Json.Str "fuzz-checkpoint/1");
+    [ ("schema", Json.Str Report.fuzz_checkpoint);
       ("first_seed", Json.Int first_seed);
       ("seeds", Json.Int seeds);
       ("quick", Json.Bool quick);
@@ -457,7 +457,7 @@ let failure_to_string f =
 
 let to_json r =
   Json.Obj
-    [ ("schema", Json.Str "fuzz-report/8");
+    [ ("schema", Json.Str Report.fuzz_report);
       ("first_seed", Json.Int r.first_seed);
       ("seeds", Json.Int r.seeds);
       ("quick", Json.Bool r.quick);

@@ -106,5 +106,4 @@ val failure_to_string : failure_report -> string
     failing spec and the minimized program. *)
 
 val to_json : report -> Observe.Json.t
-(** Schema [fuzz-report/7] (adds the bound layer's [bound_checked]
-    counter). *)
+(** Schema {!Report.fuzz_report} ([fuzz-report/8]). *)

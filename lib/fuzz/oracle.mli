@@ -15,10 +15,10 @@
     - {b Codegen}: for every spec the checker calls legal, the tightened
       blocked program must compute the same store as the original at each
       verification size (up to reassociation tolerance).
-    - {b Replay}: record-once/replay-many cache simulation (both the
-      stored-trace [consume] path and the streaming tee, with a tiny chunk
-      size to force flush boundaries) must reproduce the direct per-access
-      callback simulation exactly — every counter, level stat, and cycle
+    - {b Replay}: record-once/replay-many cache simulation (the
+      stored-trace [consume] path, with a tiny chunk size to force flush
+      boundaries) must reproduce the direct per-access callback
+      simulation exactly — every counter, level stat, and cycle
       figure — across all (machine x quality) variants, on the original
       program and on the first legal blocked variant.
     - {b Tune} (opt-in via [~tune:true]): {!Tune.consistency_step} — the

@@ -122,12 +122,6 @@ module Sim = struct
       instances = 0;
       last_addr = min_int }
 
-  let reset sim =
-    Array.iter Cache.reset sim.caches;
-    sim.accesses <- 0;
-    sim.instances <- 0;
-    sim.last_addr <- min_int
-
   (* One access through the hierarchy: level l+1 is probed only when
      level l misses.  [forwarding] quality drops back-to-back accesses to
      the same element before they reach the hierarchy. *)
@@ -153,8 +147,6 @@ module Sim = struct
       let w = Array.unsafe_get buf i in
       access sim ~write:(w land 1 = 1) ~addr:(w asr 1)
     done
-
-  let consumer sim : Trace.consumer = consume_chunk sim
 
   (* Accesses that missed every level and went to memory. *)
   let mem_misses sim =
@@ -197,18 +189,6 @@ module Sim = struct
       r_cycles = cycles;
       r_mflops =
         (if cycles = 0.0 then 0.0 else float_of_int flops /. 1e6 /. seconds) }
-
-  (* The legacy direct path: execute the interpreter and feed every access
-     straight into this instance.  Kept alive behind [Trace.Callback] as
-     the differential baseline for the record/replay pipeline. *)
-  let run sim ?layouts prog ~params ~init =
-    reset sim;
-    let _, flops =
-      Exec.Verify.run_program ?layouts
-        ~sink:(Trace.Callback (fun ~write ~addr -> access sim ~write ~addr))
-        prog ~params ~init
-    in
-    result sim ~flops
 end
 
 (* ------------------------------------------------------------------ *)
@@ -222,7 +202,7 @@ end
 type recording = { rec_trace : Trace.t; rec_flops : int }
 
 let record ?layouts ?chunk_words prog ~params ~init =
-  let r = Trace.create_recorder ?chunk_words ~keep:true () in
+  let r = Trace.create_recorder ?chunk_words () in
   let _, flops =
     Exec.Verify.run_program ?layouts ~sink:(Trace.Record r) prog ~params ~init
   in
@@ -232,22 +212,6 @@ let consume ~machine ~quality recording =
   let sim = Sim.create ~machine ~quality in
   Trace.iter_chunks recording.rec_trace (Sim.consume_chunk sim);
   Sim.result sim ~flops:recording.rec_flops
-
-(* The streaming tee: one execution drives every variant with O(chunk)
-   memory, never storing the trace.  For unbounded problem sizes. *)
-let stream ?layouts ?chunk_words prog ~params ~init variants =
-  let sims =
-    List.map (fun (machine, quality) -> Sim.create ~machine ~quality) variants
-  in
-  let r =
-    Trace.create_recorder ?chunk_words ~keep:false
-      ~consumers:(List.map Sim.consumer sims) ()
-  in
-  let _, flops =
-    Exec.Verify.run_program ?layouts ~sink:(Trace.Record r) prog ~params ~init
-  in
-  ignore (Trace.finish r : Trace.t);
-  List.map (fun sim -> Sim.result sim ~flops) sims
 
 (* ------------------------------------------------------------------ *)
 (* Shared-L2 SMP replay                                                 *)
@@ -430,12 +394,16 @@ module Smp = struct
       (r.p_private @ r.p_shared)
 end
 
-type trace_mode = Callback | Replay
-
-let trace_mode_string = function Callback -> "callback" | Replay -> "replay"
-
+(* The direct single-series path: execute the interpreter and feed every
+   access straight into a fresh instance, storing no trace. *)
 let simulate ?layouts ~machine ~quality prog ~params ~init =
-  Sim.run (Sim.create ~machine ~quality) ?layouts prog ~params ~init
+  let sim = Sim.create ~machine ~quality in
+  let _, flops =
+    Exec.Verify.run_program ?layouts
+      ~sink:(Trace.Callback (fun ~write ~addr -> Sim.access sim ~write ~addr))
+      prog ~params ~init
+  in
+  Sim.result sim ~flops
 
 let pp_result fmt r =
   Format.fprintf fmt "flops=%d insts=%d accesses=%d cycles=%.0f mflops=%.1f"

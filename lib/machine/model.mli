@@ -88,9 +88,6 @@ module Sim : sig
 
   val create : machine:t -> quality:quality -> sim
 
-  val reset : sim -> unit
-  (** Cold caches, zeroed counters; [run] does this implicitly. *)
-
   val access : sim -> write:bool -> addr:int -> unit
   (** Feed one element access through the hierarchy (instance counting,
       forwarding dedup, cache probing). *)
@@ -99,24 +96,8 @@ module Sim : sig
   (** Replay one chunk of packed trace words — the hot loop of the
       record/replay pipeline. *)
 
-  val consumer : sim -> Trace.consumer
-  (** [consume_chunk] as a registrable streaming consumer. *)
-
   val result : sim -> flops:int -> result
   (** Closed-form cycle accounting over the counters accumulated so far. *)
-
-  val run :
-    sim ->
-    ?layouts:(string * Exec.Store.layout) list ->
-    Loopir.Ast.program ->
-    params:(string * int) list ->
-    init:(string -> int array -> float) ->
-    result
-  (** The direct (callback) path: interpret the program against a fresh
-      store, feeding every element access straight through this instance's
-      cache hierarchy.  Counters are reset on entry, so each [run] is an
-      independent cold-cache simulation.  Kept alive as the differential
-      baseline for {!record}/{!consume}. *)
 end
 
 (** {2 Record once, replay many} *)
@@ -139,18 +120,6 @@ val consume : machine:t -> quality:quality -> recording -> result
 (** Replay a recording into a fresh simulator instance.  For any machine
     and quality, [consume ~machine ~quality (record p)] produces exactly
     the same result as [simulate ~machine ~quality p]. *)
-
-val stream :
-  ?layouts:(string * Exec.Store.layout) list ->
-  ?chunk_words:int ->
-  Loopir.Ast.program ->
-  params:(string * int) list ->
-  init:(string -> int array -> float) ->
-  (t * quality) list ->
-  result list
-(** The streaming tee: one execution drives every (machine, quality)
-    variant with O(chunk) memory, never storing the trace.  Results come
-    back in variant order. *)
 
 (** A P-core machine built from a uniprocessor spec: every core gets a
     private copy of the first cache level; the remaining levels and memory
@@ -194,14 +163,6 @@ module Smp : sig
   val pp : Format.formatter -> smp_result -> unit
 end
 
-(** How the experiment harness drives the simulator: [Replay] records each
-    program variant once and replays it per series; [Callback] is the
-    legacy path that re-executes the interpreter per series (kept for
-    differential checks). *)
-type trace_mode = Callback | Replay
-
-val trace_mode_string : trace_mode -> string
-
 val simulate :
   ?layouts:(string * Exec.Store.layout) list ->
   machine:t ->
@@ -210,7 +171,10 @@ val simulate :
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   result
-(** [simulate] = [Sim.run (Sim.create ~machine ~quality)]: a one-shot
-    simulation on a throwaway instance. *)
+(** The direct single-series path: interpret the program against a fresh
+    store, feeding every element access straight through a fresh
+    simulator instance, with no trace stored.  For any machine and
+    quality it equals [consume ~machine ~quality (record p)]; use that
+    pair instead when one execution should serve several series. *)
 
 val pp_result : Format.formatter -> result -> unit

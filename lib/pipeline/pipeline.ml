@@ -105,7 +105,7 @@ let record ?layouts ?chunk_words ?spec t ~params ~init =
    store — the sequential half of a par=seq equivalence check, where
    executing twice would double the cost of every oracle probe. *)
 let record_full ?layouts ?chunk_words ?spec t ~params ~init =
-  let r = Trace.create_recorder ?chunk_words ~keep:true () in
+  let r = Trace.create_recorder ?chunk_words () in
   let store, flops =
     Exec.Verify.run_program ?layouts ~sink:(Trace.Record r) (variant t spec)
       ~params ~init

@@ -1,9 +1,8 @@
-(* The schema registry: one version reader, one migrator, one validator
-   for every JSON artifact the tools write.  Writers live next to the
-   types they serialize (tune, fuzz driver, daemon, bench); this module
-   owns only the contract, so `--check-json` in shacklec, bench and fuzz
-   is one implementation and old artifacts keep validating after a
-   schema bump. *)
+(* The schema registry: one version reader and one validator for every
+   JSON artifact the tools write.  Writers live next to the types they
+   serialize (tune, fuzz driver, daemon, bench) and stamp their tag from
+   the constants below; this module owns only the contract, so
+   `--check-json` in shacklec, bench and fuzz is one implementation. *)
 
 module Json = Observe.Json
 module Metrics = Observe.Metrics
@@ -72,101 +71,7 @@ let version j =
     | None -> Error "no \"schema\" or \"schema_version\" field — not a report")
 
 (* ------------------------------------------------------------------ *)
-(* Migration                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Replace key [k] (or append it when absent) in an object. *)
-let set_field k v = function
-  | Json.Obj fields ->
-    if List.mem_assoc k fields then
-      Json.Obj (List.map (fun (k', v') -> if String.equal k' k then (k', v) else (k', v')) fields)
-    else Json.Obj (fields @ [ (k, v) ])
-  | j -> j
-
-let default_field k v = function
-  | Json.Obj fields when not (List.mem_assoc k fields) ->
-    Json.Obj (fields @ [ (k, v) ])
-  | j -> j
-
-let map_field k f = function
-  | Json.Obj fields ->
-    Json.Obj
-      (List.map (fun (k', v) -> if String.equal k' k then (k', f v) else (k', v)) fields)
-  | j -> j
-
-let current =
-  [ tune_report; fuzz_report; fuzz_checkpoint; shackled_stats;
-    shackled_cache_report; bounds_report; server_load_report; bench ]
-
-let migrate j =
-  let* tag = version j in
-  if List.mem tag current then Ok j
-  else
-    match tag with
-    | "tune-report/3" ->
-      (* /4 added bound pruning: the options flag, the counter, and the
-         per-candidate lower-bound/headroom columns.  A /3 report simply
-         never pruned by bound and never computed a bound. *)
-      Ok
-        (j
-        |> set_field "schema" (Json.Str tune_report)
-        |> default_field "prune_bounds" (Json.Bool false)
-        |> map_field "counts" (default_field "pruned_by_bound" (Json.Int 0))
-        |> map_field "table" (function
-             | Json.List rows ->
-               Json.List
-                 (List.map
-                    (fun row ->
-                      row
-                      |> default_field "lower_bounds" (Json.List [])
-                      |> default_field "headroom" (Json.List []))
-                    rows)
-             | v -> v))
-    | "fuzz-report/6" ->
-      (* /7 added the bound oracle layer and its counter; /8 the chaos
-         layer.  A /6 report checked neither. *)
-      Ok
-        (j
-        |> set_field "schema" (Json.Str fuzz_report)
-        |> default_field "bound_checked" (Json.Int 0)
-        |> default_field "chaos_checked" (Json.Int 0))
-    | "fuzz-report/7" ->
-      (* /8 added the chaos layer (dribbled frames, mid-frame abandons)
-         under the wire storm and its counter. *)
-      Ok
-        (j
-        |> set_field "schema" (Json.Str fuzz_report)
-        |> default_field "chaos_checked" (Json.Int 0))
-    | "shackled-stats/1" ->
-      (* /2 added the per-error-code breakdown, the overload counters and
-         per-op p99.9.  A /1 daemon never shed or evicted; its best p99.9
-         estimate is its max. *)
-      let add_p999 = function
-        | Json.Obj fields when not (List.mem_assoc "p999_ms" fields) ->
-          let v =
-            match List.assoc_opt "max_ms" fields with
-            | Some v -> v
-            | None -> Json.Float 0.0
-          in
-          Json.Obj (fields @ [ ("p999_ms", v) ])
-        | v -> v
-      in
-      Ok
-        (j
-        |> set_field "schema" (Json.Str shackled_stats)
-        |> map_field "server" (fun server ->
-               server
-               |> default_field "error_codes" (Json.Obj [])
-               |> default_field "shed" (Json.Int 0)
-               |> default_field "evicted" (Json.Int 0)
-               |> map_field "ops" (function
-                    | Json.Obj ops ->
-                      Json.Obj (List.map (fun (k, v) -> (k, add_p999 v)) ops)
-                    | v -> v)))
-    | _ -> Error (Printf.sprintf "unknown report schema %S" tag)
-
-(* ------------------------------------------------------------------ *)
-(* Per-family validators (current versions only; migrate first)        *)
+(* Per-family validators                                               *)
 (* ------------------------------------------------------------------ *)
 
 let check_tune j =
@@ -423,7 +328,6 @@ let check_bench j =
 (* ------------------------------------------------------------------ *)
 
 let check j =
-  let* j = migrate j in
   let* tag = version j in
   let* () =
     if String.equal tag tune_report then check_tune j

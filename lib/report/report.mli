@@ -5,10 +5,10 @@
     reports, bench trajectories — carries a schema tag, and every
     [--check-json] flag used to carry its own hand-rolled validator next
     to the writer.  This module is the single registry: one {!version}
-    reader, one {!migrate} that upgrades known older versions on read,
-    and one {!check} that validates the (migrated) document against the
-    current schema.  The writers stay where they are, next to the types
-    they serialize; what is shared is the contract.
+    reader and one {!check} that validates a document against the
+    current schema of its family.  The writers stay where they are, next
+    to the types they serialize, and stamp their tag from the constants
+    below; what is shared is the contract.
 
     Tagging convention: every report is an object with either a
     ["schema"] string field ([<family>/<version>], e.g. [tune-report/4])
@@ -48,19 +48,9 @@ val version : Observe.Json.t -> (string, string) result
     [bench/N] synthesized from an integer ["schema_version"].  [Error]
     when neither field is present — the document is not a report. *)
 
-val migrate : Observe.Json.t -> (Observe.Json.t, string) result
-(** Upgrade a report written by an older schema version to the current
-    one, defaulting the fields the old writer did not know about
-    ([tune-report/3] gains [prune_bounds:false], zero
-    [counts.pruned_by_bound] and empty per-row [lower_bounds]/[headroom];
-    [fuzz-report/6] and [/7] gain [bound_checked:0] / [chaos_checked:0];
-    [shackled-stats/1] gains empty [server.error_codes], zero
-    [server.shed] / [server.evicted], and per-op [p999_ms] defaulted to
-    the op's [max_ms]).  Identity on documents already at the current
-    version; [Error] on unknown tags. *)
-
 val check : Observe.Json.t -> (string, string) result
-(** Migrate-on-read, then structurally validate against the current
-    schema for the document's family.  Returns the canonical (current)
-    tag on success, so callers can both report what they validated and
-    gate on the family they expect. *)
+(** Structurally validate against the current schema for the document's
+    family.  Returns the tag on success, so callers can both report what
+    they validated and gate on the family they expect.  Only current
+    versions validate: any other tag, an older version of a known family
+    included, is [Error "unknown report schema ..."]. *)

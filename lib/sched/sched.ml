@@ -433,7 +433,7 @@ let run_task ~traced ~task_chunk plan wctx parts task_flops t =
         (Array.to_list plan.pl_coords.(t))
   in
   if traced then begin
-    let r = Trace.create_recorder ~chunk_words:task_chunk ~keep:true () in
+    let r = Trace.create_recorder ~chunk_words:task_chunk () in
     wctx.w_current := Some r;
     let fl = Interp.invoke wctx.w_prepared ~params:bindings in
     wctx.w_current := None;

@@ -230,7 +230,7 @@ let dc_metrics dc =
 let stats_json t =
   let solver_m = Metrics.solver_of_ctx t.solver_ctx in
   Json.Obj
-    [ ("schema", Json.Str "shackled-stats/2");
+    [ ("schema", Json.Str Report.shackled_stats);
       ("server", Stats.to_json t.st);
       ("solver", Metrics.solver_to_json solver_m);
       ("solves", Json.Int (Metrics.solver_solves solver_m));

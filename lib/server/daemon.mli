@@ -104,7 +104,7 @@ val handle : t -> Proto.request -> (Proto.reply, Proto.error) result
     [deadline_exceeded]. *)
 
 val stats_json : t -> Observe.Json.t
-(** The [stats] RPC body: schema ["shackled-stats/2"], request accounting
+(** The [stats] RPC body: schema {!Report.shackled_stats}, request accounting
     ({!Stats.to_json}, including the per-error-code breakdown and
     shed/evicted counters), the shared solver's counters
     ([Metrics.solver_to_json] + derived [solves]), and the disk cache's

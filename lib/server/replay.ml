@@ -357,7 +357,7 @@ let report_json ~seed ~clients ~requests outcome ~chaos:(stalls, partials, dx)
           ("solves", Json.Int p.ph_solves) ]
   in
   Json.Obj
-    [ ("schema", Json.Str "server-load-report/1");
+    [ ("schema", Json.Str Report.server_load_report);
       ("seed", Json.Int seed);
       ("clients", Json.Int clients);
       ("requests", Json.Int requests);

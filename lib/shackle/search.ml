@@ -1,21 +1,5 @@
 module Ast = Loopir.Ast
 module Fexpr = Loopir.Fexpr
-module Dep = Dependence.Dep
-
-type candidate = {
-  spec : Spec.t;
-  fully_constrained : bool;
-  factors : int;
-}
-
-let singles prog ~deps ~array ~size =
-  let blocking = Blocking.blocks_2d ~array ~size in
-  Legality.enumerate_choices prog ~array
-  |> List.filter_map (fun choices ->
-         let spec = [ Spec.factor blocking choices ] in
-         match Legality.check_deps prog spec deps with
-         | Legality.Legal -> Some spec
-         | Legality.Illegal _ | Legality.Unknown _ -> None)
 
 (* Arrays referenced by every statement can be blocked without dummy
    references. *)
@@ -42,40 +26,3 @@ let default_arrays prog =
            | Some d -> List.length d.extents = 2
            | None -> false))
       (arrays_of s0)
-
-let search ?arrays prog ~size =
-  let arrays = match arrays with Some a -> a | None -> default_arrays prog in
-  let deps = Dep.analyze prog in
-  let legal_singles =
-    List.concat_map (fun array -> singles prog ~deps ~array ~size) arrays
-  in
-  let mk spec =
-    { spec;
-      fully_constrained = Span.fully_constrained prog spec;
-      factors = List.length spec }
-  in
-  (* products of two legal factors are legal (Section 6); only keep pairs
-     that improve on both factors by fully constraining the references *)
-  let products =
-    List.concat_map
-      (fun s1 ->
-        List.filter_map
-          (fun s2 ->
-            if s1 == s2 then None
-            else begin
-              let p = Spec.product s1 s2 in
-              if Span.fully_constrained prog p then Some (mk p) else None
-            end)
-          legal_singles)
-      legal_singles
-  in
-  let all = List.map mk legal_singles @ products in
-  let score c = ((if c.fully_constrained then 0 else 1), c.factors) in
-  List.stable_sort (fun a b -> compare (score a) (score b)) all
-
-let best ?arrays prog ~size =
-  match search ?arrays prog ~size with [] -> None | c :: _ -> Some c.spec
-
-let rank ~candidates ~cost =
-  List.map (fun c -> (c, cost c.spec)) candidates
-  |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)

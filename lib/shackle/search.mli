@@ -1,58 +1,10 @@
-(** Automatic derivation of data shackles — the search procedure sketched
-    in Section 8 ("implement a search method that enumerates over plausible
-    data shackles, evaluates each one and picks the best"):
-
-    - candidates are built from every way of choosing one reference to a
-      blocked array per statement (Section 6.1's enumeration),
-    - illegal candidates are discarded with the Theorem 1 test,
-    - products of legal factors (always legal, Section 6) are formed until
-      every reference is constrained, using Theorem 2 both as the stopping
-      rule ("no benefit in extending the product") and as the ranking
-      signal,
-    - ties can be broken by actually simulating the generated code.
-
-    Orientation and traversal order follow the paper's defaults: axis
-    aligned cutting planes, top-to-bottom / left-to-right. *)
-
-type candidate = {
-  spec : Spec.t;
-  fully_constrained : bool;
-  factors : int;
-}
+(** The candidate-array set of the Section 8 shackle search ("implement a
+    search method that enumerates over plausible data shackles, evaluates
+    each one and picks the best").  The search itself — enumeration,
+    legality, Theorem-2 pruning and simulation-backed ranking — lives in
+    [lib/tune]. *)
 
 val default_arrays : Loopir.Ast.program -> string list
 (** Rank-2 arrays referenced by every statement — exactly those that can be
     shackled with [Blocking.blocks_2d] without dummy references.  The
-    default candidate-array set for {!search} and the autotuner. *)
-
-val singles :
-  Loopir.Ast.program ->
-  deps:Dependence.Dep.t list ->
-  array:string ->
-  size:int ->
-  Spec.t list
-(** All legal single-factor shackles of [array] with square [size] blocks.
-    Empty when some statement has no reference to [array] (add a dummy
-    reference by hand in that case, Section 5.3). *)
-
-val search :
-  ?arrays:string list ->
-  Loopir.Ast.program ->
-  size:int ->
-  candidate list
-(** Legal single factors over the given arrays (default: every array that
-    appears in all statements) plus all pairwise products; sorted with
-    fully-constrained candidates first, then fewer factors.  Every returned
-    spec is legal. *)
-
-val best :
-  ?arrays:string list ->
-  Loopir.Ast.program ->
-  size:int ->
-  Spec.t option
-(** The head of [search], if any candidate exists. *)
-
-val rank : candidates:candidate list -> cost:(Spec.t -> float) -> (candidate * float) list
-(** Sort candidates by a caller-supplied cost (cheapest first) — in
-    practice the simulated cycle count of the generated code; see
-    [Experiments.Autotune]. *)
+    default candidate-array set of the autotuner. *)

@@ -8,46 +8,25 @@ let default_chunk_words = 1 lsl 16 (* 512 KB per chunk on 64-bit *)
 
 type recorder = {
   chunk_words : int;
-  keep : bool;
-  mutable consumers : consumer list;
   mutable buf : int array;
   mutable len : int;
-  (* finished chunks, most recent first; only populated when [keep] *)
+  (* finished chunks, most recent first *)
   mutable stored : (int array * int) list;
-  mutable flushed_words : int;
-  mutable nchunks : int;
 }
 
 type t = {
   chunks : (int array * int) array;
   total_stored : int;
-  total_emitted : int;
-  t_nchunks : int;
 }
 
-let create_recorder ?(chunk_words = default_chunk_words) ?(keep = true)
-    ?(consumers = []) () =
+let create_recorder ?(chunk_words = default_chunk_words) () =
   if chunk_words <= 0 then invalid_arg "Trace.create_recorder: chunk_words";
-  { chunk_words;
-    keep;
-    consumers;
-    buf = Array.make chunk_words 0;
-    len = 0;
-    stored = [];
-    flushed_words = 0;
-    nchunks = 0 }
-
-let add_consumer r c = r.consumers <- r.consumers @ [ c ]
+  { chunk_words; buf = Array.make chunk_words 0; len = 0; stored = [] }
 
 let flush r =
   if r.len > 0 then begin
-    List.iter (fun c -> c r.buf r.len) r.consumers;
-    r.nchunks <- r.nchunks + 1;
-    r.flushed_words <- r.flushed_words + r.len;
-    if r.keep then begin
-      r.stored <- (r.buf, r.len) :: r.stored;
-      r.buf <- Array.make r.chunk_words 0
-    end;
+    r.stored <- (r.buf, r.len) :: r.stored;
+    r.buf <- Array.make r.chunk_words 0;
     r.len <- 0
   end
 
@@ -67,14 +46,10 @@ let finish r =
   let total_stored =
     Array.fold_left (fun acc (_, len) -> acc + len) 0 chunks
   in
-  { chunks;
-    total_stored;
-    total_emitted = r.flushed_words;
-    t_nchunks = r.nchunks }
+  { chunks; total_stored }
 
 let length t = t.total_stored
-let emitted t = t.total_emitted
-let num_chunks t = t.t_nchunks
+let num_chunks t = Array.length t.chunks
 
 let bytes t =
   Array.fold_left

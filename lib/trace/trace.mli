@@ -3,24 +3,17 @@
 
     An access is packed into one OCaml int: the element address shifted
     left by one, with the write bit in the low bit.  Accesses are buffered
-    into fixed-size [int array] chunks.  A {!recorder} works in two modes,
-    freely combined:
-
-    - {b store} ([keep:true]): finished chunks are retained, and {!finish}
-      returns a {!t} that can be replayed any number of times (the
-      record-once / replay-many pipeline of the experiment harness).
-    - {b tee} (registered {!consumer}s): each chunk is broadcast to every
-      consumer the moment it fills, and the buffer is then reused, so an
-      arbitrarily long execution can drive any number of simulators in one
-      pass with O(chunk) memory.
+    into fixed-size [int array] chunks; a {!recorder} retains every
+    finished chunk, and {!finish} returns a {!t} that can be replayed any
+    number of times (the record-once / replay-many pipeline of the
+    experiment harness).
 
     The recorder is single-domain mutable state; a finished {!t} is
     immutable and may be shared read-only across domains. *)
 
 type consumer = int array -> int -> unit
 (** [consumer buf len] receives one chunk: packed words [buf.(0 .. len-1)].
-    The array is reused after the call returns — consumers must not retain
-    it. *)
+    The array belongs to the trace — consumers must not mutate it. *)
 
 (** {2 Packed words} *)
 
@@ -36,20 +29,12 @@ type recorder
 
 val default_chunk_words : int
 
-val create_recorder :
-  ?chunk_words:int -> ?keep:bool -> ?consumers:consumer list -> unit ->
-  recorder
-(** [keep] defaults to [true] (store chunks for replay).  [chunk_words]
-    defaults to {!default_chunk_words}.  Consumers registered here see the
-    whole stream. *)
-
-val add_consumer : recorder -> consumer -> unit
-(** Register a streaming consumer.  It only sees chunks flushed after
-    registration, so register before emitting anything. *)
+val create_recorder : ?chunk_words:int -> unit -> recorder
+(** [chunk_words] defaults to {!default_chunk_words}. *)
 
 val emit : recorder -> write:bool -> addr:int -> unit
-(** Append one access, flushing the current chunk to all consumers when it
-    is full. *)
+(** Append one access, starting a fresh chunk when the current one is
+    full. *)
 
 val emit_word : recorder -> int -> unit
 (** Append one already-packed word (see {!word}). *)
@@ -58,20 +43,15 @@ type t
 (** A finished, immutable, replayable trace. *)
 
 val finish : recorder -> t
-(** Flush the partial tail chunk to all consumers and seal the trace.  In
-    pure tee mode ([keep:false]) the result stores no chunks;
-    {!emitted} still reports the full stream length. *)
+(** Store the partial tail chunk and seal the trace. *)
 
 (** {2 Replay and accounting} *)
 
 val length : t -> int
-(** Number of stored (replayable) accesses. *)
-
-val emitted : t -> int
-(** Number of accesses that went through the recorder, stored or teed. *)
+(** Number of recorded accesses. *)
 
 val num_chunks : t -> int
-(** Chunks the recorder flushed in total (stored and/or broadcast). *)
+(** Chunks the trace is stored in. *)
 
 val bytes : t -> int
 (** Bytes held by the stored chunks (peak trace memory). *)
@@ -95,9 +75,9 @@ val equal : t -> t -> bool
 (** {2 The interpreter-facing sink} *)
 
 (** What the interpreter should do with the access stream.  [No_trace] is
-    the fast path (no per-access work compiled in); [Callback] is the
-    legacy per-access closure, kept alive as the differential baseline for
-    the record/replay pipeline; [Record] feeds a recorder. *)
+    the fast path (no per-access work compiled in); [Callback] feeds each
+    access to a closure (the direct single-series simulation path);
+    [Record] feeds a recorder. *)
 type sink =
   | No_trace
   | Callback of (write:bool -> addr:int -> unit)

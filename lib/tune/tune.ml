@@ -59,11 +59,6 @@ type options = {
           ranking by summed cycles.  Enumeration, legality and codegen run
           once regardless of the sweep's length — the per-size work is the
           solver-free {!Loopir.Stages.specialize}. *)
-  specialize : bool;
-      (** instantiate each evaluated program at its concrete sizes before
-          recording (default true); the access trace is bit-identical, so
-          every ranked quantity is unchanged — only interpreter wall-clock
-          drops *)
   prune_bounds : bool;
       (** evaluate candidates sequentially, best-first by their analytic
           communication lower bound ({!Bounds}), and skip any candidate
@@ -87,7 +82,6 @@ let default_options =
     timeout_ms = None;
     fuel = None;
     ns = [];
-    specialize = true;
     prune_bounds = false }
 
 (* ------------------------------------------------------------------ *)
@@ -404,73 +398,44 @@ let scored_of_per_size c per_size =
     s_mflops = first.Model.r_mflops;
     s_bounds = [] }
 
-(* Generate code for every candidate (sequentially, against the shared
-   solver context), group candidates by the text of their generated
-   program, then fan the groups over the pool: one interpreter recording
-   per distinct (program, size), replayed per (machine x quality).
+(* The evaluation series, machines x qualities; the head is the ranking
+   series. *)
+let series_of opts =
+  List.concat_map
+    (fun m -> List.map (fun q -> (m, q)) opts.qualities)
+    opts.machines
 
-   [sweeps] is the evaluation size list: (n, params, init) per size, one
-   entry when [opts.ns] is empty.  Codegen runs once per candidate no
-   matter how long the sweep is; each size re-instantiates the cached
-   program through the solver-free specializer (when [opts.specialize]),
-   so the Omega query count is invariant in the sweep's length.
+(* Record [prog] at one sweep point (n, params, init), instantiated at the
+   point's concrete sizes by the solver-free specializer: the trace is
+   bit-identical to the symbolic program's, only interpretation is
+   faster.  Specialization is charged to the recording. *)
+let record_at (_, params, init) prog =
+  Model.record (Loopir.Stages.specialize ~params prog) ~params ~init
 
-   The fan-out is supervised: a group whose recording crashes or blows
-   past [opts.timeout_ms] becomes an {!eval_failure} row instead of
-   aborting the whole campaign, and its candidates drop out of the ranked
-   table.  The worker polls its token between replays, so a timeout is
+(* The one evaluation body, shared by both paths.  Each group is (label of
+   its head candidate, generated program); at every sweep point the
+   program is recorded once and replayed per (machine x quality) series,
+   with one metrics row per series.  Groups fan out over the supervised
+   pool: one that crashes or blows past [opts.timeout_ms] comes back as
+   an {!eval_failure} instead of aborting the campaign.  The worker polls
+   its token before each recording and each replay, so a timeout is
    observed cooperatively at series granularity. *)
-let evaluate pipe opts ~sweeps cands =
-  let codegen_seconds = ref 0.0 in
-  let order = ref [] in
-  let groups : (string, candidate list ref) Hashtbl.t = Hashtbl.create 16 in
-  let progs : (string, Ast.program) Hashtbl.t = Hashtbl.create 16 in
-  let text_of : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      let prog_v, s = Metrics.timed (fun () -> Pipeline.codegen pipe c.c_spec) in
-      codegen_seconds := !codegen_seconds +. s;
-      let text = Ast.program_to_string prog_v in
-      Hashtbl.replace text_of c.c_label text;
-      match Hashtbl.find_opt groups text with
-      | Some cell -> cell := c :: !cell
-      | None ->
-        Hashtbl.add groups text (ref [ c ]);
-        Hashtbl.add progs text prog_v;
-        order := text :: !order)
-    cands;
-  let order = List.rev !order in
-  let series =
-    List.concat_map
-      (fun m -> List.map (fun q -> (m, q)) opts.qualities)
-      opts.machines
-  in
-  let group_label text =
-    (List.hd (List.rev !(Hashtbl.find groups text))).c_label
-  in
-  let per_group =
+let evaluate_groups opts ~sweeps groups =
+  let series = series_of opts in
+  let outcomes =
     Runner.map_outcomes ~domains:opts.domains ?timeout_ms:opts.timeout_ms
-      (fun token text ->
+      (fun token (label, prog_v) ->
         Metrics.collect (fun () ->
-            Runner.Token.check token;
-            let prog_v = Hashtbl.find progs text in
-            let label = group_label text in
             List.map
-              (fun (n, params_n, init_n) ->
+              (fun ((n, _, _) as point) ->
                 Runner.Token.check token;
-                let prog_n =
-                  if opts.specialize then
-                    Loopir.Stages.specialize ~params:params_n prog_v
-                  else prog_v
-                in
                 let label_n =
                   match n with
                   | None -> label
                   | Some n -> Printf.sprintf "%s/N=%d" label n
                 in
                 let recording, record_seconds =
-                  Metrics.timed (fun () ->
-                      Model.record prog_n ~params:params_n ~init:init_n)
+                  Metrics.timed (fun () -> record_at point prog_v)
                 in
                 let tr = recording.Model.rec_trace in
                 ( n,
@@ -501,31 +466,66 @@ let evaluate pipe opts ~sweeps cands =
                       (m.Model.m_name, q.Model.q_name, r))
                     series ))
               sweeps))
-      order
+      groups
   in
-  let results_of_text = Hashtbl.create 16 in
-  let metrics = ref [] in
-  let failures = ref [] in
-  List.iter2
-    (fun text outcome ->
+  List.map2
+    (fun (label, _) outcome ->
       match outcome with
-      | Runner.Ok (results, ms) ->
-        Hashtbl.replace results_of_text text results;
-        metrics := ms :: !metrics
+      | Runner.Ok result -> Ok result
       | Runner.Failed (e, _) ->
-        failures :=
-          { ef_label = group_label text;
+        Error
+          { ef_label = label;
             ef_reason = Printf.sprintf "crash: %s" (Printexc.to_string e) }
-          :: !failures
       | Runner.Timed_out ->
-        failures :=
-          { ef_label = group_label text;
+        Error
+          { ef_label = label;
             ef_reason =
               (match opts.timeout_ms with
               | Some ms -> Printf.sprintf "timed out (no result within %d ms)" ms
-              | None -> "timed out") }
-          :: !failures)
-    order per_group;
+              | None -> "timed out") })
+    groups outcomes
+
+(* Generate code for every candidate (sequentially, against the shared
+   solver context), group candidates by the text of their generated
+   program, then evaluate the groups in parallel: one interpreter
+   recording per distinct (program, size), replayed per (machine x
+   quality).  Codegen runs once per candidate no matter how long the
+   sweep is, so the Omega query count is invariant in the sweep's
+   length.  A failed group's candidates drop out of the ranked table. *)
+let evaluate pipe opts ~sweeps cands =
+  let codegen_seconds = ref 0.0 in
+  let order = ref [] in
+  let groups : (string, candidate list ref) Hashtbl.t = Hashtbl.create 16 in
+  let progs : (string, Ast.program) Hashtbl.t = Hashtbl.create 16 in
+  let text_of : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun c ->
+      let prog_v, s = Metrics.timed (fun () -> Pipeline.codegen pipe c.c_spec) in
+      codegen_seconds := !codegen_seconds +. s;
+      let text = Ast.program_to_string prog_v in
+      Hashtbl.replace text_of c.c_label text;
+      match Hashtbl.find_opt groups text with
+      | Some cell -> cell := c :: !cell
+      | None ->
+        Hashtbl.add groups text (ref [ c ]);
+        Hashtbl.add progs text prog_v;
+        order := text :: !order)
+    cands;
+  let order = List.rev !order in
+  let outcomes =
+    evaluate_groups opts ~sweeps
+      (List.map
+         (fun text ->
+           ( (List.hd (List.rev !(Hashtbl.find groups text))).c_label,
+             Hashtbl.find progs text ))
+         order)
+  in
+  let results_of_text = Hashtbl.create 16 in
+  List.iter2
+    (fun text -> function
+      | Ok (per_size, _) -> Hashtbl.replace results_of_text text per_size
+      | Error _ -> ())
+    order outcomes;
   let scored =
     List.filter_map
       (fun c ->
@@ -536,8 +536,13 @@ let evaluate pipe opts ~sweeps cands =
         | Some per_size -> Some (scored_of_per_size c per_size))
       cands
   in
-  let metrics = List.concat (List.rev !metrics) in
-  (scored, List.length order, !codegen_seconds, metrics, List.rev !failures)
+  let metrics =
+    List.concat_map (function Ok (_, ms) -> ms | Error _ -> []) outcomes
+  in
+  let failures =
+    List.filter_map (function Error f -> Some f | Ok _ -> None) outcomes
+  in
+  (scored, List.length order, !codegen_seconds, metrics, failures)
 
 (* Sequential lower-bound-driven evaluation ([options.prune_bounds]).
    Candidates are visited in ascending order of their analytic bound so a
@@ -546,22 +551,17 @@ let evaluate pipe opts ~sweeps cands =
    cycle lower bound strictly exceeds the incumbent's simulated cycles
    (the bound never exceeds the true cost, so such a candidate loses the
    rank key's first component and cannot finish first — ties are kept,
-   since the tie-break could still prefer it), or is recorded and
-   replayed exactly as in {!evaluate}.  Runs sequentially on the calling
-   domain: the point of pruning is doing less simulation, not racing
-   it. *)
+   since the tie-break could still prefer it), or is handed to
+   {!evaluate_groups} as a group of one, under the same deadline as the
+   parallel path.  One group at a time keeps the visit best-first: the
+   point of pruning is doing less simulation, not racing it. *)
 let evaluate_pruned pipe opts ~sweeps cands =
   let prog = Pipeline.program pipe in
   let codegen_seconds = ref 0.0 in
   let metrics = ref [] in
   let failures = ref [] in
   let pruned_by_bound = ref 0 in
-  let series =
-    List.concat_map
-      (fun m -> List.map (fun q -> (m, q)) opts.qualities)
-      opts.machines
-  in
-  let head_series = match series with s :: _ -> Some s | [] -> None in
+  let head_series = match series_of opts with s :: _ -> Some s | [] -> None in
   (* the spec-aware analysis at every sweep size; [None] disables pruning
      for that candidate *)
   let analyses =
@@ -611,65 +611,6 @@ let evaluate_pruned pipe opts ~sweeps cands =
     | Some (best, _) when compare (rank_key best) (rank_key sc) <= 0 -> ()
     | _ -> incumbent := Some (sc, head_results per_size)
   in
-  let eval_text text prog_v label =
-    match
-      Metrics.collect (fun () ->
-          List.map
-            (fun (n, params_n, init_n) ->
-              let prog_n =
-                if opts.specialize then
-                  Loopir.Stages.specialize ~params:params_n prog_v
-                else prog_v
-              in
-              let label_n =
-                match n with
-                | None -> label
-                | Some n -> Printf.sprintf "%s/N=%d" label n
-              in
-              let recording, record_seconds =
-                Metrics.timed (fun () ->
-                    Model.record prog_n ~params:params_n ~init:init_n)
-              in
-              let tr = recording.Model.rec_trace in
-              ( n,
-                List.mapi
-                  (fun i (m, q) ->
-                    let r, replay_seconds =
-                      Metrics.timed (fun () ->
-                          Model.consume ~machine:m ~quality:q recording)
-                    in
-                    let first = i = 0 in
-                    let trace =
-                      { Metrics.tr_executions = (if first then 1 else 0);
-                        tr_length = Trace.length tr;
-                        tr_chunks = Trace.num_chunks tr;
-                        tr_bytes = Trace.bytes tr;
-                        tr_record_seconds =
-                          (if first then record_seconds else 0.0);
-                        tr_replay_seconds = replay_seconds }
-                    in
-                    Metrics.record
-                      (Metrics.of_result ~label:label_n
-                         ~machine:m.Model.m_name ~quality:q.Model.q_name
-                         ~seconds:
-                           ((if first then record_seconds else 0.0)
-                           +. replay_seconds)
-                         ~trace r);
-                    (m.Model.m_name, q.Model.q_name, r))
-                  series ))
-            sweeps)
-    with
-    | exception e ->
-      failures :=
-        { ef_label = label;
-          ef_reason = Printf.sprintf "crash: %s" (Printexc.to_string e) }
-        :: !failures;
-      None
-    | per_size, ms ->
-      metrics := ms :: !metrics;
-      Hashtbl.replace results_of_text text per_size;
-      Some per_size
-  in
   let scored = ref [] in
   List.iter
     (fun (c, analysis) ->
@@ -706,12 +647,16 @@ let evaluate_pruned pipe opts ~sweeps cands =
         in
         if pruned then incr pruned_by_bound
         else
-          (match eval_text text prog_v c.c_label with
-          | None -> ()
-          | Some per_size ->
-            let sc = scored_of_per_size c per_size in
-            scored := sc :: !scored;
-            update_incumbent sc per_size))
+          List.iter
+            (function
+              | Ok (per_size, ms) ->
+                metrics := ms :: !metrics;
+                Hashtbl.replace results_of_text text per_size;
+                let sc = scored_of_per_size c per_size in
+                scored := sc :: !scored;
+                update_incumbent sc per_size
+              | Error f -> failures := f :: !failures)
+            (evaluate_groups opts ~sweeps [ (c.c_label, prog_v) ]))
     ordered;
   let metrics = List.concat (List.rev !metrics) in
   ( List.rev !scored,
@@ -841,21 +786,15 @@ let tune ?(options = default_options) ?arrays ?init ~kernel ~params prog =
   (* the input baseline walks the same sweep, so speedup = input / best
      compares like with like *)
   let input_cycles =
-    match (options.machines, options.qualities) with
-    | machine :: _, quality :: _ ->
+    match series_of options with
+    | (machine, quality) :: _ ->
       List.fold_left
-        (fun acc (_, params_n, init_n) ->
-          let prog_n =
-            if options.specialize then
-              Loopir.Stages.specialize ~params:params_n prog
-            else prog
-          in
+        (fun acc point ->
           acc
-          +. (Model.consume ~machine ~quality
-                (Model.record prog_n ~params:params_n ~init:init_n))
+          +. (Model.consume ~machine ~quality (record_at point prog))
                .Model.r_cycles)
         0.0 sweeps
-    | _ -> 0.0
+    | [] -> 0.0
   in
   let cache_compare =
     if options.cache_compare then Some (run_cache_compare pipe cands) else None
@@ -920,8 +859,6 @@ let consistency_step ?(sizes = [ 2 ]) ?(max_specs = 8) prog =
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
-
-let schema = "tune-report/4"
 
 let int_opt_json = function None -> Json.Null | Some i -> Json.Int i
 
@@ -1009,14 +946,13 @@ let cache_compare_to_json c =
 let report_to_json rp =
   let o = rp.rp_options in
   Json.Obj
-    ([ ("schema", Json.Str schema);
+    ([ ("schema", Json.Str Report.tune_report);
        ("kernel", Json.Str rp.rp_kernel);
        ("mode", Json.Str (mode_string o.mode));
        ("domains", Json.Int o.domains);
        ("params", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) rp.rp_params));
        ("sizes", Json.List (List.map (fun s -> Json.Int s) o.sizes));
        ("ns", Json.List (List.map (fun n -> Json.Int n) o.ns));
-       ("specialize", Json.Bool o.specialize);
        ("prune_bounds", Json.Bool o.prune_bounds);
        ("depth", Json.Int o.depth);
        ("cache", Json.Bool o.cache);
@@ -1070,14 +1006,14 @@ let report_to_json rp =
     | Some c -> [ ("cache_compare", cache_compare_to_json c) ])
 
 (* Structural validation for `shacklec tune --check-json` and CI: the
-   shared registry does the work (including migrate-on-read of /3
-   reports); this wrapper only pins the family, so a valid fuzz report
-   handed to `tune --check-json` still fails. *)
+   shared registry does the work; this wrapper only pins the family, so a
+   valid fuzz report handed to `tune --check-json` still fails. *)
 let check_report_json j =
   let ( let* ) = Result.bind in
   let* tag = Report.check j in
-  if String.equal tag schema then Ok ()
-  else Error (Printf.sprintf "schema %S, expected %S" tag schema)
+  if String.equal tag Report.tune_report then Ok ()
+  else
+    Error (Printf.sprintf "schema %S, expected %S" tag Report.tune_report)
 
 (* ------------------------------------------------------------------ *)
 (* Terminal table                                                      *)
@@ -1092,9 +1028,8 @@ let pp_report fmt rp =
     (match rp.rp_options.ns with
     | [] -> ""
     | ns ->
-      Printf.sprintf ", N sweep %s%s"
-        (String.concat "," (List.map string_of_int ns))
-        (if rp.rp_options.specialize then "" else " unspecialized"));
+      Printf.sprintf ", N sweep %s"
+        (String.concat "," (List.map string_of_int ns)));
   Format.fprintf fmt
     "  candidates: %d enumerated, %d pruned (Thm 2), %d illegal%s, %d legal, %d distinct programs%s@."
     c.n_enumerated c.n_pruned c.n_illegal

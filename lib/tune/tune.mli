@@ -47,12 +47,10 @@ type options = {
           caller's [params] only; a non-empty list sweeps N over these
           values, re-using each candidate's one generated program (codegen
           and every Omega query run once regardless of the sweep's length)
-          and ranking by cycles summed over the sweep *)
-  specialize : bool;
-      (** instantiate each evaluated program at its concrete sizes through
-          the solver-free {!Loopir.Stages.specialize} before recording
-          (default true); traces are bit-identical, so ranked quantities
-          are unchanged — only interpreter wall-clock drops *)
+          and ranking by cycles summed over the sweep.  Each evaluated
+          program is instantiated at its concrete sizes through the
+          solver-free {!Loopir.Stages.specialize} before recording; the
+          trace is bit-identical to the symbolic program's *)
   prune_bounds : bool;
       (** evaluate sequentially, best-first by the {!Bounds} analytic
           communication lower bound, skipping any candidate whose
@@ -64,8 +62,8 @@ type options = {
 
 val default_options : options
 (** sizes [16], depth 2, exhaustive, 1 domain, sp2-like x untuned,
-    cache on, no compare, no shuffle, no budget, no N sweep,
-    specialization on, bound pruning off. *)
+    cache on, no compare, no shuffle, no budget, no N sweep, bound
+    pruning off. *)
 
 type candidate = {
   c_spec : Shackle.Spec.t;
@@ -173,11 +171,8 @@ val consistency_step :
 
 (** {2 Reports} *)
 
-val schema : string
-(** ["tune-report/4"] *)
-
 val report_to_json : report -> Observe.Json.t
-(** Schema-stable: keys in fixed order; the ["cache_compare"] key is
+(** Schema {!Report.tune_report}, stable: keys in fixed order; the ["cache_compare"] key is
     appended only when the pass ran; everything outside ["timing"],
     ["metrics"] and ["cache_compare"] is byte-identical across runs and
     across [domains]. *)

@@ -332,12 +332,7 @@ let test_record_replay_matches_direct () =
       let machine, quality = List.hd all_variants in
       Alcotest.(check bool) "recording is reusable" true
         (Model.consume ~machine ~quality recording
-        = Model.consume ~machine ~quality recording);
-      let streamed = Model.stream ~chunk_words:128 prog ~params ~init all_variants in
-      List.iter2
-        (fun want got ->
-          Alcotest.(check bool) (kernel ^ " stream = direct") true (got = want))
-        direct streamed)
+        = Model.consume ~machine ~quality recording))
     trace_test_points
 
 (* --- tiling baseline --- *)

@@ -5,7 +5,6 @@
 module F = Experiments.Figures
 module Json = Observe.Json
 module Metrics = Observe.Metrics
-module Model = Machine.Model
 
 (* --- Runner --- *)
 
@@ -168,13 +167,6 @@ let metrics_sans_seconds fig =
             s.Metrics.sim_trace })
     fig.F.f_metrics
 
-(* Additionally drop the trace accounting entirely, for comparisons across
-   trace modes (the callback path records no trace info at all). *)
-let metrics_simulated_only fig =
-  List.map
-    (fun s -> { s with Metrics.sim_trace = None; sim_sched = None })
-    (metrics_sans_seconds fig)
-
 let test_figure_rows_identical () =
   let run domains = F.fig11_cholesky ~sizes:[ 16; 24 ] ~block:8 ~domains () in
   let seq = run 1 and par = run 4 in
@@ -182,17 +174,6 @@ let test_figure_rows_identical () =
     (rows_json par);
   Alcotest.(check bool) "metrics identical up to wall-clock" true
     (metrics_sans_seconds seq = metrics_sans_seconds par)
-
-let test_trace_modes_agree () =
-  (* The record/replay pipeline must reproduce the legacy callback path's
-     rows and simulated quantities exactly — same check CI applies to a
-     whole figure run via bench --diff-json. *)
-  let run mode = F.fig11_cholesky ~sizes:[ 16; 24 ] ~block:8 ~mode () in
-  let cb = run Model.Callback and rp = run Model.Replay in
-  Alcotest.(check string) "rows bitwise-identical" (rows_json cb)
-    (rows_json rp);
-  Alcotest.(check bool) "simulated metrics identical" true
-    (metrics_simulated_only cb = metrics_simulated_only rp)
 
 let test_replay_executes_once_per_variant () =
   (* fig11 has 3 program variants per size (input, blocked, left-looking)
@@ -429,7 +410,6 @@ let () =
       ( "figures",
         [ Alcotest.test_case "parallel = sequential rows" `Quick
             test_figure_rows_identical;
-          Alcotest.test_case "callback = replay" `Quick test_trace_modes_agree;
           Alcotest.test_case "replay executes once per variant" `Quick
             test_replay_executes_once_per_variant;
           Alcotest.test_case "registry" `Quick test_registry_covers_quick_run ] );

@@ -719,62 +719,59 @@ let test_cache_quarantines_corrupt_span () =
   Dc.close d
 
 (* ------------------------------------------------------------------ *)
-(* Stats schema migration                                              *)
+(* Report schema versions                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_stats_v1_migrates () =
-  let solver_json =
-    Metrics.solver_to_json
-      (Metrics.solver_of_ctx (Polyhedra.Omega.Ctx.create ()))
+(* Older versions of a known family are not migrated: a document that
+   validates under its current tag is refused, with the registry's
+   structured "unknown report schema" error, once it carries an older
+   one. *)
+let test_old_schema_versions_refused () =
+  let retag tag = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             if String.equal k "schema" then (k, Json.Str tag) else (k, v))
+           fields)
+    | j -> j
   in
-  let v1 =
+  let stats = D.stats_json (D.create (resolver ())) in
+  let tune =
+    Tune.report_to_json
+      (Tune.tune
+         ~options:{ Tune.default_options with sizes = [ 8 ] }
+         ~kernel:"matmul"
+         ~params:[ ("N", 16) ]
+         (K.matmul ()))
+  in
+  let fuzz =
     Json.Obj
-      [ ("schema", Json.Str "shackled-stats/1");
-        ( "server",
-          Json.Obj
-            [ ("requests", Json.Int 2);
-              ("errors", Json.Int 1);
-              ("batch_collapses", Json.Int 0);
-              ("connections", Json.Int 1);
-              ( "ops",
-                Json.Obj
-                  [ ( "legal",
-                      Json.Obj
-                        [ ("count", Json.Int 2);
-                          ("p50_ms", Json.Float 1.0);
-                          ("p90_ms", Json.Float 1.5);
-                          ("p99_ms", Json.Float 2.0);
-                          ("max_ms", Json.Float 2.5);
-                          ("mean_ms", Json.Float 1.2) ] ) ] ) ] );
-        ("solver", solver_json);
-        ("solves", Json.Int 0);
-        ("diskcache", Json.Null) ]
+      ([ ("schema", Json.Str Report.fuzz_report) ]
+      @ List.map
+          (fun k -> (k, Json.Int 0))
+          [ "first_seed"; "seeds"; "specs"; "legal_specs"; "verified";
+            "skipped"; "tune_checked"; "par_checked"; "wire_checked";
+            "stage_checked"; "bound_checked"; "chaos_checked"; "gave_up" ]
+      @ [ ("quick", Json.Bool true); ("timeout_ms", Json.Null);
+          ("fuel", Json.Null); ("inject", Json.Str "none");
+          ("failures", Json.List []) ])
   in
-  let migrated =
-    match Report.migrate v1 with
-    | Ok j -> j
-    | Error msg -> Alcotest.failf "migration failed: %s" msg
-  in
-  (match Report.check migrated with
-  | Ok tag -> Alcotest.(check string) "migrates to /2" "shackled-stats/2" tag
-  | Error msg -> Alcotest.failf "migrated stats do not validate: %s" msg);
-  let server = Option.get (Json.member "server" migrated) in
-  (match Json.member "shed" server with
-  | Some (Json.Int 0) -> ()
-  | _ -> Alcotest.fail "migration must default shed to 0");
-  (match Json.member "evicted" server with
-  | Some (Json.Int 0) -> ()
-  | _ -> Alcotest.fail "migration must default evicted to 0");
-  (match Json.member "error_codes" server with
-  | Some (Json.Obj []) -> ()
-  | _ -> Alcotest.fail "migration must default error_codes to {}");
-  match
-    Option.bind (Json.member "ops" server) (fun ops ->
-        Option.bind (Json.member "legal" ops) (Json.member "p999_ms"))
-  with
-  | Some (Json.Float f) ->
-    Alcotest.(check (float 1e-9)) "p999 defaults to max" 2.5 f
-  | _ -> Alcotest.fail "migration must synthesize p999_ms"
+  List.iter
+    (fun (doc, current, old) ->
+      (match Report.check doc with
+      | Ok tag -> Alcotest.(check string) "current tag validates" current tag
+      | Error msg -> Alcotest.failf "%s document does not validate: %s" current msg);
+      match Report.check (retag old doc) with
+      | Ok tag -> Alcotest.failf "%s accepted as %s" old tag
+      | Error msg ->
+        Alcotest.(check string) (old ^ " refused")
+          (Printf.sprintf "unknown report schema %S" old)
+          msg)
+    [ (tune, Report.tune_report, "tune-report/3");
+      (fuzz, Report.fuzz_report, "fuzz-report/6");
+      (fuzz, Report.fuzz_report, "fuzz-report/7");
+      (stats, Report.shackled_stats, "shackled-stats/1") ]
 
 let test_stats_v2_roundtrip () =
   (* the daemon's own snapshot must validate against the registry *)
@@ -922,8 +919,8 @@ let () =
           Alcotest.test_case "slow writer evicted" `Quick
             test_slow_writer_evicted ] );
       ( "schema",
-        [ Alcotest.test_case "stats/1 migrates to /2" `Quick
-            test_stats_v1_migrates;
+        [ Alcotest.test_case "older versions are refused" `Quick
+            test_old_schema_versions_refused;
           Alcotest.test_case "live stats validate as /2" `Quick
             test_stats_v2_roundtrip ] );
       ( "replay",

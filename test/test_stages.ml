@@ -70,7 +70,7 @@ let test_affine_delta () =
 (* --- per-stage equivalence ---------------------------------------- *)
 
 let run_traced prog ~params ~init =
-  let r = Trace.create_recorder ~keep:true () in
+  let r = Trace.create_recorder () in
   let store, flops =
     Exec.Verify.run_program ~sink:(Trace.Record r) prog ~params ~init
   in

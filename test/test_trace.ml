@@ -1,5 +1,5 @@
 (* Unit tests for the chunked trace recorder: word packing, chunk-boundary
-   flushes, the streaming tee, and replay accounting. *)
+   flushes, and replay accounting. *)
 
 (* Re-emit every access of [t] into a list of (write, addr) pairs. *)
 let events t =
@@ -33,7 +33,6 @@ let test_store_roundtrip () =
   let t = Trace.finish r in
   Alcotest.(check (list (pair bool int))) "replay = record order" evs (events t);
   Alcotest.(check int) "length" 1000 (Trace.length t);
-  Alcotest.(check int) "emitted" 1000 (Trace.emitted t);
   Alcotest.(check int) "chunks" 16 (Trace.num_chunks t);
   (* bytes reports held capacity: 16 chunk arrays of 64 words each *)
   Alcotest.(check int) "bytes = chunk capacity held" (16 * 64 * 8)
@@ -64,49 +63,7 @@ let test_iter_chunks_sizes () =
   Alcotest.(check (list int)) "three full chunks then the tail"
     [ 32; 32; 32; 4 ] (List.rev !sizes)
 
-(* --- tee mode --- *)
-
-let test_tee_broadcasts_everything () =
-  let seen1 = ref [] and seen2 = ref [] in
-  let consume seen buf len =
-    (* copy out: the buffer is reused after we return *)
-    for i = 0 to len - 1 do
-      seen := (Trace.word_is_write buf.(i), Trace.word_addr buf.(i)) :: !seen
-    done
-  in
-  let evs = sample 300 in
-  let r =
-    Trace.create_recorder ~chunk_words:16 ~keep:false
-      ~consumers:[ consume seen1 ] ()
-  in
-  Trace.add_consumer r (consume seen2);
-  emit_all r evs;
-  let t = Trace.finish r in
-  Alcotest.(check (list (pair bool int))) "consumer 1" evs (List.rev !seen1);
-  Alcotest.(check (list (pair bool int))) "consumer 2" evs (List.rev !seen2);
-  (* pure tee stores nothing but still accounts for the stream *)
-  Alcotest.(check int) "nothing stored" 0 (Trace.length t);
-  Alcotest.(check int) "bytes" 0 (Trace.bytes t);
-  Alcotest.(check int) "emitted" 300 (Trace.emitted t);
-  Alcotest.(check int) "chunks" 19 (Trace.num_chunks t)
-
-let test_store_and_tee_combined () =
-  let seen = ref [] in
-  let consume buf len =
-    for i = 0 to len - 1 do
-      seen := buf.(i) :: !seen
-    done
-  in
-  let evs = sample 50 in
-  let r = Trace.create_recorder ~chunk_words:8 ~consumers:[ consume ] () in
-  emit_all r evs;
-  let t = Trace.finish r in
-  Alcotest.(check int) "stored too" 50 (Trace.length t);
-  Alcotest.(check (list (pair bool int))) "tee saw the stream" evs
-    (List.rev_map
-       (fun w -> (Trace.word_is_write w, Trace.word_addr w))
-       !seen);
-  Alcotest.(check (list (pair bool int))) "replay agrees" evs (events t)
+(* --- replay --- *)
 
 let test_replay_is_repeatable () =
   let r = Trace.create_recorder ~chunk_words:16 () in
@@ -163,10 +120,9 @@ let () =
             test_exact_chunk_boundary;
           Alcotest.test_case "empty" `Quick test_empty_trace;
           Alcotest.test_case "chunk sizes" `Quick test_iter_chunks_sizes ] );
+      (* the group keeps its old name so the case's id is stable *)
       ( "tee",
-        [ Alcotest.test_case "broadcast" `Quick test_tee_broadcasts_everything;
-          Alcotest.test_case "store + tee" `Quick test_store_and_tee_combined;
-          Alcotest.test_case "repeatable replay" `Quick
+        [ Alcotest.test_case "repeatable replay" `Quick
             test_replay_is_repeatable ] );
       ( "merge",
         [ Alcotest.test_case "concat = one recording" `Quick

@@ -15,7 +15,7 @@ let exact = Alcotest.float 0.0
 
 (* everything outside these keys is specified to be byte-identical across
    runs and across [domains] ("domains" itself is run configuration,
-   echoed into the report like bench's "trace_mode") *)
+   echoed into the report) *)
 let volatile = [ "timing"; "metrics"; "cache_compare"; "domains" ]
 
 let stable_json rp =
@@ -145,6 +145,37 @@ let test_generous_budget_matches_unbudgeted () =
   Alcotest.(check (list (pair string exact)))
     "generous budget ranks identically" (table r2) (table r1);
   Alcotest.(check int) "nothing gave up" 0 r1.Tune.rp_counts.Tune.n_unknown
+
+let test_pruned_path_deadline () =
+  (* bound pruning evaluates one group at a time, under the same
+     per-group deadline as the parallel path.  At N=112 one recording
+     takes about 16x the 25 ms budget, while each legality query takes
+     well under a millisecond, so none of them gives up. *)
+  let options =
+    { Tune.default_options with
+      sizes = [ 8 ];
+      depth = 1;
+      prune_bounds = true;
+      timeout_ms = Some 25 }
+  in
+  let rp =
+    Tune.tune ~options ~arrays:[ "C" ] ~kernel:"matmul"
+      ~params:[ ("N", 112) ]
+      (K.matmul ())
+  in
+  Alcotest.(check int) "no legality query gave up" 0
+    rp.Tune.rp_counts.Tune.n_unknown;
+  Alcotest.(check bool) "some candidate was legal" true
+    (rp.Tune.rp_counts.Tune.n_legal > 0);
+  Alcotest.(check bool) "failure rows were written" true
+    (rp.Tune.rp_failures <> []);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (f.Tune.ef_label ^ " timed out") true
+        (String.starts_with ~prefix:"timed out" f.Tune.ef_reason))
+    rp.Tune.rp_failures;
+  Alcotest.(check int) "nothing ranked" 0 (List.length rp.Tune.rp_table)
 
 (* --- golden geometries --- *)
 
@@ -326,7 +357,9 @@ let () =
         [ Alcotest.test_case "starved run completes" `Quick
             test_starved_tune_completes;
           Alcotest.test_case "generous budget = unbudgeted" `Quick
-            test_generous_budget_matches_unbudgeted ] );
+            test_generous_budget_matches_unbudgeted;
+          Alcotest.test_case "pruned path honours the deadline" `Quick
+            test_pruned_path_deadline ] );
       ( "golden",
         [ Alcotest.test_case "matmul picks C x A, bit-for-bit" `Slow
             test_matmul_golden;
