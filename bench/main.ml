@@ -1,20 +1,19 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 7) plus the code-shape figures from the body of the
-   paper, times the compiler passes and one representative simulation
-   point per figure with Bechamel, and optionally writes the whole run as
-   a machine-readable BENCH_*.json trajectory for CI to gate on.
+   paper, and optionally writes the whole run as a machine-readable
+   BENCH_*.json trajectory for CI to gate on.  Timing is perfbench's job
+   (perfbench/run.py): its compile and simulate workloads time the same
+   codegen and simulation points, layer by layer.
 
    Usage:  dune exec bench/main.exe                       (everything)
            dune exec bench/main.exe -- --quick            (smaller sizes)
-           dune exec bench/main.exe -- --quick --no-bench --domains 4 \
+           dune exec bench/main.exe -- --quick --domains 4 \
                --json BENCH_quick.json                    (CI smoke run)
            dune exec bench/main.exe -- --figure fig11 --figure fig15
            dune exec bench/main.exe -- --check-json BENCH_quick.json
            dune exec bench/main.exe -- --list-figures *)
 
 module F = Experiments.Figures
-module K = Kernels.Builders
-module Model = Machine.Model
 module Json = Observe.Json
 module Metrics = Observe.Metrics
 
@@ -28,7 +27,6 @@ type opts = {
   figures : string list;      (* selected figure ids, [] = all *)
   domains : int;              (* work-pool width, 1 = sequential *)
   par_exec : bool;            (* block-scheduler execution per point *)
-  bechamel : bool;            (* run the micro-benchmarks *)
   check_json : string option; (* validate a trajectory file and exit *)
   diff_json : (string * string) option; (* compare two trajectories and exit *)
   list_figures : bool;
@@ -44,7 +42,7 @@ let die msg =
    every solver context the figures build inherits it. *)
 let parse_args argv =
   let quick = ref false and json = ref None and figures = ref [] in
-  let domains = ref 1 and no_bench = ref false and par_exec = ref false in
+  let domains = ref 1 and par_exec = ref false in
   let check_json = ref None and diff_json = ref None in
   let list_figures = ref false in
   let timeout_ms = ref None and fuel = ref None in
@@ -55,7 +53,6 @@ let parse_args argv =
         ~doc:"run only figure ID (repeatable; see --list-figures)" figures;
       Cli.domains domains;
       Cli.par_exec par_exec;
-      Cli.flag "--no-bench" ~doc:"skip the Bechamel micro-benchmarks" no_bench;
       Cli.string_opt "--check-json" ~docv:"PATH"
         ~doc:"validate a BENCH_*.json file and exit" check_json;
       Cli.string_pair_opt "--diff-json" ~docv:"A B"
@@ -73,7 +70,6 @@ let parse_args argv =
     figures = !figures;
     domains = !domains;
     par_exec = !par_exec;
-    bechamel = not !no_bench;
     check_json = !check_json;
     diff_json = !diff_json;
     list_figures = !list_figures }
@@ -279,111 +275,6 @@ let write_json path ~opts ~figures ~total_seconds =
     (List.length figures) total_seconds
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure           *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-let stage name fn = Test.make ~name (Staged.stage fn)
-
-let bench_tests () =
-  let sim ?(machine = Model.sp2_like) prog ~n ~kernel ~quality ?(params = []) () =
-    ignore
-      (Model.simulate ~machine ~quality prog
-         ~params:(("N", n) :: params)
-         ~init:(Kernels.Inits.for_kernel kernel ~n))
-  in
-  (* one pipeline (and thus one solver context) per source program; the
-     codegen stages therefore measure steady-state generation with a warm
-     legality memo table, which is how the autotuner runs it *)
-  let matmul_pipe = Pipeline.create (K.matmul ()) in
-  let cholesky = K.cholesky_right () in
-  let cholesky_pipe = Pipeline.create cholesky in
-  let adi_pipe = Pipeline.create (K.adi ()) in
-  let cholesky_blocked =
-    Pipeline.codegen cholesky_pipe
-      (Experiments.Specs.cholesky_fully_blocked ~size:16)
-  in
-  let qr_blocked =
-    Pipeline.codegen (Pipeline.create (K.qr ())) (Experiments.Specs.qr_columns ~width:8)
-  in
-  let gmtry_blocked =
-    Pipeline.codegen (Pipeline.create (K.gmtry ()))
-      (Experiments.Specs.gmtry_write ~size:16)
-  in
-  let adi_fused = Pipeline.codegen adi_pipe (Experiments.Specs.adi_fused ()) in
-  let banded_blocked =
-    Pipeline.codegen
-      (Pipeline.create (K.cholesky_banded ()))
-      (Experiments.Specs.cholesky_banded_write ~size:16)
-  in
-  [ stage "fig3_codegen" (fun () ->
-        Pipeline.codegen matmul_pipe (Experiments.Specs.matmul_ca ~size:25));
-    stage "fig6_codegen" (fun () ->
-        Pipeline.codegen matmul_pipe (Experiments.Specs.matmul_c ~size:25));
-    stage "fig7_codegen" (fun () ->
-        Pipeline.codegen cholesky_pipe
-          (Experiments.Specs.cholesky_write ~size:64));
-    stage "fig10_codegen" (fun () ->
-        Pipeline.codegen matmul_pipe
-          (Experiments.Specs.matmul_two_level ~outer:64 ~inner:8));
-    stage "fig14_codegen" (fun () ->
-        Pipeline.codegen adi_pipe (Experiments.Specs.adi_fused ()));
-    stage "fig11_sim_point" (fun () ->
-        sim cholesky_blocked ~n:48 ~kernel:"cholesky_right"
-          ~quality:Model.untuned ());
-    stage "fig12_sim_point" (fun () ->
-        sim qr_blocked ~n:32 ~kernel:"qr" ~quality:Model.untuned ());
-    stage "fig13i_sim_point" (fun () ->
-        sim gmtry_blocked ~n:48 ~kernel:"gmtry" ~quality:Model.untuned ());
-    stage "fig13ii_sim_point" (fun () ->
-        sim adi_fused ~n:100 ~kernel:"adi" ~quality:Model.untuned ());
-    stage "fig15_sim_point" (fun () ->
-        sim banded_blocked ~n:100 ~kernel:"cholesky_banded"
-          ~quality:Model.untuned ~params:[ ("BW", 8) ] ());
-    stage "tab_legality_check" (fun () ->
-        Shackle.Legality.is_legal cholesky
-          (Experiments.Specs.cholesky_write ~size:16));
-    stage "abl_tiling_point" (fun () ->
-        sim (Tiling.cholesky_update_tiled ~size:16) ~n:48
-          ~kernel:"cholesky_right" ~quality:Model.untuned ());
-    stage "abl_multilevel_point" (fun () ->
-        sim ~machine:Model.two_level
-          (Pipeline.codegen matmul_pipe
-             (Experiments.Specs.matmul_two_level ~outer:32 ~inner:8))
-          ~n:64 ~kernel:"matmul" ~quality:Model.untuned ()) ]
-
-let run_bechamel ~quick =
-  section "Bechamel micro-benchmarks (wall-clock per run)";
-  let tests = Test.make_grouped ~name:"paper" ~fmt:"%s %s" (bench_tests ()) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500
-      ~quota:(Time.second (if quick then 0.25 else 0.5))
-      ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  (* print name -> estimated ns/run *)
-  Hashtbl.iter
-    (fun measure tbl ->
-      if String.equal measure (Measure.label Instance.monotonic_clock) then
-        Hashtbl.iter
-          (fun name ols_result ->
-            match Analyze.OLS.estimates ols_result with
-            | Some [ est ] -> Printf.printf "%-40s %12.0f ns/run\n" name est
-            | _ -> Printf.printf "%-40s %12s\n" name "n/a")
-          tbl)
-    results
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let opts = parse_args Sys.argv in
@@ -399,7 +290,6 @@ let () =
   if opts.figures = [] then code_figures ();
   let figures = perf_figures opts in
   let total_seconds = Metrics.now_s () -. t0 in
-  if opts.bechamel then run_bechamel ~quick:opts.quick;
   (match opts.json with
    | Some path -> write_json path ~opts ~figures ~total_seconds
    | None -> ());

@@ -1,6 +1,8 @@
-(* Differential fuzzing CLI: generate random loop nests, cross-check the
-   parser, the legality checker and the code generator against brute-force
-   ground truth, shrink any failure and print a self-contained repro.
+(* Differential fuzzing CLI: generate random loop nests, run every oracle
+   layer of {!Fuzzing.Oracle} on each one (parser, legality checker, code
+   generator, replay, tuner, parallel scheduler, wire protocol,
+   specialization and lower bounds against brute force or a second
+   implementation), shrink any failure and print a self-contained repro.
 
    The campaign is supervised: --timeout-ms and --fuel bound each seed's
    solver work, --retries re-runs transient crashes, --inject plants
@@ -51,11 +53,6 @@ let () =
   let quick = ref false in
   let json = ref None in
   let domains = ref 1 in
-  let tune = ref false in
-  let par = ref false in
-  let wire = ref false in
-  let stage = ref false in
-  let bound = ref false in
   let timeout_ms = ref None in
   let fuel = ref None in
   let retries = ref 0 in
@@ -65,36 +62,7 @@ let () =
   let check_json = ref None in
   let specs =
     [ Cli.seeds seeds; Cli.seed first_seed; Cli.quick quick; Cli.json json;
-      Cli.domains domains;
-      Cli.flag "--tune"
-        ~doc:
-          "also run the tuner's cached-vs-uncached legality consistency step \
-           on every seed"
-        tune;
-      Cli.flag "--par-exec"
-        ~doc:
-          "also check that parallel block execution over 1/2/3 worker \
-           domains is bit-identical to sequential on every seed"
-        par;
-      Cli.flag "--wire"
-        ~doc:
-          "also storm an in-process shackled daemon serving each seed's \
-           program with mutated protocol frames (total, structured, \
-           deterministic)"
-        wire;
-      Cli.flag "--stage"
-        ~doc:
-          "also check that per-size specialization of each seed's program \
-           (and its first legal blocked variant) is bit-identical to \
-           executing the symbolic program"
-        stage;
-      Cli.flag "--bound"
-        ~doc:
-          "also check that the analytic communication lower bound never \
-           exceeds simulated misses, per cache level, on each seed's \
-           program and its first legal blocked variant"
-        bound;
-      Cli.timeout_ms timeout_ms; Cli.fuel fuel;
+      Cli.domains domains; Cli.timeout_ms timeout_ms; Cli.fuel fuel;
       Cli.arg1 "--retries" ~docv:"R"
         ~doc:"retry a crashed seed up to R times with backoff (default 0)"
         (fun v ->
@@ -136,9 +104,8 @@ let () =
            2
          | Ok plan -> begin
            match
-             Fuzzing.Driver.run ~tune:!tune ~par:!par ~wire:!wire
-               ~stage:!stage ~bound:!bound ~domains:!domains
-               ?timeout_ms:!timeout_ms ?fuel:!fuel ~retries:!retries
+             Fuzzing.Driver.run ~domains:!domains ?timeout_ms:!timeout_ms
+               ?fuel:!fuel ~retries:!retries
                ~inject:plan ?checkpoint:!checkpoint ~resume:!resume
                ~quick:!quick ~seeds:!seeds ~first_seed:!first_seed ()
            with

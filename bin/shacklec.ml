@@ -47,11 +47,6 @@ let kernel_positional cell =
                (String.concat ", " (List.map fst (K.all ()))))
       end )
 
-let machine_alts =
-  [ ("sp2-like", Model.sp2_like); ("two-level", Model.two_level);
-    ("small-cache", Model.small_cache) ]
-let quality_alts = [ ("untuned", Model.untuned); ("tuned", Model.tuned) ]
-
 let spec_flag cell =
   Cli.string_opt "--spec" ~docv:"SPEC"
     ~doc:"which shackle to use (kernel-specific; see the file header)" cell
@@ -61,14 +56,14 @@ let n_flag cell = Cli.int "--n" ~docv:"N" ~doc:"problem size (default 64)" cell
 let bw_flag cell = Cli.int "--bw" ~docv:"BW" ~doc:"bandwidth (banded kernels)" cell
 
 let machine_flag cell =
-  Cli.choice_list "--machine" ~docv:"MACHINE" machine_alts
+  Cli.choice_list "--machine" ~docv:"MACHINE" Model.machines
     ~doc:
       "machine model to simulate (sp2-like, two-level or small-cache; repeatable) — every \
        (machine, quality) variant replays one recorded trace"
     cell
 
 let quality_flag cell =
-  Cli.choice_list "--quality" ~docv:"QUALITY" quality_alts
+  Cli.choice_list "--quality" ~docv:"QUALITY" Model.qualities
     ~doc:"inner-loop code quality (untuned or tuned; repeatable)" cell
 
 let spec_of (name, _p) spec ~size =
@@ -652,10 +647,9 @@ let tune_cmd =
       let prog = "shacklec tune" in
       let kernel = ref None in
       let sizes = ref [] and n = ref 0 and bw = ref 8 and depth = ref 2 in
-      let mode = ref "exhaustive" and beam_width = ref 4 in
       let arrays = ref [] and machines = ref [] and qualities = ref [] in
       let domains = ref 1 and quick = ref false and json = ref None in
-      let no_cache = ref false and cache_compare = ref false in
+      let cache_compare = ref false in
       let shuffle_seed = ref 0 and check_json = ref None in
       let timeout_ms = ref None and fuel = ref None and connect = ref None in
       let budget_ms = ref None in
@@ -674,13 +668,6 @@ let tune_cmd =
           bw_flag bw;
           Cli.int "--depth" ~docv:"D"
             ~doc:"maximum Cartesian-product factors (default 2)" depth;
-          Cli.choice "--mode" ~docv:"MODE"
-            ~doc:"search mode: exhaustive or beam (default exhaustive)"
-            [ ("exhaustive", "exhaustive"); ("beam", "beam") ]
-            mode;
-          Cli.int "--beam-width" ~docv:"W"
-            ~doc:"beam width per product level (with --mode beam; default 4)"
-            beam_width;
           Cli.string_list "--array" ~docv:"A"
             ~doc:
               "restrict shackled arrays (repeatable; default: rank-2 arrays \
@@ -688,7 +675,6 @@ let tune_cmd =
             arrays;
           machine_flag machines; quality_flag qualities;
           Cli.domains domains; Cli.quick quick; Cli.json json;
-          Cli.flag "--no-cache" ~doc:"disable the legality memo table" no_cache;
           Cli.flag "--cache-compare"
             ~doc:"run the cold/warm legality-cache effectiveness pass"
             cache_compare;
@@ -751,15 +737,11 @@ let tune_cmd =
                 let options =
                   { Tune.sizes;
                     depth = !depth;
-                    mode =
-                      (if String.equal !mode "beam" then Tune.Beam !beam_width
-                       else Tune.Exhaustive);
                     domains = !domains;
                     machines =
                       (match !machines with [] -> [ Model.sp2_like ] | ms -> ms);
                     qualities =
                       (match !qualities with [] -> [ Model.untuned ] | qs -> qs);
-                    cache = not !no_cache;
                     cache_compare = !cache_compare;
                     shuffle_seed =
                       (if !shuffle_seed > 0 then Some !shuffle_seed else None);

@@ -192,13 +192,11 @@ let burst_cmd args =
       Cli.seed seed ]
   in
   Cli.run ~prog:"shackled burst" ~specs args (fun () ->
-      let b =
-        Server.Client.fuzz_burst ~socket:!socket ~seed:!seed ~frames:!frames
-      in
+      let b = Fuzzing.Wire.burst ~socket:!socket ~seed:!seed ~frames:!frames in
       Printf.printf
         "shackled burst: sent %d, ok %d, structured errors %d, hangups %d — \
          daemon healthy\n"
-        b.Server.Client.b_sent b.b_ok b.b_err b.b_hangups;
+        b.Fuzzing.Wire.b_sent b.b_ok b.b_err b.b_hangups;
       0)
 
 (* ------------------------------------------------------------------ *)

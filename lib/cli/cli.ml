@@ -82,14 +82,6 @@ let unknown_choice name alts v =
        (String.concat "|" (List.map fst alts))
        v)
 
-let choice name ~docv ~doc alts cell =
-  arg1 name ~docv ~doc (fun v ->
-      match List.assoc_opt v alts with
-      | Some x ->
-        cell := x;
-        Ok ()
-      | None -> unknown_choice name alts v)
-
 let choice_list name ~docv ~doc alts cell =
   arg1 name ~docv ~doc (fun v ->
       match List.assoc_opt v alts with

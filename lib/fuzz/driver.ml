@@ -29,16 +29,10 @@ let stmt_count prog = List.length (Ast.statements prog)
 (* The full command line that re-runs exactly one seed under the same
    budget and fault plan — every flag that can change the outcome is
    spelled out, so a report line is copy-paste reproducible. *)
-let repro_command ~quick ~tune ~par ~wire ~stage ~bound ~timeout_ms ~fuel
-    ~inject seed =
+let repro_command ~quick ~timeout_ms ~fuel ~inject seed =
   let buf = Buffer.create 64 in
   Buffer.add_string buf (Printf.sprintf "fuzz --seed %d --seeds 1" seed);
   if quick then Buffer.add_string buf " --quick";
-  if tune then Buffer.add_string buf " --tune";
-  if par then Buffer.add_string buf " --par-exec";
-  if wire then Buffer.add_string buf " --wire";
-  if stage then Buffer.add_string buf " --stage";
-  if bound then Buffer.add_string buf " --bound";
   (match timeout_ms with
   | Some t -> Buffer.add_string buf (Printf.sprintf " --timeout-ms %d" t)
   | None -> ());
@@ -51,13 +45,9 @@ let repro_command ~quick ~tune ~par ~wire ~stage ~bound ~timeout_ms ~fuel
        (Printf.sprintf " --inject %s" (Fault.to_string sub)));
   Buffer.contents buf
 
-let run_seed ?(hooks = Oracle.default_hooks) ?(tune = false) ?(par = false)
-    ?(wire = false) ?(stage = false) ?(bound = false) ?timeout_ms ?fuel
+let run_seed ?(hooks = Oracle.default_hooks) ?timeout_ms ?fuel
     ?(inject = Fault.none) ?token ~config ~quick seed =
-  let repro =
-    repro_command ~quick ~tune ~par ~wire ~stage ~bound ~timeout_ms ~fuel
-      ~inject seed
-  in
+  let repro = repro_command ~quick ~timeout_ms ~fuel ~inject seed in
   (* pre-oracle faults first: an injected crash/delay hits before any real
      work, like a worker dying on startup would *)
   Fault.apply_pre inject ~seed;
@@ -66,25 +56,18 @@ let run_seed ?(hooks = Oracle.default_hooks) ?(tune = false) ?(par = false)
     { Oracle.fuel; starve_after = Fault.starve_for inject ~seed; token }
   in
   let prog = Gen.program ~quick (Rng.create seed) in
-  match
-    Oracle.check ~hooks ~tune ~par ~wire ~stage ~bound ~budget config prog
-  with
+  match Oracle.check ~hooks ~budget config prog with
   | Ok stats -> Ok stats
   | Error f ->
     let keep p =
-      match
-        Oracle.check ~hooks ~tune ~par ~wire ~stage ~bound ~budget config p
-      with
+      match Oracle.check ~hooks ~budget config p with
       | Error f' -> f'.Oracle.kind = f.Oracle.kind
       | Ok _ -> false
     in
     let minimized = Shrink.minimize ~keep prog in
     (* re-run for the failure details of the minimized program *)
     let f =
-      match
-        Oracle.check ~hooks ~tune ~par ~wire ~stage ~bound ~budget config
-          minimized
-      with
+      match Oracle.check ~hooks ~budget config minimized with
       | Error f' -> f'
       | Ok _ -> f (* cannot happen: [keep] accepted [minimized] *)
     in
@@ -214,18 +197,12 @@ let row_of_json j =
 
 let opt_int = function Some i -> Json.Int i | None -> Json.Null
 
-let meta_json ~first_seed ~seeds ~quick ~tune ~par ~wire ~stage ~bound
-    ~timeout_ms ~fuel ~inject =
+let meta_json ~first_seed ~seeds ~quick ~timeout_ms ~fuel ~inject =
   Json.Obj
     [ ("schema", Json.Str Report.fuzz_checkpoint);
       ("first_seed", Json.Int first_seed);
       ("seeds", Json.Int seeds);
       ("quick", Json.Bool quick);
-      ("tune", Json.Bool tune);
-      ("par", Json.Bool par);
-      ("wire", Json.Bool wire);
-      ("stage", Json.Bool stage);
-      ("bound", Json.Bool bound);
       ("timeout_ms", opt_int timeout_ms);
       ("fuel", opt_int fuel);
       ("inject", Json.Str (Fault.to_string inject)) ]
@@ -269,16 +246,12 @@ let load_checkpoint path ~meta =
 
 exception Resume_mismatch of string
 
-let run ?(hooks = Oracle.default_hooks) ?(tune = false) ?(par = false)
-    ?(wire = false) ?(stage = false) ?(bound = false) ?(domains = 1)
-    ?timeout_ms ?fuel ?(retries = 0) ?(inject = Fault.none) ?checkpoint
-    ?(resume = false) ~quick ~seeds ~first_seed () =
+let run ?(hooks = Oracle.default_hooks) ?(domains = 1) ?timeout_ms ?fuel
+    ?(retries = 0) ?(inject = Fault.none) ?checkpoint ?(resume = false) ~quick
+    ~seeds ~first_seed () =
   let config = if quick then Oracle.quick else Oracle.thorough in
   let seed_list = List.init seeds (fun i -> first_seed + i) in
-  let meta =
-    meta_json ~first_seed ~seeds ~quick ~tune ~par ~wire ~stage ~bound
-      ~timeout_ms ~fuel ~inject
-  in
+  let meta = meta_json ~first_seed ~seeds ~quick ~timeout_ms ~fuel ~inject in
   let completed : (int, row) Hashtbl.t = Hashtbl.create 64 in
   (match checkpoint with
   | Some path when resume -> (
@@ -325,9 +298,7 @@ let run ?(hooks = Oracle.default_hooks) ?(tune = false) ?(par = false)
     let blank_failure kind detail injected =
       { seed; kind; detail; spec_text = None; program_text = "";
         original_stmts = 0; minimized_stmts = 0; injected;
-        repro =
-          repro_command ~quick ~tune ~par ~wire ~stage ~bound ~timeout_ms
-            ~fuel ~inject seed }
+        repro = repro_command ~quick ~timeout_ms ~fuel ~inject seed }
     in
     match o with
     | Runner.Ok (Ok stats) -> Row_ok stats
@@ -355,8 +326,7 @@ let run ?(hooks = Oracle.default_hooks) ?(tune = false) ?(par = false)
         let seed = pending_arr.(i) in
         write_row seed (row_of_outcome seed o))
       (fun token seed ->
-        run_seed ~hooks ~tune ~par ~wire ~stage ~bound ?timeout_ms ?fuel
-          ~inject ~token ~config ~quick seed)
+        run_seed ~hooks ?timeout_ms ?fuel ~inject ~token ~config ~quick seed)
       pending_seeds
   in
   flush_sink ();
@@ -387,50 +357,20 @@ let run ?(hooks = Oracle.default_hooks) ?(tune = false) ?(par = false)
 let unexpected_failures r = List.filter (fun f -> not f.injected) r.failures
 
 let summary r =
-  let tune =
-    if r.stats.Oracle.tune_checked > 0 then
-      Printf.sprintf ", %d tune-checked" r.stats.Oracle.tune_checked
-    else ""
-  in
-  let par =
-    if r.stats.Oracle.par_checked > 0 then
-      Printf.sprintf ", %d par-checked" r.stats.Oracle.par_checked
-    else ""
-  in
-  let wire =
-    if r.stats.Oracle.wire_checked > 0 then
-      Printf.sprintf ", %d wire-checked" r.stats.Oracle.wire_checked
-    else ""
-  in
-  let chaos =
-    if r.stats.Oracle.chaos_checked > 0 then
-      Printf.sprintf ", %d chaos-checked" r.stats.Oracle.chaos_checked
-    else ""
-  in
-  let stage =
-    if r.stats.Oracle.stage_checked > 0 then
-      Printf.sprintf ", %d stage-checked" r.stats.Oracle.stage_checked
-    else ""
-  in
-  let bound =
-    if r.stats.Oracle.bound_checked > 0 then
-      Printf.sprintf ", %d bound-checked" r.stats.Oracle.bound_checked
-    else ""
-  in
-  let gave_up =
-    if r.stats.Oracle.gave_up > 0 then
-      Printf.sprintf ", %d gave-up" r.stats.Oracle.gave_up
-    else ""
-  in
+  let st = r.stats in
   let injected =
     let n = List.length r.failures - List.length (unexpected_failures r) in
     if n > 0 then Printf.sprintf " (%d injected)" n else ""
   in
   Printf.sprintf
-    "%d seeds: %d specs (%d legal), %d runs verified, %d skipped%s%s%s%s%s%s%s, %d failures%s"
-    r.seeds r.stats.Oracle.specs r.stats.Oracle.legal_specs
-    r.stats.Oracle.verified r.stats.Oracle.skipped tune par wire chaos stage
-    bound gave_up (List.length r.failures) injected
+    "%d seeds: %d specs (%d legal), %d runs verified, %d skipped, %d \
+     tune-checked, %d par-checked, %d wire-checked, %d chaos-checked, %d \
+     stage-checked, %d bound-checked, %d gave-up, %d failures%s"
+    r.seeds st.Oracle.specs st.Oracle.legal_specs st.Oracle.verified
+    st.Oracle.skipped st.Oracle.tune_checked st.Oracle.par_checked
+    st.Oracle.wire_checked st.Oracle.chaos_checked st.Oracle.stage_checked
+    st.Oracle.bound_checked st.Oracle.gave_up (List.length r.failures)
+    injected
 
 let indent text =
   String.split_on_char '\n' text

@@ -38,11 +38,6 @@ type report = {
 
 val run_seed :
   ?hooks:Oracle.hooks ->
-  ?tune:bool ->
-  ?par:bool ->
-  ?wire:bool ->
-  ?stage:bool ->
-  ?bound:bool ->
   ?timeout_ms:int ->
   ?fuel:int ->
   ?inject:Fault.plan ->
@@ -60,11 +55,6 @@ val run_seed :
 
 val run :
   ?hooks:Oracle.hooks ->
-  ?tune:bool ->
-  ?par:bool ->
-  ?wire:bool ->
-  ?stage:bool ->
-  ?bound:bool ->
   ?domains:int ->
   ?timeout_ms:int ->
   ?fuel:int ->
@@ -98,8 +88,9 @@ val unexpected_failures : report -> failure_report list
     CI.  An injected campaign with only injected rows is a success. *)
 
 val summary : report -> string
-(** One line, e.g.
-    [200 seeds: 512 specs (200 legal), 380 runs verified, 2 skipped, 0 failures]. *)
+(** One line with every counter, e.g.
+    [200 seeds: 512 specs (200 legal), 380 runs verified, 2 skipped, ...,
+    0 gave-up, 0 failures]. *)
 
 val failure_to_string : failure_report -> string
 (** Multi-line self-contained repro: seed, reproduction command line, the

@@ -407,7 +407,7 @@ let check_par ?spec_text pipe ~spec ~n ~domains_list =
     domains_list;
   List.length domains_list
 
-let check_exn hooks ~tune ~par ~wire ~stage ~bound ~budget cfg prog =
+let check_exn hooks ~budget cfg prog =
   let poll () = Option.iter Runner.Token.check budget.token in
   (* 1. the printed text is a fixpoint of print-parse-print — the parse
      goes through the Pipeline facade, which also gives us the memoizing
@@ -450,30 +450,25 @@ let check_exn hooks ~tune ~par ~wire ~stage ~bound ~budget cfg prog =
   check_replay prog ~n:replay_n;
   let replayed_blocked = ref false in
   let stats = ref zero_stats in
-  (* 6. parallel execution equivalence (opt-in): on the original program
-     here, and on the first legal blocked variant below — once each, like
-     the replay layer, to bound the per-program cost *)
-  let par_domains = [ 1; 2; 3 ] in
-  if par then begin
-    let k = check_par pipe ~spec:None ~n:replay_n ~domains_list:par_domains in
-    stats := { !stats with par_checked = !stats.par_checked + k }
-  end;
-  (* 8. specialization equivalence (opt-in): on the original program here,
-     and on the first legal blocked variant below — the blocked one is
-     where specialization actually simplifies (block bounds, min/max
-     envelopes, degenerate loops), so it carries the real weight *)
-  if stage then begin
-    let k = check_stage prog ~ns:cfg.verify_ns in
-    stats := { !stats with stage_checked = !stats.stage_checked + k }
-  end;
-  (* 9. analytic-bound layer (opt-in): the order-free communication lower
-     bound must not exceed simulated misses — on the original program
-     here, and on the first legal blocked variant below, where the
-     windowed per-spec bound engages *)
-  if bound then begin
-    let k = check_bound ~sim_prog:prog prog ~n:replay_n in
-    stats := { !stats with bound_checked = !stats.bound_checked + k }
-  end;
+  (* 6, 8 and 9: parallel execution, specialization and analytic-bound
+     equivalence — on the original program here, and on the first legal
+     blocked variant below, once each like the replay layer, to bound the
+     per-program cost.  The blocked variant carries the real weight:
+     specialization simplifies its block bounds, min/max envelopes and
+     degenerate loops, and the windowed per-spec bound engages there. *)
+  let check_variant ?spec_text ?spec ~sim_prog () =
+    let par =
+      check_par ?spec_text pipe ~spec ~n:replay_n ~domains_list:[ 1; 2; 3 ]
+    in
+    let stage = check_stage ?spec_text sim_prog ~ns:cfg.verify_ns in
+    let bound = check_bound ?spec_text ?spec ~sim_prog prog ~n:replay_n in
+    stats :=
+      { !stats with
+        par_checked = !stats.par_checked + par;
+        stage_checked = !stats.stage_checked + stage;
+        bound_checked = !stats.bound_checked + bound }
+  in
+  check_variant ~sim_prog:prog ();
   let check_spec spec =
     let st = lazy (Format.asprintf "%a" Spec.pp spec) in
     let failf ?(with_spec = true) kind fmt =
@@ -530,26 +525,7 @@ let check_exn hooks ~tune ~par ~wire ~stage ~bound ~budget cfg prog =
       if not !replayed_blocked then begin
         replayed_blocked := true;
         check_replay ~spec_text:(Lazy.force st) blocked ~n:replay_n;
-        if par then begin
-          let k =
-            check_par ~spec_text:(Lazy.force st) pipe ~spec:(Some spec)
-              ~n:replay_n ~domains_list:par_domains
-          in
-          stats := { !stats with par_checked = !stats.par_checked + k }
-        end;
-        if stage then begin
-          let k =
-            check_stage ~spec_text:(Lazy.force st) blocked ~ns:cfg.verify_ns
-          in
-          stats := { !stats with stage_checked = !stats.stage_checked + k }
-        end;
-        if bound then begin
-          let k =
-            check_bound ~spec_text:(Lazy.force st) ~spec ~sim_prog:blocked
-              prog ~n:replay_n
-          in
-          stats := { !stats with bound_checked = !stats.bound_checked + k }
-        end
+        check_variant ~spec_text:(Lazy.force st) ~spec ~sim_prog:blocked ()
       end;
       List.iter
         (fun n ->
@@ -583,38 +559,33 @@ let check_exn hooks ~tune ~par ~wire ~stage ~bound ~budget cfg prog =
   (match legal with
   | s1 :: s2 :: _ -> ignore (check_spec (Spec.product s1 s2))
   | _ -> ());
-  (* 5. tuner layer (opt-in): the memoized and cache-less solver contexts
-     must agree on every legality verdict of the program's spec lattice.
-     Run unbudgeted: the consistency property only holds for exact
-     verdicts, and a starved run would compare two artifacts. *)
-  if tune && budget.fuel = None && budget.starve_after = None then begin
+  (* 5. tuner layer: the memoized and cache-less solver contexts must
+     agree on every legality verdict of the program's spec lattice.
+     Skipped on fuel-bounded runs: the consistency property only holds
+     for exact verdicts, and a starved run would compare two artifacts. *)
+  if budget.fuel = None && budget.starve_after = None then begin
     poll ();
     match Tune.consistency_step ~sizes:cfg.block_sizes ~max_specs:8 prog with
     | Ok n -> stats := { !stats with tune_checked = !stats.tune_checked + n }
     | Error msg -> fail Tune msg
   end;
-  (* 7. wire-protocol layer (opt-in): a seeded mutation storm against an
-     in-process daemon serving this very program — the session must stay
-     total, structured and deterministic whatever bytes arrive.  The
-     storm seed derives from the program text, so a seed's storm is
-     reproducible without threading campaign state here. *)
-  if wire then begin
-    poll ();
-    let storm_seed = Hashtbl.hash s in
-    match Wire.storm ~seed:storm_seed prog with
-    | Ok (n, chaos) ->
-      stats :=
-        { !stats with
-          wire_checked = !stats.wire_checked + n;
-          chaos_checked = !stats.chaos_checked + chaos }
-    | Error msg -> fail Wire msg
-  end;
+  (* 7. wire-protocol layer: a seeded mutation storm against an in-process
+     daemon serving this very program — the session must stay total,
+     structured and deterministic whatever bytes arrive.  The storm seed
+     derives from the program text, so a seed's storm is reproducible
+     without threading campaign state here. *)
+  poll ();
+  (match Wire.storm ~seed:(Hashtbl.hash s) prog with
+  | Ok (n, chaos) ->
+    stats :=
+      { !stats with
+        wire_checked = !stats.wire_checked + n;
+        chaos_checked = !stats.chaos_checked + chaos }
+  | Error msg -> fail Wire msg);
   Ok !stats
 
-let check ?(hooks = default_hooks) ?(tune = false) ?(par = false)
-    ?(wire = false) ?(stage = false) ?(bound = false) ?(budget = no_budget)
-    cfg prog =
-  try check_exn hooks ~tune ~par ~wire ~stage ~bound ~budget cfg prog with
+let check ?(hooks = default_hooks) ?(budget = no_budget) cfg prog =
+  try check_exn hooks ~budget cfg prog with
   | Fail f -> Error f
   | Runner.Token.Expired ->
     (* not a verdict on the program: the supervisor converts this into the

@@ -4,7 +4,8 @@
     checked against one memoizing {!Polyhedra.Omega.Ctx} solver context —
     exactly the configuration the autotuner uses in production.
 
-    Five layers are cross-checked against ground truth:
+    Every layer runs on every program, each cross-checked against ground
+    truth or a second implementation:
 
     - {b Roundtrip}: pretty-printing is a textual fixpoint through the
       parser ([print (parse (print p)) = print p]).
@@ -21,32 +22,32 @@
       simulation exactly — every counter, level stat, and cycle
       figure — across all (machine x quality) variants, on the original
       program and on the first legal blocked variant.
-    - {b Tune} (opt-in via [~tune:true]): {!Tune.consistency_step} — the
-      memoized and cache-less solver contexts must return identical
-      legality verdicts over the program's single-factor spec lattice.
-    - {b Wire} (opt-in via [~wire:true]): {!Wire.storm} — an in-process
-      shackled daemon serving this program must stay total, structured
-      and deterministic under a seeded storm of mutated protocol frames.
-    - {b Par} (opt-in via [~par:true]): the dependence-aware block
-      scheduler ({!Sched}) executed over 1, 2 and 3 worker domains must
-      be bit-identical to one sequential execution — stores compared as
-      Int64 bit patterns, the deterministically merged trace word for
-      word including chunk accounting, flop counts exactly, and the
-      shared-L2 multicore replay identical across worker counts — on the
-      original program and on the first legal blocked variant.
-    - {b Stage} (opt-in via [~stage:true]): per-size specialization
-      ({!Loopir.Stages.specialize}) must be trace-preserving — at every
-      verification size, executing the specialized program end to end
-      must agree bit for bit with the symbolic one (stores as Int64 bit
-      patterns, flop counts, and the recorded access trace including
-      chunk accounting) — on the original program and on the first legal
-      blocked variant, where the simplification stages do real work.
-    - {b Bound} (opt-in via [~bound:true]): the {!Bounds} analytic
-      communication lower bound must be sound against the simulator —
-      per cache level, on every (machine x quality) variant, the bound
-      never exceeds the simulated miss count — on the original program
-      (order-free argument) and on the first legal blocked variant
-      (windowed per-spec argument).  Non-affine programs are skipped.
+    - {b Tune}: {!Tune.consistency_step} — the memoized and cache-less
+      solver contexts must return identical legality verdicts over the
+      program's single-factor spec lattice.
+    - {b Wire}: {!Wire.storm} — an in-process shackled daemon serving
+      this program must stay total, structured and deterministic under a
+      seeded storm of mutated protocol frames.
+    - {b Par}: the dependence-aware block scheduler ({!Sched}) executed
+      over 1, 2 and 3 worker domains must be bit-identical to one
+      sequential execution — stores compared as Int64 bit patterns, the
+      deterministically merged trace word for word including chunk
+      accounting, flop counts exactly, and the shared-L2 multicore replay
+      identical across worker counts — on the original program and on
+      the first legal blocked variant.
+    - {b Stage}: per-size specialization ({!Loopir.Stages.specialize})
+      must be trace-preserving — at every verification size, executing
+      the specialized program end to end must agree bit for bit with the
+      symbolic one (stores as Int64 bit patterns, flop counts, and the
+      recorded access trace including chunk accounting) — on the original
+      program and on the first legal blocked variant, where the
+      simplification stages do real work.
+    - {b Bound}: the {!Bounds} analytic communication lower bound must
+      be sound against the simulator — per cache level, on every
+      (machine x quality) variant, the bound never exceeds the simulated
+      miss count — on the original program (order-free argument) and on
+      the first legal blocked variant (windowed per-spec argument).
+      Non-affine programs are skipped.
 
     The legality check goes through a {e hook} so tests can inject a broken
     checker and watch the fuzzer catch and shrink it. *)
@@ -146,30 +147,19 @@ val add_stats : stats -> stats -> stats
 
 val check :
   ?hooks:hooks ->
-  ?tune:bool ->
-  ?par:bool ->
-  ?wire:bool ->
-  ?stage:bool ->
-  ?bound:bool ->
   ?budget:budget ->
   config ->
   Loopir.Ast.program ->
   (stats, failure) result
-(** Never raises except [Runner.Token.Expired] (an expired budget token is
-    the supervisor's business, not a verdict on the program): any other
-    exception from any layer is reported as a {!Crash} failure.  [tune]
-    (default false) enables the {!Tune.consistency_step} layer; it is
-    skipped on fuel-bounded runs, whose verdicts are not exact.  [par]
-    (default false) enables the parallel-execution equivalence layer; it
-    runs even under a budget, because a starved scheduler plan degrades to
-    the sequential chain, which must still be bit-equivalent.  [wire]
-    (default false) enables the protocol-robustness layer; it runs even
-    under a budget — a starved daemon may answer [unknown:...], but it
-    must do so in well-formed frames.  [stage] (default false) enables the
-    specialization-equivalence layer; it runs even under a budget, because
-    specialization is solver-free.  [bound] (default false) enables the
-    analytic-lower-bound soundness layer; it too runs under a budget,
-    because the bound computation never consults the solver. *)
+(** Run every layer.  Never raises except [Runner.Token.Expired] (an
+    expired budget token is the supervisor's business, not a verdict on
+    the program): any other exception from any layer is reported as a
+    {!Crash} failure.  The tune layer is skipped on fuel-bounded runs,
+    whose verdicts are not exact.  Every other layer runs under a budget
+    too: a starved scheduler plan degrades to the sequential chain, which
+    must still be bit-equivalent; a starved daemon may answer
+    [unknown:...], but in well-formed frames; specialization and the bound
+    computation never consult the solver. *)
 
 val kind_string : kind -> string
 

@@ -6,6 +6,7 @@ module Ast = Loopir.Ast
 module D = Server.Daemon
 module W = Server.Wire
 module P = Server.Proto
+module Cl = Server.Client
 
 let ( let* ) = Result.bind
 
@@ -47,8 +48,23 @@ let resolver prog =
 (* Reply-stream validation                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Every byte a session emits must parse as complete Reply_ok/Reply_err
-   frames with decodable payloads; [Ok n] counted n frames. *)
+(* One reply frame must be a Reply_ok or Reply_err with a decodable
+   payload; [Ok true] for Reply_ok, [Ok false] for Reply_err. *)
+let check_reply raw =
+  match W.opcode_of_byte raw.W.r_op with
+  | Some W.Reply_ok -> (
+    match P.reply_of_payload ~op:W.Reply_ok raw.W.r_payload with
+    | Ok _ -> Ok true
+    | Error msg -> Error ("undecodable Reply_ok payload: " ^ msg))
+  | Some W.Reply_err -> (
+    match P.error_of_payload raw.W.r_payload with
+    | Ok _ -> Ok false
+    | Error msg -> Error ("undecodable Reply_err payload: " ^ msg))
+  | _ ->
+    Error (Printf.sprintf "server emitted non-reply opcode 0x%02x" raw.W.r_op)
+
+(* Every byte a session emits must parse as complete reply frames that
+   pass [check_reply]; [Ok n] counted n frames. *)
 let check_reply_stream bytes =
   let rec go buf n =
     if String.length buf = 0 then Ok n
@@ -59,20 +75,9 @@ let check_reply_stream bytes =
           (Printf.sprintf
              "reply stream ends with a truncated frame (%d bytes short)" k)
       | W.Corrupt msg -> Error ("reply stream is corrupt: " ^ msg)
-      | W.Got (raw, consumed) -> (
-        let rest = String.sub buf consumed (String.length buf - consumed) in
-        match W.opcode_of_byte raw.W.r_op with
-        | Some W.Reply_ok -> (
-          match P.reply_of_payload ~op:W.Reply_ok raw.W.r_payload with
-          | Ok _ -> go rest (n + 1)
-          | Error msg -> Error ("undecodable Reply_ok payload: " ^ msg))
-        | Some W.Reply_err -> (
-          match P.error_of_payload raw.W.r_payload with
-          | Ok _ -> go rest (n + 1)
-          | Error msg -> Error ("undecodable Reply_err payload: " ^ msg))
-        | _ ->
-          Error
-            (Printf.sprintf "server emitted non-reply opcode 0x%02x" raw.W.r_op))
+      | W.Got (raw, consumed) ->
+        let* _ = check_reply raw in
+        go (String.sub buf consumed (String.length buf - consumed)) (n + 1)
   in
   go bytes 0
 
@@ -321,3 +326,74 @@ let storm ?(frames = 200) ~seed prog =
       | Error _ as e -> e
       | Ok () -> Ok (!checked, !chaos)
       | exception Failure msg -> Error ("chaos: " ^ msg)))
+
+(* ------------------------------------------------------------------ *)
+(* The socket burst                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type burst = { b_sent : int; b_ok : int; b_err : int; b_hangups : int }
+
+(* What the daemon owes for [bytes] sent at a frame boundary, by the
+   decoder the daemon itself runs: one reply per complete frame; a
+   [Corrupt] stretch earns one error reply, then the daemon hangs up; a
+   trailing partial frame earns nothing (the daemon waits for the rest).
+   Returns the reply count, whether the stream is still usable
+   afterwards, and the opcode bytes of the complete frames. *)
+let owed bytes =
+  let rec go buf n ops =
+    match W.decode buf with
+    | W.Got (raw, consumed) ->
+      go
+        (String.sub buf consumed (String.length buf - consumed))
+        (n + 1) (raw.W.r_op :: ops)
+    | W.Corrupt _ -> (n + 1, false, ops)
+    | W.Need_more _ -> (n, String.length buf = 0, ops)
+  in
+  go bytes 0 []
+
+let burst ~socket ~seed ~frames =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ | Sys_error _ -> ());
+  let rng = Rng.create seed in
+  let pool =
+    valid_frames
+      (Ast.program_to_string (Gen.program ~quick:true (Rng.split rng)))
+  in
+  (* a mutation that happens to spell a Shutdown frame would stop the
+     daemon under test: draw again *)
+  let rec draw () =
+    let bytes = mutate rng (Rng.pick rng pool) in
+    let replies, usable, ops = owed bytes in
+    if List.mem (W.opcode_byte W.Shutdown) ops then draw ()
+    else (bytes, replies, usable)
+  in
+  let conn = ref (Cl.connect socket) in
+  let ok = ref 0 and err = ref 0 and hangups = ref 0 in
+  for i = 1 to frames do
+    let bytes, replies, usable = draw () in
+    (match Cl.exchange !conn bytes ~replies with
+    | Error msg ->
+      failwith
+        (Printf.sprintf "burst frame %d: %d replies owed, %s" i replies msg)
+    | Ok raws ->
+      List.iter
+        (fun raw ->
+          match check_reply raw with
+          | Ok true -> incr ok
+          | Ok false -> incr err
+          | Error msg -> failwith (Printf.sprintf "burst frame %d: %s" i msg))
+        raws);
+    if not usable then begin
+      Cl.close !conn;
+      incr hangups;
+      conn := Cl.connect socket
+    end
+  done;
+  Cl.close !conn;
+  (* liveness proof: a clean round-trip after the burst *)
+  let c = Cl.connect socket in
+  (match Cl.rpc c P.Stats with
+  | Ok (P.R_stats _) -> ()
+  | Ok _ | Error _ -> failwith "burst: daemon unhealthy after the burst");
+  Cl.close c;
+  { b_sent = frames; b_ok = !ok; b_err = !err; b_hangups = !hangups }

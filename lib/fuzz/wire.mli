@@ -24,7 +24,11 @@
     The daemon under test serves the generated program itself (kernel
     ["gen"], specs ["s0"], ["s1"], ... = its single-factor shackle
     lattice), so the storm exercises real parse/probe/legal handlers, not
-    stubs. *)
+    stubs.
+
+    {!burst} fires the same mutations at a live daemon over its socket
+    ([shackled burst]): one mutator for the in-process storm and the
+    socket burst. *)
 
 val storm :
   ?frames:int -> seed:int -> Loopir.Ast.program -> (int * int, string) result
@@ -32,3 +36,25 @@ val storm :
     determinism pass, and the chaos pass.  [Ok (checked, chaos_checked)]
     counts ordinary frames checked and chaos schedules survived;
     [Error] describes the first property violation. *)
+
+type burst = {
+  b_sent : int;  (** mutated frames sent *)
+  b_ok : int;  (** [Reply_ok] frames received *)
+  b_err : int;  (** [Reply_err] frames received *)
+  b_hangups : int;
+      (** reconnections: after the daemon hung up on a framing violation,
+          or after a send that ended in a partial frame *)
+}
+
+val burst : socket:string -> seed:int -> frames:int -> burst
+(** Fire [frames] seeded mutations of the storm's valid frames (for a
+    program generated from [seed]) at the daemon listening on [socket].
+    Each send is decoded with the daemon's own {!Server.Wire.decode} to
+    work out what it is owed: one reply per complete frame; one error
+    reply and a hangup for a corrupt stretch; nothing for a trailing
+    partial frame, after which the burst reconnects — so no read ever
+    waits on a reply that is not coming, and no receive timeout is
+    needed.  A mutation that decodes to [Shutdown] is never sent.
+    Finishes with a clean [Stats] round-trip on a fresh connection.
+    @raise Failure when a reply is missing or unstructured, or the daemon
+    is unhealthy afterwards. *)

@@ -71,6 +71,11 @@ let small_cache =
 let untuned = { q_name = "untuned"; overhead = 2.0; forwarding = false }
 let tuned = { q_name = "tuned"; overhead = 0.25; forwarding = true }
 
+let machines =
+  List.map (fun m -> (m.m_name, m)) [ sp2_like; two_level; small_cache ]
+
+let qualities = List.map (fun q -> (q.q_name, q)) [ untuned; tuned ]
+
 type level_stat = {
   s_name : string;
   s_accesses : int;

@@ -55,6 +55,13 @@ val small_cache : t
 val untuned : quality
 val tuned : quality
 
+val machines : (string * t) list
+(** Every machine model above, keyed by its [m_name] — the one name table
+    behind the daemon's [Sim] request and [shacklec --machine]. *)
+
+val qualities : (string * quality) list
+(** Both qualities, keyed by [q_name] ([shacklec --quality], [Sim]). *)
+
 type level_stat = {
   s_name : string;
   s_accesses : int;

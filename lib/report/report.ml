@@ -7,9 +7,9 @@
 module Json = Observe.Json
 module Metrics = Observe.Metrics
 
-let tune_report = "tune-report/4"
+let tune_report = "tune-report/5"
 let fuzz_report = "fuzz-report/8"
-let fuzz_checkpoint = "fuzz-checkpoint/1"
+let fuzz_checkpoint = "fuzz-checkpoint/2"
 let shackled_stats = "shackled-stats/2"
 let shackled_cache_report = "shackled-cache-report/1"
 let bounds_report = "bounds-report/1"
@@ -76,7 +76,6 @@ let version j =
 
 let check_tune j =
   let* _ = str_field "kernel" j in
-  let* _ = str_field "mode" j in
   let* counts =
     match Json.member "counts" j with
     | Some (Json.Obj _ as c) -> Ok c
@@ -160,10 +159,7 @@ let check_fuzz j =
 
 let check_fuzz_checkpoint j =
   let* () = all_int_fields [ "first_seed"; "seeds" ] j in
-  let* () =
-    all (fun k -> bool_field k j)
-      [ "quick"; "tune"; "par"; "wire"; "stage"; "bound" ]
-  in
+  let* () = bool_field "quick" j in
   let* () = int_or_null_field "timeout_ms" j in
   let* () = int_or_null_field "fuel" j in
   Result.map ignore (str_field "inject" j)

@@ -11,19 +11,19 @@
     below; what is shared is the contract.
 
     Tagging convention: every report is an object with either a
-    ["schema"] string field ([<family>/<version>], e.g. [tune-report/4])
+    ["schema"] string field ([<family>/<version>], e.g. [tune-report/5])
     or — for bench trajectories, which predate the convention — an
     integer ["schema_version"], surfaced here as the synthetic tag
     [bench/1]. *)
 
 val tune_report : string
-(** ["tune-report/4"] — [shacklec tune --json]. *)
+(** ["tune-report/5"] — [shacklec tune --json]. *)
 
 val fuzz_report : string
 (** ["fuzz-report/8"] — [fuzz --json]. *)
 
 val fuzz_checkpoint : string
-(** ["fuzz-checkpoint/1"] — first line of a [fuzz --checkpoint] file. *)
+(** ["fuzz-checkpoint/2"] — first line of a [fuzz --checkpoint] file. *)
 
 val shackled_stats : string
 (** ["shackled-stats/2"] — the daemon's stats RPC / [shackled report --socket]. *)

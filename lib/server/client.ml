@@ -49,11 +49,21 @@ let read_frame t =
   in
   loop ()
 
-let rpc_raw t raw =
-  match write_all t.fd (Wire.encode_raw raw) with
-  | () -> read_frame t
+let send t bytes =
+  match write_all t.fd bytes with
+  | () -> Ok ()
   | exception Unix.Unix_error (e, _, _) ->
     Error ("write: " ^ Unix.error_message e)
+
+let exchange t bytes ~replies =
+  let rec read n acc =
+    if n = 0 then Ok (List.rev acc)
+    else
+      match read_frame t with
+      | Ok raw -> read (n - 1) (raw :: acc)
+      | Error msg -> Error msg
+  in
+  Result.bind (send t bytes) (fun () -> read replies [])
 
 let transport msg = Error (Proto.error "transport" msg)
 
@@ -65,7 +75,7 @@ let rpc t req =
       r_id = id;
       r_payload = Proto.request_to_payload req }
   in
-  match rpc_raw t raw with
+  match Result.bind (send t (Wire.encode_raw raw)) (fun () -> read_frame t) with
   | Error msg -> transport msg
   | Ok reply ->
     if reply.Wire.r_id <> id then
@@ -177,99 +187,3 @@ let rpc_retry r req =
     | _ -> result
   in
   attempt 0
-
-(* ------------------------------------------------------------------ *)
-(* Wire fuzz burst                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type burst = { b_sent : int; b_ok : int; b_err : int; b_hangups : int }
-
-(* A mutated length field can promise more payload than we send; the
-   server (correctly) waits, so fuzz connections read with a timeout and
-   treat it as a hangup. *)
-let fuzz_connect socket =
-  let c = connect socket in
-  (try Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 0.5
-   with Unix.Unix_error _ -> ());
-  c
-
-(* A small pool of valid frames to mutate — cheap requests only, so the
-   burst measures protocol robustness, not solver throughput. *)
-let burst_seeds =
-  [ Wire.encode ~op:Wire.Stats ~id:7 ~payload:"{}";
-    Wire.encode ~op:Wire.Parse ~id:8 ~payload:"{\"text\":\"not a program\"}";
-    Wire.encode ~op:Wire.Legal ~id:9
-      ~payload:"{\"kernel\":\"nope\",\"spec\":\"x\",\"size\":4}" ]
-
-let mutate rng frame =
-  let b = Bytes.of_string frame in
-  (match Random.State.int rng 6 with
-  | 0 ->
-    (* flip one byte anywhere (magic, opcode, id, length, payload) *)
-    let i = Random.State.int rng (Bytes.length b) in
-    Bytes.set b i (Char.chr (Random.State.int rng 256))
-  | 1 ->
-    (* unknown opcode, framing otherwise intact *)
-    Bytes.set b 4 (Char.chr (0x20 + Random.State.int rng 0x60))
-  | 2 ->
-    (* oversized length prefix *)
-    Bytes.set b 9 '\xff';
-    Bytes.set b 10 '\xff'
-  | 3 ->
-    (* garbage payload under a correct header *)
-    for i = Wire.header_bytes to Bytes.length b - 1 do
-      Bytes.set b i (Char.chr (Random.State.int rng 256))
-    done
-  | _ -> () (* sent unmodified, or truncated below *));
-  let s = Bytes.to_string b in
-  if Random.State.int rng 4 = 0 then
-    (* truncate mid-header or mid-payload *)
-    String.sub s 0 (Random.State.int rng (String.length s))
-  else s
-
-let fuzz_burst ~socket ~seed ~frames =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let rng = Random.State.make [| seed; frames |] in
-  let conn = ref (fuzz_connect socket) in
-  let ok = ref 0 and errs = ref 0 and hangups = ref 0 in
-  for _ = 1 to frames do
-    let frame = mutate rng (List.nth burst_seeds (Random.State.int rng 3)) in
-    let reconnect () =
-      close !conn;
-      incr hangups;
-      conn := fuzz_connect socket
-    in
-    match write_all (!conn).fd frame with
-    | exception Unix.Unix_error _ -> reconnect ()
-    | () ->
-      if String.length frame < Wire.header_bytes then
-        (* incomplete frame: the server correctly keeps waiting; start a
-           fresh connection rather than poisoning the next send *)
-        reconnect ()
-      else (
-        match read_frame !conn with
-        | Error _ -> reconnect ()
-        | Ok raw -> (
-          match Wire.opcode_of_byte raw.Wire.r_op with
-          | Some Wire.Reply_ok -> incr ok
-          | Some Wire.Reply_err ->
-            incr errs;
-            (* a framing violation gets one error then a hangup *)
-            (match Proto.error_of_payload raw.Wire.r_payload with
-            | Ok { Proto.e_code = "bad_magic" | "oversized"; _ } ->
-              reconnect ()
-            | _ -> ())
-          | _ ->
-            failwith
-              (Printf.sprintf "fuzz_burst: unstructured reply opcode 0x%02x"
-                 raw.Wire.r_op)))
-  done;
-  close !conn;
-  (* liveness proof: a clean round-trip after the storm *)
-  let c = connect socket in
-  (match rpc c Proto.Stats with
-  | Ok (Proto.R_stats _) -> ()
-  | Ok _ | Error _ -> failwith "fuzz_burst: daemon unhealthy after burst");
-  close c;
-  { b_sent = frames; b_ok = !ok; b_err = !errs; b_hangups = !hangups }

@@ -1,6 +1,6 @@
 (** Blocking shackled/1 client over a Unix domain socket, used by
-    [shacklec --connect], [shackled --report]/[--fuzz-burst] and the
-    bench server figure.
+    [shacklec --connect], [shackled report], [shackled replay] and the
+    wire-fuzz burst behind [shackled burst].
 
     One outstanding request at a time per client; request ids are
     assigned monotonically and checked on the reply. *)
@@ -17,10 +17,12 @@ val rpc : t -> Proto.request -> (Proto.reply, Proto.error) result
     (connection closed, unparseable reply) come back as a [transport]
     error, not an exception. *)
 
-val rpc_raw : t -> Wire.raw -> (Wire.raw, string) result
-(** Send an arbitrary frame and read one reply frame — the wire-burst
-    primitive.  [Error] means the server hung up (expected after a
-    framing violation). *)
+val exchange : t -> string -> replies:int -> (Wire.raw list, string) result
+(** [exchange t bytes ~replies] writes [bytes] as they are — one frame,
+    several, a fragment or garbage — then reads exactly [replies] reply
+    frames: the wire-fuzz burst's primitive, which works out [replies]
+    from the bytes it sends.  [Error] means the connection failed before
+    they all arrived. *)
 
 type retry
 (** A self-healing client: owns (and transparently re-establishes) its
@@ -48,19 +50,3 @@ val retries : retry -> int
 (** Total retries performed by this handle (for load reports). *)
 
 val close_retry : retry -> unit
-
-type burst = {
-  b_sent : int;  (** frames sent *)
-  b_ok : int;  (** [Reply_ok] frames received *)
-  b_err : int;  (** [Reply_err] frames received *)
-  b_hangups : int;  (** connections the server closed (reconnected) *)
-}
-
-val fuzz_burst : socket:string -> seed:int -> frames:int -> burst
-(** Fire [frames] seeded mutations of valid frames (bit flips, truncated
-    headers, oversized length prefixes, unknown opcodes, garbage
-    payloads) at a live daemon, reconnecting whenever the server hangs
-    up.  Finishes with a clean [Stats] round-trip on a fresh connection —
-    an exception here means the burst killed the daemon.  Every reply
-    received is structured ([Reply_ok] or [Reply_err]); the function
-    raises [Failure] otherwise. *)

@@ -207,15 +207,14 @@ let spec_for t ~kernel ~spec ~size =
       (Printf.sprintf "no spec %S for kernel %S at size %d" spec kernel size)
 
 let machine_of_name name =
-  if String.equal name Model.sp2_like.Model.m_name then Ok Model.sp2_like
-  else if String.equal name Model.two_level.Model.m_name then
-    Ok Model.two_level
-  else err "unknown_machine" (Printf.sprintf "no machine %S" name)
+  match List.assoc_opt name Model.machines with
+  | Some m -> Ok m
+  | None -> err "unknown_machine" (Printf.sprintf "no machine %S" name)
 
 let quality_of_name name =
-  if String.equal name Model.untuned.Model.q_name then Ok Model.untuned
-  else if String.equal name Model.tuned.Model.q_name then Ok Model.tuned
-  else err "unknown_machine" (Printf.sprintf "no cache quality %S" name)
+  match List.assoc_opt name Model.qualities with
+  | Some q -> Ok q
+  | None -> err "unknown_machine" (Printf.sprintf "no cache quality %S" name)
 
 let ( let* ) = Result.bind
 

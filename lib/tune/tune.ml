@@ -34,20 +34,12 @@ module Omega = Polyhedra.Omega
 (* Options                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type mode = Exhaustive | Beam of int
-
-let mode_string = function
-  | Exhaustive -> "exhaustive"
-  | Beam k -> Printf.sprintf "beam:%d" k
-
 type options = {
   sizes : int list;
   depth : int;
-  mode : mode;
   domains : int;
   machines : Model.t list;
   qualities : Model.quality list;
-  cache : bool;
   cache_compare : bool;
   shuffle_seed : int option;
   timeout_ms : int option;
@@ -72,11 +64,9 @@ type options = {
 let default_options =
   { sizes = [ 16 ];
     depth = 2;
-    mode = Exhaustive;
     domains = 1;
     machines = [ Model.sp2_like ];
     qualities = [ Model.untuned ];
-    cache = true;
     cache_compare = false;
     shuffle_seed = None;
     timeout_ms = None;
@@ -148,16 +138,6 @@ let raw_singles prog ~arrays ~sizes =
         sizes)
     arrays
 
-let beam_trim mode cands =
-  match mode with
-  | Exhaustive -> cands
-  | Beam k ->
-    let score c = (c.c_unconstrained, c.c_factors, c.c_label) in
-    let sorted =
-      List.stable_sort (fun a b -> compare (score a) (score b)) cands
-    in
-    List.filteri (fun i _ -> i < k) sorted
-
 type counts = {
   n_enumerated : int;
   n_pruned : int;
@@ -204,7 +184,7 @@ let enumerate pipe opts ~arrays =
   in
   let singles = legal_of (raw_singles prog ~arrays ~sizes:opts.sizes) in
   let all = ref singles in
-  let frontier = ref (beam_trim opts.mode singles) in
+  let frontier = ref singles in
   for _level = 2 to opts.depth do
     let extensions =
       List.concat_map
@@ -233,7 +213,7 @@ let enumerate pipe opts ~arrays =
     in
     let fresh = legal_of extensions in
     all := !all @ fresh;
-    frontier := beam_trim opts.mode fresh
+    frontier := fresh
   done;
   (!all, !enumerated, !pruned, !illegal, !unknown)
 
@@ -745,7 +725,7 @@ let tune ?(options = default_options) ?arrays ?init ~kernel ~params prog =
   let pipe =
     Pipeline.create
       ~solver:
-        (Omega.Ctx.create ~cache:options.cache ?fuel:options.fuel
+        (Omega.Ctx.create ~cache:true ?fuel:options.fuel
            ?timeout_ms:options.timeout_ms ())
       prog
   in
@@ -769,7 +749,7 @@ let tune ?(options = default_options) ?arrays ?init ~kernel ~params prog =
           (scored, v, cg, ms, fs, 0))
   in
   (* attach the analytic miss lower bounds (at the first evaluated size) to
-     every surviving row, pruned mode or not: tune-report/4 reports each
+     every surviving row, pruned or not: the report carries each
      candidate's headroom = simulated misses / lower bound, per level *)
   let head_params = match sweeps with (_, p, _) :: _ -> p | [] -> params in
   let scored =
@@ -948,14 +928,12 @@ let report_to_json rp =
   Json.Obj
     ([ ("schema", Json.Str Report.tune_report);
        ("kernel", Json.Str rp.rp_kernel);
-       ("mode", Json.Str (mode_string o.mode));
        ("domains", Json.Int o.domains);
        ("params", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) rp.rp_params));
        ("sizes", Json.List (List.map (fun s -> Json.Int s) o.sizes));
        ("ns", Json.List (List.map (fun n -> Json.Int n) o.ns));
        ("prune_bounds", Json.Bool o.prune_bounds);
        ("depth", Json.Int o.depth);
-       ("cache", Json.Bool o.cache);
        ("timeout_ms", int_opt_json o.timeout_ms);
        ("fuel", int_opt_json o.fuel);
        ("machines",
@@ -1021,8 +999,7 @@ let check_report_json j =
 
 let pp_report fmt rp =
   let c = rp.rp_counts in
-  Format.fprintf fmt "tune %s (%s, depth %d, sizes %s%s)@." rp.rp_kernel
-    (mode_string rp.rp_options.mode)
+  Format.fprintf fmt "tune %s (depth %d, sizes %s%s)@." rp.rp_kernel
     rp.rp_options.depth
     (String.concat "," (List.map string_of_int rp.rp_options.sizes))
     (match rp.rp_options.ns with

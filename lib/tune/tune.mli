@@ -18,20 +18,14 @@
     everything in the report except wall-clock timing is independent of
     [domains]. *)
 
-type mode = Exhaustive | Beam of int  (** beam width per product level *)
-
-val mode_string : mode -> string
-
 type options = {
   sizes : int list;  (** square block sizes to enumerate *)
   depth : int;  (** maximum number of product factors *)
-  mode : mode;
   domains : int;  (** simulation fan-out; results are independent of it *)
   machines : Machine.Model.t list;
   qualities : Machine.Model.quality list;
       (** evaluated series = machines x qualities; the head of each list is
           the ranking series *)
-  cache : bool;  (** memoize legality queries in the solver context *)
   cache_compare : bool;  (** run the cold/warm cache effectiveness pass *)
   shuffle_seed : int option;
       (** deterministically shuffle candidate order before evaluation —
@@ -61,9 +55,9 @@ type options = {
 }
 
 val default_options : options
-(** sizes [16], depth 2, exhaustive, 1 domain, sp2-like x untuned,
-    cache on, no compare, no shuffle, no budget, no N sweep, bound
-    pruning off. *)
+(** sizes [16], depth 2, 1 domain, sp2-like x untuned, no compare, no
+    shuffle, no budget, no N sweep, bound pruning off.  Legality queries
+    are always memoized in the solver context. *)
 
 type candidate = {
   c_spec : Shackle.Spec.t;

@@ -102,8 +102,16 @@ let test_campaign_clean () =
   let r = run_quick ~domains:1 ~seeds:40 in
   List.iter (fun f -> print_endline (Driver.failure_to_string f)) r.Driver.failures;
   Alcotest.(check int) "no failures" 0 (List.length r.Driver.failures);
-  Alcotest.(check bool) "some specs checked" true (r.Driver.stats.Oracle.specs > 0);
-  Alcotest.(check bool) "some runs verified" true (r.Driver.stats.Oracle.verified > 0)
+  let st = r.Driver.stats in
+  Alcotest.(check bool) "some specs checked" true (st.Oracle.specs > 0);
+  Alcotest.(check bool) "some runs verified" true (st.Oracle.verified > 0);
+  (* every oracle layer runs on every seed *)
+  List.iter
+    (fun (layer, n) ->
+      Alcotest.(check bool) (layer ^ " layer ran") true (n > 0))
+    [ ("tune", st.Oracle.tune_checked); ("par", st.Oracle.par_checked);
+      ("wire", st.Oracle.wire_checked); ("chaos", st.Oracle.chaos_checked);
+      ("stage", st.Oracle.stage_checked); ("bound", st.Oracle.bound_checked) ]
 
 let test_campaign_deterministic () =
   let j1 = Observe.Json.to_string (Driver.to_json (run_quick ~domains:1 ~seeds:15)) in

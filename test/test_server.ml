@@ -285,6 +285,22 @@ let test_session_unknown_kernel () =
   Alcotest.(check int) "id echoed" 8 raw.W.r_id;
   Alcotest.(check string) "code" "unknown_kernel" (reply_error raw).P.e_code
 
+(* The daemon resolves Sim machine and quality names through Model's
+   tables, the ones shacklec's --machine and --quality flags use, so the
+   small-cache machine is a Sim target too. *)
+let test_sim_small_cache () =
+  let srv = D.create (resolver ()) in
+  match
+    D.handle srv
+      (P.Sim
+         { kernel = "matmul"; spec = Some "c"; size = 8; n = 16;
+           machine = "small-cache"; quality = "untuned"; budget_ms = None })
+  with
+  | Ok (P.R_sim { accesses; _ }) ->
+    Alcotest.(check bool) "simulated" true (accesses > 0)
+  | Ok _ -> Alcotest.fail "unexpected reply shape"
+  | Error e -> Alcotest.failf "sim on small-cache: %s: %s" e.P.e_code e.P.e_message
+
 let test_session_shutdown_closes () =
   let srv = D.create (resolver ()) in
   let s = D.Session.create srv in
@@ -769,6 +785,7 @@ let test_old_schema_versions_refused () =
           (Printf.sprintf "unknown report schema %S" old)
           msg)
     [ (tune, Report.tune_report, "tune-report/3");
+      (tune, Report.tune_report, "tune-report/4");
       (fuzz, Report.fuzz_report, "fuzz-report/6");
       (fuzz, Report.fuzz_report, "fuzz-report/7");
       (stats, Report.shackled_stats, "shackled-stats/1") ]
@@ -870,6 +887,29 @@ let test_wire_storm_battery () =
     Alcotest.(check bool) "chaos schedules survived" true (chaos > 0)
   | Error msg -> Alcotest.failf "storm found a protocol violation: %s" msg
 
+let test_socket_burst () =
+  (* the storm's mutations over a live socket: every send gets exactly the
+     replies the daemon owes it (the burst raises otherwise), and the
+     daemon still answers a stats request that validates afterwards *)
+  with_served_daemon (fun ~socket ~srv:_ ->
+      let b = Fuzzing.Wire.burst ~socket ~seed:1 ~frames:100 in
+      Alcotest.(check int) "every frame sent" 100 b.Fuzzing.Wire.b_sent;
+      Alcotest.(check bool) "structured errors" true (b.Fuzzing.Wire.b_err > 0);
+      Alcotest.(check bool) "hangups reconnected" true
+        (b.Fuzzing.Wire.b_hangups > 0);
+      let c = Cl.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Cl.close c)
+        (fun () ->
+          match Cl.rpc c P.Stats with
+          | Ok (P.R_stats j) -> (
+            match Report.check j with
+            | Ok tag ->
+              Alcotest.(check string) "healthy stats" Report.shackled_stats tag
+            | Error msg -> Alcotest.failf "stats do not validate: %s" msg)
+          | Ok _ -> Alcotest.fail "unexpected reply shape"
+          | Error e -> Alcotest.failf "stats after the burst: %s" e.P.e_message))
+
 let () =
   Alcotest.run "server"
     [ ( "wire",
@@ -898,6 +938,8 @@ let () =
             test_session_oversized_closes;
           Alcotest.test_case "unknown kernel is a frame error" `Quick
             test_session_unknown_kernel;
+          Alcotest.test_case "sim on small-cache answers" `Quick
+            test_sim_small_cache;
           Alcotest.test_case "shutdown says bye and refuses" `Quick
             test_session_shutdown_closes;
           Alcotest.test_case "stats json shape" `Quick test_stats_json_shape ] );
@@ -934,4 +976,6 @@ let () =
           Alcotest.test_case "determinism across 1/2/4 domains" `Quick
             test_socket_determinism_across_domains ] );
       ( "storm",
-        [ Alcotest.test_case "200-frame battery" `Quick test_wire_storm_battery ] ) ]
+        [ Alcotest.test_case "200-frame battery" `Quick test_wire_storm_battery;
+          Alcotest.test_case "socket burst keeps the daemon healthy" `Quick
+            test_socket_burst ] ) ]
