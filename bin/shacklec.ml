@@ -325,20 +325,6 @@ let bounds_cmd =
                 let machine_json = ref [] in
                 List.iter
                   (fun (m : Model.t) ->
-                    let line_elems =
-                      max 1
-                        ((List.hd m.Model.levels).Model.l_cache
-                           .Machine.Cache.line_bytes / m.Model.elem_bytes)
-                    in
-                    let levels =
-                      Bounds.levels_of ~line_elems
-                        (List.map
-                           (fun (l : Model.level_spec) ->
-                             ( l.Model.l_name,
-                               l.Model.l_cache.Machine.Cache.size_bytes
-                               / m.Model.elem_bytes ))
-                           m.Model.levels)
-                    in
                     let sim =
                       if !no_sim then None
                       else
@@ -380,7 +366,7 @@ let bounds_cmd =
                               | None -> []
                               | Some mi -> [ ("simulated", Json.Int mi) ]) )
                           :: !level_json)
-                      (Bounds.level_bounds t levels);
+                      (Bounds.level_bounds t (Tune.machine_levels m));
                     machine_json :=
                       ( m.Model.m_name,
                         Json.Obj (List.rev !level_json) )
@@ -642,18 +628,17 @@ let tune_cmd =
   Cli.cmd "tune"
     ~doc:
       "cost-model-guided shackle autotuning: enumerate candidates, prune by \
-       Theorem 2, check legality through the memoized solver, rank by \
-       replayed simulation" (fun args ->
+       Theorem 2, check legality through the memoized solver, prune by the \
+       communication lower bound, rank by replayed simulation" (fun args ->
       let prog = "shacklec tune" in
       let kernel = ref None in
       let sizes = ref [] and n = ref 0 and bw = ref 8 and depth = ref 2 in
       let arrays = ref [] and machines = ref [] and qualities = ref [] in
       let domains = ref 1 and quick = ref false and json = ref None in
-      let cache_compare = ref false in
-      let shuffle_seed = ref 0 and check_json = ref None in
+      let check_json = ref None in
       let timeout_ms = ref None and fuel = ref None and connect = ref None in
       let budget_ms = ref None in
-      let sweep_ns = ref [] and prune_bounds = ref false in
+      let sweep_ns = ref [] in
       let specs =
         [ Cli.int_list "--size" ~docv:"B"
             ~doc:"block size to enumerate (repeatable; default 16)" sizes;
@@ -675,19 +660,6 @@ let tune_cmd =
             arrays;
           machine_flag machines; quality_flag qualities;
           Cli.domains domains; Cli.quick quick; Cli.json json;
-          Cli.flag "--cache-compare"
-            ~doc:"run the cold/warm legality-cache effectiveness pass"
-            cache_compare;
-          Cli.int "--shuffle-seed" ~docv:"K"
-            ~doc:"shuffle candidate order before evaluation (ranking-stability check)"
-            shuffle_seed;
-          Cli.flag "--prune-bounds"
-            ~doc:
-              "evaluate sequentially, best-first by the analytic \
-               communication lower bound, skipping candidates whose \
-               lower-bounded cycle cost exceeds the incumbent's simulated \
-               cycles (same winner, less simulation)"
-            prune_bounds;
           Cli.timeout_ms timeout_ms; Cli.fuel fuel; Cli.connect connect;
           Cli.budget_ms budget_ms;
           Cli.string_opt "--check-json" ~docv:"FILE"
@@ -742,13 +714,9 @@ let tune_cmd =
                       (match !machines with [] -> [ Model.sp2_like ] | ms -> ms);
                     qualities =
                       (match !qualities with [] -> [ Model.untuned ] | qs -> qs);
-                    cache_compare = !cache_compare;
-                    shuffle_seed =
-                      (if !shuffle_seed > 0 then Some !shuffle_seed else None);
                     timeout_ms = !timeout_ms;
                     fuel = !fuel;
-                    ns = List.sort_uniq compare !sweep_ns;
-                    prune_bounds = !prune_bounds }
+                    ns = List.sort_uniq compare !sweep_ns }
                 in
                 let rp =
                   Tune.tune ~options

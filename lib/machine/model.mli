@@ -42,15 +42,16 @@ val sp2_like : t
     the thin-node POWER2 shape used in Section 7. *)
 
 val two_level : t
-(** Adds a 1 MB 8-way second level: the "deeper memory hierarchy" of
-    Section 6.3 / Figure 10. *)
+(** A 16 KB 4-way L1 in front of a 256 KB 8-way L2, both with 128-byte
+    lines: the "deeper memory hierarchy" of Section 6.3 / Figure 10, with
+    the geometry scaled down for simulation-friendly problem sizes. *)
 
 val small_cache : t
-(** A 4 KB single-level cache (32 lines) with sp2-like cost ratios:
-    capacity effects — and with them the analytic communication lower
-    bounds of {!Bounds} — become visible at problem sizes small enough
-    for quick simulation, which is what the lower-bound pruning smoke
-    tests run against. *)
+(** A 1 KB fully associative single-level cache of 128 single-element
+    lines, with sp2-like cost ratios: capacity effects — and with them
+    the analytic communication lower bounds of {!Bounds} — become
+    visible at problem sizes small enough for quick simulation, which is
+    what the lower-bound pruning tests run against. *)
 
 val untuned : quality
 val tuned : quality

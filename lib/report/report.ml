@@ -7,7 +7,7 @@
 module Json = Observe.Json
 module Metrics = Observe.Metrics
 
-let tune_report = "tune-report/5"
+let tune_report = "tune-report/6"
 let fuzz_report = "fuzz-report/8"
 let fuzz_checkpoint = "fuzz-checkpoint/2"
 let shackled_stats = "shackled-stats/2"
@@ -121,6 +121,33 @@ let check_tune j =
         | Some (Json.Str _), Some (Json.Str _) -> Ok ()
         | _ -> Error "failure row: missing \"spec\" or \"reason\"")
       failures
+  in
+  let* bound_pruned = list_field "bound_pruned" j in
+  let* () =
+    all
+      (fun row ->
+        match
+          ( Json.member "spec" row,
+            Json.member "lower_bound_cycles" row,
+            Json.member "incumbent_cycles" row )
+        with
+        | ( Some (Json.Str _),
+            Some (Json.Float _ | Json.Int _),
+            Some (Json.Float _ | Json.Int _) ) -> Ok ()
+        | _ ->
+          Error
+            "bound_pruned row: missing \"spec\", \"lower_bound_cycles\" or \
+             \"incumbent_cycles\"")
+      bound_pruned
+  in
+  let* n = int_field "pruned_by_bound" counts in
+  let* () =
+    if n = List.length bound_pruned then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "counts.pruned_by_bound is %d but bound_pruned has %d rows" n
+           (List.length bound_pruned))
   in
   let* metrics = list_field "metrics" j in
   all (fun m -> Result.map ignore (Metrics.sim_of_json m)) metrics

@@ -11,13 +11,13 @@
     below; what is shared is the contract.
 
     Tagging convention: every report is an object with either a
-    ["schema"] string field ([<family>/<version>], e.g. [tune-report/5])
+    ["schema"] string field ([<family>/<version>], e.g. [tune-report/6])
     or — for bench trajectories, which predate the convention — an
     integer ["schema_version"], surfaced here as the synthetic tag
     [bench/1]. *)
 
 val tune_report : string
-(** ["tune-report/5"] — [shacklec tune --json]. *)
+(** ["tune-report/6"] — [shacklec tune --json]. *)
 
 val fuzz_report : string
 (** ["fuzz-report/8"] — [fuzz --json]. *)

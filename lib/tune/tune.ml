@@ -10,12 +10,16 @@
    through one memoizing solver context, so the many systems that product
    candidates share with their factors are decided once.
 
-   Evaluation is record-once / replay-many: candidates whose generated
+   Evaluation visits the legal candidates in ascending order of their
+   analytic communication lower bound ({!Bounds}), in fixed-size batches;
+   a candidate whose lower-bounded cycle cost already exceeds the best
+   simulated so far is pruned before code generation.  The rest are
+   evaluated record-once / replay-many: candidates whose generated
    programs coincide share a single interpreter execution, and each
    recording is replayed per (machine x quality) on a fresh simulator.
-   Only the simulation fans out over domains; enumeration, legality and
-   code generation run sequentially, so every reported quantity except
-   wall-clock is independent of [domains]. *)
+   Only the simulation fans out over domains; enumeration, legality,
+   pruning and code generation run sequentially, so every reported
+   quantity except wall-clock is independent of [domains]. *)
 
 module Ast = Loopir.Ast
 module Expr = Loopir.Expr
@@ -40,8 +44,6 @@ type options = {
   domains : int;
   machines : Model.t list;
   qualities : Model.quality list;
-  cache_compare : bool;
-  shuffle_seed : int option;
   timeout_ms : int option;
   fuel : int option;
   ns : int list;
@@ -51,14 +53,6 @@ type options = {
           ranking by summed cycles.  Enumeration, legality and codegen run
           once regardless of the sweep's length — the per-size work is the
           solver-free {!Loopir.Stages.specialize}. *)
-  prune_bounds : bool;
-      (** evaluate candidates sequentially, best-first by their analytic
-          communication lower bound ({!Bounds}), and skip any candidate
-          whose lower-bounded cycle cost already exceeds the incumbent's
-          simulated cycles.  Sound for the winner: the bound never
-          exceeds the simulated cost, so a pruned candidate could not
-          have ranked first.  Default off (the default path evaluates
-          the whole lattice in parallel). *)
 }
 
 let default_options =
@@ -67,12 +61,9 @@ let default_options =
     domains = 1;
     machines = [ Model.sp2_like ];
     qualities = [ Model.untuned ];
-    cache_compare = false;
-    shuffle_seed = None;
     timeout_ms = None;
     fuel = None;
-    ns = [];
-    prune_bounds = false }
+    ns = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Candidates                                                          *)
@@ -145,9 +136,6 @@ type counts = {
   n_unknown : int;
   n_legal : int;
   n_variants : int;
-  n_pruned_by_bound : int;
-      (** legal candidates skipped by the analytic lower-bound pruner
-          (zero unless [options.prune_bounds]) *)
 }
 
 (* Grow the lattice level by level.  Products of legal factors are legal
@@ -217,33 +205,12 @@ let enumerate pipe opts ~arrays =
   done;
   (!all, !enumerated, !pruned, !illegal, !unknown)
 
-(* Deterministic Fisher-Yates over a seeded xorshift64 — used only to check
-   that the ranking is independent of candidate order. *)
-let shuffle seed xs =
-  let a = Array.of_list xs in
-  let s = ref (Int64.of_int (succ (abs seed))) in
-  let next () =
-    let x = !s in
-    let x = Int64.logxor x (Int64.shift_left x 13) in
-    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-    let x = Int64.logxor x (Int64.shift_left x 17) in
-    s := x;
-    Int64.to_int (Int64.logand x 0x3FFFFFFFL)
-  in
-  for i = Array.length a - 1 downto 1 do
-    let j = next () mod (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  Array.to_list a
-
 (* ------------------------------------------------------------------ *)
 (* Analytic lower bounds                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* A machine's hierarchy in {!Bounds} units: cumulative element
-   capacities, one shared line size (true of both reference machines). *)
+   capacities, one shared line size (true of every machine model). *)
 let machine_levels (m : Model.t) =
   match m.Model.levels with
   | [] -> []
@@ -257,23 +224,24 @@ let machine_levels (m : Model.t) =
              l.Model.l_cache.Machine.Cache.size_bytes / m.Model.elem_bytes ))
          m.Model.levels)
 
-(* Per-machine per-level miss lower bounds of one candidate, or [None]
-   when the program or spec falls outside the affine class the analysis
-   covers (such candidates are reported without bounds and never
-   pruned). *)
-let bounds_for prog ~params ~machines spec =
-  match Bounds.analyze ~spec ~params prog with
+(* The one analysis of a candidate: {!Bounds.analyze} at every sweep
+   point, or [None] when the program or spec falls outside the affine
+   class the analysis covers (such a candidate is visited last, never
+   pruned and reported without bounds). *)
+let analyze prog ~sweeps spec =
+  match
+    List.map
+      (fun (_, params, _) -> Bounds.analyze ~spec ~params prog)
+      sweeps
+  with
   | exception (Loopir.Domain.Not_affine _ | Failure _) -> None
-  | t ->
-    Some
-      ( t,
-        List.map
-          (fun (m : Model.t) ->
-            ( m.Model.m_name,
-              List.map
-                (fun lv -> (lv.Bounds.lv_name, Bounds.misses t lv))
-                (machine_levels m) ))
-          machines )
+  | ts -> Some ts
+
+(* Per-level miss lower bounds of one analysis on one machine. *)
+let misses t (m : Model.t) =
+  List.map
+    (fun lv -> (lv.Bounds.lv_name, Bounds.misses t lv))
+    (machine_levels m)
 
 (* The simulator's closed-form cost is
      cycles = F*fc + I*ov + A*h1
@@ -289,7 +257,8 @@ let bounds_for prog ~params ~machines spec =
    arithmetic is exact: the cost constants are dyadic, so [Ratio.of_float]
    loses nothing. *)
 let cycle_lower_bound ~(machine : Model.t) ~(quality : Model.quality)
-    ~(inc : Model.result) ~bounds ~distinct =
+    ~(inc : Model.result) t =
+  let distinct = Bounds.distinct t in
   let q = Ratio.of_float in
   let acc =
     ref
@@ -318,7 +287,7 @@ let cycle_lower_bound ~(machine : Model.t) ~(quality : Model.quality)
       go rest bs
     | _, _ -> ()
   in
-  go machine.Model.levels (List.map snd bounds);
+  go machine.Model.levels (List.map snd (misses t machine));
   !acc
 
 (* ------------------------------------------------------------------ *)
@@ -348,35 +317,57 @@ type eval_failure = {
   ef_reason : string;
 }
 
+(* A legal candidate skipped before codegen: its cycle lower bound on the
+   head series (summed over the sweep) strictly exceeded the incumbent's
+   simulated cycles at that point of the visit. *)
+type bound_pruned = {
+  bp_cand : candidate;
+  bp_bound : float;
+  bp_incumbent : float;
+}
+
 (* Rank by simulated cycles on the head (machine, quality) series.  Ties
    (common: a product can generate the same program as one of its factors)
    break toward fewer unconstrained references — Theorem 2 as the ranking
    signal, Section 8 — then fewer factors, then the canonical label, so
-   the table is deterministic and stable under candidate shuffling. *)
+   the table is deterministic and independent of enumeration order. *)
 let rank_key s =
   (s.s_cycles, s.s_cand.c_unconstrained, s.s_cand.c_factors, s.s_cand.c_label)
 
 let rank scored =
   List.stable_sort (fun a b -> compare (rank_key a) (rank_key b)) scored
 
-(* Build a row from one candidate's per-size evaluation results; bounds
-   are attached later, uniformly for every surviving row. *)
-let scored_of_per_size c per_size =
-  let head results =
-    match results with (_, _, r) :: _ -> r | [] -> assert false
-  in
+let head_result = function (_, _, r) :: _ -> r | [] -> assert false
+
+(* One program's evaluation: per sweep point, (machine, quality, result)
+   per series, the head series first. *)
+type per_size = (int option * (string * string * Model.result) list) list
+
+(* Build a row from one candidate's per-size evaluation results and its
+   per-machine bounds. *)
+let scored_of_per_size c (per_size : per_size) ~bounds =
   let sweep =
-    List.map (fun (n, results) -> (n, (head results).Model.r_cycles)) per_size
+    List.map
+      (fun (n, results) -> (n, (head_result results).Model.r_cycles))
+      per_size
   in
-  let first =
-    match per_size with (_, results) :: _ -> head results | [] -> assert false
-  in
+  let first = match per_size with (_, r) :: _ -> r | [] -> assert false in
   { s_cand = c;
-    s_results = (match per_size with (_, r) :: _ -> r | [] -> []);
+    s_results = first;
     s_sweep = sweep;
     s_cycles = List.fold_left (fun a (_, c) -> a +. c) 0.0 sweep;
-    s_mflops = first.Model.r_mflops;
-    s_bounds = [] }
+    s_mflops = (head_result first).Model.r_mflops;
+    s_bounds = bounds }
+
+(* The result of the evaluation path, before ranking. *)
+type evaluation = {
+  ev_scored : scored list;
+  ev_bound_pruned : bound_pruned list;  (* in visit order *)
+  ev_variants : int;
+  ev_codegen_seconds : float;
+  ev_metrics : Metrics.sim list;
+  ev_failures : eval_failure list;
+}
 
 (* The evaluation series, machines x qualities; the head is the ranking
    series. *)
@@ -392,27 +383,28 @@ let series_of opts =
 let record_at (_, params, init) prog =
   Model.record (Loopir.Stages.specialize ~params prog) ~params ~init
 
-(* The one evaluation body, shared by both paths.  Each group is (label of
-   its head candidate, generated program); at every sweep point the
+(* Evaluate one batch's distinct programs.  At every sweep point a
    program is recorded once and replayed per (machine x quality) series,
-   with one metrics row per series.  Groups fan out over the supervised
-   pool: one that crashes or blows past [opts.timeout_ms] comes back as
-   an {!eval_failure} instead of aborting the campaign.  The worker polls
-   its token before each recording and each replay, so a timeout is
-   observed cooperatively at series granularity. *)
-let evaluate_groups opts ~sweeps groups =
+   with one metrics row per series; the rows come back labeled with their
+   size suffix only ("" or "/N=n"), the caller prefixes its group label.
+   Programs fan out over the supervised pool: one that crashes or blows
+   past [opts.timeout_ms] comes back as [Error reason] instead of
+   aborting the campaign.  The worker polls its token before each
+   recording and each replay, so a timeout is observed cooperatively at
+   series granularity. *)
+let evaluate_groups opts ~sweeps progs =
   let series = series_of opts in
   let outcomes =
     Runner.map_outcomes ~domains:opts.domains ?timeout_ms:opts.timeout_ms
-      (fun token (label, prog_v) ->
+      (fun token prog_v ->
         Metrics.collect (fun () ->
             List.map
               (fun ((n, _, _) as point) ->
                 Runner.Token.check token;
-                let label_n =
+                let suffix =
                   match n with
-                  | None -> label
-                  | Some n -> Printf.sprintf "%s/N=%d" label n
+                  | None -> ""
+                  | Some n -> Printf.sprintf "/N=%d" n
                 in
                 let recording, record_seconds =
                   Metrics.timed (fun () -> record_at point prog_v)
@@ -437,7 +429,7 @@ let evaluate_groups opts ~sweeps groups =
                           tr_replay_seconds = replay_seconds }
                       in
                       Metrics.record
-                        (Metrics.of_result ~label:label_n
+                        (Metrics.of_result ~label:suffix
                            ~machine:m.Model.m_name ~quality:q.Model.q_name
                            ~seconds:
                              ((if first then record_seconds else 0.0)
@@ -446,235 +438,190 @@ let evaluate_groups opts ~sweeps groups =
                       (m.Model.m_name, q.Model.q_name, r))
                     series ))
               sweeps))
-      groups
+      progs
   in
-  List.map2
-    (fun (label, _) outcome ->
-      match outcome with
+  List.map
+    (function
       | Runner.Ok result -> Ok result
       | Runner.Failed (e, _) ->
-        Error
-          { ef_label = label;
-            ef_reason = Printf.sprintf "crash: %s" (Printexc.to_string e) }
+        Error (Printf.sprintf "crash: %s" (Printexc.to_string e))
       | Runner.Timed_out ->
         Error
-          { ef_label = label;
-            ef_reason =
-              (match opts.timeout_ms with
-              | Some ms -> Printf.sprintf "timed out (no result within %d ms)" ms
-              | None -> "timed out") })
-    groups outcomes
+          (match opts.timeout_ms with
+          | Some ms -> Printf.sprintf "timed out (no result within %d ms)" ms
+          | None -> "timed out"))
+    outcomes
 
-(* Generate code for every candidate (sequentially, against the shared
-   solver context), group candidates by the text of their generated
-   program, then evaluate the groups in parallel: one interpreter
-   recording per distinct (program, size), replayed per (machine x
-   quality).  Codegen runs once per candidate no matter how long the
-   sweep is, so the Omega query count is invariant in the sweep's
-   length.  A failed group's candidates drop out of the ranked table. *)
+(* Candidates are visited in batches of this many.  A constant, never
+   derived from [domains]: the incumbent each batch is pruned against —
+   and with it the whole report — is then the same at any domain count. *)
+let batch_size = 8
+
+let rec split_at n = function
+  | x :: xs when n > 0 ->
+    let a, b = split_at (n - 1) xs in
+    (x :: a, b)
+  | xs -> ([], xs)
+
+(* One distinct generated program: the earliest-enumerated candidate
+   generated with its text (which labels its metrics rows and failure),
+   and its evaluation outcome. *)
+type program = {
+  mutable first : int * candidate;
+  outcome : (per_size * Metrics.sim list, string) result;
+}
+
+(* The one evaluation path.  Each legal candidate is analyzed once per
+   sweep point; that analysis orders the visit (head-machine miss bound
+   summed over levels and sweep, unanalyzable candidates last, canonical
+   label as tie-break), tests the candidate for pruning and gives its row
+   [s_bounds].  Batches are taken in visit order.  Before codegen, a
+   candidate whose cycle lower bound strictly exceeds the incumbent's
+   simulated cycles is pruned: the bound never exceeds the true cost, so
+   it loses the rank key's first component and cannot finish first (ties
+   are kept, since the tie-break could still prefer it).  The survivors
+   are generated sequentially against the shared solver context, once
+   however long the sweep (so the Omega query count is invariant in its
+   length), and grouped by the text of their program; a program already
+   evaluated in an earlier batch is reused, the batch's new ones fan out
+   through {!evaluate_groups}.  A failed program's candidates drop out of
+   the ranked table.  The incumbent moves only between batches.  Metrics
+   rows and failures are listed per program in enumeration order, so they
+   do not depend on the visit order. *)
 let evaluate pipe opts ~sweeps cands =
-  let codegen_seconds = ref 0.0 in
-  let order = ref [] in
-  let groups : (string, candidate list ref) Hashtbl.t = Hashtbl.create 16 in
-  let progs : (string, Ast.program) Hashtbl.t = Hashtbl.create 16 in
-  let text_of : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      let prog_v, s = Metrics.timed (fun () -> Pipeline.codegen pipe c.c_spec) in
-      codegen_seconds := !codegen_seconds +. s;
-      let text = Ast.program_to_string prog_v in
-      Hashtbl.replace text_of c.c_label text;
-      match Hashtbl.find_opt groups text with
-      | Some cell -> cell := c :: !cell
-      | None ->
-        Hashtbl.add groups text (ref [ c ]);
-        Hashtbl.add progs text prog_v;
-        order := text :: !order)
-    cands;
-  let order = List.rev !order in
-  let outcomes =
-    evaluate_groups opts ~sweeps
-      (List.map
-         (fun text ->
-           ( (List.hd (List.rev !(Hashtbl.find groups text))).c_label,
-             Hashtbl.find progs text ))
-         order)
-  in
-  let results_of_text = Hashtbl.create 16 in
-  List.iter2
-    (fun text -> function
-      | Ok (per_size, _) -> Hashtbl.replace results_of_text text per_size
-      | Error _ -> ())
-    order outcomes;
-  let scored =
-    List.filter_map
-      (fun c ->
-        match
-          Hashtbl.find_opt results_of_text (Hashtbl.find text_of c.c_label)
-        with
-        | None -> None (* its recording group failed; reported separately *)
-        | Some per_size -> Some (scored_of_per_size c per_size))
-      cands
-  in
-  let metrics =
-    List.concat_map (function Ok (_, ms) -> ms | Error _ -> []) outcomes
-  in
-  let failures =
-    List.filter_map (function Error f -> Some f | Ok _ -> None) outcomes
-  in
-  (scored, List.length order, !codegen_seconds, metrics, failures)
-
-(* Sequential lower-bound-driven evaluation ([options.prune_bounds]).
-   Candidates are visited in ascending order of their analytic bound so a
-   strong incumbent appears early.  Each visit either reuses the results
-   of an already-evaluated identical program, is skipped because its
-   cycle lower bound strictly exceeds the incumbent's simulated cycles
-   (the bound never exceeds the true cost, so such a candidate loses the
-   rank key's first component and cannot finish first — ties are kept,
-   since the tie-break could still prefer it), or is handed to
-   {!evaluate_groups} as a group of one, under the same deadline as the
-   parallel path.  One group at a time keeps the visit best-first: the
-   point of pruning is doing less simulation, not racing it. *)
-let evaluate_pruned pipe opts ~sweeps cands =
   let prog = Pipeline.program pipe in
-  let codegen_seconds = ref 0.0 in
-  let metrics = ref [] in
-  let failures = ref [] in
-  let pruned_by_bound = ref 0 in
-  let head_series = match series_of opts with s :: _ -> Some s | [] -> None in
-  (* the spec-aware analysis at every sweep size; [None] disables pruning
-     for that candidate *)
-  let analyses =
-    List.map
-      (fun c ->
-        let per_size =
-          List.map
-            (fun (_, params_n, _) ->
-              match Bounds.analyze ~spec:c.c_spec ~params:params_n prog with
-              | exception (Loopir.Domain.Not_affine _ | Failure _) -> None
-              | t -> Some t)
-            sweeps
-        in
-        if List.for_all Option.is_some per_size then
-          (c, Some (List.filter_map Fun.id per_size))
-        else (c, None))
-      cands
-  in
-  (* deterministic visit order: head-machine bound summed over levels and
-     sweep, unanalyzable candidates last, canonical label as tie-break *)
-  let ordered =
-    let proxy (c, a) =
-      match (a, head_series) with
-      | Some ts, Some ((m : Model.t), _) ->
-        let lvs = machine_levels m in
+  let head = match series_of opts with s :: _ -> Some s | [] -> None in
+  let visit =
+    let key (_, c, a) =
+      match (a, head) with
+      | Some ts, Some (m, _) ->
         ( List.fold_left
             (fun acc t ->
-              List.fold_left (fun acc lv -> acc + Bounds.misses t lv) acc lvs)
+              List.fold_left (fun acc (_, b) -> acc + b) acc (misses t m))
             0 ts,
           c.c_label )
       | _ -> (max_int, c.c_label)
     in
     List.map snd
-      (List.stable_sort compare
-         (List.map (fun ca -> (proxy ca, ca)) analyses))
+      (List.stable_sort
+         (fun (k, _) (k', _) -> compare k k')
+         (List.mapi
+            (fun i c ->
+              let ica = (i, c, analyze prog ~sweeps c.c_spec) in
+              (key ica, ica))
+            cands))
   in
-  let results_of_text = Hashtbl.create 16 in
+  let codegen_seconds = ref 0.0 in
+  let scored = ref [] and pruned = ref [] in
+  let programs : (string, program) Hashtbl.t = Hashtbl.create 16 in
+  (* the best row so far, with its head-series result per sweep point *)
   let incumbent = ref None in
-  let head_results per_size =
-    List.map
-      (fun (_, results) ->
-        match results with (_, _, r) :: _ -> r | [] -> assert false)
-      per_size
+  (* [true] (and the candidate listed in [pruned]) when its bound loses *)
+  let prune (_, c, a) =
+    match (!incumbent, a, head) with
+    | Some (inc, inc_results), Some ts, Some (machine, quality) ->
+      let lb =
+        List.fold_left2
+          (fun acc t inc ->
+            Ratio.add acc (cycle_lower_bound ~machine ~quality ~inc t))
+          Ratio.zero ts inc_results
+      in
+      if Ratio.compare lb (Ratio.of_float inc.s_cycles) > 0 then begin
+        pruned :=
+          { bp_cand = c;
+            bp_bound = Ratio.to_float lb;
+            bp_incumbent = inc.s_cycles }
+          :: !pruned;
+        true
+      end
+      else false
+    | _ -> false
   in
-  let update_incumbent sc per_size =
-    match !incumbent with
-    | Some (best, _) when compare (rank_key best) (rank_key sc) <= 0 -> ()
-    | _ -> incumbent := Some (sc, head_results per_size)
+  let bounds_of a =
+    match a with
+    | Some (t :: _) ->
+      List.map (fun m -> (m.Model.m_name, misses t m)) opts.machines
+    | _ -> []
   in
-  let scored = ref [] in
-  List.iter
-    (fun (c, analysis) ->
-      let prog_v, s = Metrics.timed (fun () -> Pipeline.codegen pipe c.c_spec) in
-      codegen_seconds := !codegen_seconds +. s;
-      let text = Ast.program_to_string prog_v in
-      match Hashtbl.find_opt results_of_text text with
-      | Some per_size ->
-        (* an identical program was already simulated: its results are
-           free, so never prune here *)
-        let sc = scored_of_per_size c per_size in
-        scored := sc :: !scored;
-        update_incumbent sc per_size
-      | None ->
-        let pruned =
-          match (!incumbent, analysis, head_series) with
-          | Some (inc_scored, inc_results), Some ts, Some (m, q) ->
-            let lvs = machine_levels m in
-            let lb =
-              List.fold_left2
-                (fun acc t (inc : Model.result) ->
-                  let bounds =
-                    List.map
-                      (fun lv -> (lv.Bounds.lv_name, Bounds.misses t lv))
-                      lvs
-                  in
-                  Ratio.add acc
-                    (cycle_lower_bound ~machine:m ~quality:q ~inc ~bounds
-                       ~distinct:(Bounds.distinct t)))
-                Ratio.zero ts inc_results
+  let rec batches visit =
+    if visit <> [] then begin
+      let batch, rest = split_at batch_size visit in
+      let generated =
+        List.map
+          (fun (i, c, a) ->
+            let prog_v, s =
+              Metrics.timed (fun () -> Pipeline.codegen pipe c.c_spec)
             in
-            Ratio.compare lb (Ratio.of_float inc_scored.s_cycles) > 0
-          | _ -> false
-        in
-        if pruned then incr pruned_by_bound
-        else
-          List.iter
-            (function
-              | Ok (per_size, ms) ->
-                metrics := ms :: !metrics;
-                Hashtbl.replace results_of_text text per_size;
-                let sc = scored_of_per_size c per_size in
-                scored := sc :: !scored;
-                update_incumbent sc per_size
-              | Error f -> failures := f :: !failures)
-            (evaluate_groups opts ~sweeps [ (c.c_label, prog_v) ]))
-    ordered;
-  let metrics = List.concat (List.rev !metrics) in
-  ( List.rev !scored,
-    Hashtbl.length results_of_text,
-    !codegen_seconds,
-    metrics,
-    List.rev !failures,
-    !pruned_by_bound )
-
-(* ------------------------------------------------------------------ *)
-(* Cache effectiveness                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type cache_compare = {
-  cc_cold_seconds : float;
-  cc_warm_seconds : float;
-  cc_warm_hits : int;
-  cc_agree : bool;
-}
-
-(* Re-decide every candidate on a fresh memoizing context: the cold pass
-   fills the table, the warm pass replays the same queries.  Verdicts must
-   agree; the wall-clock ratio is reported, not asserted (a loaded 1-core
-   CI machine makes timing assertions flaky). *)
-let run_cache_compare pipe cands =
-  let prog = Pipeline.program pipe in
-  let deps = Pipeline.deps pipe in
-  let ctx = Omega.Ctx.create ~cache:true () in
-  let verdicts () =
-    List.map (fun c -> Legality.is_legal_deps ~ctx prog c.c_spec deps) cands
+            codegen_seconds := !codegen_seconds +. s;
+            (i, c, a, Ast.program_to_string prog_v, prog_v))
+          (List.filter (fun ica -> not (prune ica)) batch)
+      in
+      (* each program not evaluated before, once *)
+      let fresh = Hashtbl.create 8 in
+      let groups =
+        List.filter_map
+          (fun (i, c, _, text, prog_v) ->
+            if Hashtbl.mem programs text || Hashtbl.mem fresh text then None
+            else begin
+              Hashtbl.add fresh text ();
+              Some ((i, c), text, prog_v)
+            end)
+          generated
+      in
+      List.iter2
+        (fun (first, text, _) outcome ->
+          Hashtbl.add programs text { first; outcome })
+        groups
+        (evaluate_groups opts ~sweeps
+           (List.map (fun (_, _, prog_v) -> prog_v) groups));
+      List.iter
+        (fun (i, c, a, text, _) ->
+          let p = Hashtbl.find programs text in
+          if i < fst p.first then p.first <- (i, c);
+          match p.outcome with
+          | Error _ -> ()
+          | Ok (per_size, _) -> (
+            let sc = scored_of_per_size c per_size ~bounds:(bounds_of a) in
+            scored := sc :: !scored;
+            match !incumbent with
+            | Some (best, _) when compare (rank_key best) (rank_key sc) <= 0 ->
+              ()
+            | _ ->
+              incumbent :=
+                Some (sc, List.map (fun (_, rs) -> head_result rs) per_size)))
+        generated;
+      batches rest
+    end
   in
-  let cold, cc_cold_seconds = Metrics.timed verdicts in
-  let hits0 = Omega.Ctx.cache_hits ctx in
-  let warm, cc_warm_seconds = Metrics.timed verdicts in
-  { cc_cold_seconds;
-    cc_warm_seconds;
-    cc_warm_hits = Omega.Ctx.cache_hits ctx - hits0;
-    cc_agree = cold = warm }
+  batches visit;
+  let programs =
+    List.sort
+      (fun p p' -> compare (fst p.first) (fst p'.first))
+      (List.of_seq (Hashtbl.to_seq_values programs))
+  in
+  let label p = (snd p.first).c_label in
+  { ev_scored = List.rev !scored;
+    ev_bound_pruned = List.rev !pruned;
+    ev_variants = List.length programs;
+    ev_codegen_seconds = !codegen_seconds;
+    ev_metrics =
+      List.concat_map
+        (fun p ->
+          match p.outcome with
+          | Ok (_, ms) ->
+            List.map
+              (fun (m : Metrics.sim) ->
+                { m with Metrics.sim_label = label p ^ m.Metrics.sim_label })
+              ms
+          | Error _ -> [])
+        programs;
+    ev_failures =
+      List.filter_map
+        (fun p ->
+          match p.outcome with
+          | Error ef_reason -> Some { ef_label = label p; ef_reason }
+          | Ok _ -> None)
+        programs }
 
 (* ------------------------------------------------------------------ *)
 (* The tuner                                                           *)
@@ -694,9 +641,9 @@ type report = {
   rp_counts : counts;
   rp_solver : Metrics.solver;
   rp_timing : timing;
-  rp_cache_compare : cache_compare option;
   rp_input_cycles : float;
   rp_table : scored list;
+  rp_bound_pruned : bound_pruned list;
   rp_failures : eval_failure list;
   rp_metrics : Metrics.sim list;
 }
@@ -735,33 +682,8 @@ let tune ?(options = default_options) ?arrays ?init ~kernel ~params prog =
   let (cands, n_enumerated, n_pruned, n_illegal, n_unknown), t_enumerate =
     Metrics.timed (fun () -> enumerate pipe options ~arrays)
   in
-  let cands =
-    match options.shuffle_seed with
-    | None -> cands
-    | Some s -> shuffle s cands
-  in
-  let ( (scored, n_variants, t_codegen, metrics, failures, n_pruned_by_bound),
-        t_evaluate ) =
-    Metrics.timed (fun () ->
-        if options.prune_bounds then evaluate_pruned pipe options ~sweeps cands
-        else
-          let scored, v, cg, ms, fs = evaluate pipe options ~sweeps cands in
-          (scored, v, cg, ms, fs, 0))
-  in
-  (* attach the analytic miss lower bounds (at the first evaluated size) to
-     every surviving row, pruned or not: the report carries each
-     candidate's headroom = simulated misses / lower bound, per level *)
-  let head_params = match sweeps with (_, p, _) :: _ -> p | [] -> params in
-  let scored =
-    List.map
-      (fun s ->
-        match
-          bounds_for prog ~params:head_params ~machines:options.machines
-            s.s_cand.c_spec
-        with
-        | None -> s
-        | Some (_, per_machine) -> { s with s_bounds = per_machine })
-      scored
+  let ev, t_evaluate =
+    Metrics.timed (fun () -> evaluate pipe options ~sweeps cands)
   in
   (* the input baseline walks the same sweep, so speedup = input / best
      compares like with like *)
@@ -776,9 +698,6 @@ let tune ?(options = default_options) ?arrays ?init ~kernel ~params prog =
         0.0 sweeps
     | [] -> 0.0
   in
-  let cache_compare =
-    if options.cache_compare then Some (run_cache_compare pipe cands) else None
-  in
   { rp_kernel = kernel;
     rp_params = params;
     rp_options = options;
@@ -788,19 +707,18 @@ let tune ?(options = default_options) ?arrays ?init ~kernel ~params prog =
         n_illegal;
         n_unknown;
         n_legal = List.length cands;
-        n_variants;
-        n_pruned_by_bound };
+        n_variants = ev.ev_variants };
     rp_solver = Metrics.solver_of_ctx (Pipeline.solver pipe);
     rp_timing =
       { t_enumerate;
-        t_codegen;
+        t_codegen = ev.ev_codegen_seconds;
         t_evaluate;
         t_total = Metrics.now_s () -. t_start };
-    rp_cache_compare = cache_compare;
     rp_input_cycles = input_cycles;
-    rp_table = rank scored;
-    rp_failures = failures;
-    rp_metrics = metrics }
+    rp_table = rank ev.ev_scored;
+    rp_bound_pruned = ev.ev_bound_pruned;
+    rp_failures = ev.ev_failures;
+    rp_metrics = ev.ev_metrics }
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz-harness consistency step                                       *)
@@ -914,74 +832,71 @@ let scored_to_json i s =
                    ("accesses", Json.Int r.Model.r_accesses) ])
              s.s_results)) ]
 
-let cache_compare_to_json c =
-  Json.Obj
-    [ ("cold_seconds", Json.Float c.cc_cold_seconds);
-      ("warm_seconds", Json.Float c.cc_warm_seconds);
-      ("warm_hits", Json.Int c.cc_warm_hits);
-      ("agree", Json.Bool c.cc_agree) ]
-
-(* The "cache_compare" key is appended only when the pass ran, so default
-   reports keep one byte layout (same convention as Metrics' "trace"). *)
+(* Keys in fixed order; everything outside "timing", "metrics" and the
+   echoed "domains" is byte-identical across runs and domain counts. *)
 let report_to_json rp =
   let o = rp.rp_options in
   Json.Obj
-    ([ ("schema", Json.Str Report.tune_report);
-       ("kernel", Json.Str rp.rp_kernel);
-       ("domains", Json.Int o.domains);
-       ("params", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) rp.rp_params));
-       ("sizes", Json.List (List.map (fun s -> Json.Int s) o.sizes));
-       ("ns", Json.List (List.map (fun n -> Json.Int n) o.ns));
-       ("prune_bounds", Json.Bool o.prune_bounds);
-       ("depth", Json.Int o.depth);
-       ("timeout_ms", int_opt_json o.timeout_ms);
-       ("fuel", int_opt_json o.fuel);
-       ("machines",
-         Json.List
-           (List.map (fun (m : Model.t) -> Json.Str m.Model.m_name) o.machines));
-       ("qualities",
-         Json.List
-           (List.map
-              (fun (q : Model.quality) -> Json.Str q.Model.q_name)
-              o.qualities));
-       ("counts",
-         Json.Obj
-           [ ("enumerated", Json.Int rp.rp_counts.n_enumerated);
-             ("pruned", Json.Int rp.rp_counts.n_pruned);
-             ("illegal", Json.Int rp.rp_counts.n_illegal);
-             ("unknown", Json.Int rp.rp_counts.n_unknown);
-             ("legal", Json.Int rp.rp_counts.n_legal);
-             ("variants", Json.Int rp.rp_counts.n_variants);
-             ("pruned_by_bound", Json.Int rp.rp_counts.n_pruned_by_bound) ]);
-       ("solver", Metrics.solver_to_json rp.rp_solver);
-       (* Omega tests actually run for the whole campaign — with [ns] a
-          sweep, invariant in its length (specialization is solver-free) *)
-       ("solves_per_sweep", Json.Int (Metrics.solver_solves rp.rp_solver));
-       ("timing",
-         Json.Obj
-           [ ("enumerate_seconds", Json.Float rp.rp_timing.t_enumerate);
-             ("codegen_seconds", Json.Float rp.rp_timing.t_codegen);
-             ("evaluate_seconds", Json.Float rp.rp_timing.t_evaluate);
-             ("total_seconds", Json.Float rp.rp_timing.t_total) ]);
-       ("input_cycles", Json.Float rp.rp_input_cycles);
-       ("best",
-         match best rp with
-         | Some s -> Json.Str s.s_cand.c_label
-         | None -> Json.Null);
-       ("table", Json.List (List.mapi scored_to_json rp.rp_table));
-       ("failures",
-         Json.List
-           (List.map
-              (fun f ->
-                Json.Obj
-                  [ ("spec", Json.Str f.ef_label);
-                    ("reason", Json.Str f.ef_reason) ])
-              rp.rp_failures));
-       ("metrics", Json.List (List.map Metrics.sim_to_json rp.rp_metrics)) ]
-    @
-    match rp.rp_cache_compare with
-    | None -> []
-    | Some c -> [ ("cache_compare", cache_compare_to_json c) ])
+    [ ("schema", Json.Str Report.tune_report);
+      ("kernel", Json.Str rp.rp_kernel);
+      ("domains", Json.Int o.domains);
+      ("params", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) rp.rp_params));
+      ("sizes", Json.List (List.map (fun s -> Json.Int s) o.sizes));
+      ("ns", Json.List (List.map (fun n -> Json.Int n) o.ns));
+      ("depth", Json.Int o.depth);
+      ("timeout_ms", int_opt_json o.timeout_ms);
+      ("fuel", int_opt_json o.fuel);
+      ("machines",
+        Json.List
+          (List.map (fun (m : Model.t) -> Json.Str m.Model.m_name) o.machines));
+      ("qualities",
+        Json.List
+          (List.map
+             (fun (q : Model.quality) -> Json.Str q.Model.q_name)
+             o.qualities));
+      ("counts",
+        Json.Obj
+          [ ("enumerated", Json.Int rp.rp_counts.n_enumerated);
+            ("pruned", Json.Int rp.rp_counts.n_pruned);
+            ("illegal", Json.Int rp.rp_counts.n_illegal);
+            ("unknown", Json.Int rp.rp_counts.n_unknown);
+            ("legal", Json.Int rp.rp_counts.n_legal);
+            ("variants", Json.Int rp.rp_counts.n_variants);
+            ("pruned_by_bound", Json.Int (List.length rp.rp_bound_pruned)) ]);
+      ("solver", Metrics.solver_to_json rp.rp_solver);
+      (* Omega tests actually run for the whole campaign — with [ns] a
+         sweep, invariant in its length (specialization is solver-free) *)
+      ("solves_per_sweep", Json.Int (Metrics.solver_solves rp.rp_solver));
+      ("timing",
+        Json.Obj
+          [ ("enumerate_seconds", Json.Float rp.rp_timing.t_enumerate);
+            ("codegen_seconds", Json.Float rp.rp_timing.t_codegen);
+            ("evaluate_seconds", Json.Float rp.rp_timing.t_evaluate);
+            ("total_seconds", Json.Float rp.rp_timing.t_total) ]);
+      ("input_cycles", Json.Float rp.rp_input_cycles);
+      ("best",
+        match best rp with
+        | Some s -> Json.Str s.s_cand.c_label
+        | None -> Json.Null);
+      ("table", Json.List (List.mapi scored_to_json rp.rp_table));
+      ("failures",
+        Json.List
+          (List.map
+             (fun f ->
+               Json.Obj
+                 [ ("spec", Json.Str f.ef_label);
+                   ("reason", Json.Str f.ef_reason) ])
+             rp.rp_failures));
+      ("bound_pruned",
+        Json.List
+          (List.map
+             (fun p ->
+               Json.Obj
+                 [ ("spec", Json.Str p.bp_cand.c_label);
+                   ("lower_bound_cycles", Json.Float p.bp_bound);
+                   ("incumbent_cycles", Json.Float p.bp_incumbent) ])
+             rp.rp_bound_pruned));
+      ("metrics", Json.List (List.map Metrics.sim_to_json rp.rp_metrics)) ]
 
 (* Structural validation for `shacklec tune --check-json` and CI: the
    shared registry does the work; this wrapper only pins the family, so a
@@ -1013,8 +928,9 @@ let pp_report fmt rp =
     (if c.n_unknown = 0 then ""
      else Printf.sprintf ", %d unknown (budget)" c.n_unknown)
     c.n_legal c.n_variants
-    (if c.n_pruned_by_bound = 0 then ""
-     else Printf.sprintf ", %d pruned by bound" c.n_pruned_by_bound);
+    (match rp.rp_bound_pruned with
+    | [] -> ""
+    | ps -> Printf.sprintf ", %d pruned by bound" (List.length ps));
   let s = rp.rp_solver in
   Format.fprintf fmt
     "  solver: %d queries, %d splinters%s; cache %s, %d hits / %d misses@."
@@ -1024,13 +940,6 @@ let pp_report fmt rp =
     (if s.Metrics.so_cache_enabled then "on" else "off")
     s.Metrics.so_cache_hits s.Metrics.so_cache_misses;
   Format.fprintf fmt "  solves per sweep: %d@." (Metrics.solver_solves s);
-  (match rp.rp_cache_compare with
-  | None -> ()
-  | Some cc ->
-    Format.fprintf fmt
-      "  cache check: cold %.4fs, warm %.4fs (%d hits), verdicts %s@."
-      cc.cc_cold_seconds cc.cc_warm_seconds cc.cc_warm_hits
-      (if cc.cc_agree then "agree" else "DISAGREE"));
   Format.fprintf fmt "  input: %.0f cycles@." rp.rp_input_cycles;
   Format.fprintf fmt "  %-4s %-12s %-10s %-7s %-7s %s@." "rank" "cycles"
     "mflops" "hdrm" "full" "spec";

@@ -9,12 +9,17 @@
     context ({!Polyhedra.Omega.Ctx}), so systems shared between products
     and their factors are solved once.
 
-    Survivors are evaluated by record-once / replay-many simulation:
-    candidates whose generated programs coincide share one interpreter
-    recording, replayed per (machine x quality) series over a supervised
+    The legal candidates are visited in ascending order of their
+    {!Bounds} communication lower bound, in batches of a fixed size.  A
+    candidate whose lower-bounded cycle cost strictly exceeds the best
+    simulated so far is pruned before code generation (sound for the
+    winner: the bound never exceeds the simulated cost).  The rest are
+    evaluated by record-once / replay-many simulation: candidates whose
+    generated programs coincide share one interpreter recording, replayed
+    per (machine x quality) series over a supervised
     {!Runner.map_outcomes} pool — a group that crashes or exceeds
     [timeout_ms] becomes a failure row, not a campaign abort.
-    Enumeration, legality and code generation are sequential, so
+    Enumeration, legality, pruning and code generation are sequential, so
     everything in the report except wall-clock timing is independent of
     [domains]. *)
 
@@ -26,10 +31,6 @@ type options = {
   qualities : Machine.Model.quality list;
       (** evaluated series = machines x qualities; the head of each list is
           the ranking series *)
-  cache_compare : bool;  (** run the cold/warm cache effectiveness pass *)
-  shuffle_seed : int option;
-      (** deterministically shuffle candidate order before evaluation —
-          the ranked table must not change (tested) *)
   timeout_ms : int option;
       (** wall-clock budget: per legality query (solver deadline) and per
           evaluation group (supervised pool deadline); [None] = unlimited *)
@@ -45,19 +46,11 @@ type options = {
           program is instantiated at its concrete sizes through the
           solver-free {!Loopir.Stages.specialize} before recording; the
           trace is bit-identical to the symbolic program's *)
-  prune_bounds : bool;
-      (** evaluate sequentially, best-first by the {!Bounds} analytic
-          communication lower bound, skipping any candidate whose
-          lower-bounded cycle cost strictly exceeds the incumbent's
-          simulated cycles.  Sound for the winner (the bound never
-          exceeds the simulated cost), counted in [n_pruned_by_bound];
-          default off *)
 }
 
 val default_options : options
-(** sizes [16], depth 2, 1 domain, sp2-like x untuned, no compare, no
-    shuffle, no budget, no N sweep, bound pruning off.  Legality queries
-    are always memoized in the solver context. *)
+(** sizes [16], depth 2, 1 domain, sp2-like x untuned, no budget, no N
+    sweep.  Legality queries are always memoized in the solver context. *)
 
 type candidate = {
   c_spec : Shackle.Spec.t;
@@ -69,6 +62,11 @@ type candidate = {
 
 val spec_label : Shackle.Spec.t -> string
 
+val machine_levels : Machine.Model.t -> Bounds.level list
+(** A machine's hierarchy in {!Bounds} units: cumulative element
+    capacities per level, with the first level's line size shared by
+    all. *)
+
 type counts = {
   n_enumerated : int;  (** distinct candidates considered *)
   n_pruned : int;  (** extensions discarded by the Theorem 2 test *)
@@ -78,9 +76,6 @@ type counts = {
           candidates (conservative), but distinguishable in the report *)
   n_legal : int;
   n_variants : int;  (** distinct generated programs (recordings taken) *)
-  n_pruned_by_bound : int;
-      (** legal candidates skipped by the analytic lower-bound pruner;
-          zero unless [options.prune_bounds] *)
 }
 
 type scored = {
@@ -112,12 +107,16 @@ type eval_failure = {
     pool: its candidates are excluded from [rp_table], the campaign
     completes and reports the row instead of aborting. *)
 
-type cache_compare = {
-  cc_cold_seconds : float;
-  cc_warm_seconds : float;
-  cc_warm_hits : int;
-  cc_agree : bool;  (** cold and warm verdicts identical (asserted in CI) *)
+type bound_pruned = {
+  bp_cand : candidate;
+  bp_bound : float;
+      (** head-series cycle lower bound, summed over the sweep *)
+  bp_incumbent : float;
+      (** the incumbent's simulated cycles when the candidate was pruned *)
 }
+(** A legal candidate pruned before codegen because [bp_bound] strictly
+    exceeded [bp_incumbent]; its simulated cycles are at least
+    [bp_bound], so it could not have ranked first. *)
 
 type timing = {
   t_enumerate : float;  (** includes all legality queries *)
@@ -133,11 +132,11 @@ type report = {
   rp_counts : counts;
   rp_solver : Observe.Metrics.solver;
   rp_timing : timing;
-  rp_cache_compare : cache_compare option;
   rp_input_cycles : float;
       (** the unshackled program on the head series, summed over the same
           evaluation sweep as the candidates *)
   rp_table : scored list;  (** ranked, best first *)
+  rp_bound_pruned : bound_pruned list;  (** in visit order *)
   rp_failures : eval_failure list;  (** evaluation groups that did not finish *)
   rp_metrics : Observe.Metrics.sim list;
 }
@@ -166,10 +165,9 @@ val consistency_step :
 (** {2 Reports} *)
 
 val report_to_json : report -> Observe.Json.t
-(** Schema {!Report.tune_report}, stable: keys in fixed order; the ["cache_compare"] key is
-    appended only when the pass ran; everything outside ["timing"],
-    ["metrics"] and ["cache_compare"] is byte-identical across runs and
-    across [domains]. *)
+(** Schema {!Report.tune_report}, stable: keys in fixed order; everything
+    outside ["timing"], ["metrics"] and the echoed ["domains"] is
+    byte-identical across runs and across [domains]. *)
 
 val check_report_json : Observe.Json.t -> (unit, string) result
 (** Structural validation of a serialized report ([--check-json]). *)

@@ -786,6 +786,7 @@ let test_old_schema_versions_refused () =
           msg)
     [ (tune, Report.tune_report, "tune-report/3");
       (tune, Report.tune_report, "tune-report/4");
+      (tune, Report.tune_report, "tune-report/5");
       (fuzz, Report.fuzz_report, "fuzz-report/6");
       (fuzz, Report.fuzz_report, "fuzz-report/7");
       (stats, Report.shackled_stats, "shackled-stats/1") ]
