@@ -1,23 +1,27 @@
-(* Sign-magnitude bignums over little-endian base-2^15 digit arrays.
-   The magnitude never has leading (most-significant) zero digits and
-   [sign = 0] exactly when the magnitude is empty, so structural equality
-   of the record coincides with numeric equality. *)
+(* Exact integers, one representation per value.  Every value in
+   [-max_int, max_int] is an immediate OCaml [int]; every other value
+   (magnitude at least 2^62, so [min_int] included) is a boxed
+   sign-magnitude record over little-endian base-2^15 digits whose top
+   digit is nonzero.  Because no value has two representations, structural
+   equality and [Hashtbl.hash] agree with [equal] and [hash].  Operations
+   on two immediates run on native ints; [add], [sub] and [mul] detect
+   overflow and fall back to the digit code, and [norm] turns every digit
+   result that fits back into an immediate. *)
 
 let base = 32768
 let base_bits = 15
 
-type t = { sign : int; mag : int array }
+type big = { sign : int; mag : int array }
+type t
 
-let zero = { sign = 0; mag = [||] }
+(* The coercions between the two representations. *)
+let is_small (x : t) = Obj.is_int (Obj.repr x)
+external of_small : int -> t = "%identity"
+external to_small : t -> int = "%identity"
+external of_big : big -> t = "%identity"
+external to_big : t -> big = "%identity"
 
-let normalize sign mag =
-  let n = ref (Array.length mag) in
-  while !n > 0 && mag.(!n - 1) = 0 do
-    decr n
-  done;
-  if !n = 0 then zero
-  else if !n = Array.length mag then { sign; mag }
-  else { sign; mag = Array.sub mag 0 !n }
+let zero = of_small 0
 
 (* Magnitude (unsigned) primitives. *)
 
@@ -197,90 +201,181 @@ let divmod_mag u v =
     (q, r)
   end
 
-(* Signed layer. *)
+(* Signed layer.  The [*_slow] functions take any operands through their
+   sign-magnitude [view] and return [norm]alized results. *)
 
-let mk sign mag = normalize sign mag
+let int_sign n = if n > 0 then 1 else if n < 0 then -1 else 0
 
-let of_int n =
-  if n = 0 then zero
-  else begin
-    let sign = if n > 0 then 1 else -1 in
-    (* Work with a negative accumulator so [min_int] is handled. *)
-    let m = if n > 0 then -n else n in
-    let rec digits m acc =
-      if m = 0 then List.rev acc
-      else digits (m / base) (-(m mod base) :: acc)
-    in
-    mk sign (Array.of_list (digits m []))
+(* Digits of [m >= 0]. *)
+let mag_of_nonneg m =
+  let rec len m = if m = 0 then 0 else 1 + len (m lsr base_bits) in
+  Array.init (len m) (fun i -> (m lsr (i * base_bits)) land (base - 1))
+
+(* [min_int], the one boxed value that fits a native int: magnitude
+   2^62, digit 4 at position 4. *)
+let min_int_big = { sign = -1; mag = [| 0; 0; 0; 0; 4 |] }
+
+let view x =
+  if is_small x then
+    let n = to_small x in
+    { sign = int_sign n; mag = mag_of_nonneg (Stdlib.abs n) }
+  else to_big x
+
+(* Trims leading zero digits; magnitudes below 2^62 (at most four digits,
+   or five with a top digit below 4) become immediates. *)
+let norm sign mag =
+  let n = ref (Array.length mag) in
+  while !n > 0 && mag.(!n - 1) = 0 do
+    decr n
+  done;
+  let n = !n in
+  if n < 5 || (n = 5 && mag.(4) < 4) then begin
+    let v = ref 0 in
+    for i = n - 1 downto 0 do
+      v := (!v lsl base_bits) lor mag.(i)
+    done;
+    of_small (if sign < 0 then - !v else !v)
   end
+  else if n = Array.length mag then of_big { sign; mag }
+  else of_big { sign; mag = Array.sub mag 0 n }
 
-let one = of_int 1
-let minus_one = of_int (-1)
-let two = of_int 2
-let sign x = x.sign
-let is_zero x = x.sign = 0
-let neg x = if x.sign = 0 then x else { x with sign = -x.sign }
-let abs x = if x.sign < 0 then neg x else x
+let of_int n = if n = min_int then of_big min_int_big else of_small n
+let one = of_small 1
+let minus_one = of_small (-1)
+let two = of_small 2
+let sign x = if is_small x then int_sign (to_small x) else (to_big x).sign
+let is_zero x = x == zero
 
-let compare a b =
-  if a.sign <> b.sign then Stdlib.compare a.sign b.sign
-  else if a.sign >= 0 then cmp_mag a.mag b.mag
-  else cmp_mag b.mag a.mag
+(* A boxed value's magnitude exceeds every immediate's, so it stays boxed
+   under negation. *)
+let neg x =
+  if is_small x then of_small (-to_small x)
+  else
+    let b = to_big x in
+    of_big { b with sign = -b.sign }
 
-let equal a b = compare a b = 0
+let abs x = if sign x < 0 then neg x else x
+
+let compare x y =
+  match (is_small x, is_small y) with
+  | true, true -> Int.compare (to_small x) (to_small y)
+  | true, false -> -(to_big y).sign
+  | false, true -> (to_big x).sign
+  | false, false ->
+    let a = to_big x and b = to_big y in
+    if a.sign <> b.sign then Int.compare a.sign b.sign
+    else if a.sign > 0 then cmp_mag a.mag b.mag
+    else cmp_mag b.mag a.mag
+
+let equal x y =
+  x == y || ((not (is_small x)) && (not (is_small y)) && compare x y = 0)
 
 let hash x =
-  Array.fold_left (fun h d -> (h * 65599) + d) (x.sign + 1) x.mag
-  land max_int
+  if is_small x then to_small x land max_int
+  else
+    let b = to_big x in
+    Array.fold_left (fun h d -> (h * 65599) + d) (b.sign + 1) b.mag land max_int
 
-let add a b =
-  if a.sign = 0 then b
-  else if b.sign = 0 then a
-  else if a.sign = b.sign then mk a.sign (add_mag a.mag b.mag)
-  else begin
-    let c = cmp_mag a.mag b.mag in
-    if c = 0 then zero
-    else if c > 0 then mk a.sign (sub_mag a.mag b.mag)
-    else mk b.sign (sub_mag b.mag a.mag)
-  end
+let add_slow x y =
+  let a = view x and b = view y in
+  if a.sign = b.sign then norm a.sign (add_mag a.mag b.mag)
+  else if cmp_mag a.mag b.mag >= 0 then norm a.sign (sub_mag a.mag b.mag)
+  else norm b.sign (sub_mag b.mag a.mag)
 
-let sub a b = add a (neg b)
+(* On immediates, [a + b] overflowed exactly when its sign differs from
+   both operands', and [a - b] when [a] and [b] differ in sign and the
+   result's sign differs from [a]'s.  [min_int] itself is boxed. *)
+let add x y =
+  if is_small x && is_small y then
+    let a = to_small x and b = to_small y in
+    let s = a + b in
+    if (a lxor s) land (b lxor s) >= 0 && s <> min_int then of_small s
+    else add_slow x y
+  else add_slow x y
 
-let mul a b =
-  if a.sign = 0 || b.sign = 0 then zero
-  else mk (a.sign * b.sign) (mul_mag a.mag b.mag)
+let sub x y =
+  if is_small x && is_small y then
+    let a = to_small x and b = to_small y in
+    let d = a - b in
+    if (a lxor b) land (a lxor d) >= 0 && d <> min_int then of_small d
+    else add_slow x (neg y)
+  else add_slow x (neg y)
+
+let mul_slow x y =
+  let a = view x and b = view y in
+  norm (a.sign * b.sign) (mul_mag a.mag b.mag)
+
+(* Factors below 2^31 in magnitude cannot overflow; otherwise the product
+   is checked by dividing it back. *)
+let mul x y =
+  if is_small x && is_small y then
+    let a = to_small x and b = to_small y in
+    let p = a * b in
+    if Stdlib.abs a < 0x8000_0000 && Stdlib.abs b < 0x8000_0000 then of_small p
+    else if a = 0 || (p / a = b && p <> min_int) then of_small p
+    else mul_slow x y
+  else mul_slow x y
 
 let mul_int a n = mul a (of_int n)
 let succ a = add a one
 let pred a = sub a one
 
-let div_rem a b =
-  if b.sign = 0 then raise Division_by_zero;
-  let q, r = divmod_mag a.mag b.mag in
-  (mk (a.sign * b.sign) q, mk a.sign r)
+let div_rem x y =
+  if is_small x && is_small y then
+    let a = to_small x and b = to_small y in
+    let q = a / b in
+    (of_small q, of_small (a - (q * b)))
+  else
+    let a = view x and b = view y in
+    if b.sign = 0 then raise Division_by_zero;
+    let q, r = divmod_mag a.mag b.mag in
+    (norm (a.sign * b.sign) q, norm a.sign r)
 
-let fdiv a b =
-  let q, r = div_rem a b in
-  if r.sign <> 0 && r.sign <> b.sign then sub q one else q
+(* On immediates a quotient of magnitude [max_int] is exact, so the
+   rounding steps below never leave the immediate range. *)
+let fdiv x y =
+  if is_small x && is_small y then
+    let a = to_small x and b = to_small y in
+    let q = a / b in
+    let r = a - (q * b) in
+    of_small (if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q)
+  else
+    let q, r = div_rem x y in
+    if sign r <> 0 && sign r <> sign y then sub q one else q
 
-let frem a b =
-  let r = sub a (mul b (fdiv a b)) in
-  r
+let cdiv x y =
+  if is_small x && is_small y then
+    let a = to_small x and b = to_small y in
+    let q = a / b in
+    let r = a - (q * b) in
+    of_small (if r <> 0 && (r < 0) = (b < 0) then q + 1 else q)
+  else
+    let q, r = div_rem x y in
+    if sign r <> 0 && sign r = sign y then add q one else q
 
-let cdiv a b =
-  let q, r = div_rem a b in
-  if r.sign <> 0 && r.sign = b.sign then add q one else q
+let frem x y =
+  if is_small x && is_small y then
+    let a = to_small x and b = to_small y in
+    let r = a mod b in
+    of_small (if r <> 0 && (r < 0) <> (b < 0) then r + b else r)
+  else sub x (mul y (fdiv x y))
 
 let divexact a b =
   let q, r = div_rem a b in
-  if r.sign <> 0 then failwith "Bigint.divexact: inexact division";
+  if not (is_zero r) then failwith "Bigint.divexact: inexact division";
   q
 
-let rec gcd_aux a b = if b.sign = 0 then a else gcd_aux b (snd (div_rem a b))
-let gcd a b = gcd_aux (abs a) (abs b)
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* A boxed operand leaves the digit path after one remainder step. *)
+let rec gcd x y =
+  if is_small x && is_small y then
+    of_small (gcd_int (Stdlib.abs (to_small x)) (Stdlib.abs (to_small y)))
+  else if is_zero y then abs x
+  else gcd y (snd (div_rem x y))
 
 let lcm a b =
-  if a.sign = 0 || b.sign = 0 then zero
+  if is_zero a || is_zero b then zero
   else abs (mul (divexact a (gcd a b)) b)
 
 let min a b = if compare a b <= 0 then a else b
@@ -296,49 +391,24 @@ let pow x n =
   go one x n
 
 let to_int_opt x =
-  (* Accumulate negatively to cover min_int. *)
-  let rec go i acc =
-    if i < 0 then Some acc
-    else begin
-      let digit = x.mag.(i) in
-      (* Truncating division of the negative numerator acts as ceiling, so
-         this is the exact smallest safe accumulator for this digit. *)
-      if acc < (Stdlib.min_int + digit) / base then None
-      else go (i - 1) ((acc * base) - digit)
-    end
-  in
-  match go (Array.length x.mag - 1) 0 with
-  | None -> None
-  | Some neg_v ->
-    if x.sign >= 0 then if neg_v = Stdlib.min_int then None else Some (-neg_v)
-    else Some neg_v
+  if is_small x then Some (to_small x)
+  else if equal x (of_big min_int_big) then Some min_int
+  else None
 
 let to_int_exn x =
   match to_int_opt x with
   | Some n -> n
   | None -> failwith "Bigint.to_int_exn: does not fit in native int"
 
-let billion = of_int 1_000_000_000
+let billion = of_small 1_000_000_000
 
-let to_string x =
-  if x.sign = 0 then "0"
-  else begin
-    let buf = Buffer.create 32 in
-    let rec chunks v acc =
-      if v.sign = 0 then acc
-      else begin
-        let q, r = div_rem v billion in
-        chunks q (to_int_exn r :: acc)
-      end
-    in
-    (match chunks (abs x) [] with
-     | [] -> assert false
-     | first :: rest ->
-       if x.sign < 0 then Buffer.add_char buf '-';
-       Buffer.add_string buf (string_of_int first);
-       List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest);
-    Buffer.contents buf
-  end
+(* A boxed value has a nonzero quotient by 10^9, whose rendering carries
+   the sign. *)
+let rec to_string x =
+  if is_small x then string_of_int (to_small x)
+  else
+    let q, r = div_rem x billion in
+    to_string q ^ Printf.sprintf "%09d" (Stdlib.abs (to_small r))
 
 let of_string s =
   let n = String.length s in
@@ -347,11 +417,11 @@ let of_string s =
   let start = if negative || s.[0] = '+' then 1 else 0 in
   if start >= n then invalid_arg "Bigint.of_string: no digits";
   let acc = ref zero in
-  let ten = of_int 10 in
+  let ten = of_small 10 in
   for i = start to n - 1 do
     let c = s.[i] in
     if c < '0' || c > '9' then invalid_arg "Bigint.of_string: bad digit";
-    acc := add (mul !acc ten) (of_int (Char.code c - Char.code '0'))
+    acc := add (mul !acc ten) (of_small (Char.code c - Char.code '0'))
   done;
   if negative then neg !acc else !acc
 

@@ -4,10 +4,15 @@
     Fourier-Motzkin elimination and the Omega test produce coefficients that
     overflow native integers, and no bignum package is available offline.
 
-    Values are immutable.  The representation is sign-magnitude with
-    little-endian base-[2^15] digits; all operations are schoolbook, which is
-    more than fast enough for polyhedral coefficients (typically well under
-    256 bits). *)
+    Values are immutable and have exactly one representation each.  A value
+    in [[-max_int, max_int]] is an immediate native [int] and arithmetic on
+    such values runs on native ints; [add], [sub] and [mul] detect overflow
+    and continue on sign-magnitude base-[2^15] digit arrays, which hold
+    every other value ([min_int] included) and use schoolbook algorithms.
+    A digit result that fits is turned back into an immediate.  So
+    [Stdlib.(=)] coincides with {!equal}, and equal values have equal
+    {!hash} and equal [Hashtbl.hash]: values and arrays of values can key
+    polymorphic and functorial hash tables directly. *)
 
 type t
 
@@ -25,7 +30,7 @@ val to_int_exn : t -> int
 (** @raise Failure when the value does not fit in a native [int]. *)
 
 val of_string : string -> t
-(** Accepts an optional leading [-] followed by decimal digits.
+(** Accepts an optional leading [-] or [+] followed by decimal digits.
     @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string

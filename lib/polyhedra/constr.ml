@@ -33,6 +33,46 @@ let normalize c =
       end
   end
 
+(* Parallel classes, hashed on the coefficient vector itself: one
+   representation per Bigint value makes element-wise [B.equal] and
+   [B.hash] exact.  Equalities belong to one class only when their
+   constants match as well. *)
+module Class = Hashtbl.Make (struct
+  type t = kind * B.t array * B.t
+
+  let equal (k, a, c) (k', a', c') =
+    k = k' && B.equal c c'
+    && Array.length a = Array.length a'
+    && Array.for_all2 B.equal a a'
+
+  let hash (k, a, c) =
+    Array.fold_left
+      (fun h x -> (h * 65599) + B.hash x)
+      (B.hash c + if k = Eq then 1 else 0)
+      a
+    land max_int
+end)
+
+let dedupe cs =
+  let table = Class.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun c ->
+      let const = Affine.const_of c.aff in
+      let key =
+        (c.kind, (c.aff : Affine.t).coeffs,
+         match c.kind with Eq -> const | Ge -> B.zero)
+      in
+      match Class.find_opt table key with
+      | None ->
+        let slot = ref c in
+        Class.add table key slot;
+        order := slot :: !order
+      | Some slot ->
+        if B.compare const (Affine.const_of !slot.aff) < 0 then slot := c)
+    cs;
+  List.rev_map ( ! ) !order
+
 let is_trivially_true c =
   Affine.is_constant c.aff
   &&

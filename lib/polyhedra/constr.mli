@@ -27,6 +27,13 @@ val normalize : t -> t
     returns the canonical false constraint [0 >= 1] unchanged in kind Eq
     ([0 = 1]). *)
 
+val dedupe : t list -> t list
+(** Keeps one constraint per parallel class, in first-seen order: among
+    inequalities with identical coefficient vectors the one with the
+    smallest constant (the strongest, given normalized inputs), and one
+    copy of each repeated equality.  Equalities with equal coefficients but
+    different constants are kept apart. *)
+
 val is_trivially_true : t -> bool
 val is_trivially_false : t -> bool
 val satisfied_by : t -> Bigint.t array -> bool

@@ -42,39 +42,11 @@ let bounds_of s k =
 (* Among normalized parallel inequalities [coeffs.x + const >= 0] (identical
    coefficient vectors) only the one with the smallest constant matters. *)
 let compress s =
-  let table : (string, Constr.t) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let key (c : Constr.t) =
-    let buf = Buffer.create 32 in
-    Buffer.add_string buf (match c.kind with Constr.Eq -> "=" | Constr.Ge -> ">");
-    Array.iter
-      (fun x ->
-        Buffer.add_string buf (B.to_string x);
-        Buffer.add_char buf ',')
-      (c.aff : Affine.t).coeffs;
-    (* Equalities are only duplicates when the constant matches too. *)
-    (match c.kind with
-     | Constr.Eq -> Buffer.add_string buf (B.to_string (Affine.const_of c.aff))
-     | Constr.Ge -> ());
-    Buffer.contents buf
-  in
-  List.iter
-    (fun c ->
-      let c = Constr.normalize c in
-      if not (Constr.is_trivially_true c) then begin
-        let k = key c in
-        match Hashtbl.find_opt table k with
-        | None ->
-          Hashtbl.add table k c;
-          order := k :: !order
-        | Some old ->
-          if
-            B.compare (Affine.const_of c.aff) (Affine.const_of old.aff) < 0
-          then Hashtbl.replace table k c
-      end)
-    (System.constraints s);
   System.make (System.names s)
-    (List.rev_map (fun k -> Hashtbl.find table k) !order)
+    (Constr.dedupe
+       (List.filter
+          (fun c -> not (Constr.is_trivially_true c))
+          (List.map Constr.normalize (System.constraints s))))
 
 let eliminate s k =
   let lowers, uppers, rest = split s k in

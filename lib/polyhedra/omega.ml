@@ -38,9 +38,9 @@ let with_deadline ~until f =
 (* ------------------------------------------------------------------ *)
 
 (* An external verdict store behind the in-process memo: the disk-backed
-   legality cache of the shackled daemon plugs in here.  Keys are the same
-   canonical system renderings the memo table uses, so an entry written by
-   one process answers another process's query exactly.  Only exact
+   legality cache of the shackled daemon plugs in here.  Keys are the
+   canonical system renderings whose digests the memo table holds, so an
+   entry written by one process answers another process's query.  Only exact
    verdicts may be stored — the same soundness rule as the memo table. *)
 type backing = {
   bk_find : string -> bool option;
@@ -70,7 +70,7 @@ module Ctx = struct
     mutable cancel : (unit -> bool) option; (* cooperative cancellation *)
     mutable starve_after : int option; (* fault injection: zero fuel from
                                           this query index on *)
-    table : (string, bool) Hashtbl.t option;
+    table : (string, bool) Hashtbl.t option; (* MD5 of canonical_key *)
     lock : Mutex.t;
   }
 
@@ -218,18 +218,7 @@ exception Unsat_exn
    many parallel combinations, and without it the constraint count explodes
    on deep systems (e.g. multi-level blocking legality). *)
 let normalize_split cs =
-  let eqs = ref [] in
-  let ges : (string, Constr.t) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let key (c : Constr.t) =
-    let buf = Buffer.create 32 in
-    Array.iter
-      (fun x ->
-        Buffer.add_string buf (B.to_string x);
-        Buffer.add_char buf ',')
-      (c.aff : Affine.t).coeffs;
-    Buffer.contents buf
-  in
+  let eqs = ref [] and ges = ref [] in
   List.iter
     (fun c ->
       let c = Constr.normalize c in
@@ -246,18 +235,9 @@ let normalize_split cs =
             && not (B.is_zero (B.frem (Affine.const_of c.aff) g))
           then raise Unsat_exn
           else eqs := c :: !eqs
-        | Constr.Ge -> begin
-          let k = key c in
-          match Hashtbl.find_opt ges k with
-          | None ->
-            Hashtbl.add ges k c;
-            order := k :: !order
-          | Some old ->
-            if B.compare (Affine.const_of c.aff) (Affine.const_of old.aff) < 0
-            then Hashtbl.replace ges k c
-        end)
+        | Constr.Ge -> ges := c :: !ges)
     cs;
-  (List.rev !eqs, List.rev_map (fun k -> Hashtbl.find ges k) !order)
+  (List.rev !eqs, Constr.dedupe (List.rev !ges))
 
 let vars_of cs =
   List.sort_uniq compare (List.concat_map (fun (c : Constr.t) -> Affine.vars c.aff) cs)
@@ -572,17 +552,23 @@ let decide ?(ctx = Ctx.default) s =
   | None, None -> solve_sys ctx ~query_index s
   | table, backing -> (
     let key = canonical_key s in
+    (* The memo holds the key's MD5, the content address the disk cache
+       uses too: a daemon's memo gains an entry per distinct system it
+       ever sees, and 16 bytes per key instead of a few hundred of text
+       bound that growth. *)
+    let digest = Digest.string key in
     let memo_store sat =
       match table with
       | None -> ()
       | Some t ->
         Mutex.protect ctx.Ctx.lock (fun () ->
-            if not (Hashtbl.mem t key) then Hashtbl.add t key sat)
+            if not (Hashtbl.mem t digest) then Hashtbl.add t digest sat)
     in
     let cached =
       match table with
       | None -> None
-      | Some t -> Mutex.protect ctx.Ctx.lock (fun () -> Hashtbl.find_opt t key)
+      | Some t ->
+        Mutex.protect ctx.Ctx.lock (fun () -> Hashtbl.find_opt t digest)
     in
     match cached with
     | Some sat ->

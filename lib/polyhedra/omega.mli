@@ -67,8 +67,11 @@ val canonical_key : System.t -> string
     constraint normalized and rendered sparsely, the renderings sorted and
     deduplicated — so systems differing only in constraint order,
     duplication, scaling, or trailing fresh variables share an entry, and a
-    cached verdict is exact: {!Unknown} results are never stored.  All
-    state is domain-safe: counters are atomic, the table mutex-protected. *)
+    cached verdict is exact: {!Unknown} results are never stored.  The
+    table stores the MD5 digest of each {!canonical_key}, the same content
+    address the on-disk cache uses, so an entry costs 16 bytes of key
+    however large the system.  All state is domain-safe: counters are
+    atomic, the table mutex-protected. *)
 module Ctx : sig
   type t
 

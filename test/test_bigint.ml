@@ -126,6 +126,19 @@ let test_to_int_bounds () =
   Alcotest.(check (option int)) "min_int-1" None
     (B.to_int_opt B.(sub (bi min_int) one))
 
+(* Results at the edge of the immediate range, against decimal literals. *)
+let test_boundary_literals () =
+  List.iter
+    (fun (name, expect, v) ->
+      Alcotest.(check string) name expect (B.to_string v);
+      Alcotest.(check bool) (name ^ " structural") true
+        (Stdlib.( = ) v (B.of_string expect)))
+    [ ("max_int + 1", "4611686018427387904", B.add (bi max_int) B.one);
+      ("-min_int", "4611686018427387904", B.neg (bi min_int));
+      ("max_int * max_int", "21267647932558653957237540927630737409",
+       B.mul (bi max_int) (bi max_int));
+      ("+5", "5", B.of_string "+5") ]
+
 (* Property tests. *)
 
 let mid_int = QCheck.int_range (-1_000_000) 1_000_000
@@ -200,6 +213,57 @@ let prop_compare_antisym =
     QCheck.(pair arb_big arb_big)
     (fun (a, b) -> B.compare a b = -B.compare b a)
 
+(* Operands near +-max_int, +-2^30, +-2^31 and min_int.
+   Each operation must agree with the same operation on operands offset or
+   scaled by 2^70, which runs the digit code, both numerically and
+   structurally: one representation per value is what lets polymorphic
+   equality and [Hashtbl.hash] stand in for [equal] and [hash]. *)
+
+let arb_boundary =
+  QCheck.make ~print:B.to_string
+    QCheck.Gen.(
+      map2
+        (fun c d -> B.add (bi c) (bi d))
+        (oneofl
+           [ max_int; -max_int; 1 lsl 30; -(1 lsl 30); 1 lsl 31; -(1 lsl 31);
+             min_int; 0 ])
+        (int_range (-3) 3))
+
+let w = B.pow B.two 70
+
+let same direct via =
+  B.equal direct via
+  && Stdlib.( = ) direct via
+  && Hashtbl.hash direct = Hashtbl.hash via
+
+let prop_boundary name ?(nonzero = false) f =
+  QCheck.Test.make ~count:1000 ~name:("digit path agrees: " ^ name)
+    QCheck.(pair arb_boundary arb_boundary)
+    (fun (a, b) ->
+      QCheck.assume ((not nonzero) || not (B.is_zero b));
+      f a b)
+
+let scaled op a b = op (B.mul a w) (B.mul b w)
+
+let boundary_props =
+  [ prop_boundary "add" (fun a b ->
+        same (B.add a b) B.(sub (add (add a w) b) w));
+    prop_boundary "sub" (fun a b ->
+        same (B.sub a b) B.(sub (sub (add a w) b) w));
+    prop_boundary "mul" (fun a b ->
+        same (B.mul a b) (B.divexact (B.mul (B.mul a w) b) w));
+    prop_boundary "div_rem" ~nonzero:true (fun a b ->
+        let q, r = B.div_rem a b and q', r' = scaled B.div_rem a b in
+        same q q' && same r (B.divexact r' w));
+    prop_boundary "fdiv" ~nonzero:true (fun a b ->
+        same (B.fdiv a b) (scaled B.fdiv a b));
+    prop_boundary "cdiv" ~nonzero:true (fun a b ->
+        same (B.cdiv a b) (scaled B.cdiv a b));
+    prop_boundary "frem" ~nonzero:true (fun a b ->
+        same (B.frem a b) (B.divexact (scaled B.frem a b) w));
+    prop_boundary "gcd" (fun a b ->
+        same (B.gcd a b) (B.divexact (scaled B.gcd a b) w)) ]
+
 let () =
   Alcotest.run "bigint"
     [ ( "unit",
@@ -216,10 +280,12 @@ let () =
           Alcotest.test_case "lcm" `Quick test_lcm;
           Alcotest.test_case "pow" `Quick test_pow;
           Alcotest.test_case "total order" `Quick test_compare_order;
-          Alcotest.test_case "to_int bounds" `Quick test_to_int_bounds ] );
+          Alcotest.test_case "to_int bounds" `Quick test_to_int_bounds;
+          Alcotest.test_case "boundary literals" `Quick test_boundary_literals ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
           [ prop_add_matches_int; prop_mul_matches_int;
             prop_div_rem_reconstruct; prop_fdiv_floor; prop_frem_sign;
             prop_cdiv_vs_fdiv; prop_gcd_divides; prop_string_roundtrip;
-            prop_ring_laws; prop_compare_antisym ] ) ]
+            prop_ring_laws; prop_compare_antisym ] );
+      ("boundary", List.map QCheck_alcotest.to_alcotest boundary_props) ]

@@ -238,6 +238,35 @@ let test_omega_implies () =
   Alcotest.(check bool) "implies x+y>=4" true
     (Omega.implies s (C.ge (aff [ 1; 1; 0 ] (-4))))
 
+(* Each shackle-cache/1 record stores the MD5 of this text, so a change in
+   rendering would turn every existing cache file into misses.  The literal
+   pins negative, multi-digit and wider-than-62-bit coefficients (including
+   min_int and max_int), gcd normalization, and the dedupe of a scaled
+   copy. *)
+let test_canonical_key_pinned () =
+  let form coeffs const =
+    A.make (Array.of_list (List.map B.of_string coeffs)) (B.of_string const)
+  in
+  let s =
+    S.make names3
+      [ C.ge (form [ "12"; "-345"; "0" ] "6789");
+        C.eq (form [ "1"; "0"; "-2" ] "7");
+        C.ge
+          (form [ "0"; "1180591620717411303425"; "-110680464442257309696" ]
+             "-123456789012345678901234");
+        C.ge (form [ "24"; "-690"; "0" ] "13578");
+        C.eq (form [ "0"; "0"; "5" ] "-1000000000000000000000");
+        C.ge (form [ "-4611686018427387904"; "3"; "0" ] "0");
+        C.ge (form [ "0"; "4611686018427387903"; "-2" ] "-5");
+        C.ge (form [ "-1"; "0"; "0" ] "100") ]
+  in
+  Alcotest.(check string) "canonical_key"
+    ("e 0:1 2:-2|7;e 2:1|-200000000000000000000;g 0:-1|100;"
+     ^ "g 0:-4611686018427387904 1:3|0;g 0:4 1:-115|2263;"
+     ^ "g 1:1180591620717411303425 2:-110680464442257309696"
+     ^ "|-123456789012345678901234;g 1:4611686018427387903 2:-2|-5")
+    (Omega.canonical_key s)
+
 (* --- property: Omega vs brute force --- *)
 
 let brute_force_sat cs lo hi =
@@ -351,6 +380,62 @@ let test_omega_implies_vs_brute_sampled () =
     end
   done;
   Alcotest.(check bool) "some implications actually held" true (!checked > 0)
+
+(* --- wide coefficients ---
+
+   Coefficients near 2^40 make Fourier-Motzkin combinations, products of
+   two coefficients, exceed 2^62, so these decisions run through Bigint's
+   digit representation as well as its immediates.  Each constraint passes
+   near a point of the [-3, 3] box, so verdicts split between sat and
+   unsat, and enumerating the [-4, 4] box decides each system exactly. *)
+
+let wide_system rng ~dim =
+  let near_2_40 () =
+    let w = (1 lsl 40) + Fuzzing.Rng.range rng (-3) 3 in
+    if Fuzzing.Rng.bool rng then w else -w
+  in
+  let cs =
+    List.init (Fuzzing.Rng.range rng 1 3) (fun _ ->
+        let coeffs =
+          List.init dim (fun _ ->
+              if Fuzzing.Rng.int rng 3 = 0 then Fuzzing.Rng.range rng (-2) 2
+              else near_2_40 ())
+        in
+        let through =
+          List.fold_left2
+            (fun acc a p -> acc + (a * p))
+            0 coeffs
+            (List.init dim (fun _ -> Fuzzing.Rng.range rng (-3) 3))
+        in
+        if Fuzzing.Rng.int rng 4 = 0 then C.eq (A.of_ints coeffs (-through))
+        else
+          C.ge
+            (A.of_ints coeffs
+               (Fuzzing.Rng.range rng (-(1 lsl 40)) (1 lsl 40) - through)))
+  in
+  let box =
+    List.concat
+      (List.init dim (fun i ->
+           [ C.ge_of (A.var dim i) (A.of_int dim (-4));
+             C.le_of (A.var dim i) (A.of_int dim 4) ]))
+  in
+  S.make (Array.sub [| "x"; "y"; "z" |] 0 dim) (cs @ box)
+
+let test_omega_wide_coefficients () =
+  let sat = ref 0 and unsat = ref 0 in
+  for seed = 1 to 150 do
+    let rng = Fuzzing.Rng.create seed in
+    let sys = wide_system rng ~dim:(2 + Fuzzing.Rng.int rng 2) in
+    let brute = Fuzzing.Brute.feasible sys ~bound:4 <> None in
+    match Omega.decide ~ctx:(Omega.Ctx.create ()) sys with
+    | Omega.Unknown r -> Alcotest.failf "gave up (%s) at seed %d" r seed
+    | v ->
+      if (v = Omega.Sat) <> brute then
+        Alcotest.failf "Omega disagrees with enumeration at seed %d on %s"
+          seed (Format.asprintf "%a" S.pp sys);
+      incr (if brute then sat else unsat)
+  done;
+  Alcotest.(check bool) "both verdicts occur" true (!sat > 0 && !unsat > 0)
 
 (* --- budget soundness: three-valued verdicts never lie ---
 
@@ -481,7 +566,9 @@ let () =
           Alcotest.test_case "block constraints" `Quick test_omega_block_constraints;
           Alcotest.test_case "paper Sec 5.1 legality shape" `Quick
             test_omega_cholesky_legality_shape;
-          Alcotest.test_case "implies" `Quick test_omega_implies ] );
+          Alcotest.test_case "implies" `Quick test_omega_implies;
+          Alcotest.test_case "canonical_key text pinned" `Quick
+            test_canonical_key_pinned ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
           [ prop_omega_exact; prop_fm_sound; prop_implies_respects_points ] );
@@ -491,7 +578,9 @@ let () =
           Alcotest.test_case "FM projection keeps sampled points" `Quick
             test_fm_sound_sampled;
           Alcotest.test_case "implies honored by box points" `Quick
-            test_omega_implies_vs_brute_sampled ] );
+            test_omega_implies_vs_brute_sampled;
+          Alcotest.test_case "wide coefficients = enumeration" `Quick
+            test_omega_wide_coefficients ] );
       ( "budget",
         [ Alcotest.test_case "budgeted verdicts never lie (sampled)" `Quick
             test_budget_soundness_sampled;
