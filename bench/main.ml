@@ -26,7 +26,6 @@ type opts = {
   json : string option;       (* write the trajectory here *)
   figures : string list;      (* selected figure ids, [] = all *)
   domains : int;              (* work-pool width, 1 = sequential *)
-  par_exec : bool;            (* block-scheduler execution per point *)
   check_json : string option; (* validate a trajectory file and exit *)
   diff_json : (string * string) option; (* compare two trajectories and exit *)
   list_figures : bool;
@@ -42,7 +41,7 @@ let die msg =
    every solver context the figures build inherits it. *)
 let parse_args argv =
   let quick = ref false and json = ref None and figures = ref [] in
-  let domains = ref 1 and par_exec = ref false in
+  let domains = ref 1 in
   let check_json = ref None and diff_json = ref None in
   let list_figures = ref false in
   let timeout_ms = ref None and fuel = ref None in
@@ -52,7 +51,6 @@ let parse_args argv =
       Cli.string_list "--figure" ~docv:"ID"
         ~doc:"run only figure ID (repeatable; see --list-figures)" figures;
       Cli.domains domains;
-      Cli.par_exec par_exec;
       Cli.string_opt "--check-json" ~docv:"PATH"
         ~doc:"validate a BENCH_*.json file and exit" check_json;
       Cli.string_pair_opt "--diff-json" ~docv:"A B"
@@ -69,7 +67,6 @@ let parse_args argv =
     json = !json;
     figures = !figures;
     domains = !domains;
-    par_exec = !par_exec;
     check_json = !check_json;
     diff_json = !diff_json;
     list_figures = !list_figures }
@@ -117,10 +114,9 @@ let check_json path =
 (* Compare the simulated content of two trajectories: figure rows (all
    columns) and every simulated metric quantity (flops, instances,
    accesses, per-level stats, cycles, mflops).  Wall-clock fields
-   ("seconds", trace accounting), dynamic scheduler counters and run
-   configuration ("domains") are ignored, so runs at any --domains, with
-   or without --par-exec, must diff clean against the committed golden
-   trajectory. *)
+   ("seconds", trace accounting) and run configuration ("domains") are
+   ignored, so a run at any --domains must diff clean against the
+   committed golden trajectory. *)
 let diff_json path_a path_b =
   let figures path =
     match Json.member "figures" (load_json path) with
@@ -162,7 +158,7 @@ let diff_json path_a path_b =
                 | Ok s ->
                   (* normalize everything that may legitimately differ *)
                   Metrics.sim_to_json
-                    { s with Metrics.sim_seconds = 0.0; sim_trace = None; sim_sched = None }
+                    { s with Metrics.sim_seconds = 0.0; sim_trace = None }
                   |> Json.to_string
                 | Error e ->
                   Printf.eprintf "bench: figure %s: bad metrics: %s\n" id e;
@@ -213,10 +209,7 @@ let code_figures () =
   show_code "Figure 14(i): ADI input code" before;
   show_code "Figure 14(ii): ADI after the 1x1 storage-order shackle" after
 
-let perf_figures { quick; figures; domains; par_exec; _ } =
-  (* with --par-exec the --domains value doubles as the block-scheduler
-     worker count; simulated quantities are identical either way *)
-  let par = if par_exec then domains else 0 in
+let perf_figures { quick; figures; domains; _ } =
   let wanted =
     match figures with
     | [] -> F.ids
@@ -232,14 +225,13 @@ let perf_figures { quick; figures; domains; par_exec; _ } =
   in
   section
     (Printf.sprintf
-       "Performance figures (simulated SP-2 stand-in; %d domain%s%s; see \
+       "Performance figures (simulated SP-2 stand-in; %d domain%s; see \
         DESIGN.md)"
        domains
-       (if domains = 1 then "" else "s")
-       (if par_exec then "; parallel block execution" else ""));
+       (if domains = 1 then "" else "s"));
   List.map
     (fun id ->
-      let fig = Option.get (F.run_by_id id ~quick ~domains ~par ()) in
+      let fig = Option.get (F.run_by_id id ~quick ~domains) in
       show_figure fig;
       fig)
     wanted
@@ -255,7 +247,6 @@ let write_json path ~opts ~figures ~total_seconds =
         ("generator", Json.Str "bench/main.exe");
         ("quick", Json.Bool opts.quick);
         ("domains", Json.Int opts.domains);
-        ("par_exec", Json.Bool opts.par_exec);
         ("total_seconds", Json.Float total_seconds);
         ("figures", Json.List (List.map F.figure_to_json figures)) ]
   in

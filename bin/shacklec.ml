@@ -420,7 +420,14 @@ let sim_cmd =
             ~doc:"simulate with hand-tuned inner-loop quality (unless --quality)"
             tuned;
           machine_flag machines; quality_flag qualities;
-          Cli.par_exec par_exec; Cli.domains domains;
+          Cli.flag "--par-exec"
+            ~doc:
+              "also execute each program's blocks over the dependence DAG on \
+               --domains workers, level by level; prints the plan shape and \
+               the shared-L2 multicore replay (every simulated result is \
+               identical to sequential)"
+            par_exec;
+          Cli.domains domains;
           Cli.int "--cores" ~docv:"C"
             ~doc:
               "virtual cores for the shared-L2 multicore replay under \
@@ -510,19 +517,17 @@ let sim_cmd =
                 (match sched with
                  | None -> ()
                  | Some (plan, res) ->
-                   let st = res.Sched.x_stats in
+                   let plural k = if k = 1 then "" else "s" in
+                   let tasks = Sched.tasks plan in
+                   let levels = List.length (Sched.levels plan) in
                    Format.printf
-                     "  sched: %d task%s, %d edges, %d wavefronts (max width \
-                      %d), %s mode%s, %d domain%s, %d steals, %d stalls@."
-                     st.Sched.st_tasks
-                     (if st.Sched.st_tasks = 1 then "" else "s")
-                     st.Sched.st_edges st.Sched.st_wavefronts
-                     st.Sched.st_max_width
-                     (Sched.mode_string st.Sched.st_mode)
-                     (if st.Sched.st_serialized then " (serialized)" else "")
-                     st.Sched.st_domains
-                     (if st.Sched.st_domains = 1 then "" else "s")
-                     st.Sched.st_steals st.Sched.st_stalls;
+                     "  sched: %d task%s, %d edges, %d level%s (max width \
+                      %d)%s, %d domain%s, %d stalls@."
+                     tasks (plural tasks) (Sched.edges plan) levels
+                     (plural levels) (Sched.max_width plan)
+                     (if Sched.serialized plan then " (serialized)" else "")
+                     res.Sched.x_domains (plural res.Sched.x_domains)
+                     res.Sched.x_stalls;
                    let smp = Sched.smp ~cores:!cores plan res in
                    Format.printf
                      "  smp:   %d cores, makespan %.0f cycles, %.2f mflops@."

@@ -98,25 +98,19 @@ let quick cell =
   flag "--quick" ~doc:"smaller problem sizes / fewer cases (CI smoke mode)"
     cell
 
+(* The help states the cell's value when the specs are built, which is
+   the caller's default. *)
 let domains cell =
   int "--domains" ~docv:"D"
-    ~doc:"fan work over D domains (default 1; results are independent of D)"
+    ~doc:
+      (Printf.sprintf
+         "fan work over D domains (default %d; results are independent of D)"
+         !cell)
     cell
 
 let json cell =
   string_opt "--json" ~docv:"FILE"
     ~doc:"write a machine-readable report to FILE" cell
-
-(* The dependence-aware block scheduler is spelled once, here, so
-   "--par-exec" means the same thing in shacklec, bench and fuzz: execute
-   block tasks over the --domains worker pool; all simulated quantities
-   stay byte-identical to sequential execution. *)
-let par_exec cell =
-  flag "--par-exec"
-    ~doc:
-      "execute block tasks in parallel over the dependence DAG (workers \
-       come from --domains; simulated results are identical to sequential)"
-    cell
 
 let seed cell =
   int "--seed" ~docv:"K"

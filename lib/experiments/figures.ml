@@ -10,8 +10,9 @@
    order, so [~domains:1] and [~domains:n] produce identical figures.
 
    Within a point, series sharing a program variant share one recording:
-   the interpreter runs once ([Model.record]) and each (machine, quality)
-   series replays the captured trace ([Model.consume]). *)
+   the variant is specialized at the point's sizes, the interpreter runs
+   once and each (machine, quality) series replays the captured trace
+   ([Metrics.record_replay]). *)
 
 module Ast = Loopir.Ast
 module K = Kernels.Builders
@@ -34,7 +35,6 @@ type figure = {
   f_rows : row list;
   f_note : string;
   f_domains : int;   (* pool width the figure was computed with *)
-  f_par : int;       (* block-scheduler workers per point; 0 = sequential *)
   f_seconds : float; (* wall-clock of the whole figure *)
   f_codegen_seconds : float; (* symbolic codegen, shared by the whole sweep *)
   f_solver : Metrics.solver option; (* figure pipeline's solver counters *)
@@ -44,108 +44,40 @@ type figure = {
 let mflops r = r.Model.r_mflops
 let l1_misses r = (List.hd r.Model.r_levels).Model.s_misses
 
-(* Convert a plan's execution stats into the metrics-layer record. *)
-let sched_info_of_stats (st : Sched.stats) =
-  { Metrics.sc_tasks = st.Sched.st_tasks;
-    sc_edges = st.Sched.st_edges;
-    sc_wavefronts = st.Sched.st_wavefronts;
-    sc_max_width = st.Sched.st_max_width;
-    sc_domains = st.Sched.st_domains;
-    sc_mode = Sched.mode_string st.Sched.st_mode;
-    sc_serialized = st.Sched.st_serialized;
-    sc_steals = st.Sched.st_steals;
-    sc_stalls = st.Sched.st_stalls }
-
-(* One figure point, possibly multi-series.  The program is executed
-   exactly once; the recorded access stream is then fanned over
-   [Runner.map] into one simulator per (tag, quality) series.  Results
-   come back in series order, with one metrics row recorded per series.
-
-   [par = Some (pipe, spec, domains)] with [domains > 0] routes the one
-   execution through the block scheduler instead ([Sched.record] over the
-   task DAG of [spec]'s coordinate band): the recording is byte-identical
-   to the sequential one, so every simulated quantity is unchanged; the
-   only addition is a [sched_info] on the point's first metrics row.
-
-   A sequential recording first instantiates the variant at the point's
-   concrete parameters through [Pipeline.specialize]: the symbolic
-   derivation comes from the pipeline's codegen cache, so an N sweep
-   costs one Omega derivation, and the interpreter runs straight-line
-   specialized loops.  Scheduler runs keep the symbolic program (the
-   scheduler peels the block band itself). *)
-let simulate_series ?layouts ?init ?(machine = Model.sp2_like) ?par ~series
-    prog ~n ?(params = []) ~kernel () =
+(* One figure point, possibly multi-series: the variant of [pipe] chosen
+   by [spec] ([None]: the input program) is instantiated at the point's
+   concrete parameters through [Pipeline.specialize], recorded once, and
+   replayed per (tag, quality) series on [machine], one metrics row per
+   series, results in series order.  The symbolic derivation comes from
+   the pipeline's codegen cache, so an N sweep costs one Omega derivation;
+   specialization (a solver-free rewrite) is charged to the recording like
+   the interpretation it accelerates. *)
+let simulate_series ?layouts ?init ?(machine = Model.sp2_like) ?spec ~series
+    pipe ~n ?(params = []) ~kernel () =
   let params = ("N", n) :: params in
   let init =
     match init with
     | Some f -> f
     | None -> Kernels.Inits.for_kernel kernel ~n
   in
-  (* the (pipe, spec) of the variant, for specialization, even when the
-     block scheduler is off *)
-  let variant = match par with Some (p, s, _) -> Some (p, s) | None -> None in
-  let par =
-    match par with Some (_, _, d) when d > 0 -> par | _ -> None
-  in
-  let label tag =
-    Printf.sprintf "%s/N=%d%s" kernel n (if tag = "" then "" else "/" ^ tag)
-  in
-  let (recording, sched), record_seconds =
-    Metrics.timed (fun () ->
-        match par with
-        | None ->
-          (* specialization cost (a solver-free rewrite) is charged to
-             the recording like the interpretation it accelerates *)
-          let exec_prog =
-            match variant with
-            | Some (pipe, spec) -> Pipeline.specialize ?spec pipe ~params
-            | None -> prog
-          in
-          (Model.record ?layouts exec_prog ~params ~init, None)
-        | Some (pipe, spec, domains) ->
-          let plan = Sched.plan ~prog pipe ~spec ~params in
-          let recording, res = Sched.record ?layouts ~domains plan ~init in
-          (recording, Some (sched_info_of_stats res.Sched.x_stats)))
-  in
-  let tr = recording.Model.rec_trace in
-  (* consumes are independent; the pool is the structural fan-out even
-     though per-point series lists are small *)
-  let consumed =
-    Runner.map ~domains:1
-      (fun (_, quality) ->
-        Metrics.timed (fun () -> Model.consume ~machine ~quality recording))
-      series
-  in
-  List.mapi
-    (fun i ((tag, quality), (r, replay_seconds)) ->
-      (* charge the recording to the first series row; later rows reused
-         the trace for free *)
-      let first = i = 0 in
-      let trace =
-        { Metrics.tr_executions = (if first then 1 else 0);
-          tr_length = Trace.length tr;
-          tr_chunks = Trace.num_chunks tr;
-          tr_bytes = Trace.bytes tr;
-          tr_record_seconds = (if first then record_seconds else 0.0);
-          tr_replay_seconds = replay_seconds }
-      in
-      let seconds =
-        (if first then record_seconds else 0.0) +. replay_seconds
-      in
-      Metrics.record
-        (Metrics.of_result ~label:(label tag) ~machine:machine.Model.m_name
-           ~quality:quality.Model.q_name ~seconds ~trace
-           ?sched:(if first then sched else None)
-           r);
-      r)
-    (List.combine series consumed)
+  Metrics.record_replay
+    (fun () ->
+      Model.record ?layouts (Pipeline.specialize ?spec pipe ~params) ~params
+        ~init)
+    (List.map
+       (fun (tag, quality) ->
+         ( Printf.sprintf "%s/N=%d%s" kernel n
+             (if tag = "" then "" else "/" ^ tag),
+           machine,
+           quality ))
+       series)
 
 (* Single-series convenience wrapper, the shape most ablations use. *)
-let simulate ?layouts ?init ?machine ?par ~quality ?(tag = "") prog ~n
+let simulate ?layouts ?init ?machine ?spec ~quality ?(tag = "") pipe ~n
     ?params ~kernel () =
   match
-    simulate_series ?layouts ?init ?machine ?par ~series:[ (tag, quality) ]
-      prog ~n ?params ~kernel ()
+    simulate_series ?layouts ?init ?machine ?spec ~series:[ (tag, quality) ]
+      pipe ~n ?params ~kernel ()
   with
   | [ r ] -> r
   | _ -> assert false
@@ -163,8 +95,8 @@ let par_map ~domains items f =
    shares; [solver] snapshots the figure pipeline's Omega counters after
    the body ran, so the JSON records how many solves the sweep cost (the
    specialization path keeps this flat in the number of sizes). *)
-let build ~domains ?(par = 0) ?(codegen_seconds = 0.0) ?solver ~id ~title
-    ~header ~note body =
+let build ~domains ?(codegen_seconds = 0.0) ?solver ~id ~title ~header
+    ~note body =
   let (rows, metrics), seconds = Metrics.timed body in
   { f_id = id;
     f_title = title;
@@ -172,11 +104,18 @@ let build ~domains ?(par = 0) ?(codegen_seconds = 0.0) ?solver ~id ~title
     f_rows = rows;
     f_note = note;
     f_domains = domains;
-    f_par = par;
     f_seconds = seconds;
     f_codegen_seconds = codegen_seconds;
     f_solver = Option.map (fun p -> Metrics.solver_of_ctx (Pipeline.solver p)) solver;
     f_metrics = metrics }
+
+(* The one symbolic derivation per spec that every size of a sweep then
+   specializes from ([Pipeline.codegen_cached]); its wall-clock is the
+   figure's [codegen_seconds]. *)
+let derive pipe specs =
+  snd
+    (Metrics.timed (fun () ->
+         List.iter (fun s -> ignore (Pipeline.codegen_cached pipe s)) specs))
 
 (* ------------------------------------------------------------------ *)
 (* Code-shape figures                                                  *)
@@ -217,18 +156,12 @@ let fig14_code () =
    hand-blocked left-looking algorithm (here: the other product order) at
    tuned quality. *)
 let fig11_cholesky ?(sizes = [ 60; 120; 180; 240 ]) ?(block = 32)
-    ?(domains = 1) ?(par = 0) () =
-  let p = K.cholesky_right () in
-  let pipe = Pipeline.create p in
+    ?(domains = 1) () =
+  let pipe = Pipeline.create (K.cholesky_right ()) in
   let fb_spec = Specs.cholesky_fully_blocked ~size:block in
   let ll_spec = Specs.cholesky_left_looking_blocked ~size:block in
-  (* one symbolic derivation per spec; every size specializes from the
-     cache *)
-  let (blocked, left), codegen_seconds =
-    Metrics.timed (fun () ->
-        (Pipeline.codegen_cached pipe fb_spec, Pipeline.codegen_cached pipe ll_spec))
-  in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"fig11"
+  let codegen_seconds = derive pipe [ fb_spec; ll_spec ] in
+  build ~domains ~codegen_seconds ~solver:pipe ~id:"fig11"
     ~title:"Figure 11: Cholesky factorization (MFlops proxy vs N)"
     ~header:[ "input"; "compiler"; "compiler+DGEMM"; "LAPACK-style" ]
     ~note:
@@ -237,24 +170,23 @@ let fig11_cholesky ?(sizes = [ 60; 120; 180; 240 ]) ?(block = 32)
        comparable to compiler+DGEMM."
     (fun () ->
       par_map ~domains sizes (fun n ->
-          let sim ?spec series prog =
-            simulate_series ~par:(pipe, spec, par) ~series prog ~n ~kernel:"cholesky_right" ()
+          let sim ?spec series =
+            simulate_series ?spec ~series pipe ~n ~kernel:"cholesky_right" ()
           in
           (* series sharing a program variant share one recording; bind in
              series order so metrics are recorded left to right *)
-          let input = List.hd (sim [ ("input", Model.untuned) ] p) in
+          let input = List.hd (sim [ ("input", Model.untuned) ]) in
           let compiler, dgemm =
             match
               sim ~spec:fb_spec
                 [ ("compiler", Model.untuned);
                   ("compiler+DGEMM", Model.tuned) ]
-                blocked
             with
             | [ a; b ] -> (a, b)
             | _ -> assert false
           in
           let lapack =
-            List.hd (sim ~spec:ll_spec [ ("LAPACK-style", Model.tuned) ] left)
+            List.hd (sim ~spec:ll_spec [ ("LAPACK-style", Model.tuned) ])
           in
           { r_label = string_of_int n;
             r_cols =
@@ -265,14 +197,11 @@ let fig11_cholesky ?(sizes = [ 60; 120; 180; 240 ]) ?(block = 32)
 
 (* Figure 12: QR factorization, blocked by columns only. *)
 let fig12_qr ?(sizes = [ 40; 80; 120; 160 ]) ?(width = 16) ?(domains = 1)
-    ?(par = 0) () =
-  let p = K.qr () in
-  let pipe = Pipeline.create p in
+    () =
+  let pipe = Pipeline.create (K.qr ()) in
   let qr_spec = Specs.qr_columns ~width in
-  let blocked, codegen_seconds =
-    Metrics.timed (fun () -> Pipeline.codegen_cached pipe qr_spec)
-  in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"fig12"
+  let codegen_seconds = derive pipe [ qr_spec ] in
+  build ~domains ~codegen_seconds ~solver:pipe ~id:"fig12"
     ~title:"Figure 12: QR factorization (MFlops proxy vs N)"
     ~header:[ "input"; "compiler"; "compiler+DGEMM" ]
     ~note:
@@ -282,16 +211,15 @@ let fig12_qr ?(sizes = [ 40; 80; 120; 160 ]) ?(width = 16) ?(domains = 1)
        (Section 8); it is not reproduced."
     (fun () ->
       par_map ~domains sizes (fun n ->
-          let sim ?spec series prog =
-            simulate_series ~par:(pipe, spec, par) ~series prog ~n ~kernel:"qr" ()
+          let sim ?spec series =
+            simulate_series ?spec ~series pipe ~n ~kernel:"qr" ()
           in
-          let input = List.hd (sim [ ("input", Model.untuned) ] p) in
+          let input = List.hd (sim [ ("input", Model.untuned) ]) in
           let compiler, dgemm =
             match
               sim ~spec:qr_spec
                 [ ("compiler", Model.untuned);
                   ("compiler+DGEMM", Model.tuned) ]
-                blocked
             with
             | [ a; b ] -> (a, b)
             | _ -> assert false
@@ -303,19 +231,17 @@ let fig12_qr ?(sizes = [ 40; 80; 120; 160 ]) ?(width = 16) ?(domains = 1)
                 ("compiler+DGEMM", mflops dgemm) ] }))
 
 (* The input/shackled/speedup shape shared by the two Figure 13 kernels. *)
-let before_after ~domains ~par ~codegen_seconds ~id ~title ~note ~kernel ~n
-    pipe input_prog (shackled_spec, shackled_prog) =
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~id ~title
+let before_after ~domains ~id ~title ~note ~kernel ~n pipe shackled_spec =
+  let codegen_seconds = derive pipe [ shackled_spec ] in
+  build ~domains ~codegen_seconds ~solver:pipe ~id ~title
     ~header:[ "cycles"; "mflops"; "l1 misses" ] ~note
     (fun () ->
       let results, metrics =
         par_map ~domains
-          [ ("input", input_prog, None);
-            ("shackled", shackled_prog, Some shackled_spec) ]
-          (fun (tag, prog, spec) ->
+          [ ("input", None); ("shackled", Some shackled_spec) ]
+          (fun (tag, spec) ->
             ( tag,
-              simulate ~par:(pipe, spec, par) ~quality:Model.untuned ~tag prog
-                ~n ~kernel () ))
+              simulate ?spec ~quality:Model.untuned ~tag pipe ~n ~kernel () ))
       in
       let stat_row (label, r) =
         { r_label = label;
@@ -335,48 +261,36 @@ let before_after ~domains ~par ~codegen_seconds ~id ~title ~note ~kernel ~n
       (rows, metrics))
 
 (* Figure 13(i): the Gmtry kernel (Gaussian elimination). *)
-let fig13_gmtry ?(n = 192) ?(block = 32) ?(domains = 1) ?(par = 0)
-    () =
-  let p = K.gmtry () in
-  let pipe = Pipeline.create p in
-  let spec = Specs.gmtry_write ~size:block in
-  let blocked, codegen_seconds =
-    Metrics.timed (fun () -> Pipeline.codegen_cached pipe spec)
-  in
-  before_after ~domains ~par ~codegen_seconds ~id:"fig13i"
+let fig13_gmtry ?(n = 192) ?(block = 32) ?(domains = 1) () =
+  before_after ~domains ~id:"fig13i"
     ~title:
       (Printf.sprintf "Figure 13(i): Gmtry Gaussian elimination (N = %d)" n)
     ~note:"Paper: Gaussian elimination sped up ~3x by 2-D shackling."
-    ~kernel:"gmtry" ~n pipe p (spec, blocked)
+    ~kernel:"gmtry" ~n
+    (Pipeline.create (K.gmtry ()))
+    (Specs.gmtry_write ~size:block)
 
 (* Figure 13(ii): ADI. *)
-let fig13_adi ?(n = 1000) ?(domains = 1) ?(par = 0) () =
-  let p = K.adi () in
-  let pipe = Pipeline.create p in
-  let spec = Specs.adi_fused () in
-  let fused, codegen_seconds =
-    Metrics.timed (fun () -> Pipeline.codegen_cached pipe spec)
-  in
-  before_after ~domains ~par ~codegen_seconds ~id:"fig13ii"
+let fig13_adi ?(n = 1000) ?(domains = 1) () =
+  before_after ~domains ~id:"fig13ii"
     ~title:(Printf.sprintf "Figure 13(ii): ADI kernel (N = %d)" n)
     ~note:
       "Paper: transformed ADI runs 8.9x faster at n = 1000 (fusion + \
        interchange via a 1x1 storage-order shackle)."
-    ~kernel:"adi" ~n pipe p (spec, fused)
+    ~kernel:"adi" ~n
+    (Pipeline.create (K.adi ()))
+    (Specs.adi_fused ())
 
 (* Figure 15: banded Cholesky over band storage.  LAPACK-style band code
    carries a fixed per-panel blocking cost (dgbtrf-style), so the compiler
    code wins at small bandwidths and LAPACK wins at large ones. *)
 let fig15_band ?(n = 400) ?(bands = [ 8; 16; 32; 64; 128 ]) ?(block = 32)
-    ?(domains = 1) ?(par = 0) () =
-  let p = K.cholesky_banded () in
-  let pipe = Pipeline.create p in
+    ?(domains = 1) () =
+  let pipe = Pipeline.create (K.cholesky_banded ()) in
   let band_spec = Specs.cholesky_banded_write ~size:block in
-  let blocked, codegen_seconds =
-    Metrics.timed (fun () -> Pipeline.codegen_cached pipe band_spec)
-  in
+  let codegen_seconds = derive pipe [ band_spec ] in
   let lapack_panel_cycles = 25_000.0 in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"fig15"
+  build ~domains ~codegen_seconds ~solver:pipe ~id:"fig15"
     ~title:
       (Printf.sprintf
          "Figure 15: banded Cholesky on band storage, N = %d (MFlops proxy \
@@ -396,12 +310,11 @@ let fig15_band ?(n = 400) ?(bands = [ 8; 16; 32; 64; 128 ]) ?(block = 32)
           in
           let compiler, lapack =
             match
-              simulate_series ~layouts ~init
-                ~par:(pipe, Some band_spec, par)
+              simulate_series ~layouts ~init ~spec:band_spec
                 ~series:
                   [ (Printf.sprintf "BW=%d/compiler" bw, Model.untuned);
                     (Printf.sprintf "BW=%d/LAPACK-style" bw, Model.tuned) ]
-                blocked ~n
+                pipe ~n
                 ~params:[ ("BW", bw) ]
                 ~kernel:"cholesky_banded" ()
             with
@@ -424,12 +337,10 @@ let fig15_band ?(n = 400) ?(bands = [ 8; 16; 32; 64; 128 ]) ?(block = 32)
                 ("LAPACK-style", mf lapack_cycles lapack.Model.r_flops) ] }))
 
 (* Section 6.1: the six ways to shackle right-looking Cholesky. *)
-let tab_legality ?(domains = 1) ?(par = 0) () =
-  let p = K.cholesky_right () in
-  let pipe = Pipeline.create p in
+let tab_legality ?(domains = 1) () =
+  let pipe = Pipeline.create (K.cholesky_right ()) in
   let blk size = Shackle.Blocking.blocks_2d ~array:"A" ~size in
-  (* pure legality queries: nothing executes, so [par] is bookkeeping *)
-  build ~domains ~par ~solver:pipe ~id:"tab-legality"
+  build ~domains ~solver:pipe ~id:"tab-legality"
     ~title:"Section 6.1: legality of the six Cholesky shackles"
     ~header:[ "legal" ]
     ~note:
@@ -454,10 +365,9 @@ let tab_legality ?(domains = 1) ?(par = 0) () =
 
 (* Ablation: block size sweep for the fully blocked Cholesky. *)
 let abl_blocksize ?(n = 192) ?(blocks = [ 8; 16; 32; 64; 96 ]) ?(domains = 1)
-    ?(par = 0) () =
-  let p = K.cholesky_right () in
-  let pipe = Pipeline.create p in
-  build ~domains ~par ~solver:pipe ~id:"abl-blocksize"
+    () =
+  let pipe = Pipeline.create (K.cholesky_right ()) in
+  build ~domains ~solver:pipe ~id:"abl-blocksize"
     ~title:(Printf.sprintf "Ablation: block size sweep, Cholesky N = %d" n)
     ~header:[ "mflops"; "l1 misses" ]
     ~note:
@@ -465,14 +375,12 @@ let abl_blocksize ?(n = 192) ?(blocks = [ 8; 16; 32; 64; 96 ]) ?(domains = 1)
        wastes bandwidth on block boundaries, too large thrashes."
     (fun () ->
       par_map ~domains blocks (fun b ->
-          let spec = Specs.cholesky_fully_blocked ~size:b in
-          let blocked = Pipeline.codegen_cached pipe spec in
           let r =
             simulate
-              ~par:(pipe, Some spec, par)
+              ~spec:(Specs.cholesky_fully_blocked ~size:b)
               ~quality:Model.untuned
               ~tag:(Printf.sprintf "block=%d" b)
-              blocked ~n ~kernel:"cholesky_right" ()
+              pipe ~n ~kernel:"cholesky_right" ()
           in
           { r_label = string_of_int b;
             r_cols =
@@ -480,19 +388,13 @@ let abl_blocksize ?(n = 192) ?(blocks = [ 8; 16; 32; 64; 96 ]) ?(domains = 1)
                 ("l1 misses", float_of_int (l1_misses r)) ] }))
 
 (* Ablation: shackling vs control-centric tiling on Cholesky (Section 3). *)
-let abl_tiling ?(n = 144) ?(block = 24) ?(domains = 1) ?(par = 0)
-    () =
-  let p = K.cholesky_right () in
-  let pipe = Pipeline.create p in
+let abl_tiling ?(n = 144) ?(block = 24) ?(domains = 1) () =
+  let pipe = Pipeline.create (K.cholesky_right ()) in
   let sh_spec = Specs.cholesky_fully_blocked ~size:block in
-  let shackled, codegen_seconds =
-    Metrics.timed (fun () -> Pipeline.codegen_cached pipe sh_spec)
-  in
-  let update_tiled = Tiling.cholesky_update_tiled ~size:block in
-  (* the hand-tiled program has no shackle spec, so its scheduler plan is
-     the trivial single task — still routed through [Sched] when par > 0 *)
-  let tiled_pipe = Pipeline.create update_tiled in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"abl-tiling"
+  let codegen_seconds = derive pipe [ sh_spec ] in
+  (* the hand-tiled program has no shackle spec: its own pipeline's input *)
+  let tiled_pipe = Pipeline.create (Tiling.cholesky_update_tiled ~size:block) in
+  build ~domains ~codegen_seconds ~solver:pipe ~id:"abl-tiling"
     ~title:
       (Printf.sprintf
          "Ablation: control-centric tiling vs data shackling, Cholesky N = %d"
@@ -504,12 +406,12 @@ let abl_tiling ?(n = 144) ?(block = 24) ?(domains = 1) ?(par = 0)
        factorization."
     (fun () ->
       par_map ~domains
-        [ ("input", p, (pipe, None, par));
-          ("update loops tiled", update_tiled, (tiled_pipe, None, par));
-          ("data shackled", shackled, (pipe, Some sh_spec, par)) ]
-        (fun (label, prog, par) ->
+        [ ("input", pipe, None);
+          ("update loops tiled", tiled_pipe, None);
+          ("data shackled", pipe, Some sh_spec) ]
+        (fun (label, pipe, spec) ->
           let r =
-            simulate ~par ~quality:Model.untuned ~tag:label prog ~n
+            simulate ?spec ~quality:Model.untuned ~tag:label pipe ~n
               ~kernel:"cholesky_right" ()
           in
           { r_label = label;
@@ -519,17 +421,12 @@ let abl_tiling ?(n = 144) ?(block = 24) ?(domains = 1) ?(par = 0)
 
 (* Ablation: one-level vs two-level blocking on the deeper machine
    (Section 6.3). *)
-let abl_multilevel ?(n = 250) ?(domains = 1) ?(par = 0)
-    () =
-  let p = K.matmul () in
-  let pipe = Pipeline.create p in
+let abl_multilevel ?(n = 250) ?(domains = 1) () =
+  let pipe = Pipeline.create (K.matmul ()) in
   let one_spec = Specs.matmul_ca ~size:96 in
   let two_spec = Specs.matmul_two_level ~outer:96 ~inner:16 in
-  let (one, two), codegen_seconds =
-    Metrics.timed (fun () ->
-        (Pipeline.codegen_cached pipe one_spec, Pipeline.codegen_cached pipe two_spec))
-  in
-  build ~domains ~par ~codegen_seconds ~solver:pipe ~id:"abl-multilevel"
+  let codegen_seconds = derive pipe [ one_spec; two_spec ] in
+  build ~domains ~codegen_seconds ~solver:pipe ~id:"abl-multilevel"
     ~title:
       (Printf.sprintf
          "Section 6.3: multi-level blocking on a two-level hierarchy, \
@@ -541,15 +438,13 @@ let abl_multilevel ?(n = 250) ?(domains = 1) ?(par = 0)
        blocking should beat both the unblocked code and L2-only blocking."
     (fun () ->
       par_map ~domains
-        [ ("unblocked", p, None);
-          ("one-level 96", one, Some one_spec);
-          ("two-level 96/16", two, Some two_spec) ]
-        (fun (label, prog, spec) ->
+        [ ("unblocked", None);
+          ("one-level 96", Some one_spec);
+          ("two-level 96/16", Some two_spec) ]
+        (fun (label, spec) ->
           let r =
-            simulate ~machine:Model.two_level
-              ~par:(pipe, spec, par)
-              ~quality:Model.untuned ~tag:label prog ~n
-              ~kernel:"matmul" ()
+            simulate ~machine:Model.two_level ?spec ~quality:Model.untuned
+              ~tag:label pipe ~n ~kernel:"matmul" ()
           in
           let l1 = List.nth r.Model.r_levels 0
           and l2 = List.nth r.Model.r_levels 1 in
@@ -565,11 +460,7 @@ let abl_multilevel ?(n = 250) ?(domains = 1) ?(par = 0)
    are chosen so working sets exceed the 64 KB cache and the candidates
    separate; rows hold only simulated/counted quantities, so the figure is
    byte-identical across pool widths. *)
-let tune_figure ?(quick = false) ?(domains = 1) ?(par = 0)
-    () =
-  (* the autotuner's inner candidate evaluations stay sequential; [par]
-     is stamped for bookkeeping only *)
-  ignore par;
+let tune_figure ?(quick = false) ?(domains = 1) () =
   let points =
     if quick then
       [ ("matmul", K.matmul (), 48, [ 16 ]);
@@ -639,47 +530,42 @@ let tune_figure ?(quick = false) ?(domains = 1) ?(par = 0)
 (* ------------------------------------------------------------------ *)
 
 (* Every perf figure by id, with the --quick problem sizes used by the
-   bench harness and CI.  Order is presentation order.  [par] is the
-   block-scheduler worker count per simulation point (0 = sequential
-   execution, the default). *)
-let runners :
-    (string * (quick:bool -> domains:int -> par:int -> figure)) list =
+   bench harness and CI.  Order is presentation order. *)
+let runners : (string * (quick:bool -> domains:int -> figure)) list =
   [ ( "fig11",
-      fun ~quick ~domains ~par ->
-        if quick then fig11_cholesky ~sizes:[ 48; 96 ] ~domains ~par ()
-        else fig11_cholesky ~domains ~par () );
+      fun ~quick ~domains ->
+        if quick then fig11_cholesky ~sizes:[ 48; 96 ] ~domains ()
+        else fig11_cholesky ~domains () );
     ( "fig12",
-      fun ~quick ~domains ~par ->
-        if quick then fig12_qr ~sizes:[ 40; 80 ] ~domains ~par ()
-        else fig12_qr ~domains ~par () );
+      fun ~quick ~domains ->
+        if quick then fig12_qr ~sizes:[ 40; 80 ] ~domains ()
+        else fig12_qr ~domains () );
     ( "fig13i",
-      fun ~quick ~domains ~par ->
-        fig13_gmtry ~n:(if quick then 96 else 192) ~domains ~par () );
+      fun ~quick ~domains ->
+        fig13_gmtry ~n:(if quick then 96 else 192) ~domains () );
     ( "fig13ii",
-      fun ~quick ~domains ~par ->
-        fig13_adi ~n:(if quick then 300 else 1000) ~domains ~par () );
+      fun ~quick ~domains ->
+        fig13_adi ~n:(if quick then 300 else 1000) ~domains () );
     ( "fig15",
-      fun ~quick ~domains ~par ->
-        if quick then fig15_band ~n:200 ~bands:[ 8; 32 ] ~domains ~par ()
-        else fig15_band ~domains ~par () );
-    ( "tab-legality",
-      fun ~quick:_ ~domains ~par -> tab_legality ~domains ~par () );
+      fun ~quick ~domains ->
+        if quick then fig15_band ~n:200 ~bands:[ 8; 32 ] ~domains ()
+        else fig15_band ~domains () );
+    ("tab-legality", fun ~quick:_ ~domains -> tab_legality ~domains ());
     ( "abl-blocksize",
-      fun ~quick ~domains ~par ->
-        abl_blocksize ~n:(if quick then 96 else 192) ~domains ~par () );
+      fun ~quick ~domains ->
+        abl_blocksize ~n:(if quick then 96 else 192) ~domains () );
     ( "abl-tiling",
-      fun ~quick ~domains ~par ->
-        abl_tiling ~n:(if quick then 96 else 144) ~domains ~par () );
+      fun ~quick ~domains ->
+        abl_tiling ~n:(if quick then 96 else 144) ~domains () );
     ( "abl-multilevel",
-      fun ~quick ~domains ~par ->
-        abl_multilevel ~n:(if quick then 120 else 250) ~domains ~par () );
-    ( "tune",
-      fun ~quick ~domains ~par -> tune_figure ~quick ~domains ~par () ) ]
+      fun ~quick ~domains ->
+        abl_multilevel ~n:(if quick then 120 else 250) ~domains () );
+    ("tune", fun ~quick ~domains -> tune_figure ~quick ~domains ()) ]
 
 let ids = List.map fst runners
 
-let run_by_id id ~quick ~domains ?(par = 0) () =
-  Option.map (fun f -> f ~quick ~domains ~par) (List.assoc_opt id runners)
+let run_by_id id ~quick ~domains =
+  Option.map (fun f -> f ~quick ~domains) (List.assoc_opt id runners)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -723,7 +609,6 @@ let figure_to_json f =
        ("header", Json.List (List.map (fun h -> Json.Str h) f.f_header));
        ("rows", Json.List (List.map row_to_json f.f_rows));
        ("domains", Json.Int f.f_domains);
-       ("par_domains", Json.Int f.f_par);
        ("seconds", Json.Float f.f_seconds);
        ("codegen_seconds", Json.Float f.f_codegen_seconds) ]
     @ (match f.f_solver with

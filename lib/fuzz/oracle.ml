@@ -374,9 +374,9 @@ let check_par ?spec_text pipe ~spec ~n ~domains_list =
       if stores_diverge seq_store res.Sched.x_store then
         failf
           "parallel store diverges from sequential at N=%d over %d domains \
-           (%d tasks, %s mode)"
+           (%d tasks in %d levels)"
           n domains (Sched.tasks plan)
-          (Sched.mode_string (Sched.mode plan));
+          (List.length (Sched.levels plan));
       if recording.Model.rec_flops <> seq_rec.Model.rec_flops then
         failf "parallel flop count %d <> sequential %d at N=%d over %d domains"
           recording.Model.rec_flops seq_rec.Model.rec_flops n domains;

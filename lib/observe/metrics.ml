@@ -21,23 +21,6 @@ type trace_info = {
   tr_replay_seconds : float;
 }
 
-(* Block-scheduler accounting for one simulation row.  The structural
-   fields (tasks, edges, wavefronts, width, mode) are deterministic;
-   [sc_steals]/[sc_stalls] are dynamic scheduling events that vary run to
-   run, which is why diff tooling normalizes the whole record away before
-   comparing (like wall-clock). *)
-type sched_info = {
-  sc_tasks : int;
-  sc_edges : int;
-  sc_wavefronts : int;
-  sc_max_width : int;
-  sc_domains : int;
-  sc_mode : string;
-  sc_serialized : bool;
-  sc_steals : int;
-  sc_stalls : int;
-}
-
 type sim = {
   sim_label : string;
   sim_machine : string;
@@ -50,11 +33,9 @@ type sim = {
   sim_mflops : float;
   sim_seconds : float;
   sim_trace : trace_info option;
-  sim_sched : sched_info option;
 }
 
-let of_result ~label ~machine ~quality ~seconds ?trace ?sched
-    (r : Model.result) =
+let of_result ~label ~machine ~quality ~seconds ?trace (r : Model.result) =
   { sim_label = label;
     sim_machine = machine;
     sim_quality = quality;
@@ -73,8 +54,7 @@ let of_result ~label ~machine ~quality ~seconds ?trace ?sched
     sim_cycles = r.Model.r_cycles;
     sim_mflops = r.Model.r_mflops;
     sim_seconds = seconds;
-    sim_trace = trace;
-    sim_sched = sched }
+    sim_trace = trace }
 
 let level_to_json l =
   Json.Obj
@@ -93,21 +73,8 @@ let trace_info_to_json t =
       ("record_seconds", Json.Float t.tr_record_seconds);
       ("replay_seconds", Json.Float t.tr_replay_seconds) ]
 
-let sched_info_to_json s =
-  Json.Obj
-    [ ("tasks", Json.Int s.sc_tasks);
-      ("edges", Json.Int s.sc_edges);
-      ("wavefronts", Json.Int s.sc_wavefronts);
-      ("max_width", Json.Int s.sc_max_width);
-      ("domains", Json.Int s.sc_domains);
-      ("mode", Json.Str s.sc_mode);
-      ("serialized", Json.Bool s.sc_serialized);
-      ("steals", Json.Int s.sc_steals);
-      ("stalls", Json.Int s.sc_stalls) ]
-
-(* The "trace"/"sched" keys are appended only when present, so rows
-   produced by the legacy callback path keep the schema-version-1 byte
-   layout. *)
+(* The "trace" key is appended only when present, so a row built without
+   trace accounting keeps the schema-version-1 byte layout. *)
 let sim_to_json s =
   Json.Obj
     ([ ("label", Json.Str s.sim_label);
@@ -120,13 +87,10 @@ let sim_to_json s =
        ("cycles", Json.Float s.sim_cycles);
        ("mflops", Json.Float s.sim_mflops);
        ("seconds", Json.Float s.sim_seconds) ]
-    @ (match s.sim_trace with
-       | None -> []
-       | Some t -> [ ("trace", trace_info_to_json t) ])
     @
-    match s.sim_sched with
+    match s.sim_trace with
     | None -> []
-    | Some sc -> [ ("sched", sched_info_to_json sc) ])
+    | Some t -> [ ("trace", trace_info_to_json t) ])
 
 (* Field accessors used by [sim_of_json]; each names the offending field
    on failure so malformed BENCH files fail loudly in CI. *)
@@ -171,31 +135,6 @@ let trace_info_of_json j =
       tr_record_seconds;
       tr_replay_seconds }
 
-let sched_info_of_json j =
-  let* sc_tasks = int_field j "tasks" in
-  let* sc_edges = int_field j "edges" in
-  let* sc_wavefronts = int_field j "wavefronts" in
-  let* sc_max_width = int_field j "max_width" in
-  let* sc_domains = int_field j "domains" in
-  let* sc_mode = str_field j "mode" in
-  let* sc_serialized =
-    match Json.member "serialized" j with
-    | Some (Json.Bool b) -> Ok b
-    | _ -> Error "missing or non-bool field \"serialized\""
-  in
-  let* sc_steals = int_field j "steals" in
-  let* sc_stalls = int_field j "stalls" in
-  Ok
-    { sc_tasks;
-      sc_edges;
-      sc_wavefronts;
-      sc_max_width;
-      sc_domains;
-      sc_mode;
-      sc_serialized;
-      sc_steals;
-      sc_stalls }
-
 let sim_of_json j =
   let* sim_label = str_field j "label" in
   let* sim_machine = str_field j "machine" in
@@ -223,11 +162,6 @@ let sim_of_json j =
     | None -> Ok None
     | Some t -> Result.map Option.some (trace_info_of_json t)
   in
-  let* sim_sched =
-    match Json.member "sched" j with
-    | None -> Ok None
-    | Some t -> Result.map Option.some (sched_info_of_json t)
-  in
   Ok
     { sim_label;
       sim_machine;
@@ -239,8 +173,7 @@ let sim_of_json j =
       sim_cycles;
       sim_mflops;
       sim_seconds;
-      sim_trace;
-      sim_sched }
+      sim_trace }
 
 (* ------------------------------------------------------------------ *)
 (* Solver-context statistics                                           *)
@@ -289,22 +222,14 @@ let bool_field j k =
   | Some (Json.Bool b) -> Ok b
   | _ -> Error (Printf.sprintf "missing or non-bool field %S" k)
 
-(* Lenient: absent means 0, so reports written before the budget counters
-   existed still parse. *)
-let int_field_default j k =
-  match Json.member k j with
-  | Some (Json.Int i) -> Ok i
-  | None -> Ok 0
-  | Some _ -> Error (Printf.sprintf "non-int field %S" k)
-
 let solver_of_json j =
   let* so_queries = int_field j "queries" in
   let* so_splinters = int_field j "splinters" in
-  let* so_fuel_spent = int_field_default j "fuel_spent" in
-  let* so_unknowns = int_field_default j "unknowns" in
+  let* so_fuel_spent = int_field j "fuel_spent" in
+  let* so_unknowns = int_field j "unknowns" in
   let* so_cache_hits = int_field j "cache_hits" in
   let* so_cache_misses = int_field j "cache_misses" in
-  let* so_backing_hits = int_field_default j "backing_hits" in
+  let* so_backing_hits = int_field j "backing_hits" in
   let* so_cache_size = int_field j "cache_size" in
   let* so_cache_enabled = bool_field j "cache_enabled" in
   Ok
@@ -346,7 +271,7 @@ let diskcache_of_json j =
   let* dc_hits = int_field j "hits" in
   let* dc_misses = int_field j "misses" in
   let* dc_appended = int_field j "appended" in
-  let* dc_dropped = int_field_default j "dropped_bytes" in
+  let* dc_dropped = int_field j "dropped_bytes" in
   Ok { dc_entries; dc_bytes; dc_hits; dc_misses; dc_appended; dc_dropped }
 
 (* ------------------------------------------------------------------ *)
@@ -386,3 +311,36 @@ let collect f =
   | exception e ->
     Domain.DLS.set collector saved;
     raise e
+
+(* ------------------------------------------------------------------ *)
+(* Record once, replay per series                                      *)
+(* ------------------------------------------------------------------ *)
+
+let record_replay ?(poll = ignore) run series =
+  poll ();
+  let recording, record_seconds = timed run in
+  let tr = recording.Model.rec_trace in
+  List.mapi
+    (fun i (label, (machine : Model.t), (quality : Model.quality)) ->
+      poll ();
+      let r, replay_seconds =
+        timed (fun () -> Model.consume ~machine ~quality recording)
+      in
+      (* the recording is charged to the first row; later rows reused the
+         trace for free *)
+      let record_seconds = if i = 0 then record_seconds else 0.0 in
+      let trace =
+        { tr_executions = (if i = 0 then 1 else 0);
+          tr_length = Trace.length tr;
+          tr_chunks = Trace.num_chunks tr;
+          tr_bytes = Trace.bytes tr;
+          tr_record_seconds = record_seconds;
+          tr_replay_seconds = replay_seconds }
+      in
+      record
+        (of_result ~label ~machine:machine.Model.m_name
+           ~quality:quality.Model.q_name
+           ~seconds:(record_seconds +. replay_seconds)
+           ~trace r);
+      r)
+    series

@@ -32,23 +32,6 @@ type trace_info = {
   tr_replay_seconds : float;  (** wall-clock of this row's replay *)
 }
 
-(** Block-scheduler accounting for one simulation row ([--par-exec]).
-    Structural fields (tasks, edges, wavefronts, width, mode) are
-    deterministic functions of the plan; [sc_steals] and [sc_stalls] are
-    dynamic scheduling events that vary run to run — diff tooling
-    normalizes the whole record away before comparing, like wall-clock. *)
-type sched_info = {
-  sc_tasks : int;
-  sc_edges : int;
-  sc_wavefronts : int;
-  sc_max_width : int;  (** widest wavefront level *)
-  sc_domains : int;  (** workers that executed the plan *)
-  sc_mode : string;  (** "sequential" / "wavefront" / "steal" *)
-  sc_serialized : bool;  (** conservative chain fallback engaged *)
-  sc_steals : int;  (** dynamic; excluded from diffs *)
-  sc_stalls : int;  (** dynamic; excluded from diffs *)
-}
-
 type sim = {
   sim_label : string;  (** e.g. ["cholesky_right/N=60/input"] *)
   sim_machine : string;
@@ -62,8 +45,6 @@ type sim = {
   sim_seconds : float;  (** wall-clock of this one simulation *)
   sim_trace : trace_info option;
       (** present on rows produced by the record/replay pipeline *)
-  sim_sched : sched_info option;
-      (** present on the recording row of a [--par-exec] run *)
 }
 
 val of_result :
@@ -72,7 +53,6 @@ val of_result :
   quality:string ->
   seconds:float ->
   ?trace:trace_info ->
-  ?sched:sched_info ->
   Machine.Model.result ->
   sim
 
@@ -153,3 +133,19 @@ val collect : (unit -> 'a) -> 'a * sim list
     current domain and returns everything {!record}ed during the call, in
     record order.  Nests: the enclosing collection is restored afterwards
     (also on exceptions) and does {e not} see the inner records. *)
+
+(** {2 Record once, replay per series} *)
+
+val record_replay :
+  ?poll:(unit -> unit) ->
+  (unit -> Machine.Model.recording) ->
+  (string * Machine.Model.t * Machine.Model.quality) list ->
+  Machine.Model.result list
+(** [record_replay run series] times one recording [run ()], replays it
+    through each [(label, machine, quality)] series in order and
+    {!record}s one row per series, labeled [label], with its
+    {!trace_info}: the execution and its seconds are charged to the first
+    row, so the rows' [tr_executions] sum to 1.  Returns the results in
+    series order.  [poll] (default: nothing) runs before the recording and
+    before each replay — a cancellation hook such as
+    [Runner.Token.check]. *)

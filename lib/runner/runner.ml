@@ -44,67 +44,6 @@ let map ?domains f xs = mapi ?domains (fun _ x -> f x) xs
 let run_all ?domains tasks = map ?domains (fun t -> t ()) tasks
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing deque                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* A mutex-protected ring-buffer deque.  The owner pushes and pops at the
-   bottom (LIFO — depth-first over freshly enabled work, cache-friendly);
-   thieves steal from the top (FIFO — they take the oldest, largest-grain
-   task).  A lock per operation is plenty here: tasks are whole shackle
-   blocks, so deque traffic is orders of magnitude rarer than the work a
-   task represents. *)
-module Deque = struct
-  type 'a t = {
-    lock : Mutex.t;
-    mutable ring : 'a option array;
-    mutable head : int;  (* index of oldest element *)
-    mutable size : int;
-  }
-
-  let create () =
-    { lock = Mutex.create (); ring = Array.make 16 None; head = 0; size = 0 }
-
-  let grow d =
-    let cap = Array.length d.ring in
-    let ring' = Array.make (2 * cap) None in
-    for i = 0 to d.size - 1 do
-      ring'.(i) <- d.ring.((d.head + i) mod cap)
-    done;
-    d.ring <- ring';
-    d.head <- 0
-
-  let push d x =
-    Mutex.protect d.lock (fun () ->
-        if d.size = Array.length d.ring then grow d;
-        d.ring.((d.head + d.size) mod Array.length d.ring) <- Some x;
-        d.size <- d.size + 1)
-
-  let pop d =
-    Mutex.protect d.lock (fun () ->
-        if d.size = 0 then None
-        else begin
-          let i = (d.head + d.size - 1) mod Array.length d.ring in
-          let x = d.ring.(i) in
-          d.ring.(i) <- None;
-          d.size <- d.size - 1;
-          x
-        end)
-
-  let steal d =
-    Mutex.protect d.lock (fun () ->
-        if d.size = 0 then None
-        else begin
-          let x = d.ring.(d.head) in
-          d.ring.(d.head) <- None;
-          d.head <- (d.head + 1) mod Array.length d.ring;
-          d.size <- d.size - 1;
-          x
-        end)
-
-  let length d = Mutex.protect d.lock (fun () -> d.size)
-end
-
-(* ------------------------------------------------------------------ *)
 (* Supervised execution                                                 *)
 (* ------------------------------------------------------------------ *)
 

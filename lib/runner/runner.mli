@@ -33,26 +33,6 @@ val run_all : ?domains:int -> (unit -> 'a) list -> 'a list
 (** [run_all ~domains tasks] runs each thunk, in input order, across the
     pool.  Convenience wrapper over [map]. *)
 
-(** {2 Work-stealing deque}
-
-    The per-worker task queue of the block scheduler's dynamic mode.  The
-    owner pushes and pops at the bottom (LIFO — depth-first over freshly
-    enabled blocks); thieves steal from the top (FIFO — the oldest task).
-    Mutex-per-operation: deque traffic is negligible next to the work one
-    shackle block represents.  All operations are safe from any domain. *)
-
-module Deque : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> 'a -> unit
-  val pop : 'a t -> 'a option  (** owner end (newest). *)
-
-  val steal : 'a t -> 'a option  (** thief end (oldest). *)
-
-  val length : 'a t -> int
-end
-
 (** {2 Supervised execution}
 
     [map] is fail-fast: one raising task aborts the whole batch.  Campaign

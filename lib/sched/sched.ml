@@ -15,23 +15,13 @@ module Model = Machine.Model
 (* Plans                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type mode = Sequential | Wavefront | Steal
-
-let mode_string = function
-  | Sequential -> "sequential"
-  | Wavefront -> "wavefront"
-  | Steal -> "steal"
-
 type plan = {
   pl_prog : Ast.program;  (* the generated variant, untouched *)
   pl_task_prog : Ast.program;  (* residual body; band vars are params *)
   pl_band : string list;  (* peeled coordinate loop vars, outer first *)
   pl_params : (string * int) list;
   pl_coords : int array array;  (* per task, band-var values, lex order *)
-  pl_succs : int array array;
-  pl_npreds : int array;
-  pl_levels : int array array;  (* wavefront layering, level -> task ids *)
-  pl_mode : mode;
+  pl_levels : int array array;  (* longest-path layering, level -> task ids *)
   pl_edges : int;
   pl_serialized : bool;  (* conservative chain fallback engaged *)
 }
@@ -39,7 +29,6 @@ type plan = {
 let tasks plan = Array.length plan.pl_coords
 let edges plan = plan.pl_edges
 let levels plan = Array.map Array.to_list plan.pl_levels |> Array.to_list
-let mode plan = plan.pl_mode
 let serialized plan = plan.pl_serialized
 
 let max_width plan =
@@ -259,19 +248,16 @@ let build_edges pipe spec ~band_pos ~coords ~params ~max_box =
      (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)), true))
 
 (* ------------------------------------------------------------------ *)
-(* Layering and mode choice                                            *)
+(* Layering                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Longest-path layering.  Edges always point forward in task order
-   (lexicographically later blocks), so one pass in id order suffices. *)
+   (lexicographically later blocks), so one pass in id order suffices, and
+   every edge runs from a lower level to a higher one: running the levels
+   in order, each level's tasks in any order, respects the whole DAG. *)
 let layer ~n edge_list =
   let succs = Array.make n [] in
-  let npreds = Array.make n 0 in
-  List.iter
-    (fun (a, b) ->
-      succs.(a) <- b :: succs.(a);
-      npreds.(b) <- npreds.(b) + 1)
-    edge_list;
+  List.iter (fun (a, b) -> succs.(a) <- b :: succs.(a)) edge_list;
   let level = Array.make n 0 in
   let maxlvl = ref 0 in
   for a = 0 to n - 1 do
@@ -284,10 +270,7 @@ let layer ~n edge_list =
   for i = n - 1 downto 0 do
     buckets.(level.(i)) <- i :: buckets.(level.(i))
   done;
-  let succs_arr =
-    Array.map (fun l -> Array.of_list (List.sort compare l)) succs
-  in
-  (succs_arr, npreds, Array.map Array.of_list buckets)
+  Array.map Array.of_list buckets
 
 let single_task_plan prog ~params =
   { pl_prog = prog;
@@ -295,17 +278,12 @@ let single_task_plan prog ~params =
     pl_band = [];
     pl_params = params;
     pl_coords = [| [||] |];
-    pl_succs = [| [||] |];
-    pl_npreds = [| 0 |];
     pl_levels = [| [| 0 |] |];
-    pl_mode = Sequential;
     pl_edges = 0;
     pl_serialized = false }
 
-let plan ?(max_tasks = 2048) ?(max_box = 4096) ?prog pipe ~spec ~params =
-  let prog =
-    match prog with Some p -> p | None -> Pipeline.variant pipe spec
-  in
+let plan ?(max_tasks = 2048) ?(max_box = 4096) pipe ~spec ~params =
+  let prog = Pipeline.variant pipe spec in
   match spec with
   | None -> single_task_plan prog ~params
   | Some spec ->
@@ -342,37 +320,12 @@ let plan ?(max_tasks = 2048) ?(max_box = 4096) ?prog pipe ~spec ~params =
           let edge_list, ser =
             build_edges pipe spec ~band_pos ~coords ~params ~max_box
           in
-          let succs, npreds, lvls = layer ~n edge_list in
-          (* a regular affine recurrence: every task's dependence pattern
-             is the same small delta set, which the layering turns into
-             wide uniform wavefronts.  Heuristic: wavefront when the DAG
-             is a chain or its layering wastes no task (every task sits in
-             the lowest level its preds allow — always true for longest
-             path), and the edge deltas form one uniform set.  *)
-          let deltas = Hashtbl.create 16 in
-          List.iter
-            (fun (a, b) ->
-              let d =
-                Array.init (Array.length coords.(a)) (fun j ->
-                    coords.(b).(j) - coords.(a).(j))
-              in
-              Hashtbl.replace deltas (Array.to_list d) ())
-            edge_list;
-          let distinct_deltas = Hashtbl.length deltas in
-          let md =
-            if ser then Sequential
-            else if distinct_deltas <= Array.length band_pos then Wavefront
-            else Steal
-          in
           { pl_prog = prog;
             pl_task_prog = task_prog;
             pl_band = band_vars;
             pl_params = params;
             pl_coords = coords;
-            pl_succs = succs;
-            pl_npreds = npreds;
-            pl_levels = lvls;
-            pl_mode = md;
+            pl_levels = layer ~n edge_list;
             pl_edges = List.length edge_list;
             pl_serialized = ser }
         end
@@ -382,25 +335,14 @@ let plan ?(max_tasks = 2048) ?(max_box = 4096) ?prog pipe ~spec ~params =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type stats = {
-  st_tasks : int;
-  st_edges : int;
-  st_wavefronts : int;
-  st_max_width : int;
-  st_mode : mode;
-  st_domains : int;
-  st_serialized : bool;
-  st_steals : int;  (* dynamic: not deterministic across runs *)
-  st_stalls : int;  (* dynamic: not deterministic across runs *)
-}
-
 type result = {
   x_store : Store.t;
   x_flops : int;
   x_trace : Trace.t option;  (* deterministic merge, task order *)
   x_parts : Trace.t array;  (* per-task traces (empty when untraced) *)
   x_task_flops : int array;
-  x_stats : stats;
+  x_domains : int;  (* workers that ran the levels *)
+  x_stalls : int;  (* barrier waits: dynamic, vary run to run *)
 }
 
 (* Per-worker execution state: each worker compiles the task body once
@@ -442,6 +384,12 @@ let run_task ~traced ~task_chunk plan wctx parts task_flops t =
   end
   else task_flops.(t) <- Interp.invoke wctx.w_prepared ~params:bindings
 
+(* Level-synchronous execution: the levels run in order, separated by a
+   barrier, and a level's tasks are handed out by an atomic index to
+   whichever worker asks next.  Worker 0 is the calling domain, so [domains = 1]
+   spawns nothing; more workers than the widest level could only wait.
+   Per-level counters are never reset, so a stale level read can only
+   yield an index past the level's width — harmless. *)
 let exec ?layouts ?(domains = 1) ?(trace = false)
     ?(chunk_words = Trace.default_chunk_words) plan ~init =
   let store =
@@ -452,8 +400,8 @@ let exec ?layouts ?(domains = 1) ?(trace = false)
   let empty = Trace.finish (Trace.create_recorder ~chunk_words:1 ()) in
   let parts = Array.make n empty in
   let task_flops = Array.make n 0 in
-  let p = max 1 (min domains n) in
-  let steals = Array.make p 0 and stalls = Array.make p 0 in
+  let p = max 1 (min domains (max_width plan)) in
+  let stalls = Array.make p 0 in
   let failure = ref None in
   let failure_lock = Mutex.create () in
   let abort = Atomic.make false in
@@ -462,115 +410,39 @@ let exec ?layouts ?(domains = 1) ?(trace = false)
         if !failure = None then failure := Some (e, bt));
     Atomic.set abort true
   in
-  let effective_mode =
-    if p = 1 then Sequential else plan.pl_mode
+  let nlvl = Array.length plan.pl_levels in
+  let next = Array.init nlvl (fun _ -> Atomic.make 0) in
+  let finished = Array.init nlvl (fun _ -> Atomic.make 0) in
+  let cur = Atomic.make 0 in
+  let worker w () =
+    let wctx = make_worker ~traced:trace store plan.pl_task_prog in
+    let rec loop () =
+      let l = Atomic.get cur in
+      if l < nlvl && not (Atomic.get abort) then begin
+        let width = Array.length plan.pl_levels.(l) in
+        let i = Atomic.fetch_and_add next.(l) 1 in
+        if i < width then begin
+          (try
+             run_task ~traced:trace ~task_chunk plan wctx parts task_flops
+               plan.pl_levels.(l).(i)
+           with e -> fail e (Printexc.get_raw_backtrace ()));
+          if Atomic.fetch_and_add finished.(l) 1 = width - 1 then
+            (* last task of the level opens the next one *)
+            Atomic.incr cur
+        end
+        else begin
+          (* level drained but not finished: wait at the barrier *)
+          stalls.(w) <- stalls.(w) + 1;
+          Domain.cpu_relax ()
+        end;
+        loop ()
+      end
+    in
+    loop ()
   in
-  (match effective_mode with
-   | Sequential ->
-     let w = make_worker ~traced:trace store plan.pl_task_prog in
-     for t = 0 to n - 1 do
-       run_task ~traced:trace ~task_chunk plan w parts task_flops t
-     done
-   | Wavefront ->
-     (* static schedule: per-level atomic hand-out, spin barrier between
-        levels.  Per-level counters are never reset, so a stale level read
-        can only yield an index past the level's width — harmless. *)
-     let nlvl = Array.length plan.pl_levels in
-     let next = Array.init nlvl (fun _ -> Atomic.make 0) in
-     let finished = Array.init nlvl (fun _ -> Atomic.make 0) in
-     let cur = Atomic.make 0 in
-     let worker w () =
-       let wctx =
-         make_worker ~traced:trace store plan.pl_task_prog
-       in
-       let rec loop () =
-         if Atomic.get abort then ()
-         else begin
-           let l = Atomic.get cur in
-           if l >= nlvl then ()
-           else begin
-             let width = Array.length plan.pl_levels.(l) in
-             let i = Atomic.fetch_and_add next.(l) 1 in
-             if i < width then begin
-               (try
-                  run_task ~traced:trace ~task_chunk plan wctx parts
-                    task_flops
-                    plan.pl_levels.(l).(i)
-                with e -> fail e (Printexc.get_raw_backtrace ()));
-               if Atomic.fetch_and_add finished.(l) 1 = width - 1 then
-                 (* last task of the level opens the next one *)
-                 Atomic.incr cur
-             end
-             else begin
-               (* level drained but not finished: barrier stall *)
-               stalls.(w) <- stalls.(w) + 1;
-               Domain.cpu_relax ()
-             end;
-             loop ()
-           end
-         end
-       in
-       loop ()
-     in
-     let spawned = List.init (p - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-     worker 0 ();
-     List.iter Domain.join spawned
-   | Steal ->
-     let deques = Array.init p (fun _ -> Runner.Deque.create ()) in
-     let indeg = Array.map Atomic.make plan.pl_npreds in
-     let remaining = Atomic.make n in
-     let seeded = ref 0 in
-     Array.iteri
-       (fun t d ->
-         if d = 0 then begin
-           Runner.Deque.push deques.(!seeded mod p) t;
-           incr seeded
-         end)
-       plan.pl_npreds;
-     let worker w () =
-       let wctx =
-         make_worker ~traced:trace store plan.pl_task_prog
-       in
-       let run t =
-         (try
-            run_task ~traced:trace ~task_chunk plan wctx parts task_flops t
-          with e -> fail e (Printexc.get_raw_backtrace ()));
-         Array.iter
-           (fun s ->
-             if Atomic.fetch_and_add indeg.(s) (-1) = 1 then
-               Runner.Deque.push deques.(w) s)
-           plan.pl_succs.(t);
-         Atomic.decr remaining
-       in
-       let rec loop () =
-         if Atomic.get abort || Atomic.get remaining = 0 then ()
-         else begin
-           (match Runner.Deque.pop deques.(w) with
-            | Some t -> run t
-            | None ->
-              let stolen = ref None in
-              let v = ref 1 in
-              while !stolen = None && !v < p do
-                (match Runner.Deque.steal deques.((w + !v) mod p) with
-                 | Some t -> stolen := Some t
-                 | None -> ());
-                incr v
-              done;
-              (match !stolen with
-               | Some t ->
-                 steals.(w) <- steals.(w) + 1;
-                 run t
-               | None ->
-                 stalls.(w) <- stalls.(w) + 1;
-                 Domain.cpu_relax ()));
-           loop ()
-         end
-       in
-       loop ()
-     in
-     let spawned = List.init (p - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-     worker 0 ();
-     List.iter Domain.join spawned);
+  let spawned = List.init (p - 1) (fun i -> Domain.spawn (worker (i + 1))) in
+  worker 0 ();
+  List.iter Domain.join spawned;
   (match !failure with
    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
    | None -> ());
@@ -583,16 +455,8 @@ let exec ?layouts ?(domains = 1) ?(trace = false)
     x_trace = merged;
     x_parts = (if trace then parts else [||]);
     x_task_flops = task_flops;
-    x_stats =
-      { st_tasks = n;
-        st_edges = plan.pl_edges;
-        st_wavefronts = Array.length plan.pl_levels;
-        st_max_width = max_width plan;
-        st_mode = effective_mode;
-        st_domains = p;
-        st_serialized = plan.pl_serialized;
-        st_steals = Array.fold_left ( + ) 0 steals;
-        st_stalls = Array.fold_left ( + ) 0 stalls } }
+    x_domains = p;
+    x_stalls = Array.fold_left ( + ) 0 stalls }
 
 (* The drop-in replacement for [Pipeline.record]: execute the plan with
    tracing on and seal the deterministic merge as a replayable recording.

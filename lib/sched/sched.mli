@@ -11,64 +11,43 @@
     precise, and [Unknown] or an oversized box degrades to the sequential
     chain.
 
-    Execution is hybrid, per the plan's dependence structure:
-
-    - {e wavefront} when the edge deltas form a small uniform set (a
-      regular affine recurrence): tasks run level by level from a
-      longest-path layering, with an atomic per-level index and a spin
-      barrier;
-    - {e work stealing} otherwise: per-worker {!Runner.Deque}s with atomic
-      in-degree counters, thieves scanning the other deques oldest-first.
+    Execution is level-synchronous: a longest-path layering of the DAG
+    puts every edge from a lower level to a higher one, so the levels run
+    in order, separated by a barrier, and the tasks of one level are handed
+    to the workers by an atomic index.  The same levels are the groups the
+    shared-L2 multicore replay ({!smp}) interleaves.
 
     Each task records its own access trace; the deterministic merge
     ({!Trace.concat} in task order) is byte-identical to a sequential
-    recording of the same variant for any domain count, which is what the
-    par=seq CI equivalence matrix and the fuzz [Par] oracle layer check. *)
-
-type mode = Sequential | Wavefront | Steal
-
-val mode_string : mode -> string
+    recording of the same variant for any domain count, which is what
+    [test_sched] and the fuzz [Par] oracle layer check. *)
 
 type plan
 
 val plan :
   ?max_tasks:int ->
   ?max_box:int ->
-  ?prog:Loopir.Ast.program ->
   Pipeline.t ->
   spec:Shackle.Spec.t option ->
   params:(string * int) list ->
   plan
-(** Build the block-task DAG for the chosen variant at concrete [params].
-    [prog], when given, must be [Pipeline.variant pipe spec] (it is
-    recomputed otherwise).  The spec must be legal: a legal shackle visits
-    every dependence's source block no later than its destination block,
-    which is what makes the DAG acyclic and forward-only.  [None], a
-    bandless variant, a grid larger than [max_tasks] (default 2048) or a
-    delta box larger than [max_box] (default 4096) all degrade to a safe
-    single-task or chain plan. *)
+(** Build the block-task DAG for [Pipeline.variant pipe spec] at concrete
+    [params].  The spec must be legal: a legal shackle visits every
+    dependence's source block no later than its destination block, which
+    is what makes the DAG acyclic and forward-only.  [None], a bandless
+    variant, a grid larger than [max_tasks] (default 2048) or a delta box
+    larger than [max_box] (default 4096) all degrade to a safe single-task
+    or chain plan. *)
 
 val tasks : plan -> int
 val edges : plan -> int
 val levels : plan -> int list list
-(** Wavefront layering (longest path): level -> task ids, ascending. *)
+(** Longest-path layering: level -> task ids, ascending.  Every edge runs
+    from a lower level to a higher one. *)
 
-val mode : plan -> mode
 val max_width : plan -> int
 val serialized : plan -> bool
 (** True when the conservative chain fallback replaced the real DAG. *)
-
-type stats = {
-  st_tasks : int;
-  st_edges : int;
-  st_wavefronts : int;
-  st_max_width : int;
-  st_mode : mode;
-  st_domains : int;
-  st_serialized : bool;
-  st_steals : int;  (** dynamic — varies run to run, excluded from diffs *)
-  st_stalls : int;  (** dynamic — varies run to run, excluded from diffs *)
-}
 
 type result = {
   x_store : Exec.Store.t;
@@ -77,7 +56,8 @@ type result = {
       (** deterministic merge of the per-task traces, task order *)
   x_parts : Trace.t array;  (** per-task traces; [[||]] when untraced *)
   x_task_flops : int array;
-  x_stats : stats;
+  x_domains : int;  (** workers that ran the levels *)
+  x_stalls : int;  (** barrier waits — dynamic, varies run to run *)
 }
 
 val exec :
@@ -88,11 +68,12 @@ val exec :
   plan ->
   init:(string -> int array -> float) ->
   result
-(** Execute the plan over [domains] workers (default 1: in the calling
-    domain, no spawns).  The store, flop count, per-task traces and merged
-    trace are bit-identical for every [domains]; only [st_steals] and
-    [st_stalls] vary.  A worker exception aborts the run and is re-raised
-    (with its backtrace) after all domains join. *)
+(** Execute the plan level by level over [domains] workers (default 1:
+    in the calling domain, no spawns), capped at {!max_width}.  The store,
+    flop count, per-task traces and merged trace are bit-identical for
+    every [domains]; only [x_stalls] varies.  A worker exception aborts
+    the run and is re-raised (with its backtrace) after all domains
+    join. *)
 
 val record :
   ?layouts:(string * Exec.Store.layout) list ->
@@ -114,5 +95,4 @@ val smp :
 (** Shared-L2 multicore replay of a traced result ({!Machine.Model.Smp}):
     private first-level caches per virtual core, shared levels below,
     deterministic round-robin task assignment and stream interleave per
-    wavefront group.  [machine] defaults to [two_level], [quality] to
-    [tuned]. *)
+    level.  [machine] defaults to [two_level], [quality] to [tuned]. *)

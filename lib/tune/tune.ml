@@ -384,14 +384,14 @@ let record_at (_, params, init) prog =
   Model.record (Loopir.Stages.specialize ~params prog) ~params ~init
 
 (* Evaluate one batch's distinct programs.  At every sweep point a
-   program is recorded once and replayed per (machine x quality) series,
-   with one metrics row per series; the rows come back labeled with their
-   size suffix only ("" or "/N=n"), the caller prefixes its group label.
-   Programs fan out over the supervised pool: one that crashes or blows
-   past [opts.timeout_ms] comes back as [Error reason] instead of
-   aborting the campaign.  The worker polls its token before each
-   recording and each replay, so a timeout is observed cooperatively at
-   series granularity. *)
+   program is recorded once and replayed per (machine x quality) series
+   ([Metrics.record_replay]), with one metrics row per series; the rows
+   come back labeled with their size suffix only ("" or "/N=n"), the
+   caller prefixes its group label.  Programs fan out over the supervised
+   pool: one that crashes or blows past [opts.timeout_ms] comes back as
+   [Error reason] instead of aborting the campaign.  The worker polls its
+   token before each recording and each replay, so a timeout is observed
+   cooperatively at series granularity. *)
 let evaluate_groups opts ~sweeps progs =
   let series = series_of opts in
   let outcomes =
@@ -400,43 +400,21 @@ let evaluate_groups opts ~sweeps progs =
         Metrics.collect (fun () ->
             List.map
               (fun ((n, _, _) as point) ->
-                Runner.Token.check token;
                 let suffix =
                   match n with
                   | None -> ""
                   | Some n -> Printf.sprintf "/N=%d" n
                 in
-                let recording, record_seconds =
-                  Metrics.timed (fun () -> record_at point prog_v)
+                let results =
+                  Metrics.record_replay
+                    ~poll:(fun () -> Runner.Token.check token)
+                    (fun () -> record_at point prog_v)
+                    (List.map (fun (m, q) -> (suffix, m, q)) series)
                 in
-                let tr = recording.Model.rec_trace in
                 ( n,
-                  List.mapi
-                    (fun i (m, q) ->
-                      Runner.Token.check token;
-                      let r, replay_seconds =
-                        Metrics.timed (fun () ->
-                            Model.consume ~machine:m ~quality:q recording)
-                      in
-                      let first = i = 0 in
-                      let trace =
-                        { Metrics.tr_executions = (if first then 1 else 0);
-                          tr_length = Trace.length tr;
-                          tr_chunks = Trace.num_chunks tr;
-                          tr_bytes = Trace.bytes tr;
-                          tr_record_seconds =
-                            (if first then record_seconds else 0.0);
-                          tr_replay_seconds = replay_seconds }
-                      in
-                      Metrics.record
-                        (Metrics.of_result ~label:suffix
-                           ~machine:m.Model.m_name ~quality:q.Model.q_name
-                           ~seconds:
-                             ((if first then record_seconds else 0.0)
-                             +. replay_seconds)
-                           ~trace r);
-                      (m.Model.m_name, q.Model.q_name, r))
-                    series ))
+                  List.map2
+                    (fun (m, q) r -> (m.Model.m_name, q.Model.q_name, r))
+                    series results ))
               sweeps))
       progs
   in

@@ -202,7 +202,7 @@ let test_replay_executes_once_per_variant () =
 let test_registry_covers_quick_run () =
   List.iter
     (fun id ->
-      match F.run_by_id id ~quick:true ~domains:1 () with
+      match F.run_by_id id ~quick:true ~domains:1 with
       | Some fig ->
         Alcotest.(check string) "id round-trips" id fig.F.f_id;
         Alcotest.(check bool) (id ^ " has rows") true (fig.F.f_rows <> [])
@@ -212,7 +212,7 @@ let test_registry_covers_quick_run () =
   Alcotest.(check (option string)) "unknown id rejected" None
     (Option.map
        (fun f -> f.F.f_id)
-       (F.run_by_id "nope" ~quick:true ~domains:1 ()))
+       (F.run_by_id "nope" ~quick:true ~domains:1))
 
 (* --- JSON --- *)
 
@@ -272,8 +272,7 @@ let sample_sim =
     sim_cycles = 4353.0;
     sim_mflops = 12.37;
     sim_seconds = 0.25;
-    sim_trace = None;
-    sim_sched = None }
+    sim_trace = None }
 
 let metrics_golden =
   "{\"label\":\"cholesky_right/N=16/input\",\"machine\":\"sp2-like\",\
@@ -312,15 +311,64 @@ let test_metrics_trace_roundtrip () =
        Alcotest.(check bool) "trace info round-trips" true (s = with_trace)
      | Error e -> Alcotest.fail e)
 
+(* Every writer emits every field, so a partial object is refused and the
+   error names a missing field: a sim without counters, a solver object
+   without its budget or backing-store counters, a disk-cache object
+   without its torn-tail bytes. *)
 let test_metrics_of_json_rejects () =
-  match Json.of_string "{\"label\":\"x\"}" with
-  | Error e -> Alcotest.fail e
-  | Ok j ->
-    (match Metrics.sim_of_json j with
-     | Ok _ -> Alcotest.fail "accepted a sim without counters"
-     | Error msg ->
-       Alcotest.(check bool) "names the field" true
-         (String.length msg > 0))
+  let mentions msg k =
+    let n = String.length k in
+    let rec go i =
+      i + n <= String.length msg && (String.sub msg i n = k || go (i + 1))
+    in
+    go 0
+  in
+  let refuses what of_json j ~field =
+    match of_json j with
+    | Ok _ -> Alcotest.failf "accepted a %s without %S" what field
+    | Error msg ->
+      Alcotest.(check bool) (what ^ " error names " ^ field) true
+        (mentions msg field)
+  in
+  let without k = function
+    | Json.Obj kvs -> Json.Obj (List.remove_assoc k kvs)
+    | j -> j
+  in
+  refuses "sim" Metrics.sim_of_json
+    (Json.Obj [ ("label", Json.Str "x") ])
+    ~field:"machine";
+  let solver =
+    Metrics.solver_to_json
+      { Metrics.so_queries = 12;
+        so_splinters = 1;
+        so_fuel_spent = 300;
+        so_unknowns = 0;
+        so_cache_hits = 4;
+        so_cache_misses = 8;
+        so_backing_hits = 2;
+        so_cache_size = 8;
+        so_cache_enabled = true }
+  in
+  Alcotest.(check bool) "full solver object parses" true
+    (Result.is_ok (Metrics.solver_of_json solver));
+  List.iter
+    (fun field ->
+      refuses "solver" Metrics.solver_of_json (without field solver) ~field)
+    [ "fuel_spent"; "unknowns"; "backing_hits" ];
+  let diskcache =
+    Metrics.diskcache_to_json
+      { Metrics.dc_entries = 3;
+        dc_bytes = 160;
+        dc_hits = 5;
+        dc_misses = 3;
+        dc_appended = 3;
+        dc_dropped = 0 }
+  in
+  Alcotest.(check bool) "full disk-cache object parses" true
+    (Result.is_ok (Metrics.diskcache_of_json diskcache));
+  refuses "disk cache" Metrics.diskcache_of_json
+    (without "dropped_bytes" diskcache)
+    ~field:"dropped_bytes"
 
 let test_metrics_collect_isolates () =
   let (inner, inner_sims), outer_sims =
@@ -348,42 +396,6 @@ let test_metrics_recorded_per_point () =
       Alcotest.(check bool) "accesses positive" true (s.Metrics.sim_accesses > 0))
     fig.F.f_metrics
 
-(* --- Deque --- *)
-
-let test_deque_lifo_fifo () =
-  let d = Runner.Deque.create () in
-  Alcotest.(check (option int)) "pop empty" None (Runner.Deque.pop d);
-  Alcotest.(check (option int)) "steal empty" None (Runner.Deque.steal d);
-  List.iter (Runner.Deque.push d) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "length" 4 (Runner.Deque.length d);
-  Alcotest.(check (option int)) "owner pops newest" (Some 4)
-    (Runner.Deque.pop d);
-  Alcotest.(check (option int)) "thief steals oldest" (Some 1)
-    (Runner.Deque.steal d);
-  Alcotest.(check (option int)) "next steal" (Some 2) (Runner.Deque.steal d);
-  Alcotest.(check (option int)) "owner gets the rest" (Some 3)
-    (Runner.Deque.pop d);
-  Alcotest.(check (option int)) "now empty" None (Runner.Deque.pop d);
-  Alcotest.(check int) "length 0" 0 (Runner.Deque.length d)
-
-let test_deque_grows () =
-  (* push far past any plausible initial capacity, then drain from both
-     ends and check nothing was lost or reordered *)
-  let d = Runner.Deque.create () in
-  let n = 10_000 in
-  for i = 0 to n - 1 do
-    Runner.Deque.push d i
-  done;
-  let stolen = List.init (n / 2) (fun _ -> Runner.Deque.steal d) in
-  let popped = List.init (n / 2) (fun _ -> Runner.Deque.pop d) in
-  Alcotest.(check (list (option int))) "steals are FIFO"
-    (List.init (n / 2) (fun i -> Some i))
-    stolen;
-  Alcotest.(check (list (option int))) "pops are LIFO"
-    (List.init (n / 2) (fun i -> Some (n - 1 - i)))
-    popped;
-  Alcotest.(check (option int)) "drained" None (Runner.Deque.steal d)
-
 let () =
   Alcotest.run "runner"
     [ ( "runner",
@@ -391,10 +403,6 @@ let () =
           Alcotest.test_case "mapi and run_all" `Quick test_mapi_and_run_all;
           Alcotest.test_case "uneven work" `Quick test_uneven_work_keeps_order;
           Alcotest.test_case "exceptions" `Quick test_exception_propagates ] );
-      ( "deque",
-        [ Alcotest.test_case "lifo owner, fifo thief" `Quick
-            test_deque_lifo_fifo;
-          Alcotest.test_case "grows" `Quick test_deque_grows ] );
       ( "outcomes",
         [ Alcotest.test_case "all ok = map" `Quick test_outcomes_all_ok_equals_map;
           Alcotest.test_case "Failed keeps exn and backtrace" `Quick

@@ -4,11 +4,13 @@
    The load-bearing property is determinism: for any worker count the
    final store (as Int64 bit patterns), the flop count, and the merged
    access trace (word for word, including chunk accounting) must equal
-   one sequential execution of the same variant.  The plan-shape tests
-   pin the classifier: a single-task plan for unshackled programs, a
-   width-1 wavefront for a serial chain, the anti-diagonal wavefront for
-   the diamond recurrence, steal mode for blocked Cholesky's irregular
-   DAG.  A worker exception must abort the run and re-raise. *)
+   one sequential execution of the same variant.  Every plan below runs
+   at 1, 2 and 4 workers, among them the fully blocked, left-looking
+   (fig11's LAPACK-style series) and banded (fig15's band storage)
+   Cholesky variants.  The plan-shape tests pin the layering: one level
+   for an unshackled program, one level per block for a serial chain, the
+   anti-diagonals for the diamond recurrence, and blocked Cholesky's
+   levels.  A worker exception must abort the run and re-raise. *)
 
 module K = Kernels.Builders
 module Specs = Experiments.Specs
@@ -94,6 +96,16 @@ let check_par_eq ?layouts ~what pipe ~spec ~params ~init =
 (* Plan shape                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A real DAG (not the fallback chain) of the given size, depth and
+   widest level. *)
+let check_shape ~what plan ~tasks ~levels ~width =
+  Alcotest.(check int) (what ^ ": tasks") tasks (Sched.tasks plan);
+  Alcotest.(check int) (what ^ ": levels") levels
+    (List.length (Sched.levels plan));
+  Alcotest.(check int) (what ^ ": max width") width (Sched.max_width plan);
+  Alcotest.(check bool) (what ^ ": not serialized") false
+    (Sched.serialized plan)
+
 let test_single_task () =
   let pipe = Pipeline.create (K.matmul ()) in
   let plan =
@@ -103,8 +115,7 @@ let test_single_task () =
   in
   Alcotest.(check int) "one task" 1 (Sched.tasks plan);
   Alcotest.(check int) "no edges" 0 (Sched.edges plan);
-  Alcotest.(check string) "sequential mode" "sequential"
-    (Sched.mode_string (Sched.mode plan))
+  Alcotest.(check (list (list int))) "one level" [ [ 0 ] ] (Sched.levels plan)
 
 let chain_text =
   "! chain (params: N)\nreal A(N)\ndo i = 2, N\n  S1: A(i) = A(i) + A(i - \
@@ -122,8 +133,7 @@ let test_serial_chain () =
       ~params:[ ("N", 16) ] ~init:init_hash
   in
   Alcotest.(check int) "eight blocks" 8 (Sched.tasks plan);
-  Alcotest.(check string) "wavefront mode" "wavefront"
-    (Sched.mode_string (Sched.mode plan));
+  Alcotest.(check int) "a chain of edges" 7 (Sched.edges plan);
   Alcotest.(check int) "serial: every level width 1" 1 (Sched.max_width plan);
   Alcotest.(check int) "one level per task" (Sched.tasks plan)
     (List.length (Sched.levels plan));
@@ -143,17 +153,13 @@ let diamond_pipe_plan ~n =
 
 let test_diamond_wavefront () =
   let pipe, spec, plan = diamond_pipe_plan ~n:8 in
-  Alcotest.(check int) "4x4 block grid" 16 (Sched.tasks plan);
-  Alcotest.(check string) "wavefront mode" "wavefront"
-    (Sched.mode_string (Sched.mode plan));
-  Alcotest.(check int) "anti-diagonal levels" 7
-    (List.length (Sched.levels plan));
-  Alcotest.(check int) "widest anti-diagonal" 4 (Sched.max_width plan);
+  (* a 4x4 block grid in 7 anti-diagonals, the widest of 4 blocks *)
+  check_shape ~what:"diamond" plan ~tasks:16 ~levels:7 ~width:4;
   ignore
     (check_par_eq ~what:"diamond" pipe ~spec:(Some spec)
        ~params:[ ("N", 8) ] ~init:init_hash)
 
-let test_steal_cholesky () =
+let test_fully_blocked_cholesky () =
   let pipe = Pipeline.create (K.cholesky_right ()) in
   let spec = Specs.cholesky_fully_blocked ~size:8 in
   let plan =
@@ -161,9 +167,32 @@ let test_steal_cholesky () =
       ~params:[ ("N", 24) ]
       ~init:(Kernels.Inits.for_kernel "cholesky_right" ~n:24)
   in
-  Alcotest.(check string) "irregular DAG steals" "steal"
-    (Sched.mode_string (Sched.mode plan));
-  Alcotest.(check bool) "multiple tasks" true (Sched.tasks plan > 1)
+  check_shape ~what:"fully blocked" plan ~tasks:25 ~levels:9 ~width:5
+
+let test_left_looking_cholesky () =
+  let pipe = Pipeline.create (K.cholesky_right ()) in
+  let spec = Specs.cholesky_left_looking_blocked ~size:8 in
+  let plan =
+    check_par_eq ~what:"left-looking cholesky" pipe ~spec:(Some spec)
+      ~params:[ ("N", 24) ]
+      ~init:(Kernels.Inits.for_kernel "cholesky_right" ~n:24)
+  in
+  check_shape ~what:"left-looking" plan ~tasks:14 ~levels:7 ~width:3
+
+let test_banded_cholesky () =
+  let n = 24 and bw = 8 in
+  let pipe = Pipeline.create (K.cholesky_banded ()) in
+  let spec = Specs.cholesky_banded_write ~size:4 in
+  let dense = Kernels.Inits.for_kernel "cholesky_banded" ~n in
+  let plan =
+    check_par_eq ~what:"banded cholesky"
+      ~layouts:[ ("A", Store.Banded bw) ]
+      pipe ~spec:(Some spec)
+      ~params:[ ("N", n); ("BW", bw) ]
+      ~init:(fun name idx ->
+        if abs (idx.(0) - idx.(1)) > bw then 0.0 else dense name idx)
+  in
+  check_shape ~what:"banded" plan ~tasks:15 ~levels:11 ~width:2
 
 let test_matmul_product () =
   let pipe = Pipeline.create (K.matmul ()) in
@@ -178,7 +207,7 @@ let test_matmul_product () =
 (* ------------------------------------------------------------------ *)
 
 (* A banded layout makes the diamond's below-diagonal reads out of range,
-   so a worker raises Invalid_argument partway through a wavefront; the
+   so a worker raises Invalid_argument partway through a level; the
    run must abort and re-raise the original exception. *)
 let test_worker_exception () =
   let _, _, plan = diamond_pipe_plan ~n:8 in
@@ -214,7 +243,10 @@ let () =
           Alcotest.test_case "serial chain" `Quick test_serial_chain;
           Alcotest.test_case "diamond wavefront" `Quick
             test_diamond_wavefront;
-          Alcotest.test_case "steal cholesky" `Quick test_steal_cholesky;
+          Alcotest.test_case "steal cholesky" `Quick test_fully_blocked_cholesky;
+          Alcotest.test_case "left-looking cholesky" `Quick
+            test_left_looking_cholesky;
+          Alcotest.test_case "banded cholesky" `Quick test_banded_cholesky;
           Alcotest.test_case "matmul product" `Quick test_matmul_product ] );
       ( "exec",
         [ Alcotest.test_case "worker exception" `Quick test_worker_exception;
