@@ -49,68 +49,139 @@ let rec compile_iexpr env (e : E.t) : int array -> int =
     let ca = compile_iexpr env a and cb = compile_iexpr env b in
     fun f -> min (ca f) (cb f)
 
-(* Resolve a reference to (array, offset); the caller reports the access to
-   the trace so reads and writes are distinguished. *)
-let compile_ref env store (r : Fexpr.ref_) =
-  let arr = Store.find store r.array in
-  let idx_fns = Array.of_list (List.map (compile_iexpr env) r.idx) in
-  let nidx = Array.length idx_fns in
-  let buf = Array.make nidx 0 in
-  fun frame ->
-    for d = 0 to nidx - 1 do
-      buf.(d) <- idx_fns.(d) frame
-    done;
-    (arr, Store.offset arr buf)
+(* One subscript of a reference.  A plain variable, possibly plus or minus
+   a constant, is read straight from its frame slot; anything else runs
+   its compiled code. *)
+type sub =
+  | Slot of int * int  (** [frame.(slot) + delta] *)
+  | Code of (int array -> int)
 
-let rec compile_fexpr env store sink flops (e : Fexpr.t) : int array -> float =
+let compile_sub env (e : E.t) =
   match e with
-  | Fexpr.Ref r ->
-    let cr = compile_ref env store r in
-    (* the sink is matched once, at compile time, so the no-trace fast
-       path carries no per-access dispatch *)
-    (match sink with
-     | Trace.No_trace ->
-       fun frame ->
-         let arr, off = cr frame in
-         arr.Store.data.(off)
-     | Trace.Callback t ->
-       fun frame ->
-         let arr, off = cr frame in
-         t ~write:false ~addr:(arr.Store.base + off);
-         arr.Store.data.(off)
-     | Trace.Record rc ->
-       fun frame ->
-         let arr, off = cr frame in
-         Trace.emit rc ~write:false ~addr:(arr.Store.base + off);
-         arr.Store.data.(off))
-  | Fexpr.Const x -> fun _ -> x
-  | Fexpr.Neg a ->
-    let ca = compile_fexpr env store sink flops a in
-    fun f ->
-      incr flops;
-      -.ca f
-  | Fexpr.Sqrt a ->
-    let ca = compile_fexpr env store sink flops a in
-    fun f ->
-      incr flops;
-      sqrt (ca f)
-  | Fexpr.Bin (op, a, b) ->
-    let ca = compile_fexpr env store sink flops a
-    and cb = compile_fexpr env store sink flops b in
-    let g =
-      match op with
-      | Fexpr.Fadd -> ( +. )
-      | Fexpr.Fsub -> ( -. )
-      | Fexpr.Fmul -> ( *. )
-      | Fexpr.Fdiv -> ( /. )
+  | E.Var s -> Slot (slot env s, 0)
+  | E.Add (E.Var s, E.Const k) | E.Add (E.Const k, E.Var s) ->
+    Slot (slot env s, k)
+  | E.Sub (E.Var s, E.Const k) -> Slot (slot env s, -k)
+  | _ -> Code (compile_iexpr env e)
+
+let[@inline] sub_value s (frame : int array) =
+  match s with Slot (i, delta) -> frame.(i) + delta | Code c -> c frame
+
+(* A reference compiles to code returning its flat offset into the data
+   array of [arr], fixed at compile time, through the strides the store
+   computed up front.  The inline range test is Store.offset's (each index
+   in [1..extent]; for band storage also 0 <= i - j <= bw).  An index that
+   fails it is handed to Store.offset, which raises the same
+   Invalid_argument a direct call would. *)
+let compile_offset env (arr : Store.arr) (idx : E.t list) : int array -> int =
+  let subs = Array.of_list (List.map (compile_sub env) idx) in
+  let slow frame =
+    Store.offset arr (Array.map (fun s -> sub_value s frame) subs)
+  in
+  let ext = arr.Store.extents and strides = arr.Store.strides in
+  let rank = Array.length ext in
+  if Array.length subs <> rank then slow
+  else if rank = 2 then begin
+    (* the band bounds i - j; for dense layouts every in-range pair passes *)
+    let lo, hi =
+      match arr.Store.layout with
+      | Store.Banded bw -> (0, bw)
+      | Store.Col_major | Store.Row_major -> (min_int, max_int)
     in
-    (* force left-to-right evaluation so the memory trace reads operands in
-       textual order *)
+    let si = subs.(0) and sj = subs.(1) in
+    let rows = ext.(0) and cols = ext.(1) in
+    let st0 = strides.(0) and st1 = strides.(1) in
+    fun frame ->
+      let i = sub_value si frame and j = sub_value sj frame in
+      if i < 1 || i > rows || j < 1 || j > cols || i - j < lo || i - j > hi
+      then slow frame
+      else ((i - 1) * st0) + ((j - 1) * st1)
+  end
+  else fun frame ->
+    let off = ref 0 and ok = ref true in
+    for d = 0 to rank - 1 do
+      let v = sub_value subs.(d) frame in
+      if v < 1 || v > ext.(d) then ok := false;
+      off := !off + ((v - 1) * strides.(d))
+    done;
+    if !ok then !off else slow frame
+
+(* Scratch slots a right-hand side needs when evaluated as a stack: a node
+   leaves its value in its slot r, and a binary node evaluates its right
+   operand into r + 1. *)
+let rec depth (e : Fexpr.t) =
+  match e with
+  | Fexpr.Ref _ | Fexpr.Const _ -> 1
+  | Fexpr.Neg a | Fexpr.Sqrt a -> depth a
+  | Fexpr.Bin (_, a, b) -> max (depth a) (1 + depth b)
+
+(* A right-hand side compiles to code that leaves its value in
+   [sc.(r)]: floats stay unboxed in the statement's scratch array, the
+   operator is matched here rather than per evaluation, and operands are
+   evaluated left to right so the trace reads them in textual order. *)
+let rec compile_fexpr env store sink flops (sc : float array) r (e : Fexpr.t)
+    : int array -> unit =
+  match e with
+  | Fexpr.Ref rf ->
+    let arr = Store.find store rf.array in
+    let off = compile_offset env arr rf.idx in
+    let data = arr.Store.data and base = arr.Store.base in
+    (* the sink is matched once, at compile time, so the no-trace path
+       carries no per-access dispatch *)
+    (match sink with
+     | Trace.No_trace -> fun f -> sc.(r) <- data.(off f)
+     | Trace.Callback t ->
+       fun f ->
+         let o = off f in
+         t ~write:false ~addr:(base + o);
+         sc.(r) <- data.(o)
+     | Trace.Record rc ->
+       fun f ->
+         let o = off f in
+         Trace.emit rc ~write:false ~addr:(base + o);
+         sc.(r) <- data.(o))
+  | Fexpr.Const x -> fun _ -> sc.(r) <- x
+  | Fexpr.Neg a ->
+    let ca = compile_fexpr env store sink flops sc r a in
     fun f ->
+      ca f;
       incr flops;
-      let x = ca f in
-      let y = cb f in
-      g x y
+      sc.(r) <- -.sc.(r)
+  | Fexpr.Sqrt a ->
+    let ca = compile_fexpr env store sink flops sc r a in
+    fun f ->
+      ca f;
+      incr flops;
+      sc.(r) <- sqrt sc.(r)
+  | Fexpr.Bin (op, a, b) ->
+    let r' = r + 1 in
+    let ca = compile_fexpr env store sink flops sc r a
+    and cb = compile_fexpr env store sink flops sc r' b in
+    (match op with
+     | Fexpr.Fadd ->
+       fun f ->
+         ca f;
+         cb f;
+         incr flops;
+         sc.(r) <- sc.(r) +. sc.(r')
+     | Fexpr.Fsub ->
+       fun f ->
+         ca f;
+         cb f;
+         incr flops;
+         sc.(r) <- sc.(r) -. sc.(r')
+     | Fexpr.Fmul ->
+       fun f ->
+         ca f;
+         cb f;
+         incr flops;
+         sc.(r) <- sc.(r) *. sc.(r')
+     | Fexpr.Fdiv ->
+       fun f ->
+         ca f;
+         cb f;
+         incr flops;
+         sc.(r) <- sc.(r) /. sc.(r'))
 
 let compile_guard env (g : Ast.guard) =
   let cl = compile_iexpr env g.g_lhs and cr = compile_iexpr env g.g_rhs in
@@ -124,31 +195,39 @@ let compile_guard env (g : Ast.guard) =
 let rec compile_node env store sink flops (node : Ast.t) : int array -> unit =
   match node with
   | Ast.Stmt s ->
-    let rhs = compile_fexpr env store sink flops s.rhs in
-    let lhs = compile_ref env store s.lhs in
+    (* the right-hand side's reads come before the write *)
+    let sc = Array.make (depth s.rhs) 0.0 in
+    let rhs = compile_fexpr env store sink flops sc 0 s.rhs in
+    let arr = Store.find store s.lhs.array in
+    let off = compile_offset env arr s.lhs.idx in
+    let data = arr.Store.data and base = arr.Store.base in
     (match sink with
      | Trace.No_trace ->
        fun frame ->
-         let v = rhs frame in
-         let arr, off = lhs frame in
-         arr.Store.data.(off) <- v
+         rhs frame;
+         data.(off frame) <- sc.(0)
      | Trace.Callback t ->
        fun frame ->
-         let v = rhs frame in
-         let arr, off = lhs frame in
-         t ~write:true ~addr:(arr.Store.base + off);
-         arr.Store.data.(off) <- v
+         rhs frame;
+         let o = off frame in
+         t ~write:true ~addr:(base + o);
+         data.(o) <- sc.(0)
      | Trace.Record rc ->
        fun frame ->
-         let v = rhs frame in
-         let arr, off = lhs frame in
-         Trace.emit rc ~write:true ~addr:(arr.Store.base + off);
-         arr.Store.data.(off) <- v)
+         rhs frame;
+         let o = off frame in
+         Trace.emit rc ~write:true ~addr:(base + o);
+         data.(o) <- sc.(0))
   | Ast.If (gs, body) ->
     let cgs = Array.of_list (List.map (compile_guard env) gs) in
+    let n = Array.length cgs in
     let cbody = compile_body env store sink flops body in
     fun frame ->
-      if Array.for_all (fun g -> g frame) cgs then cbody frame
+      let i = ref 0 in
+      while !i < n && cgs.(!i) frame do
+        incr i
+      done;
+      if !i = n then cbody frame
   | Ast.Loop l ->
     let lo = compile_iexpr env l.lo and hi = compile_iexpr env l.hi in
     let sl = slot env l.var in
@@ -161,8 +240,13 @@ let rec compile_node env store sink flops (node : Ast.t) : int array -> unit =
       done
 
 and compile_body env store sink flops body =
-  let cs = Array.of_list (List.map (compile_node env store sink flops) body) in
-  fun frame -> Array.iter (fun c -> c frame) cs
+  match Array.of_list (List.map (compile_node env store sink flops) body) with
+  | [| c |] -> c
+  | cs ->
+    fun frame ->
+      for i = 0 to Array.length cs - 1 do
+        cs.(i) frame
+      done
 
 type prepared = {
   p_env : env;

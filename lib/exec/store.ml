@@ -10,6 +10,7 @@ type arr = {
   name : string;
   extents : int array;
   layout : layout;
+  strides : int array;
   data : float array;
   base : int;
 }
@@ -24,41 +25,47 @@ let size_of extents layout =
       invalid_arg "Store: banded layout needs a rank-2 array";
     (bw + 1) * extents.(1)
 
+(* Every layout is linear in the 1-based indices: the band's
+   (i - j) + (j - 1) * (bw + 1) is (i - 1) + (j - 1) * bw. *)
+let strides_of extents layout =
+  let rank = Array.length extents in
+  match layout with
+  | Banded bw -> [| 1; bw |]
+  | Col_major ->
+    let s = Array.make rank 1 in
+    for d = 1 to rank - 1 do
+      s.(d) <- s.(d - 1) * extents.(d - 1)
+    done;
+    s
+  | Row_major ->
+    let s = Array.make rank 1 in
+    for d = rank - 2 downto 0 do
+      s.(d) <- s.(d + 1) * extents.(d + 1)
+    done;
+    s
+
 let offset arr idx =
-  if Array.length idx <> Array.length arr.extents then
+  let rank = Array.length arr.extents in
+  if Array.length idx <> rank then
     invalid_arg ("Store.offset: arity mismatch on " ^ arr.name);
   (match arr.layout with
-   | Banded _ -> ()
-   | _ ->
-     Array.iteri
-       (fun d i ->
-         if i < 1 || i > arr.extents.(d) then
-           invalid_arg
-             (Printf.sprintf "Store.offset: %s index %d out of [1..%d]"
-                arr.name i arr.extents.(d)))
-       idx);
-  match arr.layout with
-  | Col_major ->
-    let off = ref 0 and stride = ref 1 in
-    for d = 0 to Array.length idx - 1 do
-      off := !off + ((idx.(d) - 1) * !stride);
-      stride := !stride * arr.extents.(d)
-    done;
-    !off
-  | Row_major ->
-    let off = ref 0 and stride = ref 1 in
-    for d = Array.length idx - 1 downto 0 do
-      off := !off + ((idx.(d) - 1) * !stride);
-      stride := !stride * arr.extents.(d)
-    done;
-    !off
-  | Banded bw ->
-    let i = idx.(0) and j = idx.(1) in
-    if i - j < 0 || i - j > bw || j < 1 || j > arr.extents.(1) then
+   | Banded bw ->
+     let i = idx.(0) and j = idx.(1) in
+     if i - j < 0 || i - j > bw || j < 1 || j > arr.extents.(1) then
+       invalid_arg
+         (Printf.sprintf "Store.offset: %s(%d,%d) outside band %d" arr.name i
+            j bw)
+   | Col_major | Row_major -> ());
+  let off = ref 0 in
+  for d = 0 to rank - 1 do
+    let i = idx.(d) in
+    if i < 1 || i > arr.extents.(d) then
       invalid_arg
-        (Printf.sprintf "Store.offset: %s(%d,%d) outside band %d" arr.name i j
-           bw);
-    i - j + ((j - 1) * (bw + 1))
+        (Printf.sprintf "Store.offset: %s index %d out of [1..%d]" arr.name i
+           arr.extents.(d));
+    off := !off + ((i - 1) * arr.strides.(d))
+  done;
+  !off
 
 let create ?(layouts = []) (prog : Ast.program) ~params ~init =
   let env name =
@@ -79,7 +86,14 @@ let create ?(layouts = []) (prog : Ast.program) ~params ~init =
       in
       let size = size_of extents layout in
       let data = Array.make size 0.0 in
-      let arr = { name = d.a_name; extents; layout; data; base = !base } in
+      let arr =
+        { name = d.a_name;
+          extents;
+          layout;
+          strides = strides_of extents layout;
+          data;
+          base = !base }
+      in
       (* initialize through the layout so banded stores only hold the band *)
       (match layout with
        | Banded bw ->

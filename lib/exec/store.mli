@@ -17,6 +17,10 @@ type arr = {
   name : string;
   extents : int array;
   layout : layout;
+  strides : int array;
+      (** the flat offset of 1-based indices is
+          [Σ (idx.(d) - 1) * strides.(d)] in every layout (band storage:
+          [[|1; bw|]]) *)
   data : float array;
   base : int;  (** element address of the first element, for tracing *)
 }
@@ -34,8 +38,9 @@ val create :
 
 val find : t -> string -> arr
 val offset : arr -> int array -> int
-(** Flat offset of 1-based indices. @raise Invalid_argument out of range
-    (including outside the band for banded layout). *)
+(** Flat offset of 1-based indices. @raise Invalid_argument on an index
+    outside [1..extent] in any dimension, or outside the band for banded
+    layout. *)
 
 val get : t -> string -> int array -> float
 val set : t -> string -> int array -> float -> unit

@@ -8,6 +8,7 @@ type t = {
   cfg : config;
   nsets : int;
   line_shift : int;
+  set_shift : int;
   (* tags.(set * assoc + way); -1 = empty.  Way 0 is most recently used. *)
   tags : int array;
   mutable n_accesses : int;
@@ -34,32 +35,44 @@ let create cfg =
   { cfg;
     nsets;
     line_shift = log2 cfg.line_bytes;
+    set_shift = log2 nsets;
     tags = Array.make (nsets * cfg.assoc) (-1);
     n_accesses = 0;
     n_hits = 0;
     n_evictions = 0 }
 
+(* Addresses are non-negative (Trace.word requires it), so the tag
+   [line asr set_shift] is exactly [line / nsets]. *)
 let access c addr =
   c.n_accesses <- c.n_accesses + 1;
   let line = addr asr c.line_shift in
-  let set = line land (c.nsets - 1) in
-  let tag = line / c.nsets in
-  let base = set * c.cfg.assoc in
+  let tag = line asr c.set_shift in
   let assoc = c.cfg.assoc in
-  (* find the way holding this tag *)
-  let rec find w = if w >= assoc then -1 else if c.tags.(base + w) = tag then w else find (w + 1) in
-  let w = find 0 in
-  let hit = w >= 0 in
-  (* move to front (LRU order is positional) *)
-  let upto = if hit then w else assoc - 1 in
-  if (not hit) && c.tags.(base + assoc - 1) <> -1 then
-    c.n_evictions <- c.n_evictions + 1;
-  for i = base + upto downto base + 1 do
-    c.tags.(i) <- c.tags.(i - 1)
-  done;
-  c.tags.(base) <- tag;
-  if hit then c.n_hits <- c.n_hits + 1;
-  hit
+  let base = (line land (c.nsets - 1)) * assoc in
+  let tags = c.tags in
+  if tags.(base) = tag then begin
+    (* already most recently used: nothing moves *)
+    c.n_hits <- c.n_hits + 1;
+    true
+  end
+  else begin
+    (* find the way holding this tag; [assoc] when none does *)
+    let w = ref 1 in
+    while !w < assoc && tags.(base + !w) <> tag do
+      incr w
+    done;
+    let hit = !w < assoc in
+    (* move to front (LRU order is positional) *)
+    let upto = if hit then !w else assoc - 1 in
+    if (not hit) && tags.(base + assoc - 1) <> -1 then
+      c.n_evictions <- c.n_evictions + 1;
+    for i = base + upto downto base + 1 do
+      tags.(i) <- tags.(i - 1)
+    done;
+    tags.(base) <- tag;
+    if hit then c.n_hits <- c.n_hits + 1;
+    hit
+  end
 
 let accesses c = c.n_accesses
 let hits c = c.n_hits

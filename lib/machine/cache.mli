@@ -12,8 +12,8 @@ val create : config -> t
 (** @raise Invalid_argument on inconsistent geometry. *)
 
 val access : t -> int -> bool
-(** [access c addr] probes (and fills) the cache with the byte address;
-    returns [true] on hit. *)
+(** [access c addr] probes (and fills) the cache with the byte address,
+    which must be non-negative; returns [true] on hit. *)
 
 val accesses : t -> int
 val hits : t -> int

@@ -130,7 +130,7 @@ module Sim = struct
   (* One access through the hierarchy: level l+1 is probed only when
      level l misses.  [forwarding] quality drops back-to-back accesses to
      the same element before they reach the hierarchy. *)
-  let access sim ~write ~addr =
+  let[@inline] access sim ~write ~addr =
     if write then sim.instances <- sim.instances + 1;
     if sim.quality.forwarding && addr = sim.last_addr then ()
     else begin
@@ -139,11 +139,10 @@ module Sim = struct
       let byte = addr * sim.machine.elem_bytes in
       let caches = sim.caches in
       let n = Array.length caches in
-      let rec probe i =
-        if i < n && not (Cache.access (Array.unsafe_get caches i) byte) then
-          probe (i + 1)
-      in
-      probe 0
+      let i = ref 0 in
+      while !i < n && not (Cache.access caches.(!i) byte) do
+        incr i
+      done
     end
 
   (* Replay one recorded chunk: the tight loop of the trace pipeline. *)
@@ -273,13 +272,12 @@ module Smp = struct
         last_addr.(core) <- addr;
         let byte = addr * machine.elem_bytes in
         if not (Cache.access l1.(core) byte) then begin
-          let rec probe i =
-            if i >= nshared then mem_misses.(core) <- mem_misses.(core) + 1
-            else if Cache.access shared.(i) byte then
-              shared_hits.(core).(i) <- shared_hits.(core).(i) + 1
-            else probe (i + 1)
-          in
-          probe 0
+          let i = ref 0 in
+          while !i < nshared && not (Cache.access shared.(!i) byte) do
+            incr i
+          done;
+          if !i >= nshared then mem_misses.(core) <- mem_misses.(core) + 1
+          else shared_hits.(core).(!i) <- shared_hits.(core).(!i) + 1
         end
       end
     in

@@ -113,6 +113,14 @@ let no_chaos =
     cx_partial_every = 0;
     cx_disconnect_every = 0 }
 
+(* One proxied connection: its two descriptors, and how many of its two
+   forwarding directions are still running. *)
+type pair = {
+  pr_client : Unix.file_descr;
+  pr_upstream : Unix.file_descr;
+  mutable pr_running : int;
+}
+
 type proxy = {
   px_socket : string;
   px_listener : Unix.file_descr;
@@ -123,22 +131,41 @@ type proxy = {
   mutable px_stalls : int;
   mutable px_partials : int;
   mutable px_disconnects : int;
-  mutable px_conns : Unix.file_descr list;
+  mutable px_pairs : pair list;  (** pairs not yet closed *)
   mutable px_threads : Thread.t list;
   mutable px_stop : bool;
 }
 
 let px_roll t k = k > 0 && Mutex.protect t.px_lock (fun () -> Random.State.int t.px_rng k = 0)
 
-let px_register t fd =
-  Mutex.protect t.px_lock (fun () -> t.px_conns <- fd :: t.px_conns)
-
 let px_thread t th =
   Mutex.protect t.px_lock (fun () -> t.px_threads <- th :: t.px_threads)
 
+let shutdown_quiet fd =
+  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
 let close_quiet fd =
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  shutdown_quiet fd;
   try Unix.close fd with Unix.Unix_error _ -> ()
+
+let shutdown_pair p =
+  shutdown_quiet p.pr_client;
+  shutdown_quiet p.pr_upstream
+
+(* Each direction of a pair ends here exactly once.  The first to end
+   only shuts both descriptors down, which wakes the other direction out
+   of its read or write; the last closes them.  So a descriptor is closed
+   once, while no other thread can still use its number — in-process, the
+   daemon may be handed that number as soon as it is closed. *)
+let px_end t p =
+  Mutex.protect t.px_lock (fun () ->
+      p.pr_running <- p.pr_running - 1;
+      if p.pr_running > 0 then shutdown_pair p
+      else begin
+        (try Unix.close p.pr_client with Unix.Unix_error _ -> ());
+        (try Unix.close p.pr_upstream with Unix.Unix_error _ -> ());
+        t.px_pairs <- List.filter (fun q -> q != p) t.px_pairs
+      end)
 
 let rec write_all fd buf off len =
   if len > 0 then
@@ -149,23 +176,17 @@ let rec write_all fd buf off len =
 (* One direction of one proxied connection.  A fault decision is made
    per chunk read, so bigger traffic sees more chaos — which is the
    point of a load test. *)
-let forward t src dst =
+let forward t p src dst =
   let buf = Bytes.create 4096 in
-  let close_pair () =
-    close_quiet src;
-    close_quiet dst
-  in
   let rec loop () =
     match Unix.read src buf 0 (Bytes.length buf) with
-    | 0 -> close_pair ()
+    | 0 -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error (_, _, _) -> close_pair ()
+    | exception Unix.Unix_error (_, _, _) -> ()
     | n ->
-      if px_roll t t.px_chaos.cx_disconnect_every then begin
+      if px_roll t t.px_chaos.cx_disconnect_every then
         Mutex.protect t.px_lock (fun () ->
-            t.px_disconnects <- t.px_disconnects + 1);
-        close_pair ()
-      end
+            t.px_disconnects <- t.px_disconnects + 1)
       else begin
         if px_roll t t.px_chaos.cx_stall_every then begin
           Mutex.protect t.px_lock (fun () -> t.px_stalls <- t.px_stalls + 1);
@@ -193,10 +214,10 @@ let forward t src dst =
           else write_all dst buf 0 n
         with
         | () -> loop ()
-        | exception Unix.Unix_error (_, _, _) -> close_pair ()
+        | exception Unix.Unix_error (_, _, _) -> ()
       end
   in
-  loop ()
+  Fun.protect ~finally:(fun () -> px_end t p) loop
 
 let proxy_start ~upstream ~socket ~seed ~chaos =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -214,7 +235,7 @@ let proxy_start ~upstream ~socket ~seed ~chaos =
       px_stalls = 0;
       px_partials = 0;
       px_disconnects = 0;
-      px_conns = [];
+      px_pairs = [];
       px_threads = [];
       px_stop = false }
   in
@@ -235,11 +256,28 @@ let proxy_start ~upstream ~socket ~seed ~chaos =
         close_quiet client;
         accept_loop ()
       | up ->
-        px_register t client;
-        px_register t up;
-        px_thread t (Thread.create (fun () -> forward t client up) ());
-        px_thread t (Thread.create (fun () -> forward t up client) ());
-        accept_loop ())
+        (* a stopping proxy registers no new pair: proxy_stop could not
+           shut it down or join its threads *)
+        let started =
+          Mutex.protect t.px_lock (fun () ->
+              if t.px_stop then false
+              else begin
+                let p =
+                  { pr_client = client; pr_upstream = up; pr_running = 2 }
+                in
+                t.px_pairs <- p :: t.px_pairs;
+                t.px_threads <-
+                  Thread.create (fun () -> forward t p client up) ()
+                  :: Thread.create (fun () -> forward t p up client) ()
+                  :: t.px_threads;
+                true
+              end)
+        in
+        if started then accept_loop ()
+        else begin
+          close_quiet client;
+          close_quiet up
+        end)
   in
   px_thread t (Thread.create accept_loop ());
   t
@@ -248,15 +286,19 @@ let proxy_counts t =
   Mutex.protect t.px_lock (fun () ->
       (t.px_stalls, t.px_partials, t.px_disconnects))
 
+(* Shutting down wakes every thread: the accept loop fails on the
+   listener, and each live pair's directions end, the last one closing
+   the pair.  The listener is closed once no thread can use it. *)
 let proxy_stop t =
   let threads =
     Mutex.protect t.px_lock (fun () ->
         t.px_stop <- true;
+        List.iter shutdown_pair t.px_pairs;
         t.px_threads)
   in
-  close_quiet t.px_listener;
-  Mutex.protect t.px_lock (fun () -> t.px_conns) |> List.iter close_quiet;
+  shutdown_quiet t.px_listener;
   List.iter Thread.join threads;
+  (try Unix.close t.px_listener with Unix.Unix_error _ -> ());
   try Unix.unlink t.px_socket with Unix.Unix_error _ | Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)

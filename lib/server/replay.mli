@@ -66,8 +66,9 @@ val proxy_counts : proxy -> int * int * int
 (** (stalls, partial-write chunks, forced disconnects) so far. *)
 
 val proxy_stop : proxy -> unit
-(** Close the listener and every live connection, join the threads and
-    unlink the proxy socket. *)
+(** Shut down the listener and every live connection, join the threads
+    (the last direction of each connection to finish closes it), then
+    close the listener and unlink the proxy socket. *)
 
 (** {1 Driving a trace} *)
 

@@ -30,7 +30,7 @@ let flush r =
     r.len <- 0
   end
 
-let emit r ~write ~addr =
+let[@inline] emit r ~write ~addr =
   if r.len = r.chunk_words then flush r;
   Array.unsafe_set r.buf r.len ((addr lsl 1) lor (if write then 1 else 0));
   r.len <- r.len + 1

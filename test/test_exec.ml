@@ -55,7 +55,11 @@ let test_banded_layout () =
     (Store.get st "A" [| 2; 2 |]);
   Alcotest.check_raises "outside band"
     (Invalid_argument "Store.offset: A(5,1) outside band 2") (fun () ->
-      ignore (Store.offset a [| 5; 1 |]))
+      ignore (Store.offset a [| 5; 1 |]));
+  (* inside the band but below the last row: a padding slot, not an element *)
+  Alcotest.check_raises "row past the matrix"
+    (Invalid_argument "Store.offset: A index 6 out of [1..5]") (fun () ->
+      ignore (Store.offset a [| 6; 5 |]))
 
 let test_out_of_range () =
   let p = K.matmul () in
@@ -66,6 +70,59 @@ let test_out_of_range () =
        ignore (Store.offset a [| 4; 1 |]);
        false
      with Invalid_argument _ -> true)
+
+(* The interpreter tests each reference's range inline and hands a failing
+   index to Store.offset: under every sink, an out-of-range reference
+   raises exactly the error a direct Store.offset call would. *)
+let test_interp_range_checks () =
+  let shifted =
+    Loopir.Parser.program
+      "! shifted (params: N)\n\
+       real A(N, N)\n\
+       do J = 1, N\n\
+      \  do I = 1, N\n\
+      \    S1: A(I, J) = A(I + 1, J)\n\
+      \  end do\n\
+       end do\n"
+  in
+  let banded lo hi =
+    Loopir.Parser.program
+      (Printf.sprintf
+         "! banded (params: N)\n\
+          real A(N, N)\n\
+          do J = 1, N\n\
+         \  do I = J + %d, J + %d\n\
+         \    S1: A(I, J) = 2.0 * A(I, J)\n\
+         \  end do\n\
+          end do\n"
+         lo hi)
+  in
+  let cases =
+    [ ("column-major A(I+1,J) at I=N", shifted, [],
+       "Store.offset: A index 5 out of [1..4]");
+      ("banded below the band", banded 0 3, [ ("A", Store.Banded 2) ],
+       "Store.offset: A(4,1) outside band 2");
+      ("banded row past the matrix", banded 1 1, [ ("A", Store.Banded 2) ],
+       "Store.offset: A index 5 out of [1..4]") ]
+  in
+  let sinks =
+    [ ("no trace", fun () -> Trace.No_trace);
+      ("callback", fun () -> Trace.Callback (fun ~write:_ ~addr:_ -> ()));
+      ("record", fun () -> Trace.Record (Trace.create_recorder ())) ]
+  in
+  List.iter
+    (fun (what, prog, layouts, msg) ->
+      List.iter
+        (fun (sink_name, sink) ->
+          let st =
+            Store.create ~layouts prog ~params:(params 4)
+              ~init:(fun _ _ -> 1.0)
+          in
+          Alcotest.check_raises (what ^ " under " ^ sink_name)
+            (Invalid_argument msg) (fun () ->
+              ignore (Interp.run ~sink:(sink ()) st prog ~params:(params 4))))
+        sinks)
+    cases
 
 (* --- interpreter vs hand-written kernels --- *)
 
@@ -263,7 +320,9 @@ let () =
         [ Alcotest.test_case "column-major offsets" `Quick test_col_major_offsets;
           Alcotest.test_case "disjoint bases" `Quick test_base_addresses_disjoint;
           Alcotest.test_case "banded layout" `Quick test_banded_layout;
-          Alcotest.test_case "range checks" `Quick test_out_of_range ] );
+          Alcotest.test_case "range checks" `Quick test_out_of_range;
+          Alcotest.test_case "interpreter range checks" `Quick
+            test_interp_range_checks ] );
       ( "interp",
         [ Alcotest.test_case "matmul vs hand" `Quick test_matmul_against_hand;
           Alcotest.test_case "cholesky vs hand" `Quick test_cholesky_against_hand;

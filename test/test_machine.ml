@@ -335,6 +335,52 @@ let test_record_replay_matches_direct () =
         = Model.consume ~machine ~quality recording))
     trace_test_points
 
+(* Replay and recording allocate nothing per access.  A consume allocates
+   the same minor words on a 131,072-word trace as on a 16,384-word one,
+   and recording the larger trace from a prepared program allocates a
+   bounded handful of words (bindings and one chunk hand-over). *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_no_allocation_per_access () =
+  let prog = K.matmul () in
+  let init n = Kernels.Inits.for_kernel "matmul" ~n in
+  let recording n = Model.record prog ~params:[ ("N", n) ] ~init:(init n) in
+  let small = recording 16 and large = recording 32 in
+  Alcotest.(check int) "N=16 trace words" 16_384
+    (Trace.length small.Model.rec_trace);
+  Alcotest.(check int) "N=32 trace words" 131_072
+    (Trace.length large.Model.rec_trace);
+  List.iter
+    (fun (machine, quality) ->
+      let words r =
+        minor_words (fun () -> ignore (Model.consume ~machine ~quality r))
+      in
+      (* a first call, so neither measured one pays any one-time set-up *)
+      ignore (words small);
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s/%s consume: minor words independent of length"
+           machine.Model.m_name quality.Model.q_name)
+        (words small) (words large))
+    [ (Model.sp2_like, Model.untuned);
+      (Model.sp2_like, Model.tuned);
+      (Model.two_level, Model.untuned);
+      (Model.small_cache, Model.untuned) ];
+  let params = [ ("N", 32) ] in
+  let store = Exec.Store.create prog ~params ~init:(init 32) in
+  let rc = Trace.create_recorder () in
+  let prepared = Exec.Interp.prepare ~sink:(Trace.Record rc) store prog in
+  let words =
+    minor_words (fun () -> ignore (Exec.Interp.invoke prepared ~params))
+  in
+  Alcotest.(check int) "recorded words" 131_072
+    (Trace.length (Trace.finish rc));
+  Alcotest.(check bool)
+    (Printf.sprintf "recording N=32 allocates %.0f minor words (< 100)" words)
+    true (words < 100.0)
+
 (* --- tiling baseline --- *)
 
 let test_tile_matmul_equivalent () =
@@ -434,7 +480,9 @@ let () =
         [ Alcotest.test_case "closed form = per-access accumulation" `Quick
             test_closed_form_matches_per_access;
           Alcotest.test_case "record/replay = direct" `Quick
-            test_record_replay_matches_direct ] );
+            test_record_replay_matches_direct;
+          Alcotest.test_case "no allocation per access" `Quick
+            test_no_allocation_per_access ] );
       ( "tiling",
         [ Alcotest.test_case "matmul equivalence" `Quick test_tile_matmul_equivalent;
           Alcotest.test_case "tiling = shackling on matmul" `Slow
