@@ -86,9 +86,11 @@ let rename a perm n =
 
 let content a = Array.fold_left B.gcd B.zero a.coeffs
 
-let divexact a k =
-  { coeffs = Array.map (fun c -> B.divexact c k) a.coeffs;
-    const = B.divexact a.const k }
+let div_coeffs a k =
+  Array.map (fun c -> if B.is_zero c then c else B.divexact c k) a.coeffs
+
+let divexact a k = { coeffs = div_coeffs a k; const = B.divexact a.const k }
+let div_floor a k = { coeffs = div_coeffs a k; const = B.fdiv a.const k }
 
 let equal a b =
   dim a = dim b && B.equal a.const b.const

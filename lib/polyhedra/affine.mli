@@ -44,9 +44,17 @@ val rename : t -> int array -> int -> t
     new [n]-dimensional space. *)
 
 val content : t -> Bigint.t
-(** Gcd of all coefficients (not the constant); zero for constant forms. *)
+(** Gcd of all coefficients (not the constant); zero for constant forms.
+    It runs on native ints while the coefficients are immediates, since
+    {!Bigint.gcd} does. *)
 
 val divexact : t -> Bigint.t -> t
+(** Divides every coefficient and the constant exactly. *)
+
+val div_floor : t -> Bigint.t -> t
+(** [div_floor a k] divides every coefficient exactly by [k > 0] and floors
+    the constant: the integer tightening of [a >= 0] by the content [k]. *)
+
 val equal : t -> t -> bool
 val vars : t -> int list
 (** Indices with nonzero coefficient, ascending. *)

@@ -22,15 +22,7 @@ let normalize c =
       if B.is_zero (B.frem (Affine.const_of c.aff) g) then
         { c with aff = Affine.divexact c.aff g }
       else c
-    | Ge ->
-      if B.equal g B.one then c
-      else begin
-        let coeffs =
-          Array.map (fun x -> B.divexact x g) (c.aff : Affine.t).coeffs
-        in
-        let const = B.fdiv (Affine.const_of c.aff) g in
-        { c with aff = Affine.make coeffs const }
-      end
+    | Ge -> if B.equal g B.one then c else { c with aff = Affine.div_floor c.aff g }
   end
 
 (* Parallel classes, hashed on the coefficient vector itself: one

@@ -216,31 +216,32 @@ exception Unsat_exn
    parallel inequalities collapsed to the strongest one.  The compression
    is essential: Fourier-Motzkin elimination inside the solver produces
    many parallel combinations, and without it the constraint count explodes
-   on deep systems (e.g. multi-level blocking legality). *)
+   on deep systems (e.g. multi-level blocking legality).  Each constraint is
+   classified from its content [g] alone: [g = 0] is a constant constraint,
+   true or false; an equality whose [g] does not divide the constant has no
+   integer solution; everything else is divided by [g] as
+   [Constr.normalize] would. *)
 let normalize_split cs =
   let eqs = ref [] and ges = ref [] in
   List.iter
-    (fun c ->
-      let c = Constr.normalize c in
-      if Constr.is_trivially_false c then raise Unsat_exn
-      else if Constr.is_trivially_true c then ()
+    (fun (c : Constr.t) ->
+      let g = Affine.content c.aff and k = Affine.const_of c.aff in
+      if B.is_zero g then begin
+        let holds =
+          match c.kind with Constr.Eq -> B.is_zero k | Constr.Ge -> B.sign k >= 0
+        in
+        if not holds then raise Unsat_exn
+      end
       else
-        match (c : Constr.t).kind with
+        let unit = B.equal g B.one in
+        match c.kind with
         | Constr.Eq ->
-          (* Constr.normalize leaves equalities untouched when the content
-             does not divide the constant: that is a contradiction. *)
-          let g = Affine.content c.aff in
-          if
-            (not (B.is_zero g))
-            && not (B.is_zero (B.frem (Affine.const_of c.aff) g))
-          then raise Unsat_exn
-          else eqs := c :: !eqs
-        | Constr.Ge -> ges := c :: !ges)
+          if not (B.is_zero (B.frem k g)) then raise Unsat_exn;
+          eqs := (if unit then c else Constr.eq (Affine.divexact c.aff g)) :: !eqs
+        | Constr.Ge ->
+          ges := (if unit then c else Constr.ge (Affine.div_floor c.aff g)) :: !ges)
     cs;
   (List.rev !eqs, Constr.dedupe (List.rev !ges))
-
-let vars_of cs =
-  List.sort_uniq compare (List.concat_map (fun (c : Constr.t) -> Affine.vars c.aff) cs)
 
 (* Integer bound propagation: a cheap refutation pre-pass run before the
    expensive eliminations.  Each inequality [sum aj*xj + c >= 0] tightens
@@ -251,8 +252,132 @@ let vars_of cs =
    inconclusive and falls through to the full solver.  Sound because every
    integer solution satisfies every propagated bound.  This closes quickly
    over the near-pinned systems that fixed-parameter legality queries
-   produce, where pure Fourier-Motzkin recursion is at its worst. *)
-let refuted_by_intervals bgt dim (eqs : Constr.t list) (ges : Constr.t list) =
+   produce, where pure Fourier-Motzkin recursion is at its worst.
+
+   A call sweeps the forms until no bound moves, an interval empties, or
+   [max_sweeps] sweeps have run, charging one fuel unit per sweep.  It runs
+   on native ints: the forms are laid out once as flat arrays (per term its
+   variable index and coefficient, per form its constant and first term),
+   and each bound is an [int] with a presence flag.  Every input value and
+   every bound must lie in [-native_bound, native_bound] (2^30), so a
+   product of a coefficient and a bound stays within 2^60; a partial sum
+   must stay within 2^61, so adding the next product cannot overflow.  Any
+   value outside those ranges raises [Out_of_range], and the whole call
+   runs again from scratch in [exact_intervals], the same algorithm over
+   [Bigint].  The native attempt charges its sweeps only once it has
+   finished, one unit at a time, so the abandoned attempt charges nothing
+   and the fuel, the point where a budget gives up and the verdict are
+   those of [exact_intervals] on every system. *)
+let max_sweeps = 16
+let native_bound = 1 lsl 30
+let sum_bound = 1 lsl 61
+
+exception Out_of_range
+
+let in_range v = v >= -native_bound && v <= native_bound
+
+let native_of x =
+  match B.to_int_opt x with
+  | Some v when in_range v -> v
+  | _ -> raise Out_of_range
+
+(* The number of sweeps run and whether an interval emptied. *)
+let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
+  (* sized exactly: arrays past 256 words would bypass the minor heap *)
+  let nforms = List.length ges + (2 * List.length eqs) in
+  let terms (c : Constr.t) =
+    Array.fold_left
+      (fun n x -> if B.is_zero x then n else n + 1)
+      0 (c.aff : Affine.t).coeffs
+  in
+  let size =
+    List.fold_left (fun n c -> n + terms c) 0 ges
+    + List.fold_left (fun n c -> n + (2 * terms c)) 0 eqs
+  in
+  let first = Array.make (nforms + 1) 0 and const = Array.make nforms 0 in
+  let var = Array.make size 0 and coef = Array.make size 0 in
+  let nterms = ref 0 and laid = ref 0 in
+  let lay_out sign (c : Constr.t) =
+    let coeffs = (c.aff : Affine.t).coeffs in
+    first.(!laid) <- !nterms;
+    const.(!laid) <- sign * native_of c.aff.const;
+    for j = 0 to Array.length coeffs - 1 do
+      if not (B.is_zero coeffs.(j)) then begin
+        var.(!nterms) <- j;
+        coef.(!nterms) <- sign * native_of coeffs.(j);
+        incr nterms
+      end
+    done;
+    incr laid
+  in
+  List.iter (fun c -> lay_out 1 c; lay_out (-1) c) eqs;
+  List.iter (lay_out 1) ges;
+  first.(nforms) <- !nterms;
+  let lo = Array.make dim 0 and hi = Array.make dim 0 in
+  let has_lo = Array.make dim false and has_hi = Array.make dim false in
+  let empty = ref false and changed = ref true and sweeps = ref 0 in
+  while !changed && (not !empty) && !sweeps < max_sweeps do
+    changed := false;
+    incr sweeps;
+    let f = ref 0 in
+    while (not !empty) && !f < nforms do
+      let t0 = first.(!f) and t1 = first.(!f + 1) in
+      for t = t0 to t1 - 1 do
+        (* the box maximum of the form without term [t], if bounded *)
+        let sum = ref const.(!f) and bounded = ref true and u = ref t0 in
+        while !bounded && !u < t1 do
+          if !u <> t then begin
+            let j = var.(!u) and a = coef.(!u) in
+            if a > 0 then
+              if has_hi.(j) then sum := !sum + (a * hi.(j)) else bounded := false
+            else if has_lo.(j) then sum := !sum + (a * lo.(j))
+            else bounded := false;
+            if !sum > sum_bound || !sum < -sum_bound then raise Out_of_range
+          end;
+          incr u
+        done;
+        if !bounded then begin
+          let rm = !sum and k = var.(t) and ak = coef.(t) in
+          if ak > 0 then begin
+            (* xk >= ceil(-rm / ak) *)
+            let b =
+              if ak = 1 then -rm
+              else
+                let q = -rm / ak in
+                if (-rm) - (q * ak) > 0 then q + 1 else q
+            in
+            if not (in_range b) then raise Out_of_range;
+            if (not has_lo.(k)) || lo.(k) < b then begin
+              lo.(k) <- b;
+              has_lo.(k) <- true;
+              changed := true;
+              if has_hi.(k) && b > hi.(k) then empty := true
+            end
+          end
+          else begin
+            (* xk <= floor(rm / -ak) *)
+            let b =
+              if ak = -1 then rm
+              else
+                let q = rm / -ak in
+                if rm - (q * -ak) < 0 then q - 1 else q
+            in
+            if not (in_range b) then raise Out_of_range;
+            if (not has_hi.(k)) || hi.(k) > b then begin
+              hi.(k) <- b;
+              has_hi.(k) <- true;
+              changed := true;
+              if has_lo.(k) && lo.(k) > b then empty := true
+            end
+          end
+        end
+      done;
+      incr f
+    done
+  done;
+  (!sweeps, !empty)
+
+let exact_intervals bgt dim (eqs : Constr.t list) (ges : Constr.t list) =
   let lo = Array.make dim None and hi = Array.make dim None in
   let forms =
     List.concat_map
@@ -266,7 +391,7 @@ let refuted_by_intervals bgt dim (eqs : Constr.t list) (ges : Constr.t list) =
   let empty = ref false in
   let changed = ref true in
   let sweeps = ref 0 in
-  while !changed && (not !empty) && !sweeps < 16 do
+  while !changed && (not !empty) && !sweeps < max_sweeps do
     changed := false;
     incr sweeps;
     charge bgt 1;
@@ -326,7 +451,16 @@ let refuted_by_intervals bgt dim (eqs : Constr.t list) (ges : Constr.t list) =
   done;
   !empty
 
-let rec solve ctx bgt dim names (cs : Constr.t list) =
+let refuted_by_intervals bgt dim eqs ges =
+  match native_intervals dim eqs ges with
+  | sweeps, empty ->
+    for _ = 1 to sweeps do
+      charge bgt 1
+    done;
+    empty
+  | exception Out_of_range -> exact_intervals bgt dim eqs ges
+
+let rec solve ctx bgt dim (cs : Constr.t list) =
   charge bgt 1;
   match normalize_split cs with
   | exception Unsat_exn -> false
@@ -334,11 +468,11 @@ let rec solve ctx bgt dim names (cs : Constr.t list) =
     if refuted_by_intervals bgt dim eqs ges then false
     else begin
       match eqs with
-      | [] -> solve_ineqs ctx bgt dim names ges
-      | eq :: other_eqs -> solve_eq ctx bgt dim names eq (other_eqs @ ges)
+      | [] -> solve_ineqs ctx bgt dim ges
+      | eq :: other_eqs -> solve_eq ctx bgt dim eq (other_eqs @ ges)
     end
 
-and solve_eq ctx bgt dim names (eq : Constr.t) others =
+and solve_eq ctx bgt dim (eq : Constr.t) others =
   (* Prefer a variable with a unit coefficient. *)
   let unit_var =
     List.find_opt
@@ -348,7 +482,7 @@ and solve_eq ctx bgt dim names (eq : Constr.t) others =
   match unit_var with
   | Some k ->
     let e = solve_for eq.aff k in
-    solve ctx bgt dim names (List.map (fun c -> Constr.subst c k e) others)
+    solve ctx bgt dim (List.map (fun c -> Constr.subst c k e) others)
   | None ->
     (* Pugh's reduction: no unit coefficient; pick the variable with the
        smallest |coefficient|, introduce sigma with
@@ -374,7 +508,6 @@ and solve_eq ctx bgt dim names (eq : Constr.t) others =
     let m = B.add (B.abs (Affine.coeff eq.aff k)) B.one in
     let sigma = dim in
     let dim' = dim + 1 in
-    let names' = Array.append names [| "~s" ^ string_of_int dim |] in
     let eq' = Constr.extend eq dim' in
     let others' = List.map (fun c -> Constr.extend c dim') others in
     let reduced_coeffs =
@@ -386,36 +519,50 @@ and solve_eq ctx bgt dim names (eq : Constr.t) others =
       Affine.make reduced_coeffs (mod_hat (Affine.const_of eq'.aff) m)
     in
     let e = solve_for reduced k in
-    solve ctx bgt dim' names'
+    solve ctx bgt dim'
       (List.map (fun c -> Constr.subst c k e) (eq' :: others'))
 
-and solve_ineqs ctx bgt dim names ges =
-  match vars_of ges with
-  | [] -> true (* non-trivial constant constraints were filtered *)
-  | vars ->
-    (* Choose the elimination variable: exact eliminations first, then the
-       fewest pair combinations. *)
-    let measure k =
-      let { lowers; uppers; _ } = split_on ges k in
-      let exact =
-        List.for_all (fun (b, _) -> B.equal b B.one) lowers
-        || List.for_all (fun (a, _) -> B.equal a B.one) uppers
+and solve_ineqs ctx bgt dim ges =
+  (* Choose the elimination variable: exact eliminations first, then the
+     fewest pair combinations, then the lowest index.  One pass over the
+     constraints counts each variable's lower and upper bounds and those
+     whose coefficient is not +-1. *)
+  let n_lo = Array.make dim 0 and n_up = Array.make dim 0 in
+  let nonunit_lo = Array.make dim 0 and nonunit_up = Array.make dim 0 in
+  List.iter
+    (fun (c : Constr.t) ->
+      let coeffs = (c.aff : Affine.t).coeffs in
+      for k = 0 to dim - 1 do
+        let ck = coeffs.(k) in
+        match B.sign ck with
+        | 0 -> ()
+        | 1 ->
+          n_lo.(k) <- n_lo.(k) + 1;
+          if not (B.equal ck B.one) then nonunit_lo.(k) <- nonunit_lo.(k) + 1
+        | _ ->
+          n_up.(k) <- n_up.(k) + 1;
+          if not (B.equal ck B.minus_one) then
+            nonunit_up.(k) <- nonunit_up.(k) + 1
+      done)
+    ges;
+  let choice = ref (-1) and exact = ref false and cost = ref 0 in
+  for k = 0 to dim - 1 do
+    if n_lo.(k) + n_up.(k) > 0 then begin
+      let e = nonunit_lo.(k) = 0 || nonunit_up.(k) = 0 in
+      let c = n_lo.(k) * n_up.(k) in
+      let better =
+        if !choice < 0 then true else if e <> !exact then e else c < !cost
       in
-      (exact, List.length lowers * List.length uppers, k)
-    in
-    let choice =
-      List.fold_left
-        (fun best k ->
-          let (exact, cost, _) as m = measure k in
-          match best with
-          | None -> Some m
-          | Some (be, bc, _) ->
-            if exact <> be then if exact then Some m else best
-            else if cost < bc then Some m
-            else best)
-        None vars
-    in
-    let exact, cost, k = Option.get choice in
+      if better then begin
+        choice := k;
+        exact := e;
+        cost := c
+      end
+    end
+  done;
+  if !choice < 0 then true (* non-trivial constant constraints were filtered *)
+  else
+    let k = !choice and exact = !exact and cost = !cost in
     let { lowers; uppers; rest } = split_on ges k in
     (* The FM elimination the solver drives is where the constraint count
        explodes, so fuel is charged proportionally to the pair combinations
@@ -435,13 +582,13 @@ and solve_ineqs ctx bgt dim names ges =
         lowers
     in
     let no_slack _ _ = B.zero in
-    if exact then solve ctx bgt dim names (combine no_slack @ rest)
+    if exact then solve ctx bgt dim (combine no_slack @ rest)
     else begin
       let real = combine no_slack in
-      if not (solve ctx bgt dim names (real @ rest)) then false
+      if not (solve ctx bgt dim (real @ rest)) then false
       else begin
         let dark_slack a b = B.mul (B.pred a) (B.pred b) in
-        if solve ctx bgt dim names (combine dark_slack @ rest) then true
+        if solve ctx bgt dim (combine dark_slack @ rest) then true
         else begin
           (* Splinter: any integer solution has some lower bound b*x >= l
              with b*x <= l + (b*amax - b - amax)/amax. *)
@@ -468,7 +615,7 @@ and solve_ineqs ctx bgt dim names ges =
                             l)
                          (B.neg i))
                   in
-                  if solve ctx bgt dim names (eq :: ges) then true
+                  if solve ctx bgt dim (eq :: ges) then true
                   else try_i (B.succ i)
                 end
               in
@@ -478,6 +625,19 @@ and solve_ineqs ctx bgt dim names ges =
       end
     end
 
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* Immediates are written digit by digit; the rare boxed value, [min_int]
+   included, through [B.to_string]. *)
+let add_bigint buf x =
+  match B.to_int_opt x with
+  | Some n when n > min_int ->
+    if n < 0 then Buffer.add_char buf '-';
+    add_digits buf (abs n)
+  | _ -> Buffer.add_string buf (B.to_string x)
+
 (* Canonical cache key: each constraint is normalized (gcd-divided,
    integer-tightened) and rendered sparsely as kind + (index, coefficient)
    pairs + constant; the renderings are sorted and deduplicated.  Two
@@ -486,19 +646,22 @@ and solve_ineqs ctx bgt dim names ges =
    render away) share a key, and satisfiability is invariant under all
    four, so a cached verdict is exact. *)
 let canonical_key s =
+  let buf = Buffer.create 64 in
   let render (c : Constr.t) =
     let c = Constr.normalize c in
-    let buf = Buffer.create 32 in
+    Buffer.clear buf;
     Buffer.add_char buf (match c.kind with Constr.Eq -> 'e' | Constr.Ge -> 'g');
-    List.iter
-      (fun i ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (string_of_int i);
-        Buffer.add_char buf ':';
-        Buffer.add_string buf (B.to_string (Affine.coeff c.aff i)))
-      (Affine.vars c.aff);
+    Array.iteri
+      (fun i x ->
+        if not (B.is_zero x) then begin
+          Buffer.add_char buf ' ';
+          add_digits buf i;
+          Buffer.add_char buf ':';
+          add_bigint buf x
+        end)
+      (c.aff : Affine.t).coeffs;
     Buffer.add_char buf '|';
-    Buffer.add_string buf (B.to_string (Affine.const_of c.aff));
+    add_bigint buf c.aff.const;
     Buffer.contents buf
   in
   String.concat ";"
@@ -537,7 +700,7 @@ let solve_sys ctx ~query_index s =
     in
     bump ()
   in
-  match solve ctx bgt (System.dim s) (System.names s) (System.constraints s) with
+  match solve ctx bgt (System.dim s) (System.constraints s) with
   | sat ->
     account ();
     if sat then Sat else Unsat

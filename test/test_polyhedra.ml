@@ -53,7 +53,50 @@ let test_constr_normalize () =
   Alcotest.(check bool) "tighten" true (A.equal c.C.aff (aff [ 1; 2; 0 ] (-3)));
   (* equality with non-dividing content stays (caught as unsat by Omega) *)
   let e = C.normalize (C.eq (aff [ 2; 4; 0 ] 1)) in
-  Alcotest.(check bool) "eq kept" true (A.equal e.C.aff (aff [ 2; 4; 0 ] 1))
+  Alcotest.(check bool) "eq kept" true (A.equal e.C.aff (aff [ 2; 4; 0 ] 1));
+  (* The content is computed on native ints when every coefficient is
+     immediate and on Bigint otherwise; 2^62 is the smallest boxed
+     magnitude.  Each case goes through Constr.normalize and through the
+     solver's own normalization. *)
+  let decide cs = Omega.decide ~ctx:(Omega.Ctx.create ()) (S.make [| "x"; "y" |] cs) in
+  let verdict =
+    Alcotest.testable
+      (fun fmt v ->
+        Format.pp_print_string fmt
+          (match v with
+          | Omega.Sat -> "sat"
+          | Omega.Unsat -> "unsat"
+          | Omega.Unknown r -> "unknown " ^ r))
+      ( = )
+  in
+  let p62 = B.pow B.two 62 in
+  let form coeffs const = A.make (Array.of_list coeffs) const in
+  let zero_ge_one = C.ge (A.of_int 2 (-1)) and zero_ge_minus_one = C.ge (A.of_int 2 1) in
+  Alcotest.(check bool) "0 >= 1 is left alone" true
+    (C.equal (C.normalize zero_ge_one) zero_ge_one);
+  Alcotest.check verdict "0 >= 1" Omega.Unsat (decide [ zero_ge_one ]);
+  Alcotest.check verdict "0 >= -1" Omega.Sat (decide [ zero_ge_minus_one ]);
+  let wide_ge = C.ge (form [ p62; p62 ] B.minus_one) in
+  Alcotest.(check bool) "2^62 x + 2^62 y >= 1 tightens to x + y >= 1" true
+    (A.equal (C.normalize wide_ge).C.aff (A.of_ints [ 1; 1 ] (-1)));
+  Alcotest.check verdict "2^62 x + 2^62 y >= 1" Omega.Sat (decide [ wide_ge ]);
+  let wide_eq = C.eq (form [ p62; B.zero ] B.minus_one) in
+  Alcotest.(check bool) "2^62 x = 1 is left alone" true
+    (C.equal (C.normalize wide_eq) wide_eq);
+  Alcotest.check verdict "2^62 x = 1" Omega.Unsat (decide [ wide_eq ]);
+  let p62x3 = B.mul (B.of_int 3) p62 in
+  let scaled_eq = C.eq (form [ p62x3; B.zero ] (B.neg p62x3)) in
+  Alcotest.(check bool) "3*2^62 x = 3*2^62 divides to x = 1" true
+    (A.equal (C.normalize scaled_eq).C.aff (A.of_ints [ 1; 0 ] (-1)));
+  Alcotest.check verdict "3*2^62 x = 3*2^62" Omega.Sat (decide [ scaled_eq ]);
+  (* min_int is boxed, yet Bigint.to_int_opt maps it to a native int whose
+     abs is negative: a native gcd over to_int_opt values gets these wrong
+     unless it leaves min_int to the Bigint path *)
+  let content coeffs = B.to_string (A.content (form coeffs B.zero)) in
+  Alcotest.(check string) "content [min_int; 6]" "2"
+    (content [ B.of_int min_int; B.of_int 6 ]);
+  Alcotest.(check string) "content [min_int; 0]" "4611686018427387904"
+    (content [ B.of_int min_int; B.zero ])
 
 let test_constr_satisfied () =
   let c = C.ge_of (A.var 3 0) (A.var 3 1) in
@@ -421,13 +464,47 @@ let wide_system rng ~dim =
   in
   S.make (Array.sub [| "x"; "y"; "z" |] 0 dim) (cs @ box)
 
+(* Systems on which the interval pre-pass leaves any native range the
+   solver's integer kernels accept, so it runs again on Bigint.  Each comes
+   with its verdict.  The first five have coefficients or constants near
+   2^61, which no native layout holds.  The last two have every input within
+   2^30, but their second sweep propagates y >= 2^31, so a native attempt
+   is abandoned after it has run a full sweep. *)
+let rerun_systems =
+  let big = 1 lsl 61 in
+  let x = A.var 2 0 and y = A.var 2 1 and k c = A.of_int 2 c in
+  let box =
+    [ C.ge_of x (k (-4)); C.le_of x (k 4); C.ge_of y (k (-4)); C.le_of y (k 4) ]
+  in
+  (* (2^61 + 1)x - (2^61 - 1)y = 2^61(x - y) + x + y, which is c inside the
+     box only when x = y and 2x = c *)
+  let wide c = C.eq (A.of_ints [ big + 1; -(big - 1) ] (-c)) in
+  (* y >= 2^29 x, listed first so that x >= 4 is known only in sweep 2 *)
+  let grows = C.ge (A.of_ints [ -(1 lsl 29); 1 ] 0) in
+  [ ([ C.ge_of x (k big); C.le_of x (k (big + 2)); C.eq_of x (A.scale_int 2 y) ],
+     Omega.Sat);
+    (* 2^61 = 2 mod 3, so [2^61 + 2, 2^61 + 3] holds no multiple of 3 *)
+    ([ C.ge (A.of_ints [ 3; 0 ] (-(big + 2))); C.ge (A.of_ints [ -3; 0 ] (big + 3)) ],
+     Omega.Unsat);
+    ([ C.ge (A.of_ints [ 3; 0 ] (-big)); C.ge (A.of_ints [ -3; 0 ] (big + 1)) ],
+     Omega.Sat);
+    (wide 2 :: box, Omega.Sat);
+    (wide 3 :: box, Omega.Unsat);
+    ([ grows; C.ge_of x (k 4); C.le_of x (k 4) ], Omega.Sat);
+    ([ grows; C.ge_of x (k 4); C.le_of y (k (1 lsl 30)) ], Omega.Unsat) ]
+
+(* The solver's work is pinned as well as its verdicts: the totals below
+   are those of commit 67c6685, whose interval pre-pass ran on Bigint
+   alone, computed on a checkout of it.  A native kernel whose exact re-run
+   charged a sweep twice, or gave up at another point, moves them. *)
 let test_omega_wide_coefficients () =
+  let ctx = Omega.Ctx.create () in
   let sat = ref 0 and unsat = ref 0 in
   for seed = 1 to 150 do
     let rng = Fuzzing.Rng.create seed in
     let sys = wide_system rng ~dim:(2 + Fuzzing.Rng.int rng 2) in
     let brute = Fuzzing.Brute.feasible sys ~bound:4 <> None in
-    match Omega.decide ~ctx:(Omega.Ctx.create ()) sys with
+    match Omega.decide ~ctx sys with
     | Omega.Unknown r -> Alcotest.failf "gave up (%s) at seed %d" r seed
     | v ->
       if (v = Omega.Sat) <> brute then
@@ -435,7 +512,16 @@ let test_omega_wide_coefficients () =
           seed (Format.asprintf "%a" S.pp sys);
       incr (if brute then sat else unsat)
   done;
-  Alcotest.(check bool) "both verdicts occur" true (!sat > 0 && !unsat > 0)
+  Alcotest.(check bool) "both verdicts occur" true (!sat > 0 && !unsat > 0);
+  List.iteri
+    (fun i (cs, expect) ->
+      let v = Omega.decide ~ctx (S.make [| "x"; "y" |] cs) in
+      if v <> expect then Alcotest.failf "re-run system %d: wrong verdict" i;
+      incr (if v = Omega.Sat then sat else unsat))
+    rerun_systems;
+  Alcotest.(check (list int)) "sat, unsat, fuel, splinters"
+    [ 110; 47; 3998; 27 ]
+    [ !sat; !unsat; Omega.Ctx.fuel_spent ctx; Omega.Ctx.splinters ctx ]
 
 (* --- budget soundness: three-valued verdicts never lie ---
 
@@ -450,7 +536,11 @@ let decide_exact ~seed sys =
   | Omega.Unknown r ->
     Alcotest.failf "unbudgeted solver gave up (%s) at seed %d" r seed
 
+(* Under fuel 1, 5 and 20 the totals pin where each query gives up; they
+   are those of commit 67c6685, computed on a checkout of it, like the wide
+   coefficient totals above. *)
 let test_budget_soundness_sampled () =
+  let tight = List.map (fun f -> (f, Omega.Ctx.create ~fuel:f ())) [ 1; 5; 20 ] in
   for seed = 1 to 250 do
     let rng = Fuzzing.Rng.create seed in
     let dim = 2 + Fuzzing.Rng.int rng 3 in
@@ -463,14 +553,24 @@ let test_budget_soundness_sampled () =
     | v ->
       if v <> exact then
         Alcotest.failf "generous budget flipped the verdict at seed %d" seed);
-    (* starved fuel: Unknown "fuel" or exact agreement, never a flip *)
-    (match Omega.decide ~ctx:(Omega.Ctx.create ~fuel:1 ()) sys with
-    | Omega.Unknown reason ->
-      Alcotest.(check string) "starved reason" "fuel" reason
-    | v ->
-      if v <> exact then
-        Alcotest.failf "starved budget flipped the verdict at seed %d" seed)
-  done
+    (* tight fuel: Unknown "fuel" or exact agreement, never a flip *)
+    List.iter
+      (fun (fuel, ctx) ->
+        match Omega.decide ~ctx sys with
+        | Omega.Unknown reason ->
+          Alcotest.(check string) "starved reason" "fuel" reason
+        | v ->
+          if v <> exact then
+            Alcotest.failf "fuel %d flipped the verdict at seed %d" fuel seed)
+      tight
+  done;
+  Alcotest.(check (list (list int))) "fuel, splinters, Unknown per cap"
+    [ [ 475; 0; 225 ]; [ 1359; 0; 203 ]; [ 3817; 0; 92 ] ]
+    (List.map
+       (fun (_, ctx) ->
+         [ Omega.Ctx.fuel_spent ctx; Omega.Ctx.splinters ctx;
+           Omega.Ctx.unknowns ctx ])
+       tight)
 
 let test_budget_zero_fuel_always_unknown () =
   let sys = Fuzzing.Gen.system (Fuzzing.Rng.create 7) ~dim:3 in
