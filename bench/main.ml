@@ -35,19 +35,17 @@ let die msg =
   prerr_endline ("bench: " ^ msg ^ " (try --help)");
   exit 2
 
-(* Flags come from the shared {!Cli} module: --quick, --json, --domains,
-   --timeout-ms and --fuel spell the same as in shacklec and fuzz.  The
-   budget pair is applied process-wide via [Omega.set_default_budget], so
-   every solver context the figures build inherits it. *)
+(* Flags come from the shared {!Cli} module: --quick, --json and
+   --domains spell the same as in shacklec and fuzz.  There is no solver
+   budget: every figure must decide every query exactly, or its rows would
+   drift from the committed golden. *)
 let parse_args argv =
   let quick = ref false and json = ref None and figures = ref [] in
   let domains = ref 1 in
   let check_json = ref None and diff_json = ref None in
   let list_figures = ref false in
-  let timeout_ms = ref None and fuel = ref None in
   let specs =
     [ Cli.quick quick; Cli.json json;
-      Cli.timeout_ms timeout_ms; Cli.fuel fuel;
       Cli.string_list "--figure" ~docv:"ID"
         ~doc:"run only figure ID (repeatable; see --list-figures)" figures;
       Cli.domains domains;
@@ -62,7 +60,6 @@ let parse_args argv =
   (match Cli.parse ~prog:"bench" ~specs (List.tl (Array.to_list argv)) with
   | Ok () -> ()
   | Error msg -> die msg);
-  Polyhedra.Omega.set_default_budget ?fuel:!fuel ?timeout_ms:!timeout_ms ();
   { quick = !quick;
     json = !json;
     figures = !figures;
@@ -76,15 +73,7 @@ let parse_args argv =
 (* ------------------------------------------------------------------ *)
 
 let load_json path =
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "bench: %s: no such file\n" path;
-    exit 1
-  end;
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let raw = really_input_string ic len in
-  close_in ic;
-  match Json.of_string raw with
+  match Result.bind (Cli.read_file path) Json.of_string with
   | Error msg ->
     Printf.eprintf "bench: %s: %s\n" path msg;
     exit 1

@@ -13,39 +13,30 @@
    Exit status 0 when every failure was injected by the fault plan (an
    injected campaign that fails only where told to is a success), 1 on any
    unexpected failure, 2 on usage errors.  Flags come from the shared
-   {!Cli} module, so --seeds, --seed, --quick, --json, --domains,
-   --timeout-ms and --fuel spell the same as in shacklec and bench. *)
+   {!Cli} module, so --seeds, --seed, --quick, --json and --domains spell
+   the same as in shacklec and bench, and --timeout-ms and --fuel as in
+   shacklec and shackled. *)
 
 (* --check-json: one shared implementation (the Report registry), same
    exit discipline as `shacklec tune --check-json` and `bench
    --check-json`: 0 valid, 1 invalid or unreadable. *)
 let validate_report file =
-  if not (Sys.file_exists file) then begin
-    Printf.eprintf "fuzz: %s: no such file\n" file;
+  match Result.bind (Cli.read_file file) Observe.Json.of_string with
+  | Error msg ->
+    Printf.eprintf "fuzz: %s: %s\n" file msg;
     1
-  end
-  else begin
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let raw = really_input_string ic len in
-    close_in ic;
-    match Observe.Json.of_string raw with
-    | Error msg ->
-      Printf.eprintf "fuzz: %s: %s\n" file msg;
+  | Ok j -> (
+    match Report.check j with
+    | Ok tag when String.equal tag Report.fuzz_report ->
+      Printf.printf "%s: valid %s\n" file tag;
+      0
+    | Ok tag ->
+      Printf.eprintf "fuzz: %s: schema %S, expected %S\n" file tag
+        Report.fuzz_report;
       1
-    | Ok j -> (
-      match Report.check j with
-      | Ok tag when String.equal tag Report.fuzz_report ->
-        Printf.printf "%s: valid %s\n" file tag;
-        0
-      | Ok tag ->
-        Printf.eprintf "fuzz: %s: schema %S, expected %S\n" file tag
-          Report.fuzz_report;
-        1
-      | Error e ->
-        Printf.eprintf "fuzz: %s: schema error: %s\n" file e;
-        1)
-  end
+    | Error e ->
+      Printf.eprintf "fuzz: %s: schema error: %s\n" file e;
+      1)
 
 let () =
   let seeds = ref 50 in

@@ -102,11 +102,14 @@ let with_kernel ~prog cell k =
     Printf.eprintf "%s: expects a KERNEL argument (try --help)\n" prog;
     2
 
-let read_file file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Runs [k] on the text of a user-named input file, or says why it could
+   not be read. *)
+let with_file ~prog file k =
+  match Cli.read_file file with
+  | Ok text -> k text
+  | Error reason ->
+    Printf.eprintf "%s: %s: %s\n" prog file reason;
+    1
 
 let write_file file text =
   let oc = open_out file in
@@ -600,34 +603,34 @@ let parse_cmd =
           | None ->
             Printf.eprintf "%s: expects a FILE argument (try --help)\n" prog;
             2
-          | Some file -> begin
-            match !connect with
-            | Some addr ->
-              remote_rpc ~prog addr
-                (Server.Proto.Parse { text = read_file file })
-                (function
-                  | Server.Proto.R_parsed { pretty; deps } ->
-                    print_string pretty;
-                    Printf.printf "\n%d dependences\n" deps;
+          | Some file ->
+            with_file ~prog file (fun text ->
+                match !connect with
+                | Some addr ->
+                  remote_rpc ~prog addr (Server.Proto.Parse { text })
+                    (function
+                      | Server.Proto.R_parsed { pretty; deps } ->
+                        print_string pretty;
+                        Printf.printf "\n%d dependences\n" deps;
+                        0
+                      | _ ->
+                        Printf.eprintf "%s: unexpected reply\n" prog;
+                        1)
+                | None -> begin
+                  match Pipeline.parse text with
+                  | Error msg ->
+                    Printf.eprintf "%s: %s\n" file msg;
+                    1
+                  | Ok pipe ->
+                    print_string
+                      (Ast.program_to_string (Pipeline.program pipe));
+                    let deps = Pipeline.deps pipe in
+                    Printf.printf "\n%d dependences:\n" (List.length deps);
+                    List.iter
+                      (fun d -> Format.printf "  %a@." Dependence.Dep.pp d)
+                      deps;
                     0
-                  | _ ->
-                    Printf.eprintf "%s: unexpected reply\n" prog;
-                    1)
-            | None -> begin
-              match Pipeline.parse (read_file file) with
-              | Error msg ->
-                Printf.eprintf "%s: %s\n" file msg;
-                1
-              | Ok pipe ->
-                print_string (Ast.program_to_string (Pipeline.program pipe));
-                let deps = Pipeline.deps pipe in
-                Printf.printf "\n%d dependences:\n" (List.length deps);
-                List.iter
-                  (fun d -> Format.printf "  %a@." Dependence.Dep.pp d)
-                  deps;
-                0
-            end
-          end))
+                end)))
 
 let tune_cmd =
   Cli.cmd "tune"
@@ -672,21 +675,21 @@ let tune_cmd =
       in
       Cli.run ~prog ~positional:(kernel_positional kernel) ~specs args (fun () ->
           match !check_json with
-          | Some file -> begin
-            match Json.of_string (read_file file) with
-            | Error msg ->
-              Printf.eprintf "%s: %s: invalid JSON: %s\n" prog file msg;
-              1
-            | Ok j -> begin
-              match Tune.check_report_json j with
-              | Ok () ->
-                Printf.printf "%s: valid %s\n" file Report.tune_report;
-                0
-              | Error msg ->
-                Printf.eprintf "%s: %s: %s\n" prog file msg;
-                1
-            end
-          end
+          | Some file ->
+            with_file ~prog file (fun text ->
+                match Json.of_string text with
+                | Error msg ->
+                  Printf.eprintf "%s: %s: invalid JSON: %s\n" prog file msg;
+                  1
+                | Ok j -> begin
+                  match Tune.check_report_json j with
+                  | Ok () ->
+                    Printf.printf "%s: valid %s\n" file Report.tune_report;
+                    0
+                  | Error msg ->
+                    Printf.eprintf "%s: %s: %s\n" prog file msg;
+                    1
+                end)
           | None ->
             with_kernel ~prog kernel (fun ((name, p) as k) ->
                 let sizes =

@@ -236,29 +236,19 @@ let compact_cmd args =
    and the registry dispatches on the tag. *)
 let check_json_cmd args =
   match args with
-  | [ file ] ->
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf "shackled: %s: no such file\n" file;
+  | [ file ] -> (
+    match Result.bind (Cli.read_file file) Json.of_string with
+    | Error msg ->
+      Printf.eprintf "shackled: %s: %s\n" file msg;
       1
-    end
-    else begin
-      let ic = open_in_bin file in
-      let len = in_channel_length ic in
-      let raw = really_input_string ic len in
-      close_in ic;
-      match Json.of_string raw with
+    | Ok j -> (
+      match Report.check j with
+      | Ok tag ->
+        Printf.printf "shackled: %s: valid %s\n" file tag;
+        0
       | Error msg ->
         Printf.eprintf "shackled: %s: %s\n" file msg;
-        1
-      | Ok j -> (
-        match Report.check j with
-        | Ok tag ->
-          Printf.printf "shackled: %s: valid %s\n" file tag;
-          0
-        | Error msg ->
-          Printf.eprintf "shackled: %s: %s\n" file msg;
-          1)
-    end
+        1))
   | _ ->
     prerr_endline "usage: shackled check-json FILE";
     2
@@ -371,7 +361,9 @@ let replay_cmd args =
         | Some file -> (
           match R.load_trace file with
           | Ok t -> t
-          | Error msg -> failwith msg)
+          | Error msg ->
+            Printf.eprintf "shackled replay: %s\n" msg;
+            exit 1)
         | None ->
           R.gen_trace ~seed:!seed ~clients:!clients ~requests:!requests
             ~pool:(replay_pool ~budget_ms:!budget_ms)

@@ -13,12 +13,13 @@ let () =
   print_endline "--- ADI input code (Figure 14(i)) ---";
   print_string (Ast.program_to_string prog);
 
+  let pipe = Pipeline.create prog in
   let spec = Experiments.Specs.adi_fused () in
-  (match Shackle.Legality.check prog spec with
+  (match Pipeline.check pipe spec with
    | Shackle.Legality.Legal -> print_endline "\n1x1 storage-order shackle: LEGAL"
    | Shackle.Legality.Illegal _ | Shackle.Legality.Unknown _ ->
      print_endline "\nshackle: ILLEGAL");
-  let fused = Codegen.Tighten.generate prog spec in
+  let fused = Pipeline.codegen pipe spec in
   print_endline "--- transformed code (Figure 14(ii)) ---";
   print_string (Ast.program_to_string fused);
 

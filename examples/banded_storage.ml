@@ -13,12 +13,13 @@ let () =
   print_endline "--- banded right-looking Cholesky (point code) ---";
   print_string (Ast.program_to_string prog);
 
+  let pipe = Pipeline.create prog in
   let spec = Experiments.Specs.cholesky_banded_write ~size:32 in
-  (match Shackle.Legality.check prog spec with
+  (match Pipeline.check pipe spec with
    | Shackle.Legality.Legal -> print_endline "\nwrite shackle: LEGAL"
    | Shackle.Legality.Illegal _ | Shackle.Legality.Unknown _ ->
      print_endline "\nwrite shackle: ILLEGAL");
-  let blocked = Codegen.Tighten.generate prog spec in
+  let blocked = Pipeline.codegen pipe spec in
 
   let n = 300 in
   List.iter

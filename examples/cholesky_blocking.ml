@@ -10,6 +10,7 @@ module Span = Shackle.Span
 
 let () =
   let prog = Kernels.Builders.cholesky_right () in
+  let pipe = Pipeline.create prog in
   print_endline "--- right-looking Cholesky (Figure 1(ii)) ---";
   print_string (Ast.program_to_string prog);
 
@@ -32,13 +33,13 @@ let () =
              choices)
       in
       Printf.printf "%-55s %s\n%!" label
-        (if Legality.is_legal prog spec then "legal" else "ILLEGAL"))
-    (Legality.enumerate_choices prog ~array:"A");
+        (if Pipeline.is_legal pipe spec then "legal" else "ILLEGAL"))
+    (Pipeline.choices pipe ~array:"A");
 
   (* The write shackle produces the partially blocked Figure 7 code. *)
   let write_spec = Specs.cholesky_write ~size:64 in
   print_endline "\n--- write shackle, generated code (Figure 7) ---";
-  print_string (Ast.program_to_string (Codegen.Tighten.generate prog write_spec));
+  print_string (Ast.program_to_string (Pipeline.codegen pipe write_spec));
 
   (* Theorem 2 explains why it is only partial: S3's reads are not bounded
      by the block. *)
@@ -56,7 +57,7 @@ let () =
   let full = Specs.cholesky_fully_blocked ~size:64 in
   Printf.printf "fully constrained after the product: %b\n"
     (Span.fully_constrained prog full);
-  (match Legality.check prog full with
+  (match Pipeline.check pipe full with
    | Legality.Legal -> print_endline "product shackle is LEGAL"
    | Legality.Illegal _ | Legality.Unknown _ ->
      print_endline "product shackle is ILLEGAL");
@@ -64,7 +65,7 @@ let () =
   (* Verify and simulate. *)
   let n = 120 in
   let init = Kernels.Inits.for_kernel "cholesky_right" ~n in
-  let blocked = Codegen.Tighten.generate prog full in
+  let blocked = Pipeline.codegen pipe full in
   Printf.printf "max |difference| at N=%d: %g\n" n
     (Exec.Verify.max_diff prog blocked ~params:[ ("N", n) ] ~init);
   let n = 240 in

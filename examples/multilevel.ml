@@ -9,12 +9,13 @@ module Specs = Experiments.Specs
 
 let () =
   let prog = Kernels.Builders.matmul () in
+  let pipe = Pipeline.create prog in
   let two_level = Specs.matmul_two_level ~outer:96 ~inner:16 in
-  (match Shackle.Legality.check prog two_level with
+  (match Pipeline.check pipe two_level with
    | Shackle.Legality.Legal -> print_endline "two-level product: LEGAL"
    | Shackle.Legality.Illegal _ | Shackle.Legality.Unknown _ ->
      print_endline "two-level product: ILLEGAL");
-  let blocked = Codegen.Tighten.generate prog two_level in
+  let blocked = Pipeline.codegen pipe two_level in
   print_endline "--- two-level blocked matmul (Figure 10 shape) ---";
   print_string (Ast.program_to_string blocked);
 
@@ -26,7 +27,7 @@ let () =
 
   (* On a machine with two cache levels, one-level blocking helps the level
      it targets; the product of products helps both. *)
-  let one_level = Codegen.Tighten.generate prog (Specs.matmul_ca ~size:96) in
+  let one_level = Pipeline.codegen pipe (Specs.matmul_ca ~size:96) in
   let sim p =
     Model.simulate ~machine:Model.two_level ~quality:Model.untuned p
       ~params:[ ("N", n) ] ~init

@@ -28,8 +28,11 @@ let () =
         [ ("S1", Fexpr.ref_ "A" [ E.var "I"; E.var "K" ]) ] ]
   in
 
-  (* 3. Theorem 1: every dependence must see its blocks in order. *)
-  (match Shackle.Legality.check prog spec with
+  (* 3. Theorem 1: every dependence must see its blocks in order.  A
+     pipeline charges its dependence analysis, legality test and codegen
+     to one solver context of its own. *)
+  let pipe = Pipeline.create prog in
+  (match Pipeline.check pipe spec with
    | Shackle.Legality.Legal -> print_endline "\nshackle is LEGAL"
    | Shackle.Legality.Illegal _ | Shackle.Legality.Unknown _ ->
      print_endline "\nshackle is ILLEGAL");
@@ -39,7 +42,7 @@ let () =
     (Shackle.Span.fully_constrained prog spec);
 
   (* 5. Generate blocked code (the paper's Figure 3). *)
-  let blocked = Codegen.Tighten.generate prog spec in
+  let blocked = Pipeline.codegen pipe spec in
   print_endline "\n--- generated blocked code ---";
   print_string (Ast.program_to_string blocked);
 

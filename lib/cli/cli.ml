@@ -1,4 +1,5 @@
-(* Shared flag parsing for the repo's executables (shacklec, fuzz, bench).
+(* Shared flag parsing and input-file reading for the repo's executables
+   (shacklec, fuzz, bench, shackled).
 
    Each executable used to hand-roll its own parser, and the common flags
    (--domains, --json, --quick, --seed) had drifted toward three spellings
@@ -120,7 +121,10 @@ let seeds cell =
   int "--seeds" ~docv:"N" ~doc:"number of consecutive seeds to run" cell
 
 (* The resource-budget pair is spelled once, here, so "--timeout-ms MS" and
-   "--fuel F" mean exactly the same thing in shacklec, fuzz and bench. *)
+   "--fuel F" mean exactly the same thing in shacklec, fuzz and shackled.
+   Each command passes the values to the solver contexts it creates;
+   bench takes neither, because a query that gives up would change the
+   rows its golden pins. *)
 
 let timeout_ms cell =
   int_opt "--timeout-ms" ~docv:"MS"
@@ -169,6 +173,30 @@ let cache_dir cell =
 let connect cell =
   string_opt "--connect" ~docv:"PATH"
     ~doc:"send the request to a running shackled daemon at this socket" cell
+
+(* ------------------------------------------------------------------ *)
+(* Input files                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every input file a user names (a program, a report to validate, a
+   replay trace) is read through here, so a missing path, a directory or
+   an unreadable file ends in one "PROG: FILE: reason" line and exit
+   status 1, never an exception.  The reason omits the path, which the
+   caller prints. *)
+let read_file path =
+  let without_path msg =
+    let prefix = path ^ ": " in
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix)
+        (String.length msg - String.length prefix)
+    else msg
+  in
+  match
+    if Sys.is_directory path then Error "Is a directory"
+    else Ok (In_channel.with_open_bin path In_channel.input_all)
+  with
+  | result -> result
+  | exception Sys_error msg -> Error (without_path msg)
 
 (* ------------------------------------------------------------------ *)
 (* Usage text and parsing                                              *)

@@ -266,13 +266,10 @@ let prune_union ~keep_if_dominates ctx names pieces =
 (* The generator                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let generate ?(collapse = true) ?(stages = []) ?solver prog spec =
+let generate ?(collapse = true) ?(stages = []) ~solver prog spec =
   (match Spec.validate prog spec with
    | Ok () -> ()
    | Error e -> invalid_arg ("Codegen.Tighten.generate: " ^ e));
-  let solver =
-    match solver with Some c -> c | None -> Omega.Ctx.default
-  in
   let coord_names = Spec.coord_names spec in
   let m = List.length coord_names in
   let pc = List.length prog.Ast.params in

@@ -13,7 +13,7 @@
 val generate :
   ?collapse:bool ->
   ?stages:Loopir.Stages.stage list ->
-  ?solver:Polyhedra.Omega.Ctx.t ->
+  solver:Polyhedra.Omega.Ctx.t ->
   Loopir.Ast.program ->
   Shackle.Spec.t ->
   Loopir.Ast.program
@@ -22,8 +22,9 @@ val generate :
     affine point, as the paper does for the ADI kernel (Figure 14).  The
     post-pass is {!Loopir.Stages.tighten_pipeline} followed by [stages]
     (default none) — extra named stages composed after the standard ones.
-    [solver] is the context charged for the Omega pruning queries (default
-    [Omega.Ctx.default]); the generated program does not depend on it. *)
+    [solver] is the context charged for the Omega pruning queries
+    ({!Pipeline.codegen} passes the pipeline's own); the generated program
+    does not depend on it. *)
 
 val stats : Loopir.Ast.program -> int * int
 (** (loops, guards) in a generated program — used by tests and benches to

@@ -69,7 +69,7 @@ let dedup_refs refs =
     [] refs
   |> List.rev
 
-let analyze ?(params = []) ?ctx (prog : Ast.program) =
+let analyze ?(params = []) ~ctx (prog : Ast.program) =
   let stmts = Ast.statements prog in
   let param_positive sp =
     List.init sp.param_count (fun i ->
@@ -136,7 +136,7 @@ let analyze ?(params = []) ?ctx (prog : Ast.program) =
                       List.filter_map
                         (fun prec ->
                           let sys = S.add_list with_conflict prec in
-                          if Omega.satisfiable ?ctx sys then Some sys else None)
+                          if Omega.satisfiable ~ctx sys then Some sys else None)
                         precedence_disjuncts
                     in
                     if disjuncts <> [] then

@@ -37,14 +37,14 @@ val dst_var : pair_space -> int -> int
 
 val analyze :
   ?params:(string * int) list ->
-  ?ctx:Polyhedra.Omega.Ctx.t ->
+  ctx:Polyhedra.Omega.Ctx.t ->
   Loopir.Ast.program ->
   t list
 (** All flow, anti and output dependences of the program.  [params] fixes
     symbolic parameters to concrete values (e.g. [("N", 100)]); unfixed
     parameters are left symbolic, constrained only to be >= 1.  [ctx] is
-    the solver context charged for the disjunct-realizability queries
-    (default: the process-global [Omega.Ctx.default]). *)
+    the solver context charged for the disjunct-realizability queries;
+    {!Pipeline.deps} passes the pipeline's own. *)
 
 val kind_string : kind -> string
 val pp : Format.formatter -> t -> unit

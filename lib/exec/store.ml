@@ -154,6 +154,3 @@ let max_abs_diff a b =
         x.data;
       !m)
     0.0 (arrays a) (arrays b)
-
-let total_elements t =
-  List.fold_left (fun acc a -> acc + Array.length a.data) 0 (arrays t)

@@ -50,5 +50,4 @@ val max_abs_diff : t -> t -> float
 (** Largest elementwise difference across all arrays (both stores must have
     the same shape). *)
 
-val total_elements : t -> int
 val arrays : t -> arr list

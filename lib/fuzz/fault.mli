@@ -30,8 +30,6 @@ val parse : string -> (plan, string) result
 val to_string : plan -> string
 (** Canonical text accepted by {!parse} (round-trips). *)
 
-val actions : plan -> seed:int -> action list
-
 val restrict : plan -> seed:int -> plan
 (** The sub-plan with only this seed's faults — what a single-seed repro
     command needs to pass to [--inject]. *)

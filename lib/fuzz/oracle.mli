@@ -102,8 +102,6 @@ type budget = {
   token : Runner.Token.t option;
 }
 
-val no_budget : budget
-
 type config = {
   ns : int list;  (** N values for the brute-force legality cross-check *)
   verify_ns : int list;  (** N values for execution equivalence *)

@@ -54,11 +54,6 @@ let loops_of ctx =
 
 let loop_vars ctx = List.map (fun (l : loop) -> l.var) (loops_of ctx)
 
-let guards_of ctx =
-  List.concat_map
-    (fun (_, e) -> match e with Eif gs -> gs | Eloop _ -> [])
-    ctx.trail
-
 let statements prog =
   let acc = ref [] in
   let rec go trail idx node =
@@ -70,13 +65,6 @@ let statements prog =
   in
   List.iteri (fun i n -> go [] i n) prog.body;
   List.rev !acc
-
-let find_stmt prog label =
-  match
-    List.find_opt (fun (_, s) -> String.equal s.label label) (statements prog)
-  with
-  | Some x -> x
-  | None -> raise Not_found
 
 let common_prefix c1 c2 =
   let rec go t1 t2 acc =
@@ -106,9 +94,6 @@ let arity_ok prog =
       && List.for_all ref_ok (Fexpr.reads s.rhs))
     (statements prog)
 
-let max_stmt_id prog =
-  List.fold_left (fun m (_, s) -> max m s.id) (-1) (statements prog)
-
 let rec rename_loop_var node from into =
   let rn_expr e = Expr.subst_var e from (Expr.var into) in
   let rn_guard g = { g with g_lhs = rn_expr g.g_lhs; g_rhs = rn_expr g.g_rhs } in
@@ -128,13 +113,6 @@ let rec rename_loop_var node from into =
         lo = rn_expr l.lo;
         hi = rn_expr l.hi;
         body = List.map (fun n -> rename_loop_var n from into) l.body }
-
-let rec map_node fn = function
-  | Stmt s -> Stmt (fn s)
-  | If (gs, body) -> If (gs, List.map (map_node fn) body)
-  | Loop l -> Loop { l with body = List.map (map_node fn) l.body }
-
-let map_statements fn prog = { prog with body = List.map (map_node fn) prog.body }
 
 let rel_string = function
   | Le -> "<="

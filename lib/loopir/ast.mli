@@ -47,17 +47,10 @@ type context = {
   stmt_index : int;  (** sibling index of the statement itself *)
 }
 
-val loops_of : context -> loop list
-(** Enclosing loops, outermost first. *)
-
 val loop_vars : context -> string list
-val guards_of : context -> guard list
 
 val statements : program -> (context * stmt) list
 (** All statements in textual order with their contexts. *)
-
-val find_stmt : program -> string -> context * stmt
-(** Lookup by label. @raise Not_found *)
 
 val common_prefix : context -> context -> entry list * (int * int)
 (** Shared enclosing nodes of two statements and the sibling indices at the
@@ -68,13 +61,10 @@ val arity_ok : program -> bool
 (** Every reference matches its array's declared rank, and every loop
     variable is fresh along its path. *)
 
-val max_stmt_id : program -> int
 val rename_loop_var : t -> string -> string -> t
-(** Capture-naive renaming, used by code generation on fresh names. *)
+(** Renames a loop variable, binder and occurrences alike; capture-free
+    because loop variables are unique along any path.  Tests use it to
+    build alpha-renamed programs. *)
 
-val map_statements : (stmt -> stmt) -> program -> program
-
-val pp_guard : Format.formatter -> guard -> unit
 val pp : Format.formatter -> t -> unit
-val pp_program : Format.formatter -> program -> unit
 val program_to_string : program -> string

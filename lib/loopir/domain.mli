@@ -16,14 +16,8 @@ val space_of : Ast.program -> Ast.context -> space
 val depth : space -> int
 (** Number of loop variables. *)
 
-val var_index : space -> string -> int
-
 val domain_of : Ast.program -> Ast.context -> Polyhedra.System.t
 (** @raise Not_affine on non-affine bounds or guards. *)
-
-val guard_constraints :
-  space -> Ast.guard list -> Polyhedra.Constr.t list
-(** @raise Not_affine *)
 
 val access : space -> Fexpr.ref_ -> Polyhedra.Affine.t list
 (** Affine forms of each subscript, over the space.
@@ -33,8 +27,3 @@ val access_matrix : Ast.program -> Ast.context -> Fexpr.ref_ -> Linalg.Mat.t
 (** The paper's data access matrix F (Theorem 2): rows are subscripts,
     columns are the enclosing loop variables; parameters and constants are
     dropped. *)
-
-val bound_constraints :
-  space -> string -> lo:Expr.t -> hi:Expr.t -> Polyhedra.Constr.t list
-(** Constraints [lo <= v <= hi], decomposing min/max bounds.
-    @raise Not_affine on divisions. *)

@@ -85,7 +85,8 @@ let rec lin_of (e : E.t) : lin =
 (* The prover                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let default_fuel = 2048
+(* Case splits one question may spend before it answers "not proved". *)
+let fuel_per_question = 2048
 
 (* The innermost fact variable carried by [l]; a loop's bounds mention only
    outer variables, so eliminating inside out is well-founded. *)
@@ -152,11 +153,9 @@ let rec prove fuel facts (l : lin) : bool =
       end
   end
 
-let ge0 ?(fuel = default_fuel) facts e = prove (ref fuel) facts (lin_of e)
-
-let le ?fuel facts a b = ge0 ?fuel facts (E.Sub (b, a))
-let ge ?fuel facts a b = le ?fuel facts b a
-let eq ?fuel facts a b = le ?fuel facts a b && le ?fuel facts b a
+let le facts a b = prove (ref fuel_per_question) facts (lin_of (E.Sub (b, a)))
+let ge facts a b = le facts b a
+let eq facts a b = le facts a b && le facts b a
 
 (* The difference [a - b] as an affine function of [var] alone:
    [Some (c, d)] when a - b = c*var + d exactly (after structural atom

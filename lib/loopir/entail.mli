@@ -18,14 +18,13 @@ type fact = { var : string; lo : Expr.t option; hi : Expr.t option }
 
 val fact : ?lo:Expr.t -> ?hi:Expr.t -> string -> fact
 
-val ge0 : ?fuel:int -> fact list -> Expr.t -> bool
-(** [ge0 facts e] — is [e >= 0] for every valuation consistent with
-    [facts]?  Fuel (default 2048) bounds case-splitting; exhaustion answers
-    [false]. *)
+val le : fact list -> Expr.t -> Expr.t -> bool
+(** [le facts a b] — is [a <= b] for every valuation consistent with
+    [facts]?  A fixed fuel of 2048 case splits bounds each question;
+    exhaustion answers [false]. *)
 
-val le : ?fuel:int -> fact list -> Expr.t -> Expr.t -> bool
-val ge : ?fuel:int -> fact list -> Expr.t -> Expr.t -> bool
-val eq : ?fuel:int -> fact list -> Expr.t -> Expr.t -> bool
+val ge : fact list -> Expr.t -> Expr.t -> bool
+val eq : fact list -> Expr.t -> Expr.t -> bool
 
 val affine_delta_in :
   var:string -> Expr.t -> Expr.t -> (int * int) option

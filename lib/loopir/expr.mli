@@ -21,8 +21,6 @@ val int : int -> t
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 val ( * ) : int -> t -> t
-val max_ : t -> t -> t
-val min_ : t -> t -> t
 val max_list : t list -> t
 (** @raise Invalid_argument on the empty list *)
 

@@ -53,12 +53,13 @@ let tokenize lineno s =
     else if is_digit c then begin
       let j = ref !i in
       while !j < n && is_digit s.[!j] do incr j done;
-      if
+      let is_float =
         !j < n && s.[!j] = '.'
         (* avoid swallowing ".." or field access; digits must follow *)
         && !j + 1 < n
         && is_digit s.[!j + 1]
-      then begin
+      in
+      if is_float then begin
         incr j;
         while !j < n && is_digit s.[!j] do incr j done;
         (* exponent *)
@@ -66,10 +67,19 @@ let tokenize lineno s =
           incr j;
           if !j < n && (s.[!j] = '+' || s.[!j] = '-') then incr j;
           while !j < n && is_digit s.[!j] do incr j done
-        end;
-        toks := Float (float_of_string (String.sub s !i (!j - !i))) :: !toks
-      end
-      else toks := Int (int_of_string (String.sub s !i (!j - !i))) :: !toks;
+        end
+      end;
+      let lit = String.sub s !i (!j - !i) in
+      let tok =
+        if is_float then Option.map (fun f -> Float f) (float_of_string_opt lit)
+        else Option.map (fun k -> Int k) (int_of_string_opt lit)
+      in
+      (match tok with
+      | Some t -> toks := t :: !toks
+      | None ->
+        fail lineno
+          (if is_float then Printf.sprintf "malformed float literal %s" lit
+           else Printf.sprintf "integer literal %s out of range" lit));
       i := !j
     end
     else begin

@@ -23,40 +23,25 @@ val fold_expr : Expr.t -> Expr.t
     routes through this so all simplification lives behind the stage
     module. *)
 
-val map_exprs : (Expr.t -> Expr.t) -> Ast.program -> Ast.program
-(** Map a function over every integer expression of the program body (loop
-    bounds, guards, subscripts); the parameter and array declarations are
-    untouched. *)
-
-(** {2 The stages} *)
-
-val constant_fold : stage
-(** Fold every expression with {!fold_expr}. *)
-
-val bound_tighten : stage
-(** Drop max (min) arguments of loop bounds that {!Entail} proves dominated
-    by another argument under the enclosing bounds. *)
-
-val guard_entail : stage
-(** Remove guards {!Entail} proves implied by the enclosing loop bounds;
-    empty [If]s are spliced into their parent. *)
-
-val guard_hoist : stage
-(** Move statement guards that do not mention a loop's variable out of that
-    loop (codegen emits them innermost). *)
-
-val minmax_peel : stage
-(** Split a constant-range loop at the threshold where a [Min]/[Max] arm
-    order flips (arm difference affine in the loop variable alone), and
-    resolve the atom to the winning arm on each side. *)
-
-val collapse_degenerate : stage
-(** Substitute away loops whose folded bounds coincide (single-iteration
-    ranges). *)
-
 (** {2 Registry and pipelines} *)
 
 val all : stage list
+(** Every stage, by name:
+    - [constant-fold] folds every expression with {!fold_expr};
+    - [bound-tighten] drops max (min) arguments of loop bounds that
+      {!Entail} proves dominated by another argument under the enclosing
+      bounds;
+    - [guard-entail] removes guards {!Entail} proves implied by the
+      enclosing loop bounds, splicing empty [If]s into their parent;
+    - [guard-hoist] moves statement guards that do not mention a loop's
+      variable out of that loop (codegen emits them innermost);
+    - [minmax-peel] splits a constant-range loop at the threshold where a
+      [Min]/[Max] arm order flips (arm difference affine in the loop
+      variable alone), and resolves the atom to the winning arm on each
+      side;
+    - [collapse-degenerate] substitutes away loops whose folded bounds
+      coincide (single-iteration ranges). *)
+
 val names : unit -> string list
 val by_name : string -> stage option
 
@@ -71,18 +56,15 @@ val tighten_pipeline : collapse:bool -> stage list
 val naive_pipeline : stage list
 (** [constant-fold] only: Figure-5 membership guards stay recognizable. *)
 
-val specialize_pipeline : stage list
-(** The aggressive pipeline run on a program whose parameters have been
-    substituted to constants: fold, tighten, entail, peel, fold/tighten/
-    entail again, collapse, hoist. *)
-
 val subst_params : params:(string * int) list -> stage
 (** Substitute the given parameter bindings as constants throughout the
     body; the program's [params] list is kept so prepared frames still
     reserve their slots. *)
 
 val specialize : params:(string * int) list -> Ast.program -> Ast.program
-(** [subst_params] followed by {!specialize_pipeline} — the per-size
-    instantiation step of {!Pipeline.specialize}: entailed guards vanish
-    and inner loops become straight-line index arithmetic, while the
-    access trace stays bit-identical to the symbolic program's. *)
+(** [subst_params] followed by the aggressive pipeline for a program whose
+    parameters are constants: fold, tighten, entail, peel, fold/tighten/
+    entail again, collapse, hoist.  This is the per-size instantiation step
+    of {!Pipeline.specialize}: entailed guards vanish and inner loops
+    become straight-line index arithmetic, while the access trace stays
+    bit-identical to the symbolic program's. *)

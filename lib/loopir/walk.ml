@@ -24,8 +24,3 @@ let instances prog ~params =
   let acc = ref [] in
   iter_instances prog ~params ~f:(fun s env -> acc := (s, env) :: !acc);
   List.rev !acc
-
-let count_instances prog ~params =
-  let n = ref 0 in
-  iter_instances prog ~params ~f:(fun _ _ -> incr n);
-  !n

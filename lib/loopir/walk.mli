@@ -15,5 +15,3 @@ val iter_instances :
 
 val instances :
   Ast.program -> params:(string * int) list -> (Ast.stmt * env) list
-
-val count_instances : Ast.program -> params:(string * int) list -> int

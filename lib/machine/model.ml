@@ -244,6 +244,7 @@ module Smp = struct
     p_mflops : float;
   }
 
+  (* Words each core's stream advances per interleave turn. *)
   let quantum_words = 64
 
   type cursor = { mutable chunks : (int array * int) list; mutable pos : int }

@@ -46,19 +46,18 @@ val two_level : t
     lines: the "deeper memory hierarchy" of Section 6.3 / Figure 10, with
     the geometry scaled down for simulation-friendly problem sizes. *)
 
-val small_cache : t
-(** A 1 KB fully associative single-level cache of 128 single-element
-    lines, with sp2-like cost ratios: capacity effects — and with them
-    the analytic communication lower bounds of {!Bounds} — become
-    visible at problem sizes small enough for quick simulation, which is
-    what the lower-bound pruning tests run against. *)
-
 val untuned : quality
 val tuned : quality
 
 val machines : (string * t) list
-(** Every machine model above, keyed by its [m_name] — the one name table
-    behind the daemon's [Sim] request and [shacklec --machine]. *)
+(** Every machine model, keyed by its [m_name] — the one name table
+    behind the daemon's [Sim] request and [shacklec --machine]: the two
+    above, and ["small-cache"], a 1 KB fully associative single-level
+    cache of 128 single-element lines with sp2-like cost ratios.  On it,
+    capacity effects — and with them the analytic communication lower
+    bounds of {!Bounds} — become visible at problem sizes small enough for
+    quick simulation, which is what the lower-bound pruning tests run
+    against. *)
 
 val qualities : (string * quality) list
 (** Both qualities, keyed by [q_name] ([shacklec --quality], [Sim]). *)
@@ -99,10 +98,6 @@ module Sim : sig
   val access : sim -> write:bool -> addr:int -> unit
   (** Feed one element access through the hierarchy (instance counting,
       forwarding dedup, cache probing). *)
-
-  val consume_chunk : sim -> int array -> int -> unit
-  (** Replay one chunk of packed trace words — the hot loop of the
-      record/replay pipeline. *)
 
   val result : sim -> flops:int -> result
   (** Closed-form cycle accounting over the counters accumulated so far. *)
@@ -151,9 +146,6 @@ module Smp : sig
     p_cycles : float;  (** makespan: the slowest core *)
     p_mflops : float;  (** total flops over the makespan *)
   }
-
-  val quantum_words : int
-  (** Words each core's stream advances per interleave turn. *)
 
   val consume :
     machine:t ->

@@ -47,15 +47,6 @@ type sim = {
       (** present on rows produced by the record/replay pipeline *)
 }
 
-val of_result :
-  label:string ->
-  machine:string ->
-  quality:string ->
-  seconds:float ->
-  ?trace:trace_info ->
-  Machine.Model.result ->
-  sim
-
 val sim_to_json : sim -> Json.t
 val sim_of_json : Json.t -> (sim, string) result
 (** Inverse of [sim_to_json]; [Error] names the first missing or

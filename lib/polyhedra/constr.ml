@@ -72,13 +72,6 @@ let is_trivially_true c =
   | Eq -> B.is_zero (Affine.const_of c.aff)
   | Ge -> B.sign (Affine.const_of c.aff) >= 0
 
-let is_trivially_false c =
-  Affine.is_constant c.aff
-  &&
-  match c.kind with
-  | Eq -> not (B.is_zero (Affine.const_of c.aff))
-  | Ge -> B.sign (Affine.const_of c.aff) < 0
-
 let satisfied_by c env =
   let v = Affine.eval c.aff env in
   match c.kind with Eq -> B.is_zero v | Ge -> B.sign v >= 0

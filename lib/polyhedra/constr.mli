@@ -35,7 +35,6 @@ val dedupe : t list -> t list
     different constants are kept apart. *)
 
 val is_trivially_true : t -> bool
-val is_trivially_false : t -> bool
 val satisfied_by : t -> Bigint.t array -> bool
 val extend : t -> int -> t
 val rename : t -> int array -> int -> t

@@ -66,11 +66,3 @@ let eliminate s k =
   compress (System.make (System.names s) (combined @ List.rev rest))
 
 let eliminate_list s ks = List.fold_left eliminate s ks
-
-let eliminate_all_but s keep =
-  let ks =
-    List.filter
-      (fun i -> not (List.mem i keep))
-      (List.init (System.dim s) Fun.id)
-  in
-  eliminate_list s ks

@@ -19,9 +19,6 @@ val eliminate : System.t -> int -> System.t
     with integer tightening (safe because all our systems denote integer
     sets). *)
 
-val eliminate_all_but : System.t -> int list -> System.t
-(** Eliminates every variable not in the kept list. *)
-
 val eliminate_list : System.t -> int list -> System.t
 
 val compress : System.t -> System.t

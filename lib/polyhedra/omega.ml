@@ -6,17 +6,6 @@ module B = Bigint
 
 type verdict = Sat | Unsat | Unknown of string
 
-(* Process-wide default budget, applied at context creation when the caller
-   does not pass an explicit fuel/timeout.  This is what the CLIs' --fuel
-   and --timeout-ms set, so contexts created deep inside the pipeline are
-   bounded too. *)
-let default_fuel : int option ref = ref None
-let default_timeout_ms : int option ref = ref None
-
-let set_default_budget ?fuel ?timeout_ms () =
-  default_fuel := fuel;
-  default_timeout_ms := timeout_ms
-
 (* Ambient per-domain deadline: a server handling one client's budgeted
    request wraps the computation in [with_deadline], and every query the
    wrapped code issues — however deep, on whatever shared context — is
@@ -50,10 +39,10 @@ type backing = {
 (* Per-context solver state: query/splinter/budget counters plus an
    optional memo table over canonicalized systems.  Counters are atomic and
    the table is mutex-protected because legality checks fan out over
-   domains; callers that want isolated statistics (the autotuner, tests)
-   create their own context, while legacy entry points share
-   [Ctx.default].  The budget fields are plain configuration, written
-   before (or between) queries. *)
+   domains.  Every query is charged to a context its caller created, so
+   each pipeline, autotuner run, daemon and test sees only its own
+   statistics.  The budget fields are plain configuration, written before
+   (or between) queries. *)
 module Ctx = struct
   type t = {
     queries : int Atomic.t;
@@ -64,10 +53,10 @@ module Ctx = struct
     peak_fuel : int Atomic.t;
     unknowns : int Atomic.t;
     backing_hits : int Atomic.t;
-    mutable backing : backing option; (* external verdict store (disk cache) *)
+    backing : backing option; (* external verdict store (disk cache) *)
     mutable fuel : int option; (* per-query work-unit cap *)
-    mutable timeout_ms : int option; (* per-query wall-clock deadline *)
-    mutable cancel : (unit -> bool) option; (* cooperative cancellation *)
+    timeout_ms : int option; (* per-query wall-clock deadline *)
+    cancel : (unit -> bool) option; (* cooperative cancellation *)
     mutable starve_after : int option; (* fault injection: zero fuel from
                                           this query index on *)
     table : (string, bool) Hashtbl.t option; (* MD5 of canonical_key *)
@@ -85,21 +74,15 @@ module Ctx = struct
       unknowns = Atomic.make 0;
       backing_hits = Atomic.make 0;
       backing;
-      fuel = (match fuel with Some _ -> fuel | None -> !default_fuel);
-      timeout_ms =
-        (match timeout_ms with Some _ -> timeout_ms | None -> !default_timeout_ms);
+      fuel;
+      timeout_ms;
       cancel;
       starve_after;
       table = (if cache then Some (Hashtbl.create 1024) else None);
       lock = Mutex.create () }
 
-  let default = create ()
-
   let set_fuel t f = t.fuel <- f
-  let set_timeout_ms t ms = t.timeout_ms <- ms
-  let set_cancel t c = t.cancel <- c
   let set_starve_after t s = t.starve_after <- s
-  let set_backing t b = t.backing <- b
 
   let queries t = Atomic.get t.queries
   let splinters t = Atomic.get t.splinters
@@ -709,7 +692,7 @@ let solve_sys ctx ~query_index s =
     Atomic.incr ctx.Ctx.unknowns;
     Unknown reason
 
-let decide ?(ctx = Ctx.default) s =
+let decide ~ctx s =
   let query_index = Atomic.fetch_and_add ctx.Ctx.queries 1 in
   match (ctx.Ctx.table, ctx.Ctx.backing) with
   | None, None -> solve_sys ctx ~query_index s
@@ -761,20 +744,14 @@ let decide ?(ctx = Ctx.default) s =
           ());
         v))
 
-let satisfiable ?ctx s =
-  match decide ?ctx s with Sat -> true | Unsat -> false | Unknown _ -> true
+let satisfiable ~ctx s =
+  match decide ~ctx s with Sat -> true | Unsat -> false | Unknown _ -> true
 
-let implies ?ctx s (c : Constr.t) =
+let implies ~ctx s (c : Constr.t) =
   match c.kind with
-  | Constr.Ge -> not (satisfiable ?ctx (System.add s (Constr.negate_ge c)))
+  | Constr.Ge -> not (satisfiable ~ctx (System.add s (Constr.negate_ge c)))
   | Constr.Eq ->
-    (not (satisfiable ?ctx (System.add s (Constr.negate_ge (Constr.ge c.aff)))))
+    (not (satisfiable ~ctx (System.add s (Constr.negate_ge (Constr.ge c.aff)))))
     && not
-         (satisfiable ?ctx
+         (satisfiable ~ctx
             (System.add s (Constr.negate_ge (Constr.ge (Affine.neg c.aff)))))
-
-let implies_all ?ctx s cs = List.for_all (implies ?ctx s) cs
-
-let equivalent ?ctx a b =
-  implies_all ?ctx a (System.constraints b)
-  && implies_all ?ctx b (System.constraints a)

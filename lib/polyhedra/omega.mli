@@ -20,13 +20,6 @@ type verdict =
           reason (["fuel"], ["deadline"] or ["cancelled"]).  Never cached,
           never to be reported as an exact verdict. *)
 
-val set_default_budget : ?fuel:int -> ?timeout_ms:int -> unit -> unit
-(** Process-wide default budget applied to every context subsequently
-    created without an explicit [?fuel] / [?timeout_ms].  Omitting an
-    argument clears that default.  This is the one knob the CLIs
-    ([--fuel] / [--timeout-ms]) need to bound all solver traffic, including
-    contexts created deep inside the pipeline. *)
-
 val with_deadline : until:float -> (unit -> 'a) -> 'a
 (** [with_deadline ~until f] runs [f] with an ambient, domain-local
     wall-clock deadline: every query issued inside [f] on this domain —
@@ -89,10 +82,8 @@ module Ctx : sig
       - [backing] (default none) is an external verdict store consulted on
         memo misses and filled on fresh exact verdicts (the on-disk cache).
       - [fuel] caps the solver work units any single query may spend
-        (default: the process-wide {!set_default_budget} value, else
-        unlimited).
-      - [timeout_ms] is a per-query wall-clock deadline (same default
-        chain).
+        (default unlimited).
+      - [timeout_ms] is a per-query wall-clock deadline (default none).
       - [cancel] is a cooperative cancellation hook polled during solving —
         the work pool threads its task tokens through here; a query aborted
         this way answers [Unknown "cancelled"].
@@ -100,19 +91,10 @@ module Ctx : sig
         on this context is [>= starve_after] — a deterministic fault-injection
         hook for testing degradation paths. *)
 
-  val default : t
-  (** The context used when an entry point is called without [?ctx] —
-      process-global, uncached; exists for legacy callers. *)
-
   val set_fuel : t -> int option -> unit
-  val set_timeout_ms : t -> int option -> unit
-  val set_cancel : t -> (unit -> bool) option -> unit
   val set_starve_after : t -> int option -> unit
   (** Budget fields are plain configuration: adjust them between queries
       (e.g. lift a starved budget to re-decide exactly). *)
-
-  val set_backing : t -> backing option -> unit
-  (** Attach or detach the external verdict store. *)
 
   val queries : t -> int
   (** Satisfiability queries answered (cache hits included). *)
@@ -148,16 +130,16 @@ module Ctx : sig
       is kept). *)
 end
 
-val decide : ?ctx:Ctx.t -> System.t -> verdict
+val decide : ctx:Ctx.t -> System.t -> verdict
 (** The three-valued entry point: exact [Sat]/[Unsat] via equality
     reduction, Fourier-Motzkin with real/dark shadows, and splintering when
     the projection is inexact; [Unknown] when the context's budget (fuel,
     deadline or cancellation) runs out first.  Counts the query (and
-    consults the memo cache) on the given context, [Ctx.default] when
-    omitted.  Memoization is sound: only exact verdicts enter the table, so
-    a cache hit is never a laundered [Unknown]. *)
+    consults the memo cache) on [ctx].  Memoization is sound: only exact
+    verdicts enter the table, so a cache hit is never a laundered
+    [Unknown]. *)
 
-val satisfiable : ?ctx:Ctx.t -> System.t -> bool
+val satisfiable : ctx:Ctx.t -> System.t -> bool
 (** [decide] collapsed to a boolean, mapping [Unknown -> true] ("may be
     satisfiable").  This direction is conservative for every caller in the
     tree: dependence analysis keeps a dependence it could not refute,
@@ -165,12 +147,7 @@ val satisfiable : ?ctx:Ctx.t -> System.t -> bool
     pruning keeps a bound it could not prove redundant.  Callers that must
     distinguish "proved" from "gave up" use {!decide}. *)
 
-val implies : ?ctx:Ctx.t -> System.t -> Constr.t -> bool
-(** [implies s c] is true when every integer point of [s] satisfies [c].
-    Built on {!satisfiable}, so a budget exhaustion conservatively answers
-    false ("could not prove the implication"). *)
-
-val implies_all : ?ctx:Ctx.t -> System.t -> Constr.t list -> bool
-
-val equivalent : ?ctx:Ctx.t -> System.t -> System.t -> bool
-(** Mutual implication over the same variable space. *)
+val implies : ctx:Ctx.t -> System.t -> Constr.t -> bool
+(** [implies ~ctx s c] is true when every integer point of [s] satisfies
+    [c].  Built on {!satisfiable}, so a budget exhaustion conservatively
+    answers false ("could not prove the implication"). *)

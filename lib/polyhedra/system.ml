@@ -20,10 +20,6 @@ let add s c =
 
 let add_list s cs = List.fold_left add s cs
 
-let conjoin a b =
-  if a.dim <> b.dim then invalid_arg "System.conjoin: dimension mismatch";
-  { a with cs = a.cs @ b.cs }
-
 let extend s extra =
   let names = Array.append s.names extra in
   let dim = Array.length names in
@@ -41,25 +37,10 @@ let var s name =
   in
   go 0
 
-let aff_var s name = Affine.var s.dim (var s name)
-let aff_const s c = Affine.of_int s.dim c
 let satisfied_by s env = List.for_all (fun c -> Constr.satisfied_by c env) s.cs
 
 let satisfied_by_ints s env =
   satisfied_by s (Array.map Bigint.of_int env)
-
-let has_trivially_false s = List.exists Constr.is_trivially_false s.cs
-
-let simplify_trivial s =
-  let cs =
-    List.filter (fun c -> not (Constr.is_trivially_true c)) s.cs
-  in
-  let cs =
-    List.fold_left
-      (fun acc c -> if List.exists (Constr.equal c) acc then acc else c :: acc)
-      [] cs
-  in
-  { s with cs = List.rev cs }
 
 let pp fmt s =
   Format.fprintf fmt "@[<v 2>{ %a :@ %a }@]"

@@ -14,9 +14,6 @@ val constraints : t -> Constr.t list
 val add : t -> Constr.t -> t
 val add_list : t -> Constr.t list -> t
 
-val conjoin : t -> t -> t
-(** Both systems must share the variable space. *)
-
 val extend : t -> string array -> t
 (** [extend s extra] appends fresh variables named [extra]. *)
 
@@ -27,13 +24,7 @@ val rename_into : t -> int array -> t -> t
 val var : t -> string -> int
 (** Index of a variable by name. @raise Not_found *)
 
-val aff_var : t -> string -> Affine.t
-val aff_const : t -> int -> Affine.t
-
 val satisfied_by : t -> Bigint.t array -> bool
 val satisfied_by_ints : t -> int array -> bool
-val has_trivially_false : t -> bool
-val simplify_trivial : t -> t
-(** Drops trivially-true constraints and duplicates. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,4 +1,3 @@
-let default_domains () = max 1 (Domain.recommended_domain_count ())
 
 (* Each completed slot holds either the task's value or the exception it
    raised; slots are written by exactly one worker (the one that claimed

@@ -11,10 +11,6 @@
     needs (simulator instances, caches, stores) itself rather than closing
     over shared mutable structures. *)
 
-val default_domains : unit -> int
-(** Recommended domain count for this machine
-    ([Domain.recommended_domain_count]), at least 1. *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f xs] is [List.map f xs] computed by up to [domains]
     domains (the calling domain included).  Results are returned in input
@@ -50,9 +46,6 @@ module Token : sig
 
   val none : unit -> t
   (** A token that never expires (still cancellable). *)
-
-  val with_deadline_ms : int -> t
-  (** A token that expires this many milliseconds from now. *)
 
   val cancel : t -> unit
 

@@ -82,7 +82,6 @@ type t = {
   mutable n_dropped : int; (* torn + quarantined bytes at open *)
   mutable n_quarantined : int; (* bytes moved to the sidecar at open *)
   mutable n_quarantined_spans : int;
-  mutable n_compactions : int;
   max_bytes : int option;
   n_hits : int Atomic.t;
   n_misses : int Atomic.t;
@@ -242,7 +241,6 @@ let open_dir ?max_bytes dir =
     n_dropped = !torn + quarantined;
     n_quarantined = quarantined;
     n_quarantined_spans = List.length spans;
-    n_compactions = 0;
     max_bytes;
     n_hits = Atomic.make 0;
     n_misses = Atomic.make 0;
@@ -283,7 +281,6 @@ let compact_locked t =
   | None -> ());
   t.fd <- Some (Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
   t.written <- size;
-  t.n_compactions <- t.n_compactions + 1;
   (before, size)
 
 (* With the lock held: evict oldest entries until the file (after the
@@ -339,7 +336,6 @@ let appended t = Atomic.get t.n_appended
 let dropped_bytes t = t.n_dropped
 let quarantined_bytes t = t.n_quarantined
 let quarantined_spans t = t.n_quarantined_spans
-let compactions t = Mutex.protect t.lock (fun () -> t.n_compactions)
 
 (* Crash injection: write a prefix of a record, fsync, and abandon the
    handle — the on-disk image is exactly what a kill -9 between the two

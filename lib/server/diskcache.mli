@@ -97,9 +97,6 @@ val quarantined_bytes : t -> int
 val quarantined_spans : t -> int
 (** Corrupt spans moved to the sidecar at {!open_dir}. *)
 
-val compactions : t -> int
-(** Compactions (explicit or rotation-triggered) on this handle. *)
-
 val add_torn : t -> string -> bool -> keep:int -> unit
 (** Crash-injection hook for recovery tests: append only the first [keep]
     bytes of the record (0 <= keep < {!record_bytes}), fsync, and mark the

@@ -57,38 +57,30 @@ let save_trace path events =
         events)
 
 let load_trace path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go lineno acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> go (lineno + 1) acc
-        | line -> (
-          let fail msg =
-            Error (Printf.sprintf "%s:%d: %s" path lineno msg)
-          in
-          match Json.of_string line with
-          | Error msg -> fail ("invalid JSON: " ^ msg)
-          | Ok j -> (
-            match
-              ( Json.member "client" j,
-                Json.member "op" j,
-                Json.member "payload" j )
-            with
-            | Some (Json.Int client), Some (Json.Str op), Some payload -> (
-              match op_of_string op with
-              | None -> fail ("unknown op " ^ op)
-              | Some op -> (
-                match
-                  Proto.request_of_payload ~op (Json.to_string payload)
-                with
-                | Ok req -> go (lineno + 1) ({ ev_client = client; ev_req = req } :: acc)
-                | Error e -> fail ("bad payload: " ^ e.Proto.e_message)))
-            | _ -> fail "expected {client, op, payload}"))
-      in
-      go 1 [])
+  let rec go lineno acc = function
+    | [] -> Ok (List.rev acc)
+    | "" :: lines -> go (lineno + 1) acc lines
+    | line :: lines -> (
+      let fail msg = Error (Printf.sprintf "%s:%d: %s" path lineno msg) in
+      match Json.of_string line with
+      | Error msg -> fail ("invalid JSON: " ^ msg)
+      | Ok j -> (
+        match
+          (Json.member "client" j, Json.member "op" j, Json.member "payload" j)
+        with
+        | Some (Json.Int client), Some (Json.Str op), Some payload -> (
+          match op_of_string op with
+          | None -> fail ("unknown op " ^ op)
+          | Some op -> (
+            match Proto.request_of_payload ~op (Json.to_string payload) with
+            | Ok req ->
+              go (lineno + 1) ({ ev_client = client; ev_req = req } :: acc) lines
+            | Error e -> fail ("bad payload: " ^ e.Proto.e_message)))
+        | _ -> fail "expected {client, op, payload}"))
+  in
+  match Cli.read_file path with
+  | Error reason -> Error (Printf.sprintf "%s: %s" path reason)
+  | Ok text -> go 1 [] (String.split_on_char '\n' text)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos proxy                                                         *)

@@ -33,7 +33,8 @@ val save_trace : string -> event list -> unit
 (** One JSON object per line: [{"client":K,"op":NAME,"payload":OBJ}]. *)
 
 val load_trace : string -> (event list, string) result
-(** Inverse of {!save_trace}; [Error] names the first bad line. *)
+(** Inverse of {!save_trace}.  [Error] names the file and why it could not
+    be read, or the first bad line. *)
 
 (** {1 Chaos proxy} *)
 

@@ -61,7 +61,6 @@ let incr_error t ~code =
       | None -> Hashtbl.add t.per_error code (ref 1));
       if code = "overloaded" then t.n_shed <- t.n_shed + 1)
 
-let incr_errors t = incr_error t ~code:"failed"
 
 let incr_collapses t =
   Mutex.protect t.lock (fun () -> t.n_collapses <- t.n_collapses + 1)
@@ -81,11 +80,6 @@ let collapses t = Mutex.protect t.lock (fun () -> t.n_collapses)
 let connections t = Mutex.protect t.lock (fun () -> t.n_connections)
 let shed t = Mutex.protect t.lock (fun () -> t.n_shed)
 let evicted t = Mutex.protect t.lock (fun () -> t.n_evicted)
-
-let errors_by_code t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun code r acc -> (code, !r) :: acc) t.per_error []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 let percentile sorted p =
   let n = Array.length sorted in

@@ -17,9 +17,6 @@ val incr_error : t -> code:string -> unit
 (** Count a structured error reply under its code.  An [overloaded] code
     also bumps the shed counter. *)
 
-val incr_errors : t -> unit
-(** Legacy alias: [incr_error ~code:"failed"]. *)
-
 val incr_collapses : t -> unit
 (** Requests answered by attaching to an identical in-flight computation
     (one solve, N replies). *)
@@ -36,9 +33,6 @@ val collapses : t -> int
 val connections : t -> int
 val shed : t -> int
 val evicted : t -> int
-
-val errors_by_code : t -> (string * int) list
-(** Sorted (code, count) pairs for every error code seen. *)
 
 val to_json : t -> Observe.Json.t
 (** Per-op objects: [count], [p50_ms], [p90_ms], [p99_ms], [p999_ms],

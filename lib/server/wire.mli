@@ -44,13 +44,9 @@ val magic : string
 val header_bytes : int
 (** 13. *)
 
-val max_payload : int
-(** Frames advertising a longer payload are rejected as [Corrupt] without
-    buffering — the oversized-length-prefix guard (16 MiB). *)
-
 val encode : op:opcode -> id:int -> payload:string -> string
-(** @raise Invalid_argument if the payload exceeds {!max_payload} or the
-    id is outside the uint32 range. *)
+(** @raise Invalid_argument if the payload exceeds 16 MiB (the largest
+    payload {!decode} accepts) or the id is outside the uint32 range. *)
 
 val encode_raw : raw -> string
 (** Same, with an arbitrary opcode byte — the fuzzer's constructor. *)
@@ -61,9 +57,10 @@ type decoded =
           are needed to finish the frame *)
   | Got of raw * int  (** a complete frame and the bytes it consumed *)
   | Corrupt of string
-      (** the buffer can never become a valid frame: bad magic or an
-          oversized payload length.  Framing is lost — the connection must
-          close after an error reply. *)
+      (** the buffer can never become a valid frame: bad magic, or a
+          payload length over 16 MiB, rejected before any payload is
+          buffered.  Framing is lost — the connection must close after an
+          error reply. *)
 
 val decode : string -> decoded
 (** Decode the frame starting at offset 0 of the buffer. *)

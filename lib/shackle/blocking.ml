@@ -36,9 +36,6 @@ let blocks_2d_colmajor ~array ~size =
 let by_columns ~array ~width =
   make ~array ~rank:2 [ { normal = unit_normal 2 1; width; offset = 1 } ]
 
-let by_rows ~array ~width =
-  make ~array ~rank:2 [ { normal = unit_normal 2 0; width; offset = 1 } ]
-
 let storage_order ~array ~rank order =
   let dims =
     match order with

@@ -33,8 +33,6 @@ val blocks_2d_colmajor : array:string -> size:int -> t
 val by_columns : array:string -> width:int -> t
 (** Vertical panels of [width] columns of a rank-2 array (used for QR). *)
 
-val by_rows : array:string -> width:int -> t
-
 val storage_order : array:string -> rank:int -> [ `Col_major | `Row_major ] -> t
 (** 1x1 blocks visited in storage order (unit-separation cutting planes,
     Section 4.2); with [`Col_major] the last subscript varies slowest...

@@ -106,7 +106,7 @@ exception Stop
    violation is only recorded for a system the solver *proved* satisfiable,
    so with a bounded context the outcome is (violations, gave_up) and the
    caller distinguishes "proved illegal" from "could not decide". *)
-let violations_of ?ctx ~stop_early prog spec deps =
+let violations_of ~ctx ~stop_early prog spec deps =
   let m = Spec.coords_dim spec in
   let violations = ref [] in
   let gave_up = ref None in
@@ -129,7 +129,7 @@ let violations_of ?ctx ~stop_early prog spec deps =
                    (List.exists (fun v -> v.dep == d && v.level = k) !violations)
                then
                  match
-                   Omega.decide ?ctx (S.add_list ps.ps_system (violated_at k))
+                   Omega.decide ~ctx (S.add_list ps.ps_system (violated_at k))
                  with
                  | Omega.Sat ->
                    violations := { dep = d; level = k } :: !violations;
@@ -145,7 +145,7 @@ let violations_of ?ctx ~stop_early prog spec deps =
    with Stop -> ());
   (List.rev !violations, !gave_up)
 
-let rec check_deps ?ctx prog spec deps =
+let rec check_deps ~ctx prog spec deps =
   (* Fast path (Section 6 of the paper): a product of shackles that are each
      legal by themselves is always legal.  Check factors individually first;
      only a product with an illegal factor needs the full lexicographic
@@ -154,10 +154,10 @@ let rec check_deps ?ctx prog spec deps =
      table earns its keep: products share factors, so their per-factor
      systems repeat across candidates. *)
   if List.length spec > 1
-     && List.for_all (fun f -> check_deps ?ctx prog [ f ] deps = Legal) spec
+     && List.for_all (fun f -> check_deps ~ctx prog [ f ] deps = Legal) spec
   then Legal
   else
-    match violations_of ?ctx ~stop_early:false prog spec deps with
+    match violations_of ~ctx ~stop_early:false prog spec deps with
     | [], None -> Legal
     | [], Some reason -> Unknown reason
     | vs, _ -> Illegal vs
@@ -168,12 +168,12 @@ let rec check_deps ?ctx prog spec deps =
    holds exactly the one that stopped the scan); budget-exhausted systems
    are cheap by definition (they gave up), so the scan continues past them
    looking for a definite answer. *)
-let rec probe_deps ?ctx prog spec deps : Verdict.t =
+let rec probe_deps ~ctx prog spec deps : Verdict.t =
   if List.length spec > 1
-     && List.for_all (fun f -> probe_deps ?ctx prog [ f ] deps = Legal) spec
+     && List.for_all (fun f -> probe_deps ~ctx prog [ f ] deps = Legal) spec
   then Legal
   else
-    match violations_of ?ctx ~stop_early:true prog spec deps with
+    match violations_of ~ctx ~stop_early:true prog spec deps with
     | (_ :: _ as vs), _ -> Illegal vs
     | [], Some reason -> Unknown reason
     | [], None -> Legal
@@ -181,14 +181,8 @@ let rec probe_deps ?ctx prog spec deps : Verdict.t =
 (* The conservative boolean collapse: only a shackle with every violation
    system *refuted* counts as legal, so [Unknown -> false] — a degraded
    verdict can reject a legal shackle but never admit an illegal one. *)
-let is_legal_deps ?ctx prog spec deps =
-  Verdict.is_legal (probe_deps ?ctx prog spec deps)
-
-let check ?params ?ctx prog spec =
-  check_deps ?ctx prog spec (Dep.analyze ?params ?ctx prog)
-
-let is_legal ?params ?ctx prog spec =
-  is_legal_deps ?ctx prog spec (Dep.analyze ?params ?ctx prog)
+let is_legal_deps ~ctx prog spec deps =
+  Verdict.is_legal (probe_deps ~ctx prog spec deps)
 
 let enumerate_choices prog ~array =
   let stmts = Ast.statements prog in

@@ -23,35 +23,22 @@ type verdict = Verdict.t =
 (** Re-export of {!Verdict.t}, so [Legality.Legal] and [Verdict.Legal] are
     the same constructor. *)
 
-val check :
-  ?params:(string * int) list ->
-  ?ctx:Polyhedra.Omega.Ctx.t ->
-  Loopir.Ast.program ->
-  Spec.t ->
-  verdict
-(** Analyzes dependences and tests every (dependence, disjunct, level)
-    system with the Omega test.  [ctx] is the solver context charged for
-    every query; a context created with [Omega.Ctx.create ~cache:true]
-    memoizes the verdicts, which pays off when checking many candidate
-    shackles of one program (the autotuner's workload). *)
-
 val check_deps :
-  ?ctx:Polyhedra.Omega.Ctx.t ->
+  ctx:Polyhedra.Omega.Ctx.t ->
   Loopir.Ast.program ->
   Spec.t ->
   Dependence.Dep.t list ->
   verdict
-(** Same, with dependences precomputed (they do not depend on the shackle). *)
-
-val is_legal :
-  ?params:(string * int) list ->
-  ?ctx:Polyhedra.Omega.Ctx.t ->
-  Loopir.Ast.program ->
-  Spec.t ->
-  bool
+(** Tests every (dependence, disjunct, level) system with the Omega test,
+    given the program's dependences (they do not depend on the shackle).
+    [ctx] is the solver context charged for every query; a context created
+    with [Omega.Ctx.create ~cache:true] memoizes the verdicts, which pays
+    off when checking many candidate shackles of one program (the
+    autotuner's workload).  {!Pipeline.check} runs it on the pipeline's
+    context and cached dependences. *)
 
 val probe_deps :
-  ?ctx:Polyhedra.Omega.Ctx.t ->
+  ctx:Polyhedra.Omega.Ctx.t ->
   Loopir.Ast.program ->
   Spec.t ->
   Dependence.Dep.t list ->
@@ -64,7 +51,7 @@ val probe_deps :
     solver budget ran out with no violation proved. *)
 
 val is_legal_deps :
-  ?ctx:Polyhedra.Omega.Ctx.t ->
+  ctx:Polyhedra.Omega.Ctx.t ->
   Loopir.Ast.program ->
   Spec.t ->
   Dependence.Dep.t list ->

@@ -1,6 +1,6 @@
 (** The one three-valued legality verdict, shared by the whole stack.
 
-    {!Legality.check}, {!Pipeline.probe}, the autotuner's pruner and the
+    {!Legality.check_deps}, {!Pipeline.probe}, the autotuner's pruner and the
     daemon's legal/probe replies all answer the same question — "is this
     shackle legal?" — with the same three outcomes.  They used to answer it
     with three structurally identical types converted by hand; this module

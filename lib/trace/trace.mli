@@ -36,9 +36,6 @@ val emit : recorder -> write:bool -> addr:int -> unit
 (** Append one access, starting a fresh chunk when the current one is
     full. *)
 
-val emit_word : recorder -> int -> unit
-(** Append one already-packed word (see {!word}). *)
-
 type t
 (** A finished, immutable, replayable trace. *)
 

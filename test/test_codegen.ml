@@ -13,9 +13,17 @@ module Spec = Shackle.Spec
 module Refsem = Shackle.Refsem
 module Naive = Codegen.Naive
 module Tighten = Codegen.Tighten
+module Omega = Polyhedra.Omega
 
 let v = E.var
 let rf a idx = Fexpr.ref_ a (List.map v idx)
+
+(* Each generation charges its Omega queries to a context of its own;
+   legality goes through a pipeline, which owns one. *)
+let generate ?collapse p spec =
+  Tighten.generate ?collapse ~solver:(Omega.Ctx.create ()) p spec
+
+let is_legal p spec = Pipeline.is_legal (Pipeline.create p) spec
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -70,14 +78,14 @@ let test_naive_name_collision () =
 
 let test_figure6_shape () =
   let p = K.matmul () in
-  let s = Ast.program_to_string (Tighten.generate p (matmul_c_spec 25)) in
+  let s = Ast.program_to_string (generate p (matmul_c_spec 25)) in
   List.iter
     (fun frag ->
       Alcotest.(check bool) ("contains " ^ frag) true (contains s frag))
     [ "do t1 = 1, floor((N + 24)/25)"; "do I = 25*t1 - 24, min(N, 25*t1)";
       "do J = 25*t2 - 24, min(N, 25*t2)"; "do K = 1, N" ];
   (* no residual guards in the perfectly blocked form *)
-  let loops, guards = Tighten.stats (Tighten.generate p (matmul_c_spec 25)) in
+  let loops, guards = Tighten.stats (generate p (matmul_c_spec 25)) in
   Alcotest.(check int) "five loops" 5 loops;
   Alcotest.(check int) "no guards" 0 guards
 
@@ -92,7 +100,7 @@ let test_figure10_shape () =
       Spec.factor (Blocking.blocks_2d ~array:"C" ~size:8) c_ref;
       Spec.factor (Blocking.blocks_2d ~array:"A" ~size:8) a_ref ]
   in
-  let g = Tighten.generate p spec in
+  let g = generate p spec in
   let s = Ast.program_to_string g in
   (* redundant coordinates (A's row block = C's row block) collapse away,
      leaving 6 block loops + 3 point loops, all unguarded *)
@@ -109,7 +117,7 @@ let test_figure14_shape () =
   let blk = Blocking.storage_order ~array:"B" ~rank:2 `Col_major in
   let bref = Fexpr.ref_ "B" [ E.Sub (E.var "i", E.Const 1); E.var "k" ] in
   let spec = [ Spec.factor blk [ ("S1", bref); ("S2", bref) ] ] in
-  let g = Tighten.generate p spec in
+  let g = generate p spec in
   let s = Ast.program_to_string g in
   (* fusion + interchange: two loops, no guards, statements adjacent *)
   let loops, guards = Tighten.stats g in
@@ -123,7 +131,7 @@ let test_figure14_shape () =
 
 let test_cholesky_tightened_structure () =
   let p = K.cholesky_right () in
-  let g = Tighten.generate p (cholesky_write_spec 64) in
+  let g = generate p (cholesky_write_spec 64) in
   let s = Ast.program_to_string g in
   Alcotest.(check bool) "triangular block loop" true (contains s "do t2 = 1, t1");
   (* the hot update statement S3 carries no residual guard: its enclosing
@@ -152,7 +160,7 @@ let test_order_matches_refsem_matmul () =
   let p = K.matmul () in
   let spec = matmul_c_spec 4 in
   let params = [ ("N", 9) ] in
-  let g = Tighten.generate ~collapse:false p spec in
+  let g = generate ~collapse:false p spec in
   let got =
     instances_of_generated g ~params ~loop_vars:[ "I"; "J"; "K" ]
   in
@@ -171,7 +179,7 @@ let test_order_matches_refsem_cholesky () =
   let p = K.cholesky_right () in
   let spec = cholesky_write_spec 5 in
   let params = [ ("N", 11) ] in
-  let g = Tighten.generate ~collapse:false p spec in
+  let g = generate ~collapse:false p spec in
   let acc = ref [] in
   Walk.iter_instances g ~params ~f:(fun s env ->
       let vars = match s.Ast.label with
@@ -194,7 +202,7 @@ let test_order_matches_refsem_cholesky () =
 (* --- numeric equivalence across kernels and boundary cases --- *)
 
 let equiv ?layouts name p spec params init =
-  let tight = Tighten.generate p spec in
+  let tight = generate p spec in
   Alcotest.(check bool) (name ^ " tightened") true
     (Exec.Verify.equivalent ?layouts p tight ~params ~init);
   let naive = Naive.generate p spec in
@@ -263,7 +271,7 @@ let test_left_cholesky_shackle () =
         [ ("S1", rf "A" [ "J"; "J" ]); ("S2", rf "A" [ "I"; "J" ]);
           ("S3", rf "A" [ "L"; "J" ]) ] ]
   in
-  Alcotest.(check bool) "legal" true (Shackle.Legality.is_legal p spec);
+  Alcotest.(check bool) "legal" true (is_legal p spec);
   equiv "left cholesky" p spec [ ("N", 14) ]
     (Kernels.Inits.for_kernel "cholesky_left" ~n:14)
 
@@ -273,7 +281,7 @@ let test_gmtry_shackle () =
     [ Spec.factor (Blocking.blocks_2d ~array:"A" ~size:6)
         [ ("S1", rf "A" [ "i"; "k" ]); ("S2", rf "A" [ "i"; "j" ]) ] ]
   in
-  Alcotest.(check bool) "legal" true (Shackle.Legality.is_legal p spec);
+  Alcotest.(check bool) "legal" true (is_legal p spec);
   equiv "gmtry" p spec [ ("N", 17) ]
     (Kernels.Inits.for_kernel "gmtry" ~n:17)
 
@@ -288,7 +296,7 @@ let test_qr_column_shackle () =
           ("S4", rf "A" [ "k"; "j" ]); ("S5", rf "A" [ "i"; "j" ]);
           ("S6", rf "A" [ "i"; "j" ]) ] ]
   in
-  Alcotest.(check bool) "legal" true (Shackle.Legality.is_legal p spec);
+  Alcotest.(check bool) "legal" true (is_legal p spec);
   equiv "qr columns" p spec [ ("N", 13) ]
     (Kernels.Inits.for_kernel "qr" ~n:13)
 
@@ -306,7 +314,7 @@ let test_banded_cholesky_shackle () =
         [ ("S1", rf "A" [ "J"; "J" ]); ("S2", rf "A" [ "I"; "J" ]);
           ("S3", rf "A" [ "L"; "K" ]) ] ]
   in
-  Alcotest.(check bool) "legal" true (Shackle.Legality.is_legal p spec);
+  Alcotest.(check bool) "legal" true (is_legal p spec);
   let n = 18 and bw = 4 in
   let dense = Kernels.Inits.for_kernel "cholesky_banded" ~n in
   let init name idx =
@@ -328,7 +336,7 @@ let test_two_level_equivalence () =
       Spec.factor (Blocking.blocks_2d ~array:"C" ~size:4) c_ref;
       Spec.factor (Blocking.blocks_2d ~array:"A" ~size:4) a_ref ]
   in
-  let tight = Tighten.generate p spec in
+  let tight = generate p spec in
   Alcotest.(check bool) "two-level equivalent" true
     (Exec.Verify.equivalent p tight ~params:[ ("N", 21) ]
        ~init:(Kernels.Inits.for_kernel "matmul" ~n:21))
@@ -342,7 +350,7 @@ let prop_random_blocks_preserve_order =
       let p = K.matmul () in
       let spec = matmul_c_spec b in
       let params = [ ("N", n) ] in
-      let g = Tighten.generate ~collapse:false p spec in
+      let g = generate ~collapse:false p spec in
       let got =
         instances_of_generated g ~params ~loop_vars:[ "I"; "J"; "K" ]
       in
@@ -362,7 +370,7 @@ let prop_random_blocks_equivalent =
     QCheck.(pair (int_range 2 13) (int_range 6 22))
     (fun (b, n) ->
       let p = K.cholesky_right () in
-      let g = Tighten.generate p (cholesky_write_spec b) in
+      let g = generate p (cholesky_write_spec b) in
       let init = Kernels.Inits.for_kernel "cholesky_right" ~n in
       Exec.Verify.equivalent p g ~params:[ ("N", n) ] ~init)
 

@@ -4,7 +4,8 @@ module Ast = Loopir.Ast
 module K = Kernels.Builders
 module D = Dependence.Dep
 
-let deps_of ?params p = D.analyze ?params p
+let deps_of ?params p =
+  D.analyze ?params ~ctx:(Polyhedra.Omega.Ctx.create ()) p
 
 let count_kind k deps = List.length (List.filter (fun d -> d.D.kind = k) deps)
 

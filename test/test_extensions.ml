@@ -9,8 +9,6 @@ module Fexpr = Loopir.Fexpr
 module K = Kernels.Builders
 module Blocking = Shackle.Blocking
 module Spec = Shackle.Spec
-module Legality = Shackle.Legality
-module Tighten = Codegen.Tighten
 
 let v = E.var
 
@@ -42,20 +40,20 @@ let test_trisolve_forward_illegal () =
   let p = K.trisolve_backward () in
   let spec = [ Spec.factor (forward_blocking 4) trisolve_choices ] in
   Alcotest.(check bool) "left-to-right blocks illegal" false
-    (Legality.is_legal p spec)
+    (Pipeline.is_legal (Pipeline.create p) spec)
 
 let test_trisolve_reversed_legal () =
   let p = K.trisolve_backward () in
   let spec = [ Spec.factor (reversed_blocking 4) trisolve_choices ] in
   Alcotest.(check bool) "right-to-left blocks legal" true
-    (Legality.is_legal p spec)
+    (Pipeline.is_legal (Pipeline.create p) spec)
 
 let test_trisolve_dynamic_cross_check () =
   let p = K.trisolve_backward () in
   let n = 23 in
   let check blocking expect_ok =
     let spec = [ Spec.factor blocking trisolve_choices ] in
-    let g = Tighten.generate p spec in
+    let g = Pipeline.codegen (Pipeline.create p) spec in
     let diff =
       Exec.Verify.max_diff p g ~params:[ ("N", n) ] ~init:(trisolve_init n)
     in
@@ -73,7 +71,7 @@ let test_trisolve_solution_property () =
   let n = 17 in
   let init = trisolve_init n in
   let spec = [ Spec.factor (reversed_blocking 5) trisolve_choices ] in
-  let g = Tighten.generate p spec in
+  let g = Pipeline.codegen (Pipeline.create p) spec in
   let store, _ = Exec.Verify.run_program g ~params:[ ("N", n) ] ~init in
   for i = 1 to n do
     let dot = ref 0.0 in
@@ -101,8 +99,10 @@ let test_skewed_matmul_legal_and_correct () =
     [ Spec.factor (skewed_blocking 16)
         [ ("S1", Fexpr.ref_ "C" [ v "I"; v "J" ]) ] ]
   in
-  Alcotest.(check bool) "skewed blocking legal" true (Legality.is_legal p spec);
-  let g = Tighten.generate p spec in
+  let pipe = Pipeline.create p in
+  Alcotest.(check bool) "skewed blocking legal" true
+    (Pipeline.is_legal pipe spec);
+  let g = Pipeline.codegen pipe spec in
   let init = Kernels.Inits.for_kernel "matmul" ~n:21 in
   Alcotest.(check bool) "equivalent" true
     (Exec.Verify.equivalent p g ~params:[ ("N", 21) ] ~init)
@@ -115,7 +115,7 @@ let test_orientation_volume_comparable () =
   let p = K.matmul () in
   let init = Kernels.Inits.for_kernel "matmul" ~n in
   let sim spec =
-    let g = Tighten.generate p spec in
+    let g = Pipeline.codegen (Pipeline.create p) spec in
     Machine.Model.simulate ~machine:Machine.Model.sp2_like
       ~quality:Machine.Model.untuned g ~params:[ ("N", n) ] ~init
   in
@@ -158,8 +158,9 @@ let prop_legality_matches_dynamics =
             [ ("S1", rf "A" [ "J"; "J" ]); ("S2", rf "A" s2);
               ("S3", rf "A" s3) ] ]
       in
-      let static = Legality.is_legal p spec in
-      let g = Tighten.generate p spec in
+      let pipe = Pipeline.create p in
+      let static = Pipeline.is_legal pipe spec in
+      let g = Pipeline.codegen pipe spec in
       let init = Kernels.Inits.for_kernel "cholesky_right" ~n in
       let diff = Exec.Verify.max_diff p g ~params:[ ("N", n) ] ~init in
       (* a "legal" shackle must compute the right answer; an illegal one is

@@ -11,11 +11,13 @@ module Ast = Loopir.Ast
 module K = Kernels.Builders
 module Specs = Experiments.Specs
 
+let tighten p spec = Pipeline.codegen (Pipeline.create p) spec
+
 let cases () =
   [ ( "matmul_ca_25",
-      Codegen.Tighten.generate (K.matmul ()) (Specs.matmul_ca ~size:25) );
+      tighten (K.matmul ()) (Specs.matmul_ca ~size:25) );
     ( "cholesky_full_16",
-      Codegen.Tighten.generate (K.cholesky_right ())
+      tighten (K.cholesky_right ())
         (Specs.cholesky_fully_blocked ~size:16) ) ]
 
 let path name = Filename.concat "golden" (name ^ ".expected")

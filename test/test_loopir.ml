@@ -11,12 +11,15 @@ module A = Polyhedra.Affine
 module S = Polyhedra.System
 module Omega = Polyhedra.Omega
 
+let find_stmt p label =
+  List.find (fun (_, s) -> String.equal s.Ast.label label) (Ast.statements p)
+
 (* --- expressions --- *)
 
 let env_of l name = List.assoc name l
 
 let test_expr_eval () =
-  let e = E.(min_ (Add (Mul (25, Var "b"), Const (-24))) (Var "N")) in
+  let e = E.(Min (Add (Mul (25, Var "b"), Const (-24)), Var "N")) in
   Alcotest.(check int) "min picks block edge" 26
     (E.eval (env_of [ ("b", 2); ("N", 100) ]) e);
   Alcotest.(check int) "min picks N" 100
@@ -90,15 +93,15 @@ let test_statements_order () =
 
 let test_loop_vars () =
   let p = K.cholesky_right () in
-  let ctx, _ = Ast.find_stmt p "S3" in
+  let ctx, _ = find_stmt p "S3" in
   Alcotest.(check (list string)) "S3 loops" [ "J"; "L"; "K" ] (Ast.loop_vars ctx);
-  let ctx1, _ = Ast.find_stmt p "S1" in
+  let ctx1, _ = find_stmt p "S1" in
   Alcotest.(check (list string)) "S1 loops" [ "J" ] (Ast.loop_vars ctx1)
 
 let test_common_prefix () =
   let p = K.cholesky_right () in
-  let c1, _ = Ast.find_stmt p "S1" in
-  let c2, _ = Ast.find_stmt p "S2" in
+  let c1, _ = find_stmt p "S1" in
+  let c2, _ = find_stmt p "S2" in
   let entries, (i1, i2) = Ast.common_prefix c1 c2 in
   let loops =
     List.filter (function Ast.Eloop _ -> true | _ -> false) entries
@@ -109,8 +112,8 @@ let test_common_prefix () =
 let test_common_prefix_siblings () =
   (* ADI: the two k loops are siblings; only the i loop is common. *)
   let p = K.adi () in
-  let c1, _ = Ast.find_stmt p "S1" in
-  let c2, _ = Ast.find_stmt p "S2" in
+  let c1, _ = find_stmt p "S1" in
+  let c2, _ = find_stmt p "S2" in
   let entries, (i1, i2) = Ast.common_prefix c1 c2 in
   let loops =
     List.filter (function Ast.Eloop _ -> true | _ -> false) entries
@@ -147,7 +150,7 @@ let test_rename_loop_var () =
   let p' = { p with Ast.body = body' } in
   let s = Ast.program_to_string p' in
   Alcotest.(check bool) "no bare I loop left" true (not (contains s "do I ="));
-  let ctx, st = Ast.find_stmt p' "S1" in
+  let ctx, st = find_stmt p' "S1" in
   Alcotest.(check (list string)) "loop vars renamed" [ "t7"; "J"; "K" ]
     (Ast.loop_vars ctx);
   Alcotest.(check bool) "lhs index renamed" true
@@ -157,7 +160,7 @@ let test_rename_loop_var () =
 
 let test_domain_matmul () =
   let p = K.matmul () in
-  let ctx, _ = Ast.find_stmt p "S1" in
+  let ctx, _ = find_stmt p "S1" in
   let d = Dom.domain_of p ctx in
   Alcotest.(check int) "six bound constraints" 6
     (List.length (S.constraints d));
@@ -168,7 +171,7 @@ let test_domain_matmul () =
 
 let test_domain_triangular () =
   let p = K.cholesky_right () in
-  let ctx, _ = Ast.find_stmt p "S3" in
+  let ctx, _ = find_stmt p "S3" in
   let d = Dom.domain_of p ctx in
   (* space: N, J, L, K; requires J+1 <= K <= L <= N *)
   Alcotest.(check bool) "valid point" true
@@ -180,7 +183,7 @@ let test_domain_triangular () =
 
 let test_domain_guard () =
   let p = K.cholesky_banded () in
-  let ctx, _ = Ast.find_stmt p "S2" in
+  let ctx, _ = find_stmt p "S2" in
   let d = Dom.domain_of p ctx in
   (* space: N, BW, J, I; band guard I-J <= BW *)
   Alcotest.(check bool) "inside band" true
@@ -190,7 +193,7 @@ let test_domain_guard () =
 
 let test_access_matrix () =
   let p = K.matmul () in
-  let ctx, s = Ast.find_stmt p "S1" in
+  let ctx, s = find_stmt p "S1" in
   let m = Dom.access_matrix p ctx s.Ast.lhs in
   Alcotest.(check bool) "C access matrix" true
     (Linalg.Mat.equal m (Linalg.Mat.of_int_rows [ [ 1; 0; 0 ]; [ 0; 1; 0 ] ]));
@@ -210,7 +213,7 @@ let test_domain_nonaffine_rejected () =
                 (Fx.ref_ "A" [ E.Var "i" ])
                 (Fx.f 1.0) ] ] }
   in
-  let ctx, _ = Ast.find_stmt bad "S1" in
+  let ctx, _ = find_stmt bad "S1" in
   Alcotest.check_raises "non-affine bound"
     (Dom.Not_affine "floor((N)/2)")
     (fun () -> ignore (Dom.domain_of bad ctx))

@@ -156,7 +156,7 @@ let test_blocking_reduces_misses () =
       Spec.factor (Blocking.blocks_2d ~array:"A" ~size:30)
         [ ("S1", rf "A" [ "I"; "K" ]) ] ]
   in
-  let blocked = Codegen.Tighten.generate p spec in
+  let blocked = Pipeline.codegen (Pipeline.create p) spec in
   let init = Kernels.Inits.for_kernel "matmul" ~n in
   let sim q =
     Model.simulate ~machine:Model.sp2_like ~quality:Model.untuned q
@@ -367,7 +367,7 @@ let test_no_allocation_per_access () =
     [ (Model.sp2_like, Model.untuned);
       (Model.sp2_like, Model.tuned);
       (Model.two_level, Model.untuned);
-      (Model.small_cache, Model.untuned) ];
+      (List.assoc "small-cache" Model.machines, Model.untuned) ];
   let params = [ ("N", 32) ] in
   let store = Exec.Store.create prog ~params ~init:(init 32) in
   let rc = Trace.create_recorder () in
@@ -402,7 +402,7 @@ let test_tile_matches_shackle_trace () =
       Spec.factor (Blocking.blocks_2d ~array:"A" ~size:25)
         [ ("S1", rf "A" [ "I"; "K" ]) ] ]
   in
-  let shackled = Codegen.Tighten.generate p spec in
+  let shackled = Pipeline.codegen (Pipeline.create p) spec in
   let init = Kernels.Inits.for_kernel "matmul" ~n in
   let sim q =
     Model.simulate ~machine:Model.sp2_like ~quality:Model.untuned q
@@ -447,7 +447,9 @@ let test_shackle_beats_update_tiling () =
         [ ("S1", rf "A" [ "J"; "J" ]); ("S2", rf "A" [ "J"; "J" ]);
           ("S3", rf "A" [ "K"; "J" ]) ] ]
   in
-  let shackled = Codegen.Tighten.generate (K.cholesky_right ()) spec in
+  let shackled =
+    Pipeline.codegen (Pipeline.create (K.cholesky_right ())) spec
+  in
   let tiled = Tiling.cholesky_update_tiled ~size:24 in
   let sim q =
     Model.simulate ~machine:Model.sp2_like ~quality:Model.untuned q

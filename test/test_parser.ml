@@ -6,6 +6,10 @@ module Ast = Loopir.Ast
 module P = Loopir.Parser
 module K = Kernels.Builders
 
+(* Tightened code from a pipeline of its own, as [shacklec codegen] makes
+   it. *)
+let tighten p spec = Pipeline.codegen (Pipeline.create p) spec
+
 let text_roundtrip name p =
   let s1 = Ast.program_to_string p in
   let p2 = P.program s1 in
@@ -43,23 +47,23 @@ let test_generated_roundtrip () =
   (* blocked programs exercise min/max/floor/ceil bounds and guards *)
   let cases =
     [ ("matmul blocked",
-       Codegen.Tighten.generate (K.matmul ()) (Experiments.Specs.matmul_ca ~size:25));
+       tighten (K.matmul ()) (Experiments.Specs.matmul_ca ~size:25));
       ("matmul naive",
        Codegen.Naive.generate (K.matmul ()) (Experiments.Specs.matmul_c ~size:25));
       ("cholesky blocked",
-       Codegen.Tighten.generate (K.cholesky_right ())
+       tighten (K.cholesky_right ())
          (Experiments.Specs.cholesky_fully_blocked ~size:16));
       ("two-level",
-       Codegen.Tighten.generate (K.matmul ())
+       tighten (K.matmul ())
          (Experiments.Specs.matmul_two_level ~outer:64 ~inner:8));
       ("adi fused",
-       Codegen.Tighten.generate (K.adi ()) (Experiments.Specs.adi_fused ())) ]
+       tighten (K.adi ()) (Experiments.Specs.adi_fused ())) ]
   in
   List.iter (fun (name, p) -> text_roundtrip name p) cases
 
 let test_generated_semantic () =
   let p =
-    Codegen.Tighten.generate (K.cholesky_right ())
+    tighten (K.cholesky_right ())
       (Experiments.Specs.cholesky_fully_blocked ~size:8)
   in
   semantic_roundtrip "cholesky blocked" p ~params:[ ("N", 21) ]
@@ -82,13 +86,36 @@ let test_parse_errors () =
   (* non-linear product in a subscript: I * I *)
   bad 1 "S1: A(3 $) = 1.0"
 
+(* A literal the native int or float cannot hold is a parse error on its
+   own line, not an exception escaping the lexer. *)
+let test_literal_errors () =
+  let bad lineno text msg =
+    match P.program text with
+    | exception P.Parse_error (l, m) ->
+      Alcotest.(check int) "line" lineno l;
+      Alcotest.(check string) "message" msg m
+    | _ -> Alcotest.fail "expected parse error"
+  in
+  let matmul k_loop product =
+    String.concat "\n"
+      [ "real C(N, N)"; "real A(N, N)"; "real B(N, N)"; "do I = 1, N";
+        "do J = 1, N"; k_loop;
+        "S1: C(I, J) = C(I, J) + " ^ product; "end do"; "end do"; "end do" ]
+  in
+  bad 6
+    (matmul "do K = 99999999999999999999, N" "A(I, K) * B(K, J)")
+    "integer literal 99999999999999999999 out of range";
+  bad 7
+    (matmul "do K = 1, N" "A(I, K) * 1.0e")
+    "malformed float literal 1.0e"
+
 let test_analysis_after_parse () =
   (* a parsed program is a first-class citizen: dependence analysis and
      shackling work on it *)
-  let p = P.roundtrip (K.cholesky_right ()) in
-  Alcotest.(check bool) "deps found" true (Dependence.Dep.analyze p <> []);
+  let pipe = Pipeline.create (P.roundtrip (K.cholesky_right ())) in
+  Alcotest.(check bool) "deps found" true (Pipeline.deps pipe <> []);
   Alcotest.(check bool) "shackle legal" true
-    (Shackle.Legality.is_legal p (Experiments.Specs.cholesky_write ~size:16))
+    (Pipeline.is_legal pipe (Experiments.Specs.cholesky_write ~size:16))
 
 let prop_iexpr_roundtrip =
   (* random index expressions survive print -> parse with the same value *)
@@ -159,7 +186,9 @@ let () =
           Alcotest.test_case "statement ids" `Quick test_statement_ids_sequential;
           Alcotest.test_case "fuzzed programs" `Quick test_fuzzed_roundtrip ] );
       ( "errors",
-        [ Alcotest.test_case "parse errors" `Quick test_parse_errors ] );
+        [ Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "bad numeric literals" `Quick
+            test_literal_errors ] );
       ( "integration",
         [ Alcotest.test_case "analysis after parse" `Quick
             test_analysis_after_parse ] );

@@ -11,6 +11,10 @@ module S = Polyhedra.System
 module Fm = Polyhedra.Fm
 module Omega = Polyhedra.Omega
 
+(* Unbudgeted queries, each on a fresh uncached context of its own. *)
+let satisfiable s = Omega.satisfiable ~ctx:(Omega.Ctx.create ()) s
+let implies s c = Omega.implies ~ctx:(Omega.Ctx.create ()) s c
+
 let names3 = [| "x"; "y"; "z" |]
 
 let aff coeffs c = A.of_ints coeffs c
@@ -175,7 +179,7 @@ let test_fm_compress () =
 
 (* --- Omega --- *)
 
-let sat cs = Omega.satisfiable (S.make names3 cs)
+let sat cs = satisfiable (S.make names3 cs)
 
 let test_omega_basic () =
   Alcotest.(check bool) "empty" true (sat []);
@@ -229,7 +233,7 @@ let test_omega_block_constraints () =
     [ C.ge_of j (A.add_const (A.scale_int 25 b) (B.of_int (-24)));
       C.le_of j (A.scale_int 25 b) ]
   in
-  let sat cs = Omega.satisfiable (S.make names cs) in
+  let sat cs = satisfiable (S.make names cs) in
   Alcotest.(check bool) "consistent" true
     (sat (C.ge_of j (A.of_int 2 1) :: C.le_of j (A.of_int 2 100) :: blockc));
   (* j <= 100 and b >= 5 forces j >= 101: unsat *)
@@ -265,9 +269,9 @@ let test_omega_cholesky_legality_shape () =
   let disjunct1 = C.lt_of bi bw in
   let disjunct2 = [ C.eq_of bi bw; C.lt_of bj bw ] in
   Alcotest.(check bool) "first disjunct unsat" false
-    (Omega.satisfiable (S.make names (disjunct1 :: base)));
+    (satisfiable (S.make names (disjunct1 :: base)));
   Alcotest.(check bool) "second disjunct unsat" false
-    (Omega.satisfiable (S.make names (disjunct2 @ base)))
+    (satisfiable (S.make names (disjunct2 @ base)))
 
 let test_omega_implies () =
   let s =
@@ -275,11 +279,11 @@ let test_omega_implies () =
       [ C.ge_of (A.var 3 0) (A.of_int 3 2); C.ge_of (A.var 3 1) (A.var 3 0) ]
   in
   Alcotest.(check bool) "implies y>=2" true
-    (Omega.implies s (C.ge_of (A.var 3 1) (A.of_int 3 2)));
+    (implies s (C.ge_of (A.var 3 1) (A.of_int 3 2)));
   Alcotest.(check bool) "not implies y>=3" false
-    (Omega.implies s (C.ge_of (A.var 3 1) (A.of_int 3 3)));
+    (implies s (C.ge_of (A.var 3 1) (A.of_int 3 3)));
   Alcotest.(check bool) "implies x+y>=4" true
-    (Omega.implies s (C.ge (aff [ 1; 1; 0 ] (-4))))
+    (implies s (C.ge (aff [ 1; 1; 0 ] (-4))))
 
 (* Each shackle-cache/1 record stores the MD5 of this text, so a change in
    rendering would turn every existing cache file into misses.  The literal
@@ -339,7 +343,7 @@ let prop_omega_exact =
     QCheck.(list_of_size (Gen.int_range 1 4) arb_constraint)
     (fun cs ->
       let full = cs @ box (-4) 4 in
-      Omega.satisfiable (S.make names3 full) = brute_force_sat full (-4) 4)
+      satisfiable (S.make names3 full) = brute_force_sat full (-4) 4)
 
 let prop_fm_sound =
   (* every integer point of s satisfies the projection of s *)
@@ -357,7 +361,7 @@ let prop_implies_respects_points =
     QCheck.(pair (list_of_size (Gen.int_range 1 3) arb_constraint) arb_constraint)
     (fun (cs, c) ->
       let s = S.make names3 (cs @ box (-3) 3) in
-      QCheck.assume (Omega.implies s c);
+      QCheck.assume (implies s c);
       (* check the implication on every box point *)
       let ok = ref true in
       for x = -3 to 3 do
@@ -383,7 +387,7 @@ let test_omega_vs_brute_sampled () =
     let dim = 2 + Fuzzing.Rng.int rng 3 in
     let sys = Fuzzing.Gen.system rng ~dim in
     let brute = Fuzzing.Brute.feasible sys ~bound:4 <> None in
-    if Omega.satisfiable sys <> brute then
+    if satisfiable sys <> brute then
       Alcotest.failf "Omega disagrees with enumeration at seed %d on %s" seed
         (Format.asprintf "%a" S.pp sys)
   done
@@ -412,7 +416,7 @@ let test_omega_implies_vs_brute_sampled () =
     let sys = Fuzzing.Gen.system rng ~dim in
     let coeffs = List.init dim (fun _ -> Fuzzing.Rng.range rng (-2) 2) in
     let c = C.ge (A.of_ints coeffs (Fuzzing.Rng.range rng (-4) 4)) in
-    if Omega.implies sys c then begin
+    if implies sys c then begin
       incr checked;
       let refuted =
         Fuzzing.Brute.feasible (S.add sys (C.negate_ge c)) ~bound:4

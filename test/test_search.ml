@@ -5,7 +5,6 @@
 module K = Kernels.Builders
 module Search = Shackle.Search
 module Span = Shackle.Span
-module Legality = Shackle.Legality
 
 let tune ~size ~kernel ~n prog =
   let options = { Tune.default_options with sizes = [ size ] } in
@@ -25,7 +24,7 @@ let test_matmul_search () =
   List.iter
     (fun s ->
       Alcotest.(check bool) "all legal" true
-        (Legality.is_legal p s.Tune.s_cand.Tune.c_spec))
+        (Pipeline.is_legal (Pipeline.create p) s.Tune.s_cand.Tune.c_spec))
     rp.Tune.rp_table;
   let best = winner rp in
   Alcotest.(check bool) "best fully constrained" true
@@ -53,7 +52,7 @@ let test_search_results_execute_correctly () =
   let p = K.cholesky_right () in
   let n = 21 in
   let best = winner (tune ~size:8 ~kernel:"cholesky_right" ~n p) in
-  let g = Codegen.Tighten.generate p best.Tune.c_spec in
+  let g = Pipeline.codegen (Pipeline.create p) best.Tune.c_spec in
   let init = Kernels.Inits.for_kernel "cholesky_right" ~n in
   Alcotest.(check bool) "best candidate is correct" true
     (Exec.Verify.equivalent p g ~params:[ ("N", n) ] ~init)

@@ -838,6 +838,30 @@ let test_replay_trace_roundtrip () =
           (P.request_key b.Server.Replay.ev_req))
       trace trace'
 
+(* A user-named file that cannot be read is an [Error] naming the reason,
+   never an exception: the command line tools print it and exit 1. *)
+let test_unreadable_inputs () =
+  let dir = temp_dir "shk-unreadable" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let missing = Filename.concat dir "missing.jsonl" in
+  Alcotest.(check (result string string)) "missing file"
+    (Error "No such file or directory") (Cli.read_file missing);
+  Alcotest.(check (result string string)) "directory"
+    (Error "Is a directory") (Cli.read_file dir);
+  (match Server.Replay.load_trace missing with
+  | Error msg ->
+    Alcotest.(check string) "trace error names the file"
+      (missing ^ ": No such file or directory") msg
+  | Ok _ -> Alcotest.fail "a missing trace loaded");
+  let file = Filename.concat dir "trace.jsonl" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc "{\"client\": 0}\n");
+  match Server.Replay.load_trace file with
+  | Error msg ->
+    Alcotest.(check string) "malformed trace names its line"
+      (file ^ ":1: expected {client, op, payload}") msg
+  | Ok _ -> Alcotest.fail "a malformed trace loaded"
+
 let test_replay_through_chaos_proxy () =
   with_served_daemon (fun ~socket ~srv:_ ->
       let module R = Server.Replay in
@@ -970,7 +994,9 @@ let () =
         [ Alcotest.test_case "trace roundtrips" `Quick
             test_replay_trace_roundtrip;
           Alcotest.test_case "drive through chaos proxy" `Quick
-            test_replay_through_chaos_proxy ] );
+            test_replay_through_chaos_proxy;
+          Alcotest.test_case "unreadable inputs are errors" `Quick
+            test_unreadable_inputs ] );
       ( "concurrency",
         [ Alcotest.test_case "in-flight batching collapses" `Quick
             test_batching_collapses;

@@ -112,7 +112,8 @@ let test_block_vector () =
       Spec.factor (Blocking.blocks_2d ~array:"A" ~size:10)
         [ ("S1", rf "A" [ "I"; "K" ]) ] ]
   in
-  let _, s = Ast.find_stmt (K.matmul ()) "S1" in
+  (* S1, matmul's only statement *)
+  let s = snd (List.hd (Ast.statements (K.matmul ()))) in
   let env = function "I" -> 11 | "J" -> 5 | "K" -> 21 | _ -> assert false in
   Alcotest.(check (array int)) "concatenated coords" [| 2; 1; 2; 3 |]
     (Spec.block_vector spec s env);
@@ -142,7 +143,8 @@ let test_matmul_all_single_shackles_legal () =
       let spec =
         [ Spec.factor (Blocking.blocks_2d ~array:arr ~size:25) [ ("S1", rf arr idx) ] ]
       in
-      Alcotest.(check bool) (arr ^ " shackle legal") true (Legality.is_legal p spec))
+      Alcotest.(check bool) (arr ^ " shackle legal") true
+        (Pipeline.is_legal (Pipeline.create p) spec))
     [ ("C", [ "I"; "J" ]); ("A", [ "I"; "K" ]); ("B", [ "K"; "J" ]) ]
 
 let cholesky_choice_cases =
@@ -168,7 +170,7 @@ let test_cholesky_six_choices () =
       in
       Alcotest.(check bool)
         (Printf.sprintf "S2:%s S3:%s" (String.concat "," s2) (String.concat "," s3))
-        expect (Legality.is_legal p spec))
+        expect (Pipeline.is_legal (Pipeline.create p) spec))
     cholesky_choice_cases
 
 let test_legality_dynamic_cross_check () =
@@ -186,7 +188,7 @@ let test_legality_dynamic_cross_check () =
             [ ("S1", rf "A" [ "J"; "J" ]); ("S2", rf "A" s2); ("S3", rf "A" s3) ]
         ]
       in
-      let generated = Codegen.Tighten.generate p spec in
+      let generated = Pipeline.codegen (Pipeline.create p) spec in
       let diff =
         Exec.Verify.max_diff p generated ~params:[ ("N", n) ] ~init
       in
@@ -205,7 +207,7 @@ let test_enumerate_choices () =
     (List.length (Legality.enumerate_choices (K.matmul ()) ~array:"C"))
 
 let test_product_of_legal_is_legal () =
-  let p = K.cholesky_right () in
+  let pipe = Pipeline.create (K.cholesky_right ()) in
   let write_f =
     Spec.factor (Blocking.blocks_2d ~array:"A" ~size:16)
       [ ("S1", rf "A" [ "J"; "J" ]); ("S2", rf "A" [ "I"; "J" ]);
@@ -217,9 +219,9 @@ let test_product_of_legal_is_legal () =
         ("S3", rf "A" [ "K"; "J" ]) ]
   in
   Alcotest.(check bool) "write x read" true
-    (Legality.is_legal p (Spec.product [ write_f ] [ read_f ]));
+    (Pipeline.is_legal pipe (Spec.product [ write_f ] [ read_f ]));
   Alcotest.(check bool) "read x write" true
-    (Legality.is_legal p (Spec.product [ read_f ] [ write_f ]))
+    (Pipeline.is_legal pipe (Spec.product [ read_f ] [ write_f ]))
 
 let test_product_can_fix_illegal_factor () =
   (* Section 6: "a product M1 x M2 can be legal even if M2 by itself is
@@ -228,7 +230,7 @@ let test_product_can_fix_illegal_factor () =
      K normal visits K blocks backwards, which is illegal alone.  An outer
      width-1 blocking of B's rows pins K exactly, so the product is legal
      (all ties are K = K'). *)
-  let p = K.matmul () in
+  let pipe = Pipeline.create (K.matmul ()) in
   let reversed_a =
     Spec.factor
       (Blocking.make ~array:"A" ~rank:2
@@ -236,7 +238,7 @@ let test_product_can_fix_illegal_factor () =
       [ ("S1", rf "A" [ "I"; "K" ]) ]
   in
   Alcotest.(check bool) "reversed A factor illegal alone" false
-    (Legality.is_legal p [ reversed_a ]);
+    (Pipeline.is_legal pipe [ reversed_a ]);
   let outer_k =
     Spec.factor
       (Blocking.make ~array:"B" ~rank:2
@@ -244,9 +246,9 @@ let test_product_can_fix_illegal_factor () =
       [ ("S1", rf "B" [ "K"; "J" ]) ]
   in
   Alcotest.(check bool) "outer K factor legal alone" true
-    (Legality.is_legal p [ outer_k ]);
+    (Pipeline.is_legal pipe [ outer_k ]);
   Alcotest.(check bool) "product is legal" true
-    (Legality.is_legal p (Spec.product [ outer_k ] [ reversed_a ]))
+    (Pipeline.is_legal pipe (Spec.product [ outer_k ] [ reversed_a ]))
 
 let test_starved_solver_is_conservative () =
   (* a shackle that is provably legal under an unlimited budget: a starved
@@ -257,9 +259,10 @@ let test_starved_solver_is_conservative () =
     [ Spec.factor (Blocking.blocks_2d ~array:"C" ~size:25)
         [ ("S1", rf "C" [ "I"; "J" ]) ] ]
   in
+  let pipe = Pipeline.create p in
   Alcotest.(check bool) "legal with unlimited budget" true
-    (Legality.is_legal p spec);
-  let deps = Dependence.Dep.analyze p in
+    (Pipeline.is_legal pipe spec);
+  let deps = Pipeline.deps pipe in
   let starved () = Polyhedra.Omega.Ctx.create ~fuel:0 () in
   (match Legality.check_deps ~ctx:(starved ()) p spec deps with
   | Legality.Unknown reason ->

@@ -97,10 +97,10 @@ let check_stage_equiv name stage prog ~params ~init =
 
 let blocked_cases () =
   [ ("matmul_ca25",
-     Codegen.Tighten.generate (K.matmul ()) (Specs.matmul_ca ~size:25),
+     Pipeline.codegen (Pipeline.create (K.matmul ())) (Specs.matmul_ca ~size:25),
      "matmul");
     ("cholesky_full16",
-     Codegen.Tighten.generate (K.cholesky_right ())
+     Pipeline.codegen (Pipeline.create (K.cholesky_right ()))
        (Specs.cholesky_fully_blocked ~size:16),
      "cholesky_right") ]
 
@@ -161,7 +161,7 @@ let test_minmax_peel_splits () =
     | exception Loopir.Parser.Parse_error (l, m) ->
       Alcotest.failf "parse error line %d: %s" l m
   in
-  let peeled = Stages.minmax_peel.Stages.apply prog in
+  let peeled = (Option.get (Stages.by_name "minmax-peel")).Stages.apply prog in
   let text = Ast.program_to_string peeled in
   Alcotest.(check bool) "no min remains" false (contains text "min(");
   let init = (fun _ _ -> 1.0) in

@@ -14,6 +14,7 @@ module Rng = Fuzzing.Rng
 module Gen = Fuzzing.Gen
 
 let exact = Alcotest.float 0.0
+let small_cache = List.assoc "small-cache" Model.machines
 
 (* everything outside these keys is specified to be byte-identical across
    runs and across [domains] ("domains" itself is run configuration,
@@ -297,7 +298,7 @@ let tune_small ?(domains = 1) ~kernel ~n ~sizes prog =
       { Tune.default_options with
         sizes;
         domains;
-        machines = [ Model.small_cache ] }
+        machines = [ small_cache ] }
     ~kernel
     ~params:[ ("N", n) ]
     prog
@@ -318,7 +319,7 @@ let check_pruned_sound ~kernel ~n prog rp =
       let label = p.Tune.bp_cand.Tune.c_label in
       let r =
         Pipeline.simulate pipe ~spec:p.Tune.bp_cand.Tune.c_spec
-          ~machine:Model.small_cache ~quality:Model.untuned
+          ~machine:small_cache ~quality:Model.untuned
           ~params:[ ("N", n) ]
           ~init
       in
@@ -366,7 +367,7 @@ let test_headroom_sound () =
   let options =
     { Tune.default_options with
       sizes = [ 8; 16 ];
-      machines = [ Model.small_cache; Model.sp2_like ] }
+      machines = [ small_cache; Model.sp2_like ] }
   in
   let rp =
     Tune.tune ~options ~kernel:"matmul" ~params:[ ("N", 48) ] (K.matmul ())
