@@ -67,6 +67,15 @@ let compile_sub env (e : E.t) =
 let[@inline] sub_value s (frame : int array) =
   match s with Slot (i, delta) -> frame.(i) + delta | Code c -> c frame
 
+(* Append one packed word to the recorder's current chunk, calling into
+   Trace only when the chunk is full.  Trace.emit would do the same, but
+   under -opaque (the default build) every call to it goes through Trace's
+   module block, once per trace word. *)
+let[@inline] append (rc : Trace.recorder) w =
+  if rc.len = rc.chunk_words then Trace.flush rc;
+  Array.unsafe_set rc.buf rc.len w;
+  rc.len <- rc.len + 1
+
 (* A reference compiles to code returning its flat offset into the data
    array of [arr], fixed at compile time, through the strides the store
    computed up front.  The inline range test is Store.offset's (each index
@@ -88,14 +97,18 @@ let compile_offset env (arr : Store.arr) (idx : E.t list) : int array -> int =
       | Store.Banded bw -> (0, bw)
       | Store.Col_major | Store.Row_major -> (min_int, max_int)
     in
-    let si = subs.(0) and sj = subs.(1) in
     let rows = ext.(0) and cols = ext.(1) in
     let st0 = strides.(0) and st1 = strides.(1) in
-    fun frame ->
-      let i = sub_value si frame and j = sub_value sj frame in
+    let[@inline] at frame i j =
       if i < 1 || i > rows || j < 1 || j > cols || i - j < lo || i - j > hi
       then slow frame
       else ((i - 1) * st0) + ((j - 1) * st1)
+    in
+    match (subs.(0), subs.(1)) with
+    | Slot (a, da), Slot (b, db) ->
+      (* both subscripts are frame slots: no match per evaluation *)
+      fun frame -> at frame (frame.(a) + da) (frame.(b) + db)
+    | si, sj -> fun frame -> at frame (sub_value si frame) (sub_value sj frame)
   end
   else fun frame ->
     let off = ref 0 and ok = ref true in
@@ -138,7 +151,7 @@ let rec compile_fexpr env store sink flops (sc : float array) r (e : Fexpr.t)
      | Trace.Record rc ->
        fun f ->
          let o = off f in
-         Trace.emit rc ~write:false ~addr:(base + o);
+         append rc ((base + o) lsl 1);
          sc.(r) <- data.(o))
   | Fexpr.Const x -> fun _ -> sc.(r) <- x
   | Fexpr.Neg a ->
@@ -216,7 +229,7 @@ let rec compile_node env store sink flops (node : Ast.t) : int array -> unit =
        fun frame ->
          rhs frame;
          let o = off frame in
-         Trace.emit rc ~write:true ~addr:(base + o);
+         append rc (((base + o) lsl 1) lor 1);
          data.(o) <- sc.(0))
   | Ast.If (gs, body) ->
     let cgs = Array.of_list (List.map (compile_guard env) gs) in

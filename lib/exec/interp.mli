@@ -4,22 +4,26 @@
     variable name), so running blocked code on realistic sizes is cheap
     enough to drive the memory-hierarchy simulator.  Each array reference
     compiles to an [int] offset into an array fixed at compile time: a
-    plain-variable subscript is read straight from its frame slot, the
-    layout's strides come from the store, and an index failing the inline
-    range test is handed to {!Store.offset}, which raises its usual
-    [Invalid_argument].  Right-hand sides compile to code over a
-    per-statement [float array] scratch, so values stay unboxed and
-    executing a compiled program allocates nothing per statement
-    instance.  Every array element access can be reported to a
-    {!Trace.sink} with its element address; reads are reported
-    left-to-right, then the write — the access order the paper's machine
-    would perform.
+    plain-variable subscript (possibly plus or minus a constant) is read
+    straight from its frame slot (with no match per evaluation when both
+    subscripts of a 2-D reference are such slots), the layout's strides
+    come from the store, and an index failing the inline range test is
+    handed to {!Store.offset}, which raises its usual [Invalid_argument].
+    Right-hand sides compile to code over a per-statement [float array]
+    scratch, so values stay unboxed and executing a compiled program
+    allocates nothing per statement instance.  Every array element access
+    can be reported to a {!Trace.sink} with its element address; reads are
+    reported left-to-right, then the write — the access order the paper's
+    machine would perform.
 
     The sink is matched once when the program is compiled, so the default
     [No_trace] path pays nothing per access; [Callback] feeds each access
     to a closure (the direct single-series simulation path); [Record]
     feeds a chunked trace recorder for the record-once / replay-many
-    pipeline. *)
+    pipeline.  [Record] appends each packed word to the recorder's current
+    chunk in place and calls into {!Trace} only when the chunk is full:
+    the default build compiles each library module with [-opaque], so
+    {!Trace.emit} would be an indirect call per access. *)
 
 type trace = write:bool -> addr:int -> unit
 (** The per-access callback shape used by [Trace.Callback]. *)

@@ -190,6 +190,7 @@ and ifactor c =
     let e = iexpr c in
     expect c Slash;
     let d = match next c with
+      | Int 0 -> fail c.line ("zero divisor in " ^ f)
       | Int d -> d
       | t -> fail c.line ("expected divisor, got " ^ tok_to_string t)
     in

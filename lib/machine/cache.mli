@@ -6,7 +6,23 @@ type config = {
   assoc : int;
 }
 
-type t
+type t = {
+  cfg : config;
+  nsets : int;
+  line_shift : int;  (** log2 line_bytes *)
+  set_shift : int;  (** log2 nsets *)
+  tags : int array;
+      (** [tags.(set * assoc + way)], -1 when empty; way 0 is the most
+          recently used *)
+  mutable n_accesses : int;
+  mutable n_hits : int;
+  mutable n_evictions : int;
+}
+(** The fields are public so that the replay loop ({!Model}) can test a
+    set's most recently used way inline and count those hits in locals:
+    such a hit moves no tag, so it changes nothing but [n_accesses] and
+    [n_hits], which the loop adds once per chunk.  Every other probe goes
+    through {!access}. *)
 
 val create : config -> t
 (** @raise Invalid_argument on inconsistent geometry. *)

@@ -127,30 +127,72 @@ module Sim = struct
       instances = 0;
       last_addr = min_int }
 
-  (* One access through the hierarchy: level l+1 is probed only when
-     level l misses.  [forwarding] quality drops back-to-back accesses to
-     the same element before they reach the hierarchy. *)
-  let[@inline] access sim ~write ~addr =
-    if write then sim.instances <- sim.instances + 1;
-    if sim.quality.forwarding && addr = sim.last_addr then ()
-    else begin
-      sim.accesses <- sim.accesses + 1;
-      sim.last_addr <- addr;
-      let byte = addr * sim.machine.elem_bytes in
-      let caches = sim.caches in
-      let n = Array.length caches in
-      let i = ref 0 in
-      while !i < n && not (Cache.access caches.(!i) byte) do
-        incr i
-      done
-    end
+  (* Replay one chunk of packed words: the one hierarchy walk, behind both
+     [consume] and [simulate].  Level l+1 is probed only when level l
+     misses, and [forwarding] quality drops back-to-back accesses to the
+     same element before they reach the hierarchy.
 
-  (* Replay one recorded chunk: the tight loop of the trace pipeline. *)
+     The default build compiles each library module with -opaque, so every
+     call into Cache is an indirect call through its module block.  This
+     loop therefore keeps the stream state (access and instance counts,
+     forwarding's last address), the first level's geometry and its MRU
+     hits in locals, and tests the first level's most recently used way
+     itself.  Such a hit moves no tag and changes only two counters; any
+     other probe calls [Cache.access].  The counters are written back once
+     per chunk, and nothing is allocated. *)
   let consume_chunk sim buf len =
-    for i = 0 to len - 1 do
-      let w = Array.unsafe_get buf i in
-      access sim ~write:(w land 1 = 1) ~addr:(w asr 1)
-    done
+    let forwarding = sim.quality.forwarding in
+    let elem_bytes = sim.machine.elem_bytes in
+    let caches = sim.caches in
+    let n = Array.length caches in
+    let accesses = ref sim.accesses
+    and instances = ref sim.instances
+    and last = ref sim.last_addr in
+    if n = 0 then
+      (* no cache level: every access goes to memory *)
+      for i = 0 to len - 1 do
+        let w = Array.unsafe_get buf i in
+        instances := !instances + (w land 1);
+        let addr = w asr 1 in
+        if not (forwarding && addr = !last) then begin
+          incr accesses;
+          last := addr
+        end
+      done
+    else begin
+      let l1 = caches.(0) in
+      let tags = l1.Cache.tags and assoc = l1.Cache.cfg.Cache.assoc in
+      let line_shift = l1.Cache.line_shift and set_shift = l1.Cache.set_shift in
+      let set_mask = l1.Cache.nsets - 1 in
+      let mru_hits = ref 0 in
+      for i = 0 to len - 1 do
+        let w = Array.unsafe_get buf i in
+        instances := !instances + (w land 1);
+        let addr = w asr 1 in
+        if not (forwarding && addr = !last) then begin
+          incr accesses;
+          last := addr;
+          let byte = addr * elem_bytes in
+          let line = byte asr line_shift in
+          (* Cache.access's own first test, on way 0 of the line's set *)
+          if Array.unsafe_get tags ((line land set_mask) * assoc)
+             = line asr set_shift
+          then incr mru_hits
+          else if not (Cache.access l1 byte) then begin
+            let j = ref 1 in
+            while !j < n && not (Cache.access (Array.unsafe_get caches !j) byte)
+            do
+              incr j
+            done
+          end
+        end
+      done;
+      l1.Cache.n_accesses <- l1.Cache.n_accesses + !mru_hits;
+      l1.Cache.n_hits <- l1.Cache.n_hits + !mru_hits
+    end;
+    sim.accesses <- !accesses;
+    sim.instances <- !instances;
+    sim.last_addr <- !last
 
   (* Accesses that missed every level and went to memory. *)
   let mem_misses sim =
@@ -398,15 +440,33 @@ module Smp = struct
       (r.p_private @ r.p_shared)
 end
 
-(* The direct single-series path: execute the interpreter and feed every
-   access straight into a fresh instance, storing no trace. *)
+(* Words the direct path collects before replaying them: the largest
+   array the minor heap takes (Max_young_wosize), so a simulation's chunk
+   never reaches the major heap. *)
+let direct_chunk_words = 256
+
+(* The direct single-series path: execute the interpreter and replay its
+   accesses through a fresh instance as they come, one small reusable
+   chunk at a time, storing no trace. *)
 let simulate ?layouts ~machine ~quality prog ~params ~init =
   let sim = Sim.create ~machine ~quality in
+  let buf = Array.make direct_chunk_words 0 and len = ref 0 in
   let _, flops =
     Exec.Verify.run_program ?layouts
-      ~sink:(Trace.Callback (fun ~write ~addr -> Sim.access sim ~write ~addr))
+      ~sink:
+        (Trace.Callback
+           (fun ~write ~addr ->
+             if !len = direct_chunk_words then begin
+               Sim.consume_chunk sim buf !len;
+               len := 0
+             end;
+             (* Trace.word's packing *)
+             Array.unsafe_set buf !len
+               ((addr lsl 1) lor (if write then 1 else 0));
+             incr len))
       prog ~params ~init
   in
+  Sim.consume_chunk sim buf !len;
   Sim.result sim ~flops
 
 let pp_result fmt r =

@@ -78,30 +78,14 @@ type result = {
   r_cycles : float;
   r_mflops : float;
 }
-
-(** An explicit simulator instance: one cache hierarchy plus trace
-    counters.  Instances share no state with each other or with anything
-    global, so parallel experiment runners create one per task (worker)
-    and never hand one across domains.
-
-    Per-access work is pure counter updates against flat cache arrays;
-    cycle costs are folded in once, in closed form, when {!Sim.result} is
-    built: cycles = flops x flop_cycles + Σ level hits x hit_cycles +
-    memory misses x mem_cycles + instances x overhead.  Every cost
-    constant is integer or dyadic, so this is bit-identical to per-access
+(** One simulation's counters and costs.  Each simulation runs on its own
+    cache hierarchy and counters, sharing nothing with any other, so
+    parallel runners may simulate on several domains at once.  Replay only
+    counts; cycle costs are folded in once, in closed form, when the result
+    is built: cycles = flops x flop_cycles + Σ level hits x hit_cycles +
+    memory misses x mem_cycles + instances x overhead.  Every cost constant
+    is integer or dyadic, so this is bit-identical to per-access
     accumulation. *)
-module Sim : sig
-  type sim
-
-  val create : machine:t -> quality:quality -> sim
-
-  val access : sim -> write:bool -> addr:int -> unit
-  (** Feed one element access through the hierarchy (instance counting,
-      forwarding dedup, cache probing). *)
-
-  val result : sim -> flops:int -> result
-  (** Closed-form cycle accounting over the counters accumulated so far. *)
-end
 
 (** {2 Record once, replay many} *)
 

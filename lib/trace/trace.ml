@@ -30,6 +30,11 @@ let flush r =
     r.len <- 0
   end
 
+(* The default (dev) build compiles each library module with -opaque, so
+   this [@inline] reaches callers in this module only: [Sched] and the
+   tests call [emit] through the module's block.  The interpreter, whose
+   loop runs once per trace word, appends in place instead and calls
+   [flush] only when a chunk fills. *)
 let[@inline] emit r ~write ~addr =
   if r.len = r.chunk_words then flush r;
   Array.unsafe_set r.buf r.len ((addr lsl 1) lor (if write then 1 else 0));

@@ -25,12 +25,26 @@ val word_is_write : int -> bool
 
 (** {2 Recording} *)
 
-type recorder
+type recorder = {
+  chunk_words : int;
+  mutable buf : int array;  (** the current chunk, [chunk_words] long *)
+  mutable len : int;  (** words used in [buf] *)
+  mutable stored : (int array * int) list;
+      (** finished chunks, most recent first *)
+}
+(** The fields are public so that a loop in another module can append a
+    word without a call: when [len = chunk_words] call {!flush}, then
+    write [buf.(len)] and add one to [len].  The interpreter's [Record]
+    sink does exactly this; outside this module, nothing else may write
+    the fields. *)
 
 val default_chunk_words : int
 
 val create_recorder : ?chunk_words:int -> unit -> recorder
 (** [chunk_words] defaults to {!default_chunk_words}. *)
+
+val flush : recorder -> unit
+(** Store the current chunk, if it holds any word, and start a fresh one. *)
 
 val emit : recorder -> write:bool -> addr:int -> unit
 (** Append one access, starting a fresh chunk when the current one is

@@ -105,14 +105,21 @@ let reference_lru cfg addrs =
       hit)
     addrs
 
+(* Three geometries: 2-way with 4 sets, 4-way with 4 sets, and the 128-way
+   fully associative one of small-cache (one set of 8-byte lines), which
+   the addresses overflow with 512 distinct lines. *)
 let prop_lru_matches_reference =
   QCheck.Test.make ~count:300 ~name:"cache agrees with reference LRU"
     QCheck.(list_of_size (Gen.int_range 1 200) (int_range 0 4095))
     (fun addrs ->
-      let cfg = { Cache.size_bytes = 512; line_bytes = 64; assoc = 2 } in
-      let c = Cache.create cfg in
-      let got = List.map (fun a -> Cache.access c a) addrs in
-      got = reference_lru cfg addrs)
+      List.for_all
+        (fun cfg ->
+          let c = Cache.create cfg in
+          let got = List.map (fun a -> Cache.access c a) addrs in
+          got = reference_lru cfg addrs)
+        [ { Cache.size_bytes = 512; line_bytes = 64; assoc = 2 };
+          { Cache.size_bytes = 1024; line_bytes = 64; assoc = 4 };
+          { Cache.size_bytes = 1024; line_bytes = 8; assoc = 128 } ])
 
 (* --- model --- *)
 
@@ -258,19 +265,29 @@ let reference_simulate ~machine ~quality prog ~params ~init =
 let trace_test_points =
   [ ("matmul", K.matmul (), 64); ("cholesky_right", K.cholesky_right (), 32) ]
 
+let small_cache = List.assoc "small-cache" Model.machines
+
 let all_variants =
   [ (Model.sp2_like, Model.untuned);
     (Model.sp2_like, Model.tuned);
     (Model.two_level, Model.untuned);
-    (Model.two_level, Model.tuned) ]
+    (Model.two_level, Model.tuned);
+    (small_cache, Model.untuned);
+    (small_cache, Model.tuned) ]
+
+(* small-cache's one 128-way set makes every miss scan 128 tags, so it
+   runs each trace point at half its size: matmul N=32 touches 3,072
+   elements and cholesky_right N=16 touches 256, both past its 128 lines. *)
+let size_on machine n = if machine == small_cache then n / 2 else n
 
 let test_closed_form_matches_per_access () =
   List.iter
     (fun (kernel, prog, n) ->
-      let params = [ ("N", n) ] in
-      let init = Kernels.Inits.for_kernel kernel ~n in
       List.iter
         (fun (machine, quality) ->
+          let n = size_on machine n in
+          let params = [ ("N", n) ] in
+          let init = Kernels.Inits.for_kernel kernel ~n in
           let tag =
             Printf.sprintf "%s N=%d %s/%s" kernel n machine.Model.m_name
               quality.Model.q_name
@@ -287,7 +304,10 @@ let test_closed_form_matches_per_access () =
             (levels = r.Model.r_levels);
           (* bitwise, NOT within-epsilon: the closed form must be exact *)
           Alcotest.(check bool) (tag ^ " cycles bit-identical") true
-            (cycles = r.Model.r_cycles))
+            (cycles = r.Model.r_cycles);
+          if machine == small_cache then
+            Alcotest.(check bool) (tag ^ " overflows its 128 lines") true
+              ((List.hd r.Model.r_levels).Model.s_evictions > 0))
         all_variants)
     trace_test_points;
   (* the chosen sizes overflow L1 on both machines, so evictions — the
@@ -309,27 +329,48 @@ let test_closed_form_matches_per_access () =
 let test_record_replay_matches_direct () =
   List.iter
     (fun (kernel, prog, n) ->
-      let params = [ ("N", n) ] in
-      let init = Kernels.Inits.for_kernel kernel ~n in
-      (* tiny chunks force many flush boundaries in the replay loop *)
-      let recording = Model.record ~chunk_words:128 prog ~params ~init in
+      let at n = ([ ("N", n) ], Kernels.Inits.for_kernel kernel ~n) in
       let direct =
         List.map
           (fun (machine, quality) ->
+            let params, init = at (size_on machine n) in
             Model.simulate ~machine ~quality prog ~params ~init)
           all_variants
       in
-      List.iter2
-        (fun (machine, quality) want ->
-          let tag =
-            Printf.sprintf "%s N=%d %s/%s" kernel n machine.Model.m_name
-              quality.Model.q_name
+      let sizes =
+        List.sort_uniq compare
+          (List.map (fun (machine, _) -> size_on machine n) all_variants)
+      in
+      (* tiny chunks force many flush boundaries in the replay loop; at 1
+         and 7 words, the state it carries across chunks (forwarding's last
+         address, the instance count, the first level's batched MRU hits)
+         crosses a boundary mid-stream *)
+      List.iter
+        (fun chunk_words ->
+          (* one recording per problem size, replayed by every variant *)
+          let recordings =
+            List.map
+              (fun n ->
+                let params, init = at n in
+                (n, Model.record ~chunk_words prog ~params ~init))
+              sizes
           in
-          Alcotest.(check bool) (tag ^ " consume = direct") true
-            (Model.consume ~machine ~quality recording = want))
-        all_variants direct;
+          List.iter2
+            (fun (machine, quality) want ->
+              let n = size_on machine n in
+              let tag =
+                Printf.sprintf "%s N=%d %s/%s chunk %d" kernel n
+                  machine.Model.m_name quality.Model.q_name chunk_words
+              in
+              Alcotest.(check bool) (tag ^ " consume = direct") true
+                (Model.consume ~machine ~quality (List.assoc n recordings)
+                = want))
+            all_variants direct)
+        [ 128; 7; 1 ];
       (* one recording also replays many times without mutation *)
       let machine, quality = List.hd all_variants in
+      let params, init = at n in
+      let recording = Model.record ~chunk_words:128 prog ~params ~init in
       Alcotest.(check bool) "recording is reusable" true
         (Model.consume ~machine ~quality recording
         = Model.consume ~machine ~quality recording))
@@ -367,7 +408,7 @@ let test_no_allocation_per_access () =
     [ (Model.sp2_like, Model.untuned);
       (Model.sp2_like, Model.tuned);
       (Model.two_level, Model.untuned);
-      (List.assoc "small-cache" Model.machines, Model.untuned) ];
+      (small_cache, Model.untuned) ];
   let params = [ ("N", 32) ] in
   let store = Exec.Store.create prog ~params ~init:(init 32) in
   let rc = Trace.create_recorder () in

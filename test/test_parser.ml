@@ -86,28 +86,44 @@ let test_parse_errors () =
   (* non-linear product in a subscript: I * I *)
   bad 1 "S1: A(3 $) = 1.0"
 
+(* [text] fails to parse on line [lineno] with message [msg]. *)
+let bad_at lineno text msg =
+  match P.program text with
+  | exception P.Parse_error (l, m) ->
+    Alcotest.(check int) "line" lineno l;
+    Alcotest.(check string) "message" msg m
+  | _ -> Alcotest.fail "expected parse error"
+
+(* matmul's text with its K loop header and S1's product replaced *)
+let matmul_text k_loop product =
+  String.concat "\n"
+    [ "real C(N, N)"; "real A(N, N)"; "real B(N, N)"; "do I = 1, N";
+      "do J = 1, N"; k_loop;
+      "S1: C(I, J) = C(I, J) + " ^ product; "end do"; "end do"; "end do" ]
+
 (* A literal the native int or float cannot hold is a parse error on its
    own line, not an exception escaping the lexer. *)
 let test_literal_errors () =
-  let bad lineno text msg =
-    match P.program text with
-    | exception P.Parse_error (l, m) ->
-      Alcotest.(check int) "line" lineno l;
-      Alcotest.(check string) "message" msg m
-    | _ -> Alcotest.fail "expected parse error"
-  in
-  let matmul k_loop product =
-    String.concat "\n"
-      [ "real C(N, N)"; "real A(N, N)"; "real B(N, N)"; "do I = 1, N";
-        "do J = 1, N"; k_loop;
-        "S1: C(I, J) = C(I, J) + " ^ product; "end do"; "end do"; "end do" ]
-  in
-  bad 6
-    (matmul "do K = 99999999999999999999, N" "A(I, K) * B(K, J)")
+  bad_at 6
+    (matmul_text "do K = 99999999999999999999, N" "A(I, K) * B(K, J)")
     "integer literal 99999999999999999999 out of range";
-  bad 7
-    (matmul "do K = 1, N" "A(I, K) * 1.0e")
+  bad_at 7
+    (matmul_text "do K = 1, N" "A(I, K) * 1.0e")
     "malformed float literal 1.0e"
+
+(* A zero divisor in floor/ceil is a parse error on its line: in a loop
+   bound it used to escape as Domain.Not_affine, in a subscript as
+   Division_by_zero when the program ran. *)
+let test_zero_divisor () =
+  bad_at 6
+    (matmul_text "do K = 1, floor((N)/0)" "A(I, K) * B(K, J)")
+    "zero divisor in floor";
+  bad_at 7
+    (matmul_text "do K = 1, N" "A(floor(I/0), K) * B(K, J)")
+    "zero divisor in floor";
+  bad_at 6
+    (matmul_text "do K = ceil(N/0), N" "A(I, K) * B(K, J)")
+    "zero divisor in ceil"
 
 let test_analysis_after_parse () =
   (* a parsed program is a first-class citizen: dependence analysis and
@@ -188,7 +204,9 @@ let () =
       ( "errors",
         [ Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "bad numeric literals" `Quick
-            test_literal_errors ] );
+            test_literal_errors;
+          Alcotest.test_case "zero divisor in floor/ceil" `Quick
+            test_zero_divisor ] );
       ( "integration",
         [ Alcotest.test_case "analysis after parse" `Quick
             test_analysis_after_parse ] );
