@@ -376,6 +376,33 @@ let classify lineno raw =
     | t -> fail lineno ("unexpected line start: " ^ tok_to_string t)
   end
 
+(* A name in a loop bound, guard or subscript must be an enclosing loop
+   variable or a header parameter, and a reference must name a declared
+   array with as many subscripts as the array has extents.  Each check
+   runs on the line that holds the name or the reference, with the
+   parameters and arrays declared on the lines above it. *)
+let check_names lineno ~scope ~params e =
+  List.iter
+    (fun v ->
+      if not (List.mem v scope || List.mem v params) then
+        fail lineno
+          ("name " ^ v
+         ^ " is neither an enclosing loop variable nor a parameter"))
+    (Expr.vars e)
+
+let check_ref lineno ~scope ~params ~arrays (r : Fexpr.ref_) =
+  let declared (d : Ast.array_decl) = String.equal d.a_name r.array in
+  (match List.find_opt declared arrays with
+  | None -> fail lineno ("array " ^ r.array ^ " is not declared")
+  | Some d ->
+    let rank = List.length d.extents and n = List.length r.idx in
+    if n <> rank then
+      fail lineno
+        (Printf.sprintf
+           "array %s has rank %d but is referenced with %d subscripts" r.array
+           rank n));
+  List.iter (check_names lineno ~scope ~params) r.idx
+
 let program text =
   let lines =
     String.split_on_char '\n' text
@@ -385,13 +412,15 @@ let program text =
   in
   let name = ref "program" and params = ref [] and arrays = ref [] in
   let sid = ref 0 in
-  (* parse a block until one of the terminators; return (nodes, rest) *)
-  let rec block lines terminators =
+  (* parse a block until one of the terminators; return (nodes, rest).
+     [scope] holds the enclosing loop variables. *)
+  let rec block scope lines terminators =
     match lines with
     | [] ->
       if terminators = [] then ([], [])
       else fail 0 "unexpected end of input (missing end do/end if)"
     | (lineno, l) :: rest -> begin
+      let names = check_names lineno ~scope ~params:!params in
       match l with
       | Lend_do | Lend_if ->
         if List.mem l terminators then ([], lines)
@@ -399,28 +428,34 @@ let program text =
       | Lheader (n, ps) ->
         name := n;
         params := ps;
-        block rest terminators
+        block scope rest terminators
       | Ldecl d ->
         arrays := d :: !arrays;
-        block rest terminators
+        block scope rest terminators
       | Ldo (var, lo, hi) ->
-        let body, rest = block rest [ Lend_do ] in
+        names lo;
+        names hi;
+        let body, rest = block (var :: scope) rest [ Lend_do ] in
         let rest = match rest with _ :: r -> r | [] -> [] in
-        let nodes, rest = block rest terminators in
+        let nodes, rest = block scope rest terminators in
         (Ast.Loop { Ast.var; lo; hi; body } :: nodes, rest)
       | Lif gs ->
-        let body, rest = block rest [ Lend_if ] in
+        List.iter (fun (g : Ast.guard) -> names g.g_lhs; names g.g_rhs) gs;
+        let body, rest = block scope rest [ Lend_if ] in
         let rest = match rest with _ :: r -> r | [] -> [] in
-        let nodes, rest = block rest terminators in
+        let nodes, rest = block scope rest terminators in
         (Ast.If (gs, body) :: nodes, rest)
       | Lstmt (label, lhs, rhs) ->
+        List.iter
+          (check_ref lineno ~scope ~params:!params ~arrays:!arrays)
+          (lhs :: Fexpr.reads rhs);
         let id = !sid in
         incr sid;
-        let nodes, rest = block rest terminators in
+        let nodes, rest = block scope rest terminators in
         (Ast.Stmt { Ast.id; label; lhs; rhs } :: nodes, rest)
     end
   in
-  let body, rest = block lines [] in
+  let body, rest = block [] lines [] in
   (match rest with
    | [] -> ()
    | (lineno, _) :: _ -> fail lineno "unbalanced end");

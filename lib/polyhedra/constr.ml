@@ -25,45 +25,68 @@ let normalize c =
     | Ge -> if B.equal g B.one then c else { c with aff = Affine.div_floor c.aff g }
   end
 
-(* Parallel classes, hashed on the coefficient vector itself: one
-   representation per Bigint value makes element-wise [B.equal] and
-   [B.hash] exact.  Equalities belong to one class only when their
-   constants match as well. *)
-module Class = Hashtbl.Make (struct
-  type t = kind * B.t array * B.t
+(* A coefficient's hash with no call into [Bigint]: bigint.mli documents
+   that every value in [-max_int, max_int] is an immediate [int] and every
+   other value is boxed, so an immediate hashes as itself. *)
+let hash_coeff (x : B.t) =
+  if Obj.is_int (Obj.repr x) then (Obj.obj (Obj.repr x) : int) else B.hash x
 
-  let equal (k, a, c) (k', a', c') =
-    k = k' && B.equal c c'
-    && Array.length a = Array.length a'
-    && Array.for_all2 B.equal a a'
+(* A row's parallel class: its kind and coefficient vector, plus its
+   constant for an equality.  Every coefficient enters the hash. *)
+let class_hash c =
+  let coeffs = (c.aff : Affine.t).coeffs in
+  let h = ref (match c.kind with Eq -> 1 + hash_coeff c.aff.const | Ge -> 0) in
+  for i = 0 to Array.length coeffs - 1 do
+    h := (!h * 65599) + hash_coeff coeffs.(i)
+  done;
+  !h land max_int
 
-  let hash (k, a, c) =
-    Array.fold_left
-      (fun h x -> (h * 65599) + B.hash x)
-      (B.hash c + if k = Eq then 1 else 0)
-      a
-    land max_int
-end)
+(* One representation per Bigint value makes polymorphic equality exact on
+   coefficient arrays and constants. *)
+let same_class c c' =
+  c.kind = c'.kind
+  && (c.kind = Ge || c.aff.const = c'.aff.const)
+  && (c.aff : Affine.t).coeffs = (c'.aff : Affine.t).coeffs
 
+(* An open-addressing table sized from the input: [slot] holds class
+   indices (-1 when free) at a load of at most one half, and class [k] has
+   hash [hashes.(k)] and current representative [reps.(k)].  Classes are
+   numbered in first-seen order. *)
 let dedupe cs =
-  let table = Class.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun c ->
-      let const = Affine.const_of c.aff in
-      let key =
-        (c.kind, (c.aff : Affine.t).coeffs,
-         match c.kind with Eq -> const | Ge -> B.zero)
-      in
-      match Class.find_opt table key with
-      | None ->
-        let slot = ref c in
-        Class.add table key slot;
-        order := slot :: !order
-      | Some slot ->
-        if B.compare const (Affine.const_of !slot.aff) < 0 then slot := c)
-    cs;
-  List.rev_map ( ! ) !order
+  match cs with
+  | [] | [ _ ] -> cs
+  | first :: _ ->
+    let n = List.length cs in
+    let size = ref 8 in
+    while !size < 2 * n do
+      size := 2 * !size
+    done;
+    let mask = !size - 1 in
+    let slot = Array.make !size (-1) in
+    let hashes = Array.make n 0 and reps = Array.make n first in
+    let classes = ref 0 in
+    List.iter
+      (fun c ->
+        let h = class_hash c in
+        let i = ref (h land mask) and placed = ref false in
+        while not !placed do
+          let k = slot.(!i) in
+          if k < 0 then begin
+            slot.(!i) <- !classes;
+            hashes.(!classes) <- h;
+            reps.(!classes) <- c;
+            incr classes;
+            placed := true
+          end
+          else if hashes.(k) = h && same_class reps.(k) c then begin
+            if c.kind = Ge && B.compare c.aff.const reps.(k).aff.const < 0 then
+              reps.(k) <- c;
+            placed := true
+          end
+          else i := (!i + 1) land mask
+        done)
+      cs;
+    List.init !classes (Array.get reps)
 
 let is_trivially_true c =
   Affine.is_constant c.aff

@@ -22,10 +22,11 @@ val dim : t -> int
 
 val normalize : t -> t
 (** Divides by the gcd of the coefficients.  For inequalities the constant is
-    floored (integer tightening); for equalities the gcd must divide the
-    constant, otherwise the constraint is unsatisfiable and [normalize]
-    returns the canonical false constraint [0 >= 1] unchanged in kind Eq
-    ([0 = 1]). *)
+    floored (integer tightening).  An equality is divided only when the gcd
+    divides its constant; otherwise it has no integer solution and is
+    returned unchanged, so [2x = 1] and [4x = 2] stay distinct (the solver
+    refutes both, and {!Omega.canonical_key} keeps them apart).  A
+    constraint whose coefficients are all zero is returned unchanged. *)
 
 val dedupe : t list -> t list
 (** Keeps one constraint per parallel class, in first-seen order: among

@@ -28,9 +28,9 @@ let with_deadline ~until f =
 
 (* An external verdict store behind the in-process memo: the disk-backed
    legality cache of the shackled daemon plugs in here.  Keys are the
-   canonical system renderings whose digests the memo table holds, so an
-   entry written by one process answers another process's query.  Only exact
-   verdicts may be stored — the same soundness rule as the memo table. *)
+   canonical system renderings, so an entry written by one process answers
+   another process's query.  Only exact verdicts may be stored — the same
+   soundness rule as the memo table. *)
 type backing = {
   bk_find : string -> bool option;
   bk_store : string -> bool -> unit;
@@ -59,7 +59,7 @@ module Ctx = struct
     cancel : (unit -> bool) option; (* cooperative cancellation *)
     mutable starve_after : int option; (* fault injection: zero fuel from
                                           this query index on *)
-    table : (string, bool) Hashtbl.t option; (* MD5 of canonical_key *)
+    table : (string, bool) Hashtbl.t option; (* MD5 of memo_key's rows *)
     lock : Mutex.t;
   }
 
@@ -193,38 +193,82 @@ let split_on cs k =
 
 exception Unsat_exn
 
+(* One constraint normalized as [Constr.normalize] does, from its content
+   [g] computed once: [g = 0] is a constant row, true or false; an
+   equality whose [g] does not divide its constant has no integer
+   solution, and [Constr.normalize] leaves it as written; every other row
+   is divided by [g], with its constant floored for an inequality. *)
+type row = True_row | False_row | Row of Constr.t
+
+let normalize_row (c : Constr.t) =
+  let g = Affine.content c.aff and k = Affine.const_of c.aff in
+  if B.is_zero g then begin
+    let holds =
+      match c.kind with Constr.Eq -> B.is_zero k | Constr.Ge -> B.sign k >= 0
+    in
+    if holds then True_row else False_row
+  end
+  else if B.equal g B.one then Row c
+  else
+    match c.kind with
+    | Constr.Eq ->
+      if B.is_zero (B.frem k g) then Row (Constr.eq (Affine.divexact c.aff g))
+      else False_row
+    | Constr.Ge -> Row (Constr.ge (Affine.div_floor c.aff g))
+
 (* Normalize a list of Ge/Eq constraints; raises Unsat_exn on a contradiction
    that is visible syntactically, returns (eqs, ges) with trivial
    constraints dropped, integer tightening applied to inequalities, and
    parallel inequalities collapsed to the strongest one.  The compression
    is essential: Fourier-Motzkin elimination inside the solver produces
    many parallel combinations, and without it the constraint count explodes
-   on deep systems (e.g. multi-level blocking legality).  Each constraint is
-   classified from its content [g] alone: [g = 0] is a constant constraint,
-   true or false; an equality whose [g] does not divide the constant has no
-   integer solution; everything else is divided by [g] as
-   [Constr.normalize] would. *)
+   on deep systems (e.g. multi-level blocking legality). *)
 let normalize_split cs =
   let eqs = ref [] and ges = ref [] in
   List.iter
-    (fun (c : Constr.t) ->
-      let g = Affine.content c.aff and k = Affine.const_of c.aff in
-      if B.is_zero g then begin
-        let holds =
-          match c.kind with Constr.Eq -> B.is_zero k | Constr.Ge -> B.sign k >= 0
-        in
-        if not holds then raise Unsat_exn
-      end
-      else
-        let unit = B.equal g B.one in
-        match c.kind with
-        | Constr.Eq ->
-          if not (B.is_zero (B.frem k g)) then raise Unsat_exn;
-          eqs := (if unit then c else Constr.eq (Affine.divexact c.aff g)) :: !eqs
-        | Constr.Ge ->
-          ges := (if unit then c else Constr.ge (Affine.div_floor c.aff g)) :: !ges)
+    (fun c ->
+      match normalize_row c with
+      | True_row -> ()
+      | False_row -> raise Unsat_exn
+      | Row r -> (
+        match r.kind with
+        | Constr.Eq -> eqs := r :: !eqs
+        | Constr.Ge -> ges := r :: !ges))
     cs;
   (List.rev !eqs, Constr.dedupe (List.rev !ges))
+
+(* A query's constraints normalized once, for both the memo key and the
+   solver's first level: [rows] holds every row as [Constr.normalize]
+   leaves it, in input order; [eqs] and [ges] are the non-constant rows
+   that [normalize_split] would keep, before the dedupe; [refuted] is set
+   when some row is false on its face, where [normalize_split] would
+   raise. *)
+type prepared = {
+  rows : Constr.t list;
+  refuted : bool;
+  eqs : Constr.t list;
+  ges : Constr.t list;
+}
+
+let prepare cs =
+  let rows = ref [] and eqs = ref [] and ges = ref [] and refuted = ref false in
+  List.iter
+    (fun (c : Constr.t) ->
+      match normalize_row c with
+      | True_row -> rows := c :: !rows
+      | False_row ->
+        refuted := true;
+        rows := c :: !rows
+      | Row r ->
+        rows := r :: !rows;
+        (match r.kind with
+        | Constr.Eq -> eqs := r :: !eqs
+        | Constr.Ge -> ges := r :: !ges))
+    cs;
+  { rows = List.rev !rows;
+    refuted = !refuted;
+    eqs = List.rev !eqs;
+    ges = List.rev !ges }
 
 (* Integer bound propagation: a cheap refutation pre-pass run before the
    expensive eliminations.  Each inequality [sum aj*xj + c >= 0] tightens
@@ -259,42 +303,66 @@ exception Out_of_range
 
 let in_range v = v >= -native_bound && v <= native_bound
 
+(* bigint.mli documents that every value in [-max_int, max_int] is an
+   immediate [int] and every other value is boxed, so [is_imm] and [imm]
+   read an immediate with no call into [Bigint]. *)
+let is_imm (x : B.t) = Obj.is_int (Obj.repr x)
+let imm (x : B.t) : int = Obj.obj (Obj.repr x)
+
 let native_of x =
-  match B.to_int_opt x with
-  | Some v when in_range v -> v
-  | _ -> raise Out_of_range
+  if is_imm x && in_range (imm x) then imm x else raise Out_of_range
 
 (* The number of sweeps run and whether an interval emptied. *)
 let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
-  (* sized exactly: arrays past 256 words would bypass the minor heap *)
   let nforms = List.length ges + (2 * List.length eqs) in
-  let terms (c : Constr.t) =
-    Array.fold_left
-      (fun n x -> if B.is_zero x then n else n + 1)
-      0 (c.aff : Affine.t).coeffs
-  in
+  (* A form has at most [dim] terms.  Arrays past 256 words would bypass
+     the minor heap, so only a call whose forms could need more counts
+     its terms first. *)
   let size =
-    List.fold_left (fun n c -> n + terms c) 0 ges
-    + List.fold_left (fun n c -> n + (2 * terms c)) 0 eqs
+    if nforms * dim <= 256 then nforms * dim
+    else
+      let terms (c : Constr.t) =
+        Array.fold_left
+          (fun n x -> if is_imm x && imm x = 0 then n else n + 1)
+          0 (c.aff : Affine.t).coeffs
+      in
+      List.fold_left (fun n c -> n + terms c) 0 ges
+      + List.fold_left (fun n c -> n + (2 * terms c)) 0 eqs
   in
   let first = Array.make (nforms + 1) 0 and const = Array.make nforms 0 in
   let var = Array.make size 0 and coef = Array.make size 0 in
   let nterms = ref 0 and laid = ref 0 in
-  let lay_out sign (c : Constr.t) =
+  let lay_out (c : Constr.t) =
     let coeffs = (c.aff : Affine.t).coeffs in
     first.(!laid) <- !nterms;
-    const.(!laid) <- sign * native_of c.aff.const;
+    const.(!laid) <- native_of c.aff.const;
     for j = 0 to Array.length coeffs - 1 do
-      if not (B.is_zero coeffs.(j)) then begin
+      let x = coeffs.(j) in
+      if not (is_imm x) then raise Out_of_range;
+      let v = imm x in
+      if v <> 0 then begin
+        if not (in_range v) then raise Out_of_range;
         var.(!nterms) <- j;
-        coef.(!nterms) <- sign * native_of coeffs.(j);
+        coef.(!nterms) <- v;
         incr nterms
       end
     done;
     incr laid
   in
-  List.iter (fun c -> lay_out 1 c; lay_out (-1) c) eqs;
-  List.iter (lay_out 1) ges;
+  (* an equality's second form is its first, negated *)
+  let lay_out_negated () =
+    let t0 = first.(!laid - 1) and t1 = !nterms in
+    first.(!laid) <- t1;
+    const.(!laid) <- -const.(!laid - 1);
+    for t = t0 to t1 - 1 do
+      var.(!nterms) <- var.(t);
+      coef.(!nterms) <- -coef.(t);
+      incr nterms
+    done;
+    incr laid
+  in
+  List.iter (fun c -> lay_out c; lay_out_negated ()) eqs;
+  List.iter lay_out ges;
   first.(nforms) <- !nterms;
   let lo = Array.make dim 0 and hi = Array.make dim 0 in
   let has_lo = Array.make dim false and has_hi = Array.make dim false in
@@ -447,13 +515,15 @@ let rec solve ctx bgt dim (cs : Constr.t list) =
   charge bgt 1;
   match normalize_split cs with
   | exception Unsat_exn -> false
-  | eqs, ges ->
-    if refuted_by_intervals bgt dim eqs ges then false
-    else begin
-      match eqs with
-      | [] -> solve_ineqs ctx bgt dim ges
-      | eq :: other_eqs -> solve_eq ctx bgt dim eq (other_eqs @ ges)
-    end
+  | eqs, ges -> solve_split ctx bgt dim eqs ges
+
+and solve_split ctx bgt dim eqs ges =
+  if refuted_by_intervals bgt dim eqs ges then false
+  else begin
+    match eqs with
+    | [] -> solve_ineqs ctx bgt dim ges
+    | eq :: other_eqs -> solve_eq ctx bgt dim eq (other_eqs @ ges)
+  end
 
 and solve_eq ctx bgt dim (eq : Constr.t) others =
   (* Prefer a variable with a unit coefficient. *)
@@ -627,7 +697,9 @@ let add_bigint buf x =
    systems that differ only in constraint order, duplicated constraints,
    positive scaling, or trailing fresh variables (all-zero coefficients
    render away) share a key, and satisfiability is invariant under all
-   four, so a cached verdict is exact. *)
+   four, so a cached verdict is exact.  This text is the disk cache's
+   content address; [decide] renders it only when it consults a backing
+   store, and keys its memo with [memo_key] below. *)
 let canonical_key s =
   let buf = Buffer.create 64 in
   let render (c : Constr.t) =
@@ -650,10 +722,61 @@ let canonical_key s =
   String.concat ";"
     (List.sort_uniq String.compare (List.map render (System.constraints s)))
 
-(* One budgeted query: build the per-query budget from the context's
-   configuration (a starved query index forces fuel 0), run the solver,
-   account the fuel, and turn budget exhaustion into [Unknown]. *)
-let solve_sys ctx ~query_index s =
+(* The memo key: the same rows as [canonical_key], in a binary rendering.
+   A value is written as the zigzag varint of its native [int]; zigzag
+   sends only [min_int] to the all-ones code, and [min_int] is boxed, so
+   that code, followed by the length and digits of [B.to_string], marks
+   every boxed value.  A row is its kind, then per nonzero coefficient the
+   varint of its index plus one, then a zero byte, then its constant; the
+   encoding is prefix-free, so the sorted, deduplicated rows concatenate
+   without ambiguity.  Two systems therefore share a memo key exactly when
+   their [canonical_key]s are equal. *)
+let add_varint buf v =
+  (* [v] read as an unsigned 63-bit number *)
+  let v = ref v in
+  while !v land lnot 127 <> 0 do
+    Buffer.add_char buf (Char.unsafe_chr (!v land 127 lor 128));
+    v := !v lsr 7
+  done;
+  Buffer.add_char buf (Char.unsafe_chr !v)
+
+let add_value buf x =
+  if is_imm x then
+    let n = imm x in
+    add_varint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+  else begin
+    let digits = B.to_string x in
+    add_varint buf (-1);
+    add_varint buf (String.length digits);
+    Buffer.add_string buf digits
+  end
+
+let row_bytes buf (c : Constr.t) =
+  Buffer.clear buf;
+  Buffer.add_char buf (match c.kind with Constr.Eq -> 'e' | Constr.Ge -> 'g');
+  let coeffs = (c.aff : Affine.t).coeffs in
+  for i = 0 to Array.length coeffs - 1 do
+    let x = coeffs.(i) in
+    if not (is_imm x && imm x = 0) then begin
+      add_varint buf (i + 1);
+      add_value buf x
+    end
+  done;
+  Buffer.add_char buf '\000';
+  add_value buf c.aff.const;
+  Buffer.contents buf
+
+let memo_key rows =
+  let buf = Buffer.create 64 in
+  let rows = List.sort_uniq String.compare (List.map (row_bytes buf) rows) in
+  Digest.string (String.concat "" rows)
+
+(* One budgeted query on its prepared rows: build the per-query budget
+   from the context's configuration (a starved query index forces fuel 0),
+   run the solver, account the fuel, and turn budget exhaustion into
+   [Unknown].  The first level is [solve]'s, with the rows [prepare]
+   already normalized. *)
+let solve_sys ctx ~query_index dim p =
   let starved =
     match ctx.Ctx.starve_after with
     | Some k -> query_index >= k
@@ -683,7 +806,11 @@ let solve_sys ctx ~query_index s =
     in
     bump ()
   in
-  match solve ctx bgt (System.dim s) (System.constraints s) with
+  let first_level () =
+    charge bgt 1;
+    (not p.refuted) && solve_split ctx bgt dim p.eqs (Constr.dedupe p.ges)
+  in
+  match first_level () with
   | sat ->
     account ();
     if sat then Sat else Unsat
@@ -694,26 +821,25 @@ let solve_sys ctx ~query_index s =
 
 let decide ~ctx s =
   let query_index = Atomic.fetch_and_add ctx.Ctx.queries 1 in
+  let p = prepare (System.constraints s) in
   match (ctx.Ctx.table, ctx.Ctx.backing) with
-  | None, None -> solve_sys ctx ~query_index s
+  | None, None -> solve_sys ctx ~query_index (System.dim s) p
   | table, backing -> (
-    let key = canonical_key s in
-    (* The memo holds the key's MD5, the content address the disk cache
-       uses too: a daemon's memo gains an entry per distinct system it
-       ever sees, and 16 bytes per key instead of a few hundred of text
-       bound that growth. *)
-    let digest = Digest.string key in
+    (* The memo holds a 16-byte MD5 per distinct system a context ever
+       sees: text keys of a few hundred bytes once grew a daemon's memory
+       by a fifth. *)
+    let memo = Option.map (fun t -> (t, memo_key p.rows)) table in
     let memo_store sat =
-      match table with
+      match memo with
       | None -> ()
-      | Some t ->
+      | Some (t, digest) ->
         Mutex.protect ctx.Ctx.lock (fun () ->
             if not (Hashtbl.mem t digest) then Hashtbl.add t digest sat)
     in
     let cached =
-      match table with
+      match memo with
       | None -> None
-      | Some t ->
+      | Some (t, digest) ->
         Mutex.protect ctx.Ctx.lock (fun () -> Hashtbl.find_opt t digest)
     in
     match cached with
@@ -721,9 +847,11 @@ let decide ~ctx s =
       Atomic.incr ctx.Ctx.hits;
       if sat then Sat else Unsat
     | None -> (
-      (* the external store sits behind the memo: a disk hit fills the
-         in-process table so the next repeat is a memory lookup *)
-      match Option.bind backing (fun b -> b.bk_find key) with
+      (* the external store sits behind the memo and is addressed by the
+         text key, rendered only here; a disk hit fills the in-process
+         table so the next repeat is a memory lookup *)
+      let stored = Option.map (fun b -> (b, canonical_key s)) backing in
+      match Option.bind stored (fun (b, key) -> b.bk_find key) with
       | Some sat ->
         Atomic.incr ctx.Ctx.backing_hits;
         memo_store sat;
@@ -732,12 +860,12 @@ let decide ~ctx s =
         Atomic.incr ctx.Ctx.misses;
         (* solve outside the lock: concurrent domains may duplicate a miss,
            but never block each other on a long elimination *)
-        let v = solve_sys ctx ~query_index s in
+        let v = solve_sys ctx ~query_index (System.dim s) p in
         (match v with
         | Sat | Unsat ->
           let sat = v = Sat in
           memo_store sat;
-          (match backing with Some b -> b.bk_store key sat | None -> ())
+          (match stored with Some (b, key) -> b.bk_store key sat | None -> ())
         | Unknown _ ->
           (* an exhausted query is not a verdict: caching it would launder
              "gave up" into an exact answer on the next lookup *)

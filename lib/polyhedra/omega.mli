@@ -48,7 +48,8 @@ val canonical_key : System.t -> string
     the renderings sorted and deduplicated.  Invariant under constraint
     order, duplication, positive scaling and trailing fresh variables —
     two systems with equal keys have identical satisfiability.  This is
-    the content address the on-disk cache digests. *)
+    the content address the on-disk cache digests; {!decide} renders it
+    only when a memo miss consults a {!backing} store. *)
 
 (** Explicit solver contexts: per-context query/splinter/budget counters and
     an optional memo cache over canonicalized systems.
@@ -61,10 +62,13 @@ val canonical_key : System.t -> string
     deduplicated — so systems differing only in constraint order,
     duplication, scaling, or trailing fresh variables share an entry, and a
     cached verdict is exact: {!Unknown} results are never stored.  The
-    table stores the MD5 digest of each {!canonical_key}, the same content
-    address the on-disk cache uses, so an entry costs 16 bytes of key
-    however large the system.  All state is domain-safe: counters are
-    atomic, the table mutex-protected. *)
+    table stores the MD5 digest of a binary rendering of the same
+    normalized rows that {!canonical_key} renders as text, so two systems
+    share an entry exactly when their {!canonical_key}s are equal, and an
+    entry costs 16 bytes of key however large the system.  The text itself
+    is rendered only on a memo miss on a context with a {!backing} store,
+    which it addresses.  All state is domain-safe: counters are atomic, the
+    table mutex-protected. *)
 module Ctx : sig
   type t
 

@@ -346,27 +346,25 @@ type result = {
 }
 
 (* Per-worker execution state: each worker compiles the task body once
-   against the shared store, with a [Callback] sink indirecting through a
-   per-worker current-recorder cell so every task gets its own trace. *)
+   against the shared store.  Its interpreter appends each traced access
+   to the worker's one recorder itself, and [Trace.finish] seals a task's
+   trace and leaves the recorder empty for the next task. *)
 type worker_ctx = {
   w_prepared : Interp.prepared;
-  w_current : Trace.recorder option ref;
+  w_recorder : Trace.recorder option;
 }
 
-let make_worker ~traced store task_prog =
-  let current = ref None in
-  let sink =
-    if traced then
-      Trace.Callback
-        (fun ~write ~addr ->
-          match !current with
-          | Some r -> Trace.emit r ~write ~addr
-          | None -> ())
-    else Trace.No_trace
+let make_worker ~traced ~task_chunk store task_prog =
+  let recorder =
+    if traced then Some (Trace.create_recorder ~chunk_words:task_chunk ())
+    else None
   in
-  { w_prepared = Interp.prepare ~sink store task_prog; w_current = current }
+  let sink =
+    match recorder with Some r -> Trace.Record r | None -> Trace.No_trace
+  in
+  { w_prepared = Interp.prepare ~sink store task_prog; w_recorder = recorder }
 
-let run_task ~traced ~task_chunk plan wctx parts task_flops t =
+let run_task plan wctx parts task_flops t =
   let bindings =
     plan.pl_params
     @ List.map2
@@ -374,15 +372,10 @@ let run_task ~traced ~task_chunk plan wctx parts task_flops t =
         plan.pl_band
         (Array.to_list plan.pl_coords.(t))
   in
-  if traced then begin
-    let r = Trace.create_recorder ~chunk_words:task_chunk () in
-    wctx.w_current := Some r;
-    let fl = Interp.invoke wctx.w_prepared ~params:bindings in
-    wctx.w_current := None;
-    parts.(t) <- Trace.finish r;
-    task_flops.(t) <- fl
-  end
-  else task_flops.(t) <- Interp.invoke wctx.w_prepared ~params:bindings
+  task_flops.(t) <- Interp.invoke wctx.w_prepared ~params:bindings;
+  match wctx.w_recorder with
+  | Some r -> parts.(t) <- Trace.finish r
+  | None -> ()
 
 (* Level-synchronous execution: the levels run in order, separated by a
    barrier, and a level's tasks are handed out by an atomic index to
@@ -415,7 +408,7 @@ let exec ?layouts ?(domains = 1) ?(trace = false)
   let finished = Array.init nlvl (fun _ -> Atomic.make 0) in
   let cur = Atomic.make 0 in
   let worker w () =
-    let wctx = make_worker ~traced:trace store plan.pl_task_prog in
+    let wctx = make_worker ~traced:trace ~task_chunk store plan.pl_task_prog in
     let rec loop () =
       let l = Atomic.get cur in
       if l < nlvl && not (Atomic.get abort) then begin
@@ -423,8 +416,7 @@ let exec ?layouts ?(domains = 1) ?(trace = false)
         let i = Atomic.fetch_and_add next.(l) 1 in
         if i < width then begin
           (try
-             run_task ~traced:trace ~task_chunk plan wctx parts task_flops
-               plan.pl_levels.(l).(i)
+             run_task plan wctx parts task_flops plan.pl_levels.(l).(i)
            with e -> fail e (Printexc.get_raw_backtrace ()));
           if Atomic.fetch_and_add finished.(l) 1 = width - 1 then
             (* last task of the level opens the next one *)

@@ -31,10 +31,11 @@ let flush r =
   end
 
 (* The default (dev) build compiles each library module with -opaque, so
-   this [@inline] reaches callers in this module only: [Sched] and the
-   tests call [emit] through the module's block.  The interpreter, whose
-   loop runs once per trace word, appends in place instead and calls
-   [flush] only when a chunk fills. *)
+   this [@inline] reaches callers in this module only: the tests call
+   [emit] through the module's block.  The interpreter, whose loop runs
+   once per trace word, appends in place instead and calls [flush] only
+   when a chunk fills; so do the scheduler's parallel workers, through
+   the interpreter. *)
 let[@inline] emit r ~write ~addr =
   if r.len = r.chunk_words then flush r;
   Array.unsafe_set r.buf r.len ((addr lsl 1) lor (if write then 1 else 0));
@@ -45,9 +46,12 @@ let emit_word r w =
   Array.unsafe_set r.buf r.len w;
   r.len <- r.len + 1
 
+(* The recorder is left empty, ready to record the next stream into fresh
+   chunks: a parallel worker records all its tasks through one recorder. *)
 let finish r =
   flush r;
   let chunks = Array.of_list (List.rev r.stored) in
+  r.stored <- [];
   let total_stored =
     Array.fold_left (fun acc (_, len) -> acc + len) 0 chunks
   in

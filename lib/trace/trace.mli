@@ -54,7 +54,8 @@ type t
 (** A finished, immutable, replayable trace. *)
 
 val finish : recorder -> t
-(** Store the partial tail chunk and seal the trace. *)
+(** Store the partial tail chunk and seal the trace.  The recorder is left
+    empty, and what it records next starts a new trace in fresh chunks. *)
 
 (** {2 Replay and accounting} *)
 

@@ -125,6 +125,36 @@ let test_zero_divisor () =
     (matmul_text "do K = ceil(N/0), N" "A(I, K) * B(K, J)")
     "zero divisor in ceil"
 
+(* A name, array or subscript count that analysis cannot resolve is a
+   parse error on its line.  An undeclared bound used to escape as
+   Domain.Not_affine, and a wrong subscript count as List.map2's
+   Invalid_argument, or to parse silently. *)
+let matmul_with_header k_loop product =
+  "! matmul (params: N)\n" ^ matmul_text k_loop product
+
+let test_undeclared_name () =
+  bad_at 7
+    (matmul_with_header "do K = 1, M" "A(I, K) * B(K, J)")
+    "name M is neither an enclosing loop variable nor a parameter";
+  (* K is a loop variable only inside its own loop *)
+  bad_at 4
+    "! t (params: N)\nreal A(N)\ndo I = 1, N\nif (I <= K) then\n\
+     S1: A(I) = 1.0\nend if\nend do"
+    "name K is neither an enclosing loop variable nor a parameter";
+  (* matmul_text has no header, so N is undeclared there too *)
+  bad_at 4 (matmul_text "do K = 1, N" "A(I, K) * B(K, J)")
+    "name N is neither an enclosing loop variable nor a parameter"
+
+let test_undeclared_array () =
+  bad_at 8
+    (matmul_with_header "do K = 1, N" "A(I, K) * Q(K, J)")
+    "array Q is not declared"
+
+let test_subscript_count () =
+  bad_at 8
+    (matmul_with_header "do K = 1, N" "A(I) * B(K, J)")
+    "array A has rank 2 but is referenced with 1 subscripts"
+
 let test_analysis_after_parse () =
   (* a parsed program is a first-class citizen: dependence analysis and
      shackling work on it *)
@@ -206,7 +236,10 @@ let () =
           Alcotest.test_case "bad numeric literals" `Quick
             test_literal_errors;
           Alcotest.test_case "zero divisor in floor/ceil" `Quick
-            test_zero_divisor ] );
+            test_zero_divisor;
+          Alcotest.test_case "undeclared name" `Quick test_undeclared_name;
+          Alcotest.test_case "undeclared array" `Quick test_undeclared_array;
+          Alcotest.test_case "subscript count" `Quick test_subscript_count ] );
       ( "integration",
         [ Alcotest.test_case "analysis after parse" `Quick
             test_analysis_after_parse ] );

@@ -314,6 +314,172 @@ let test_canonical_key_pinned () =
      ^ "|-123456789012345678901234;g 1:4611686018427387903 2:-2|-5")
     (Omega.canonical_key s)
 
+(* Values at the edges of Bigint's two representations: immediates next
+   to 2^62 and max_int itself, and the boxed min_int, 2^62 and beyond. *)
+let edge_values =
+  let p62 = B.pow B.two 62 in
+  [ B.of_int max_int; B.of_int (max_int - 1); B.of_int (-max_int);
+    B.of_int min_int; p62; B.succ p62; B.neg (B.succ p62);
+    B.pow B.two 70; B.neg (B.mul (B.of_int 3) (B.pow B.two 63)) ]
+
+let edge_or_small rng =
+  if Fuzzing.Rng.int rng 3 = 0 then Fuzzing.Rng.pick rng edge_values
+  else B.of_int (Fuzzing.Rng.range rng (-3) 3)
+
+let with_coeffs (c : C.t) coeffs const =
+  let a = A.make coeffs const in
+  match c.C.kind with C.Eq -> C.eq a | C.Ge -> C.ge a
+
+(* The memo must split systems exactly as the canonical text does, or memo
+   hits, and the fuel they save, would move.  Each sampled system is
+   decided, then one variant of it, on a fresh caching context: the second
+   query must hit the memo exactly when the two canonical_keys are equal.
+   Half of the systems carry wide rows, over immediates near 2^62, min_int
+   and boxed values, and also the false equality 2^62 x = 1, so that the
+   solver refutes them at once, however wide the rows are. *)
+let test_memo_key_splits_like_canonical_key () =
+  let equal_keys = ref 0 and distinct_keys = ref 0 in
+  for seed = 1 to 250 do
+    let rng = Fuzzing.Rng.create seed in
+    let dim = 2 + Fuzzing.Rng.int rng 3 in
+    let sampled = Fuzzing.Gen.system rng ~dim in
+    let names = S.names sampled in
+    let wide = seed mod 2 = 0 in
+    let rows =
+      if not wide then S.constraints sampled
+      else
+        let wide_row _ =
+          let a =
+            A.make
+              (Array.init dim (fun _ -> edge_or_small rng))
+              (edge_or_small rng)
+          in
+          if Fuzzing.Rng.bool rng then C.eq a else C.ge a
+        in
+        let x_only v = Array.init dim (fun i -> if i = 0 then v else B.zero) in
+        let guard = C.eq (A.make (x_only (B.pow B.two 62)) B.minus_one) in
+        S.constraints sampled @ List.init 3 wide_row @ [ guard ]
+    in
+    let n = List.length rows in
+    (* the guard, last, is never the row a variant changes *)
+    let target = Fuzzing.Rng.int rng (if wide then n - 1 else n) in
+    let change f = List.mapi (fun i c -> if i = target then f c else c) rows in
+    let coeffs (c : C.t) = Array.copy c.C.aff.A.coeffs in
+    let const (c : C.t) = c.C.aff.A.const in
+    let scale k c =
+      with_coeffs c (Array.map (B.mul k) (coeffs c)) (B.mul k (const c))
+    in
+    let swap c =
+      let a = coeffs c in
+      let i = Fuzzing.Rng.int rng dim and j = Fuzzing.Rng.int rng dim in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t;
+      with_coeffs c a (const c)
+    in
+    let bump c =
+      let a = coeffs c and j = Fuzzing.Rng.int rng dim in
+      a.(j) <- B.succ a.(j);
+      with_coeffs c a (const c)
+    in
+    let permuted =
+      List.map (fun c -> (Fuzzing.Rng.int rng 1000, c)) rows
+      |> List.sort compare |> List.map snd
+    in
+    let small = B.of_int (2 + Fuzzing.Rng.int rng 3) in
+    let variants =
+      [ ("permuted", S.make names permuted);
+        ("duplicated", S.make names (rows @ [ List.nth rows target ]));
+        ("scaled", S.make names (change (scale small)));
+        ("scaled wide", S.make names (change (scale (B.pow B.two 61))));
+        ("fresh variables", S.extend (S.make names rows) [| "f1"; "f2" |]);
+        ("coefficient + 1", S.make names (change bump));
+        ( "constant - 1",
+          S.make names
+            (change (fun c -> with_coeffs c (coeffs c) (B.pred (const c)))) );
+        ("coefficients swapped", S.make names (change swap)) ]
+    in
+    List.iter
+      (fun (what, variant) ->
+        let ctx = Omega.Ctx.create ~cache:true () in
+        let base = S.make names rows in
+        ignore (Omega.decide ~ctx base);
+        ignore (Omega.decide ~ctx variant);
+        let same =
+          String.equal (Omega.canonical_key base) (Omega.canonical_key variant)
+        in
+        if (Omega.Ctx.cache_hits ctx = 1) <> same then
+          Alcotest.failf "seed %d, %s: memo %s but canonical_keys %s" seed what
+            (if same then "missed" else "hit")
+            (if same then "are equal" else "differ");
+        incr (if same then equal_keys else distinct_keys))
+      variants
+  done;
+  (* a non-dividing equality keeps its scale: 2x = 1 and 4x = 2 stay apart,
+     while 2x = 2 and 4x = 4 both normalize to x = 1 *)
+  let hits a b =
+    let ctx = Omega.Ctx.create ~cache:true () in
+    ignore (Omega.decide ~ctx (S.make names3 [ C.eq a ]));
+    ignore (Omega.decide ~ctx (S.make names3 [ C.eq b ]));
+    Omega.Ctx.cache_hits ctx
+  in
+  Alcotest.(check int) "2x = 1 against 4x = 2" 0
+    (hits (aff [ 2; 0; 0 ] (-1)) (aff [ 4; 0; 0 ] (-2)));
+  Alcotest.(check int) "2x = 2 against 4x = 4" 1
+    (hits (aff [ 2; 0; 0 ] (-2)) (aff [ 4; 0; 0 ] (-4)));
+  Alcotest.(check bool) "both outcomes occur" true
+    (!equal_keys > 0 && !distinct_keys > 0)
+
+(* A list-based statement of Constr.dedupe's contract: one row per
+   parallel class in first-seen order, an inequality class keeping its
+   smallest constant, and equalities apart unless their constants match. *)
+let reference_dedupe cs =
+  let classes = ref [] in
+  let parallel (c : C.t) (c' : C.t) =
+    c.C.kind = c'.C.kind
+    && A.dim c.C.aff = A.dim c'.C.aff
+    && Array.for_all2 B.equal c.C.aff.A.coeffs c'.C.aff.A.coeffs
+    && (c.C.kind = C.Ge || B.equal c.C.aff.A.const c'.C.aff.A.const)
+  in
+  List.iter
+    (fun c ->
+      match List.find_opt (fun r -> parallel !r c) !classes with
+      | Some r -> if B.compare c.C.aff.A.const !r.C.aff.A.const < 0 then r := c
+      | None -> classes := ref c :: !classes)
+    cs;
+  List.rev_map ( ! ) !classes
+
+(* Lists drawn from a few coefficient vectors, so rows repeat and run
+   parallel; vectors up to 24 wide that differ only past their tenth
+   entry, beyond what Hashtbl.hash reads; and boxed values. *)
+let test_dedupe_reference () =
+  for seed = 1 to 400 do
+    let rng = Fuzzing.Rng.create seed in
+    let dim = 1 + Fuzzing.Rng.int rng 24 in
+    let base = Array.init dim (fun _ -> edge_or_small rng) in
+    let vectors =
+      List.init (1 + Fuzzing.Rng.int rng 4) (fun _ ->
+          let v = Array.copy base in
+          let j = Fuzzing.Rng.int rng dim in
+          v.(j) <- edge_or_small rng;
+          v)
+    in
+    let cs =
+      List.init (Fuzzing.Rng.int rng 40) (fun _ ->
+          let a = A.make (Fuzzing.Rng.pick rng vectors) (edge_or_small rng) in
+          if Fuzzing.Rng.int rng 3 = 0 then C.eq a else C.ge a)
+    in
+    let got = C.dedupe cs and want = reference_dedupe cs in
+    if
+      not
+        (List.length got = List.length want
+        && List.for_all2 C.equal got want)
+    then
+      Alcotest.failf
+        "seed %d: dedupe kept %d rows and the reference %d, or another order"
+        seed (List.length got) (List.length want)
+  done
+
 (* --- property: Omega vs brute force --- *)
 
 let brute_force_sat cs lo hi =
@@ -654,7 +820,9 @@ let () =
           Alcotest.test_case "pretty-print" `Quick test_affine_pp ] );
       ( "constr",
         [ Alcotest.test_case "normalize" `Quick test_constr_normalize;
-          Alcotest.test_case "satisfied_by" `Quick test_constr_satisfied ] );
+          Alcotest.test_case "satisfied_by" `Quick test_constr_satisfied;
+          Alcotest.test_case "dedupe = reference" `Quick
+            test_dedupe_reference ] );
       ( "system",
         [ Alcotest.test_case "eval" `Quick test_system_eval ] );
       ( "fm",
@@ -672,7 +840,9 @@ let () =
             test_omega_cholesky_legality_shape;
           Alcotest.test_case "implies" `Quick test_omega_implies;
           Alcotest.test_case "canonical_key text pinned" `Quick
-            test_canonical_key_pinned ] );
+            test_canonical_key_pinned;
+          Alcotest.test_case "memo key splits like canonical_key" `Quick
+            test_memo_key_splits_like_canonical_key ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
           [ prop_omega_exact; prop_fm_sound; prop_implies_respects_points ] );
