@@ -258,19 +258,21 @@ type ref_info = {
    when the point lies in block z of that plane. *)
 type plane_band = { wcs : int array; wc0 : int; wb_width : int; wb_offset : int }
 
+(* The spec-free analysis of one statement at one parameter binding. *)
 type stmt_data = {
-  sd_label : string;
+  sd_stmt : Ast.stmt;
+  sd_space : Dom.space;
+  sd_pvals : int array;  (* parameter values, in [sd_space]'s order *)
   sd_d : int;
   sd_rows : row list;
+  (* instance count and per-variable min/max of [sd_rows]; None when empty *)
+  sd_stats : (int * int array * int array) option;
   sd_refs : ref_info list;
   sd_count : int;
-  sd_extents : int array;
   sd_sigma : Q.t;
   (* HBL cover: total exponent on available data, plus (extent, exponent)
      factors for loops covered directly; None when no cover was found *)
   sd_cover : (Q.t * (int * Q.t) list) option;
-  (* per spec factor, the plane bands of this statement's chosen ref *)
-  sd_bands : plane_band list list;
 }
 
 type stmt_info = {
@@ -280,9 +282,16 @@ type stmt_info = {
   si_sigma : Q.t;
 }
 
+type prepared = {
+  pr_prog : Ast.program;
+  pr_pval : string -> int;
+  pr_stmts : stmt_data list;  (* every statement, in program order *)
+  pr_live : stmt_data list;  (* those with at least one instance *)
+  pr_distinct : int;
+}
+
 type t = {
-  an_stmts : stmt_data list;
-  an_distinct : int;
+  an_prep : prepared;
   (* per block-coordinate prefix: distinct-data bound of each nonempty
      window (possibly truncated — a partial sum stays a lower bound) *)
   an_windows : int list list;
@@ -347,21 +356,42 @@ let dedup_refs refs =
     (fun acc r -> if List.exists (Fexpr.ref_equal r) acc then acc else acc @ [ r ])
     [] refs
 
-exception Drop_spec
+(* Distinct data touched by one region of each statement: per array the
+   best single statement's bound, summed over arrays.  Each element of
+   [regions] pairs a statement's references with the instance count and
+   per-variable min/max of its region, or None when the region is empty. *)
+let distinct_of regions =
+  let per_array = Hashtbl.create 8 in
+  List.iter
+    (fun (refs, stats) ->
+      match stats with
+      | None -> ()
+      | Some (cnt, mins, maxs) ->
+        List.iter
+          (fun ri ->
+            match ri.ri_fiber with
+            | None -> ()
+            | Some fib ->
+              let fiber =
+                List.fold_left
+                  (fun acc v -> acc * (maxs.(v) - mins.(v) + 1))
+                  1 fib
+              in
+              let dlb = cdiv cnt fiber in
+              let prev =
+                Option.value (Hashtbl.find_opt per_array ri.ri_array) ~default:0
+              in
+              if dlb > prev then Hashtbl.replace per_array ri.ri_array dlb)
+          refs)
+    regions;
+  Hashtbl.fold (fun _ v acc -> acc + v) per_array 0
 
-let analyze ?spec ~params prog =
+let prepare ~params prog =
   let pval name =
     match List.assoc_opt name params with
     | Some v -> v
     | None -> failwith ("Bounds.analyze: missing parameter " ^ name)
   in
-  let extents_of array =
-    match List.find_opt (fun a -> String.equal a.Ast.a_name array) prog.Ast.arrays with
-    | None -> failwith ("Bounds.analyze: unknown array " ^ array)
-    | Some a -> List.map (Expr.eval pval) a.Ast.extents
-  in
-  let factors = match spec with Some s -> s | None -> [] in
-  let dropped = ref false in
   let stmts =
     List.map
       (fun (ctx, (s : Ast.stmt)) ->
@@ -373,14 +403,16 @@ let analyze ?spec ~params prog =
           List.map (row_of_constr ~pc ~d ~pvals)
             (S.constraints (Dom.domain_of prog ctx))
         in
+        let stats = wstats ~d rows in
         let count, extents =
-          match wstats ~d rows with
+          match stats with
           | None -> (0, Array.make d 0)
           | Some (n, mins, maxs) ->
             (n, Array.init d (fun i -> maxs.(i) - mins.(i) + 1))
         in
-        let refs = dedup_refs (s.Ast.lhs :: Fexpr.reads s.Ast.rhs) in
-        let ref_infos =
+        (* each reference's loop support, and whether the access restricted
+           to it has full column rank (is injective on the support) *)
+        let refs =
           List.map
             (fun (r : Fexpr.ref_) ->
               let affs = Dom.access sp r in
@@ -396,33 +428,24 @@ let analyze ?spec ~params prog =
                      (fun a -> Array.of_list (List.map (fun i -> A.coeff a (pc + i)) supp))
                      affs)
               in
-              let injective = Linalg.Mat.rank sub = List.length supp in
-              { ri_array = r.Fexpr.array;
+              (r.Fexpr.array, supp, Linalg.Mat.rank sub = List.length supp))
+            (dedup_refs (s.Ast.lhs :: Fexpr.reads s.Ast.rhs))
+        in
+        let ref_infos =
+          List.map
+            (fun (array, supp, injective) ->
+              { ri_array = array;
                 ri_fiber =
                   (if injective then
                      Some (List.filter (fun i -> not (List.mem i supp)) (List.init d (fun i -> i)))
                    else None) })
             refs
         in
+        (* covering LP uses only injective refs with nonempty support *)
         let supports =
-          (* covering LP uses only injective refs with nonempty support *)
           List.filter_map
-            (fun (r : Fexpr.ref_) ->
-              let affs = Dom.access sp r in
-              let supp =
-                List.filter
-                  (fun i ->
-                    List.exists (fun a -> not (B.is_zero (A.coeff a (pc + i)))) affs)
-                  (List.init d (fun i -> i))
-              in
-              let sub =
-                Array.of_list
-                  (List.map
-                     (fun a -> Array.of_list (List.map (fun i -> A.coeff a (pc + i)) supp))
-                     affs)
-              in
-              if supp <> [] && Linalg.Mat.rank sub = List.length supp then Some supp
-              else None)
+            (fun (_, supp, injective) ->
+              if supp <> [] && injective then Some supp else None)
             refs
         in
         let sigma, raw_cover = solve_cover ~d supports in
@@ -435,76 +458,79 @@ let analyze ?spec ~params prog =
                 List.mapi (fun i z -> (extents.(i), z)) zs
                 |> List.filter (fun (_, z) -> Q.sign z > 0) )
         in
-        let bands =
-          try
-            List.map
-              (fun (f : Spec.factor) ->
-                let r =
-                  try Spec.choice_for f s with Not_found -> raise Drop_spec
-                in
-                let point = Dom.access sp r in
-                if List.length point <> f.Spec.blocking.Blocking.rank then
-                  raise Drop_spec;
-                List.map
-                  (fun (p : Blocking.plane) ->
-                    let aff =
-                      List.fold_left2
-                        (fun acc n a -> A.add acc (A.scale_int n a))
-                        (A.zero (pc + d))
-                        p.Blocking.normal point
-                    in
-                    let cs, c0 = subst_affine ~pc ~d ~pvals aff in
-                    { wcs = cs;
-                      wc0 = c0;
-                      wb_width = p.Blocking.width;
-                      wb_offset = p.Blocking.offset })
-                  f.Spec.blocking.Blocking.planes)
-              factors
-          with Drop_spec ->
-            dropped := true;
-            []
-        in
-        { sd_label = s.Ast.label;
+        { sd_stmt = s;
+          sd_space = sp;
+          sd_pvals = pvals;
           sd_d = d;
           sd_rows = rows;
+          sd_stats = stats;
           sd_refs = ref_infos;
           sd_count = count;
-          sd_extents = extents;
           sd_sigma = sigma;
-          sd_cover = cover;
-          sd_bands = bands })
+          sd_cover = cover })
       (Ast.statements prog)
   in
   let live = List.filter (fun sd -> sd.sd_count > 0) stmts in
-  (* distinct data touched by the whole trace, per array the best single
-     statement's bound, summed over arrays *)
-  let dw_of stats_of =
-    let per_array = Hashtbl.create 8 in
-    List.iter
-      (fun sd ->
-        match stats_of sd with
-        | None -> ()
-        | Some (cnt, mins, maxs) ->
-          List.iter
-            (fun ri ->
-              match ri.ri_fiber with
-              | None -> ()
-              | Some fib ->
-                let fiber =
-                  List.fold_left
-                    (fun acc v -> acc * (maxs.(v) - mins.(v) + 1))
-                    1 fib
-                in
-                let dlb = cdiv cnt fiber in
-                let prev =
-                  Option.value (Hashtbl.find_opt per_array ri.ri_array) ~default:0
-                in
-                if dlb > prev then Hashtbl.replace per_array ri.ri_array dlb)
-            sd.sd_refs)
-      live;
-    Hashtbl.fold (fun _ v acc -> acc + v) per_array 0
+  { pr_prog = prog;
+    pr_pval = pval;
+    pr_stmts = stmts;
+    pr_live = live;
+    pr_distinct =
+      distinct_of (List.map (fun sd -> (sd.sd_refs, sd.sd_stats)) live) }
+
+exception Drop_spec
+
+(* Per factor of [spec], the plane bands of [sd]'s chosen reference.
+   Raises [Drop_spec] when the factor chooses no reference of the
+   statement or one of another rank than the factor's blocking. *)
+let bands_of spec sd =
+  let sp = sd.sd_space in
+  let pc = sp.Dom.param_count and d = sd.sd_d in
+  List.map
+    (fun (f : Spec.factor) ->
+      let r =
+        try Spec.choice_for f sd.sd_stmt with Not_found -> raise Drop_spec
+      in
+      let point = Dom.access sp r in
+      if List.length point <> f.Spec.blocking.Blocking.rank then
+        raise Drop_spec;
+      List.map
+        (fun (p : Blocking.plane) ->
+          let aff =
+            List.fold_left2
+              (fun acc n a -> A.add acc (A.scale_int n a))
+              (A.zero (pc + d))
+              p.Blocking.normal point
+          in
+          let cs, c0 = subst_affine ~pc ~d ~pvals:sd.sd_pvals aff in
+          { wcs = cs;
+            wc0 = c0;
+            wb_width = p.Blocking.width;
+            wb_offset = p.Blocking.offset })
+        f.Spec.blocking.Blocking.planes)
+    spec
+
+let analyze_prepared ?spec p =
+  let pval = p.pr_pval in
+  let extents_of array =
+    match List.find_opt (fun a -> String.equal a.Ast.a_name array) p.pr_prog.Ast.arrays with
+    | None -> failwith ("Bounds.analyze: unknown array " ^ array)
+    | Some a -> List.map (Expr.eval pval) a.Ast.extents
   in
-  let an_distinct = dw_of (fun sd -> wstats ~d:sd.sd_d sd.sd_rows) in
+  let factors = match spec with Some s -> s | None -> [] in
+  let dropped = ref false in
+  let bands =
+    List.map
+      (fun sd ->
+        try bands_of factors sd
+        with Drop_spec ->
+          dropped := true;
+          [])
+      p.pr_stmts
+  in
+  let live =
+    List.filter (fun (sd, _) -> sd.sd_count > 0) (List.combine p.pr_stmts bands)
+  in
   let an_windows =
     match spec with
     | None -> []
@@ -533,33 +559,33 @@ let analyze ?spec ~params prog =
             if !budget > 0 then begin
               decr budget;
               let zrev = Array.of_list (List.rev zs) in
-              let dw =
-                dw_of (fun sd ->
-                    (* rows of this statement's window: two band rows per
-                       plane of the first f factors *)
-                    let rows = ref sd.sd_rows in
-                    let k = ref 0 in
-                    List.iteri
-                      (fun fi bands ->
-                        if fi < f then
-                          List.iter
-                            (fun pb ->
-                              let z = zrev.(!k) in
-                              incr k;
-                              let w = pb.wb_width and o = pb.wb_offset in
-                              (* o + (z-1)w <= band <= o + zw - 1 *)
-                              rows :=
-                                { req = false;
-                                  rcs = pb.wcs;
-                                  rc0 = pb.wc0 - (o + ((z - 1) * w)) }
-                                :: { req = false;
-                                     rcs = Array.map (fun c -> -c) pb.wcs;
-                                     rc0 = o + (z * w) - 1 - pb.wc0 }
-                                :: !rows)
-                            bands)
-                      sd.sd_bands;
-                    wstats ~d:sd.sd_d !rows)
+              (* rows of each statement's window: two band rows per plane
+                 of the first f factors *)
+              let window (sd, bands) =
+                let rows = ref sd.sd_rows in
+                let k = ref 0 in
+                List.iteri
+                  (fun fi bands ->
+                    if fi < f then
+                      List.iter
+                        (fun pb ->
+                          let z = zrev.(!k) in
+                          incr k;
+                          let w = pb.wb_width and o = pb.wb_offset in
+                          (* o + (z-1)w <= band <= o + zw - 1 *)
+                          rows :=
+                            { req = false;
+                              rcs = pb.wcs;
+                              rc0 = pb.wc0 - (o + ((z - 1) * w)) }
+                            :: { req = false;
+                                 rcs = Array.map (fun c -> -c) pb.wcs;
+                                 rc0 = o + (z * w) - 1 - pb.wc0 }
+                            :: !rows)
+                        bands)
+                  bands;
+                (sd.sd_refs, wstats ~d:sd.sd_d !rows)
               in
+              let dw = distinct_of (List.map window live) in
               if dw > 0 then dws := dw :: !dws
             end
           | (lo, hi) :: tl ->
@@ -575,18 +601,20 @@ let analyze ?spec ~params prog =
           match prefix_windows f with [] -> None | dws -> Some dws)
         (List.init nf (fun i -> i + 1))
   in
-  { an_stmts = live; an_distinct; an_windows }
+  { an_prep = p; an_windows }
+
+let analyze ?spec ~params prog = analyze_prepared ?spec (prepare ~params prog)
 
 let stmts t =
   List.map
     (fun sd ->
-      { si_label = sd.sd_label;
+      { si_label = sd.sd_stmt.Ast.label;
         si_depth = sd.sd_d;
         si_iterations = sd.sd_count;
         si_sigma = sd.sd_sigma })
-    t.an_stmts
+    t.an_prep.pr_live
 
-let distinct t = t.an_distinct
+let distinct t = t.an_prep.pr_distinct
 
 (* HBL phase bound for one statement at one level: phases of [lv_lines]
    misses see at most [avail = capacity + lines*line] elements, so at
@@ -625,7 +653,7 @@ let hbl_stmt sd lv =
       end
     end
 
-let compulsory t lv = cdiv t.an_distinct lv.lv_line
+let compulsory t lv = cdiv t.an_prep.pr_distinct lv.lv_line
 
 let windowed t lv =
   List.fold_left
@@ -639,7 +667,7 @@ let windowed t lv =
     0 t.an_windows
 
 let hbl t lv =
-  List.fold_left (fun best sd -> max best (hbl_stmt sd lv)) 0 t.an_stmts
+  List.fold_left (fun best sd -> max best (hbl_stmt sd lv)) 0 t.an_prep.pr_live
 
 let misses t lv = max (compulsory t lv) (max (windowed t lv) (hbl t lv))
 

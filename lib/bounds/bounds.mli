@@ -102,17 +102,32 @@ type t
 (** The communication analysis of one (program, optional spec,
     parameter binding) triple. *)
 
+type prepared
+(** The spec-free half of an analysis: everything that depends on the
+    (program, parameter binding) pair only, shared by every spec
+    analyzed from it. *)
+
+val prepare : params:(string * int) list -> Loopir.Ast.program -> prepared
+(** Computes the order-independent quantities once: per-statement
+    iteration counts, extents, reference supports, the covering LP and
+    the whole-trace distinct-data bound.  Raises
+    {!Loopir.Domain.Not_affine} on non-affine programs and [Failure] if
+    [params] misses a program parameter. *)
+
+val analyze_prepared : ?spec:Shackle.Spec.t -> prepared -> t
+(** Adds the spec half: when [spec] is given, the per-window
+    distinct-data bounds for every block-coordinate prefix of the spec
+    (none when a factor chooses no reference of some statement).  A
+    raise here concerns this spec only: the [prepared] value stays
+    usable for other specs. *)
+
 val analyze :
   ?spec:Shackle.Spec.t ->
   params:(string * int) list ->
   Loopir.Ast.program ->
   t
-(** Computes all order-independent quantities once: per-statement
-    iteration counts, supports, covers and extents, the whole-trace
-    distinct-data bound, and — when [spec] is given — the per-window
-    distinct-data bounds for every block-coordinate prefix of the spec.
-    Raises {!Loopir.Domain.Not_affine} on non-affine programs and
-    [Failure] if [params] misses a program parameter. *)
+(** [analyze_prepared ?spec (prepare ~params prog)]: one spec's
+    analysis, when no other spec shares the preparation. *)
 
 val stmts : t -> stmt_info list
 val distinct : t -> int

@@ -92,13 +92,13 @@ let build_info ~solver prog spec coord_names (ctx, (stmt : Ast.stmt)) =
 
 (* Drop pieces that are implied by the remaining ones in the context of the
    projected system (e.g. the original "i >= 2" under "i >= t2+1, t2 >= 1"),
-   so the emitted min/max are as small as the paper's figures. *)
-let prune_pieces ~solver proj k ~is_lower pieces =
+   so the emitted min/max are as small as the paper's figures.  [outer] is
+   the exact context for the outer variables: the projection of the system
+   along x, not just the constraints that happen to omit x.  It is forced
+   only when a list has a second piece to test against. *)
+let prune_pieces ~solver proj k ~outer ~is_lower pieces =
   let dim = S.dim proj in
   let x = A.var dim k in
-  (* the exact context for the outer variables is the projection of the
-     system along x, not just the constraints that happen to omit x *)
-  let outer = S.constraints (Fm.eliminate proj k) in
   let piece_constr (coef, form) =
     if is_lower then C.ge_of (A.scale coef x) form
     else C.le_of (A.scale coef x) form
@@ -115,7 +115,7 @@ let prune_pieces ~solver proj k ~is_lower pieces =
       else begin
         let sys =
           S.make (S.names proj)
-            (outer @ List.map piece_constr others @ [ violates p ])
+            (Lazy.force outer @ List.map piece_constr others @ [ violates p ])
         in
         if Omega.satisfiable ~ctx:solver sys then go (p :: kept) rest
         else go kept rest
@@ -142,11 +142,15 @@ let bounds_for info k =
     let as_pairs =
       List.map (fun (b : Fm.bound) -> (b.Fm.coef, b.Fm.form))
     in
+    (* one projection along k for both lists *)
+    let outer = lazy (S.constraints (Fm.eliminate proj k)) in
     let lowers =
-      prune_pieces ~solver:info.solver proj k ~is_lower:true (as_pairs lowers)
+      prune_pieces ~solver:info.solver proj k ~outer ~is_lower:true
+        (as_pairs lowers)
     in
     let uppers =
-      prune_pieces ~solver:info.solver proj k ~is_lower:false (as_pairs uppers)
+      prune_pieces ~solver:info.solver proj k ~outer ~is_lower:false
+        (as_pairs uppers)
     in
     if lowers = [] || uppers = [] then
       failwith

@@ -68,11 +68,11 @@ let[@inline] sub_value s (frame : int array) =
   match s with Slot (i, delta) -> frame.(i) + delta | Code c -> c frame
 
 (* Append one packed word to the recorder's current chunk, calling into
-   Trace only when the chunk is full.  Trace.emit would do the same, but
-   under -opaque (the default build) every call to it goes through Trace's
-   module block, once per trace word. *)
+   Trace only when the chunk is full or there is none yet.  Trace.emit
+   would do the same, but under -opaque (the default build) every call to
+   it goes through Trace's module block, once per trace word. *)
 let[@inline] append (rc : Trace.recorder) w =
-  if rc.len = rc.chunk_words then Trace.flush rc;
+  if rc.len = Array.length rc.buf then Trace.flush rc;
   Array.unsafe_set rc.buf rc.len w;
   rc.len <- rc.len + 1
 

@@ -377,10 +377,11 @@ let classify lineno raw =
   end
 
 (* A name in a loop bound, guard or subscript must be an enclosing loop
-   variable or a header parameter, and a reference must name a declared
-   array with as many subscripts as the array has extents.  Each check
-   runs on the line that holds the name or the reference, with the
-   parameters and arrays declared on the lines above it. *)
+   variable or a header parameter, a name in an array extent must be a
+   header parameter, and a reference must name a declared array with as
+   many subscripts as the array has extents.  Each check runs on the line
+   that holds the name or the reference, with the parameters and arrays
+   declared on the lines above it. *)
 let check_names lineno ~scope ~params e =
   List.iter
     (fun v ->
@@ -430,6 +431,7 @@ let program text =
         params := ps;
         block scope rest terminators
       | Ldecl d ->
+        List.iter (check_names lineno ~scope:[] ~params:!params) d.Ast.extents;
         arrays := d :: !arrays;
         block scope rest terminators
       | Ldo (var, lo, hi) ->

@@ -348,7 +348,7 @@ type result = {
 (* Per-worker execution state: each worker compiles the task body once
    against the shared store.  Its interpreter appends each traced access
    to the worker's one recorder itself, and [Trace.finish] seals a task's
-   trace and leaves the recorder empty for the next task. *)
+   trace and leaves the recorder holding no chunk for the next task. *)
 type worker_ctx = {
   w_prepared : Interp.prepared;
   w_recorder : Trace.recorder option;

@@ -4,10 +4,11 @@ let word ~write ~addr = (addr lsl 1) lor (if write then 1 else 0)
 let word_addr w = w asr 1
 let word_is_write w = w land 1 = 1
 
-let default_chunk_words = 1 lsl 16 (* 512 KB per chunk on 64-bit *)
+let default_chunk_words = 1 lsl 13 (* 64 KB per chunk on 64-bit *)
 
 type recorder = {
   chunk_words : int;
+  (* the current chunk, or [||] until a word arrives *)
   mutable buf : int array;
   mutable len : int;
   (* finished chunks, most recent first *)
@@ -21,35 +22,36 @@ type t = {
 
 let create_recorder ?(chunk_words = default_chunk_words) () =
   if chunk_words <= 0 then invalid_arg "Trace.create_recorder: chunk_words";
-  { chunk_words; buf = Array.make chunk_words 0; len = 0; stored = [] }
+  { chunk_words; buf = [||]; len = 0; stored = [] }
 
 let flush r =
-  if r.len > 0 then begin
-    r.stored <- (r.buf, r.len) :: r.stored;
-    r.buf <- Array.make r.chunk_words 0;
-    r.len <- 0
-  end
+  if r.len > 0 then r.stored <- (r.buf, r.len) :: r.stored;
+  r.buf <- Array.make r.chunk_words 0;
+  r.len <- 0
 
 (* The default (dev) build compiles each library module with -opaque, so
    this [@inline] reaches callers in this module only: the tests call
    [emit] through the module's block.  The interpreter, whose loop runs
    once per trace word, appends in place instead and calls [flush] only
-   when a chunk fills; so do the scheduler's parallel workers, through
-   the interpreter. *)
+   when a chunk fills or none is held; so do the scheduler's parallel
+   workers, through the interpreter. *)
 let[@inline] emit r ~write ~addr =
-  if r.len = r.chunk_words then flush r;
+  if r.len = Array.length r.buf then flush r;
   Array.unsafe_set r.buf r.len ((addr lsl 1) lor (if write then 1 else 0));
   r.len <- r.len + 1
 
 let emit_word r w =
-  if r.len = r.chunk_words then flush r;
+  if r.len = Array.length r.buf then flush r;
   Array.unsafe_set r.buf r.len w;
   r.len <- r.len + 1
 
-(* The recorder is left empty, ready to record the next stream into fresh
-   chunks: a parallel worker records all its tasks through one recorder. *)
+(* The recorder is left holding no chunk, ready to record the next stream
+   into fresh ones: a parallel worker records all its tasks through one
+   recorder, and a task that records nothing allocates nothing. *)
 let finish r =
-  flush r;
+  if r.len > 0 then r.stored <- (r.buf, r.len) :: r.stored;
+  r.buf <- [||];
+  r.len <- 0;
   let chunks = Array.of_list (List.rev r.stored) in
   r.stored <- [];
   let total_stored =

@@ -27,24 +27,34 @@ val word_is_write : int -> bool
 
 type recorder = {
   chunk_words : int;
-  mutable buf : int array;  (** the current chunk, [chunk_words] long *)
+  mutable buf : int array;
+      (** the current chunk, [chunk_words] long, or [[||]] while the
+          recorder holds none *)
   mutable len : int;  (** words used in [buf] *)
   mutable stored : (int array * int) list;
       (** finished chunks, most recent first *)
 }
 (** The fields are public so that a loop in another module can append a
-    word without a call: when [len = chunk_words] call {!flush}, then
-    write [buf.(len)] and add one to [len].  The interpreter's [Record]
-    sink does exactly this; outside this module, nothing else may write
-    the fields. *)
+    word without a call: when [len = Array.length buf] call {!flush},
+    then write [buf.(len)] and add one to [len].  The interpreter's
+    [Record] sink does exactly this; outside this module, nothing else
+    may write the fields.  A recorder allocates its first chunk when its
+    first word arrives, not when it is created. *)
 
 val default_chunk_words : int
+(** 8,192 words: a 64 KB chunk on a 64-bit machine.  A trace of [n]
+    words holds [ceil (n / chunk_words)] chunks, the last one partly
+    used. *)
 
 val create_recorder : ?chunk_words:int -> unit -> recorder
-(** [chunk_words] defaults to {!default_chunk_words}. *)
+(** [chunk_words] defaults to {!default_chunk_words}.  The recorder holds
+    no chunk yet. *)
 
 val flush : recorder -> unit
-(** Store the current chunk, if it holds any word, and start a fresh one. *)
+(** Make room for the next word: store the current chunk, if it holds any
+    word, and allocate a fresh one.  Call it only when
+    [len = Array.length buf], that is, when the current chunk is full or
+    there is none. *)
 
 val emit : recorder -> write:bool -> addr:int -> unit
 (** Append one access, starting a fresh chunk when the current one is
@@ -54,8 +64,11 @@ type t
 (** A finished, immutable, replayable trace. *)
 
 val finish : recorder -> t
-(** Store the partial tail chunk and seal the trace.  The recorder is left
-    empty, and what it records next starts a new trace in fresh chunks. *)
+(** Store the partial tail chunk, if it holds any word, and seal the
+    trace.  Allocates no chunk: the recorder is left holding none, and
+    what it records next starts a new trace in a chunk allocated when its
+    first word arrives.  A [finish] with no word since the last one seals
+    an empty trace. *)
 
 (** {2 Replay and accounting} *)
 

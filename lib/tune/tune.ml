@@ -224,16 +224,18 @@ let machine_levels (m : Model.t) =
              l.Model.l_cache.Machine.Cache.size_bytes / m.Model.elem_bytes ))
          m.Model.levels)
 
-(* The one analysis of a candidate: {!Bounds.analyze} at every sweep
-   point, or [None] when the program or spec falls outside the affine
-   class the analysis covers (such a candidate is visited last, never
-   pruned and reported without bounds). *)
-let analyze prog ~sweeps spec =
-  match
-    List.map
-      (fun (_, params, _) -> Bounds.analyze ~spec ~params prog)
-      sweeps
-  with
+(* The spec-free half of every candidate's analysis, one per sweep point.
+   It is computed at the first candidate's analysis, so a tune with no
+   candidate computes none; a raise is re-raised at every force. *)
+let prepare prog ~sweeps =
+  lazy (List.map (fun (_, params, _) -> Bounds.prepare ~params prog) sweeps)
+
+(* The one analysis of a candidate: {!Bounds.analyze_prepared} at every
+   sweep point, or [None] when the program or spec falls outside the
+   affine class the analysis covers (such a candidate is visited last,
+   never pruned and reported without bounds). *)
+let analyze prepared spec =
+  match List.map (Bounds.analyze_prepared ~spec) (Lazy.force prepared) with
   | exception (Loopir.Domain.Not_affine _ | Failure _) -> None
   | ts -> Some ts
 
@@ -450,7 +452,8 @@ type program = {
 }
 
 (* The one evaluation path.  Each legal candidate is analyzed once per
-   sweep point; that analysis orders the visit (head-machine miss bound
+   sweep point, from that point's one spec-free preparation shared by
+   every candidate; that analysis orders the visit (head-machine miss bound
    summed over levels and sweep, unanalyzable candidates last, canonical
    label as tie-break), tests the candidate for pruning and gives its row
    [s_bounds].  Batches are taken in visit order.  Before codegen, a
@@ -467,7 +470,7 @@ type program = {
    rows and failures are listed per program in enumeration order, so they
    do not depend on the visit order. *)
 let evaluate pipe opts ~sweeps cands =
-  let prog = Pipeline.program pipe in
+  let prepared = prepare (Pipeline.program pipe) ~sweeps in
   let head = match series_of opts with s :: _ -> Some s | [] -> None in
   let visit =
     let key (_, c, a) =
@@ -485,7 +488,7 @@ let evaluate pipe opts ~sweeps cands =
          (fun (k, _) (k', _) -> compare k k')
          (List.mapi
             (fun i c ->
-              let ica = (i, c, analyze prog ~sweeps c.c_spec) in
+              let ica = (i, c, analyze prepared c.c_spec) in
               (key ica, ica))
             cands))
   in

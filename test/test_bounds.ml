@@ -191,6 +191,113 @@ let test_multilevel_monotone () =
   Alcotest.(check bool) "deepest level still >= compulsory" true
     (List.for_all (fun b -> b >= 1) bs)
 
+(* --- the prepared path --- *)
+
+let small_cache = List.assoc "small-cache" Model.machines
+
+(* Everything a caller reads of an analysis: the distinct-data bound, the
+   statement summaries, and per machine the per-level misses and their
+   decomposition. *)
+let view t =
+  ( Bounds.distinct t,
+    List.map
+      (fun (s : Bounds.stmt_info) ->
+        ( s.Bounds.si_label,
+          s.Bounds.si_depth,
+          s.Bounds.si_iterations,
+          Q.to_string s.Bounds.si_sigma ))
+      (Bounds.stmts t),
+    List.map
+      (fun m ->
+        let levels = Tune.machine_levels m in
+        ( m.Model.m_name,
+          List.map (Bounds.misses t) levels,
+          Bounds.level_bounds t levels ))
+      [ Model.sp2_like; Model.two_level; small_cache ] )
+
+let check_view what shared one_shot =
+  Alcotest.(check bool) what true (view shared = view one_shot)
+
+(* Tune analyzes every candidate from one preparation per sweep point.
+   Each analysis from a preparation shared by all of a kernel's
+   candidates (and by the spec-free analysis) must equal a one-shot
+   analysis, and the report's bounds must be the one-shot ones. *)
+let test_prepared_equals_one_shot () =
+  List.iter
+    (fun name ->
+      let prog = List.assoc name (K.all ()) in
+      let ns = [ 12; 16 ] in
+      let options = { Tune.default_options with Tune.sizes = [ 4; 8 ]; ns } in
+      let report =
+        Tune.tune ~options ~kernel:name ~params:[ ("N", 12) ] prog
+      in
+      let cands =
+        List.map (fun s -> s.Tune.s_cand) report.Tune.rp_table
+        @ List.map (fun b -> b.Tune.bp_cand) report.Tune.rp_bound_pruned
+      in
+      Alcotest.(check bool) (name ^ ": candidates") true (List.length cands > 1);
+      List.iter
+        (fun n ->
+          let params = [ ("N", n) ] in
+          let p = Bounds.prepare ~params prog in
+          List.iter
+            (fun (label, spec) ->
+              check_view
+                (Printf.sprintf "%s N=%d %s" name n label)
+                (Bounds.analyze_prepared ?spec p)
+                (Bounds.analyze ?spec ~params prog))
+            (("no spec", None)
+            :: List.map (fun c -> (c.Tune.c_label, Some c.Tune.c_spec)) cands))
+        ns;
+      List.iter
+        (fun (s : Tune.scored) ->
+          let t =
+            Bounds.analyze ~spec:s.Tune.s_cand.Tune.c_spec
+              ~params:[ ("N", List.hd ns) ] prog
+          in
+          Alcotest.(check (list (pair string (list (pair string int)))))
+            (name ^ " report bounds of " ^ s.Tune.s_cand.Tune.c_label)
+            (List.map
+               (fun m ->
+                 ( m.Model.m_name,
+                   List.map
+                     (fun lv -> (lv.Bounds.lv_name, Bounds.misses t lv))
+                     (Tune.machine_levels m) ))
+               options.Tune.machines)
+            s.Tune.s_bounds)
+        report.Tune.rp_table)
+    [ "matmul"; "cholesky_right"; "gmtry"; "adi" ]
+
+(* A spec whose half of the analysis raises (here: it blocks an array the
+   program does not declare) fails alone: the preparation it was given
+   still analyzes every other spec as a one-shot analysis does. *)
+let test_spec_half_fails_alone () =
+  let prog = K.matmul () in
+  let params = [ ("N", 12) ] in
+  let p = Bounds.prepare ~params prog in
+  let spec array choice =
+    [ { Spec.blocking = Blocking.blocks_2d ~array ~size:4;
+        choices = [ ("S1", choice) ] } ]
+  in
+  let lhs = (snd (List.hd (Loopir.Ast.statements prog))).Loopir.Ast.lhs in
+  let bad =
+    spec "Q"
+      (Loopir.Fexpr.ref_ "Q" [ Loopir.Expr.Var "I"; Loopir.Expr.Var "J" ])
+  in
+  let raises f =
+    match f () with exception Failure _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "prepared: spec half raises" true
+    (raises (fun () -> Bounds.analyze_prepared ~spec:bad p));
+  Alcotest.(check bool) "one-shot raises alike" true
+    (raises (fun () -> Bounds.analyze ~spec:bad ~params prog));
+  let good = spec "C" lhs in
+  check_view "a good spec after the failure"
+    (Bounds.analyze_prepared ~spec:good p)
+    (Bounds.analyze ~spec:good ~params prog);
+  check_view "no spec after the failure" (Bounds.analyze_prepared p)
+    (Bounds.analyze ~params prog)
+
 (* --- the exact LP --- *)
 
 let test_lp () =
@@ -222,6 +329,11 @@ let () =
         [ Alcotest.test_case "paper kernels" `Slow test_sound_kernels;
           Alcotest.test_case "all tilings N=6" `Slow test_sound_all_tilings;
           Alcotest.test_case "fuzzed programs" `Slow test_sound_fuzzed ] );
+      ( "prepared",
+        [ Alcotest.test_case "= one-shot on tune candidates" `Slow
+            test_prepared_equals_one_shot;
+          Alcotest.test_case "spec half fails alone" `Quick
+            test_spec_half_fails_alone ] );
       ( "structure",
         [ Alcotest.test_case "multi-level monotone" `Quick test_multilevel_monotone;
           Alcotest.test_case "rational lp" `Quick test_lp ] ) ]

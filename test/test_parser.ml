@@ -141,8 +141,27 @@ let test_undeclared_name () =
     "! t (params: N)\nreal A(N)\ndo I = 1, N\nif (I <= K) then\n\
      S1: A(I) = 1.0\nend if\nend do"
     "name K is neither an enclosing loop variable nor a parameter";
-  (* matmul_text has no header, so N is undeclared there too *)
-  bad_at 4 (matmul_text "do K = 1, N" "A(I, K) * B(K, J)")
+  (* matmul_text has no header, so N is undeclared there too, first in
+     C's extents on line 1 *)
+  bad_at 1 (matmul_text "do K = 1, N" "A(I, K) * B(K, J)")
+    "name N is neither an enclosing loop variable nor a parameter"
+
+(* Only header parameters are in scope in an array's extents, checked on
+   its declaration line.  An undeclared extent used to parse, and
+   analysis went on with it. *)
+let test_undeclared_extent () =
+  bad_at 2
+    ("! matmul (params: N)\nreal C(M, N)\n"
+    ^ String.concat "\n"
+        (List.tl
+           (String.split_on_char '\n'
+              (matmul_text "do K = 1, N" "A(I, K) * B(K, J)"))))
+    "name M is neither an enclosing loop variable nor a parameter";
+  (* a loop variable is not in scope in a declaration *)
+  bad_at 3 "! t (params: N)\ndo I = 1, N\nreal A(I)\nend do"
+    "name I is neither an enclosing loop variable nor a parameter";
+  (* nor is a parameter declared on a later line *)
+  bad_at 1 "real A(N)\n! t (params: N)"
     "name N is neither an enclosing loop variable nor a parameter"
 
 let test_undeclared_array () =
@@ -238,6 +257,8 @@ let () =
           Alcotest.test_case "zero divisor in floor/ceil" `Quick
             test_zero_divisor;
           Alcotest.test_case "undeclared name" `Quick test_undeclared_name;
+          Alcotest.test_case "undeclared extent name" `Quick
+            test_undeclared_extent;
           Alcotest.test_case "undeclared array" `Quick test_undeclared_array;
           Alcotest.test_case "subscript count" `Quick test_subscript_count ] );
       ( "integration",

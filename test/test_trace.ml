@@ -7,10 +7,21 @@ let events t =
   Trace.iter t (fun ~write ~addr -> acc := (write, addr) :: !acc);
   List.rev !acc
 
+(* Chunk sizes of [t], in record order. *)
+let chunk_sizes t =
+  let sizes = ref [] in
+  Trace.iter_chunks t (fun _ len -> sizes := len :: !sizes);
+  List.rev !sizes
+
 let emit_all r evs =
   List.iter (fun (write, addr) -> Trace.emit r ~write ~addr) evs
 
 let sample n = List.init n (fun i -> (i mod 3 = 0, i * 7))
+
+let record ~chunk_words evs =
+  let r = Trace.create_recorder ~chunk_words () in
+  emit_all r evs;
+  Trace.finish r
 
 (* --- packed words --- *)
 
@@ -58,10 +69,64 @@ let test_iter_chunks_sizes () =
   let r = Trace.create_recorder ~chunk_words:32 () in
   emit_all r (sample 100);
   let t = Trace.finish r in
-  let sizes = ref [] in
-  Trace.iter_chunks t (fun _ len -> sizes := len :: !sizes);
   Alcotest.(check (list int)) "three full chunks then the tail"
-    [ 32; 32; 32; 4 ] (List.rev !sizes)
+    [ 32; 32; 32; 4 ] (chunk_sizes t)
+
+let test_default_chunk_overflow () =
+  (* one word past a default chunk starts a second chunk of the same size *)
+  let n = Trace.default_chunk_words in
+  let r = Trace.create_recorder () in
+  emit_all r (sample (n + 1));
+  let t = Trace.finish r in
+  Alcotest.(check int) "length" (n + 1) (Trace.length t);
+  Alcotest.(check int) "two chunks" 2 (Trace.num_chunks t);
+  Alcotest.(check (list int)) "a full chunk then one word" [ n; 1 ]
+    (chunk_sizes t);
+  Alcotest.(check int) "bytes = two default chunks" (2 * n * 8)
+    (Trace.bytes t)
+
+let test_finish_holds_no_chunk () =
+  let r = Trace.create_recorder ~chunk_words:8 () in
+  Alcotest.(check int) "no chunk before the first word" 0
+    (Array.length r.Trace.buf);
+  emit_all r (sample 5);
+  let t = Trace.finish r in
+  Alcotest.(check int) "first stream" 5 (Trace.length t);
+  Alcotest.(check int) "no chunk held after finish" 0
+    (Array.length r.Trace.buf);
+  (* no word since the last finish: nothing is stored *)
+  let t = Trace.finish r in
+  Alcotest.(check int) "length" 0 (Trace.length t);
+  Alcotest.(check int) "chunks" 0 (Trace.num_chunks t);
+  Alcotest.(check int) "bytes" 0 (Trace.bytes t);
+  Alcotest.(check int) "still no chunk held" 0 (Array.length r.Trace.buf)
+
+let test_reused_recorder () =
+  (* a scheduler worker records task after task through one recorder: each
+     stream after a finish must equal a fresh recorder's, chunk accounting
+     included, whether the previous stream ended on a chunk boundary or
+     inside a chunk *)
+  let r = Trace.create_recorder ~chunk_words:16 () in
+  List.iter
+    (fun (before, evs) ->
+      emit_all r before;
+      ignore (Trace.finish r);
+      emit_all r evs;
+      let reused = Trace.finish r in
+      let fresh = record ~chunk_words:16 evs in
+      let what = Printf.sprintf "after %d words, %d words" (List.length before)
+          (List.length evs) in
+      Alcotest.(check (list (pair bool int))) (what ^ ": events") evs
+        (events reused);
+      Alcotest.(check bool) (what ^ ": equal") true (Trace.equal fresh reused);
+      Alcotest.(check int) (what ^ ": chunks") (Trace.num_chunks fresh)
+        (Trace.num_chunks reused);
+      Alcotest.(check int) (what ^ ": bytes") (Trace.bytes fresh)
+        (Trace.bytes reused);
+      Alcotest.(check (list int)) (what ^ ": chunk sizes") (chunk_sizes fresh)
+        (chunk_sizes reused))
+    [ (sample 37, sample 50); (sample 32, sample 16); ([], sample 3);
+      (sample 5, []) ]
 
 (* --- replay --- *)
 
@@ -73,11 +138,6 @@ let test_replay_is_repeatable () =
     (events t)
 
 (* --- deterministic merge --- *)
-
-let record ~chunk_words evs =
-  let r = Trace.create_recorder ~chunk_words () in
-  emit_all r evs;
-  Trace.finish r
 
 let test_concat_matches_single_recording () =
   (* concat must be byte-identical to recording the parts back-to-back
@@ -119,7 +179,13 @@ let () =
           Alcotest.test_case "exact chunk boundary" `Quick
             test_exact_chunk_boundary;
           Alcotest.test_case "empty" `Quick test_empty_trace;
-          Alcotest.test_case "chunk sizes" `Quick test_iter_chunks_sizes ] );
+          Alcotest.test_case "chunk sizes" `Quick test_iter_chunks_sizes;
+          Alcotest.test_case "default chunk + 1 word" `Quick
+            test_default_chunk_overflow;
+          Alcotest.test_case "finish holds no chunk" `Quick
+            test_finish_holds_no_chunk;
+          Alcotest.test_case "reused recorder = fresh" `Quick
+            test_reused_recorder ] );
       (* the group keeps its old name so the case's id is stable *)
       ( "tee",
         [ Alcotest.test_case "repeatable replay" `Quick
