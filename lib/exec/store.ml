@@ -67,12 +67,18 @@ let offset arr idx =
   done;
   !off
 
-let create ?(layouts = []) (prog : Ast.program) ~params ~init =
+(* The layout half of [create]: extents, bases and strides, and no data. *)
+let plan ?(layouts = []) (prog : Ast.program) ~params =
   let env name =
     match List.assoc_opt name params with
     | Some v -> v
-    | None -> invalid_arg ("Store.create: unbound parameter " ^ name)
+    | None -> invalid_arg ("Store.plan: unbound parameter " ^ name)
   in
+  List.iter
+    (fun (name, _) ->
+      if not (List.exists (fun (d : Ast.array_decl) -> d.a_name = name) prog.arrays)
+      then invalid_arg ("Store.plan: layout for undeclared array " ^ name))
+    layouts;
   let tbl = Hashtbl.create 8 in
   let base = ref 0 in
   let order = ref [] in
@@ -84,40 +90,51 @@ let create ?(layouts = []) (prog : Ast.program) ~params ~init =
       let layout =
         Option.value ~default:Col_major (List.assoc_opt d.a_name layouts)
       in
-      let size = size_of extents layout in
-      let data = Array.make size 0.0 in
       let arr =
         { name = d.a_name;
           extents;
           layout;
           strides = strides_of extents layout;
-          data;
+          data = [||];
           base = !base }
       in
-      (* initialize through the layout so banded stores only hold the band *)
-      (match layout with
-       | Banded bw ->
-         for j = 1 to extents.(1) do
-           for i = j to min extents.(0) (j + bw) do
-             data.(offset arr [| i; j |]) <- init d.a_name [| i; j |]
-           done
-         done
-       | Col_major | Row_major ->
-         let rec fill idx d' =
-           if d' < 0 then data.(offset arr idx) <- init d.a_name idx
-           else
-             for v = 1 to extents.(d') do
-               idx.(d') <- v;
-               fill idx (d' - 1)
-             done
-         in
-         if Array.length extents = 0 then ()
-         else fill (Array.make (Array.length extents) 1) (Array.length extents - 1));
-      base := !base + size;
+      base := !base + size_of extents layout;
       order := d.a_name :: !order;
       Hashtbl.add tbl d.a_name arr)
     prog.arrays;
   { tbl; order = List.rev !order }
+
+(* Fill one planned array through [init], in its layout, so banded stores
+   only hold the band. *)
+let fill init (a : arr) =
+  let extents = a.extents in
+  let arr = { a with data = Array.make (size_of extents a.layout) 0.0 } in
+  let data = arr.data in
+  (match arr.layout with
+   | Banded bw ->
+     for j = 1 to extents.(1) do
+       for i = j to min extents.(0) (j + bw) do
+         data.(offset arr [| i; j |]) <- init arr.name [| i; j |]
+       done
+     done
+   | Col_major | Row_major ->
+     let rec go idx d' =
+       if d' < 0 then data.(offset arr idx) <- init arr.name idx
+       else
+         for v = 1 to extents.(d') do
+           idx.(d') <- v;
+           go idx (d' - 1)
+         done
+     in
+     if Array.length extents = 0 then ()
+     else go (Array.make (Array.length extents) 1) (Array.length extents - 1));
+  arr
+
+let create ?layouts prog ~params ~init =
+  let t = plan ?layouts prog ~params in
+  let tbl = Hashtbl.create 8 in
+  List.iter (fun name -> Hashtbl.add tbl name (fill init (Hashtbl.find t.tbl name))) t.order;
+  { t with tbl }
 
 let find t name =
   match Hashtbl.find_opt t.tbl name with

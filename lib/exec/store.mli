@@ -27,14 +27,27 @@ type arr = {
 
 type t
 
+val plan :
+  ?layouts:(string * layout) list ->
+  Loopir.Ast.program ->
+  params:(string * int) list ->
+  t
+(** The layout half of {!create}: evaluates array extents under [params],
+    places the arrays one after another in a single address space and
+    computes their strides, allocating no data (every [arr.data] is
+    empty).  Such a store serves {!offset}, {!find} and the interpreter's
+    address-only path, and nothing that reads or writes an element.
+    @raise Invalid_argument on an unbound parameter, or on a [layouts]
+    entry naming an array the program does not declare. *)
+
 val create :
   ?layouts:(string * layout) list ->
   Loopir.Ast.program ->
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   t
-(** Evaluates array extents under [params], allocates and initializes.
-    Arrays are placed one after another in a single address space. *)
+(** {!plan}, then allocate every array and fill it through [init] (in its
+    layout, so a banded array holds only its band). *)
 
 val find : t -> string -> arr
 val offset : arr -> int array -> int

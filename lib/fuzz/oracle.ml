@@ -181,11 +181,14 @@ let enumerate cfg pipe =
   take cfg.max_specs specs
 
 (* 4th oracle layer: record/replay cache simulation vs the direct
-   per-access callback path.  A tiny chunk size forces many flush
-   boundaries, and every (machine x quality) pair is replayed from ONE
-   recording — the stored-trace [consume] path must reproduce the direct
-   [simulate] result exactly (structural equality: every counter, level
-   stat, and the closed-form cycle/MFlops floats). *)
+   streaming path.  A tiny chunk size forces many flush boundaries.
+   [Model.record]'s address-only execution must record the value path's
+   words, chunks and flops, and every (machine x quality) pair is replayed
+   from ONE recording: the stored-trace [consume] path, which walks each
+   machine once and derives forwarding, must reproduce the direct
+   [simulate] result, which forwards for real, exactly (structural
+   equality: every counter, level stat, and the closed-form cycle/MFlops
+   floats). *)
 let variants =
   [ (Model.sp2_like, Model.untuned);
     (Model.sp2_like, Model.tuned);
@@ -208,6 +211,19 @@ let check_replay ?spec_text prog ~n =
     try Model.record ~chunk_words:64 prog ~params ~init
     with e -> failf "Model.record raised %s at N=%d" (Printexc.to_string e) n
   in
+  let r = Trace.create_recorder ~chunk_words:64 () in
+  let _, flops = Verify.run_program ~sink:(Trace.Record r) prog ~params ~init in
+  let want = Trace.finish r and got = recording.Model.rec_trace in
+  if flops <> recording.Model.rec_flops then
+    failf "Model.record counts %d flops, the value path %d, at N=%d"
+      recording.Model.rec_flops flops n;
+  if not (Trace.equal want got && Trace.num_chunks want = Trace.num_chunks got)
+  then
+    failf
+      "Model.record's trace (%d words, %d chunks) differs from the value \
+       path's (%d words, %d chunks) at N=%d"
+      (Trace.length got) (Trace.num_chunks got) (Trace.length want)
+      (Trace.num_chunks want) n;
   List.iter2
     (fun (machine, quality) want ->
       let got = Model.consume ~machine ~quality recording in

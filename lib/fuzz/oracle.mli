@@ -16,10 +16,12 @@
     - {b Codegen}: for every spec the checker calls legal, the tightened
       blocked program must compute the same store as the original at each
       verification size (up to reassociation tolerance).
-    - {b Replay}: record-once/replay-many cache simulation (the
-      stored-trace [consume] path, with a tiny chunk size to force flush
-      boundaries) must reproduce the direct per-access callback
-      simulation exactly — every counter, level stat, and cycle
+    - {b Replay}: record-once/replay-many cache simulation: with a tiny
+      chunk size to force flush boundaries, [Model.record]'s address-only
+      execution must record the value path's words, chunks and flops, and
+      the stored-trace [consume] path (one walk per machine, forwarding
+      derived) must reproduce the direct streaming simulation (which
+      forwards for real) exactly — every counter, level stat, and cycle
       figure — across all (machine x quality) variants, on the original
       program and on the first legal blocked variant.
     - {b Tune}: {!Tune.consistency_step} — the memoized and cache-less

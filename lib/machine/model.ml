@@ -93,8 +93,20 @@ type result = {
   r_mflops : float;
 }
 
+(* The counters one walk of the hierarchy leaves, all a result is built
+   from.  [c_repeats] counts the words whose address repeats the previous
+   word's: the ones a forwarding quality drops. *)
+type counts = {
+  c_accesses : int;
+  c_instances : int;
+  c_repeats : int;
+  c_level_accesses : int array;
+  c_level_hits : int array;
+  c_level_evictions : int array;
+}
+
 (* An explicit simulator instance: the cache hierarchy plus the trace
-   counters for one simulation.  Instances share nothing, so a work pool
+   counters for one walk.  Instances share nothing, so a work pool
    fanning simulation points across domains simply creates one per task;
    nothing in this module is global.
 
@@ -106,47 +118,48 @@ type result = {
    accumulation. *)
 module Sim = struct
   type sim = {
-    machine : t;
-    quality : quality;
-    names : string array;
+    elem_bytes : int;
+    forwarding : bool;
     caches : Cache.t array;
-    hit_cycles : float array;
     mutable accesses : int;
     mutable instances : int;
+    mutable repeats : int;
     mutable last_addr : int;
   }
 
-  let create ~machine ~quality =
-    let levels = Array.of_list machine.levels in
-    { machine;
-      quality;
-      names = Array.map (fun l -> l.l_name) levels;
-      caches = Array.map (fun l -> Cache.create l.l_cache) levels;
-      hit_cycles = Array.map (fun l -> l.l_hit_cycles) levels;
+  let create ~(machine : t) ~forwarding =
+    { elem_bytes = machine.elem_bytes;
+      forwarding;
+      caches =
+        Array.of_list (List.map (fun l -> Cache.create l.l_cache) machine.levels);
       accesses = 0;
       instances = 0;
+      repeats = 0;
       last_addr = min_int }
 
-  (* Replay one chunk of packed words: the one hierarchy walk, behind both
+  (* Replay one chunk of packed words: the one hierarchy walk, behind
      [consume] and [simulate].  Level l+1 is probed only when level l
-     misses, and [forwarding] quality drops back-to-back accesses to the
-     same element before they reach the hierarchy.
+     misses.  A word whose address repeats the previous word's is counted
+     in [repeats] and reaches no cache: [forwarding] drops it, and
+     otherwise it is a hit on the first level's most recently used way
+     (the previous word left its line there), which moves no tag.  So the
+     loop walks only the other words, and the chunk's accesses and extra
+     first-level hits follow from its length and its repeats.
 
      The default build compiles each library module with -opaque, so every
      call into Cache is an indirect call through its module block.  This
-     loop therefore keeps the stream state (access and instance counts,
-     forwarding's last address), the first level's geometry and its MRU
-     hits in locals, and tests the first level's most recently used way
-     itself.  Such a hit moves no tag and changes only two counters; any
-     other probe calls [Cache.access].  The counters are written back once
-     per chunk, and nothing is allocated. *)
+     loop therefore keeps the stream state (instance and repeat counts,
+     the last address), the first level's geometry and its MRU hits in
+     locals, and tests the first level's most recently used way itself.
+     Such a hit moves no tag and changes only two counters; any other
+     probe calls [Cache.access].  The counters are written back once per
+     chunk, and nothing is allocated. *)
   let consume_chunk sim buf len =
-    let forwarding = sim.quality.forwarding in
-    let elem_bytes = sim.machine.elem_bytes in
+    let elem_bytes = sim.elem_bytes in
     let caches = sim.caches in
     let n = Array.length caches in
-    let accesses = ref sim.accesses
-    and instances = ref sim.instances
+    let instances = ref sim.instances
+    and repeats = ref sim.repeats
     and last = ref sim.last_addr in
     if n = 0 then
       (* no cache level: every access goes to memory *)
@@ -154,10 +167,7 @@ module Sim = struct
         let w = Array.unsafe_get buf i in
         instances := !instances + (w land 1);
         let addr = w asr 1 in
-        if not (forwarding && addr = !last) then begin
-          incr accesses;
-          last := addr
-        end
+        if addr = !last then incr repeats else last := addr
       done
     else begin
       let l1 = caches.(0) in
@@ -169,8 +179,8 @@ module Sim = struct
         let w = Array.unsafe_get buf i in
         instances := !instances + (w land 1);
         let addr = w asr 1 in
-        if not (forwarding && addr = !last) then begin
-          incr accesses;
+        if addr = !last then incr repeats
+        else begin
           last := addr;
           let byte = addr * elem_bytes in
           let line = byte asr line_shift in
@@ -187,77 +197,137 @@ module Sim = struct
           end
         end
       done;
-      l1.Cache.n_accesses <- l1.Cache.n_accesses + !mru_hits;
-      l1.Cache.n_hits <- l1.Cache.n_hits + !mru_hits
+      let mru_hits =
+        if sim.forwarding then !mru_hits else !mru_hits + !repeats - sim.repeats
+      in
+      l1.Cache.n_accesses <- l1.Cache.n_accesses + mru_hits;
+      l1.Cache.n_hits <- l1.Cache.n_hits + mru_hits
     end;
-    sim.accesses <- !accesses;
+    let dropped = if sim.forwarding then !repeats - sim.repeats else 0 in
+    sim.accesses <- sim.accesses + len - dropped;
     sim.instances <- !instances;
+    sim.repeats <- !repeats;
     sim.last_addr <- !last
 
-  (* Accesses that missed every level and went to memory. *)
-  let mem_misses sim =
-    let n = Array.length sim.caches in
-    if n = 0 then sim.accesses else Cache.misses sim.caches.(n - 1)
-
-  (* Closed-form cycle accounting from the counters:
-       cycles = flops * flop_cycles
-              + sum_level hits(level) * hit_cycles(level)
-              + memory misses * mem_cycles
-              + instances * overhead *)
-  let result sim ~flops =
-    let hier = ref 0.0 in
-    Array.iteri
-      (fun i c ->
-        hier := !hier +. (float_of_int (Cache.hits c) *. sim.hit_cycles.(i)))
-      sim.caches;
-    let hier =
-      !hier +. (float_of_int (mem_misses sim) *. sim.machine.mem_cycles)
-    in
-    let cycles =
-      (float_of_int flops *. sim.machine.flop_cycles)
-      +. hier
-      +. (sim.quality.overhead *. float_of_int sim.instances)
-    in
-    let seconds = cycles /. (sim.machine.clock_mhz *. 1e6) in
-    { r_flops = flops;
-      r_instances = sim.instances;
-      r_accesses = sim.accesses;
-      r_levels =
-        Array.to_list
-          (Array.mapi
-             (fun i c ->
-               { s_name = sim.names.(i);
-                 s_accesses = Cache.accesses c;
-                 s_hits = Cache.hits c;
-                 s_misses = Cache.misses c;
-                 s_evictions = Cache.evictions c })
-             sim.caches);
-      r_cycles = cycles;
-      r_mflops =
-        (if cycles = 0.0 then 0.0 else float_of_int flops /. 1e6 /. seconds) }
+  let counts sim =
+    { c_accesses = sim.accesses;
+      c_instances = sim.instances;
+      c_repeats = sim.repeats;
+      c_level_accesses = Array.map Cache.accesses sim.caches;
+      c_level_hits = Array.map Cache.hits sim.caches;
+      c_level_evictions = Array.map Cache.evictions sim.caches }
 end
+
+(* What a forwarding quality's walk would have counted, from the counters
+   of a walk without forwarding.  Each dropped word is a first-level hit
+   on the most recently used way that moves no tag, so dropping it takes
+   one from the total accesses and from the first level's accesses and
+   hits, and leaves every miss, every eviction and every deeper level as
+   it was. *)
+let forwarded c =
+  let minus_repeats a =
+    Array.mapi (fun i x -> if i = 0 then x - c.c_repeats else x) a
+  in
+  { c with
+    c_accesses = c.c_accesses - c.c_repeats;
+    c_level_accesses = minus_repeats c.c_level_accesses;
+    c_level_hits = minus_repeats c.c_level_hits }
+
+(* Closed-form cycle accounting from the counters:
+     cycles = flops * flop_cycles
+            + sum_level hits(level) * hit_cycles(level)
+            + memory misses * mem_cycles
+            + instances * overhead *)
+let result ~machine ~quality ~flops c =
+  let levels = Array.of_list machine.levels in
+  let n = Array.length levels in
+  let misses i = c.c_level_accesses.(i) - c.c_level_hits.(i) in
+  (* accesses that missed every level and went to memory *)
+  let mem_misses = if n = 0 then c.c_accesses else misses (n - 1) in
+  let hier = ref 0.0 in
+  Array.iteri
+    (fun i l ->
+      hier := !hier +. (float_of_int c.c_level_hits.(i) *. l.l_hit_cycles))
+    levels;
+  let hier = !hier +. (float_of_int mem_misses *. machine.mem_cycles) in
+  let cycles =
+    (float_of_int flops *. machine.flop_cycles)
+    +. hier
+    +. (quality.overhead *. float_of_int c.c_instances)
+  in
+  let seconds = cycles /. (machine.clock_mhz *. 1e6) in
+  { r_flops = flops;
+    r_instances = c.c_instances;
+    r_accesses = c.c_accesses;
+    r_levels =
+      Array.to_list
+        (Array.mapi
+           (fun i l ->
+             { s_name = l.l_name;
+               s_accesses = c.c_level_accesses.(i);
+               s_hits = c.c_level_hits.(i);
+               s_misses = misses i;
+               s_evictions = c.c_level_evictions.(i) })
+           levels);
+    r_cycles = cycles;
+    r_mflops =
+      (if cycles = 0.0 then 0.0 else float_of_int flops /. 1e6 /. seconds) }
 
 (* ------------------------------------------------------------------ *)
 (* Record once, replay many                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* What a walk depends on: the element size and every level's geometry.
+   Names and costs only enter the result. *)
+type geometry = int * Cache.config list
+
+let geometry machine =
+  (machine.elem_bytes, List.map (fun l -> l.l_cache) machine.levels)
+
+(* The walks without forwarding already taken on a recording, one per
+   geometry.  Domains may consume one recording at once: the list is
+   replaced whole by compare-and-set, and two domains racing on one
+   geometry both walk and store equal counters. *)
+type walks = (geometry * counts) list Atomic.t
+
 (* The access stream of one interpreter execution.  Machine and quality
-   play no part in recording (forwarding dedup happens at replay), so a
+   play no part in recording (forwarding is derived at replay), so a
    single recording serves every (machine x quality) series of a figure
    point. *)
-type recording = { rec_trace : Trace.t; rec_flops : int }
+type recording = { rec_trace : Trace.t; rec_flops : int; rec_walks : walks }
 
-let record ?layouts ?chunk_words prog ~params ~init =
+let recording rec_trace ~flops =
+  { rec_trace; rec_flops = flops; rec_walks = Atomic.make [] }
+
+let record ?layouts ?chunk_words prog ~params ~init:_ =
   let r = Trace.create_recorder ?chunk_words () in
-  let _, flops =
-    Exec.Verify.run_program ?layouts ~sink:(Trace.Record r) prog ~params ~init
+  let flops =
+    Exec.Interp.addresses (Exec.Store.plan ?layouts prog ~params) r prog
+      ~params
   in
-  { rec_trace = Trace.finish r; rec_flops = flops }
+  recording (Trace.finish r) ~flops
+
+let walk machine recording =
+  let key = geometry machine in
+  match List.assoc_opt key (Atomic.get recording.rec_walks) with
+  | Some c -> c
+  | None ->
+    let sim = Sim.create ~machine ~forwarding:false in
+    Trace.iter_chunks recording.rec_trace (Sim.consume_chunk sim);
+    let c = Sim.counts sim in
+    let rec publish () =
+      let walks = Atomic.get recording.rec_walks in
+      if not (List.mem_assoc key walks) then
+        if not (Atomic.compare_and_set recording.rec_walks walks ((key, c) :: walks))
+        then publish ()
+    in
+    publish ();
+    c
 
 let consume ~machine ~quality recording =
-  let sim = Sim.create ~machine ~quality in
-  Trace.iter_chunks recording.rec_trace (Sim.consume_chunk sim);
-  Sim.result sim ~flops:recording.rec_flops
+  let c = walk machine recording in
+  result ~machine ~quality ~flops:recording.rec_flops
+    (if quality.forwarding then forwarded c else c)
 
 (* ------------------------------------------------------------------ *)
 (* Shared-L2 SMP replay                                                 *)
@@ -445,29 +515,21 @@ end
    never reaches the major heap. *)
 let direct_chunk_words = 256
 
-(* The direct single-series path: execute the interpreter and replay its
-   accesses through a fresh instance as they come, one small reusable
-   chunk at a time, storing no trace. *)
-let simulate ?layouts ~machine ~quality prog ~params ~init =
-  let sim = Sim.create ~machine ~quality in
-  let buf = Array.make direct_chunk_words 0 and len = ref 0 in
-  let _, flops =
-    Exec.Verify.run_program ?layouts
-      ~sink:
-        (Trace.Callback
-           (fun ~write ~addr ->
-             if !len = direct_chunk_words then begin
-               Sim.consume_chunk sim buf !len;
-               len := 0
-             end;
-             (* Trace.word's packing *)
-             Array.unsafe_set buf !len
-               ((addr lsl 1) lor (if write then 1 else 0));
-             incr len))
-      prog ~params ~init
+(* The direct single-series path: run the address-only interpreter into a
+   streaming recorder whose chunks go straight through a fresh instance,
+   storing no trace.  This walk forwards for real, so the fuzzer's replay
+   layer holds [consume]'s derived forwarding against it. *)
+let simulate ?layouts ~machine ~quality prog ~params ~init:_ =
+  let sim = Sim.create ~machine ~forwarding:quality.forwarding in
+  let r =
+    Trace.streaming ~chunk_words:direct_chunk_words (Sim.consume_chunk sim)
   in
-  Sim.consume_chunk sim buf !len;
-  Sim.result sim ~flops
+  let flops =
+    Exec.Interp.addresses (Exec.Store.plan ?layouts prog ~params) r prog
+      ~params
+  in
+  ignore (Trace.finish r);
+  result ~machine ~quality ~flops (Sim.counts sim)
 
 let pp_result fmt r =
   Format.fprintf fmt "flops=%d insts=%d accesses=%d cycles=%.0f mflops=%.1f"

@@ -89,10 +89,22 @@ type result = {
 
 (** {2 Record once, replay many} *)
 
-type recording = { rec_trace : Trace.t; rec_flops : int }
+type walks
+(** The hierarchy walks a recording has had, memoized for {!consume}. *)
+
+type recording = private {
+  rec_trace : Trace.t;
+  rec_flops : int;
+  rec_walks : walks;
+}
 (** The access stream of one interpreter execution.  Recording does not
-    depend on machine or quality (forwarding dedup happens at replay), so
+    depend on machine or quality (forwarding is derived at replay), so
     one recording serves every (machine x quality) series. *)
+
+val recording : Trace.t -> flops:int -> recording
+(** A recording of a trace recorded elsewhere (the value path's
+    [Pipeline.record_full], the block scheduler's merge), with no walk
+    memoized yet. *)
 
 val record :
   ?layouts:(string * Exec.Store.layout) list ->
@@ -101,12 +113,27 @@ val record :
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   recording
-(** Execute the program once, capturing the full access trace. *)
+(** Execute the program once on the interpreter's address-only path,
+    capturing the full access trace: the words, chunks and flops the value
+    path would record.  [init] is not evaluated: no element value reaches
+    the trace.  It stays in the signature for callers that pass it.
+    @raise Invalid_argument as {!Exec.Store.plan} and {!Exec.Interp.run}
+    would. *)
 
 val consume : machine:t -> quality:quality -> recording -> result
 (** Replay a recording into a fresh simulator instance.  For any machine
     and quality, [consume ~machine ~quality (record p)] produces exactly
-    the same result as [simulate ~machine ~quality p]. *)
+    the same result as [simulate ~machine ~quality p].
+
+    The hierarchy is walked once per recording and geometry (element size
+    and every level's cache configuration): the walk runs without
+    forwarding, counts the words whose address repeats the previous
+    word's, and is memoized on the recording.  Every quality derives from
+    it: forwarding drops exactly those repeats, each a first-level hit on
+    the most recently used way that moves no tag, so the forwarding
+    result is the walk's minus the repeats in total accesses and
+    first-level accesses and hits, with every miss, eviction and deeper
+    level equal.  The memo is safe to share across domains. *)
 
 (** A P-core machine built from a uniprocessor spec: every core gets a
     private copy of the first cache level; the remaining levels and memory
@@ -155,10 +182,12 @@ val simulate :
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   result
-(** The direct single-series path: interpret the program against a fresh
-    store, feeding every element access straight through a fresh
-    simulator instance, with no trace stored.  For any machine and
-    quality it equals [consume ~machine ~quality (record p)]; use that
-    pair instead when one execution should serve several series. *)
+(** The direct single-series path: run the address-only interpreter
+    against a layout-only store, handing every 256-word chunk straight to
+    a fresh simulator instance, with no trace stored.  Its walk forwards
+    for real rather than deriving.  For any machine and quality it equals
+    [consume ~machine ~quality (record p)]; use that pair instead when one
+    execution should serve several series.  [init] is not evaluated, as
+    in {!record}. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -110,7 +110,7 @@ let record_full ?layouts ?chunk_words ?spec t ~params ~init =
     Exec.Verify.run_program ?layouts ~sink:(Trace.Record r) (variant t spec)
       ~params ~init
   in
-  ({ Machine.Model.rec_trace = Trace.finish r; rec_flops = flops }, store)
+  (Machine.Model.recording (Trace.finish r) ~flops, store)
 
 let consume = Machine.Model.consume
 

@@ -100,7 +100,9 @@ val record :
   init:(string -> int array -> float) ->
   Machine.Model.recording
 (** Execute the chosen variant once, capturing the full access trace
-    (machine/quality independent — replay it with {!consume}). *)
+    (machine/quality independent — replay it with {!consume}).  This is
+    {!Machine.Model.record}: it computes addresses only, so [init] is not
+    called; it stays in the signature for the callers that pass it. *)
 
 val record_full :
   ?layouts:(string * Exec.Store.layout) list ->
@@ -110,7 +112,8 @@ val record_full :
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   Machine.Model.recording * Exec.Store.t
-(** Like {!record}, but also returns the final store from the same single
+(** Like {!record}, but runs the value path, filling the store through
+    [init], and also returns the final store from the same single
     execution — the sequential reference for a par=seq equivalence check
     (store, trace and flops all from one run). *)
 
@@ -130,7 +133,8 @@ val simulate :
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   Machine.Model.result
-(** One-shot simulation of the chosen variant. *)
+(** One-shot simulation of the chosen variant ({!Machine.Model.simulate}:
+    addresses only, so [init] is not called). *)
 
 val run :
   ?layouts:(string * Exec.Store.layout) list ->

@@ -455,8 +455,7 @@ let exec ?layouts ?(domains = 1) ?(trace = false)
    Byte-identical to the sequential recording for any [domains]. *)
 let record ?layouts ?domains ?chunk_words plan ~init =
   let r = exec ?layouts ?domains ~trace:true ?chunk_words plan ~init in
-  ( { Model.rec_trace = Option.get r.x_trace; Model.rec_flops = r.x_flops },
-    r )
+  (Model.recording (Option.get r.x_trace) ~flops:r.x_flops, r)
 
 let smp ?(machine = Model.two_level) ?(quality = Model.tuned) ~cores plan r =
   Model.Smp.consume ~machine ~quality ~cores

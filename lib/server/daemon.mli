@@ -36,7 +36,9 @@ type resolve = {
       (** symbolic spec lookup, e.g. ["ij"] at block size 32 for "matmul" *)
   rv_params : kernel:string -> n:int -> (string * int) list;
   rv_init : kernel:string -> n:int -> string -> int array -> float;
-      (** deterministic array initializer for sim/tune requests *)
+      (** the array initializer sim and tune requests pass on; both record
+          addresses only ({!Machine.Model.simulate}, {!Tune.tune}), so it
+          is never called, and stays for the resolvers that supply it *)
 }
 (** Injected name->object resolution.  The server library deliberately
     depends on neither [kernels] nor [experiments]; binaries supply the

@@ -13,6 +13,8 @@ type recorder = {
   mutable len : int;
   (* finished chunks, most recent first *)
   mutable stored : (int array * int) list;
+  (* a streaming recorder hands each chunk here instead of storing it *)
+  stream : consumer option;
 }
 
 type t = {
@@ -22,12 +24,23 @@ type t = {
 
 let create_recorder ?(chunk_words = default_chunk_words) () =
   if chunk_words <= 0 then invalid_arg "Trace.create_recorder: chunk_words";
-  { chunk_words; buf = [||]; len = 0; stored = [] }
+  { chunk_words; buf = [||]; len = 0; stored = []; stream = None }
 
+let streaming ?(chunk_words = default_chunk_words) f =
+  { (create_recorder ~chunk_words ()) with stream = Some f }
+
+(* A streaming recorder allocates its one chunk when its first word
+   arrives and reuses it from then on. *)
 let flush r =
-  if r.len > 0 then r.stored <- (r.buf, r.len) :: r.stored;
-  r.buf <- Array.make r.chunk_words 0;
-  r.len <- 0
+  match r.stream with
+  | None ->
+    if r.len > 0 then r.stored <- (r.buf, r.len) :: r.stored;
+    r.buf <- Array.make r.chunk_words 0;
+    r.len <- 0
+  | Some f ->
+    if r.len > 0 then f r.buf r.len
+    else if Array.length r.buf = 0 then r.buf <- Array.make r.chunk_words 0;
+    r.len <- 0
 
 (* The default (dev) build compiles each library module with -opaque, so
    this [@inline] reaches callers in this module only: the tests call
@@ -49,7 +62,10 @@ let emit_word r w =
    into fresh ones: a parallel worker records all its tasks through one
    recorder, and a task that records nothing allocates nothing. *)
 let finish r =
-  if r.len > 0 then r.stored <- (r.buf, r.len) :: r.stored;
+  if r.len > 0 then
+    (match r.stream with
+     | None -> r.stored <- (r.buf, r.len) :: r.stored
+     | Some f -> f r.buf r.len);
   r.buf <- [||];
   r.len <- 0;
   let chunks = Array.of_list (List.rev r.stored) in
@@ -110,5 +126,4 @@ let equal a b =
 
 type sink =
   | No_trace
-  | Callback of (write:bool -> addr:int -> unit)
   | Record of recorder

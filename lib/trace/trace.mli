@@ -8,12 +8,19 @@
     number of times (the record-once / replay-many pipeline of the
     experiment harness).
 
+    A streaming recorder ({!streaming}) stores nothing: it hands each
+    full chunk to a consumer and reuses it, so a single-series simulation
+    walks the cache hierarchy as the interpreter runs, in chunks of the
+    same boundaries a stored trace would have.
+
     The recorder is single-domain mutable state; a finished {!t} is
     immutable and may be shared read-only across domains. *)
 
 type consumer = int array -> int -> unit
 (** [consumer buf len] receives one chunk: packed words [buf.(0 .. len-1)].
-    The array belongs to the trace — consumers must not mutate it. *)
+    The array belongs to the trace or recorder — consumers must not mutate
+    it, and must not keep it past the call (a streaming recorder writes
+    its next words into the same array). *)
 
 (** {2 Packed words} *)
 
@@ -33,6 +40,9 @@ type recorder = {
   mutable len : int;  (** words used in [buf] *)
   mutable stored : (int array * int) list;
       (** finished chunks, most recent first *)
+  stream : consumer option;
+      (** [Some f] for a {!streaming} recorder, which hands each chunk to
+          [f] instead of storing it *)
 }
 (** The fields are public so that a loop in another module can append a
     word without a call: when [len = Array.length buf] call {!flush},
@@ -50,11 +60,19 @@ val create_recorder : ?chunk_words:int -> unit -> recorder
 (** [chunk_words] defaults to {!default_chunk_words}.  The recorder holds
     no chunk yet. *)
 
+val streaming : ?chunk_words:int -> consumer -> recorder
+(** A recorder that stores no trace: each full chunk goes to the consumer,
+    and the recorder then writes its next words into the same chunk.  Its
+    {!finish} hands the consumer the partial tail and seals an empty
+    trace.  The consumer sees the words and chunk boundaries a
+    {!create_recorder} with the same [chunk_words] would have stored. *)
+
 val flush : recorder -> unit
-(** Make room for the next word: store the current chunk, if it holds any
-    word, and allocate a fresh one.  Call it only when
-    [len = Array.length buf], that is, when the current chunk is full or
-    there is none. *)
+(** Make room for the next word: store the current chunk (hand it to the
+    consumer, for a streaming recorder), if it holds any word, and
+    allocate a fresh one (a streaming recorder reuses the one it holds).
+    Call it only when [len = Array.length buf], that is, when the current
+    chunk is full or there is none. *)
 
 val emit : recorder -> write:bool -> addr:int -> unit
 (** Append one access, starting a fresh chunk when the current one is
@@ -64,8 +82,9 @@ type t
 (** A finished, immutable, replayable trace. *)
 
 val finish : recorder -> t
-(** Store the partial tail chunk, if it holds any word, and seal the
-    trace.  Allocates no chunk: the recorder is left holding none, and
+(** Store the partial tail chunk (a streaming recorder hands it to its
+    consumer), if it holds any word, and seal the trace.  Allocates no
+    chunk: the recorder is left holding none, and
     what it records next starts a new trace in a chunk allocated when its
     first word arrives.  A [finish] with no word since the last one seals
     an empty trace. *)
@@ -99,11 +118,10 @@ val equal : t -> t -> bool
 
 (** {2 The interpreter-facing sink} *)
 
-(** What the interpreter should do with the access stream.  [No_trace] is
-    the fast path (no per-access work compiled in); [Callback] feeds each
-    access to a closure (the direct single-series simulation path);
-    [Record] feeds a recorder. *)
+(** What the interpreter's value path should do with the access stream.
+    [No_trace] is the fast path (no per-access work compiled in); [Record]
+    feeds a recorder, stored or streaming.  The interpreter's address-only
+    path takes a recorder directly. *)
 type sink =
   | No_trace
-  | Callback of (write:bool -> addr:int -> unit)
   | Record of recorder

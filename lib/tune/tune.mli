@@ -153,8 +153,10 @@ val tune :
   report
 (** Run the full enumerate -> prune -> check -> generate -> simulate
     pipeline.  [arrays] defaults to {!Shackle.Search.default_arrays};
-    [init] to {!Kernels.Inits.for_kernel} (so results are deterministic
-    given [kernel] and [params]). *)
+    [init] to {!Kernels.Inits.for_kernel}.  Candidates are ranked by
+    {!Machine.Model.record}, which evaluates no element value, so [init]
+    is never called: it stays in the signature for the callers that pass
+    it (the daemon, perfbench). *)
 
 val consistency_step :
   ?sizes:int list -> ?max_specs:int -> Loopir.Ast.program -> (int, string) result

@@ -72,11 +72,19 @@ let test_out_of_range () =
      with Invalid_argument _ -> true)
 
 (* The interpreter tests each reference's range inline and hands a failing
-   index to Store.offset: under every sink, an out-of-range reference
-   raises exactly the error a direct Store.offset call would. *)
+   index to Store.offset: under every sink, and on the address-only path,
+   an out-of-range reference raises exactly the error a direct
+   Store.offset call would.  The address-only path checks a strided
+   innermost loop at the two ends of its range, so most cases leave the
+   array or band only at one end: a shifted read on the last iteration or
+   on the first, a loop-invariant subscript only on the last outer
+   iteration, the shifted write (after its in-range read) on the last
+   iteration, the band on the last iteration, and, with the loop variable
+   as the column, the band on the first. *)
 let test_interp_range_checks () =
+  let parse = Loopir.Parser.program in
   let shifted =
-    Loopir.Parser.program
+    parse
       "! shifted (params: N)\n\
        real A(N, N)\n\
        do J = 1, N\n\
@@ -85,8 +93,38 @@ let test_interp_range_checks () =
       \  end do\n\
        end do\n"
   in
+  let shifted_down =
+    parse
+      "! shifted_down (params: N)\n\
+       real A(N, N)\n\
+       do J = 1, N\n\
+      \  do I = 1, N\n\
+      \    S1: A(I, J) = A(I - 1, J)\n\
+      \  end do\n\
+       end do\n"
+  in
+  let next_column =
+    parse
+      "! next_column (params: N)\n\
+       real A(N, N)\n\
+       do J = 1, N\n\
+      \  do I = 1, N\n\
+      \    S1: A(I, J) = A(I, J + 1)\n\
+      \  end do\n\
+       end do\n"
+  in
+  let shifted_write =
+    parse
+      "! shifted_write (params: N)\n\
+       real A(N, N)\n\
+       do J = 1, N\n\
+      \  do I = 1, N\n\
+      \    S1: A(I + 1, J) = 2.0 * A(I, J)\n\
+      \  end do\n\
+       end do\n"
+  in
   let banded lo hi =
-    Loopir.Parser.program
+    parse
       (Printf.sprintf
          "! banded (params: N)\n\
           real A(N, N)\n\
@@ -97,32 +135,70 @@ let test_interp_range_checks () =
           end do\n"
          lo hi)
   in
+  let banded_row =
+    parse
+      "! banded_row (params: N)\n\
+       real A(N, N)\n\
+       do I = 4, N\n\
+      \  do J = I - 3, I\n\
+      \    S1: A(I, J) = 2.0 * A(I, J)\n\
+      \  end do\n\
+       end do\n"
+  in
   let cases =
     [ ("column-major A(I+1,J) at I=N", shifted, [],
+       "Store.offset: A index 5 out of [1..4]");
+      ("column-major A(I-1,J) at I=1", shifted_down, [],
+       "Store.offset: A index 0 out of [1..4]");
+      ("column-major A(I,J+1) at J=N", next_column, [],
+       "Store.offset: A index 5 out of [1..4]");
+      ("column-major write A(I+1,J) at I=N", shifted_write, [],
        "Store.offset: A index 5 out of [1..4]");
       ("banded below the band", banded 0 3, [ ("A", Store.Banded 2) ],
        "Store.offset: A(4,1) outside band 2");
       ("banded row past the matrix", banded 1 1, [ ("A", Store.Banded 2) ],
-       "Store.offset: A index 5 out of [1..4]") ]
+       "Store.offset: A index 5 out of [1..4]");
+      ("banded below the band at the first column", banded_row,
+       [ ("A", Store.Banded 2) ], "Store.offset: A(4,1) outside band 2") ]
   in
-  let sinks =
-    [ ("no trace", fun () -> Trace.No_trace);
-      ("callback", fun () -> Trace.Callback (fun ~write:_ ~addr:_ -> ()));
-      ("record", fun () -> Trace.Record (Trace.create_recorder ())) ]
+  let run sink prog ~layouts =
+    let st =
+      Store.create ~layouts prog ~params:(params 4) ~init:(fun _ _ -> 1.0)
+    in
+    ignore (Interp.run ~sink st prog ~params:(params 4))
+  in
+  let paths =
+    [ ("no trace", run Trace.No_trace);
+      ("record", fun prog ~layouts ->
+          run (Trace.Record (Trace.create_recorder ())) prog ~layouts);
+      ("address-only", fun prog ~layouts ->
+          ignore
+            (Interp.addresses
+               (Store.plan ~layouts prog ~params:(params 4))
+               (Trace.create_recorder ()) prog ~params:(params 4))) ]
   in
   List.iter
     (fun (what, prog, layouts, msg) ->
       List.iter
-        (fun (sink_name, sink) ->
-          let st =
-            Store.create ~layouts prog ~params:(params 4)
-              ~init:(fun _ _ -> 1.0)
-          in
-          Alcotest.check_raises (what ^ " under " ^ sink_name)
-            (Invalid_argument msg) (fun () ->
-              ignore (Interp.run ~sink:(sink ()) st prog ~params:(params 4))))
-        sinks)
+        (fun (path, run) ->
+          Alcotest.check_raises (what ^ " under " ^ path)
+            (Invalid_argument msg) (fun () -> run prog ~layouts))
+        paths)
     cases
+
+(* A layout names an array by its declared name: one for an array the
+   program does not declare (here a lowercase [a] for [A]) is refused,
+   not silently dropped in favour of column-major. *)
+let test_layout_for_undeclared_array () =
+  let p = K.cholesky_banded () in
+  let params = [ ("N", 5); ("BW", 2) ] in
+  let msg = "Store.plan: layout for undeclared array a" in
+  Alcotest.check_raises "create" (Invalid_argument msg) (fun () ->
+      ignore
+        (Store.create ~layouts:[ ("a", Store.Banded 2) ] p ~params
+           ~init:(fun _ _ -> 1.0)));
+  Alcotest.check_raises "plan" (Invalid_argument msg) (fun () ->
+      ignore (Store.plan ~layouts:[ ("a", Store.Banded 2) ] p ~params))
 
 (* --- interpreter vs hand-written kernels --- *)
 
@@ -248,30 +324,29 @@ let test_banded_matches_dense_inside_band () =
 
 (* --- tracing --- *)
 
+(* The value path's recorded accesses of matmul at size [n], in order. *)
+let matmul_accesses n =
+  let r = Trace.create_recorder () in
+  let init = Kernels.Inits.for_kernel "matmul" ~n in
+  let _ =
+    Exec.Verify.run_program ~sink:(Trace.Record r) (K.matmul ()) ~params:(params n) ~init
+  in
+  let events = ref [] in
+  Trace.iter (Trace.finish r) (fun ~write ~addr -> events := (write, addr) :: !events);
+  List.rev !events
+
 let test_trace_counts () =
   let n = 5 in
-  let reads = ref 0 and writes = ref 0 in
-  let trace ~write ~addr:_ = if write then incr writes else incr reads in
-  let init = Kernels.Inits.for_kernel "matmul" ~n in
-  let _ =
-    Exec.Verify.run_program ~sink:(Trace.Callback trace) (K.matmul ()) ~params:(params n) ~init
-  in
+  let events = matmul_accesses n in
+  let writes = List.length (List.filter fst events) in
   (* per innermost instance: reads C, A, B; writes C *)
-  Alcotest.(check int) "reads" (3 * n * n * n) !reads;
-  Alcotest.(check int) "writes" (n * n * n) !writes
+  Alcotest.(check int) "reads" (3 * n * n * n) (List.length events - writes);
+  Alcotest.(check int) "writes" (n * n * n) writes
 
 let test_trace_read_before_write () =
-  let n = 2 in
-  let order = ref [] in
-  let trace ~write ~addr = order := (write, addr) :: !order in
-  let init = Kernels.Inits.for_kernel "matmul" ~n in
-  let _ =
-    Exec.Verify.run_program ~sink:(Trace.Callback trace) (K.matmul ()) ~params:(params n) ~init
-  in
-  let events = List.rev !order in
   (* the first four events form one statement instance: 3 reads then the
      write, and the C read and write hit the same address *)
-  match events with
+  match matmul_accesses 2 with
   | (false, c) :: (false, _) :: (false, _) :: (true, c') :: _ ->
     Alcotest.(check int) "write follows reads to same C cell" c c'
   | _ -> Alcotest.fail "unexpected event shape"
@@ -322,7 +397,9 @@ let () =
           Alcotest.test_case "banded layout" `Quick test_banded_layout;
           Alcotest.test_case "range checks" `Quick test_out_of_range;
           Alcotest.test_case "interpreter range checks" `Quick
-            test_interp_range_checks ] );
+            test_interp_range_checks;
+          Alcotest.test_case "layout for undeclared array" `Quick
+            test_layout_for_undeclared_array ] );
       ( "interp",
         [ Alcotest.test_case "matmul vs hand" `Quick test_matmul_against_hand;
           Alcotest.test_case "cholesky vs hand" `Quick test_cholesky_against_hand;

@@ -211,8 +211,9 @@ let test_two_level_machine () =
 (* --- closed-form cycle accounting & the record/replay pipeline --- *)
 
 (* A reference simulator re-implementing the pre-refactor per-access float
-   accumulation: walk a (spec, cache) list per access, adding the hit or
-   memory cost to a float the moment it is incurred.  The production Sim
+   accumulation over the value path's recorded trace: walk a (spec, cache)
+   list per access, adding the hit or memory cost to a float the moment it
+   is incurred.  The production Sim
    accumulates only integer counters and folds costs in closed form when
    the result is built; because every cost constant is an integer or
    dyadic rational and every counter is far below 2^53, the two must agree
@@ -241,9 +242,11 @@ let reference_simulate ~machine ~quality prog ~params ~init =
       probe levels
     end
   in
+  let r = Trace.create_recorder () in
   let _, flops =
-    Exec.Verify.run_program ~sink:(Trace.Callback trace) prog ~params ~init
+    Exec.Verify.run_program ~sink:(Trace.Record r) prog ~params ~init
   in
+  Trace.iter (Trace.finish r) trace;
   let cycles =
     (float_of_int flops *. machine.Model.flop_cycles)
     +. !hier
@@ -376,10 +379,225 @@ let test_record_replay_matches_direct () =
         = Model.consume ~machine ~quality recording))
     trace_test_points
 
-(* Replay and recording allocate nothing per access.  A consume allocates
-   the same minor words on a 131,072-word trace as on a 16,384-word one,
-   and recording the larger trace from a prepared program allocates a
-   bounded handful of words (bindings and one chunk hand-over). *)
+(* --- the address-only recording against the value path --- *)
+
+(* Model.record runs the interpreter's address-only path (and its strided
+   innermost loops); the value path recording the same program must give
+   the same words in the same chunks, and the same flops. *)
+let check_record_matches_value ?layouts ?chunk_words tag prog ~params ~init =
+  let r = Trace.create_recorder ?chunk_words () in
+  let _, flops =
+    Exec.Verify.run_program ?layouts ~sink:(Trace.Record r) prog ~params ~init
+  in
+  let want = Trace.finish r in
+  let got = Model.record ?layouts ?chunk_words prog ~params ~init in
+  let tr = got.Model.rec_trace in
+  Alcotest.(check int) (tag ^ " words") (Trace.length want) (Trace.length tr);
+  Alcotest.(check bool) (tag ^ " same words") true (Trace.equal want tr);
+  Alcotest.(check int) (tag ^ " chunks") (Trace.num_chunks want)
+    (Trace.num_chunks tr);
+  Alcotest.(check int) (tag ^ " bytes") (Trace.bytes want) (Trace.bytes tr);
+  Alcotest.(check int) (tag ^ " flops") flops got.Model.rec_flops
+
+let kernel_params kernel n =
+  if kernel = "cholesky_banded" then [ ("N", n); ("BW", max 1 (n / 3)) ]
+  else [ ("N", n) ]
+
+(* Every kernel at two sizes, at the default chunk size and at 7 words;
+   the banded kernel also in band storage. *)
+let test_record_matches_value_kernels () =
+  List.iter
+    (fun (kernel, prog) ->
+      List.iter
+        (fun n ->
+          let params = kernel_params kernel n in
+          let init = Kernels.Inits.for_kernel kernel ~n in
+          List.iter
+            (fun chunk_words ->
+              let tag = Printf.sprintf "%s N=%d chunk %d" kernel n chunk_words in
+              check_record_matches_value ~chunk_words tag prog ~params ~init;
+              if kernel = "cholesky_banded" then
+                check_record_matches_value ~chunk_words
+                  ~layouts:[ ("A", Exec.Store.Banded (List.assoc "BW" params)) ]
+                  (tag ^ " banded") prog ~params ~init)
+            [ Trace.default_chunk_words; 7 ])
+        [ 7; 12 ])
+    (K.all ())
+
+(* Innermost loops under guards affine in the loop variable, of every
+   relation and with coefficients of both signs, some of them empty on
+   part of the outer range, at sizes that start and stop their ranges at
+   every offset. *)
+let test_record_matches_value_guards () =
+  let guarded =
+    Loopir.Parser.program
+      "! guarded (params: N)\n\
+       real A(N, N)\n\
+       real B(N, N)\n\
+       do J = 1, N\n\
+      \  do I = 1, N\n\
+      \    if (I >= J - 2 and 2*I <= N + J and I + 1 > 3) then\n\
+      \      S1: A(I, J) = A(I, J) + B(I, J)\n\
+      \    end if\n\
+      \  end do\n\
+      \  do I = 1, N\n\
+      \    if (I == J) then\n\
+      \      S2: B(I, J) = 2.0 * A(I, I)\n\
+      \    end if\n\
+      \  end do\n\
+      \  do I = 1, N\n\
+      \    if (3*I < 2*J + 1 and J - I + 4 > 0 and 5 >= 2) then\n\
+      \      S3: A(I, J) = -B(J, I)\n\
+      \    end if\n\
+      \  end do\n\
+      \  do I = J, N\n\
+      \    if (J >= 3) then\n\
+      \      S4: B(I, J) = B(I, J) * A(J, I)\n\
+      \    end if\n\
+      \  end do\n\
+       end do\n"
+  in
+  List.iter
+    (fun n ->
+      check_record_matches_value ~chunk_words:5
+        (Printf.sprintf "guarded N=%d" n)
+        guarded ~params:[ ("N", n) ] ~init:(fun _ _ -> 1.0))
+    [ 1; 2; 3; 4; 5; 8; 13 ]
+
+(* Every registry spec at two block sizes, symbolic and specialized (the
+   shape the figures and perfbench record), the banded write shackle in
+   band storage, and the perfbench deck's matmul two-level:16 (innermost
+   loops of two trips) and cholesky_right full:16 (innermost loops under a
+   guard). *)
+let test_record_matches_value_specs () =
+  let specs =
+    [ ("matmul", "c"); ("matmul", "ca"); ("matmul", "two-level");
+      ("cholesky_right", "write"); ("cholesky_right", "read");
+      ("cholesky_right", "full"); ("cholesky_right", "left");
+      ("cholesky_left", "write"); ("cholesky_banded", "write");
+      ("qr", "columns"); ("gmtry", "write"); ("adi", "fused") ]
+  in
+  let check ?layouts kernel spec_name size n =
+    let pipe = Pipeline.create (List.assoc kernel (K.all ())) in
+    let spec =
+      Option.get (Experiments.Specs.lookup ~kernel ~spec:spec_name ~size)
+    in
+    let params = kernel_params kernel n in
+    let init = Kernels.Inits.for_kernel kernel ~n in
+    let tag = Printf.sprintf "%s %s:%d N=%d" kernel spec_name size n in
+    check_record_matches_value ?layouts tag
+      (Pipeline.codegen_cached pipe spec) ~params ~init;
+    check_record_matches_value ?layouts (tag ^ " specialized")
+      (Pipeline.specialize ~spec pipe ~params) ~params ~init
+  in
+  List.iter
+    (fun (kernel, spec) ->
+      List.iter (fun size -> check kernel spec size 13) [ 4; 8 ])
+    specs;
+  List.iter
+    (fun size ->
+      check ~layouts:[ ("A", Exec.Store.Banded 6) ] "cholesky_banded" "write"
+        size 19)
+    [ 4; 8 ];
+  check "matmul" "two-level" 16 40;
+  check "cholesky_right" "full" 16 76
+
+(* --- one walk per recording and geometry --- *)
+
+(* Consuming every quality in either order on one recording, or each on a
+   fresh recording, equals the direct simulation, which walks with real
+   forwarding: on the three named machines and one with no cache level,
+   for matmul and for a program whose trace is dense in repeated
+   addresses (each S1 reads A(I) twice in a row, and each S2 reads A(I)
+   right after S1 wrote it). *)
+let test_walk_once_per_geometry () =
+  let no_cache = { Model.sp2_like with Model.m_name = "no-cache"; levels = [] } in
+  let repeats =
+    Loopir.Parser.program
+      "! repeats (params: N)\n\
+       real A(N)\n\
+       real B(N, N)\n\
+       do J = 1, N\n\
+      \  do I = 1, N\n\
+      \    S1: A(I) = A(I) * A(I) + B(I, J)\n\
+      \    S2: A(I) = A(I) - B(J, I)\n\
+      \  end do\n\
+       end do\n"
+  in
+  let programs =
+    [ ("matmul", K.matmul (), 20, Kernels.Inits.for_kernel "matmul" ~n:20);
+      ("repeats", repeats, 40, fun _ _ -> 1.0) ]
+  in
+  List.iter
+    (fun (name, prog, n, init) ->
+      let params = [ ("N", n) ] in
+      List.iter
+        (fun machine ->
+          let tag q what =
+            Printf.sprintf "%s on %s/%s: %s" name machine.Model.m_name
+              q.Model.q_name what
+          in
+          let direct q = Model.simulate ~machine ~quality:q prog ~params ~init in
+          let qualities = [ Model.untuned; Model.tuned ] in
+          let want = List.map direct qualities in
+          if name = "repeats" then
+            Alcotest.(check bool)
+              (tag Model.tuned "forwarding drops accesses")
+              true
+              ((List.nth want 1).Model.r_accesses
+              < (List.nth want 0).Model.r_accesses);
+          let fresh q = Model.consume ~machine ~quality:q (Model.record prog ~params ~init) in
+          List.iter2
+            (fun q w ->
+              Alcotest.(check bool) (tag q "fresh = direct") true (fresh q = w))
+            qualities want;
+          List.iter
+            (fun order ->
+              let r = Model.record ~chunk_words:7 prog ~params ~init in
+              List.iter
+                (fun q ->
+                  let w = List.nth want (if q == Model.untuned then 0 else 1) in
+                  Alcotest.(check bool)
+                    (tag q (Printf.sprintf "%s first = direct"
+                              (List.hd order).Model.q_name))
+                    true (Model.consume ~machine ~quality:q r = w))
+                (order @ order))
+            [ qualities; List.rev qualities ])
+        [ Model.sp2_like; Model.two_level; small_cache; no_cache ])
+    programs
+
+(* Two domains consuming one recording at once, every variant in opposite
+   orders, race on the memo: each result equals a fresh recording's. *)
+let test_walk_memo_across_domains () =
+  let prog = K.matmul () and n = 16 in
+  let params = [ ("N", n) ] and init = Kernels.Inits.for_kernel "matmul" ~n in
+  let want =
+    List.map
+      (fun (machine, quality) ->
+        Model.consume ~machine ~quality (Model.record prog ~params ~init))
+      all_variants
+  in
+  let shared = Model.record prog ~params ~init in
+  let consume_all variants =
+    List.map
+      (fun (machine, quality) -> Model.consume ~machine ~quality shared)
+      variants
+  in
+  let other = Domain.spawn (fun () -> List.rev (consume_all (List.rev all_variants))) in
+  let mine = consume_all all_variants in
+  let theirs = Domain.join other in
+  Alcotest.(check bool) "this domain's results" true (mine = want);
+  Alcotest.(check bool) "the other domain's results" true (theirs = want)
+
+(* Replay and recording allocate nothing per access.  A consume that walks
+   allocates the same minor words on a 131,072-word trace as on a
+   16,384-word one: each measured call gets a fresh recording, since a
+   second consume on one recording and geometry reads the memoized walk
+   and walks nothing.  Recording the larger trace from a prepared program
+   allocates a bounded handful of words (bindings and one chunk
+   hand-over), and the address-only recording of the larger trace
+   allocates at most a few words per stored chunk more than of the
+   smaller. *)
 let minor_words f =
   let before = Gc.minor_words () in
   f ();
@@ -389,22 +607,22 @@ let test_no_allocation_per_access () =
   let prog = K.matmul () in
   let init n = Kernels.Inits.for_kernel "matmul" ~n in
   let recording n = Model.record prog ~params:[ ("N", n) ] ~init:(init n) in
-  let small = recording 16 and large = recording 32 in
   Alcotest.(check int) "N=16 trace words" 16_384
-    (Trace.length small.Model.rec_trace);
+    (Trace.length (recording 16).Model.rec_trace);
   Alcotest.(check int) "N=32 trace words" 131_072
-    (Trace.length large.Model.rec_trace);
+    (Trace.length (recording 32).Model.rec_trace);
   List.iter
     (fun (machine, quality) ->
-      let words r =
+      let words n =
+        let r = recording n in
         minor_words (fun () -> ignore (Model.consume ~machine ~quality r))
       in
       (* a first call, so neither measured one pays any one-time set-up *)
-      ignore (words small);
+      ignore (words 16);
       Alcotest.(check (float 0.0))
         (Printf.sprintf "%s/%s consume: minor words independent of length"
            machine.Model.m_name quality.Model.q_name)
-        (words small) (words large))
+        (words 16) (words 32))
     [ (Model.sp2_like, Model.untuned);
       (Model.sp2_like, Model.tuned);
       (Model.two_level, Model.untuned);
@@ -420,7 +638,22 @@ let test_no_allocation_per_access () =
     (Trace.length (Trace.finish rc));
   Alcotest.(check bool)
     (Printf.sprintf "recording N=32 allocates %.0f minor words (< 100)" words)
-    true (words < 100.0)
+    true (words < 100.0);
+  let address_words n =
+    let params = [ ("N", n) ] in
+    let layout = Exec.Store.plan prog ~params in
+    minor_words (fun () ->
+        ignore
+          (Exec.Interp.addresses layout (Trace.create_recorder ()) prog ~params))
+  in
+  ignore (address_words 16);
+  let extra = address_words 32 -. address_words 16 in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "address-only recording of N=32 allocates %.0f minor words more than \
+        of N=16 (< 200)"
+       extra)
+    true (extra < 200.0)
 
 (* --- tiling baseline --- *)
 
@@ -525,7 +758,17 @@ let () =
           Alcotest.test_case "record/replay = direct" `Quick
             test_record_replay_matches_direct;
           Alcotest.test_case "no allocation per access" `Quick
-            test_no_allocation_per_access ] );
+            test_no_allocation_per_access;
+          Alcotest.test_case "record = value path on every kernel" `Quick
+            test_record_matches_value_kernels;
+          Alcotest.test_case "record = value path on every spec" `Quick
+            test_record_matches_value_specs;
+          Alcotest.test_case "record = value path under guards" `Quick
+            test_record_matches_value_guards;
+          Alcotest.test_case "one walk per geometry" `Quick
+            test_walk_once_per_geometry;
+          Alcotest.test_case "walk memo across domains" `Quick
+            test_walk_memo_across_domains ] );
       ( "tiling",
         [ Alcotest.test_case "matmul equivalence" `Quick test_tile_matmul_equivalent;
           Alcotest.test_case "tiling = shackling on matmul" `Slow

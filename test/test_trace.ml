@@ -128,6 +128,35 @@ let test_reused_recorder () =
     [ (sample 37, sample 50); (sample 32, sample 16); ([], sample 3);
       (sample 5, []) ]
 
+(* --- stream mode --- *)
+
+let test_streaming_hands_over_stored_chunks () =
+  (* a streaming recorder hands its consumer the words and chunk
+     boundaries a storing recorder would keep (a whole number of chunks, a
+     partial tail, nothing at all), writes every chunk into one array, and
+     seals an empty trace *)
+  List.iter
+    (fun n ->
+      let evs = sample n in
+      let handed = ref [] and arrays = ref [] in
+      let r =
+        Trace.streaming ~chunk_words:8 (fun buf len ->
+            if not (List.memq buf !arrays) then arrays := buf :: !arrays;
+            handed := Array.to_list (Array.sub buf 0 len) :: !handed)
+      in
+      emit_all r evs;
+      let t = Trace.finish r in
+      let stored = record ~chunk_words:8 evs in
+      let chunks = ref [] in
+      Trace.iter_chunks stored (fun buf len ->
+          chunks := Array.to_list (Array.sub buf 0 len) :: !chunks);
+      let what = Printf.sprintf "%d words" n in
+      Alcotest.(check (list (list int))) (what ^ ": chunks") (List.rev !chunks)
+        (List.rev !handed);
+      Alcotest.(check bool) (what ^ ": one array") true (List.length !arrays <= 1);
+      Alcotest.(check int) (what ^ ": nothing stored") 0 (Trace.length t))
+    [ 16; 21; 0 ]
+
 (* --- replay --- *)
 
 let test_replay_is_repeatable () =
@@ -186,6 +215,9 @@ let () =
             test_finish_holds_no_chunk;
           Alcotest.test_case "reused recorder = fresh" `Quick
             test_reused_recorder ] );
+      ( "stream",
+        [ Alcotest.test_case "hands over the stored chunks" `Quick
+            test_streaming_hands_over_stored_chunks ] );
       (* the group keeps its old name so the case's id is stable *)
       ( "tee",
         [ Alcotest.test_case "repeatable replay" `Quick

@@ -3,7 +3,7 @@
 the working tree.
 
     python3 tools/perf_ab.py --base REV --workload W [--pairs N] \
-        [--seconds S] [--gate]
+        [--seconds S] [--gate] [--layers]
 
 Run it from the root of the repository.  It clones REV into a fresh
 directory under the system's temporary directory (a plain `git clone`,
@@ -21,6 +21,12 @@ own tree before it measures.
 For every end-to-end metric in BENCHMARK.json it prints the base's and
 the change's median and quartiles over the pairs, the change/base ratio
 of the medians, and the number of pairs in which the change was better.
+
+With --layers, each pair also runs run.py once more per side with
+--trace 1 (same seed, same order), and a second table gives the same
+columns for every per-layer metric in BENCHMARK.json that is non-zero on
+either side.  A claim about a layer then comes from the same alternating
+pairs as the end-to-end one.  The traced runs never enter the gate.
 
 Exit status: 0 when every run succeeded and, with --gate, no change median
 is worse than the base's by more than that metric's BENCHMARK.json bound
@@ -62,13 +68,13 @@ def benchmark_differs(rev):
     return changed.returncode == 1 or untracked.stdout.strip() != ""
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     """One run.py result, or None (after printing why) when the run exits
     non-zero or is not correct.  A failed op makes "correct" false, so a
     result returned here has no failed op."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(
         cmd, cwd=tree, capture_output=True, text=True, timeout=600 + 20 * seconds
@@ -111,30 +117,35 @@ def worse_by(metric, base, change):
     return d / abs(base)
 
 
-def compare(workload, pairs, metrics, out):
-    """Print one workload's table; return the names of gate failures."""
-    out.write("\n%s: %d pairs\n" % (workload, len(pairs)))
+def compare(workload, pairs, metrics, out, title="", gate=True):
+    """Print one workload's table; return the names of gate failures.
+    Without [gate], metrics whose values are all zero are left out and no
+    bound is checked (the per-layer table)."""
+    out.write("\n%s%s: %d pairs\n" % (workload, title, len(pairs)))
+    width = max([12] + [len(m["name"]) for m in metrics])
     out.write(
-        "%-12s %-5s %28s %28s %12s %6s\n"
-        % ("metric", "unit", "base median [q1, q3]", "change median [q1, q3]",
-           "change/base", "wins")
+        "%-*s %-5s %28s %28s %12s %6s\n"
+        % (width, "metric", "unit", "base median [q1, q3]",
+           "change median [q1, q3]", "change/base", "wins")
     )
     failures = []
     for m in metrics:
         name = m["name"]
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
+        if not gate and not any(base + change):
+            continue
         bq, cq = quartiles(base), quartiles(change)
         wins = sum(1 for b, c in zip(base, change) if better(m, c, b))
         ratio = cq[1] / bq[1] if bq[1] else float("nan")
         out.write(
-            "%-12s %-5s %28s %28s %12.3f %6s\n"
-            % (name, m["unit"],
+            "%-*s %-5s %28s %28s %12.3f %6s\n"
+            % (width, name, m["unit"],
                "%.4g [%.4g, %.4g]" % (bq[1], bq[0], bq[2]),
                "%.4g [%.4g, %.4g]" % (cq[1], cq[0], cq[2]),
                ratio, "%d/%d" % (wins, len(pairs)))
         )
-        if worse_by(m, bq[1], cq[1]) > m["bound"]:
+        if gate and worse_by(m, bq[1], cq[1]) > m["bound"]:
             failures.append(
                 "%s %s: change median %.4g is worse than the base's %.4g by "
                 "more than %g" % (workload, name, cq[1], bq[1], m["bound"])
@@ -153,6 +164,11 @@ def main():
     ap.add_argument(
         "--gate", action="store_true",
         help="exit 1 when a change median is worse than its BENCHMARK.json bound allows",
+    )
+    ap.add_argument(
+        "--layers", action="store_true",
+        help="also run one --trace 1 run per side per pair and print per-layer "
+        "medians and ratios",
     )
     args = ap.parse_args()
     if not all(os.path.exists(p) for p in ["dune-project", "perfbench/run.py", "BENCHMARK.json"]):
@@ -196,6 +212,7 @@ def main():
         failures = []
         for workload in workloads:
             pairs = []
+            layer_pairs = []
             for i in range(args.pairs):
                 seed = i + 1
                 order = [("base", base_tree), ("change", root)]
@@ -211,7 +228,18 @@ def main():
                           % (workload, i, seed, side,
                              res["metrics"]["ops_per_s"]["value"]), flush=True)
                 pairs.append((got["base"], got["change"]))
+                if args.layers:
+                    traced = {}
+                    for side, tree in order:
+                        res = run_once(tree, workload, seed, args.seconds, trace=1)
+                        if res is None:
+                            return 1
+                        traced[side] = res
+                    layer_pairs.append((traced["base"], traced["change"]))
             failures += compare(workload, pairs, bench["end_to_end"], sys.stdout)
+            if args.layers:
+                compare(workload, layer_pairs, bench["per_layer"], sys.stdout,
+                        title=" per layer (--trace 1)", gate=False)
         if args.gate and failures:
             print()
             for f in failures:
