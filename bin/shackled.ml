@@ -371,11 +371,11 @@ let replay_cmd args =
       Option.iter (fun file -> R.save_trace file trace) trace_out.contents;
       let upstream = !socket in
       let proxy_sock = !socket ^ ".chaos" in
-      let chaos_cfg = if !no_chaos then R.no_chaos else R.default_chaos in
       let stats = Server.Stats.create () in
       let daemon = ref (spawn_daemon ~socket:upstream ~cache_dir:!cache_dir ~domains:!domains) in
       let proxy =
-        R.proxy_start ~upstream ~socket:proxy_sock ~seed:!seed ~chaos:chaos_cfg
+        R.proxy_start ~upstream ~socket:proxy_sock ~seed:!seed
+          ~chaos:(not !no_chaos)
       in
       let snapshot () =
         match Server.Client.connect upstream with

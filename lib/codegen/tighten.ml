@@ -200,14 +200,6 @@ let constr_to_guard names (c : C.t) =
 (* Omega test and drop them.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rec max_args = function
-  | E.Max (a, b) -> max_args a @ max_args b
-  | e -> [ e ]
-
-let rec min_args = function
-  | E.Min (a, b) -> min_args a @ min_args b
-  | e -> [ e ]
-
 (* The context is a list of one-sided facts (var, expr, is_lower) collected
    from already-emitted loops with unambiguous affine bounds. *)
 type ctx_fact = string * E.t * bool
@@ -245,15 +237,15 @@ let ctx_le ~solver (ctx : ctx_fact list) names a b =
 let piece_le ~solver ctx names b a =
   List.for_all
     (fun bb ->
-      List.exists (fun aa -> ctx_le ~solver ctx names bb aa) (max_args a))
-    (max_args b)
+      List.exists (fun aa -> ctx_le ~solver ctx names bb aa) (E.max_args a))
+    (E.max_args b)
 
 (* B >= A for upper-bound pieces. *)
 let piece_ge ~solver ctx names b a =
   List.for_all
     (fun bb ->
-      List.exists (fun aa -> ctx_le ~solver ctx names aa bb) (min_args a))
-    (min_args b)
+      List.exists (fun aa -> ctx_le ~solver ctx names aa bb) (E.min_args a))
+    (E.min_args b)
 
 let prune_union ~keep_if_dominates ctx names pieces =
   let rec go kept = function
@@ -317,8 +309,8 @@ let generate ?(collapse = true) ?(stages = []) ~solver prog spec =
     (lo, hi)
   in
   let extend_ctx ctx var (lo, hi) =
-    let ctx = match max_args lo with [ _ ] -> (var, lo, true) :: ctx | _ -> ctx in
-    match min_args hi with [ _ ] -> (var, hi, false) :: ctx | _ -> ctx
+    let ctx = match E.max_args lo with [ _ ] -> (var, lo, true) :: ctx | _ -> ctx in
+    match E.min_args hi with [ _ ] -> (var, hi, false) :: ctx | _ -> ctx
   in
   let rec descendants node =
     match node with

@@ -246,9 +246,8 @@ let load_checkpoint path ~meta =
 
 exception Resume_mismatch of string
 
-let run ?(hooks = Oracle.default_hooks) ?(domains = 1) ?timeout_ms ?fuel
-    ?(retries = 0) ?(inject = Fault.none) ?checkpoint ?(resume = false) ~quick
-    ~seeds ~first_seed () =
+let run ?(domains = 1) ?timeout_ms ?fuel ?(retries = 0) ?(inject = Fault.none)
+    ?checkpoint ?(resume = false) ~quick ~seeds ~first_seed () =
   let config = if quick then Oracle.quick else Oracle.thorough in
   let seed_list = List.init seeds (fun i -> first_seed + i) in
   let meta = meta_json ~first_seed ~seeds ~quick ~timeout_ms ~fuel ~inject in
@@ -326,7 +325,7 @@ let run ?(hooks = Oracle.default_hooks) ?(domains = 1) ?timeout_ms ?fuel
         let seed = pending_arr.(i) in
         write_row seed (row_of_outcome seed o))
       (fun token seed ->
-        run_seed ~hooks ?timeout_ms ?fuel ~inject ~token ~config ~quick seed)
+        run_seed ?timeout_ms ?fuel ~inject ~token ~config ~quick seed)
       pending_seeds
   in
   flush_sink ();

@@ -54,7 +54,6 @@ val run_seed :
     the repro command; the deadline itself lives on [token]. *)
 
 val run :
-  ?hooks:Oracle.hooks ->
   ?domains:int ->
   ?timeout_ms:int ->
   ?fuel:int ->

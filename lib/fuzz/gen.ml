@@ -221,7 +221,10 @@ let program ?(quick = false) rng =
 
 let var_names = [| "x"; "y"; "z"; "w"; "u"; "v" |]
 
-let system ?(bound = 4) rng ~dim =
+(* The box every sampled variable is confined to: [-bound, bound]. *)
+let bound = 4
+
+let system rng ~dim =
   if dim < 1 || dim > Array.length var_names then invalid_arg "Gen.system: dim";
   let names = Array.init dim (fun i -> var_names.(i)) in
   let k = Rng.range rng 1 4 in

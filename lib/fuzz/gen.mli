@@ -22,10 +22,9 @@ val program : ?quick:bool -> Rng.t -> Loopir.Ast.program
     and imperfect), triangular bounds, guards, up to 6 statements (4 with
     [~quick:true]). *)
 
-val system : ?bound:int -> Rng.t -> dim:int -> Polyhedra.System.t
+val system : Rng.t -> dim:int -> Polyhedra.System.t
 (** A random conjunction of 1-4 linear constraints with coefficients in
     [\[-3, 3\]], constants in [\[-6, 6\]] (about a quarter are equalities),
-    {e plus} box bounds [-bound <= xi <= bound] for every variable —
-    so brute-force enumeration over the same box is a complete decision
-    procedure to compare the Omega test against.  [dim] at most 6.
-    Default [bound] is 4. *)
+    {e plus} box bounds [-4 <= xi <= 4] for every variable — so
+    brute-force enumeration over the same box is a complete decision
+    procedure to compare the Omega test against.  [dim] at most 6. *)

@@ -185,10 +185,11 @@ let enumerate cfg pipe =
    [Model.record]'s address-only execution must record the value path's
    words, chunks and flops, and every (machine x quality) pair is replayed
    from ONE recording: the stored-trace [consume] path, which walks each
-   machine once and derives forwarding, must reproduce the direct
-   [simulate] result, which forwards for real, exactly (structural
-   equality: every counter, level stat, and the closed-form cycle/MFlops
-   floats). *)
+   machine once, must reproduce the direct [simulate] result, which
+   streams the same walk in 256-word chunks, exactly (structural equality:
+   every counter, level stat, and the closed-form cycle/MFlops floats).
+   Both derive forwarding from the walk the same way; test_machine's
+   per-access reference checks that derivation against real forwarding. *)
 let variants =
   [ (Model.sp2_like, Model.untuned);
     (Model.sp2_like, Model.tuned);

@@ -20,8 +20,9 @@
       chunk size to force flush boundaries, [Model.record]'s address-only
       execution must record the value path's words, chunks and flops, and
       the stored-trace [consume] path (one walk per machine, forwarding
-      derived) must reproduce the direct streaming simulation (which
-      forwards for real) exactly — every counter, level stat, and cycle
+      derived) must reproduce the direct streaming simulation (the same
+      walk, fed 256-word chunks as they are recorded) exactly — every
+      counter, level stat, and cycle
       figure — across all (machine x quality) variants, on the original
       program and on the first legal blocked variant.
     - {b Tune}: {!Tune.consistency_step} — the memoized and cache-less

@@ -99,7 +99,10 @@ let variants (prog : Ast.program) : Ast.program list =
   in
   structural @ arrays
 
-let minimize ?(max_checks = 500) ~keep prog =
+(* Calls to [keep] one minimization may make. *)
+let max_checks = 500
+
+let minimize ~keep prog =
   let checks = ref 0 in
   let try_keep p =
     if !checks >= max_checks then false

@@ -17,10 +17,7 @@ val variants : Loopir.Ast.program -> Loopir.Ast.program list
     Programs that would lose their last statement are not produced. *)
 
 val minimize :
-  ?max_checks:int ->
-  keep:(Loopir.Ast.program -> bool) ->
-  Loopir.Ast.program ->
-  Loopir.Ast.program
+  keep:(Loopir.Ast.program -> bool) -> Loopir.Ast.program -> Loopir.Ast.program
 (** Greedy fixpoint of [variants] under [keep].  [keep] is guaranteed to
     have accepted the result (or the input, if nothing shrank).  At most
-    [max_checks] (default 500) calls to [keep] are made. *)
+    500 calls to [keep] are made. *)

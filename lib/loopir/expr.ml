@@ -24,6 +24,14 @@ let min_list = function
   | [] -> invalid_arg "Expr.min_list: empty"
   | x :: tl -> List.fold_left min_ x tl
 
+let rec max_args = function
+  | Max (a, b) -> max_args a @ max_args b
+  | e -> [ e ]
+
+let rec min_args = function
+  | Min (a, b) -> min_args a @ min_args b
+  | e -> [ e ]
+
 (* Floor division with positive divisor, correct for negative numerators. *)
 let fdiv_int a d =
   if d <= 0 then raise Division_by_zero;

@@ -26,6 +26,14 @@ val max_list : t list -> t
 
 val min_list : t list -> t
 
+val max_args : t -> t list
+(** The arguments of a nest of [Max] nodes, left to right; any other
+    expression is its own single argument.  [max_args (max_list es) = es]
+    when no element of [es] is itself a [Max]. *)
+
+val min_args : t -> t list
+(** The same for [Min]. *)
+
 val eval : (string -> int) -> t -> int
 (** @raise Division_by_zero on division by a non-positive constant. *)
 

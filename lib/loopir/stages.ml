@@ -88,14 +88,6 @@ let constant_fold =
 (* bound-tighten                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let rec max_args = function
-  | E.Max (a, b) -> max_args a @ max_args b
-  | e -> [ e ]
-
-let rec min_args = function
-  | E.Min (a, b) -> min_args a @ min_args b
-  | e -> [ e ]
-
 (* Drop arguments dominated by another remaining argument (for a max: p is
    redundant when p <= q; for a min: when p >= q).  The kept/rest split
    means structural duplicates collapse to one survivor. *)
@@ -110,10 +102,10 @@ let prune_args dominated args =
   go [] args
 
 let tighten_lo facts e =
-  fold_expr (E.max_list (prune_args (fun p q -> Entail.le facts p q) (max_args e)))
+  fold_expr (E.max_list (prune_args (fun p q -> Entail.le facts p q) (E.max_args e)))
 
 let tighten_hi facts e =
-  fold_expr (E.min_list (prune_args (fun p q -> Entail.ge facts p q) (min_args e)))
+  fold_expr (E.min_list (prune_args (fun p q -> Entail.ge facts p q) (E.min_args e)))
 
 let bound_tighten =
   let rec go facts node =

@@ -119,7 +119,6 @@ type counts = {
 module Sim = struct
   type sim = {
     elem_bytes : int;
-    forwarding : bool;
     caches : Cache.t array;
     mutable accesses : int;
     mutable instances : int;
@@ -127,9 +126,8 @@ module Sim = struct
     mutable last_addr : int;
   }
 
-  let create ~(machine : t) ~forwarding =
+  let create (machine : t) =
     { elem_bytes = machine.elem_bytes;
-      forwarding;
       caches =
         Array.of_list (List.map (fun l -> Cache.create l.l_cache) machine.levels);
       accesses = 0;
@@ -138,13 +136,13 @@ module Sim = struct
       last_addr = min_int }
 
   (* Replay one chunk of packed words: the one hierarchy walk, behind
-     [consume] and [simulate].  Level l+1 is probed only when level l
-     misses.  A word whose address repeats the previous word's is counted
-     in [repeats] and reaches no cache: [forwarding] drops it, and
-     otherwise it is a hit on the first level's most recently used way
-     (the previous word left its line there), which moves no tag.  So the
-     loop walks only the other words, and the chunk's accesses and extra
-     first-level hits follow from its length and its repeats.
+     [consume] and [simulate], without forwarding.  Level l+1 is probed
+     only when level l misses.  A word whose address repeats the previous
+     word's is counted in [repeats] and reaches no cache: it is a hit on
+     the first level's most recently used way (the previous word left its
+     line there), which moves no tag.  So the loop walks only the other
+     words, and the chunk's accesses and extra first-level hits follow
+     from its length and its repeats.
 
      The default build compiles each library module with -opaque, so every
      call into Cache is an indirect call through its module block.  This
@@ -197,14 +195,11 @@ module Sim = struct
           end
         end
       done;
-      let mru_hits =
-        if sim.forwarding then !mru_hits else !mru_hits + !repeats - sim.repeats
-      in
+      let mru_hits = !mru_hits + !repeats - sim.repeats in
       l1.Cache.n_accesses <- l1.Cache.n_accesses + mru_hits;
       l1.Cache.n_hits <- l1.Cache.n_hits + mru_hits
     end;
-    let dropped = if sim.forwarding then !repeats - sim.repeats else 0 in
-    sim.accesses <- sim.accesses + len - dropped;
+    sim.accesses <- sim.accesses + len;
     sim.instances <- !instances;
     sim.repeats <- !repeats;
     sim.last_addr <- !last
@@ -233,12 +228,15 @@ let forwarded c =
     c_level_accesses = minus_repeats c.c_level_accesses;
     c_level_hits = minus_repeats c.c_level_hits }
 
-(* Closed-form cycle accounting from the counters:
+(* A quality's result from the counters of a walk without forwarding
+   (through [forwarded] when the quality forwards), with closed-form cycle
+   accounting:
      cycles = flops * flop_cycles
             + sum_level hits(level) * hit_cycles(level)
             + memory misses * mem_cycles
             + instances * overhead *)
 let result ~machine ~quality ~flops c =
+  let c = if quality.forwarding then forwarded c else c in
   let levels = Array.of_list machine.levels in
   let n = Array.length levels in
   let misses i = c.c_level_accesses.(i) - c.c_level_hits.(i) in
@@ -312,7 +310,7 @@ let walk machine recording =
   match List.assoc_opt key (Atomic.get recording.rec_walks) with
   | Some c -> c
   | None ->
-    let sim = Sim.create ~machine ~forwarding:false in
+    let sim = Sim.create machine in
     Trace.iter_chunks recording.rec_trace (Sim.consume_chunk sim);
     let c = Sim.counts sim in
     let rec publish () =
@@ -325,9 +323,7 @@ let walk machine recording =
     c
 
 let consume ~machine ~quality recording =
-  let c = walk machine recording in
-  result ~machine ~quality ~flops:recording.rec_flops
-    (if quality.forwarding then forwarded c else c)
+  result ~machine ~quality ~flops:recording.rec_flops (walk machine recording)
 
 (* ------------------------------------------------------------------ *)
 (* Shared-L2 SMP replay                                                 *)
@@ -517,10 +513,10 @@ let direct_chunk_words = 256
 
 (* The direct single-series path: run the address-only interpreter into a
    streaming recorder whose chunks go straight through a fresh instance,
-   storing no trace.  This walk forwards for real, so the fuzzer's replay
-   layer holds [consume]'s derived forwarding against it. *)
+   storing no trace.  The walk is [consume]'s, and so is the derivation
+   of forwarding from it. *)
 let simulate ?layouts ~machine ~quality prog ~params ~init:_ =
-  let sim = Sim.create ~machine ~forwarding:quality.forwarding in
+  let sim = Sim.create machine in
   let r =
     Trace.streaming ~chunk_words:direct_chunk_words (Sim.consume_chunk sim)
   in

@@ -184,8 +184,9 @@ val simulate :
   result
 (** The direct single-series path: run the address-only interpreter
     against a layout-only store, handing every 256-word chunk straight to
-    a fresh simulator instance, with no trace stored.  Its walk forwards
-    for real rather than deriving.  For any machine and quality it equals
+    a fresh simulator instance, with no trace stored.  The walk is
+    {!consume}'s, without forwarding, and a forwarding quality's result is
+    derived from it the same way.  For any machine and quality it equals
     [consume ~machine ~quality (record p)]; use that pair instead when one
     execution should serve several series.  [init] is not evaluated, as
     in {!record}. *)

@@ -17,7 +17,7 @@ type t = {
   solver : Omega.Ctx.t;
   mutable deps : Dep.t list option;
   mutable gen_cache : (string * Ast.program) list;
-      (* symbolic codegen per (naive, collapse, spec) — the once-per-spec
+      (* symbolic tightened codegen per spec — the once-per-spec
          derivation that specialization instantiates per size *)
   lock : Mutex.t;
 }
@@ -63,43 +63,38 @@ let probe_deps t spec ~deps =
 
 let choices t ~array = Shackle.Legality.enumerate_choices t.prog ~array
 
-let codegen ?(naive = false) ?collapse ?stages t spec =
+let codegen ?(naive = false) ?stages t spec =
   if naive then Codegen.Naive.generate ?stages t.prog spec
-  else Codegen.Tighten.generate ?collapse ?stages ~solver:t.solver t.prog spec
+  else Codegen.Tighten.generate ?stages ~solver:t.solver t.prog spec
 
 (* Spec.pp renders the blocking and every per-statement choice, so its
    output is a faithful structural key. *)
-let spec_key ~naive ~collapse spec =
-  Printf.sprintf "naive=%b collapse=%b %s" naive collapse
-    (Format.asprintf "%a" Shackle.Spec.pp spec)
-
-let codegen_cached ?(naive = false) ?(collapse = true) t spec =
-  let key = spec_key ~naive ~collapse spec in
+let codegen_cached t spec =
+  let key = Format.asprintf "%a" Shackle.Spec.pp spec in
   match
     Mutex.protect t.lock (fun () -> List.assoc_opt key t.gen_cache)
   with
   | Some prog -> prog
   | None ->
-    let prog = codegen ~naive ~collapse t spec in
+    let prog = codegen t spec in
     Mutex.protect t.lock (fun () ->
         if not (List.mem_assoc key t.gen_cache) then
           t.gen_cache <- (key, prog) :: t.gen_cache);
     prog
 
-let variant ?collapse t = function
+let variant t = function
   | None -> t.prog
-  | Some spec -> codegen ?collapse t spec
+  | Some spec -> codegen t spec
 
-let specialize ?naive ?collapse ?spec t ~params =
+let specialize ?spec t ~params =
   let symbolic =
     match spec with
     | None -> t.prog
-    | Some spec -> codegen_cached ?naive ?collapse t spec
+    | Some spec -> codegen_cached t spec
   in
   Loopir.Stages.specialize ~params symbolic
 
-let record ?layouts ?chunk_words ?spec t ~params ~init =
-  Machine.Model.record ?layouts ?chunk_words (variant t spec) ~params ~init
+let record t ~params ~init = Machine.Model.record t.prog ~params ~init
 
 (* One execution yielding both the replayable recording and the final
    store — the sequential half of a par=seq equivalence check, where
@@ -114,12 +109,10 @@ let record_full ?layouts ?chunk_words ?spec t ~params ~init =
 
 let consume = Machine.Model.consume
 
-let simulate ?layouts ?spec t ~machine ~quality ~params ~init =
-  Machine.Model.simulate ?layouts ~machine ~quality (variant t spec) ~params
-    ~init
+let simulate ?spec t ~machine ~quality ~params ~init =
+  Machine.Model.simulate ~machine ~quality (variant t spec) ~params ~init
 
-let run ?layouts ?sink ?spec t ~params ~init =
-  Exec.Verify.run_program ?layouts ?sink (variant t spec) ~params ~init
+let run t ~params ~init = Exec.Verify.run_program t.prog ~params ~init
 
-let verify ?layouts ?spec t ~params ~init =
-  Exec.Verify.max_diff ?layouts t.prog (variant t spec) ~params ~init
+let verify ?spec t ~params ~init =
+  Exec.Verify.max_diff t.prog (variant t spec) ~params ~init

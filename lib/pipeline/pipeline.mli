@@ -56,7 +56,6 @@ val choices :
 
 val codegen :
   ?naive:bool ->
-  ?collapse:bool ->
   ?stages:Loopir.Stages.stage list ->
   t ->
   Shackle.Spec.t ->
@@ -65,23 +64,18 @@ val codegen :
     Figure-5 form instead of the tightened form.  [stages] composes extra
     named simplifier stages after the generator's standard post-pass. *)
 
-val codegen_cached :
-  ?naive:bool -> ?collapse:bool -> t -> Shackle.Spec.t -> Loopir.Ast.program
-(** Like {!codegen}, but memoized per (naive, collapse, spec) on this
-    pipeline — the single symbolic derivation (legality systems, Omega
-    pruning, bound tightening) that an entire N sweep shares.  Thread-safe;
-    concurrent first calls may both generate, one result is kept. *)
+val codegen_cached : t -> Shackle.Spec.t -> Loopir.Ast.program
+(** Like {!codegen} (tightened, no extra stages), but memoized per spec on
+    this pipeline — the single symbolic derivation (legality systems,
+    Omega pruning, bound tightening) that an entire N sweep shares.
+    Thread-safe; concurrent first calls may both generate, one result is
+    kept. *)
 
-val variant : ?collapse:bool -> t -> Shackle.Spec.t option -> Loopir.Ast.program
+val variant : t -> Shackle.Spec.t option -> Loopir.Ast.program
 (** The original program for [None], tightened blocked code for [Some]. *)
 
 val specialize :
-  ?naive:bool ->
-  ?collapse:bool ->
-  ?spec:Shackle.Spec.t ->
-  t ->
-  params:(string * int) list ->
-  Loopir.Ast.program
+  ?spec:Shackle.Spec.t -> t -> params:(string * int) list -> Loopir.Ast.program
 (** The chosen variant instantiated at concrete parameter values: symbolic
     codegen comes from {!codegen_cached} (one Omega derivation per (kernel,
     spec) across a sweep), then {!Loopir.Stages.specialize} substitutes
@@ -92,14 +86,11 @@ val specialize :
     same names as the unspecialized variant. *)
 
 val record :
-  ?layouts:(string * Exec.Store.layout) list ->
-  ?chunk_words:int ->
-  ?spec:Shackle.Spec.t ->
   t ->
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   Machine.Model.recording
-(** Execute the chosen variant once, capturing the full access trace
+(** Execute the pipeline's program once, capturing the full access trace
     (machine/quality independent — replay it with {!consume}).  This is
     {!Machine.Model.record}: it computes addresses only, so [init] is not
     called; it stays in the signature for the callers that pass it. *)
@@ -125,7 +116,6 @@ val consume :
 (** Re-exported {!Machine.Model.consume}. *)
 
 val simulate :
-  ?layouts:(string * Exec.Store.layout) list ->
   ?spec:Shackle.Spec.t ->
   t ->
   machine:Machine.Model.t ->
@@ -137,17 +127,13 @@ val simulate :
     addresses only, so [init] is not called). *)
 
 val run :
-  ?layouts:(string * Exec.Store.layout) list ->
-  ?sink:Trace.sink ->
-  ?spec:Shackle.Spec.t ->
   t ->
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   Exec.Store.t * int
-(** Execute the chosen variant; returns (final store, flop count). *)
+(** Execute the pipeline's program; returns (final store, flop count). *)
 
 val verify :
-  ?layouts:(string * Exec.Store.layout) list ->
   ?spec:Shackle.Spec.t ->
   t ->
   params:(string * int) list ->

@@ -1,51 +1,3 @@
-
-(* Each completed slot holds either the task's value or the exception it
-   raised; slots are written by exactly one worker (the one that claimed
-   the index), so plain array stores are race-free. *)
-type 'b slot =
-  | Pending
-  | Done of 'b
-  | Raised of exn * Printexc.raw_backtrace
-
-let mapi ?(domains = 1) f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f 0 x ]
-  | _ when domains <= 1 -> List.mapi f xs
-  | _ ->
-    let input = Array.of_list xs in
-    let n = Array.length input in
-    let out = Array.make n Pending in
-    let next = Atomic.make 0 in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        (out.(i) <-
-           (match f i input.(i) with
-            | y -> Done y
-            | exception e -> Raised (e, Printexc.get_raw_backtrace ())));
-        worker ()
-      end
-    in
-    (* The calling domain is worker number [domains]; spawn the rest. *)
-    let spawned = List.init (min (domains - 1) (n - 1)) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    Array.to_list
-      (Array.map
-         (function
-           | Done y -> y
-           | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-           | Pending -> assert false)
-         out)
-
-let map ?domains f xs = mapi ?domains (fun _ x -> f x) xs
-let run_all ?domains tasks = map ?domains (fun t -> t ()) tasks
-
-(* ------------------------------------------------------------------ *)
-(* Supervised execution                                                 *)
-(* ------------------------------------------------------------------ *)
-
 (* Cancellation is cooperative: OCaml domains cannot be killed, so a
    "timeout" is a deadline the task itself polls — directly via
    [Token.check] between work items, or indirectly by wiring
@@ -143,3 +95,14 @@ let map_outcomes ?(domains = 1) ?timeout_ms ?(retries = 0) ?(backoff_ms = 20)
     List.iter Domain.join spawned;
     Array.to_list
       (Array.map (function Some o -> o | None -> assert false) out)
+
+(* The plain pool: every task runs, then the lowest failing index's
+   exception propagates with its backtrace.  The tasks take no token, so
+   none can time out unless one raises [Token.Expired] itself. *)
+let map ?domains f xs =
+  List.map
+    (function
+      | Ok y -> y
+      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Timed_out -> raise Token.Expired)
+    (map_outcomes ?domains (fun _ x -> f x) xs)

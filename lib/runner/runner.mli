@@ -18,25 +18,19 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     domain with no spawns at all — the safe fallback for single-core
     machines or debugging.
 
-    If any task raises, the first raising index's exception is re-raised
-    (with its backtrace) after all domains have joined; later results are
-    discarded. *)
-
-val mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** [mapi] is [map] with the input position passed to the task. *)
-
-val run_all : ?domains:int -> (unit -> 'a) list -> 'a list
-(** [run_all ~domains tasks] runs each thunk, in input order, across the
-    pool.  Convenience wrapper over [map]. *)
+    This is {!map_outcomes} with no deadline and no retries: every task
+    runs, and if any raised, the lowest raising index's exception is
+    re-raised (with its backtrace) after all domains have joined. *)
 
 (** {2 Supervised execution}
 
-    [map] is fail-fast: one raising task aborts the whole batch.  Campaign
-    workloads (fuzzing, autotuning) instead want per-task outcomes — a
-    pathological item is reported and the batch completes.  Cancellation is
-    cooperative because OCaml domains cannot be killed: each attempt gets a
-    {!Token.t} which the task polls, directly ({!Token.check}) or by wiring
-    {!Token.cancelled} into a solver context's cancel hook. *)
+    [map] turns one raising task into an exception for the whole batch.
+    Campaign workloads (fuzzing, autotuning) instead want per-task
+    outcomes — a pathological item is reported and the batch completes.
+    Cancellation is cooperative because OCaml domains cannot be killed:
+    each attempt gets a {!Token.t} which the task polls, directly
+    ({!Token.check}) or by wiring {!Token.cancelled} into a solver
+    context's cancel hook. *)
 
 module Token : sig
   type t

@@ -49,10 +49,16 @@ let peel_band coord_names (prog : Ast.program) =
 
 exception Too_many
 
+(* The largest task grid a plan enumerates, and the largest delta box
+   it expands into edges; past either the plan degrades to a single task
+   or the sequential chain. *)
+let max_tasks = 2048
+let max_box = 4096
+
 (* All concrete band-coordinate tuples, in loop (= lexicographic) order.
    Triangular bounds are handled by evaluating each loop's bounds under
    the values of the outer ones. *)
-let enumerate_tasks ~max_tasks band ~params =
+let enumerate_tasks band ~params =
   let env : (string, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (k, v) -> Hashtbl.replace env k v) params;
   let lookup n =
@@ -149,7 +155,7 @@ exception Serialize
    depends on the box being tight.  When the solver gives up or a box is
    too large to enumerate, the plan degenerates to the sequential chain —
    the always-correct fallback. *)
-let build_edges pipe spec ~band_pos ~coords ~params ~max_box =
+let build_edges pipe spec ~band_pos ~coords ~params =
   let prog = Pipeline.program pipe in
   let ctx = Pipeline.solver pipe in
   let n = Array.length coords in
@@ -282,7 +288,7 @@ let single_task_plan prog ~params =
     pl_edges = 0;
     pl_serialized = false }
 
-let plan ?(max_tasks = 2048) ?(max_box = 4096) pipe ~spec ~params =
+let plan pipe ~spec ~params =
   let prog = Pipeline.variant pipe spec in
   match spec with
   | None -> single_task_plan prog ~params
@@ -291,7 +297,7 @@ let plan ?(max_tasks = 2048) ?(max_box = 4096) pipe ~spec ~params =
     let band, residual = peel_band coord_names prog in
     if band = [] then single_task_plan prog ~params
     else begin
-      match enumerate_tasks ~max_tasks band ~params with
+      match enumerate_tasks band ~params with
       | exception Too_many -> single_task_plan prog ~params
       | coords ->
         let n = Array.length coords in
@@ -318,7 +324,7 @@ let plan ?(max_tasks = 2048) ?(max_box = 4096) pipe ~spec ~params =
                  band_vars)
           in
           let edge_list, ser =
-            build_edges pipe spec ~band_pos ~coords ~params ~max_box
+            build_edges pipe spec ~band_pos ~coords ~params
           in
           { pl_prog = prog;
             pl_task_prog = task_prog;
@@ -457,7 +463,7 @@ let record ?layouts ?domains ?chunk_words plan ~init =
   let r = exec ?layouts ?domains ~trace:true ?chunk_words plan ~init in
   (Model.recording (Option.get r.x_trace) ~flops:r.x_flops, r)
 
-let smp ?(machine = Model.two_level) ?(quality = Model.tuned) ~cores plan r =
-  Model.Smp.consume ~machine ~quality ~cores
+let smp ~cores plan r =
+  Model.Smp.consume ~machine:Model.two_level ~quality:Model.tuned ~cores
     ~groups:(levels plan)
     ~parts:r.x_parts ~task_flops:r.x_task_flops

@@ -25,8 +25,6 @@
 type plan
 
 val plan :
-  ?max_tasks:int ->
-  ?max_box:int ->
   Pipeline.t ->
   spec:Shackle.Spec.t option ->
   params:(string * int) list ->
@@ -35,9 +33,8 @@ val plan :
     [params].  The spec must be legal: a legal shackle visits every
     dependence's source block no later than its destination block, which
     is what makes the DAG acyclic and forward-only.  [None], a bandless
-    variant, a grid larger than [max_tasks] (default 2048) or a delta box
-    larger than [max_box] (default 4096) all degrade to a safe single-task
-    or chain plan. *)
+    variant, a grid of more than 2048 tasks or a delta box of more than
+    4096 points all degrade to a safe single-task or chain plan. *)
 
 val tasks : plan -> int
 val edges : plan -> int
@@ -85,14 +82,8 @@ val record :
 (** [exec ~trace:true] packaged as a replayable recording — the drop-in
     parallel replacement for [Pipeline.record], byte-identical to it. *)
 
-val smp :
-  ?machine:Machine.Model.t ->
-  ?quality:Machine.Model.quality ->
-  cores:int ->
-  plan ->
-  result ->
-  Machine.Model.Smp.smp_result
-(** Shared-L2 multicore replay of a traced result ({!Machine.Model.Smp}):
-    private first-level caches per virtual core, shared levels below,
-    deterministic round-robin task assignment and stream interleave per
-    level.  [machine] defaults to [two_level], [quality] to [tuned]. *)
+val smp : cores:int -> plan -> result -> Machine.Model.Smp.smp_result
+(** Shared-L2 multicore replay of a traced result ({!Machine.Model.Smp})
+    on the [two_level] machine at [tuned] quality: private first-level
+    caches per virtual core, the shared L2 below, deterministic
+    round-robin task assignment and stream interleave per level. *)

@@ -109,18 +109,17 @@ let rpc t req =
 type retry = {
   rt_socket : string;
   rt_rng : Random.State.t;
-  rt_max_attempts : int;
-  rt_base_ms : int;
   mutable rt_conn : t option;
   mutable rt_retries : int;
 }
 
-let connect_retry ?(max_attempts = 6) ?(base_ms = 25) ~socket ~seed () =
-  if max_attempts < 1 then invalid_arg "Client.connect_retry: max_attempts";
+(* Tries per request, and the backoff's base in milliseconds. *)
+let max_attempts = 6
+let base_ms = 25
+
+let connect_retry ~socket ~seed =
   { rt_socket = socket;
     rt_rng = Random.State.make [| seed; 0x5e11e |];
-    rt_max_attempts = max_attempts;
-    rt_base_ms = base_ms;
     rt_conn = None;
     rt_retries = 0 }
 
@@ -130,15 +129,11 @@ let close_retry r =
   (match r.rt_conn with Some c -> close c | None -> ());
   r.rt_conn <- None
 
-let drop_conn r =
-  (match r.rt_conn with Some c -> close c | None -> ());
-  r.rt_conn <- None
-
 (* Exponential backoff with full jitter, capped: attempt k sleeps a
    uniform draw from [0, base * 2^k], never more than 2 s. *)
 let backoff_ms r ~attempt =
   let cap = 2000 in
-  let ceiling = min cap (r.rt_base_ms * (1 lsl min attempt 10)) in
+  let ceiling = min cap (base_ms * (1 lsl min attempt 10)) in
   1 + Random.State.int r.rt_rng (max 1 ceiling)
 
 let sleep_ms ms = Unix.sleepf (float_of_int ms /. 1000.0)
@@ -169,12 +164,12 @@ let rpc_retry r req =
         (match res with
         | Error { Proto.e_code = "transport"; _ } ->
           (* the stream is unusable after a transport fault: reconnect *)
-          drop_conn r
+          close_retry r
         | _ -> ());
         res
     in
     match result with
-    | Error e when retryable e && k + 1 < r.rt_max_attempts ->
+    | Error e when retryable e && k + 1 < max_attempts ->
       r.rt_retries <- r.rt_retries + 1;
       let back = backoff_ms r ~attempt:k in
       let wait =

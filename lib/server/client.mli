@@ -31,14 +31,11 @@ type retry
     requests are idempotent under {!Proto.request_key}.  Deterministic:
     a fixed (seed, request trace) replays the same sleep schedule. *)
 
-val connect_retry :
-  ?max_attempts:int -> ?base_ms:int -> socket:string -> seed:int -> unit ->
-  retry
-(** Lazy — no connection is opened until the first {!rpc_retry}.
-    [max_attempts] (default 6) bounds tries per request; [base_ms]
-    (default 25) scales the backoff: attempt [k] sleeps a uniform draw
-    from [0, base_ms * 2^k] ms (capped at 2 s), or the server's
-    [retry_after_ms] hint when that is larger. *)
+val connect_retry : socket:string -> seed:int -> retry
+(** Lazy — no connection is opened until the first {!rpc_retry}.  Each
+    request gets at most 6 tries; attempt [k] sleeps a uniform draw from
+    [0, 25 * 2^k] ms (capped at 2 s), or the server's [retry_after_ms]
+    hint when that is larger. *)
 
 val rpc_retry : retry -> Proto.request -> (Proto.reply, Proto.error) result
 (** Like {!rpc}, but sheds ([overloaded]) and transport faults

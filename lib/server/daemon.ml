@@ -34,9 +34,7 @@ type config = {
   cfg_timeout_ms : int option;
   cfg_hold : (string -> unit) option;
   cfg_queue_high : int;
-  cfg_idle_timeout_ms : int option;
-  cfg_frame_timeout_ms : int option;
-  cfg_write_timeout_ms : int;
+  cfg_frame_timeout_ms : int;
 }
 
 let default_config =
@@ -45,9 +43,11 @@ let default_config =
     cfg_timeout_ms = None;
     cfg_hold = None;
     cfg_queue_high = 64;
-    cfg_idle_timeout_ms = None;
-    cfg_frame_timeout_ms = Some 10_000;
-    cfg_write_timeout_ms = 5_000 }
+    cfg_frame_timeout_ms = 10_000 }
+
+(* A connection whose pending output could not be written for this long
+   is a stalled reader, and is evicted. *)
+let write_timeout_ms = 5_000
 
 (* An in-flight batch entry: the leader computes and publishes, followers
    wait on the condition until [result] is set. *)
@@ -514,7 +514,6 @@ type conn = {
   mutable c_alive : bool;
   mutable c_jobs : int; (* worker jobs still owing a reply *)
   mutable c_close_after_flush : bool;
-  mutable c_last_read : float;
   mutable c_frame_since : float; (* mid-frame start; 0.0 = at a boundary *)
   mutable c_stall_since : float; (* unwritable-with-output start; 0.0 = ok *)
 }
@@ -665,7 +664,6 @@ let serve t ~socket =
     match Unix.read c.c_fd read_buf 0 (Bytes.length read_buf) with
     | 0 -> close_conn c
     | n ->
-      c.c_last_read <- now;
       Session.append c.c_session (Bytes.sub_string read_buf 0 n);
       let items, verdict = Session.poll c.c_session in
       c.c_frame_since <-
@@ -712,25 +710,15 @@ let serve t ~socket =
         let jobs_left = Mutex.protect c.c_lock (fun () -> c.c_jobs) in
         if
           pending_out && c.c_stall_since > 0.0
-          && now -. c.c_stall_since > ms_to_s t.config.cfg_write_timeout_ms
+          && now -. c.c_stall_since > ms_to_s write_timeout_ms
         then close_conn ~evicted:true c
         else if c.c_close_after_flush && (not pending_out) && jobs_left = 0
         then close_conn c
-        else
-          match t.config.cfg_frame_timeout_ms with
-          | Some ft
-            when c.c_frame_since > 0.0 && now -. c.c_frame_since > ms_to_s ft
-            ->
-            (* slowloris: a frame started and never finished *)
-            close_conn ~evicted:true c
-          | _ -> (
-            match t.config.cfg_idle_timeout_ms with
-            | Some it
-              when (not pending_out) && jobs_left = 0
-                   && Session.buffered c.c_session = 0
-                   && now -. c.c_last_read > ms_to_s it ->
-              close_conn ~evicted:true c
-            | _ -> ()))
+        else if
+          c.c_frame_since > 0.0
+          && now -. c.c_frame_since > ms_to_s t.config.cfg_frame_timeout_ms
+        then (* slowloris: a frame started and never finished *)
+          close_conn ~evicted:true c)
       (* [!conns] is an immutable snapshot: close_conn replacing the ref
          does not disturb this walk *)
       !conns
@@ -752,7 +740,6 @@ let serve t ~socket =
     | fd, _ ->
       Unix.set_nonblock fd;
       Stats.incr_connections t.st;
-      let now = Unix.gettimeofday () in
       conns :=
         { c_fd = fd;
           c_session = Session.create t;
@@ -761,7 +748,6 @@ let serve t ~socket =
           c_alive = true;
           c_jobs = 0;
           c_close_after_flush = false;
-          c_last_read = now;
           c_frame_since = 0.0;
           c_stall_since = 0.0 }
         :: !conns

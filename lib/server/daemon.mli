@@ -24,9 +24,9 @@
     The request layer ({!handle}, {!Session}) is transport-free and runs
     in-process (the wire fuzzer drives it directly); {!serve} adds the
     socket, a select event loop, a bounded job queue and a pool of worker
-    domains, with per-connection frame-assembly / idle / write deadlines
-    so a slowloris writer or stalled reader is evicted without blocking
-    the accept loop or other sessions. *)
+    domains, with per-connection frame-assembly and write deadlines so a
+    slowloris writer or stalled reader is evicted without blocking the
+    accept loop or other sessions. *)
 
 type resolve = {
   rv_kernels : unit -> (string * Loopir.Ast.program) list;
@@ -57,20 +57,16 @@ type config = {
       (** admission high-water mark: total weight of admitted, unfinished
           requests beyond which new work is shed with [overloaded].  An
           idle daemon always admits, however heavy the request. *)
-  cfg_idle_timeout_ms : int option;
-      (** evict a connection with no bytes received, no queued output and
-          no outstanding jobs for this long ([None] = never) *)
-  cfg_frame_timeout_ms : int option;
+  cfg_frame_timeout_ms : int;
       (** evict a connection that started a frame and did not finish it
-          within this long — the slowloris defense ([None] = never) *)
-  cfg_write_timeout_ms : int;
-      (** evict a connection whose pending output could not be written
-          for this long — the stalled-reader defense *)
+          within this long — the slowloris defense *)
 }
 
 val default_config : config
 (** 1 domain, no solver budgets, no hold hook; queue high-water 64,
-    no idle timeout, 10 s frame timeout, 5 s write timeout. *)
+    10 s frame timeout.  Every configuration also evicts a connection
+    whose pending output could not be written for 5 s (the stalled-reader
+    defense); a connection that merely sits idle is never evicted. *)
 
 type t
 

@@ -2,7 +2,7 @@
    self-healing: the loader resynchronizes past corrupt spans (moving them
    to a quarantine sidecar instead of discarding the rest of the file),
    and the file can be compacted — deduplicated and rewritten in stable
-   first-seen order — offline or bounded online via [max_bytes] rotation.
+   first-seen order.
    See the mli for the file format.  All state is mutex-protected: the
    daemon's worker domains share one handle. *)
 
@@ -82,7 +82,6 @@ type t = {
   mutable n_dropped : int; (* torn + quarantined bytes at open *)
   mutable n_quarantined : int; (* bytes moved to the sidecar at open *)
   mutable n_quarantined_spans : int;
-  max_bytes : int option;
   n_hits : int Atomic.t;
   n_misses : int Atomic.t;
   n_appended : int Atomic.t;
@@ -155,11 +154,7 @@ let quarantine_spans path spans =
         Unix.fsync fd)
   end
 
-let open_dir ?max_bytes dir =
-  (match max_bytes with
-  | Some m when m < String.length header + record_bytes ->
-    invalid_arg "Diskcache.open_dir: max_bytes smaller than one record"
-  | _ -> ());
+let open_dir dir =
   mkdir_p dir;
   let path = Filename.concat dir filename in
   let table = Hashtbl.create 1024 in
@@ -241,7 +236,6 @@ let open_dir ?max_bytes dir =
     n_dropped = !torn + quarantined;
     n_quarantined = quarantined;
     n_quarantined_spans = List.length spans;
-    max_bytes;
     n_hits = Atomic.make 0;
     n_misses = Atomic.make 0;
     n_appended = Atomic.make 0;
@@ -266,42 +260,6 @@ let find t key =
   | None -> Atomic.incr t.n_misses);
   r
 
-(* With the lock held: rewrite the file as header + one record per live
-   digest in first-seen order, swap the append fd to the new file. *)
-let compact_locked t =
-  let before = t.written in
-  let ordered =
-    List.rev_map
-      (fun digest -> (digest, Hashtbl.find t.table digest))
-      t.order
-  in
-  let size = rewrite_file t.path ordered in
-  (match t.fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  t.fd <- Some (Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
-  t.written <- size;
-  (before, size)
-
-(* With the lock held: evict oldest entries until the file (after the
-   compaction that follows) fits in [max] bytes. *)
-let trim_locked t max =
-  let cap = (max - String.length header) / record_bytes in
-  let live = List.length t.order in
-  if live > cap then begin
-    let keep = ref [] and n = ref 0 in
-    (* order is newest first: keep the newest [cap] *)
-    List.iter
-      (fun d ->
-        if !n < cap then begin
-          keep := d :: !keep;
-          incr n
-        end
-        else Hashtbl.remove t.table d)
-      t.order;
-    t.order <- List.rev !keep
-  end
-
 let add t key verdict =
   let digest = Digest.string key in
   Mutex.protect t.lock (fun () ->
@@ -315,15 +273,26 @@ let add t key verdict =
           write_all fd record ~pos:0 ~len:record_bytes;
           Unix.fsync fd;
           t.written <- t.written + record_bytes;
-          Atomic.incr t.n_appended;
-          match t.max_bytes with
-          | Some max when t.written > max ->
-            trim_locked t max;
-            ignore (compact_locked t)
-          | _ -> ()
+          Atomic.incr t.n_appended
       end)
 
-let compact t = Mutex.protect t.lock (fun () -> compact_locked t)
+(* Rewrite the file as header + one record per live digest in first-seen
+   order, and swap the append fd to the new file. *)
+let compact t =
+  Mutex.protect t.lock (fun () ->
+      let before = t.written in
+      let ordered =
+        List.rev_map
+          (fun digest -> (digest, Hashtbl.find t.table digest))
+          t.order
+      in
+      let size = rewrite_file t.path ordered in
+      (match t.fd with
+      | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+      | None -> ());
+      t.fd <- Some (Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644);
+      t.written <- size;
+      (before, size))
 
 let backing t =
   { Polyhedra.Omega.bk_find = find t; bk_store = add t }

@@ -36,17 +36,14 @@ val record_bytes : int
 (** 22 — the fixed record size, exposed so tests can truncate at every
     byte boundary of the last record. *)
 
-val open_dir : ?max_bytes:int -> string -> t
+val open_dir : string -> t
 (** Open (creating directory and file as needed) the cache under this
     directory, load all valid records, quarantine corrupt spans,
-    deduplicate, and truncate any torn tail.  When [max_bytes] is given,
-    every append that pushes the file past it triggers a rotation:
-    oldest-first eviction down to the newest entries that fit, then a
-    compaction — the file never exceeds [max_bytes] for longer than one
-    append.
+    deduplicate, and truncate any torn tail.  The file has no size cap
+    and is never rotated: it grows by one record per new verdict until
+    {!compact} rewrites it.
     @raise Failure if the file exists but its header is not
-    ["shackle-cache/1\n"] — a foreign file is never silently clobbered.
-    @raise Invalid_argument if [max_bytes] cannot hold even one record. *)
+    ["shackle-cache/1\n"] — a foreign file is never silently clobbered. *)
 
 val close : t -> unit
 
@@ -63,7 +60,7 @@ val find : t -> string -> bool option
 
 val add : t -> string -> bool -> unit
 (** Append the verdict for a key (no-op if the digest is already present)
-    and fsync; may rotate (see {!open_dir}). *)
+    and fsync. *)
 
 val compact : t -> int * int
 (** Rewrite the file as header + one record per live entry in stable

@@ -86,24 +86,12 @@ let load_trace path =
 (* Chaos proxy                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type chaos_config = {
-  cx_stall_every : int;
-  cx_stall_ms : int;
-  cx_partial_every : int;
-  cx_disconnect_every : int;
-}
-
-let default_chaos =
-  { cx_stall_every = 5;
-    cx_stall_ms = 3;
-    cx_partial_every = 3;
-    cx_disconnect_every = 43 }
-
-let no_chaos =
-  { cx_stall_every = 0;
-    cx_stall_ms = 0;
-    cx_partial_every = 0;
-    cx_disconnect_every = 0 }
+(* The proxy's fault rates: one chunk in [k] stalls, dribbles or
+   disconnects. *)
+let stall_every = 5
+let stall_ms = 3
+let partial_every = 3
+let disconnect_every = 43
 
 (* One proxied connection: its two descriptors, and how many of its two
    forwarding directions are still running. *)
@@ -116,7 +104,7 @@ type pair = {
 type proxy = {
   px_socket : string;
   px_listener : Unix.file_descr;
-  px_chaos : chaos_config;
+  px_chaos : bool;
   px_upstream : string;
   px_lock : Mutex.t;
   px_rng : Random.State.t;
@@ -128,7 +116,7 @@ type proxy = {
   mutable px_stop : bool;
 }
 
-let px_roll t k = k > 0 && Mutex.protect t.px_lock (fun () -> Random.State.int t.px_rng k = 0)
+let px_roll t k = t.px_chaos && Mutex.protect t.px_lock (fun () -> Random.State.int t.px_rng k = 0)
 
 let px_thread t th =
   Mutex.protect t.px_lock (fun () -> t.px_threads <- th :: t.px_threads)
@@ -176,15 +164,15 @@ let forward t p src dst =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error (_, _, _) -> ()
     | n ->
-      if px_roll t t.px_chaos.cx_disconnect_every then
+      if px_roll t disconnect_every then
         Mutex.protect t.px_lock (fun () ->
             t.px_disconnects <- t.px_disconnects + 1)
       else begin
-        if px_roll t t.px_chaos.cx_stall_every then begin
+        if px_roll t stall_every then begin
           Mutex.protect t.px_lock (fun () -> t.px_stalls <- t.px_stalls + 1);
-          Thread.delay (float_of_int t.px_chaos.cx_stall_ms /. 1000.0)
+          Thread.delay (float_of_int stall_ms /. 1000.0)
         end;
-        let dribble = px_roll t t.px_chaos.cx_partial_every in
+        let dribble = px_roll t partial_every in
         match
           if dribble then begin
             Mutex.protect t.px_lock (fun () ->
@@ -320,7 +308,7 @@ let drive ?stats ~socket ~seed ~clients trace =
     trace;
   Array.iteri (fun i l -> per_client.(i) <- List.rev l) per_client;
   let run_client i () =
-    let h = Client.connect_retry ~socket ~seed:(seed + (i * 7919)) () in
+    let h = Client.connect_retry ~socket ~seed:(seed + (i * 7919)) in
     Fun.protect
       ~finally:(fun () ->
         Mutex.protect lock (fun () -> retries := !retries + Client.retries h);

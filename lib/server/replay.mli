@@ -38,30 +38,18 @@ val load_trace : string -> (event list, string) result
 
 (** {1 Chaos proxy} *)
 
-type chaos_config = {
-  cx_stall_every : int;
-      (** one chunk in [k] pauses {!cx_stall_ms} before forwarding
-          (0 disables) — the slow-network / slowloris shape *)
-  cx_stall_ms : int;
-  cx_partial_every : int;
-      (** one chunk in [k] is dribbled on in 1–3-byte writes
-          (0 disables) — partial writes and torn frames *)
-  cx_disconnect_every : int;
-      (** one chunk in [k] kills the connection instead of forwarding
-          (0 disables) — a mid-frame disconnect as the daemon sees it *)
-}
-
-val default_chaos : chaos_config
-val no_chaos : chaos_config
-
 type proxy
 
 val proxy_start :
-  upstream:string -> socket:string -> seed:int -> chaos:chaos_config -> proxy
+  upstream:string -> socket:string -> seed:int -> chaos:bool -> proxy
 (** Listen on [socket]; every accepted connection is forwarded
-    byte-for-byte to the daemon at [upstream], with seeded faults
-    injected per chunk.  Threads, not domains — connections are
-    IO-bound. *)
+    byte-for-byte to the daemon at [upstream].  With [chaos], seeded
+    faults are injected per chunk read: one chunk in 5 pauses 3 ms before
+    it is passed on (the slow-network / slowloris shape), one in 3 is
+    dribbled on in 1–3-byte writes (partial writes and torn frames), and
+    one in 43 kills the connection instead (a mid-frame disconnect as the
+    daemon sees it).  Without, the proxy is a clean transport.  Threads,
+    not domains — connections are IO-bound. *)
 
 val proxy_counts : proxy -> int * int * int
 (** (stalls, partial-write chunks, forced disconnects) so far. *)

@@ -212,12 +212,15 @@ let test_two_level_machine () =
 
 (* A reference simulator re-implementing the pre-refactor per-access float
    accumulation over the value path's recorded trace: walk a (spec, cache)
-   list per access, adding the hit or memory cost to a float the moment it
-   is incurred.  The production Sim
-   accumulates only integer counters and folds costs in closed form when
-   the result is built; because every cost constant is an integer or
-   dyadic rational and every counter is far below 2^53, the two must agree
-   bit-for-bit — not just within tolerance. *)
+   list per access, dropping a forwarded access before it reaches any
+   cache, and adding the hit or memory cost to a float the moment it is
+   incurred.  The production Sim walks without forwarding, derives a
+   forwarding quality's counters from that walk, accumulates only integer
+   counters and folds costs in closed form when the result is built;
+   because every cost constant is an integer or dyadic rational and every
+   counter is far below 2^53, the two must agree bit-for-bit — not just
+   within tolerance.  This reference is the one check of the derived
+   forwarding against forwarding done for real. *)
 let reference_simulate ~machine ~quality prog ~params ~init =
   let levels =
     List.map
@@ -283,6 +286,25 @@ let all_variants =
    elements and cholesky_right N=16 touches 256, both past its 128 lines. *)
 let size_on machine n = if machine == small_cache then n / 2 else n
 
+(* A machine with no cache level: every access goes to memory. *)
+let no_cache = { Model.sp2_like with Model.m_name = "no-cache"; levels = [] }
+
+(* A program whose trace is dense in repeated addresses: each S1 reads
+   A(I) twice in a row, and each S2 reads A(I) right after S1 wrote it. *)
+let repeats =
+  Loopir.Parser.program
+    "! repeats (params: N)\n\
+     real A(N)\n\
+     real B(N, N)\n\
+     do J = 1, N\n\
+    \  do I = 1, N\n\
+    \    S1: A(I) = A(I) * A(I) + B(I, J)\n\
+    \    S2: A(I) = A(I) - B(J, I)\n\
+    \  end do\n\
+     end do\n"
+
+(* Every variant, the machine with no cache level, and the program dense
+   in repeats, against the per-access reference. *)
 let test_closed_form_matches_per_access () =
   List.iter
     (fun (kernel, prog, n) ->
@@ -311,8 +333,9 @@ let test_closed_form_matches_per_access () =
           if machine == small_cache then
             Alcotest.(check bool) (tag ^ " overflows its 128 lines") true
               ((List.hd r.Model.r_levels).Model.s_evictions > 0))
-        all_variants)
-    trace_test_points;
+        (all_variants
+        @ [ (no_cache, Model.untuned); (no_cache, Model.tuned) ]))
+    (trace_test_points @ [ ("repeats", repeats, 40) ]);
   (* the chosen sizes overflow L1 on both machines, so evictions — the
      subtlest counter — are genuinely exercised, not vacuously zero *)
   List.iter
@@ -464,6 +487,53 @@ let test_record_matches_value_guards () =
         guarded ~params:[ ("N", n) ] ~init:(fun _ _ -> 1.0))
     [ 1; 2; 3; 4; 5; 8; 13 ]
 
+(* Random guards on a strided innermost loop: [do I = lo, N] inside
+   [do J = 1, N] under one or two conjuncts [c*I + d*J + e REL 0].  The
+   guards may bound I more tightly than the loop does on either side, pin
+   it to one value, or hold nowhere, so the interval the strided path
+   derives from them must round each bound the right way. *)
+let strided_guard_program ~lo conjuncts =
+  let guard (c, d, e, rel) =
+    Loopir.Ast.guard
+      (E.Add (E.Add (E.Mul (c, v "I"), E.Mul (d, v "J")), E.Const e))
+      rel (E.int 0)
+  in
+  let square name = { Loopir.Ast.a_name = name; extents = [ v "N"; v "N" ] } in
+  let s1 =
+    Loopir.Ast.stmt ~id:0 ~label:"S1" (rf "A" [ "I"; "J" ])
+      Fexpr.(read "A" [ v "I"; v "J" ] + read "B" [ v "J"; v "I" ])
+  in
+  { Loopir.Ast.p_name = "strided_guards";
+    params = [ "N" ];
+    arrays = [ square "A"; square "B" ];
+    body =
+      [ Loopir.Ast.loop "J" (E.int 1) (v "N")
+          [ Loopir.Ast.loop "I" (E.int lo) (v "N")
+              [ Loopir.Ast.If (List.map guard conjuncts, [ s1 ]) ] ] ] }
+
+let prop_strided_guards_match_value =
+  let conjunct =
+    QCheck.Gen.(
+      quad (int_range (-3) 3) (int_range (-2) 2) (int_range (-9) 9)
+        (oneofl Loopir.Ast.[ Le; Lt; Ge; Gt; Eq ]))
+  in
+  let case =
+    QCheck.Gen.(
+      triple (int_range 1 3) (int_range 1 9) (list_size (int_range 1 2) conjunct))
+  in
+  let print (lo, n, conjuncts) =
+    Printf.sprintf "N=%d\n%s" n
+      (Loopir.Ast.program_to_string (strided_guard_program ~lo conjuncts))
+  in
+  QCheck.Test.make ~count:500 ~name:"record = value path under random guards"
+    (QCheck.make ~print case)
+    (fun (lo, n, conjuncts) ->
+      check_record_matches_value ~chunk_words:5
+        (Printf.sprintf "strided guards lo=%d N=%d" lo n)
+        (strided_guard_program ~lo conjuncts)
+        ~params:[ ("N", n) ] ~init:(fun _ _ -> 1.0);
+      true)
+
 (* Every registry spec at two block sizes, symbolic and specialized (the
    shape the figures and perfbench record), the banded write shackle in
    band storage, and the perfbench deck's matmul two-level:16 (innermost
@@ -505,25 +575,12 @@ let test_record_matches_value_specs () =
 (* --- one walk per recording and geometry --- *)
 
 (* Consuming every quality in either order on one recording, or each on a
-   fresh recording, equals the direct simulation, which walks with real
-   forwarding: on the three named machines and one with no cache level,
-   for matmul and for a program whose trace is dense in repeated
-   addresses (each S1 reads A(I) twice in a row, and each S2 reads A(I)
-   right after S1 wrote it). *)
+   fresh recording, equals the direct streaming simulation: on the three
+   named machines and one with no cache level, for matmul and for the
+   program dense in repeats.  Both paths derive forwarding from one walk;
+   "closed form = per-access accumulation" checks that derivation against
+   forwarding done for real. *)
 let test_walk_once_per_geometry () =
-  let no_cache = { Model.sp2_like with Model.m_name = "no-cache"; levels = [] } in
-  let repeats =
-    Loopir.Parser.program
-      "! repeats (params: N)\n\
-       real A(N)\n\
-       real B(N, N)\n\
-       do J = 1, N\n\
-      \  do I = 1, N\n\
-      \    S1: A(I) = A(I) * A(I) + B(I, J)\n\
-      \    S2: A(I) = A(I) - B(J, I)\n\
-      \  end do\n\
-       end do\n"
-  in
   let programs =
     [ ("matmul", K.matmul (), 20, Kernels.Inits.for_kernel "matmul" ~n:20);
       ("repeats", repeats, 40, fun _ _ -> 1.0) ]
@@ -737,6 +794,8 @@ let () =
   Alcotest.run "machine"
     [ ( "cache-property",
         List.map QCheck_alcotest.to_alcotest [ prop_lru_matches_reference ] );
+      ( "guard-property",
+        List.map QCheck_alcotest.to_alcotest [ prop_strided_guards_match_value ] );
       ( "cache",
         [ Alcotest.test_case "basics" `Quick test_cache_basics;
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;

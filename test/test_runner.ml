@@ -19,16 +19,6 @@ let test_map_orders () =
   Alcotest.(check (list int)) "empty" [] (Runner.map ~domains:4 f []);
   Alcotest.(check (list int)) "singleton" [ f 9 ] (Runner.map ~domains:4 f [ 9 ])
 
-let test_mapi_and_run_all () =
-  let xs = [ "a"; "b"; "c"; "d" ] in
-  Alcotest.(check (list string))
-    "mapi"
-    [ "0a"; "1b"; "2c"; "3d" ]
-    (Runner.mapi ~domains:3 (fun i s -> string_of_int i ^ s) xs);
-  Alcotest.(check (list int))
-    "run_all" [ 1; 2; 3 ]
-    (Runner.run_all ~domains:2 [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ])
-
 let test_uneven_work_keeps_order () =
   (* Tasks that finish out of order must still land in input order. *)
   let xs = [ 50000; 1; 20000; 2; 10000; 3 ] in
@@ -54,7 +44,24 @@ let test_exception_propagates () =
       false
     with Boom 5 -> true
   in
-  Alcotest.(check bool) "Boom propagated" true raised
+  Alcotest.(check bool) "Boom propagated" true raised;
+  (* every task runs, then the lowest raising index's exception wins *)
+  List.iter
+    (fun domains ->
+      let ran = Atomic.make 0 in
+      let f x =
+        Atomic.incr ran;
+        if x = 3 || x = 7 then raise (Boom x) else x
+      in
+      let which =
+        match Runner.map ~domains f (List.init 10 Fun.id) with
+        | _ -> -1
+        | exception Boom i -> i
+      in
+      let tag = Printf.sprintf "domains:%d" domains in
+      Alcotest.(check int) (tag ^ " lowest index raised") 3 which;
+      Alcotest.(check int) (tag ^ " every task ran") 10 (Atomic.get ran))
+    [ 1; 4 ]
 
 (* --- supervised pool: map_outcomes --- *)
 
@@ -400,7 +407,6 @@ let () =
   Alcotest.run "runner"
     [ ( "runner",
         [ Alcotest.test_case "map ordering" `Quick test_map_orders;
-          Alcotest.test_case "mapi and run_all" `Quick test_mapi_and_run_all;
           Alcotest.test_case "uneven work" `Quick test_uneven_work_keeps_order;
           Alcotest.test_case "exceptions" `Quick test_exception_propagates ] );
       ( "outcomes",

@@ -236,6 +236,63 @@ let test_smp_deterministic () =
   Alcotest.(check bool) "makespan is positive" true
     (s1.Model.Smp.p_cycles > 0.0)
 
+(* With one core the multicore replay walks the tasks' traces level by
+   level with nothing to interleave, so it must equal the uniprocessor
+   replay of those traces concatenated in level order: flops, accesses,
+   instances and every level's stats, and the closed-form cycles and
+   MFlops bit for bit, on both hierarchies at both qualities.  Smp keeps
+   its own copy of the hierarchy walk, the forwarding rule and the cycle
+   formula; this holds it to [Model.consume]'s. *)
+let test_smp_one_core_is_consume () =
+  let plans =
+    [ (let _, _, plan = diamond_pipe_plan ~n:8 in
+       ("diamond", plan, init_hash));
+      ( "blocked cholesky",
+        Sched.plan
+          (Pipeline.create (K.cholesky_right ()))
+          ~spec:(Some (Specs.cholesky_fully_blocked ~size:8))
+          ~params:[ ("N", 24) ],
+        Kernels.Inits.for_kernel "cholesky_right" ~n:24 ) ]
+  in
+  List.iter
+    (fun (what, plan, init) ->
+      let r = Sched.exec ~trace:true plan ~init in
+      let in_level_order =
+        List.map (fun t -> r.Sched.x_parts.(t)) (List.concat (Sched.levels plan))
+      in
+      let recording =
+        Model.recording (Trace.concat in_level_order) ~flops:r.Sched.x_flops
+      in
+      List.iter
+        (fun (machine, quality) ->
+          let tag field =
+            Printf.sprintf "%s on %s/%s: %s" what machine.Model.m_name
+              quality.Model.q_name field
+          in
+          let s =
+            Model.Smp.consume ~machine ~quality ~cores:1
+              ~groups:(Sched.levels plan) ~parts:r.Sched.x_parts
+              ~task_flops:r.Sched.x_task_flops
+          in
+          let c = Model.consume ~machine ~quality recording in
+          let bits x = Int64.bits_of_float x in
+          Alcotest.(check int) (tag "flops") c.Model.r_flops s.Model.Smp.p_flops;
+          Alcotest.(check int) (tag "accesses") c.Model.r_accesses
+            s.Model.Smp.p_accesses;
+          Alcotest.(check int) (tag "instances") c.Model.r_instances
+            s.Model.Smp.p_instances;
+          Alcotest.(check bool) (tag "level stats") true
+            (s.Model.Smp.p_private @ s.Model.Smp.p_shared = c.Model.r_levels);
+          Alcotest.(check int64) (tag "cycles") (bits c.Model.r_cycles)
+            (bits s.Model.Smp.p_cycles);
+          Alcotest.(check int64) (tag "mflops") (bits c.Model.r_mflops)
+            (bits s.Model.Smp.p_mflops))
+        [ (Model.sp2_like, Model.untuned);
+          (Model.sp2_like, Model.tuned);
+          (Model.two_level, Model.untuned);
+          (Model.two_level, Model.tuned) ])
+    plans
+
 let () =
   Alcotest.run "sched"
     [ ( "plan",
@@ -251,4 +308,6 @@ let () =
       ( "exec",
         [ Alcotest.test_case "worker exception" `Quick test_worker_exception;
           Alcotest.test_case "smp deterministic" `Quick
-            test_smp_deterministic ] ) ]
+            test_smp_deterministic;
+          Alcotest.test_case "smp on one core = consume" `Quick
+            test_smp_one_core_is_consume ] ) ]

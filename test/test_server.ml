@@ -629,7 +629,7 @@ let test_slow_writer_evicted () =
   (* a slowloris client parks mid-frame; the daemon must evict it at the
      frame deadline while still serving others *)
   let config =
-    { D.default_config with D.cfg_frame_timeout_ms = Some 100 }
+    { D.default_config with D.cfg_frame_timeout_ms = 100 }
   in
   with_served_daemon ~config (fun ~socket ~srv ->
       let fd = raw_connect socket in
@@ -868,7 +868,7 @@ let test_replay_through_chaos_proxy () =
       let proxy_sock = socket ^ ".chaos" in
       let proxy =
         R.proxy_start ~upstream:socket ~socket:proxy_sock ~seed:3
-          ~chaos:R.default_chaos
+          ~chaos:true
       in
       Fun.protect ~finally:(fun () -> R.proxy_stop proxy) @@ fun () ->
       let pool =
