@@ -500,10 +500,8 @@ let sim_cmd =
                 let recording, sched =
                   if !par_exec then begin
                     let plan = Sched.plan pipe ~spec ~params in
-                    let recording, res =
-                      Sched.record ~domains:!domains plan ~init
-                    in
-                    (recording, Some (plan, res))
+                    let res = Sched.exec ~domains:!domains plan ~init in
+                    (res.Sched.x_recording, Some (plan, res))
                   end
                   else
                     (* per-size specialized variant: same trace, faster
@@ -534,8 +532,7 @@ let sim_cmd =
                    let smp = Sched.smp ~cores:!cores plan res in
                    Format.printf
                      "  smp:   %d cores, makespan %.0f cycles, %.2f mflops@."
-                     smp.Model.Smp.p_cores smp.Model.Smp.p_cycles
-                     smp.Model.Smp.p_mflops);
+                     !cores smp.Model.r_cycles smp.Model.r_mflops);
                 List.iter
                   (fun (machine, quality) ->
                     let r = Pipeline.consume ~machine ~quality recording in

@@ -378,7 +378,6 @@ let lcm a b =
   if is_zero a || is_zero b then zero
   else abs (mul (divexact a (gcd a b)) b)
 
-let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
 let pow x n =

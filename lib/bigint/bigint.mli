@@ -76,7 +76,6 @@ val gcd : t -> t -> t
 
 val lcm : t -> t -> t
 
-val min : t -> t -> t
 val max : t -> t -> t
 
 val pow : t -> int -> t

@@ -46,5 +46,4 @@ val analyze :
     the solver context charged for the disjunct-realizability queries;
     {!Pipeline.deps} passes the pipeline's own. *)
 
-val kind_string : kind -> string
 val pp : Format.formatter -> t -> unit

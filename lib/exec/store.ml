@@ -145,17 +145,6 @@ let get t name idx =
   let a = find t name in
   a.data.(offset a idx)
 
-let set t name idx v =
-  let a = find t name in
-  a.data.(offset a idx) <- v
-
-let copy t =
-  let tbl = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun k a -> Hashtbl.add tbl k { a with data = Array.copy a.data })
-    t.tbl;
-  { t with tbl }
-
 let arrays t = List.map (fun n -> find t n) t.order
 
 let max_abs_diff a b =

@@ -56,8 +56,6 @@ val offset : arr -> int array -> int
     layout. *)
 
 val get : t -> string -> int array -> float
-val set : t -> string -> int array -> float -> unit
-val copy : t -> t
 
 val max_abs_diff : t -> t -> float
 (** Largest elementwise difference across all arrays (both stores must have

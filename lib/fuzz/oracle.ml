@@ -382,12 +382,13 @@ let check_par ?spec_text pipe ~spec ~n ~domains_list =
   let smp_reference = ref None in
   List.iter
     (fun domains ->
-      let recording, res =
-        try Sched.record ~domains ~chunk_words:64 plan ~init
+      let res =
+        try Sched.exec ~domains ~chunk_words:64 plan ~init
         with e ->
-          failf "Sched.record raised %s at N=%d over %d domains"
+          failf "Sched.exec raised %s at N=%d over %d domains"
             (Printexc.to_string e) n domains
       in
+      let recording = res.Sched.x_recording in
       if stores_diverge seq_store res.Sched.x_store then
         failf
           "parallel store diverges from sequential at N=%d over %d domains \

@@ -9,8 +9,6 @@ let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.mul (Int64.of_int seed) 0x2545F4914F6CDD1DL }
 
-let copy t = { state = t.state }
-
 let next t =
   t.state <- Int64.add t.state golden;
   let z = t.state in

@@ -10,8 +10,6 @@ type t
 val create : int -> t
 (** A fresh stream from a seed.  Equal seeds give equal streams. *)
 
-val copy : t -> t
-
 val split : t -> t
 (** An independent stream derived from (and advancing) this one. *)
 

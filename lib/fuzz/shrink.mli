@@ -12,10 +12,6 @@
     an out-of-range subscript); the oracle reports those as a different
     failure kind, so [keep] rejects them and the shrinker simply moves on. *)
 
-val variants : Loopir.Ast.program -> Loopir.Ast.program list
-(** All programs reachable by one edit, pruned of empty loops and guards.
-    Programs that would lose their last statement are not produced. *)
-
 val minimize :
   keep:(Loopir.Ast.program -> bool) -> Loopir.Ast.program -> Loopir.Ast.program
 (** Greedy fixpoint of [variants] under [keep].  [keep] is guaranteed to

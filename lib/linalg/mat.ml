@@ -15,7 +15,6 @@ let of_int_rows rows =
 
 let rows (m : t) = Array.length m
 let cols (m : t) = if rows m = 0 then 0 else Array.length m.(0)
-let row (m : t) i = Array.copy m.(i)
 let transpose m = Array.init (cols m) (fun j -> Array.init (rows m) (fun i -> m.(i).(j)))
 
 let identity n =
@@ -25,8 +24,6 @@ let mul a b =
   if cols a <> rows b then invalid_arg "Mat.mul: dimension mismatch";
   let bt = transpose b in
   Array.init (rows a) (fun i -> Array.init (cols b) (fun j -> Vec.dot a.(i) bt.(j)))
-
-let apply m v = Array.init (rows m) (fun i -> Vec.dot m.(i) v)
 
 let equal a b =
   rows a = rows b && cols a = cols b
@@ -77,8 +74,3 @@ let in_row_span m v =
   if rows m = 0 then Vec.is_zero v else rank extended = rank m
 
 let rows_span m f = Array.for_all (fun r -> in_row_span m r) f
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Vec.pp)
-    (Array.to_list m)

@@ -6,14 +6,9 @@ type t = Bigint.t array array
 
 val of_int_rows : int list list -> t
 val rows : t -> int
-val cols : t -> int
-(** [cols] of a 0-row matrix is 0. *)
-
-val row : t -> int -> Vec.t
 val transpose : t -> t
 val identity : int -> t
 val mul : t -> t -> t
-val apply : t -> Vec.t -> Vec.t
 val equal : t -> t -> bool
 
 val rank : t -> int
@@ -29,5 +24,3 @@ val in_row_span : t -> Vec.t -> bool
 val rows_span : t -> t -> bool
 (** [rows_span m f] is true when every row of [f] is in the row span of
     [m]. *)
-
-val pp : Format.formatter -> t -> unit

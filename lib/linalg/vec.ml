@@ -5,9 +5,6 @@ type t = B.t array
 let make n = Array.make n B.zero
 let of_ints l = Array.of_list (List.map B.of_int l)
 let dim = Array.length
-let get (v : t) i = v.(i)
-let set (v : t) i x = v.(i) <- x
-let copy = Array.copy
 
 let unit n i =
   let v = make n in
@@ -16,7 +13,6 @@ let unit n i =
 
 let is_zero v = Array.for_all B.is_zero v
 let equal a b = dim a = dim b && Array.for_all2 B.equal a b
-let neg v = Array.map B.neg v
 
 let map2 f a b =
   if dim a <> dim b then invalid_arg "Vec: dimension mismatch";
@@ -36,10 +32,3 @@ let dot a b =
 
 let content v = Array.fold_left (fun g x -> B.gcd g x) B.zero v
 let divexact v k = Array.map (fun x -> B.divexact x k) v
-
-let pp fmt v =
-  Format.fprintf fmt "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       B.pp)
-    (Array.to_list v)

@@ -6,16 +6,11 @@ val make : int -> t
 (** Zero vector of the given length. *)
 
 val of_ints : int list -> t
-val dim : t -> int
-val get : t -> int -> Bigint.t
-val set : t -> int -> Bigint.t -> unit
-val copy : t -> t
 val unit : int -> int -> t
 (** [unit n i] is the [i]-th standard basis vector of dimension [n]. *)
 
 val is_zero : t -> bool
 val equal : t -> t -> bool
-val neg : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : Bigint.t -> t -> t
@@ -25,4 +20,3 @@ val content : t -> Bigint.t
 (** Gcd of all entries (non-negative; zero for the zero vector). *)
 
 val divexact : t -> Bigint.t -> t
-val pp : Format.formatter -> t -> unit

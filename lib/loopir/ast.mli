@@ -66,5 +66,4 @@ val rename_loop_var : t -> string -> string -> t
     because loop variables are unique along any path.  Tests use it to
     build alpha-renamed programs. *)
 
-val pp : Format.formatter -> t -> unit
 val program_to_string : program -> string

@@ -17,7 +17,6 @@ let ( - ) a b = Bin (Fsub, a, b)
 let ( * ) a b = Bin (Fmul, a, b)
 let ( / ) a b = Bin (Fdiv, a, b)
 let sqrt_ a = Sqrt a
-let neg a = Neg a
 
 let rec reads = function
   | Ref r -> [ r ]

@@ -20,7 +20,6 @@ val ( - ) : t -> t -> t
 val ( * ) : t -> t -> t
 val ( / ) : t -> t -> t
 val sqrt_ : t -> t
-val neg : t -> t
 
 val reads : t -> ref_ list
 (** All array references, left to right. *)

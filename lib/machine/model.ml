@@ -228,6 +228,19 @@ let forwarded c =
     c_level_accesses = minus_repeats c.c_level_accesses;
     c_level_hits = minus_repeats c.c_level_hits }
 
+(* Two walks' counters combined field by field. *)
+let map2_counts f a b =
+  { c_accesses = f a.c_accesses b.c_accesses;
+    c_instances = f a.c_instances b.c_instances;
+    c_repeats = f a.c_repeats b.c_repeats;
+    c_level_accesses = Array.map2 f a.c_level_accesses b.c_level_accesses;
+    c_level_hits = Array.map2 f a.c_level_hits b.c_level_hits;
+    c_level_evictions = Array.map2 f a.c_level_evictions b.c_level_evictions }
+
+let mflops machine ~flops cycles =
+  if cycles = 0.0 then 0.0
+  else float_of_int flops /. 1e6 /. (cycles /. (machine.clock_mhz *. 1e6))
+
 (* A quality's result from the counters of a walk without forwarding
    (through [forwarded] when the quality forwards), with closed-form cycle
    accounting:
@@ -253,7 +266,6 @@ let result ~machine ~quality ~flops c =
     +. hier
     +. (quality.overhead *. float_of_int c.c_instances)
   in
-  let seconds = cycles /. (machine.clock_mhz *. 1e6) in
   { r_flops = flops;
     r_instances = c.c_instances;
     r_accesses = c.c_accesses;
@@ -268,8 +280,7 @@ let result ~machine ~quality ~flops c =
                s_evictions = c.c_level_evictions.(i) })
            levels);
     r_cycles = cycles;
-    r_mflops =
-      (if cycles = 0.0 then 0.0 else float_of_int flops /. 1e6 /. seconds) }
+    r_mflops = mflops machine ~flops cycles }
 
 (* ------------------------------------------------------------------ *)
 (* Record once, replay many                                            *)
@@ -338,172 +349,95 @@ let consume ~machine ~quality recording =
    assignment, interleave, counters, closed-form cycles — is a pure
    function of (traces, groups, cores), so the result is byte-identical
    no matter how many domains actually executed the blocks.  [cores] is
-   a machine parameter, deliberately distinct from [--domains]. *)
-module Smp = struct
-  type smp_result = {
-    p_cores : int;
-    p_flops : int;
-    p_accesses : int;
-    p_instances : int;
-    p_private : level_stat list;  (** first level, summed over cores *)
-    p_shared : level_stat list;  (** the shared levels *)
-    p_core_cycles : float list;
-    p_cycles : float;  (** makespan: the slowest core *)
-    p_mflops : float;
-  }
+   a machine parameter, deliberately distinct from [--domains].
 
+   Each core walks its quanta with its own [Sim] over its private first
+   level and the shared caches, so forwarding is derived per core as
+   [consume] derives it: a word repeating its core's previous address is
+   a hit on the most recently used way of that core's first level, which
+   no other core touches. *)
+module Smp = struct
   (* Words each core's stream advances per interleave turn. *)
   let quantum_words = 64
 
-  type cursor = { mutable chunks : (int array * int) list; mutable pos : int }
-
   let consume ~machine ~quality ~cores ~groups ~parts ~task_flops =
     if cores <= 0 then invalid_arg "Smp.consume: cores";
-    let private_spec, shared_specs =
+    let first, shared =
       match machine.levels with
       | [] -> invalid_arg "Smp.consume: machine has no cache levels"
-      | l :: rest -> (l, Array.of_list rest)
+      | l :: rest ->
+        (l, Array.of_list (List.map (fun l -> Cache.create l.l_cache) rest))
     in
-    let l1 = Array.init cores (fun _ -> Cache.create private_spec.l_cache) in
-    let shared = Array.map (fun l -> Cache.create l.l_cache) shared_specs in
-    let nshared = Array.length shared in
-    let accesses = Array.make cores 0 in
-    let instances = Array.make cores 0 in
-    let last_addr = Array.make cores min_int in
-    let shared_hits = Array.make_matrix cores nshared 0 in
-    let mem_misses = Array.make cores 0 in
+    (* a core's walk: its own first level, then the caches every core
+       shares *)
+    let sims =
+      Array.init cores (fun _ ->
+          let sim = Sim.create { machine with levels = [ first ] } in
+          { sim with caches = Array.append sim.caches shared })
+    in
+    (* each core's counters; of a shared level, what the level's counters
+       gained during the core's quanta *)
+    let zero = Sim.counts sims.(0) in
+    let shares = Array.make cores zero in
     let flops = Array.make cores 0 in
-    let access core ~write ~addr =
-      if write then instances.(core) <- instances.(core) + 1;
-      if quality.forwarding && addr = last_addr.(core) then ()
-      else begin
-        accesses.(core) <- accesses.(core) + 1;
-        last_addr.(core) <- addr;
-        let byte = addr * machine.elem_bytes in
-        if not (Cache.access l1.(core) byte) then begin
-          let i = ref 0 in
-          while !i < nshared && not (Cache.access shared.(!i) byte) do
-            incr i
-          done;
-          if !i >= nshared then mem_misses.(core) <- mem_misses.(core) + 1
-          else shared_hits.(core).(!i) <- shared_hits.(core).(!i) + 1
-        end
-      end
+    let scratch = Array.make quantum_words 0 in
+    let replay core len =
+      let sim = sims.(core) in
+      let before = Sim.counts sim in
+      Sim.consume_chunk sim scratch len;
+      shares.(core) <-
+        map2_counts ( + ) shares.(core) (map2_counts ( - ) (Sim.counts sim) before)
     in
-    (* one wavefront group: round-robin the cores' streams in fixed quanta *)
+    (* one wavefront group: tasks go to cores round-robin, and a core's
+       stream is its tasks' chunks in task order, of which the first
+       [pos.(core)] words of the head chunk are replayed.  The chunks are
+       kept past [iter_chunks]: a stored trace never reuses them. *)
     let consume_group tasks =
-      let streams = Array.make cores [] in
+      let pending = Array.make cores [] and pos = Array.make cores 0 in
       List.iteri
-        (fun pos t ->
-          let core = pos mod cores in
-          streams.(core) <- t :: streams.(core);
-          flops.(core) <- flops.(core) + task_flops.(t))
+        (fun i t ->
+          let core = i mod cores in
+          flops.(core) <- flops.(core) + task_flops.(t);
+          Trace.iter_chunks parts.(t) (fun buf len ->
+              pending.(core) <- (buf, len) :: pending.(core)))
         tasks;
-      let cursors =
-        Array.map
-          (fun ts ->
-            let chunks =
-              List.concat_map
-                (fun t ->
-                  let acc = ref [] in
-                  Trace.iter_chunks parts.(t) (fun buf len ->
-                      acc := (buf, len) :: !acc);
-                  List.rev !acc)
-                (List.rev ts)
-            in
-            { chunks; pos = 0 })
-          streams
+      Array.iteri (fun core p -> pending.(core) <- List.rev p) pending;
+      (* copy the core's next quantum into [scratch]; its length *)
+      let rec fill core k =
+        match pending.(core) with
+        | (buf, len) :: rest when k < quantum_words ->
+          let m = min (len - pos.(core)) (quantum_words - k) in
+          Array.blit buf pos.(core) scratch k m;
+          if pos.(core) + m = len then begin
+            pending.(core) <- rest;
+            pos.(core) <- 0
+          end
+          else pos.(core) <- pos.(core) + m;
+          fill core (k + m)
+        | _ -> k
       in
-      let live = ref true in
-      while !live do
-        live := false;
+      while Array.exists (( <> ) []) pending do
         for core = 0 to cores - 1 do
-          let cur = cursors.(core) in
-          let budget = ref quantum_words in
-          let continue_ = ref true in
-          while !continue_ && !budget > 0 do
-            match cur.chunks with
-            | [] -> continue_ := false
-            | (buf, len) :: rest ->
-              if cur.pos >= len then begin
-                cur.chunks <- rest;
-                cur.pos <- 0
-              end
-              else begin
-                let w = Array.unsafe_get buf cur.pos in
-                cur.pos <- cur.pos + 1;
-                decr budget;
-                access core ~write:(w land 1 = 1) ~addr:(w asr 1)
-              end
-          done;
-          if cur.chunks <> [] then live := true
+          let len = fill core 0 in
+          if len > 0 then replay core len
         done
       done
     in
     List.iter consume_group groups;
-    let core_cycles =
-      List.init cores (fun c ->
-          let hier =
-            ref (float_of_int (Cache.hits l1.(c)) *. private_spec.l_hit_cycles)
-          in
-          Array.iteri
-            (fun i l ->
-              hier :=
-                !hier +. (float_of_int shared_hits.(c).(i) *. l.l_hit_cycles))
-            shared_specs;
-          (float_of_int flops.(c) *. machine.flop_cycles)
-          +. !hier
-          +. (float_of_int mem_misses.(c) *. machine.mem_cycles)
-          +. (quality.overhead *. float_of_int instances.(c)))
+    let makespan =
+      Array.fold_left Float.max 0.0
+        (Array.mapi
+           (fun core c -> (result ~machine ~quality ~flops:flops.(core) c).r_cycles)
+           shares)
     in
-    let makespan = List.fold_left Float.max 0.0 core_cycles in
-    let total_flops = Array.fold_left ( + ) 0 flops in
-    let seconds = makespan /. (machine.clock_mhz *. 1e6) in
-    let stat_of name c =
-      { s_name = name;
-        s_accesses = Cache.accesses c;
-        s_hits = Cache.hits c;
-        s_misses = Cache.misses c;
-        s_evictions = Cache.evictions c }
+    let total =
+      result ~machine ~quality
+        ~flops:(Array.fold_left ( + ) 0 flops)
+        (Array.fold_left (map2_counts ( + )) zero shares)
     in
-    let sum_l1 =
-      Array.fold_left
-        (fun acc c ->
-          { acc with
-            s_accesses = acc.s_accesses + Cache.accesses c;
-            s_hits = acc.s_hits + Cache.hits c;
-            s_misses = acc.s_misses + Cache.misses c;
-            s_evictions = acc.s_evictions + Cache.evictions c })
-        { s_name = private_spec.l_name;
-          s_accesses = 0;
-          s_hits = 0;
-          s_misses = 0;
-          s_evictions = 0 }
-        l1
-    in
-    { p_cores = cores;
-      p_flops = total_flops;
-      p_accesses = Array.fold_left ( + ) 0 accesses;
-      p_instances = Array.fold_left ( + ) 0 instances;
-      p_private = [ sum_l1 ];
-      p_shared =
-        Array.to_list
-          (Array.mapi (fun i c -> stat_of shared_specs.(i).l_name c) shared);
-      p_core_cycles = core_cycles;
-      p_cycles = makespan;
-      p_mflops =
-        (if makespan = 0.0 then 0.0
-         else float_of_int total_flops /. 1e6 /. seconds) }
-
-  let pp fmt r =
-    Format.fprintf fmt
-      "cores=%d flops=%d accesses=%d cycles=%.0f mflops=%.1f" r.p_cores
-      r.p_flops r.p_accesses r.p_cycles r.p_mflops;
-    List.iter
-      (fun s ->
-        Format.fprintf fmt " %s[acc=%d hit=%d miss=%d]" s.s_name s.s_accesses
-          s.s_hits s.s_misses)
-      (r.p_private @ r.p_shared)
+    { total with
+      r_cycles = makespan;
+      r_mflops = mflops machine ~flops:total.r_flops makespan }
 end
 
 (* Words the direct path collects before replaying them: the largest

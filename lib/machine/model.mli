@@ -140,24 +140,18 @@ val consume : machine:t -> quality:quality -> recording -> result
     are shared.  Replay consumes the per-task traces of a scheduled
     parallel execution ({!Sched} in lib/sched): within each wavefront
     group, tasks go to virtual cores round-robin in task order and the
-    per-core streams are interleaved in fixed quanta, core 0 first.  The
+    per-core streams are interleaved in 64-word quanta, core 0 first.  The
     whole computation is a pure function of (traces, groups, cores), so
     results are byte-identical regardless of the [--domains] that actually
     executed the blocks — [cores] is a machine parameter, not an execution
-    parameter. *)
-module Smp : sig
-  type smp_result = {
-    p_cores : int;
-    p_flops : int;
-    p_accesses : int;
-    p_instances : int;
-    p_private : level_stat list;  (** first level, summed over cores *)
-    p_shared : level_stat list;  (** the shared levels *)
-    p_core_cycles : float list;  (** closed-form cycles per core *)
-    p_cycles : float;  (** makespan: the slowest core *)
-    p_mflops : float;  (** total flops over the makespan *)
-  }
+    parameter.
 
+    It is built from {!consume}'s parts: each core walks its quanta with
+    its own simulator instance over its private first level and the shared
+    caches, and its counters (of a shared level, what that level gained
+    during the core's quanta) go through the same forwarding derivation
+    and closed-form cycle formula. *)
+module Smp : sig
   val consume :
     machine:t ->
     quality:quality ->
@@ -165,13 +159,14 @@ module Smp : sig
     groups:int list list ->
     parts:Trace.t array ->
     task_flops:int array ->
-    smp_result
+    result
   (** [groups] are the scheduler's wavefront levels (task ids, in task
       order); [parts.(t)] / [task_flops.(t)] the per-task trace and flop
-      count.  @raise Invalid_argument on [cores <= 0] or a machine without
-      cache levels. *)
-
-  val pp : Format.formatter -> smp_result -> unit
+      count.  The level stats, accesses, instances and flops are summed
+      over the cores; [r_cycles] is the makespan (the slowest core's
+      cycles) and [r_mflops] the total flops over it.  @raise
+      Invalid_argument on [cores <= 0] or a machine without cache
+      levels. *)
 end
 
 val simulate :

@@ -98,19 +98,6 @@ module Ctx = struct
     match t.table with
     | None -> 0
     | Some h -> Mutex.protect t.lock (fun () -> Hashtbl.length h)
-
-  let reset t =
-    Atomic.set t.queries 0;
-    Atomic.set t.splinters 0;
-    Atomic.set t.hits 0;
-    Atomic.set t.misses 0;
-    Atomic.set t.fuel_spent 0;
-    Atomic.set t.peak_fuel 0;
-    Atomic.set t.unknowns 0;
-    Atomic.set t.backing_hits 0;
-    match t.table with
-    | None -> ()
-    | Some h -> Mutex.protect t.lock (fun () -> Hashtbl.reset h)
 end
 
 (* The per-query budget threaded through the recursion.  [remaining =

@@ -128,10 +128,6 @@ module Ctx : sig
 
   val cache_size : t -> int
   (** Distinct canonicalized systems stored (0 when caching is off). *)
-
-  val reset : t -> unit
-  (** Zero every counter and drop all cached verdicts (budget configuration
-      is kept). *)
 end
 
 val decide : ctx:Ctx.t -> System.t -> verdict

@@ -29,14 +29,6 @@ let rename_into s perm target =
   let cs = List.map (fun c -> Constr.rename c perm target.dim) s.cs in
   { target with cs = cs @ target.cs }
 
-let var s name =
-  let rec go i =
-    if i >= s.dim then raise Not_found
-    else if String.equal s.names.(i) name then i
-    else go (i + 1)
-  in
-  go 0
-
 let satisfied_by s env = List.for_all (fun c -> Constr.satisfied_by c env) s.cs
 
 let satisfied_by_ints s env =

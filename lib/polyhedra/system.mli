@@ -21,9 +21,6 @@ val rename_into : t -> int array -> t -> t
 (** [rename_into s perm target] reinterprets [s]'s constraints in [target]'s
     space, mapping variable [i] to [perm.(i)], and conjoins with [target]. *)
 
-val var : t -> string -> int
-(** Index of a variable by name. @raise Not_found *)
-
 val satisfied_by : t -> Bigint.t array -> bool
 val satisfied_by_ints : t -> int array -> bool
 

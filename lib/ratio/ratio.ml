@@ -17,14 +17,12 @@ let of_int n = of_bigint (B.of_int n)
 let of_ints n d = make (B.of_int n) (B.of_int d)
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 let num x = x.num
 let den x = x.den
 let sign x = B.sign x.num
 let is_zero x = B.is_zero x.num
 let is_integer x = B.equal x.den B.one
 let neg x = { x with num = B.neg x.num }
-let abs x = { x with num = B.abs x.num }
 
 let inv x =
   if is_zero x then raise Division_by_zero;
@@ -38,7 +36,6 @@ let div a b = mul a (inv b)
 let compare a b = B.compare (B.mul a.num b.den) (B.mul b.num a.den)
 let equal a b = B.equal a.num b.num && B.equal a.den b.den
 let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 let floor x = B.fdiv x.num x.den
 let ceil x = B.cdiv x.num x.den
 

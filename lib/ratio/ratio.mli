@@ -9,7 +9,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val make : Bigint.t -> Bigint.t -> t
 (** [make num den] is the canonical rational [num/den].
@@ -25,10 +24,8 @@ val den : t -> Bigint.t
 
 val sign : t -> int
 val is_zero : t -> bool
-val is_integer : t -> bool
 
 val neg : t -> t
-val abs : t -> t
 val inv : t -> t
 (** @raise Division_by_zero on zero. *)
 
@@ -41,7 +38,6 @@ val div : t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val min : t -> t -> t
-val max : t -> t -> t
 
 val floor : t -> Bigint.t
 val ceil : t -> Bigint.t

@@ -4,8 +4,8 @@
     and checkpoint metas, daemon stats, disk-cache reports, bounds
     reports, bench trajectories — carries a schema tag, and every
     [--check-json] flag used to carry its own hand-rolled validator next
-    to the writer.  This module is the single registry: one {!version}
-    reader and one {!check} that validates a document against the
+    to the writer.  This module is the single registry: one {!check}
+    that reads a document's tag and validates the document against the
     current schema of its family.  The writers stay where they are, next
     to the types they serialize, and stamp their tag from the constants
     below; what is shared is the contract.
@@ -42,11 +42,6 @@ val server_load_report : string
 
 val bench : string
 (** ["bench/1"] — bench trajectory envelopes ([BENCH_*.json]). *)
-
-val version : Observe.Json.t -> (string, string) result
-(** The document's schema tag, as written: the ["schema"] string, or
-    [bench/N] synthesized from an integer ["schema_version"].  [Error]
-    when neither field is present — the document is not a report. *)
 
 val check : Observe.Json.t -> (string, string) result
 (** Structurally validate against the current schema for the document's

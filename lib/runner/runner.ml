@@ -14,8 +14,6 @@ module Token = struct
     { deadline = Unix.gettimeofday () +. (float_of_int ms /. 1000.);
       flag = Atomic.make false }
 
-  let cancel t = Atomic.set t.flag true
-
   let cancelled t =
     Atomic.get t.flag
     || (t.deadline < infinity && Unix.gettimeofday () > t.deadline)

@@ -38,11 +38,6 @@ module Token : sig
   exception Expired
   (** Raised by {!check}; {!map_outcomes} turns it into [Timed_out]. *)
 
-  val none : unit -> t
-  (** A token that never expires (still cancellable). *)
-
-  val cancel : t -> unit
-
   val cancelled : t -> bool
   (** True once cancelled or past the deadline — the polling hook to thread
       into [Omega.Ctx.create ~cancel]. *)

@@ -343,32 +343,26 @@ let plan pipe ~spec ~params =
 
 type result = {
   x_store : Store.t;
-  x_flops : int;
-  x_trace : Trace.t option;  (* deterministic merge, task order *)
-  x_parts : Trace.t array;  (* per-task traces (empty when untraced) *)
+  x_recording : Model.recording;  (* deterministic merge, task order *)
+  x_parts : Trace.t array;  (* per-task traces *)
   x_task_flops : int array;
   x_domains : int;  (* workers that ran the levels *)
   x_stalls : int;  (* barrier waits: dynamic, vary run to run *)
 }
 
 (* Per-worker execution state: each worker compiles the task body once
-   against the shared store.  Its interpreter appends each traced access
-   to the worker's one recorder itself, and [Trace.finish] seals a task's
-   trace and leaves the recorder holding no chunk for the next task. *)
+   against the shared store.  Its interpreter appends each access to the
+   worker's one recorder itself, and [Trace.finish] seals a task's trace
+   and leaves the recorder holding no chunk for the next task. *)
 type worker_ctx = {
   w_prepared : Interp.prepared;
-  w_recorder : Trace.recorder option;
+  w_recorder : Trace.recorder;
 }
 
-let make_worker ~traced ~task_chunk store task_prog =
-  let recorder =
-    if traced then Some (Trace.create_recorder ~chunk_words:task_chunk ())
-    else None
-  in
-  let sink =
-    match recorder with Some r -> Trace.Record r | None -> Trace.No_trace
-  in
-  { w_prepared = Interp.prepare ~sink store task_prog; w_recorder = recorder }
+let make_worker ~task_chunk store task_prog =
+  let recorder = Trace.create_recorder ~chunk_words:task_chunk () in
+  { w_prepared = Interp.prepare ~sink:(Trace.Record recorder) store task_prog;
+    w_recorder = recorder }
 
 let run_task plan wctx parts task_flops t =
   let bindings =
@@ -379,9 +373,7 @@ let run_task plan wctx parts task_flops t =
         (Array.to_list plan.pl_coords.(t))
   in
   task_flops.(t) <- Interp.invoke wctx.w_prepared ~params:bindings;
-  match wctx.w_recorder with
-  | Some r -> parts.(t) <- Trace.finish r
-  | None -> ()
+  parts.(t) <- Trace.finish wctx.w_recorder
 
 (* Level-synchronous execution: the levels run in order, separated by a
    barrier, and a level's tasks are handed out by an atomic index to
@@ -389,8 +381,8 @@ let run_task plan wctx parts task_flops t =
    spawns nothing; more workers than the widest level could only wait.
    Per-level counters are never reset, so a stale level read can only
    yield an index past the level's width — harmless. *)
-let exec ?layouts ?(domains = 1) ?(trace = false)
-    ?(chunk_words = Trace.default_chunk_words) plan ~init =
+let exec ?layouts ?(domains = 1) ?(chunk_words = Trace.default_chunk_words)
+    plan ~init =
   let store =
     Store.create ?layouts plan.pl_prog ~params:plan.pl_params ~init
   in
@@ -414,7 +406,7 @@ let exec ?layouts ?(domains = 1) ?(trace = false)
   let finished = Array.init nlvl (fun _ -> Atomic.make 0) in
   let cur = Atomic.make 0 in
   let worker w () =
-    let wctx = make_worker ~traced:trace ~task_chunk store plan.pl_task_prog in
+    let wctx = make_worker ~task_chunk store plan.pl_task_prog in
     let rec loop () =
       let l = Atomic.get cur in
       if l < nlvl && not (Atomic.get abort) then begin
@@ -444,24 +436,14 @@ let exec ?layouts ?(domains = 1) ?(trace = false)
   (match !failure with
    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
    | None -> ());
-  let merged =
-    if trace then Some (Trace.concat ~chunk_words (Array.to_list parts))
-    else None
-  in
+  let merged = Trace.concat ~chunk_words (Array.to_list parts) in
   { x_store = store;
-    x_flops = Array.fold_left ( + ) 0 task_flops;
-    x_trace = merged;
-    x_parts = (if trace then parts else [||]);
+    x_recording =
+      Model.recording merged ~flops:(Array.fold_left ( + ) 0 task_flops);
+    x_parts = parts;
     x_task_flops = task_flops;
     x_domains = p;
     x_stalls = Array.fold_left ( + ) 0 stalls }
-
-(* The drop-in replacement for [Pipeline.record]: execute the plan with
-   tracing on and seal the deterministic merge as a replayable recording.
-   Byte-identical to the sequential recording for any [domains]. *)
-let record ?layouts ?domains ?chunk_words plan ~init =
-  let r = exec ?layouts ?domains ~trace:true ?chunk_words plan ~init in
-  (Model.recording (Option.get r.x_trace) ~flops:r.x_flops, r)
 
 let smp ~cores plan r =
   Model.Smp.consume ~machine:Model.two_level ~quality:Model.tuned ~cores

@@ -48,10 +48,9 @@ val serialized : plan -> bool
 
 type result = {
   x_store : Exec.Store.t;
-  x_flops : int;
-  x_trace : Trace.t option;
+  x_recording : Machine.Model.recording;
       (** deterministic merge of the per-task traces, task order *)
-  x_parts : Trace.t array;  (** per-task traces; [[||]] when untraced *)
+  x_parts : Trace.t array;  (** per-task traces *)
   x_task_flops : int array;
   x_domains : int;  (** workers that ran the levels *)
   x_stalls : int;  (** barrier waits — dynamic, varies run to run *)
@@ -60,30 +59,22 @@ type result = {
 val exec :
   ?layouts:(string * Exec.Store.layout) list ->
   ?domains:int ->
-  ?trace:bool ->
   ?chunk_words:int ->
   plan ->
   init:(string -> int array -> float) ->
   result
 (** Execute the plan level by level over [domains] workers (default 1:
-    in the calling domain, no spawns), capped at {!max_width}.  The store,
-    flop count, per-task traces and merged trace are bit-identical for
-    every [domains]; only [x_stalls] varies.  A worker exception aborts
-    the run and is re-raised (with its backtrace) after all domains
-    join. *)
+    in the calling domain, no spawns), capped at {!max_width}, recording
+    every task's access trace.  [x_recording] merges them in task order:
+    the drop-in parallel replacement for [Pipeline.record], byte-identical
+    to the sequential recording.  The store, flop count, per-task traces
+    and merged recording are bit-identical for every [domains]; only
+    [x_stalls] varies.  A worker exception aborts the run and is re-raised
+    (with its backtrace) after all domains join. *)
 
-val record :
-  ?layouts:(string * Exec.Store.layout) list ->
-  ?domains:int ->
-  ?chunk_words:int ->
-  plan ->
-  init:(string -> int array -> float) ->
-  Machine.Model.recording * result
-(** [exec ~trace:true] packaged as a replayable recording — the drop-in
-    parallel replacement for [Pipeline.record], byte-identical to it. *)
-
-val smp : cores:int -> plan -> result -> Machine.Model.Smp.smp_result
-(** Shared-L2 multicore replay of a traced result ({!Machine.Model.Smp})
+val smp : cores:int -> plan -> result -> Machine.Model.result
+(** Shared-L2 multicore replay of an executed plan ({!Machine.Model.Smp})
     on the [two_level] machine at [tuned] quality: private first-level
     caches per virtual core, the shared L2 below, deterministic
-    round-robin task assignment and stream interleave per level. *)
+    round-robin task assignment and stream interleave per level.  Its
+    [r_cycles] is the makespan. *)

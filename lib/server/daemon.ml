@@ -91,7 +91,6 @@ let create ?cache ?(config = default_config) resolve =
 
 let solver t = t.solver_ctx
 let stats t = t.st
-let cache t = t.dcache
 let shutdown t = Atomic.set t.stop true
 let shutting_down t = Atomic.get t.stop
 
@@ -409,6 +408,15 @@ let handle t req =
 (* Per-connection byte state machine                                   *)
 (* ------------------------------------------------------------------ *)
 
+let error_frame ~id e =
+  Wire.encode ~op:Wire.Reply_err ~id ~payload:(Proto.error_to_payload e)
+
+(* The frame answering request [id]: every reply the daemon sends. *)
+let reply_frame ~id = function
+  | Ok reply ->
+    Wire.encode ~op:Wire.Reply_ok ~id ~payload:(Proto.reply_to_payload reply)
+  | Error e -> error_frame ~id e
+
 module Session = struct
   type server = t
 
@@ -423,9 +431,6 @@ module Session = struct
 
   let oversized msg =
     String.length msg >= 14 && String.equal (String.sub msg 0 14) "payload length"
-
-  let error_frame ~id e =
-    Wire.encode ~op:Wire.Reply_err ~id ~payload:(Proto.error_to_payload e)
 
   (* Consume every complete frame in the buffer, producing decode-level
      items in arrival order.  Framing violations (bad magic, oversized
@@ -482,15 +487,9 @@ module Session = struct
         Buffer.add_string out frame;
         run rest
       | I_request { id; req } :: rest -> (
-        match handle s.srv req with
-        | Error e ->
-          Buffer.add_string out (error_frame ~id e);
-          run rest
-        | Ok reply ->
-          Buffer.add_string out
-            (Wire.encode ~op:Wire.Reply_ok ~id
-               ~payload:(Proto.reply_to_payload reply));
-          if reply = Proto.R_bye then closed := true else run rest)
+        let r = handle s.srv req in
+        Buffer.add_string out (reply_frame ~id r);
+        match r with Ok Proto.R_bye -> closed := true | _ -> run rest)
     in
     run items;
     (Buffer.contents out, if !closed then `Close else `Keep)
@@ -525,12 +524,10 @@ type job = {
   j_deadline : float;
 }
 
-let conn_append c frame wake =
+(* Queue a frame for writing, unless the connection is closed. *)
+let conn_queue c frame =
   Mutex.protect c.c_lock (fun () ->
-      if c.c_alive then begin
-        c.c_out <- c.c_out ^ frame;
-        wake ()
-      end)
+      if c.c_alive then c.c_out <- c.c_out ^ frame)
 
 let serve t ~socket =
   (* a client hanging up mid-write must not kill the daemon *)
@@ -566,16 +563,8 @@ let serve t ~socket =
     r
   in
   let finish_job j r =
-    let frame =
-      match r with
-      | Ok reply ->
-        Wire.encode ~op:Wire.Reply_ok ~id:j.j_id
-          ~payload:(Proto.reply_to_payload reply)
-      | Error e ->
-        Wire.encode ~op:Wire.Reply_err ~id:j.j_id
-          ~payload:(Proto.error_to_payload e)
-    in
-    conn_append j.j_conn frame wake;
+    conn_queue j.j_conn (reply_frame ~id:j.j_id r);
+    wake ();
     Mutex.protect j.j_conn.c_lock (fun () ->
         j.j_conn.c_jobs <- j.j_conn.c_jobs - 1)
   in
@@ -626,27 +615,11 @@ let serve t ~socket =
     | Proto.Stats | Proto.Shutdown ->
       (* weight 0, O(1): answered inline so a health probe or a shutdown
          never waits behind queued solver work *)
-      let frame =
-        match handle t req with
-        | Ok reply ->
-          Wire.encode ~op:Wire.Reply_ok ~id
-            ~payload:(Proto.reply_to_payload reply)
-        | Error e ->
-          Wire.encode ~op:Wire.Reply_err ~id
-            ~payload:(Proto.error_to_payload e)
-      in
-      Mutex.protect c.c_lock (fun () ->
-          if c.c_alive then c.c_out <- c.c_out ^ frame);
+      conn_queue c (reply_frame ~id (handle t req));
       if req = Proto.Shutdown then c.c_close_after_flush <- true
     | _ -> (
       match admit_or_shed t req with
-      | Error e ->
-        let frame =
-          Wire.encode ~op:Wire.Reply_err ~id
-            ~payload:(Proto.error_to_payload e)
-        in
-        Mutex.protect c.c_lock (fun () ->
-            if c.c_alive then c.c_out <- c.c_out ^ frame)
+      | Error e -> conn_queue c (error_frame ~id e)
       | Ok () ->
         let deadline =
           match Proto.budget_ms_of req with
@@ -672,9 +645,7 @@ let serve t ~socket =
          else 0.0);
       List.iter
         (function
-          | Session.I_reply frame ->
-            Mutex.protect c.c_lock (fun () ->
-                if c.c_alive then c.c_out <- c.c_out ^ frame)
+          | Session.I_reply frame -> conn_queue c frame
           | Session.I_request { id; req } -> enqueue_request c ~now ~id req)
         items;
       if verdict = `Close then c.c_close_after_flush <- true

@@ -76,7 +76,6 @@ val create : ?cache:Diskcache.t -> ?config:config -> resolve -> t
 
 val solver : t -> Polyhedra.Omega.Ctx.t
 val stats : t -> Stats.t
-val cache : t -> Diskcache.t option
 
 val shutdown : t -> unit
 (** Flag the server as shutting down: subsequent requests are refused
@@ -84,10 +83,6 @@ val shutdown : t -> unit
     drain. *)
 
 val shutting_down : t -> bool
-
-val weight : Proto.request -> int
-(** The admission cost class of a request: [Tune] 8, [Sim] 2,
-    [Parse]/[Probe]/[Legal] 1, [Stats]/[Shutdown] 0 (never shed). *)
 
 val admitted_weight : t -> int
 (** Total weight of currently admitted, unfinished requests — what
@@ -113,39 +108,16 @@ val stats_json : t -> Observe.Json.t
     the wire fuzzer (no socket needed). *)
 module Session : sig
   type server = t
-
-  type item =
-    | I_reply of string
-        (** a pre-encoded [Reply_err] frame (framing / decode trouble) *)
-    | I_request of { id : int; req : Proto.request }
-        (** a well-formed request awaiting computation *)
-
   type t
 
   val create : server -> t
 
-  val append : t -> string -> unit
-  (** Add raw bytes to the connection buffer (no processing). *)
-
-  val poll : t -> item list * [ `Keep | `Close ]
-  (** Consume every complete frame in the buffer, in arrival order.
-      Framing violations (bad magic, oversized length) poison the
-      stream: one error item, [`Close], buffer dropped.  Frame-level
-      problems (unknown opcode, malformed payload) yield an error item
-      and the stream continues.  Never raises.  This is the
-      decode-without-compute entry the socket event loop uses to route
-      requests through admission control and the job queue. *)
-
-  val buffered : t -> int
-  (** Bytes currently buffered — nonzero means mid-frame, which is what
-      the frame-assembly deadline watches. *)
-
   val feed : t -> string -> string * [ `Keep | `Close ]
-  (** [append] + [poll] + compute inline: process every complete frame
-      and return (reply bytes, verdict) — the synchronous shape used by
-      in-process callers (tests, the wire fuzzer).  Framing violations
-      close; a [Shutdown]'s bye reply closes; everything else keeps the
-      connection.  Never raises. *)
+  (** Buffer the bytes, then decode and compute inline: process every
+      complete frame and return (reply bytes, verdict) — the synchronous
+      shape used by in-process callers (tests, the wire fuzzer).  Framing
+      violations close; a [Shutdown]'s bye reply closes; everything else
+      keeps the connection.  Never raises. *)
 end
 
 val serve : t -> socket:string -> unit

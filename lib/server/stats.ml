@@ -71,13 +71,7 @@ let incr_connections t =
 let incr_evicted t =
   Mutex.protect t.lock (fun () -> t.n_evicted <- t.n_evicted + 1)
 
-let requests t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun _ s acc -> acc + s.count) t.per_op 0)
-
-let errors t = Mutex.protect t.lock (fun () -> t.n_errors)
 let collapses t = Mutex.protect t.lock (fun () -> t.n_collapses)
-let connections t = Mutex.protect t.lock (fun () -> t.n_connections)
 let shed t = Mutex.protect t.lock (fun () -> t.n_shed)
 let evicted t = Mutex.protect t.lock (fun () -> t.n_evicted)
 

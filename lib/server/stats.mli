@@ -27,10 +27,7 @@ val incr_evicted : t -> unit
 (** Connections forcibly closed for violating a read/write deadline or
     idle timeout. *)
 
-val requests : t -> int
-val errors : t -> int
 val collapses : t -> int
-val connections : t -> int
 val shed : t -> int
 val evicted : t -> int
 

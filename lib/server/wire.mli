@@ -38,9 +38,6 @@ type raw = { r_op : int;  (** opcode byte, possibly unknown *)
              r_id : int;  (** request id (uint32) *)
              r_payload : string }
 
-val magic : string
-(** ["SHK1"]. *)
-
 val header_bytes : int
 (** 13. *)
 

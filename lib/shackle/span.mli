@@ -5,13 +5,6 @@
     statement has an unconstrained reference, there is no benefit in
     extending the product"). *)
 
-val constrains :
-  Loopir.Ast.program ->
-  Loopir.Ast.context ->
-  shackled:Loopir.Fexpr.ref_ list ->
-  target:Loopir.Fexpr.ref_ ->
-  bool
-
 val unconstrained_refs :
   Loopir.Ast.program ->
   Spec.t ->

@@ -11,18 +11,6 @@ let to_string = function
   | Illegal _ -> "illegal"
   | Unknown reason -> "unknown:" ^ reason
 
-let of_string s =
-  let unknown_prefix = "unknown" in
-  let plen = String.length unknown_prefix in
-  if String.equal s "legal" then Ok Legal
-  else if String.equal s "illegal" then Ok (Illegal [])
-  else if String.equal s unknown_prefix then Ok (Unknown "")
-  else if
-    String.length s > plen
-    && String.equal (String.sub s 0 (plen + 1)) (unknown_prefix ^ ":")
-  then Ok (Unknown (String.sub s (plen + 1) (String.length s - plen - 1)))
-  else Error (Printf.sprintf "not a verdict: %S" s)
-
 let pp fmt = function
   | Legal -> Format.pp_print_string fmt "legal"
   | Unknown reason ->

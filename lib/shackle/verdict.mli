@@ -34,9 +34,5 @@ val to_string : t -> string
     by the daemon's verdict replies.  Witness payloads do not survive the
     round-trip. *)
 
-val of_string : string -> (t, string) result
-(** Inverse of {!to_string} up to witness payloads: ["illegal"] comes back
-    as [Illegal []]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human rendering, with witness details when present. *)

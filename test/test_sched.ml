@@ -10,7 +10,10 @@
    Cholesky variants.  The plan-shape tests pin the layering: one level
    for an unshackled program, one level per block for a serial chain, the
    anti-diagonals for the diamond recurrence, and blocked Cholesky's
-   levels.  A worker exception must abort the run and re-raise. *)
+   levels.  A worker exception must abort the run and re-raise.  The
+   shared-L2 multicore replay must equal a per-access reference walk kept
+   here, bit for bit, on machines small enough that the interleave of the
+   cores' streams moves the shared level's counters. *)
 
 module K = Kernels.Builders
 module Specs = Experiments.Specs
@@ -18,6 +21,7 @@ module Spec = Shackle.Spec
 module Blocking = Shackle.Blocking
 module Store = Exec.Store
 module Model = Machine.Model
+module Cache = Machine.Cache
 
 let init_hash name idx =
   let h = ref 0 in
@@ -75,9 +79,8 @@ let check_par_eq ?layouts ~what pipe ~spec ~params ~init =
       let label fmt =
         Printf.sprintf "%s (domains=%d): %s" what domains fmt
       in
-      let recording, res =
-        Sched.record ?layouts ~domains ~chunk_words:128 plan ~init
-      in
+      let res = Sched.exec ?layouts ~domains ~chunk_words:128 plan ~init in
+      let recording = res.Sched.x_recording in
       Alcotest.(check bool)
         (label "store bits") true
         (stores_bit_equal seq_store res.Sched.x_store);
@@ -220,29 +223,31 @@ let test_worker_exception () =
   | _ -> Alcotest.fail "out-of-band access did not raise"
   | exception Invalid_argument _ -> ()
 
+(* Equal results, their floats compared bit for bit. *)
+let result_t =
+  let bits x = Int64.bits_of_float x in
+  Alcotest.testable Model.pp_result (fun (a : Model.result) b ->
+      { a with r_cycles = 0.0; r_mflops = 0.0 }
+      = { b with r_cycles = 0.0; r_mflops = 0.0 }
+      && bits a.r_cycles = bits b.r_cycles
+      && bits a.r_mflops = bits b.r_mflops)
+
 let test_smp_deterministic () =
-  let pipe, spec, plan = diamond_pipe_plan ~n:8 in
-  ignore pipe;
-  ignore spec;
-  let r1 = Sched.exec ~domains:1 ~trace:true plan ~init:init_hash in
-  let r3 = Sched.exec ~domains:3 ~trace:true plan ~init:init_hash in
+  let _, _, plan = diamond_pipe_plan ~n:8 in
+  let r1 = Sched.exec ~domains:1 plan ~init:init_hash in
+  let r3 = Sched.exec ~domains:3 plan ~init:init_hash in
   let s1 = Sched.smp ~cores:2 plan r1 in
   let s3 = Sched.smp ~cores:2 plan r3 in
-  Alcotest.(check bool) "smp replay is a pure function of the plan" true
-    (s1 = s3);
-  Alcotest.(check int) "two virtual cores" 2 s1.Model.Smp.p_cores;
-  Alcotest.(check int) "replay sees every flop" r1.Sched.x_flops
-    s1.Model.Smp.p_flops;
-  Alcotest.(check bool) "makespan is positive" true
-    (s1.Model.Smp.p_cycles > 0.0)
+  Alcotest.check result_t "smp replay is a pure function of the plan" s1 s3;
+  Alcotest.(check int) "replay sees every flop"
+    r1.Sched.x_recording.Model.rec_flops s1.Model.r_flops;
+  Alcotest.(check bool) "makespan is positive" true (s1.Model.r_cycles > 0.0)
 
 (* With one core the multicore replay walks the tasks' traces level by
    level with nothing to interleave, so it must equal the uniprocessor
-   replay of those traces concatenated in level order: flops, accesses,
-   instances and every level's stats, and the closed-form cycles and
-   MFlops bit for bit, on both hierarchies at both qualities.  Smp keeps
-   its own copy of the hierarchy walk, the forwarding rule and the cycle
-   formula; this holds it to [Model.consume]'s. *)
+   replay of those traces concatenated in level order, as a whole result
+   with the closed-form cycles and MFlops bit for bit, on both
+   hierarchies at both qualities. *)
 let test_smp_one_core_is_consume () =
   let plans =
     [ (let _, _, plan = diamond_pipe_plan ~n:8 in
@@ -256,41 +261,196 @@ let test_smp_one_core_is_consume () =
   in
   List.iter
     (fun (what, plan, init) ->
-      let r = Sched.exec ~trace:true plan ~init in
+      let r = Sched.exec plan ~init in
       let in_level_order =
         List.map (fun t -> r.Sched.x_parts.(t)) (List.concat (Sched.levels plan))
       in
       let recording =
-        Model.recording (Trace.concat in_level_order) ~flops:r.Sched.x_flops
+        Model.recording (Trace.concat in_level_order)
+          ~flops:r.Sched.x_recording.Model.rec_flops
       in
       List.iter
         (fun (machine, quality) ->
-          let tag field =
-            Printf.sprintf "%s on %s/%s: %s" what machine.Model.m_name
-              quality.Model.q_name field
-          in
-          let s =
-            Model.Smp.consume ~machine ~quality ~cores:1
-              ~groups:(Sched.levels plan) ~parts:r.Sched.x_parts
-              ~task_flops:r.Sched.x_task_flops
-          in
-          let c = Model.consume ~machine ~quality recording in
-          let bits x = Int64.bits_of_float x in
-          Alcotest.(check int) (tag "flops") c.Model.r_flops s.Model.Smp.p_flops;
-          Alcotest.(check int) (tag "accesses") c.Model.r_accesses
-            s.Model.Smp.p_accesses;
-          Alcotest.(check int) (tag "instances") c.Model.r_instances
-            s.Model.Smp.p_instances;
-          Alcotest.(check bool) (tag "level stats") true
-            (s.Model.Smp.p_private @ s.Model.Smp.p_shared = c.Model.r_levels);
-          Alcotest.(check int64) (tag "cycles") (bits c.Model.r_cycles)
-            (bits s.Model.Smp.p_cycles);
-          Alcotest.(check int64) (tag "mflops") (bits c.Model.r_mflops)
-            (bits s.Model.Smp.p_mflops))
+          Alcotest.check result_t
+            (Printf.sprintf "%s on %s/%s" what machine.Model.m_name
+               quality.Model.q_name)
+            (Model.consume ~machine ~quality recording)
+            (Model.Smp.consume ~machine ~quality ~cores:1
+               ~groups:(Sched.levels plan) ~parts:r.Sched.x_parts
+               ~task_flops:r.Sched.x_task_flops))
         [ (Model.sp2_like, Model.untuned);
           (Model.sp2_like, Model.tuned);
           (Model.two_level, Model.untuned);
           (Model.two_level, Model.tuned) ])
+    plans
+
+(* The multicore replay one access at a time: within each group, tasks
+   go to cores round-robin and the cores' streams advance 64 words per
+   turn, core 0 first; a forwarding quality skips each word that repeats
+   its core's previous address, every other word probes the core's own
+   first level and then the shared levels, and each core's cycles are
+   summed from its own hits, memory misses, flops and instances. *)
+let smp_reference ~(machine : Model.t) ~(quality : Model.quality) ~cores
+    ~groups ~parts ~task_flops =
+  let first, shared_specs =
+    match machine.levels with
+    | [] -> Alcotest.fail "no cache level"
+    | l :: rest -> (l, Array.of_list rest)
+  in
+  let l1 = Array.init cores (fun _ -> Cache.create first.l_cache) in
+  let shared = Array.map (fun l -> Cache.create l.Model.l_cache) shared_specs in
+  let nshared = Array.length shared in
+  let accesses = Array.make cores 0 and instances = Array.make cores 0 in
+  let last_addr = Array.make cores min_int in
+  let shared_hits = Array.make_matrix cores nshared 0 in
+  let mem_misses = Array.make cores 0 and flops = Array.make cores 0 in
+  let access core w =
+    let addr = Trace.word_addr w in
+    if Trace.word_is_write w then instances.(core) <- instances.(core) + 1;
+    if not (quality.forwarding && addr = last_addr.(core)) then begin
+      accesses.(core) <- accesses.(core) + 1;
+      last_addr.(core) <- addr;
+      let byte = addr * machine.elem_bytes in
+      if not (Cache.access l1.(core) byte) then begin
+        let i = ref 0 in
+        while !i < nshared && not (Cache.access shared.(!i) byte) do
+          incr i
+        done;
+        if !i = nshared then mem_misses.(core) <- mem_misses.(core) + 1
+        else shared_hits.(core).(!i) <- shared_hits.(core).(!i) + 1
+      end
+    end
+  in
+  List.iter
+    (fun tasks ->
+      let streams = Array.make cores [] in
+      List.iteri
+        (fun i t ->
+          let core = i mod cores in
+          flops.(core) <- flops.(core) + task_flops.(t);
+          Trace.iter_chunks parts.(t) (fun buf len ->
+              for k = 0 to len - 1 do
+                streams.(core) <- buf.(k) :: streams.(core)
+              done))
+        tasks;
+      let words = Array.map (fun ws -> Array.of_list (List.rev ws)) streams in
+      let pos = Array.make cores 0 in
+      while Array.exists2 (fun ws p -> p < Array.length ws) words pos do
+        for core = 0 to cores - 1 do
+          let stop = min (Array.length words.(core)) (pos.(core) + 64) in
+          for k = pos.(core) to stop - 1 do
+            access core words.(core).(k)
+          done;
+          pos.(core) <- stop
+        done
+      done)
+    groups;
+  let core_cycles =
+    Array.init cores (fun c ->
+        let hier = ref (float_of_int (Cache.hits l1.(c)) *. first.l_hit_cycles) in
+        Array.iteri
+          (fun i (l : Model.level_spec) ->
+            hier := !hier +. (float_of_int shared_hits.(c).(i) *. l.l_hit_cycles))
+          shared_specs;
+        (float_of_int flops.(c) *. machine.flop_cycles)
+        +. !hier
+        +. (float_of_int mem_misses.(c) *. machine.mem_cycles)
+        +. (quality.overhead *. float_of_int instances.(c)))
+  in
+  let makespan = Array.fold_left Float.max 0.0 core_cycles in
+  let sum f xs = Array.fold_left (fun acc x -> acc + f x) 0 xs in
+  let stat name caches =
+    { Model.s_name = name;
+      s_accesses = sum Cache.accesses caches;
+      s_hits = sum Cache.hits caches;
+      s_misses = sum Cache.misses caches;
+      s_evictions = sum Cache.evictions caches }
+  in
+  let total_flops = sum Fun.id flops in
+  { Model.r_flops = total_flops;
+    r_instances = sum Fun.id instances;
+    r_accesses = sum Fun.id accesses;
+    r_levels =
+      stat first.l_name l1
+      :: Array.to_list
+           (Array.mapi (fun i c -> stat shared_specs.(i).l_name [| c |]) shared);
+    r_cycles = makespan;
+    r_mflops =
+      (if makespan = 0.0 then 0.0
+       else
+         float_of_int total_flops /. 1e6
+         /. (makespan /. (machine.clock_mhz *. 1e6))) }
+
+(* Small enough that the test plans' working sets overflow the shared
+   level, so the order in which the cores' streams interleave moves its
+   counters. *)
+let tiny_shared =
+  { Model.m_name = "tiny-shared";
+    levels =
+      [ { l_name = "L1";
+          l_cache = { Cache.size_bytes = 512; line_bytes = 32; assoc = 2 };
+          l_hit_cycles = 1.0 };
+        { l_name = "L2";
+          l_cache = { Cache.size_bytes = 2048; line_bytes = 32; assoc = 4 };
+          l_hit_cycles = 8.0 } ];
+    mem_cycles = 60.0;
+    flop_cycles = 0.5;
+    clock_mhz = 66.0;
+    elem_bytes = 8 }
+
+(* The multicore replay equals the per-access reference as a whole result
+   on every machine at both qualities, over several core counts. *)
+let test_smp_reference () =
+  let diamond n =
+    let _, _, plan = diamond_pipe_plan ~n in
+    (Printf.sprintf "diamond N=%d" n, plan, init_hash)
+  in
+  let blocked what kernel ~name spec n =
+    ( what,
+      Sched.plan (Pipeline.create kernel) ~spec:(Some spec)
+        ~params:[ ("N", n) ],
+      Kernels.Inits.for_kernel name ~n )
+  in
+  let plans =
+    [ diamond 8;
+      diamond 20;
+      blocked "fully blocked cholesky" (K.cholesky_right ())
+        ~name:"cholesky_right"
+        (Specs.cholesky_fully_blocked ~size:8)
+        24;
+      blocked "left-looking cholesky" (K.cholesky_right ())
+        ~name:"cholesky_right"
+        (Specs.cholesky_left_looking_blocked ~size:8)
+        40;
+      blocked "matmul C x A" (K.matmul ()) ~name:"matmul"
+        (Specs.matmul_ca ~size:4) 16 ]
+  in
+  let machines =
+    [ Model.sp2_like;
+      Model.two_level;
+      List.assoc "small-cache" Model.machines;
+      tiny_shared ]
+  in
+  List.iter
+    (fun (what, plan, init) ->
+      let r = Sched.exec plan ~init in
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun quality ->
+              List.iter
+                (fun cores ->
+                  let replay consume =
+                    consume ~machine ~quality ~cores ~groups:(Sched.levels plan)
+                      ~parts:r.Sched.x_parts ~task_flops:r.Sched.x_task_flops
+                  in
+                  Alcotest.check result_t
+                    (Printf.sprintf "%s on %s/%s, %d cores" what
+                       machine.Model.m_name quality.Model.q_name cores)
+                    (replay smp_reference) (replay Model.Smp.consume))
+                [ 1; 2; 3; 4; 7 ])
+            [ Model.untuned; Model.tuned ])
+        machines)
     plans
 
 let () =
@@ -300,7 +460,8 @@ let () =
           Alcotest.test_case "serial chain" `Quick test_serial_chain;
           Alcotest.test_case "diamond wavefront" `Quick
             test_diamond_wavefront;
-          Alcotest.test_case "steal cholesky" `Quick test_fully_blocked_cholesky;
+          Alcotest.test_case "fully blocked cholesky" `Quick
+            test_fully_blocked_cholesky;
           Alcotest.test_case "left-looking cholesky" `Quick
             test_left_looking_cholesky;
           Alcotest.test_case "banded cholesky" `Quick test_banded_cholesky;
@@ -310,4 +471,6 @@ let () =
           Alcotest.test_case "smp deterministic" `Quick
             test_smp_deterministic;
           Alcotest.test_case "smp on one core = consume" `Quick
-            test_smp_one_core_is_consume ] ) ]
+            test_smp_one_core_is_consume;
+          Alcotest.test_case "smp = per-access reference" `Quick
+            test_smp_reference ] ) ]

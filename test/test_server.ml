@@ -935,8 +935,53 @@ let test_socket_burst () =
           | Ok _ -> Alcotest.fail "unexpected reply shape"
           | Error e -> Alcotest.failf "stats after the burst: %s" e.P.e_message))
 
+(* ------------------------------------------------------------------ *)
+(* Watchdog                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Some cases wait with no deadline of their own (a client's socket read,
+   the join of a server or client domain, the proxy's thread join), so a
+   hang would stall the whole run without saying where.  Each case
+   records its name and start time; a thread checks once a second and
+   ends the run with status 2, naming the case, once one has run for
+   [hang_limit_s].  Alcotest sends a running case's output to its log
+   file, so the message goes to a copy of stderr taken at startup. *)
+let hang_limit_s = 120
+
+let running = Atomic.make None
+
+let watched (group, cases) =
+  ( group,
+    List.map
+      (fun (name, speed, f) ->
+        ( name,
+          speed,
+          fun () ->
+            Atomic.set running (Some (group ^ " " ^ name, Unix.gettimeofday ()));
+            Fun.protect ~finally:(fun () -> Atomic.set running None) f ))
+      cases )
+
+let start_watchdog () =
+  let err = Unix.dup Unix.stderr in
+  let rec watch () =
+    Thread.delay 1.0;
+    (match Atomic.get running with
+     | Some (case, start)
+       when Unix.gettimeofday () -. start >= float_of_int hang_limit_s ->
+       let msg =
+         Printf.sprintf "test_server: %S still running after %d s\n" case
+           hang_limit_s
+       in
+       ignore (Unix.write_substring err msg 0 (String.length msg));
+       Unix._exit 2
+     | _ -> ());
+    watch ()
+  in
+  ignore (Thread.create watch ())
+
 let () =
-  Alcotest.run "server"
+  start_watchdog ();
+  Alcotest.run "server" @@ List.map watched
     [ ( "wire",
         [ Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "incremental need-more" `Quick test_wire_incremental;
