@@ -22,7 +22,6 @@
 module Ast = Loopir.Ast
 module K = Kernels.Builders
 module Specs = Experiments.Specs
-module Legality = Shackle.Legality
 module Model = Machine.Model
 module Json = Observe.Json
 module Omega = Polyhedra.Omega
@@ -218,13 +217,9 @@ let legal_cmd =
                   Omega.Ctx.create ~cache:true ?fuel:!fuel
                     ?timeout_ms:!timeout_ms ()
                 in
-                (match Pipeline.check (Pipeline.create ~solver p) s with
-                | Legality.Legal ->
-                  print_endline "legal";
-                  0
-                | (Legality.Illegal _ | Legality.Unknown _) as v ->
-                  Format.printf "%a@." Legality.pp_verdict v;
-                  1))))
+                let v = Pipeline.probe (Pipeline.create ~solver p) s in
+                Format.printf "%a@." Shackle.Verdict.pp v;
+                if Shackle.Verdict.is_legal v then 0 else 1)))
 
 let choices_cmd =
   Cli.cmd "choices"

@@ -15,9 +15,9 @@ let () =
 
   let pipe = Pipeline.create prog in
   let spec = Experiments.Specs.adi_fused () in
-  (match Pipeline.check pipe spec with
-   | Shackle.Legality.Legal -> print_endline "\n1x1 storage-order shackle: LEGAL"
-   | Shackle.Legality.Illegal _ | Shackle.Legality.Unknown _ ->
+  (match Pipeline.probe pipe spec with
+   | Shackle.Verdict.Legal -> print_endline "\n1x1 storage-order shackle: LEGAL"
+   | Shackle.Verdict.Illegal _ | Shackle.Verdict.Unknown _ ->
      print_endline "\nshackle: ILLEGAL");
   let fused = Pipeline.codegen pipe spec in
   print_endline "--- transformed code (Figure 14(ii)) ---";

@@ -15,9 +15,9 @@ let () =
 
   let pipe = Pipeline.create prog in
   let spec = Experiments.Specs.cholesky_banded_write ~size:32 in
-  (match Pipeline.check pipe spec with
-   | Shackle.Legality.Legal -> print_endline "\nwrite shackle: LEGAL"
-   | Shackle.Legality.Illegal _ | Shackle.Legality.Unknown _ ->
+  (match Pipeline.probe pipe spec with
+   | Shackle.Verdict.Legal -> print_endline "\nwrite shackle: LEGAL"
+   | Shackle.Verdict.Illegal _ | Shackle.Verdict.Unknown _ ->
      print_endline "\nwrite shackle: ILLEGAL");
   let blocked = Pipeline.codegen pipe spec in
 

@@ -5,7 +5,7 @@
 
 module Ast = Loopir.Ast
 module Specs = Experiments.Specs
-module Legality = Shackle.Legality
+module Verdict = Shackle.Verdict
 module Span = Shackle.Span
 
 let () =
@@ -57,9 +57,9 @@ let () =
   let full = Specs.cholesky_fully_blocked ~size:64 in
   Printf.printf "fully constrained after the product: %b\n"
     (Span.fully_constrained prog full);
-  (match Pipeline.check pipe full with
-   | Legality.Legal -> print_endline "product shackle is LEGAL"
-   | Legality.Illegal _ | Legality.Unknown _ ->
+  (match Pipeline.probe pipe full with
+   | Verdict.Legal -> print_endline "product shackle is LEGAL"
+   | Verdict.Illegal _ | Verdict.Unknown _ ->
      print_endline "product shackle is ILLEGAL");
 
   (* Verify and simulate. *)

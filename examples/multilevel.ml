@@ -11,9 +11,9 @@ let () =
   let prog = Kernels.Builders.matmul () in
   let pipe = Pipeline.create prog in
   let two_level = Specs.matmul_two_level ~outer:96 ~inner:16 in
-  (match Pipeline.check pipe two_level with
-   | Shackle.Legality.Legal -> print_endline "two-level product: LEGAL"
-   | Shackle.Legality.Illegal _ | Shackle.Legality.Unknown _ ->
+  (match Pipeline.probe pipe two_level with
+   | Shackle.Verdict.Legal -> print_endline "two-level product: LEGAL"
+   | Shackle.Verdict.Illegal _ | Shackle.Verdict.Unknown _ ->
      print_endline "two-level product: ILLEGAL");
   let blocked = Pipeline.codegen pipe two_level in
   print_endline "--- two-level blocked matmul (Figure 10 shape) ---";

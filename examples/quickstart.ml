@@ -32,9 +32,9 @@ let () =
      pipeline charges its dependence analysis, legality test and codegen
      to one solver context of its own. *)
   let pipe = Pipeline.create prog in
-  (match Pipeline.check pipe spec with
-   | Shackle.Legality.Legal -> print_endline "\nshackle is LEGAL"
-   | Shackle.Legality.Illegal _ | Shackle.Legality.Unknown _ ->
+  (match Pipeline.probe pipe spec with
+   | Shackle.Verdict.Legal -> print_endline "\nshackle is LEGAL"
+   | Shackle.Verdict.Illegal _ | Shackle.Verdict.Unknown _ ->
      print_endline "\nshackle is ILLEGAL");
 
   (* 4. Theorem 2: are all references bounded per block? *)

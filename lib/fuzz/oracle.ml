@@ -164,21 +164,14 @@ let rec take n = function
 
 let enumerate cfg pipe =
   let prog = Pipeline.program pipe in
-  let specs =
-    List.concat_map
-      (fun array ->
-        let choices = Pipeline.choices pipe ~array in
-        List.concat_map
-          (fun size ->
-            List.concat_map
-              (fun blocking ->
-                List.map (fun ch -> [ Spec.factor blocking ch ]) choices)
-              [ Blocking.blocks_2d ~array ~size;
-                Blocking.blocks_2d_colmajor ~array ~size ])
-          cfg.block_sizes)
-      (Search.default_arrays prog)
-  in
-  take cfg.max_specs specs
+  take cfg.max_specs
+    (Search.singles prog ~arrays:(Search.default_arrays prog)
+       ~blockings:(fun array ->
+         List.concat_map
+           (fun size ->
+             [ Blocking.blocks_2d ~array ~size;
+               Blocking.blocks_2d_colmajor ~array ~size ])
+           cfg.block_sizes))
 
 (* 4th oracle layer: record/replay cache simulation vs the direct
    streaming path.  A tiny chunk size forces many flush boundaries.
@@ -315,21 +308,6 @@ let check_stage ?spec_text prog ~ns =
    program, and below the generated code of the first legal blocked
    variant, across every (machine x quality) pair.  Programs outside
    the affine class the analysis covers are skipped, not failed. *)
-let bound_levels (machine : Model.t) =
-  match machine.Model.levels with
-  | [] -> None
-  | l0 :: _ ->
-    let elem = machine.Model.elem_bytes in
-    let line_elems =
-      max 1 (l0.Model.l_cache.Machine.Cache.line_bytes / elem)
-    in
-    Some
-      (Bounds.levels_of ~line_elems
-         (List.map
-            (fun (l : Model.level_spec) ->
-              (l.Model.l_name, l.Model.l_cache.Machine.Cache.size_bytes / elem))
-            machine.Model.levels))
-
 let check_bound ?spec_text ?spec ~sim_prog prog ~n =
   let params = [ ("N", n) ] in
   match Bounds.analyze ?spec ~params prog with
@@ -340,20 +318,17 @@ let check_bound ?spec_text ?spec ~sim_prog prog ~n =
     in
     List.iter
       (fun (machine, quality) ->
-        match bound_levels machine with
-        | None -> ()
-        | Some levels ->
-          let r = Model.simulate ~machine ~quality sim_prog ~params ~init in
-          List.iter2
-            (fun lv (st : Model.level_stat) ->
-              let b = Bounds.misses t lv in
-              if st.Model.s_misses < b then
-                failf
-                  "analytic bound says >= %d misses at %s of %s/%s, but the \
-                   simulator counted %d at N=%d"
-                  b lv.Bounds.lv_name machine.Model.m_name
-                  quality.Model.q_name st.Model.s_misses n)
-            levels r.Model.r_levels)
+        let r = Model.simulate ~machine ~quality sim_prog ~params ~init in
+        List.iter2
+          (fun lv (st : Model.level_stat) ->
+            let b = Bounds.misses t lv in
+            if st.Model.s_misses < b then
+              failf
+                "analytic bound says >= %d misses at %s of %s/%s, but the \
+                 simulator counted %d at N=%d"
+                b lv.Bounds.lv_name machine.Model.m_name quality.Model.q_name
+                st.Model.s_misses n)
+          (Tune.machine_levels machine) r.Model.r_levels)
       variants;
     List.length variants
 
@@ -583,7 +558,7 @@ let check_exn hooks ~budget cfg prog =
      for exact verdicts, and a starved run would compare two artifacts. *)
   if budget.fuel = None && budget.starve_after = None then begin
     poll ();
-    match Tune.consistency_step ~sizes:cfg.block_sizes ~max_specs:8 prog with
+    match Tune.consistency_step ~sizes:cfg.block_sizes prog with
     | Ok n -> stats := { !stats with tune_checked = !stats.tune_checked + n }
     | Error msg -> fail Tune msg
   end;

@@ -20,17 +20,10 @@ let init name idx =
    the daemon under test resolves specs the way the production daemon
    resolves "matmul"/"c", but against this seed's program. *)
 let resolver prog =
-  let pipe = Pipeline.create prog in
   let specs_at size =
-    List.concat_map
-      (fun array ->
-        List.map
-          (fun ch ->
-            [ Shackle.Spec.factor
-                (Shackle.Blocking.blocks_2d ~array ~size)
-                ch ])
-          (Pipeline.choices pipe ~array))
-      (Shackle.Search.default_arrays prog)
+    Shackle.Search.singles prog
+      ~arrays:(Shackle.Search.default_arrays prog)
+      ~blockings:(fun array -> [ Shackle.Blocking.blocks_2d ~array ~size ])
   in
   { D.rv_kernels = (fun () -> [ ("gen", prog) ]);
     rv_spec =
@@ -152,7 +145,8 @@ let feed_checked session bytes =
   | exception exn ->
     Error ("session raised " ^ Printexc.to_string exn)
 
-let storm ?(frames = 200) ~seed prog =
+let storm ~seed prog =
+  let frames = 200 in
   let rng = Rng.create seed in
   let srv = D.create (resolver prog) in
   let prog_text = Ast.program_to_string prog in

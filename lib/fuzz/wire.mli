@@ -30,9 +30,8 @@
     ([shackled burst]): one mutator for the in-process storm and the
     socket burst. *)
 
-val storm :
-  ?frames:int -> seed:int -> Loopir.Ast.program -> (int * int, string) result
-(** Run the mutation storm ([frames] mutated frames, default 200), the
+val storm : seed:int -> Loopir.Ast.program -> (int * int, string) result
+(** Run the mutation storm (200 mutated frames), the
     determinism pass, and the chaos pass.  [Ok (checked, chaos_checked)]
     counts ordinary frames checked and chaos schedules survived;
     [Error] describes the first property violation. *)

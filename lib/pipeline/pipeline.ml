@@ -48,18 +48,11 @@ let deps t =
 
 let deps_at t ~params = Dep.analyze ~params ~ctx:t.solver t.prog
 
-let check t spec = Shackle.Legality.check_deps ~ctx:t.solver t.prog spec (deps t)
-
-let is_legal t spec =
-  Shackle.Legality.is_legal_deps ~ctx:t.solver t.prog spec (deps t)
-
-let is_legal_deps t spec ~deps =
-  Shackle.Legality.is_legal_deps ~ctx:t.solver t.prog spec deps
-
-let probe t spec = Shackle.Legality.probe_deps ~ctx:t.solver t.prog spec (deps t)
-
 let probe_deps t spec ~deps =
   Shackle.Legality.probe_deps ~ctx:t.solver t.prog spec deps
+
+let probe t spec = probe_deps t spec ~deps:(deps t)
+let is_legal t spec = Shackle.Verdict.is_legal (probe t spec)
 
 let choices t ~array = Shackle.Legality.enumerate_choices t.prog ~array
 

@@ -29,25 +29,21 @@ val deps : t -> Dependence.Dep.t list
 val deps_at : t -> params:(string * int) list -> Dependence.Dep.t list
 (** Dependences at concrete parameter bindings — not cached. *)
 
-val check : t -> Shackle.Spec.t -> Shackle.Legality.verdict
-(** Theorem 1 verdict against the cached symbolic dependences. *)
-
-val is_legal : t -> Shackle.Spec.t -> bool
-
-val is_legal_deps : t -> Shackle.Spec.t -> deps:Dependence.Dep.t list -> bool
-(** Legality with caller-supplied dependences (e.g. [deps_at]). *)
-
 val probe : t -> Shackle.Spec.t -> Shackle.Verdict.t
-(** Three-valued legality against the cached symbolic dependences: when the
-    pipeline's solver context carries a budget, [Unknown] distinguishes
-    "gave up" from the proved [Illegal] (both collapse to [false] in
-    {!is_legal}).  Stops at the first proved violation, so an [Illegal]
-    witness list holds exactly that one.  Render with
+(** The Theorem-1 verdict ({!Shackle.Legality.probe_deps}) against the
+    cached symbolic dependences: when the pipeline's solver context carries
+    a budget, [Unknown] distinguishes "gave up" from the proved [Illegal],
+    whose witness is the first violation the scan proved.  Render with
     {!Shackle.Verdict.to_string} — the spelling shared by [shacklec] and
-    the shackled wire protocol. *)
+    the shackled wire protocol — or {!Shackle.Verdict.pp}. *)
 
 val probe_deps :
   t -> Shackle.Spec.t -> deps:Dependence.Dep.t list -> Shackle.Verdict.t
+(** {!probe} with caller-supplied dependences (e.g. [deps_at]). *)
+
+val is_legal : t -> Shackle.Spec.t -> bool
+(** [Shackle.Verdict.is_legal (probe t spec)]: [Unknown] collapses to
+    [false]. *)
 
 val choices :
   t -> array:string -> (string * Loopir.Fexpr.ref_) list list

@@ -257,12 +257,10 @@ let compute t ~deadline (req : Proto.request) :
   | Proto.Legal { kernel; spec; size; budget_ms = _ } ->
     let* p = pipeline_for t kernel in
     let* s = spec_for t ~kernel ~spec ~size in
+    (* the boolean collapse, in [Verdict.to_string]'s two exact spellings *)
     Ok
       (Proto.R_verdict
-         { verdict =
-             Shackle.Verdict.to_string
-               (if Pipeline.is_legal p s then Shackle.Verdict.Legal
-                else Shackle.Verdict.Illegal []) })
+         { verdict = (if Pipeline.is_legal p s then "legal" else "illegal") })
   | Proto.Tune { kernel; size; n; budget_ms = _ } -> (
     match List.assoc_opt kernel (t.resolve.rv_kernels ()) with
     | None -> err "unknown_kernel" (Printf.sprintf "no kernel %S" kernel)

@@ -7,16 +7,6 @@ module C = Polyhedra.Constr
 module S = Polyhedra.System
 module Omega = Polyhedra.Omega
 
-(* The verdict type lives in {!Verdict} so every layer (pipeline, tuner,
-   daemon protocol) shares one definition; re-exporting the constructors
-   keeps [Legality.Legal] et al. valid. *)
-type violation = Verdict.witness = { dep : Dep.t; level : int }
-
-type verdict = Verdict.t =
-  | Legal
-  | Illegal of violation list
-  | Unknown of string
-
 (* Block-coordinate binding constraints for one side of a dependence.
    [perm] renames the statement space (params ++ loops) into the extended
    pair space; [base] is the index of this side's first coordinate
@@ -96,56 +86,44 @@ let block_pair_systems prog spec (d : Dep.t) =
         ps_params = params })
     d.Dep.disjuncts
 
-exception Stop
-
-(* All (dependence, disjunct, level) systems, in order.  With [stop_early]
-   the search aborts at the first satisfiable one — enough for a yes/no
-   verdict and much cheaper on illegal shackles, whose remaining systems
-   (often the expensive unsatisfiable ones) need not be decided at all.
-   Also returns the reason of the first budget-exhausted query, if any: a
-   violation is only recorded for a system the solver *proved* satisfiable,
-   so with a bounded context the outcome is (violations, gave_up) and the
-   caller distinguishes "proved illegal" from "could not decide". *)
-let violations_of ~ctx ~stop_early prog spec deps =
+(* Theorem 1, one question at a time: the (dependence, disjunct, level)
+   systems in order, stopping at the first one the solver proves
+   satisfiable — its [(dep, level)] is the witness, and the remaining
+   systems (often the expensive unsatisfiable ones) need not be decided.
+   A system the budget left undecided is no proof of violation, so the
+   scan moves past it and remembers the first reason: with no witness,
+   that reason makes the verdict [Unknown] rather than [Legal]. *)
+let first_violation ~ctx prog spec deps =
   let m = Spec.coords_dim spec in
-  let violations = ref [] in
   let gave_up = ref None in
-  (try
-     List.iter
-       (fun (d : Dep.t) ->
-         List.iter
-           (fun ps ->
-             let dim = S.dim ps.ps_system in
-             let src_base = ps.ps_src_base and dst_base = ps.ps_dst_base in
-             let violated_at k =
-               (* zd_j = zs_j for j < k, and zd_k < zs_k *)
-               List.init k (fun j ->
-                   C.eq_of (A.var dim (dst_base + j)) (A.var dim (src_base + j)))
-               @ [ C.lt_of (A.var dim (dst_base + k)) (A.var dim (src_base + k)) ]
-             in
-             for k = 0 to m - 1 do
-               if
-                 not
-                   (List.exists (fun v -> v.dep == d && v.level = k) !violations)
-               then
-                 match
-                   Omega.decide ~ctx (S.add_list ps.ps_system (violated_at k))
-                 with
-                 | Omega.Sat ->
-                   violations := { dep = d; level = k } :: !violations;
-                   if stop_early then raise Stop
-                 | Omega.Unsat -> ()
-                 | Omega.Unknown reason ->
-                   (* undecided is not a proof of violation; remember that the
-                      verdict is degraded and move on *)
-                   if !gave_up = None then gave_up := Some reason
-             done)
-           (block_pair_systems prog spec d))
-       deps
-   with Stop -> ());
-  (List.rev !violations, !gave_up)
+  let violated ps k =
+    let dim = S.dim ps.ps_system in
+    let zs j = A.var dim (ps.ps_src_base + j)
+    and zd j = A.var dim (ps.ps_dst_base + j) in
+    (* zd_j = zs_j for j < k, and zd_k < zs_k *)
+    let order =
+      List.init k (fun j -> C.eq_of (zd j) (zs j)) @ [ C.lt_of (zd k) (zs k) ]
+    in
+    match Omega.decide ~ctx (S.add_list ps.ps_system order) with
+    | Omega.Sat -> true
+    | Omega.Unsat -> false
+    | Omega.Unknown reason ->
+      if !gave_up = None then gave_up := Some reason;
+      false
+  in
+  let witness =
+    List.find_map
+      (fun (d : Dep.t) ->
+        List.find_map
+          (fun ps ->
+            List.find_opt (violated ps) (List.init m Fun.id)
+            |> Option.map (fun level -> { Verdict.dep = d; level }))
+          (block_pair_systems prog spec d))
+      deps
+  in
+  (witness, !gave_up)
 
-let rec check_deps ~ctx prog spec deps =
+let rec probe_deps ~ctx prog spec deps =
   (* Fast path (Section 6 of the paper): a product of shackles that are each
      legal by themselves is always legal.  Check factors individually first;
      only a product with an illegal factor needs the full lexicographic
@@ -154,35 +132,15 @@ let rec check_deps ~ctx prog spec deps =
      table earns its keep: products share factors, so their per-factor
      systems repeat across candidates. *)
   if List.length spec > 1
-     && List.for_all (fun f -> check_deps ~ctx prog [ f ] deps = Legal) spec
-  then Legal
+     && List.for_all
+          (fun f -> Verdict.is_legal (probe_deps ~ctx prog [ f ] deps))
+          spec
+  then Verdict.Legal
   else
-    match violations_of ~ctx ~stop_early:false prog spec deps with
-    | [], None -> Legal
-    | [], Some reason -> Unknown reason
-    | vs, _ -> Illegal vs
-
-(* Three-valued yes/no with precomputed dependences: [Illegal] only on a
-   proved violation, [Unknown] when the budget ran out before all systems
-   were refuted.  Stops at the first proved violation (so the witness list
-   holds exactly the one that stopped the scan); budget-exhausted systems
-   are cheap by definition (they gave up), so the scan continues past them
-   looking for a definite answer. *)
-let rec probe_deps ~ctx prog spec deps : Verdict.t =
-  if List.length spec > 1
-     && List.for_all (fun f -> probe_deps ~ctx prog [ f ] deps = Legal) spec
-  then Legal
-  else
-    match violations_of ~ctx ~stop_early:true prog spec deps with
-    | (_ :: _ as vs), _ -> Illegal vs
-    | [], Some reason -> Unknown reason
-    | [], None -> Legal
-
-(* The conservative boolean collapse: only a shackle with every violation
-   system *refuted* counts as legal, so [Unknown -> false] — a degraded
-   verdict can reject a legal shackle but never admit an illegal one. *)
-let is_legal_deps ~ctx prog spec deps =
-  Verdict.is_legal (probe_deps ~ctx prog spec deps)
+    match first_violation ~ctx prog spec deps with
+    | Some w, _ -> Verdict.Illegal w
+    | None, Some reason -> Verdict.Unknown reason
+    | None, None -> Verdict.Legal
 
 let enumerate_choices prog ~array =
   let stmts = Ast.statements prog in
@@ -203,5 +161,3 @@ let enumerate_choices prog ~array =
         (fun partial -> List.map (fun r -> partial @ [ (s.Ast.label, r) ]) opts)
         partials)
     [ [] ] stmts
-
-let pp_verdict = Verdict.pp

@@ -26,3 +26,13 @@ let default_arrays prog =
            | Some d -> List.length d.extents = 2
            | None -> false))
       (arrays_of s0)
+
+let singles prog ~arrays ~blockings =
+  List.concat_map
+    (fun array ->
+      let choices = Legality.enumerate_choices prog ~array in
+      List.concat_map
+        (fun blocking ->
+          List.map (fun ch -> [ Spec.factor blocking ch ]) choices)
+        (blockings array))
+    arrays

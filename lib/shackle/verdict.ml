@@ -2,7 +2,7 @@ module Dep = Dependence.Dep
 
 type witness = { dep : Dep.t; level : int }
 
-type t = Legal | Illegal of witness list | Unknown of string
+type t = Legal | Illegal of witness | Unknown of string
 
 let is_legal = function Legal -> true | Illegal _ | Unknown _ -> false
 
@@ -16,8 +16,5 @@ let pp fmt = function
   | Unknown reason ->
     Format.fprintf fmt "unknown (solver gave up: %s) — treated as illegal"
       reason
-  | Illegal vs ->
-    Format.fprintf fmt "@[<v>illegal (%d violations):@,%a@]" (List.length vs)
-      (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun fmt v ->
-           Format.fprintf fmt "  level %d: %a" v.level Dep.pp v.dep))
-      vs
+  | Illegal w ->
+    Format.fprintf fmt "@[<v>illegal:@,  level %d: %a@]" w.level Dep.pp w.dep

@@ -1,12 +1,9 @@
 (** The one three-valued legality verdict, shared by the whole stack.
 
-    {!Legality.check_deps}, {!Pipeline.probe}, the autotuner's pruner and the
-    daemon's legal/probe replies all answer the same question — "is this
-    shackle legal?" — with the same three outcomes.  They used to answer it
-    with three structurally identical types converted by hand; this module
-    is the single definition they now share.  {!Legality} re-exports the
-    constructors, so [Legality.Legal] and [Verdict.Legal] are the same
-    value. *)
+    {!Legality.probe_deps} (through {!Pipeline.probe}), the autotuner's
+    pruner and the daemon's legal/probe replies all answer the same
+    question — "is this shackle legal?" — with the same three outcomes,
+    spelled by this module's constructors. *)
 
 type witness = {
   dep : Dependence.Dep.t;
@@ -15,10 +12,9 @@ type witness = {
 
 type t =
   | Legal  (** every violation system refuted (exact) *)
-  | Illegal of witness list
-      (** at least one violation system proved satisfiable (exact; the
-          list holds only proved violations and may be truncated to the
-          first when the caller stopped early) *)
+  | Illegal of witness
+      (** a violation system proved satisfiable (exact): the first one the
+          scan reached, which stopped it *)
   | Unknown of string
       (** no proved violation, but the solver budget ran out before every
           system was refuted — conservatively treated as illegal by the
@@ -35,4 +31,4 @@ val to_string : t -> string
     round-trip. *)
 
 val pp : Format.formatter -> t -> unit
-(** Human rendering, with witness details when present. *)
+(** Human rendering, with the witness of an [Illegal]. *)

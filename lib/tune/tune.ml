@@ -117,17 +117,8 @@ let candidate prog spec =
    at each size, one per way of choosing a data-centric reference per
    statement. *)
 let raw_singles prog ~arrays ~sizes =
-  List.concat_map
-    (fun array ->
-      let choice_sets = Legality.enumerate_choices prog ~array in
-      List.concat_map
-        (fun size ->
-          List.map
-            (fun choices ->
-              [ Spec.factor (Blocking.blocks_2d ~array ~size) choices ])
-            choice_sets)
-        sizes)
-    arrays
+  Search.singles prog ~arrays ~blockings:(fun array ->
+      List.map (fun size -> Blocking.blocks_2d ~array ~size) sizes)
 
 type counts = {
   n_enumerated : int;
@@ -140,7 +131,7 @@ type counts = {
 
 (* Grow the lattice level by level.  Products of legal factors are legal
    (Section 6), but extensions are still pushed through [Pipeline.probe]:
-   the per-factor fast path of [Legality.check_deps] re-decides the factors'
+   the per-factor fast path of [Legality.probe_deps] re-decides the factors'
    systems, which is exactly where the memoizing context earns its keep.
    Under a fuel or wall-clock budget the probe can come back [Unknown];
    such a candidate is dropped like an illegal one (conservative) but
@@ -707,13 +698,12 @@ let tune ?(options = default_options) ?arrays ?init ~kernel ~params prog =
 
 (* Differential check used by the fuzzer: on the program's single-factor
    lattice, a memoizing solver context must give the same legality answers
-   as a fresh cache-less one.  Returns how many specs were compared. *)
-let consistency_step ?(sizes = [ 2 ]) ?(max_specs = 8) prog =
+   as a fresh cache-less one, on its first 8 specs.  Returns how many specs
+   were compared. *)
+let consistency_step ?(sizes = [ 2 ]) prog =
   let arrays = Search.default_arrays prog in
   let specs =
-    List.filteri
-      (fun i _ -> i < max_specs)
-      (raw_singles prog ~arrays ~sizes)
+    List.filteri (fun i _ -> i < 8) (raw_singles prog ~arrays ~sizes)
   in
   match specs with
   | [] -> Ok 0
@@ -724,8 +714,9 @@ let consistency_step ?(sizes = [ 2 ]) ?(max_specs = 8) prog =
     match
       List.find_opt
         (fun spec ->
-          Pipeline.is_legal_deps pipe spec ~deps
-          <> Legality.is_legal_deps ~ctx:plain prog spec deps)
+          Shackle.Verdict.is_legal (Pipeline.probe_deps pipe spec ~deps)
+          <> Shackle.Verdict.is_legal
+               (Legality.probe_deps ~ctx:plain prog spec deps))
         specs
     with
     | None -> Ok (List.length specs)

@@ -906,7 +906,7 @@ let test_replay_through_chaos_proxy () =
 let test_wire_storm_battery () =
   (* >= 200 mutated frames against a daemon serving matmul's own lattice:
      no exceptions, structured replies only, deterministic replays *)
-  match Fuzzing.Wire.storm ~frames:200 ~seed:20260809 (K.matmul ()) with
+  match Fuzzing.Wire.storm ~seed:20260809 (K.matmul ()) with
   | Ok (n, chaos) ->
     Alcotest.(check bool) "frames checked" true (n >= 200);
     Alcotest.(check bool) "chaos schedules survived" true (chaos > 0)

@@ -12,6 +12,8 @@ module K = Kernels.Builders
 module Blocking = Shackle.Blocking
 module Spec = Shackle.Spec
 module Legality = Shackle.Legality
+module Verdict = Shackle.Verdict
+module Omega = Polyhedra.Omega
 module Span = Shackle.Span
 module Refsem = Shackle.Refsem
 
@@ -250,6 +252,87 @@ let test_product_can_fix_illegal_factor () =
   Alcotest.(check bool) "product is legal" true
     (Pipeline.is_legal pipe (Spec.product [ outer_k ] [ reversed_a ]))
 
+(* Theorem 1's level-[k] ordering system over one block-pair system: the
+   destination's block comes first, agreeing with the source's on the
+   coordinates before [k] and smaller at [k]. *)
+let ordering_system (ps : Legality.pair_system) k =
+  let dim = Polyhedra.System.dim ps.ps_system in
+  let zs j = Polyhedra.Affine.var dim (ps.ps_src_base + j)
+  and zd j = Polyhedra.Affine.var dim (ps.ps_dst_base + j) in
+  Polyhedra.System.add_list ps.ps_system
+    (List.init k (fun j -> Polyhedra.Constr.eq_of (zd j) (zs j))
+    @ [ Polyhedra.Constr.lt_of (zd k) (zs k) ])
+
+let decide_fresh sys = Omega.decide ~ctx:(Omega.Ctx.create ()) sys
+
+let test_witness_is_first_violation () =
+  (* An Illegal verdict's witness must be checkable without trusting the
+     scan: a dependence of the program, a level inside the spec, a
+     satisfiable ordering system, and the first such system in the order
+     dependences, then disjuncts, then levels — every earlier one Unsat. *)
+  let cholesky = K.cholesky_right () in
+  let blk = Blocking.blocks_2d ~array:"A" ~size:16 in
+  let cases =
+    List.filter_map
+      (fun (s2, s3, legal) ->
+        if legal then None
+        else
+          Some
+            ( Printf.sprintf "S2:%s S3:%s" (String.concat "," s2)
+                (String.concat "," s3),
+              cholesky,
+              [ Spec.factor blk
+                  [ ("S1", rf "A" [ "J"; "J" ]); ("S2", rf "A" s2);
+                    ("S3", rf "A" s3) ] ] ))
+      cholesky_choice_cases
+    @ [ ( "reversed A",
+          K.matmul (),
+          [ Spec.factor
+              (Blocking.make ~array:"A" ~rank:2
+                 [ { Blocking.normal = [ 0; -1 ]; width = 4; offset = 1 } ])
+              [ ("S1", rf "A" [ "I"; "K" ]) ] ] ) ]
+  in
+  Alcotest.(check int) "four illegal cases" 4 (List.length cases);
+  List.iter
+    (fun (name, p, spec) ->
+      let pipe = Pipeline.create p in
+      let deps = Pipeline.deps pipe in
+      let m = Spec.coords_dim spec in
+      match Pipeline.probe pipe spec with
+      | Verdict.Legal | Verdict.Unknown _ ->
+        Alcotest.failf "%s: expected Illegal" name
+      | Verdict.Illegal w ->
+        Alcotest.(check bool) (name ^ ": dep is one of deps") true
+          (List.exists (fun d -> d == w.Verdict.dep) deps);
+        Alcotest.(check bool) (name ^ ": level below coordinate count") true
+          (0 <= w.level && w.level < m);
+        Alcotest.(check bool) (name ^ ": ordering system is Sat") true
+          (List.exists
+             (fun ps -> decide_fresh (ordering_system ps w.level) = Omega.Sat)
+             (Legality.block_pair_systems p spec w.dep));
+        let rec first_sat = function
+          | [] -> None
+          | (d, ps, k) :: rest -> (
+            match decide_fresh (ordering_system ps k) with
+            | Omega.Sat -> Some (d, k)
+            | Omega.Unsat -> first_sat rest
+            | Omega.Unknown reason ->
+              Alcotest.failf "%s: unbudgeted query gave up: %s" name reason)
+        in
+        let systems =
+          List.concat_map
+            (fun d ->
+              List.concat_map
+                (fun ps -> List.init m (fun k -> (d, ps, k)))
+                (Legality.block_pair_systems p spec d))
+            deps
+        in
+        Alcotest.(check bool) (name ^ ": every earlier system is Unsat") true
+          (match first_sat systems with
+          | Some (d, k) -> d == w.dep && k = w.level
+          | None -> false))
+    cases
+
 let test_starved_solver_is_conservative () =
   (* a shackle that is provably legal under an unlimited budget: a starved
      solver must answer Unknown (and the boolean collapse false), never
@@ -264,17 +347,14 @@ let test_starved_solver_is_conservative () =
     (Pipeline.is_legal pipe spec);
   let deps = Pipeline.deps pipe in
   let starved () = Polyhedra.Omega.Ctx.create ~fuel:0 () in
-  (match Legality.check_deps ~ctx:(starved ()) p spec deps with
-  | Legality.Unknown reason ->
+  let v = Legality.probe_deps ~ctx:(starved ()) p spec deps in
+  (match v with
+  | Verdict.Unknown reason ->
     Alcotest.(check string) "gave-up reason" "fuel" reason
-  | Legality.Legal -> Alcotest.fail "starved check claimed Legal"
-  | Legality.Illegal _ -> Alcotest.fail "starved check claimed Illegal");
-  (match Legality.probe_deps ~ctx:(starved ()) p spec deps with
-  | Shackle.Verdict.Unknown _ -> ()
-  | Shackle.Verdict.Legal | Shackle.Verdict.Illegal _ ->
-    Alcotest.fail "starved probe answered exactly");
+  | Verdict.Legal -> Alcotest.fail "starved probe claimed Legal"
+  | Verdict.Illegal _ -> Alcotest.fail "starved probe claimed Illegal");
   Alcotest.(check bool) "boolean collapse is conservative" false
-    (Legality.is_legal_deps ~ctx:(starved ()) p spec deps)
+    (Verdict.is_legal v)
 
 (* --- Theorem 2 --- *)
 
@@ -389,6 +469,8 @@ let () =
             test_product_of_legal_is_legal;
           Alcotest.test_case "product fixes illegal factor" `Slow
             test_product_can_fix_illegal_factor;
+          Alcotest.test_case "witness is the first violation" `Quick
+            test_witness_is_first_violation;
           Alcotest.test_case "starved solver is conservative" `Quick
             test_starved_solver_is_conservative ] );
       ( "span",

@@ -93,7 +93,9 @@ let test_cold_warm_pass () =
   let deps = Pipeline.deps (Pipeline.create prog) in
   let verdicts ctx =
     List.map
-      (fun s -> Legality.is_legal_deps ~ctx prog s.Tune.s_cand.Tune.c_spec deps)
+      (fun s ->
+        Shackle.Verdict.is_legal
+          (Legality.probe_deps ~ctx prog s.Tune.s_cand.Tune.c_spec deps))
       rp.Tune.rp_table
   in
   let ctx = Ctx.create ~cache:true () in
