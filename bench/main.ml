@@ -72,27 +72,22 @@ let parse_args argv =
 (* Schema validation for --check-json                                  *)
 (* ------------------------------------------------------------------ *)
 
-let load_json path =
-  match Result.bind (Cli.read_file path) Json.of_string with
-  | Error msg ->
-    Printf.eprintf "bench: %s: %s\n" path msg;
+(* Every trajectory is read through the shared {!Report} registry, pinned
+   to the bench family.  CI calls --check-json on the freshly written
+   trajectory, so a missing file, unparseable JSON, another family or a
+   schema drift all fail the workflow loudly (exit 1). *)
+let read_bench path =
+  match Report.read path with
+  | Ok (tag, j) when String.equal tag Report.bench -> j
+  | Ok (tag, _) ->
+    Printf.eprintf "bench: %s: schema %S, expected %S\n" path tag Report.bench;
     exit 1
-  | Ok j -> j
+  | Error e ->
+    Printf.eprintf "bench: %s\n" e;
+    exit 1
 
-(* CI calls this on the freshly written trajectory, so a missing file,
-   unparseable JSON, or a schema drift all fail the workflow loudly.
-   Validation lives in the shared {!Report} registry; this wrapper pins
-   the family so only bench trajectories pass. *)
 let check_json path =
-  let j = load_json path in
-  let fail msg =
-    Printf.eprintf "bench: %s: schema error: %s\n" path msg;
-    exit 1
-  in
-  (match Report.check j with
-   | Ok tag when String.equal tag Report.bench -> ()
-   | Ok tag -> fail (Printf.sprintf "schema %S, expected %S" tag Report.bench)
-   | Error e -> fail e);
+  ignore (read_bench path);
   Printf.printf "%s: OK\n" path;
   exit 0
 
@@ -105,22 +100,12 @@ let check_json path =
    accesses, per-level stats, cycles, mflops).  Wall-clock fields
    ("seconds", trace accounting) and run configuration ("domains") are
    ignored, so a run at any --domains must diff clean against the
-   committed golden trajectory. *)
+   committed golden trajectory.  Both files passed the registry, so every
+   figure has an id, rows and well-formed metrics. *)
 let diff_json path_a path_b =
   let figures path =
-    match Json.member "figures" (load_json path) with
-    | Some (Json.List figs) ->
-      List.map
-        (fun fig ->
-          match Json.member "id" fig with
-          | Some (Json.Str id) -> (id, fig)
-          | _ ->
-            Printf.eprintf "bench: %s: figure lacks a string id\n" path;
-            exit 1)
-        figs
-    | _ ->
-      Printf.eprintf "bench: %s: no figures list\n" path;
-      exit 1
+    Result.get_ok (Json.list_field "figures" (read_bench path))
+    |> List.map (fun fig -> (Result.get_ok (Json.str_field "id" fig), fig))
   in
   let fa = figures path_a and fb = figures path_b in
   let mismatch = ref [] in
@@ -132,28 +117,17 @@ let diff_json path_a path_b =
   else
     List.iter2
       (fun (id, ja) (_, jb) ->
-        let rows j =
-          match Json.member "rows" j with
-          | Some r -> Json.to_string r
-          | None -> "<missing>"
-        in
+        let rows j = Json.to_string (Option.get (Json.member "rows" j)) in
         if rows ja <> rows jb then complain "figure %s: rows differ" id;
         let sims j =
-          match Json.member "metrics" j with
-          | Some (Json.List ms) ->
-            List.map
-              (fun m ->
-                match Metrics.sim_of_json m with
-                | Ok s ->
-                  (* normalize everything that may legitimately differ *)
-                  Metrics.sim_to_json
-                    { s with Metrics.sim_seconds = 0.0; sim_trace = None }
-                  |> Json.to_string
-                | Error e ->
-                  Printf.eprintf "bench: figure %s: bad metrics: %s\n" id e;
-                  exit 1)
-              ms
-          | _ -> []
+          List.map
+            (fun m ->
+              let s = Result.get_ok (Metrics.sim_of_json m) in
+              (* normalize everything that may legitimately differ *)
+              Metrics.sim_to_json
+                { s with Metrics.sim_seconds = 0.0; sim_trace = None }
+              |> Json.to_string)
+            (Result.get_ok (Json.list_field "metrics" j))
         in
         let sa = sims ja and sb = sims jb in
         if List.length sa <> List.length sb then
@@ -232,25 +206,21 @@ let perf_figures { quick; figures; domains; _ } =
 let write_json path ~opts ~figures ~total_seconds =
   let j =
     Json.Obj
-      [ ("schema_version", Json.Int 1);
+      [ ("schema", Json.Str Report.bench);
         ("generator", Json.Str "bench/main.exe");
         ("quick", Json.Bool opts.quick);
         ("domains", Json.Int opts.domains);
         ("total_seconds", Json.Float total_seconds);
         ("figures", Json.List (List.map F.figure_to_json figures)) ]
   in
-  (* every envelope goes through the registry before it hits disk, so a
-     writer drifting from the schema fails the run that produced it, not
-     the later --check-json of a stale artifact *)
-  (match Report.check j with
-  | Ok _ -> ()
+  (* the registry refuses an envelope that drifted from the schema, so a
+     writer's drift fails the run that produced it, not the later
+     --check-json of a stale artifact *)
+  (match Report.write path j with
+  | Ok () -> ()
   | Error e ->
-    Printf.eprintf "bench: refusing to write %s: schema error: %s\n" path e;
+    Printf.eprintf "bench: %s\n" e;
     exit 1);
-  let oc = open_out_bin path in
-  output_string oc (Json.to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc;
   Printf.printf "\nwrote %s (%d figures, %.2fs total)\n" path
     (List.length figures) total_seconds
 

@@ -19,24 +19,19 @@
 
 (* --check-json: one shared implementation (the Report registry), same
    exit discipline as `shacklec tune --check-json` and `bench
-   --check-json`: 0 valid, 1 invalid or unreadable. *)
+   --check-json`: 0 valid, 1 invalid, unreadable or another family. *)
 let validate_report file =
-  match Result.bind (Cli.read_file file) Observe.Json.of_string with
-  | Error msg ->
-    Printf.eprintf "fuzz: %s: %s\n" file msg;
+  match Report.read file with
+  | Ok (tag, _) when String.equal tag Report.fuzz_report ->
+    Printf.printf "%s: valid %s\n" file tag;
+    0
+  | Ok (tag, _) ->
+    Printf.eprintf "fuzz: %s: schema %S, expected %S\n" file tag
+      Report.fuzz_report;
     1
-  | Ok j -> (
-    match Report.check j with
-    | Ok tag when String.equal tag Report.fuzz_report ->
-      Printf.printf "%s: valid %s\n" file tag;
-      0
-    | Ok tag ->
-      Printf.eprintf "fuzz: %s: schema %S, expected %S\n" file tag
-        Report.fuzz_report;
-      1
-    | Error e ->
-      Printf.eprintf "fuzz: %s: schema error: %s\n" file e;
-      1)
+  | Error e ->
+    Printf.eprintf "fuzz: %s\n" e;
+    1
 
 let () =
   let seeds = ref 50 in
@@ -108,14 +103,14 @@ let () =
                (fun f -> print_endline (Fuzzing.Driver.failure_to_string f))
                report.Fuzzing.Driver.failures;
              print_endline (Fuzzing.Driver.summary report);
-             (match !json with
-             | Some file ->
-               let oc = open_out file in
-               output_string oc
-                 (Observe.Json.to_string ~pretty:true
-                    (Fuzzing.Driver.to_json report));
-               output_char oc '\n';
-               close_out oc
-             | None -> ());
-             if Fuzzing.Driver.unexpected_failures report <> [] then 1 else 0
+             match
+               Option.map
+                 (fun file -> Report.write file (Fuzzing.Driver.to_json report))
+                 !json
+             with
+             | Some (Error e) ->
+               Printf.eprintf "fuzz: %s\n" e;
+               1
+             | None | Some (Ok ()) ->
+               if Fuzzing.Driver.unexpected_failures report <> [] then 1 else 0
          end))

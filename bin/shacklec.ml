@@ -5,7 +5,7 @@
      shacklec block matmul --spec c --size 25        (print blocked code)
      shacklec block matmul --spec c --size 25 --naive
      shacklec legal cholesky_right --spec write --size 64
-     shacklec choices cholesky_right                 (all shackles + verdicts)
+     shacklec choices cholesky_right                 (all shackles, verdicts, witnesses)
      shacklec verify matmul --spec ca --size 16 --n 40
      shacklec sim cholesky_right --spec full --size 32 --n 120 [--tuned]
      shacklec tune matmul --size 16 --n 64 --json TUNE.json
@@ -65,10 +65,19 @@ let quality_flag cell =
   Cli.choice_list "--quality" ~docv:"QUALITY" Model.qualities
     ~doc:"inner-loop code quality (untuned or tuned; repeatable)" cell
 
-let spec_of (name, _p) spec ~size =
+(* A usage error found after the flags parsed, such as a spec the kernel
+   does not have: the entry point prints it and exits 2, as [Cli.run]
+   does for a bad flag. *)
+exception Usage of string
+
+let spec_of ~prog (name, _p) spec ~size =
   match Specs.lookup ~kernel:name ~spec ~size with
   | Some s -> s
-  | None -> failwith (Printf.sprintf "no spec %s for kernel %s" spec name)
+  | None ->
+    raise
+      (Usage
+         (Printf.sprintf "%s: kernel %s has no spec %S (try --help)" prog name
+            spec))
 
 let params_of (name, _) ~n ~bw =
   if String.equal name "cholesky_banded" then [ ("N", n); ("BW", bw) ]
@@ -110,9 +119,14 @@ let with_file ~prog file k =
     Printf.eprintf "%s: %s: %s\n" prog file reason;
     1
 
-let write_file file text =
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
+(* Writes a --json report through the registry, or says why it could
+   not: 0 written or nothing asked, 1 refused or unwritable. *)
+let write_report ~prog json doc =
+  match Option.map (fun file -> Report.write file doc) json with
+  | None | Some (Ok ()) -> 0
+  | Some (Error e) ->
+    Printf.eprintf "%s: %s\n" prog e;
+    1
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                         *)
@@ -159,7 +173,7 @@ let block_cmd =
       in
       Cli.run ~prog ~positional:(kernel_positional kernel) ~specs args (fun () ->
           with_kernel ~prog kernel (fun ((_, p) as k) ->
-              let s = spec_of k (Option.value ~default:"default" !spec) ~size:!size in
+              let s = spec_of ~prog k (Option.value ~default:"default" !spec) ~size:!size in
               match
                 match !stages with
                 | None -> []
@@ -212,7 +226,7 @@ let legal_cmd =
                       Printf.eprintf "%s: unexpected reply\n" prog;
                       1)
               | None ->
-                let s = spec_of k spec_name ~size:!size in
+                let s = spec_of ~prog k spec_name ~size:!size in
                 let solver =
                   Omega.Ctx.create ~cache:true ?fuel:!fuel
                     ?timeout_ms:!timeout_ms ()
@@ -248,8 +262,13 @@ let choices_cmd =
                              (Format.asprintf "%a" Loopir.Fexpr.pp_ref r))
                          choices)
                   in
-                  Printf.printf "%-60s %s\n" label
-                    (if Pipeline.is_legal pipe spec then "legal" else "ILLEGAL"))
+                  let v = Pipeline.probe pipe spec in
+                  if Shackle.Verdict.is_legal v then
+                    Printf.printf "%-60s legal\n" label
+                  else
+                    (* the violation that decided it, under the verdict line *)
+                    Format.printf "%-60s ILLEGAL@.  %a@." label
+                      Shackle.Verdict.pp v)
                 (Pipeline.choices pipe ~array);
               0)))
 
@@ -265,7 +284,7 @@ let verify_cmd =
         ~specs:[ spec_flag spec; size_flag size; n_flag n; bw_flag bw ] args
         (fun () ->
           with_kernel ~prog kernel (fun ((_, p) as k) ->
-              let s = spec_of k (Option.value ~default:"default" !spec) ~size:!size in
+              let s = spec_of ~prog k (Option.value ~default:"default" !spec) ~size:!size in
               let diff =
                 Pipeline.verify (Pipeline.create p) ~spec:s
                   ~params:(params_of k ~n:!n ~bw:!bw)
@@ -295,7 +314,7 @@ let bounds_cmd =
               let params = params_of k ~n:!n ~bw:!bw in
               let spec_name = !spec in
               let spec =
-                Option.map (fun s -> spec_of k s ~size:!size) spec_name
+                Option.map (fun s -> spec_of ~prog k s ~size:!size) spec_name
               in
               let machines =
                 match !machines with [] -> [ Model.sp2_like ] | ms -> ms
@@ -370,36 +389,27 @@ let bounds_cmd =
                         Json.Obj (List.rev !level_json) )
                       :: !machine_json)
                   machines;
-                (match !json with
-                | Some file ->
-                  write_file file
-                    (Json.to_string ~pretty:true
-                       (Json.Obj
-                          [ ("schema", Json.Str Report.bounds_report);
-                            ("kernel", Json.Str name);
-                            ( "params",
-                              Json.Obj
-                                (List.map (fun (k, v) -> (k, Json.Int v)) params)
-                            );
-                            ( "stmts",
-                              Json.List
-                                (List.map
-                                   (fun (s : Bounds.stmt_info) ->
-                                     Json.Obj
-                                       [ ("label", Json.Str s.Bounds.si_label);
-                                         ("depth", Json.Int s.Bounds.si_depth);
-                                         ( "iterations",
-                                           Json.Int s.Bounds.si_iterations );
-                                         ( "sigma",
-                                           Json.Str
-                                             (Ratio.to_string s.Bounds.si_sigma)
-                                         ) ])
-                                   (Bounds.stmts t)) );
-                            ("distinct", Json.Int (Bounds.distinct t));
-                            ("machines", Json.Obj (List.rev !machine_json)) ])
-                    ^ "\n")
-                | None -> ());
-                0)))
+                write_report ~prog !json
+                  (Json.Obj
+                     [ ("schema", Json.Str Report.bounds_report);
+                       ("kernel", Json.Str name);
+                       ( "params",
+                         Json.Obj
+                           (List.map (fun (k, v) -> (k, Json.Int v)) params) );
+                       ( "stmts",
+                         Json.List
+                           (List.map
+                              (fun (s : Bounds.stmt_info) ->
+                                Json.Obj
+                                  [ ("label", Json.Str s.Bounds.si_label);
+                                    ("depth", Json.Int s.Bounds.si_depth);
+                                    ( "iterations",
+                                      Json.Int s.Bounds.si_iterations );
+                                    ( "sigma",
+                                      Json.Str (Ratio.to_string s.Bounds.si_sigma) ) ])
+                              (Bounds.stmts t)) );
+                       ("distinct", Json.Int (Bounds.distinct t));
+                       ("machines", Json.Obj (List.rev !machine_json)) ]))))
 
 let sim_cmd =
   Cli.cmd "sim"
@@ -470,7 +480,7 @@ let sim_cmd =
                     (sim (Some (Option.value ~default:"default" !spec)))
                     (show "blocked")
               | None ->
-              let s = spec_of k (Option.value ~default:"default" !spec) ~size:!size in
+              let s = spec_of ~prog k (Option.value ~default:"default" !spec) ~size:!size in
               let pipe = Pipeline.create p in
               let machines =
                 match !machines with [] -> [ Model.sp2_like ] | ms -> ms
@@ -667,21 +677,18 @@ let tune_cmd =
       in
       Cli.run ~prog ~positional:(kernel_positional kernel) ~specs args (fun () ->
           match !check_json with
-          | Some file ->
-            with_file ~prog file (fun text ->
-                match Json.of_string text with
-                | Error msg ->
-                  Printf.eprintf "%s: %s: invalid JSON: %s\n" prog file msg;
-                  1
-                | Ok j -> begin
-                  match Tune.check_report_json j with
-                  | Ok () ->
-                    Printf.printf "%s: valid %s\n" file Report.tune_report;
-                    0
-                  | Error msg ->
-                    Printf.eprintf "%s: %s: %s\n" prog file msg;
-                    1
-                end)
+          | Some file -> (
+            match Report.read file with
+            | Ok (tag, _) when String.equal tag Report.tune_report ->
+              Printf.printf "%s: valid %s\n" file tag;
+              0
+            | Ok (tag, _) ->
+              Printf.eprintf "%s: %s: schema %S, expected %S\n" prog file tag
+                Report.tune_report;
+              1
+            | Error e ->
+              Printf.eprintf "%s: %s\n" prog e;
+              1)
           | None ->
             with_kernel ~prog kernel (fun ((name, p) as k) ->
                 let sizes =
@@ -726,23 +733,27 @@ let tune_cmd =
                     p
                 in
                 Format.printf "%a@." Tune.pp_report rp;
-                (match !json with
-                | Some file ->
-                  write_file file
-                    (Json.to_string ~pretty:true (Tune.report_to_json rp) ^ "\n")
-                | None -> ());
-                (match Tune.best rp with
-                | Some _ -> 0
-                | None ->
-                  prerr_endline
-                    "no legal candidate (a statement may need a dummy reference)";
-                  1))))
+                match write_report ~prog !json (Tune.report_to_json rp) with
+                | 0 -> (
+                  match Tune.best rp with
+                  | Some _ -> 0
+                  | None ->
+                    prerr_endline
+                      "no legal candidate (a statement may need a dummy reference)";
+                    1)
+                | rc -> rc)))
 
 let () =
   exit
-    (Cli.dispatch ~prog:"shacklec"
-       ~doc:"data-centric multi-level blocking (PLDI 1997) compiler driver"
-       ~version:"1.0"
-       [ list_cmd; show_cmd; block_cmd; legal_cmd; choices_cmd; verify_cmd;
-         bounds_cmd; sim_cmd; search_cmd; tune_cmd; parse_cmd ]
-       Sys.argv)
+    (match
+       Cli.dispatch ~prog:"shacklec"
+         ~doc:"data-centric multi-level blocking (PLDI 1997) compiler driver"
+         ~version:"1.0"
+         [ list_cmd; show_cmd; block_cmd; legal_cmd; choices_cmd; verify_cmd;
+           bounds_cmd; sim_cmd; search_cmd; tune_cmd; parse_cmd ]
+         Sys.argv
+     with
+    | rc -> rc
+    | exception Usage msg ->
+      prerr_endline msg;
+      2)

@@ -230,25 +230,27 @@ let compact_cmd args =
 (* ------------------------------------------------------------------ *)
 
 (* Same exit discipline as `shacklec tune --check-json`, `bench
-   --check-json` and `fuzz --check-json` (0 valid, 1 invalid or
-   unreadable), but family-agnostic: the daemon's tools emit three
-   schemas (shackled-stats, shackled-cache-report, server-load-report)
-   and the registry dispatches on the tag. *)
+   --check-json` and `fuzz --check-json` (0 valid, 1 invalid, unreadable
+   or another family), pinned to the three families the daemon's tools
+   emit: shackled-stats, shackled-cache-report and server-load-report. *)
+let daemon_reports =
+  [ Report.shackled_stats; Report.shackled_cache_report;
+    Report.server_load_report ]
+
 let check_json_cmd args =
   match args with
   | [ file ] -> (
-    match Result.bind (Cli.read_file file) Json.of_string with
-    | Error msg ->
-      Printf.eprintf "shackled: %s: %s\n" file msg;
+    match Report.read file with
+    | Ok (tag, _) when List.mem tag daemon_reports ->
+      Printf.printf "shackled: %s: valid %s\n" file tag;
+      0
+    | Ok (tag, _) ->
+      Printf.eprintf "shackled: %s: schema %S, expected one of %s\n" file tag
+        (String.concat ", " daemon_reports);
       1
-    | Ok j -> (
-      match Report.check j with
-      | Ok tag ->
-        Printf.printf "shackled: %s: valid %s\n" file tag;
-        0
-      | Error msg ->
-        Printf.eprintf "shackled: %s: %s\n" file msg;
-        1))
+    | Error e ->
+      Printf.eprintf "shackled: %s\n" e;
+      1)
   | _ ->
     prerr_endline "usage: shackled check-json FILE";
     2
@@ -468,16 +470,11 @@ let replay_cmd args =
               ~requests:(phases * List.length trace)
               outcome ~chaos:(R.proxy_counts proxy) ~cold ~warm
           in
-          (match Report.check j with
-          | Ok _ -> ()
-          | Error msg -> failwith ("load report does not validate: " ^ msg));
-          Option.iter
-            (fun file ->
-              let oc = open_out file in
-              output_string oc (Json.to_string ~pretty:true j);
-              output_char oc '\n';
-              close_out oc)
-            json.contents;
+          (match Option.map (fun file -> Report.write file j) json.contents with
+          | Some (Error e) ->
+            Printf.eprintf "shackled replay: %s\n" e;
+            exit 1
+          | None | Some (Ok ()) -> ());
           let stalls, partials, dx = R.proxy_counts proxy in
           Printf.printf
             "shackled replay: %d requests over %d clients: %d completed, %d \

@@ -1,6 +1,8 @@
 module Ast = Loopir.Ast
 module Json = Observe.Json
 
+let ( let* ) = Result.bind
+
 type failure_report = {
   seed : int;
   kind : Oracle.kind;
@@ -114,24 +116,22 @@ let stats_to_json (s : Oracle.stats) =
    seed re-runs.  [load_checkpoint] only reads files whose meta line
    matches the current campaign, so every counter is always present. *)
 let stats_of_json j =
-  let int k =
-    match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-  in
-  match
-    ( ( int "specs", int "legal_specs", int "verified", int "skipped",
-        int "tune_checked", int "par_checked" ),
-      ( int "wire_checked", int "chaos_checked", int "stage_checked",
-        int "bound_checked", int "gave_up" ) )
-  with
-  | ( ( Some specs, Some legal_specs, Some verified, Some skipped,
-        Some tune_checked, Some par_checked ),
-      ( Some wire_checked, Some chaos_checked, Some stage_checked,
-        Some bound_checked, Some gave_up ) ) ->
-    Some
-      { Oracle.specs; legal_specs; verified; skipped; tune_checked;
-        par_checked; wire_checked; chaos_checked; stage_checked;
-        bound_checked; gave_up }
-  | _ -> None
+  let int k = Json.int_field k j in
+  let* specs = int "specs" in
+  let* legal_specs = int "legal_specs" in
+  let* verified = int "verified" in
+  let* skipped = int "skipped" in
+  let* tune_checked = int "tune_checked" in
+  let* par_checked = int "par_checked" in
+  let* wire_checked = int "wire_checked" in
+  let* chaos_checked = int "chaos_checked" in
+  let* stage_checked = int "stage_checked" in
+  let* bound_checked = int "bound_checked" in
+  let* gave_up = int "gave_up" in
+  Ok
+    { Oracle.specs; legal_specs; verified; skipped; tune_checked;
+      par_checked; wire_checked; chaos_checked; stage_checked;
+      bound_checked; gave_up }
 
 let failure_to_json f =
   Json.Obj
@@ -146,30 +146,21 @@ let failure_to_json f =
       ("repro", Json.Str f.repro) ]
 
 let failure_of_json j =
-  let int k =
-    match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
+  let* seed = Json.int_field "seed" j in
+  let* kind = Json.str_field "kind" j in
+  let* kind =
+    Option.to_result ~none:"unknown failure kind" (Oracle.kind_of_string kind)
   in
-  let str k =
-    match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-  in
-  let bool k =
-    match Json.member k j with Some (Json.Bool b) -> Some b | _ -> None
-  in
-  let spec_text =
-    match Json.member "spec" j with Some (Json.Str s) -> Some s | _ -> None
-  in
-  match
-    ( int "seed",
-      Option.bind (str "kind") Oracle.kind_of_string,
-      str "detail", str "program", int "original_stmts",
-      int "minimized_stmts", bool "injected", str "repro" )
-  with
-  | Some seed, Some kind, Some detail, Some program_text, Some original_stmts,
-    Some minimized_stmts, Some injected, Some repro ->
-    Some
-      { seed; kind; detail; spec_text; program_text; original_stmts;
-        minimized_stmts; injected; repro }
-  | _ -> None
+  let* detail = Json.str_field "detail" j in
+  let* program_text = Json.str_field "program" j in
+  let* original_stmts = Json.int_field "original_stmts" j in
+  let* minimized_stmts = Json.int_field "minimized_stmts" j in
+  let* injected = Json.bool_field "injected" j in
+  let* repro = Json.str_field "repro" j in
+  let spec_text = Result.to_option (Json.str_field "spec" j) in
+  Ok
+    { seed; kind; detail; spec_text; program_text; original_stmts;
+      minimized_stmts; injected; repro }
 
 let row_to_json seed = function
   | Row_ok s ->
@@ -184,15 +175,14 @@ let row_to_json seed = function
         ("failure", failure_to_json f) ]
 
 let row_of_json j =
+  let field k of_json =
+    Option.bind (Json.member k j) (fun x -> Result.to_option (of_json x))
+  in
   match (Json.member "seed" j, Json.member "outcome" j) with
   | Some (Json.Int seed), Some (Json.Str "ok") ->
-    Option.map
-      (fun s -> (seed, Row_ok s))
-      (Option.bind (Json.member "stats" j) stats_of_json)
+    Option.map (fun s -> (seed, Row_ok s)) (field "stats" stats_of_json)
   | Some (Json.Int seed), Some (Json.Str "fail") ->
-    Option.map
-      (fun f -> (seed, Row_fail f))
-      (Option.bind (Json.member "failure" j) failure_of_json)
+    Option.map (fun f -> (seed, Row_fail f)) (field "failure" failure_of_json)
   | _ -> None
 
 let opt_int = function Some i -> Json.Int i | None -> Json.Null

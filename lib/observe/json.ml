@@ -266,3 +266,24 @@ let rec equal a b =
          (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2)
          xs ys
   | _ -> false
+
+(* Field accessors: each reads one field of an object and, on failure,
+   names it, so a malformed report or checkpoint fails with the field it
+   lacks. *)
+let field what get k j =
+  match Option.bind (member k j) get with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing or non-%s field %S" what k)
+
+let str_field = field "string" (function Str s -> Some s | _ -> None)
+let int_field = field "int" (function Int i -> Some i | _ -> None)
+let bool_field = field "bool" (function Bool b -> Some b | _ -> None)
+
+let float_field =
+  field "number" (function
+    | Float x -> Some x
+    | Int i -> Some (float_of_int i)
+    | _ -> None)
+
+let list_field = field "list" (function List l -> Some l | _ -> None)
+let obj_field = field "object" (function Obj o -> Some o | _ -> None)

@@ -33,3 +33,19 @@ val member : string -> t -> t option
 val equal : t -> t -> bool
 (** Structural equality; [Float] fields compare by bit pattern so that
     round-tripping can be tested exactly. *)
+
+(** {2 Field accessors}
+
+    Each reads field [k] of an [Obj].  [Error] names the field in one
+    wording shared by every report validator and loader:
+    [missing or non-int field "k"]. *)
+
+val str_field : string -> t -> (string, string) result
+val int_field : string -> t -> (int, string) result
+val bool_field : string -> t -> (bool, string) result
+
+val float_field : string -> t -> (float, string) result
+(** A number: an [Int] reads as its float. *)
+
+val list_field : string -> t -> (t list, string) result
+val obj_field : string -> t -> ((string * t) list, string) result

@@ -92,41 +92,23 @@ let sim_to_json s =
     | None -> []
     | Some t -> [ ("trace", trace_info_to_json t) ])
 
-(* Field accessors used by [sim_of_json]; each names the offending field
-   on failure so malformed BENCH files fail loudly in CI. *)
-let str_field j k =
-  match Json.member k j with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing or non-string field %S" k)
-
-let int_field j k =
-  match Json.member k j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing or non-int field %S" k)
-
-let float_field j k =
-  match Json.member k j with
-  | Some (Json.Float x) -> Ok x
-  | Some (Json.Int i) -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "missing or non-number field %S" k)
-
 let ( let* ) r f = Result.bind r f
 
 let level_of_json j =
-  let* lv_name = str_field j "name" in
-  let* lv_accesses = int_field j "accesses" in
-  let* lv_hits = int_field j "hits" in
-  let* lv_misses = int_field j "misses" in
-  let* lv_evictions = int_field j "evictions" in
+  let* lv_name = Json.str_field "name" j in
+  let* lv_accesses = Json.int_field "accesses" j in
+  let* lv_hits = Json.int_field "hits" j in
+  let* lv_misses = Json.int_field "misses" j in
+  let* lv_evictions = Json.int_field "evictions" j in
   Ok { lv_name; lv_accesses; lv_hits; lv_misses; lv_evictions }
 
 let trace_info_of_json j =
-  let* tr_executions = int_field j "executions" in
-  let* tr_length = int_field j "length" in
-  let* tr_chunks = int_field j "chunks" in
-  let* tr_bytes = int_field j "bytes" in
-  let* tr_record_seconds = float_field j "record_seconds" in
-  let* tr_replay_seconds = float_field j "replay_seconds" in
+  let* tr_executions = Json.int_field "executions" j in
+  let* tr_length = Json.int_field "length" j in
+  let* tr_chunks = Json.int_field "chunks" j in
+  let* tr_bytes = Json.int_field "bytes" j in
+  let* tr_record_seconds = Json.float_field "record_seconds" j in
+  let* tr_replay_seconds = Json.float_field "replay_seconds" j in
   Ok
     { tr_executions;
       tr_length;
@@ -136,27 +118,25 @@ let trace_info_of_json j =
       tr_replay_seconds }
 
 let sim_of_json j =
-  let* sim_label = str_field j "label" in
-  let* sim_machine = str_field j "machine" in
-  let* sim_quality = str_field j "quality" in
-  let* sim_flops = int_field j "flops" in
-  let* sim_instances = int_field j "instances" in
-  let* sim_accesses = int_field j "accesses" in
+  let* sim_label = Json.str_field "label" j in
+  let* sim_machine = Json.str_field "machine" j in
+  let* sim_quality = Json.str_field "quality" j in
+  let* sim_flops = Json.int_field "flops" j in
+  let* sim_instances = Json.int_field "instances" j in
+  let* sim_accesses = Json.int_field "accesses" j in
+  let* ls = Json.list_field "levels" j in
   let* levels =
-    match Json.member "levels" j with
-    | Some (Json.List ls) ->
-      List.fold_left
-        (fun acc l ->
-          let* acc = acc in
-          let* lv = level_of_json l in
-          Ok (lv :: acc))
-        (Ok []) ls
-      |> Result.map List.rev
-    | _ -> Error "missing or non-list field \"levels\""
+    List.fold_left
+      (fun acc l ->
+        let* acc = acc in
+        let* lv = level_of_json l in
+        Ok (lv :: acc))
+      (Ok []) ls
+    |> Result.map List.rev
   in
-  let* sim_cycles = float_field j "cycles" in
-  let* sim_mflops = float_field j "mflops" in
-  let* sim_seconds = float_field j "seconds" in
+  let* sim_cycles = Json.float_field "cycles" j in
+  let* sim_mflops = Json.float_field "mflops" j in
+  let* sim_seconds = Json.float_field "seconds" j in
   let* sim_trace =
     match Json.member "trace" j with
     | None -> Ok None
@@ -217,21 +197,16 @@ let solver_to_json s =
       ("cache_size", Json.Int s.so_cache_size);
       ("cache_enabled", Json.Bool s.so_cache_enabled) ]
 
-let bool_field j k =
-  match Json.member k j with
-  | Some (Json.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "missing or non-bool field %S" k)
-
 let solver_of_json j =
-  let* so_queries = int_field j "queries" in
-  let* so_splinters = int_field j "splinters" in
-  let* so_fuel_spent = int_field j "fuel_spent" in
-  let* so_unknowns = int_field j "unknowns" in
-  let* so_cache_hits = int_field j "cache_hits" in
-  let* so_cache_misses = int_field j "cache_misses" in
-  let* so_backing_hits = int_field j "backing_hits" in
-  let* so_cache_size = int_field j "cache_size" in
-  let* so_cache_enabled = bool_field j "cache_enabled" in
+  let* so_queries = Json.int_field "queries" j in
+  let* so_splinters = Json.int_field "splinters" j in
+  let* so_fuel_spent = Json.int_field "fuel_spent" j in
+  let* so_unknowns = Json.int_field "unknowns" j in
+  let* so_cache_hits = Json.int_field "cache_hits" j in
+  let* so_cache_misses = Json.int_field "cache_misses" j in
+  let* so_backing_hits = Json.int_field "backing_hits" j in
+  let* so_cache_size = Json.int_field "cache_size" j in
+  let* so_cache_enabled = Json.bool_field "cache_enabled" j in
   Ok
     { so_queries;
       so_splinters;
@@ -266,12 +241,12 @@ let diskcache_to_json d =
       ("dropped_bytes", Json.Int d.dc_dropped) ]
 
 let diskcache_of_json j =
-  let* dc_entries = int_field j "entries" in
-  let* dc_bytes = int_field j "bytes" in
-  let* dc_hits = int_field j "hits" in
-  let* dc_misses = int_field j "misses" in
-  let* dc_appended = int_field j "appended" in
-  let* dc_dropped = int_field j "dropped_bytes" in
+  let* dc_entries = Json.int_field "entries" j in
+  let* dc_bytes = Json.int_field "bytes" j in
+  let* dc_hits = Json.int_field "hits" j in
+  let* dc_misses = Json.int_field "misses" j in
+  let* dc_appended = Json.int_field "appended" j in
+  let* dc_dropped = Json.int_field "dropped_bytes" j in
   Ok { dc_entries; dc_bytes; dc_hits; dc_misses; dc_appended; dc_dropped }
 
 (* ------------------------------------------------------------------ *)

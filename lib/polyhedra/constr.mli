@@ -25,7 +25,7 @@ val normalize : t -> t
     floored (integer tightening).  An equality is divided only when the gcd
     divides its constant; otherwise it has no integer solution and is
     returned unchanged, so [2x = 1] and [4x = 2] stay distinct (the solver
-    refutes both, and {!Omega.canonical_key} keeps them apart).  A
+    refutes both, and {!Omega.digest} keeps them apart).  A
     constraint whose coefficients are all zero is returned unchanged. *)
 
 val dedupe : t list -> t list

@@ -27,9 +27,9 @@ let with_deadline ~until f =
 (* ------------------------------------------------------------------ *)
 
 (* An external verdict store behind the in-process memo: the disk-backed
-   legality cache of the shackled daemon plugs in here.  Keys are the
-   canonical system renderings, so an entry written by one process answers
-   another process's query.  Only exact verdicts may be stored — the same
+   legality cache of the shackled daemon plugs in here.  Keys are system
+   digests, so an entry written by one process answers another process's
+   query.  Only exact verdicts may be stored — the same
    soundness rule as the memo table. *)
 type backing = {
   bk_find : string -> bool option;
@@ -41,8 +41,7 @@ type backing = {
    the table is mutex-protected because legality checks fan out over
    domains.  Every query is charged to a context its caller created, so
    each pipeline, autotuner run, daemon and test sees only its own
-   statistics.  The budget fields are plain configuration, written before
-   (or between) queries. *)
+   statistics.  The budget is fixed when the context is created. *)
 module Ctx = struct
   type t = {
     queries : int Atomic.t;
@@ -50,16 +49,15 @@ module Ctx = struct
     hits : int Atomic.t;
     misses : int Atomic.t;
     fuel_spent : int Atomic.t;
-    peak_fuel : int Atomic.t;
     unknowns : int Atomic.t;
     backing_hits : int Atomic.t;
     backing : backing option; (* external verdict store (disk cache) *)
-    mutable fuel : int option; (* per-query work-unit cap *)
+    fuel : int option; (* per-query work-unit cap *)
     timeout_ms : int option; (* per-query wall-clock deadline *)
     cancel : (unit -> bool) option; (* cooperative cancellation *)
-    mutable starve_after : int option; (* fault injection: zero fuel from
-                                          this query index on *)
-    table : (string, bool) Hashtbl.t option; (* MD5 of memo_key's rows *)
+    starve_after : int option; (* fault injection: zero fuel from this
+                                  query index on *)
+    table : (string, bool) Hashtbl.t option; (* keyed by [digest] *)
     lock : Mutex.t;
   }
 
@@ -70,7 +68,6 @@ module Ctx = struct
       hits = Atomic.make 0;
       misses = Atomic.make 0;
       fuel_spent = Atomic.make 0;
-      peak_fuel = Atomic.make 0;
       unknowns = Atomic.make 0;
       backing_hits = Atomic.make 0;
       backing;
@@ -81,13 +78,9 @@ module Ctx = struct
       table = (if cache then Some (Hashtbl.create 1024) else None);
       lock = Mutex.create () }
 
-  let set_fuel t f = t.fuel <- f
-  let set_starve_after t s = t.starve_after <- s
-
   let queries t = Atomic.get t.queries
   let splinters t = Atomic.get t.splinters
   let fuel_spent t = Atomic.get t.fuel_spent
-  let peak_query_fuel t = Atomic.get t.peak_fuel
   let unknowns t = Atomic.get t.unknowns
   let cache_hits t = Atomic.get t.hits
   let cache_misses t = Atomic.get t.misses
@@ -665,59 +658,21 @@ and solve_ineqs ctx bgt dim ges =
       end
     end
 
-let rec add_digits buf n =
-  if n >= 10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
-
-(* Immediates are written digit by digit; the rare boxed value, [min_int]
-   included, through [B.to_string]. *)
-let add_bigint buf x =
-  match B.to_int_opt x with
-  | Some n when n > min_int ->
-    if n < 0 then Buffer.add_char buf '-';
-    add_digits buf (abs n)
-  | _ -> Buffer.add_string buf (B.to_string x)
-
-(* Canonical cache key: each constraint is normalized (gcd-divided,
-   integer-tightened) and rendered sparsely as kind + (index, coefficient)
-   pairs + constant; the renderings are sorted and deduplicated.  Two
-   systems that differ only in constraint order, duplicated constraints,
-   positive scaling, or trailing fresh variables (all-zero coefficients
-   render away) share a key, and satisfiability is invariant under all
-   four, so a cached verdict is exact.  This text is the disk cache's
-   content address; [decide] renders it only when it consults a backing
-   store, and keys its memo with [memo_key] below. *)
-let canonical_key s =
-  let buf = Buffer.create 64 in
-  let render (c : Constr.t) =
-    let c = Constr.normalize c in
-    Buffer.clear buf;
-    Buffer.add_char buf (match c.kind with Constr.Eq -> 'e' | Constr.Ge -> 'g');
-    Array.iteri
-      (fun i x ->
-        if not (B.is_zero x) then begin
-          Buffer.add_char buf ' ';
-          add_digits buf i;
-          Buffer.add_char buf ':';
-          add_bigint buf x
-        end)
-      (c.aff : Affine.t).coeffs;
-    Buffer.add_char buf '|';
-    add_bigint buf c.aff.const;
-    Buffer.contents buf
-  in
-  String.concat ";"
-    (List.sort_uniq String.compare (List.map render (System.constraints s)))
-
-(* The memo key: the same rows as [canonical_key], in a binary rendering.
+(* A system's identity, shared by the memo and the disk cache: the MD5 of
+   a binary rendering of its normalized rows.  Each row is gcd-divided
+   and integer-tightened by [prepare] and rendered sparsely; the
+   renderings are sorted and deduplicated.  Two systems that differ only
+   in constraint order, duplicated constraints, positive scaling, or
+   trailing fresh variables (all-zero coefficients render away) share a
+   digest, and satisfiability is invariant under all four, so a cached
+   verdict is exact.
    A value is written as the zigzag varint of its native [int]; zigzag
    sends only [min_int] to the all-ones code, and [min_int] is boxed, so
    that code, followed by the length and digits of [B.to_string], marks
    every boxed value.  A row is its kind, then per nonzero coefficient the
    varint of its index plus one, then a zero byte, then its constant; the
    encoding is prefix-free, so the sorted, deduplicated rows concatenate
-   without ambiguity.  Two systems therefore share a memo key exactly when
-   their [canonical_key]s are equal. *)
+   without ambiguity. *)
 let add_varint buf v =
   (* [v] read as an unsigned 63-bit number *)
   let v = ref v in
@@ -753,10 +708,12 @@ let row_bytes buf (c : Constr.t) =
   add_value buf c.aff.const;
   Buffer.contents buf
 
-let memo_key rows =
+let rows_digest rows =
   let buf = Buffer.create 64 in
   let rows = List.sort_uniq String.compare (List.map (row_bytes buf) rows) in
   Digest.string (String.concat "" rows)
+
+let digest s = rows_digest (prepare (System.constraints s)).rows
 
 (* One budgeted query on its prepared rows: build the per-query budget
    from the context's configuration (a starved query index forces fuel 0),
@@ -783,16 +740,7 @@ let solve_sys ctx ~query_index dim p =
       cancel = ctx.Ctx.cancel;
       tick = 0 }
   in
-  let account () =
-    ignore (Atomic.fetch_and_add ctx.Ctx.fuel_spent bgt.spent);
-    let rec bump () =
-      let peak = Atomic.get ctx.Ctx.peak_fuel in
-      if bgt.spent > peak then
-        if not (Atomic.compare_and_set ctx.Ctx.peak_fuel peak bgt.spent) then
-          bump ()
-    in
-    bump ()
-  in
+  let account () = ignore (Atomic.fetch_and_add ctx.Ctx.fuel_spent bgt.spent) in
   let first_level () =
     charge bgt 1;
     (not p.refuted) && solve_split ctx bgt dim p.eqs (Constr.dedupe p.ges)
@@ -812,33 +760,28 @@ let decide ~ctx s =
   match (ctx.Ctx.table, ctx.Ctx.backing) with
   | None, None -> solve_sys ctx ~query_index (System.dim s) p
   | table, backing -> (
-    (* The memo holds a 16-byte MD5 per distinct system a context ever
-       sees: text keys of a few hundred bytes once grew a daemon's memory
-       by a fifth. *)
-    let memo = Option.map (fun t -> (t, memo_key p.rows)) table in
+    (* One 16-byte digest addresses both stores: text keys of a few
+       hundred bytes once grew a daemon's memory by a fifth. *)
+    let digest = rows_digest p.rows in
     let memo_store sat =
-      match memo with
-      | None -> ()
-      | Some (t, digest) ->
-        Mutex.protect ctx.Ctx.lock (fun () ->
-            if not (Hashtbl.mem t digest) then Hashtbl.add t digest sat)
+      Option.iter
+        (fun t ->
+          Mutex.protect ctx.Ctx.lock (fun () ->
+              if not (Hashtbl.mem t digest) then Hashtbl.add t digest sat))
+        table
     in
     let cached =
-      match memo with
-      | None -> None
-      | Some (t, digest) ->
-        Mutex.protect ctx.Ctx.lock (fun () -> Hashtbl.find_opt t digest)
+      Option.bind table (fun t ->
+          Mutex.protect ctx.Ctx.lock (fun () -> Hashtbl.find_opt t digest))
     in
     match cached with
     | Some sat ->
       Atomic.incr ctx.Ctx.hits;
       if sat then Sat else Unsat
     | None -> (
-      (* the external store sits behind the memo and is addressed by the
-         text key, rendered only here; a disk hit fills the in-process
-         table so the next repeat is a memory lookup *)
-      let stored = Option.map (fun b -> (b, canonical_key s)) backing in
-      match Option.bind stored (fun (b, key) -> b.bk_find key) with
+      (* the external store sits behind the memo; a disk hit fills the
+         in-process table so the next repeat is a memory lookup *)
+      match Option.bind backing (fun b -> b.bk_find digest) with
       | Some sat ->
         Atomic.incr ctx.Ctx.backing_hits;
         memo_store sat;
@@ -852,7 +795,7 @@ let decide ~ctx s =
         | Sat | Unsat ->
           let sat = v = Sat in
           memo_store sat;
-          (match stored with Some (b, key) -> b.bk_store key sat | None -> ())
+          Option.iter (fun b -> b.bk_store digest sat) backing
         | Unknown _ ->
           (* an exhausted query is not a verdict: caching it would launder
              "gave up" into an exact answer on the next lookup *)

@@ -37,19 +37,20 @@ type backing = {
 (** An external verdict store consulted behind the in-process memo table
     and filled on every fresh exact verdict — the hook the shackled
     daemon's persistent on-disk legality cache plugs into.  Keys are the
-    {!canonical_key} renderings, so entries are shareable across
-    processes, CI runs and restarts.  Implementations must be domain-safe
-    and must store only exact verdicts (the [bool] is [Sat]/[Unsat];
-    {!Unknown} never reaches the store). *)
+    16-byte {!digest}s, so entries are shareable across processes, CI
+    runs and restarts.  Implementations must be domain-safe and must
+    store only exact verdicts (the [bool] is [Sat]/[Unsat]; {!Unknown}
+    never reaches the store). *)
 
-val canonical_key : System.t -> string
-(** The canonical rendering of a system used as its cache identity: each
-    constraint gcd-normalized, integer-tightened and rendered sparsely,
-    the renderings sorted and deduplicated.  Invariant under constraint
-    order, duplication, positive scaling and trailing fresh variables —
-    two systems with equal keys have identical satisfiability.  This is
-    the content address the on-disk cache digests; {!decide} renders it
-    only when a memo miss consults a {!backing} store. *)
+val digest : System.t -> string
+(** A system's cache identity: the 16-byte MD5 of a binary rendering of
+    its constraints, each gcd-normalized, integer-tightened and rendered
+    sparsely, the renderings sorted and deduplicated.  Invariant under
+    constraint order, duplication, positive scaling and trailing fresh
+    variables — two systems with equal digests have identical
+    satisfiability.  The memo table and the {!backing} store are both
+    keyed by it; {!decide} computes it once per query on a context that
+    has either. *)
 
 (** Explicit solver contexts: per-context query/splinter/budget counters and
     an optional memo cache over canonicalized systems.
@@ -57,18 +58,13 @@ val canonical_key : System.t -> string
     The autotuner asks near-identical legality questions across hundreds of
     candidate shackles (products share factors, factors share dependence
     systems), so a context created with [~cache:true] answers repeats from
-    the table and records hit/miss statistics.  Keys are canonical — each
-    constraint normalized and rendered sparsely, the renderings sorted and
-    deduplicated — so systems differing only in constraint order,
-    duplication, scaling, or trailing fresh variables share an entry, and a
-    cached verdict is exact: {!Unknown} results are never stored.  The
-    table stores the MD5 digest of a binary rendering of the same
-    normalized rows that {!canonical_key} renders as text, so two systems
-    share an entry exactly when their {!canonical_key}s are equal, and an
-    entry costs 16 bytes of key however large the system.  The text itself
-    is rendered only on a memo miss on a context with a {!backing} store,
-    which it addresses.  All state is domain-safe: counters are atomic, the
-    table mutex-protected. *)
+    the table and records hit/miss statistics.  Keys are {!digest}s, so
+    systems differing only in constraint order, duplication, scaling, or
+    trailing fresh variables share an entry, an entry costs 16 bytes of
+    key however large the system, and a cached verdict is exact:
+    {!Unknown} results are never stored.  Budgets are fixed when a
+    context is created.  All state is domain-safe: counters are atomic,
+    the table mutex-protected. *)
 module Ctx : sig
   type t
 
@@ -95,11 +91,6 @@ module Ctx : sig
         on this context is [>= starve_after] — a deterministic fault-injection
         hook for testing degradation paths. *)
 
-  val set_fuel : t -> int option -> unit
-  val set_starve_after : t -> int option -> unit
-  (** Budget fields are plain configuration: adjust them between queries
-      (e.g. lift a starved budget to re-decide exactly). *)
-
   val queries : t -> int
   (** Satisfiability queries answered (cache hits included). *)
 
@@ -108,10 +99,6 @@ module Ctx : sig
 
   val fuel_spent : t -> int
   (** Total solver work units charged across all queries. *)
-
-  val peak_query_fuel : t -> int
-  (** The largest fuel a single query spent — the number to compare against
-      a [fuel] cap when sizing budgets. *)
 
   val unknowns : t -> int
   (** Queries that gave up ({!Unknown}) — the budget-exhaustion counter. *)

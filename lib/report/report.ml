@@ -1,8 +1,9 @@
 (* The schema registry: one version reader and one validator for every
-   JSON artifact the tools write.  Writers live next to the types they
+   JSON artifact the tools write, and the one path by which report files
+   are written and read.  The documents are built next to the types they
    serialize (tune, fuzz driver, daemon, bench) and stamp their tag from
-   the constants below; this module owns only the contract, so
-   `--check-json` in shacklec, bench and fuzz is one implementation. *)
+   the constants below; every `--json` writes through [write] and every
+   `--check-json` reads through [read]. *)
 
 module Json = Observe.Json
 module Metrics = Observe.Metrics
@@ -22,39 +23,39 @@ let ( let* ) = Result.bind
 (* Field helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let str_field k j =
-  match Json.member k j with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing or non-string field %S" k)
+let all f l = List.fold_left (fun acc x -> let* () = acc in f x) (Ok ()) l
+let within what r = Result.map_error (fun e -> what ^ ": " ^ e) r
+let present get k j = Result.map ignore (get k j)
+let has_str = present Json.str_field
+let has_int = present Json.int_field
+let has_num = present Json.float_field
+let has_list = present Json.list_field
+let all_int_fields ks j = all (fun k -> has_int k j) ks
 
-let int_field k j =
-  match Json.member k j with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing or non-int field %S" k)
-
-let bool_field k j =
-  match Json.member k j with
-  | Some (Json.Bool _) -> Ok ()
-  | _ -> Error (Printf.sprintf "missing or non-bool field %S" k)
+(* Every element of [l] passes every check; an error names the row kind. *)
+let each what checks l =
+  within what (all (fun x -> all (fun check -> check x) checks) l)
 
 let int_or_null_field k j =
   match Json.member k j with
   | Some (Json.Int _ | Json.Null) -> Ok ()
   | _ -> Error (Printf.sprintf "field %S must be an int or null" k)
 
-let list_field k j =
+(* An object of int values, such as a count per error code. *)
+let int_values k j =
+  let* o = Json.obj_field k j in
+  all
+    (fun (name, v) ->
+      match v with
+      | Json.Int _ -> Ok ()
+      | _ -> Error (Printf.sprintf "%s: non-int value for %S" k name))
+    o
+
+(* A field that holds one of Metrics' objects. *)
+let has_metrics of_json k j =
   match Json.member k j with
-  | Some (Json.List l) -> Ok l
-  | _ -> Error (Printf.sprintf "missing or non-list field %S" k)
-
-let obj_field k j =
-  match Json.member k j with
-  | Some (Json.Obj o) -> Ok o
-  | _ -> Error (Printf.sprintf "missing or non-object field %S" k)
-
-let all f l = List.fold_left (fun acc x -> let* () = acc in f x) (Ok ()) l
-
-let all_int_fields ks j = all (fun k -> Result.map ignore (int_field k j)) ks
+  | Some x -> Result.map ignore (of_json x)
+  | None -> Error (Printf.sprintf "missing field %S" k)
 
 (* ------------------------------------------------------------------ *)
 (* Version                                                             *)
@@ -64,48 +65,29 @@ let version j =
   match Json.member "schema" j with
   | Some (Json.Str s) -> Ok s
   | Some _ -> Error "\"schema\" must be a string"
-  | None -> (
-    match Json.member "schema_version" j with
-    | Some (Json.Int v) -> Ok (Printf.sprintf "bench/%d" v)
-    | Some _ -> Error "\"schema_version\" must be an integer"
-    | None -> Error "no \"schema\" or \"schema_version\" field — not a report")
+  | None -> Error "no \"schema\" field — not a report"
 
 (* ------------------------------------------------------------------ *)
 (* Per-family validators                                               *)
 (* ------------------------------------------------------------------ *)
 
 let check_tune j =
-  let* _ = str_field "kernel" j in
-  let* counts =
-    match Json.member "counts" j with
-    | Some (Json.Obj _ as c) -> Ok c
-    | _ -> Error "missing or non-object field \"counts\""
-  in
+  let* () = has_str "kernel" j in
+  let* counts = Json.obj_field "counts" j in
   let* () =
-    all_int_fields
-      [ "enumerated"; "pruned"; "illegal"; "unknown"; "legal"; "variants";
-        "pruned_by_bound" ]
-      counts
-    |> Result.map_error (fun e -> "counts: " ^ e)
+    within "counts"
+      (all_int_fields
+         [ "enumerated"; "pruned"; "illegal"; "unknown"; "legal"; "variants";
+           "pruned_by_bound" ]
+         (Json.Obj counts))
   in
+  let* () = has_metrics Metrics.solver_of_json "solver" j in
+  let* () = has_int "solves_per_sweep" j in
+  let* table = Json.list_field "table" j in
   let* () =
-    match Json.member "solver" j with
-    | Some s -> Result.map ignore (Metrics.solver_of_json s)
-    | None -> Error "missing field \"solver\""
-  in
-  let* _ = int_field "solves_per_sweep" j in
-  let* table = list_field "table" j in
-  let* () =
-    all
-      (fun row ->
-        let* () =
-          match (Json.member "spec" row, Json.member "cycles" row) with
-          | Some (Json.Str _), Some (Json.Float _ | Json.Int _) -> Ok ()
-          | _ -> Error "table row: missing \"spec\" or \"cycles\""
-        in
-        match (Json.member "lower_bounds" row, Json.member "headroom" row) with
-        | Some (Json.List _), Some (Json.List _) -> Ok ()
-        | _ -> Error "table row: missing \"lower_bounds\" or \"headroom\"")
+    each "table row"
+      [ has_str "spec"; has_num "cycles"; has_list "lower_bounds";
+        has_list "headroom" ]
       table
   in
   let* () =
@@ -113,34 +95,15 @@ let check_tune j =
     | Some (Json.Str _ | Json.Null) -> Ok ()
     | _ -> Error "missing field \"best\""
   in
-  let* failures = list_field "failures" j in
+  let* failures = Json.list_field "failures" j in
+  let* () = each "failure row" [ has_str "spec"; has_str "reason" ] failures in
+  let* bound_pruned = Json.list_field "bound_pruned" j in
   let* () =
-    all
-      (fun row ->
-        match (Json.member "spec" row, Json.member "reason" row) with
-        | Some (Json.Str _), Some (Json.Str _) -> Ok ()
-        | _ -> Error "failure row: missing \"spec\" or \"reason\"")
-      failures
-  in
-  let* bound_pruned = list_field "bound_pruned" j in
-  let* () =
-    all
-      (fun row ->
-        match
-          ( Json.member "spec" row,
-            Json.member "lower_bound_cycles" row,
-            Json.member "incumbent_cycles" row )
-        with
-        | ( Some (Json.Str _),
-            Some (Json.Float _ | Json.Int _),
-            Some (Json.Float _ | Json.Int _) ) -> Ok ()
-        | _ ->
-          Error
-            "bound_pruned row: missing \"spec\", \"lower_bound_cycles\" or \
-             \"incumbent_cycles\"")
+    each "bound_pruned row"
+      [ has_str "spec"; has_num "lower_bound_cycles"; has_num "incumbent_cycles" ]
       bound_pruned
   in
-  let* n = int_field "pruned_by_bound" counts in
+  let* n = Json.int_field "pruned_by_bound" (Json.Obj counts) in
   let* () =
     if n = List.length bound_pruned then Ok ()
     else
@@ -149,7 +112,7 @@ let check_tune j =
            "counts.pruned_by_bound is %d but bound_pruned has %d rows" n
            (List.length bound_pruned))
   in
-  let* metrics = list_field "metrics" j in
+  let* metrics = Json.list_field "metrics" j in
   all (fun m -> Result.map ignore (Metrics.sim_of_json m)) metrics
 
 (* Mirrors Oracle.kind_string; duplicated here so report depends only on
@@ -159,96 +122,67 @@ let fuzz_kinds =
     "stage"; "bound"; "crash"; "timeout" ]
 
 let check_fuzz_failure row =
-  let* kind = str_field "kind" row in
+  let* kind = Json.str_field "kind" row in
   let* () =
     if List.mem kind fuzz_kinds then Ok ()
     else Error (Printf.sprintf "failure row: unknown kind %S" kind)
   in
-  let* _ = int_field "seed" row in
-  let* _ = str_field "detail" row in
-  let* _ = str_field "repro" row in
-  bool_field "injected" row
+  all
+    (fun check -> check row)
+    [ has_int "seed"; has_str "detail"; has_str "repro";
+      present Json.bool_field "injected" ]
+
+(* The campaign configuration a fuzz report and a checkpoint meta share. *)
+let check_campaign j =
+  let* () = all_int_fields [ "first_seed"; "seeds" ] j in
+  let* () = present Json.bool_field "quick" j in
+  let* () = int_or_null_field "timeout_ms" j in
+  let* () = int_or_null_field "fuel" j in
+  has_str "inject" j
 
 let check_fuzz j =
   let* () =
     all_int_fields
-      [ "first_seed"; "seeds"; "specs"; "legal_specs"; "verified"; "skipped";
-        "tune_checked"; "par_checked"; "wire_checked"; "stage_checked";
-        "bound_checked"; "chaos_checked"; "gave_up" ]
+      [ "specs"; "legal_specs"; "verified"; "skipped"; "tune_checked";
+        "par_checked"; "wire_checked"; "stage_checked"; "bound_checked";
+        "chaos_checked"; "gave_up" ]
       j
   in
-  let* () = bool_field "quick" j in
-  let* () = int_or_null_field "timeout_ms" j in
-  let* () = int_or_null_field "fuel" j in
-  let* _ = str_field "inject" j in
-  let* failures = list_field "failures" j in
+  let* () = check_campaign j in
+  let* failures = Json.list_field "failures" j in
   all check_fuzz_failure failures
 
-let check_fuzz_checkpoint j =
-  let* () = all_int_fields [ "first_seed"; "seeds" ] j in
-  let* () = bool_field "quick" j in
-  let* () = int_or_null_field "timeout_ms" j in
-  let* () = int_or_null_field "fuel" j in
-  Result.map ignore (str_field "inject" j)
-
-let num_field k j =
-  match Json.member k j with
-  | Some (Json.Float _ | Json.Int _) -> Ok ()
-  | _ -> Error (Printf.sprintf "missing or non-numeric field %S" k)
-
-let check_int_obj what = function
-  | Json.Obj fields ->
-    all
-      (fun (k, v) ->
-        match v with
-        | Json.Int _ -> Ok ()
-        | _ -> Error (Printf.sprintf "%s: non-int count for %S" what k))
-      fields
-  | _ -> Error (Printf.sprintf "%s must be an object" what)
-
-(* One latency-series object: count plus the percentile ladder. *)
-let check_series what s =
-  let* () =
-    Result.map_error (fun e -> what ^ ": " ^ e) (Result.map ignore (int_field "count" s))
-  in
-  all
-    (fun k -> Result.map_error (fun e -> what ^ ": " ^ e) (num_field k s))
-    [ "p50_ms"; "p99_ms"; "p999_ms"; "max_ms"; "mean_ms" ]
-
+(* One latency-series object per op: count plus the percentile ladder. *)
 let check_ops what j =
-  match Json.member "ops" j with
-  | Some (Json.Obj ops) ->
-    all (fun (op, s) -> check_series (what ^ " op " ^ op) s) ops
-  | _ -> Error (Printf.sprintf "%s: missing or non-object field \"ops\"" what)
-
-let check_server_obj server =
-  let* () =
-    all_int_fields
-      [ "requests"; "errors"; "batch_collapses"; "connections"; "shed";
-        "evicted" ]
-      server
-    |> Result.map_error (fun e -> "server: " ^ e)
-  in
-  let* () =
-    match Json.member "error_codes" server with
-    | Some ec -> check_int_obj "server.error_codes" ec
-    | None -> Error "server: missing field \"error_codes\""
-  in
-  check_ops "server" server
+  let* ops = within what (Json.obj_field "ops" j) in
+  all
+    (fun (op, s) ->
+      within (what ^ " op " ^ op)
+        (let* () = has_int "count" s in
+         all
+           (fun k -> has_num k s)
+           [ "p50_ms"; "p99_ms"; "p999_ms"; "max_ms"; "mean_ms" ]))
+    ops
 
 let check_shackled_stats j =
-  let* server = obj_field "server" j in
-  let* () = check_server_obj (Json.Obj server) in
+  let* server = Json.obj_field "server" j in
+  let server = Json.Obj server in
   let* () =
-    match Json.member "solver" j with
-    | Some s -> Result.map ignore (Metrics.solver_of_json s)
-    | None -> Error "missing field \"solver\""
+    within "server"
+      (let* () =
+         all_int_fields
+           [ "requests"; "errors"; "batch_collapses"; "connections"; "shed";
+             "evicted" ]
+           server
+       in
+       int_values "error_codes" server)
   in
-  let* _ = int_field "solves" j in
+  let* () = check_ops "server" server in
+  let* () = has_metrics Metrics.solver_of_json "solver" j in
+  let* () = has_int "solves" j in
   match Json.member "diskcache" j with
   | Some Json.Null -> Ok ()
-  | Some dc -> Result.map ignore (Metrics.diskcache_of_json dc)
-  | None -> Error "missing field \"diskcache\""
+  | _ -> has_metrics Metrics.diskcache_of_json "diskcache" j
 
 let check_server_load j =
   let* () =
@@ -257,68 +191,52 @@ let check_server_load j =
         "deadline_exceeded" ]
       j
   in
+  let* () = int_values "errors" j in
+  let* chaos = Json.obj_field "chaos" j in
   let* () =
-    match Json.member "errors" j with
-    | Some e -> check_int_obj "errors" e
-    | None -> Error "missing field \"errors\""
-  in
-  let* chaos = obj_field "chaos" j in
-  let* () =
-    all_int_fields [ "stalls"; "partial_writes"; "disconnects" ] (Json.Obj chaos)
-    |> Result.map_error (fun e -> "chaos: " ^ e)
+    within "chaos"
+      (all_int_fields
+         [ "stalls"; "partial_writes"; "disconnects" ]
+         (Json.Obj chaos))
   in
   let* () = check_ops "load" j in
   let check_phase k =
     match Json.member k j with
     | Some Json.Null -> Ok ()
     | Some phase ->
-      let* () =
-        num_field "duration_ms" phase
-        |> Result.map_error (fun e -> k ^ ": " ^ e)
-      in
-      all_int_fields [ "disk_hits"; "solves" ] phase
-      |> Result.map_error (fun e -> k ^ ": " ^ e)
+      within k
+        (let* () = has_num "duration_ms" phase in
+         all_int_fields [ "disk_hits"; "solves" ] phase)
     | None -> Error (Printf.sprintf "missing field %S (object or null)" k)
   in
   let* () = check_phase "cold" in
   check_phase "warm"
 
 let check_shackled_cache j =
-  let* _ = str_field "file" j in
+  let* () = has_str "file" j in
   all_int_fields [ "entries"; "bytes"; "dropped_bytes" ] j
 
 let check_bounds j =
-  let* _ = str_field "kernel" j in
-  let* params = obj_field "params" j in
+  let* () = has_str "kernel" j in
+  let* () = int_values "params" j in
+  let* stmts = Json.list_field "stmts" j in
   let* () =
-    all
-      (fun (k, v) ->
-        match v with
-        | Json.Int _ -> Ok ()
-        | _ -> Error (Printf.sprintf "params: non-int value for %S" k))
-      params
-  in
-  let* stmts = list_field "stmts" j in
-  let* () =
-    all
-      (fun s ->
-        let* _ = str_field "label" s in
-        let* _ = str_field "sigma" s in
-        all_int_fields [ "depth"; "iterations" ] s)
+    each "stmt"
+      [ has_str "label"; has_str "sigma"; has_int "depth"; has_int "iterations" ]
       stmts
   in
-  let* _ = int_field "distinct" j in
-  let* machines = obj_field "machines" j in
+  let* () = has_int "distinct" j in
+  let* machines = Json.obj_field "machines" j in
   all
     (fun (m, levels) ->
-      match levels with
-      | Json.Obj lvs ->
-        all
-          (fun (_, lv) ->
-            all_int_fields [ "misses"; "compulsory"; "windowed"; "phase" ] lv
-            |> Result.map_error (fun e -> Printf.sprintf "machine %S: %s" m e))
-          lvs
-      | _ -> Error (Printf.sprintf "machine %S: levels must be an object" m))
+      within (Printf.sprintf "machine %S" m)
+        (match levels with
+        | Json.Obj lvs ->
+          all
+            (fun (_, lv) ->
+              all_int_fields [ "misses"; "compulsory"; "windowed"; "phase" ] lv)
+            lvs
+        | _ -> Error "levels must be an object"))
     machines
 
 let check_bench j =
@@ -330,19 +248,15 @@ let check_bench j =
   all
     (fun fig ->
       match (Json.member "id" fig, Json.member "rows" fig) with
-      | Some (Json.Str id), Some (Json.List rows) ->
-        if rows = [] then Error ("figure " ^ id ^ " has no rows")
-        else
-          let* ms =
-            list_field "metrics" fig
-            |> Result.map_error (fun _ -> "figure " ^ id ^ " lacks a metrics list")
-          in
-          all
-            (fun m ->
-              Metrics.sim_of_json m
-              |> Result.map ignore
-              |> Result.map_error (fun e -> "figure " ^ id ^ ": bad metrics: " ^ e))
-            ms
+      | Some (Json.Str id), Some (Json.List (_ :: _)) ->
+        let* ms =
+          Json.list_field "metrics" fig
+          |> Result.map_error (fun _ -> "figure " ^ id ^ " lacks a metrics list")
+        in
+        within ("figure " ^ id ^ ": bad metrics")
+          (all (fun m -> Result.map ignore (Metrics.sim_of_json m)) ms)
+      | Some (Json.Str id), Some (Json.List []) ->
+        Error ("figure " ^ id ^ " has no rows")
       | _ -> Error "figure lacks a string id or a rows list")
     figs
 
@@ -355,7 +269,7 @@ let check j =
   let* () =
     if String.equal tag tune_report then check_tune j
     else if String.equal tag fuzz_report then check_fuzz j
-    else if String.equal tag fuzz_checkpoint then check_fuzz_checkpoint j
+    else if String.equal tag fuzz_checkpoint then check_campaign j
     else if String.equal tag shackled_stats then check_shackled_stats j
     else if String.equal tag shackled_cache_report then check_shackled_cache j
     else if String.equal tag bounds_report then check_bounds j
@@ -364,3 +278,26 @@ let check j =
     else Error (Printf.sprintf "unknown report schema %S" tag)
   in
   Ok tag
+
+(* ------------------------------------------------------------------ *)
+(* Report files                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let write path doc =
+  match check doc with
+  | Error e ->
+    Error (Printf.sprintf "refusing to write %s: schema error: %s" path e)
+  | Ok _ -> (
+    match
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (Json.to_string ~pretty:true doc);
+          Out_channel.output_char oc '\n')
+    with
+    | () -> Ok ()
+    | exception Sys_error e -> Error e)
+
+let read path =
+  let* text = within path (Cli.read_file path) in
+  let* doc = within path (Json.of_string text) in
+  let* tag = within path (within "schema error" (check doc)) in
+  Ok (tag, doc)

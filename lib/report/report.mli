@@ -1,20 +1,16 @@
-(** One home for every JSON report schema the tools emit.
+(** One home for every JSON report schema the tools emit, and the one
+    path by which report files are written and read.
 
     Every artifact this repo writes — tune reports, fuzz campaign reports
     and checkpoint metas, daemon stats, disk-cache reports, bounds
-    reports, bench trajectories — carries a schema tag, and every
-    [--check-json] flag used to carry its own hand-rolled validator next
-    to the writer.  This module is the single registry: one {!check}
-    that reads a document's tag and validates the document against the
-    current schema of its family.  The writers stay where they are, next
-    to the types they serialize, and stamp their tag from the constants
-    below; what is shared is the contract.
-
-    Tagging convention: every report is an object with either a
-    ["schema"] string field ([<family>/<version>], e.g. [tune-report/6])
-    or — for bench trajectories, which predate the convention — an
-    integer ["schema_version"], surfaced here as the synthetic tag
-    [bench/1]. *)
+    reports, bench trajectories — is an object whose ["schema"] string
+    field carries its tag, [<family>/<version>] (e.g. [tune-report/6]).
+    This module is the single registry: one {!check} that reads a
+    document's tag and validates the document against the current schema
+    of its family.  The documents are built next to the types they
+    serialize and stamp their tag from the constants below; every
+    [--json] flag writes through {!write} and every [--check-json] reads
+    through {!read}, pinning the family it expects. *)
 
 val tune_report : string
 (** ["tune-report/6"] — [shacklec tune --json]. *)
@@ -41,7 +37,8 @@ val server_load_report : string
     comparison. *)
 
 val bench : string
-(** ["bench/1"] — bench trajectory envelopes ([BENCH_*.json]). *)
+(** ["bench/1"] — bench trajectory envelopes ([BENCH_*.json]): [bench
+    --json]. *)
 
 val check : Observe.Json.t -> (string, string) result
 (** Structurally validate against the current schema for the document's
@@ -49,3 +46,14 @@ val check : Observe.Json.t -> (string, string) result
     they validated and gate on the family they expect.  Only current
     versions validate: any other tag, an older version of a known family
     included, is [Error "unknown report schema ..."]. *)
+
+val write : string -> Observe.Json.t -> (unit, string) result
+(** [write path doc] {!check}s [doc], then writes it to [path] as pretty
+    JSON plus a newline.  An invalid document is refused and nothing is
+    written; [Error] names the file and the first schema error, or
+    carries the system's message when the file cannot be written. *)
+
+val read : string -> (string * Observe.Json.t, string) result
+(** [read path] reads, parses and {!check}s the file, and returns its tag
+    and document.  [Error] names the file: it is missing or unreadable,
+    not JSON, or fails its schema. *)

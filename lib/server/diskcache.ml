@@ -8,7 +8,7 @@
 
 let filename = "legality.cache"
 let quarantine_suffix = ".quarantine"
-let header = "shackle-cache/1\n"
+let header = "shackle-cache/2\n"
 let record_bytes = 22
 let tag = '\xA5'
 
@@ -165,7 +165,7 @@ let open_dir dir =
      && not (String.equal (String.sub raw 0 (String.length header)) header)
   then
     failwith
-      (Printf.sprintf "%s: not a shackle-cache/1 file (refusing to clobber)"
+      (Printf.sprintf "%s: not a shackle-cache/2 file (refusing to clobber)"
          path);
   (* Scan every record boundary.  A span that fails to parse is skipped by
      resynchronizing on the next offset where a whole valid record starts;
@@ -252,16 +252,21 @@ let close t =
 let file t = t.path
 let quarantine_file t = t.path ^ quarantine_suffix
 
-let find t key =
-  let digest = Digest.string key in
+(* Keys are the solver's 16-byte system digests, stored as given. *)
+let check_digest fn digest =
+  if String.length digest <> 16 then
+    invalid_arg (Printf.sprintf "Diskcache.%s: a key is a 16-byte digest" fn)
+
+let find t digest =
+  check_digest "find" digest;
   let r = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.table digest) in
   (match r with
   | Some _ -> Atomic.incr t.n_hits
   | None -> Atomic.incr t.n_misses);
   r
 
-let add t key verdict =
-  let digest = Digest.string key in
+let add t digest verdict =
+  check_digest "add" digest;
   Mutex.protect t.lock (fun () ->
       if not (Hashtbl.mem t.table digest) then begin
         Hashtbl.replace t.table digest verdict;
@@ -309,10 +314,10 @@ let quarantined_spans t = t.n_quarantined_spans
 (* Crash injection: write a prefix of a record, fsync, and abandon the
    handle — the on-disk image is exactly what a kill -9 between the two
    halves of a non-atomic append leaves behind. *)
-let add_torn t key verdict ~keep =
+let add_torn t digest verdict ~keep =
+  check_digest "add_torn" digest;
   if keep < 0 || keep >= record_bytes then
     invalid_arg "Diskcache.add_torn: keep must be in [0, record_bytes)";
-  let digest = Digest.string key in
   Mutex.protect t.lock (fun () ->
       match t.fd with
       | None -> invalid_arg "Diskcache.add_torn: closed handle"

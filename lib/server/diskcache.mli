@@ -3,13 +3,13 @@
     memo table.
 
     One append-only file ([legality.cache] in the cache directory) holds
-    fixed-size records, each the MD5 digest of a canonical constraint
-    system ({!Polyhedra.Omega.canonical_key}) plus its exact verdict,
-    guarded by a CRC32:
+    fixed-size records, each the 16-byte digest of a constraint system
+    ({!Polyhedra.Omega.digest}, the key the solver's memo uses) plus its
+    exact verdict, guarded by a CRC32:
 
     {v
       file   := header record*
-      header := "shackle-cache/1\n"            (16 bytes)
+      header := "shackle-cache/2\n"            (16 bytes)
       record := 0xA5 digest[16] verdict crc32  (22 bytes)
                 verdict: 0x00 = unsat, 0x01 = sat
                 crc32:   big-endian, over the first 18 bytes
@@ -43,7 +43,9 @@ val open_dir : string -> t
     and is never rotated: it grows by one record per new verdict until
     {!compact} rewrites it.
     @raise Failure if the file exists but its header is not
-    ["shackle-cache/1\n"] — a foreign file is never silently clobbered. *)
+    ["shackle-cache/2\n"] — a foreign file, a [shackle-cache/1] file
+    (keyed by digests of an older text rendering, which can never hit)
+    included, is never silently clobbered. *)
 
 val close : t -> unit
 
@@ -55,12 +57,13 @@ val quarantine_file : t -> string
     once corruption has been seen. *)
 
 val find : t -> string -> bool option
-(** Look up a canonical-system key (digested internally); counts a hit or
-    a miss. *)
+(** Look up a 16-byte system digest; counts a hit or a miss.
+    @raise Invalid_argument on a key of any other length. *)
 
 val add : t -> string -> bool -> unit
-(** Append the verdict for a key (no-op if the digest is already present)
-    and fsync. *)
+(** Append the verdict for a 16-byte digest (no-op if it is already
+    present) and fsync.
+    @raise Invalid_argument on a key of any other length. *)
 
 val compact : t -> int * int
 (** Rewrite the file as header + one record per live entry in stable
@@ -96,6 +99,7 @@ val quarantined_spans : t -> int
 
 val add_torn : t -> string -> bool -> keep:int -> unit
 (** Crash-injection hook for recovery tests: append only the first [keep]
-    bytes of the record (0 <= keep < {!record_bytes}), fsync, and mark the
+    bytes of the record for a 16-byte digest
+    (0 <= keep < {!record_bytes}), fsync, and mark the
     handle closed as a kill -9 mid-write would.  The next {!open_dir} must
     drop exactly the torn tail. *)

@@ -870,16 +870,6 @@ let report_to_json rp =
              rp.rp_bound_pruned));
       ("metrics", Json.List (List.map Metrics.sim_to_json rp.rp_metrics)) ]
 
-(* Structural validation for `shacklec tune --check-json` and CI: the
-   shared registry does the work; this wrapper only pins the family, so a
-   valid fuzz report handed to `tune --check-json` still fails. *)
-let check_report_json j =
-  let ( let* ) = Result.bind in
-  let* tag = Report.check j in
-  if String.equal tag Report.tune_report then Ok ()
-  else
-    Error (Printf.sprintf "schema %S, expected %S" tag Report.tune_report)
-
 (* ------------------------------------------------------------------ *)
 (* Terminal table                                                      *)
 (* ------------------------------------------------------------------ *)

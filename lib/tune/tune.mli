@@ -171,7 +171,4 @@ val report_to_json : report -> Observe.Json.t
     outside ["timing"], ["metrics"] and the echoed ["domains"] is
     byte-identical across runs and across [domains]. *)
 
-val check_report_json : Observe.Json.t -> (unit, string) result
-(** Structural validation of a serialized report ([--check-json]). *)
-
 val pp_report : Format.formatter -> report -> unit

@@ -285,12 +285,36 @@ let test_omega_implies () =
   Alcotest.(check bool) "implies x+y>=4" true
     (implies s (C.ge (aff [ 1; 1; 0 ] (-4))))
 
-(* Each shackle-cache/1 record stores the MD5 of this text, so a change in
-   rendering would turn every existing cache file into misses.  The literal
-   pins negative, multi-digit and wider-than-62-bit coefficients (including
-   min_int and max_int), gcd normalization, and the dedupe of a scaled
-   copy. *)
-let test_canonical_key_pinned () =
+(* The decimal rendering the disk cache was addressed by before it
+   stored system digests, kept as the reference a digest must split
+   like: each constraint normalized and rendered sparsely as kind +
+   (index, coefficient) pairs + constant, the renderings sorted and
+   deduplicated. *)
+let reference_key s =
+  let render (c : C.t) =
+    let c = C.normalize c in
+    let terms =
+      List.concat
+        (List.mapi
+           (fun i x ->
+             if B.is_zero x then []
+             else [ Printf.sprintf " %d:%s" i (B.to_string x) ])
+           (Array.to_list c.C.aff.A.coeffs))
+    in
+    Printf.sprintf "%c%s|%s"
+      (match c.C.kind with C.Eq -> 'e' | C.Ge -> 'g')
+      (String.concat "" terms)
+      (B.to_string c.C.aff.A.const)
+  in
+  String.concat ";"
+    (List.sort_uniq String.compare (List.map render (S.constraints s)))
+
+(* Each shackle-cache/2 record stores this digest, so a change in the
+   rendering would turn every existing cache file into misses.  The
+   system pins negative, multi-digit and wider-than-62-bit coefficients
+   (including min_int and max_int), gcd normalization, and the dedupe of
+   a scaled copy; the reference text shows what the digest covers. *)
+let test_system_digest_pinned () =
   let form coeffs const =
     A.make (Array.of_list (List.map B.of_string coeffs)) (B.of_string const)
   in
@@ -307,12 +331,14 @@ let test_canonical_key_pinned () =
         C.ge (form [ "0"; "4611686018427387903"; "-2" ] "-5");
         C.ge (form [ "-1"; "0"; "0" ] "100") ]
   in
-  Alcotest.(check string) "canonical_key"
+  Alcotest.(check string) "reference text"
     ("e 0:1 2:-2|7;e 2:1|-200000000000000000000;g 0:-1|100;"
      ^ "g 0:-4611686018427387904 1:3|0;g 0:4 1:-115|2263;"
      ^ "g 1:1180591620717411303425 2:-110680464442257309696"
      ^ "|-123456789012345678901234;g 1:4611686018427387903 2:-2|-5")
-    (Omega.canonical_key s)
+    (reference_key s);
+  Alcotest.(check string) "digest" "42c242856ef411109c9a38c0b7196c8a"
+    (Digest.to_hex (Omega.digest s))
 
 (* Values at the edges of Bigint's two representations: immediates next
    to 2^62 and max_int itself, and the boxed min_int, 2^62 and beyond. *)
@@ -330,10 +356,12 @@ let with_coeffs (c : C.t) coeffs const =
   let a = A.make coeffs const in
   match c.C.kind with C.Eq -> C.eq a | C.Ge -> C.ge a
 
-(* The memo must split systems exactly as the canonical text does, or memo
-   hits, and the fuel they save, would move.  Each sampled system is
-   decided, then one variant of it, on a fresh caching context: the second
-   query must hit the memo exactly when the two canonical_keys are equal.
+(* The digest must split systems exactly as the reference text does, or
+   memo hits, and the fuel they save, would move, and disk-cache entries
+   would split or merge.  Each sampled system and one variant of it must
+   have equal digests exactly when their reference texts are equal, and,
+   decided in turn on a fresh caching context, the second query must hit
+   the memo exactly then.
    Half of the systems carry wide rows, over immediates near 2^62, min_int
    and boxed values, and also the false equality 2^62 x = 1, so that the
    solver refutes them at once, however wide the rows are. *)
@@ -405,11 +433,14 @@ let test_memo_key_splits_like_canonical_key () =
         let base = S.make names rows in
         ignore (Omega.decide ~ctx base);
         ignore (Omega.decide ~ctx variant);
-        let same =
-          String.equal (Omega.canonical_key base) (Omega.canonical_key variant)
-        in
+        let same = String.equal (reference_key base) (reference_key variant) in
+        if String.equal (Omega.digest base) (Omega.digest variant) <> same then
+          Alcotest.failf "seed %d, %s: digests %s but reference texts %s" seed
+            what
+            (if same then "differ" else "are equal")
+            (if same then "are equal" else "differ");
         if (Omega.Ctx.cache_hits ctx = 1) <> same then
-          Alcotest.failf "seed %d, %s: memo %s but canonical_keys %s" seed what
+          Alcotest.failf "seed %d, %s: memo %s but reference texts %s" seed what
             (if same then "missed" else "hit")
             (if same then "are equal" else "differ");
         incr (if same then equal_keys else distinct_keys))
@@ -753,28 +784,10 @@ let test_budget_zero_fuel_always_unknown () =
   Alcotest.(check bool) "satisfiable collapses Unknown to true" true
     (Omega.satisfiable ~ctx sys)
 
-let test_budget_unknown_not_cached () =
-  (* Starve a cached context, then lift the budget: the re-decision must be
-     exact and must agree with a fresh solver, which proves the Unknown was
-     never stored in the memo table. *)
-  let sys = Fuzzing.Gen.system (Fuzzing.Rng.create 11) ~dim:3 in
-  let exact = decide_exact ~seed:11 sys in
-  let ctx = Omega.Ctx.create ~cache:true ~fuel:0 () in
-  (match Omega.decide ~ctx sys with
-  | Omega.Unknown _ -> ()
-  | _ -> Alcotest.fail "expected the starved query to give up");
-  Alcotest.(check int) "Unknown not stored" 0 (Omega.Ctx.cache_size ctx);
-  Omega.Ctx.set_fuel ctx None;
-  (match Omega.decide ~ctx sys with
-  | Omega.Unknown r -> Alcotest.failf "unlimited re-decision gave up (%s)" r
-  | v ->
-    if v <> exact then Alcotest.fail "cached context flipped the verdict");
-  Alcotest.(check int) "exact verdict stored" 1 (Omega.Ctx.cache_size ctx)
-
 (* A sampled system whose unbudgeted decision costs at least [min_fuel]
-   work units — found by scanning seeds, so the test stays generator-
-   agnostic.  Used to guarantee the cancellation poll (every 64 units)
-   actually fires. *)
+   work units, with that decision — found by scanning seeds, so the test
+   stays generator-agnostic.  Used to guarantee the deadline and
+   cancellation poll (every 64 units) actually fires. *)
 let expensive_system ~min_fuel =
   let rec scan seed =
     if seed > 5000 then
@@ -783,13 +796,31 @@ let expensive_system ~min_fuel =
       let rng = Fuzzing.Rng.create seed in
       let sys = Fuzzing.Gen.system rng ~dim:4 in
       let ctx = Omega.Ctx.create () in
-      ignore (Omega.decide ~ctx sys);
-      if Omega.Ctx.peak_query_fuel ctx >= min_fuel then sys else scan (seed + 1)
+      let v = Omega.decide ~ctx sys in
+      if Omega.Ctx.fuel_spent ctx >= min_fuel then (sys, v) else scan (seed + 1)
   in
   scan 1
 
+let test_budget_unknown_not_cached () =
+  (* The daemon's sequence on its shared cached context: a request past
+     its deadline gives up, then a later request decides the same system.
+     The re-decision must be exact and agree with a fresh solver, which
+     proves the Unknown was never stored in the memo table. *)
+  let sys, exact = expensive_system ~min_fuel:128 in
+  let ctx = Omega.Ctx.create ~cache:true () in
+  (match Omega.with_deadline ~until:0.0 (fun () -> Omega.decide ~ctx sys) with
+  | Omega.Unknown reason ->
+    Alcotest.(check string) "gave up at the deadline" "deadline" reason
+  | _ -> Alcotest.fail "expected the query past its deadline to give up");
+  Alcotest.(check int) "Unknown not stored" 0 (Omega.Ctx.cache_size ctx);
+  (match Omega.decide ~ctx sys with
+  | Omega.Unknown r -> Alcotest.failf "re-decision gave up (%s)" r
+  | v ->
+    if v <> exact then Alcotest.fail "cached context flipped the verdict");
+  Alcotest.(check int) "exact verdict stored" 1 (Omega.Ctx.cache_size ctx)
+
 let test_budget_cancel () =
-  let sys = expensive_system ~min_fuel:128 in
+  let sys, _ = expensive_system ~min_fuel:128 in
   let ctx = Omega.Ctx.create ~cancel:(fun () -> true) () in
   match Omega.decide ~ctx sys with
   | Omega.Unknown reason ->
@@ -806,8 +837,8 @@ let test_budget_starve_after () =
   (match Omega.decide ~ctx sys with
   | Omega.Unknown "fuel" -> ()
   | _ -> Alcotest.fail "queries past starve_after must answer Unknown \"fuel\"");
-  Omega.Ctx.set_starve_after ctx None;
-  match Omega.decide ~ctx sys with
+  (* the index counts per context: a fresh one answers its query 0 exactly *)
+  match Omega.decide ~ctx:(Omega.Ctx.create ~starve_after:1 ()) sys with
   | Omega.Unknown r -> Alcotest.failf "un-starved query gave up (%s)" r
   | v -> if v <> exact then Alcotest.fail "un-starved query flipped the verdict"
 
@@ -839,8 +870,8 @@ let () =
           Alcotest.test_case "paper Sec 5.1 legality shape" `Quick
             test_omega_cholesky_legality_shape;
           Alcotest.test_case "implies" `Quick test_omega_implies;
-          Alcotest.test_case "canonical_key text pinned" `Quick
-            test_canonical_key_pinned;
+          Alcotest.test_case "system digest pinned" `Quick
+            test_system_digest_pinned;
           Alcotest.test_case "memo key splits like canonical_key" `Quick
             test_memo_key_splits_like_canonical_key ] );
       ( "property",

@@ -132,9 +132,9 @@ let test_cache_persistence () =
   let dir = temp_dir "shk-cache" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let a = Dc.open_dir dir in
-  Dc.add a "system-one" true;
-  Dc.add a "system-two" false;
-  Dc.add a "system-one" true (* dedup: same digest appends nothing *);
+  Dc.add a (Digest.string "system-one") true;
+  Dc.add a (Digest.string "system-two") false;
+  Dc.add a (Digest.string "system-one") true (* dedup: same digest appends nothing *);
   Alcotest.(check int) "entries" 2 (Dc.entries a);
   Alcotest.(check int) "appended" 2 (Dc.appended a);
   Dc.close a;
@@ -142,11 +142,14 @@ let test_cache_persistence () =
   let b = Dc.open_dir dir in
   Alcotest.(check int) "reloaded entries" 2 (Dc.entries b);
   Alcotest.(check int) "clean file" 0 (Dc.dropped_bytes b);
-  Alcotest.(check (option bool)) "verdict one" (Some true) (Dc.find b "system-one");
-  Alcotest.(check (option bool)) "verdict two" (Some false) (Dc.find b "system-two");
-  Alcotest.(check (option bool)) "absent" None (Dc.find b "system-three");
+  Alcotest.(check (option bool)) "verdict one" (Some true) (Dc.find b (Digest.string "system-one"));
+  Alcotest.(check (option bool)) "verdict two" (Some false) (Dc.find b (Digest.string "system-two"));
+  Alcotest.(check (option bool)) "absent" None (Dc.find b (Digest.string "system-three"));
   Alcotest.(check int) "hits counted" 2 (Dc.hits b);
   Alcotest.(check int) "misses counted" 1 (Dc.misses b);
+  Alcotest.check_raises "a key is a 16-byte digest"
+    (Invalid_argument "Diskcache.find: a key is a 16-byte digest") (fun () ->
+      ignore (Dc.find b "system-one"));
   Dc.close b
 
 let test_cache_torn_tail_every_boundary () =
@@ -156,16 +159,16 @@ let test_cache_torn_tail_every_boundary () =
     let dir = temp_dir "shk-torn" in
     Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
     let a = Dc.open_dir dir in
-    Dc.add a "whole-one" true;
-    Dc.add a "whole-two" false;
-    Dc.add_torn a "torn-three" true ~keep;
+    Dc.add a (Digest.string "whole-one") true;
+    Dc.add a (Digest.string "whole-two") false;
+    Dc.add_torn a (Digest.string "torn-three") true ~keep;
     let b = Dc.open_dir dir in
     Alcotest.(check int) (Printf.sprintf "keep=%d entries" keep) 2 (Dc.entries b);
     Alcotest.(check int) (Printf.sprintf "keep=%d dropped" keep) keep
       (Dc.dropped_bytes b);
-    Alcotest.(check (option bool)) "survivor one" (Some true) (Dc.find b "whole-one");
-    Alcotest.(check (option bool)) "survivor two" (Some false) (Dc.find b "whole-two");
-    Alcotest.(check (option bool)) "torn record gone" None (Dc.find b "torn-three");
+    Alcotest.(check (option bool)) "survivor one" (Some true) (Dc.find b (Digest.string "whole-one"));
+    Alcotest.(check (option bool)) "survivor two" (Some false) (Dc.find b (Digest.string "whole-two"));
+    Alcotest.(check (option bool)) "torn record gone" None (Dc.find b (Digest.string "torn-three"));
     (* the truncation is physical: a third open sees a clean file *)
     Dc.close b;
     let c = Dc.open_dir dir in
@@ -178,8 +181,8 @@ let test_cache_crc_corruption () =
   let dir = temp_dir "shk-crc" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let a = Dc.open_dir dir in
-  Dc.add a "good" true;
-  Dc.add a "flipped" false;
+  Dc.add a (Digest.string "good") true;
+  Dc.add a (Digest.string "flipped") false;
   let path = Dc.file a in
   Dc.close a;
   (* flip the last byte (inside the second record's CRC) on disk *)
@@ -199,20 +202,33 @@ let test_cache_crc_corruption () =
   Alcotest.(check int) "corrupt record dropped" Dc.record_bytes
     (Dc.dropped_bytes c);
   Alcotest.(check (option bool)) "good verdict intact" (Some true)
-    (Dc.find c "good");
+    (Dc.find c (Digest.string "good"));
   Dc.close c
 
 let test_cache_refuses_foreign_file () =
-  let dir = temp_dir "shk-foreign" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let oc = open_out (Filename.concat dir Dc.filename) in
-  output_string oc "this is not a legality cache, do not clobber me\n";
-  close_out oc;
-  match Dc.open_dir dir with
-  | exception Failure _ -> ()
-  | t ->
-    Dc.close t;
-    Alcotest.fail "foreign file silently accepted"
+  let refuses what write =
+    let dir = temp_dir "shk-foreign" in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    write (Filename.concat dir Dc.filename);
+    match Dc.open_dir dir with
+    | exception Failure _ -> ()
+    | t ->
+      Dc.close t;
+      Alcotest.failf "%s silently accepted" what
+  in
+  refuses "foreign file" (fun path ->
+      let oc = open_out path in
+      output_string oc "this is not a legality cache, do not clobber me\n";
+      close_out oc);
+  (* a shackle-cache/1 file: the same records, addressed by digests of a
+     text rendering that can never hit *)
+  refuses "shackle-cache/1 file" (fun path ->
+      let a = Dc.open_dir (Filename.dirname path) in
+      Dc.add a (Digest.string "system-one") true;
+      Dc.close a;
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o600 in
+      ignore (Unix.write_substring fd "shackle-cache/1\n" 0 16);
+      Unix.close fd)
 
 (* ------------------------------------------------------------------ *)
 (* Session protocol machine                                            *)
@@ -667,9 +683,9 @@ let test_cache_compaction_dedupes () =
      verdicts: the file accretes duplicates *)
   let a = Dc.open_dir dir in
   let b = Dc.open_dir dir in
-  List.iter (fun (d, v) -> Dc.add a d v)
+  List.iter (fun (d, v) -> Dc.add a (Digest.string d) v)
     [ ("sys-1", true); ("sys-2", false); ("sys-3", true) ];
-  List.iter (fun (d, v) -> Dc.add b d v)
+  List.iter (fun (d, v) -> Dc.add b (Digest.string d) v)
     [ ("sys-1", true); ("sys-2", false); ("sys-4", true) ];
   let fat = Dc.bytes_on_disk a + (2 * Dc.record_bytes) in
   Dc.close a;
@@ -680,28 +696,28 @@ let test_cache_compaction_dedupes () =
   Alcotest.(check bool) "file shrank" true (Dc.bytes_on_disk c < fat);
   List.iter
     (fun (d, v) ->
-      Alcotest.(check (option bool)) d (Some v) (Dc.find c d))
+      Alcotest.(check (option bool)) d (Some v) (Dc.find c (Digest.string d)))
     [ ("sys-1", true); ("sys-2", false); ("sys-3", true); ("sys-4", true) ];
   (* explicit compaction on a healed file is a no-op, and answers are
      unchanged afterwards *)
   let before, after = Dc.compact c in
   Alcotest.(check int) "idempotent compaction" before after;
   Alcotest.(check (option bool)) "still answers" (Some false)
-    (Dc.find c "sys-2");
+    (Dc.find c (Digest.string "sys-2"));
   Dc.close c;
   let d = Dc.open_dir dir in
   Alcotest.(check int) "clean reopen" 0 (Dc.dropped_bytes d);
   Alcotest.(check (option bool)) "survives reopen" (Some true)
-    (Dc.find d "sys-4");
+    (Dc.find d (Digest.string "sys-4"));
   Dc.close d
 
 let test_cache_quarantines_corrupt_span () =
   let dir = temp_dir "shk-quarantine" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let a = Dc.open_dir dir in
-  Dc.add a "first" true;
-  Dc.add a "second" false;
-  Dc.add a "third" true;
+  Dc.add a (Digest.string "first") true;
+  Dc.add a (Digest.string "second") false;
+  Dc.add a (Digest.string "third") true;
   let path = Dc.file a in
   Dc.close a;
   (* flip a byte inside the MIDDLE record: a span, not a torn tail *)
@@ -717,11 +733,11 @@ let test_cache_quarantines_corrupt_span () =
   let c = Dc.open_dir dir in
   Alcotest.(check int) "survivors reloaded" 2 (Dc.entries c);
   Alcotest.(check (option bool)) "first survives" (Some true)
-    (Dc.find c "first");
+    (Dc.find c (Digest.string "first"));
   Alcotest.(check (option bool)) "third survives" (Some true)
-    (Dc.find c "third");
+    (Dc.find c (Digest.string "third"));
   Alcotest.(check (option bool)) "corrupt span skipped" None
-    (Dc.find c "second");
+    (Dc.find c (Digest.string "second"));
   Alcotest.(check int) "one span quarantined" 1 (Dc.quarantined_spans c);
   Alcotest.(check int) "span bytes accounted" Dc.record_bytes
     (Dc.quarantined_bytes c);
@@ -737,6 +753,16 @@ let test_cache_quarantines_corrupt_span () =
 (* ------------------------------------------------------------------ *)
 (* Report schema versions                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* The smallest valid bench trajectory body: one figure with one row and
+   no metrics rows. *)
+let bench_fields =
+  [ ( "figures",
+      Json.List
+        [ Json.Obj
+            [ ("id", Json.Str "fig11");
+              ("rows", Json.List [ Json.Obj [] ]);
+              ("metrics", Json.List []) ] ] ) ]
 
 (* Older versions of a known family are not migrated: a document that
    validates under its current tag is refused, with the registry's
@@ -789,7 +815,60 @@ let test_old_schema_versions_refused () =
       (tune, Report.tune_report, "tune-report/5");
       (fuzz, Report.fuzz_report, "fuzz-report/6");
       (fuzz, Report.fuzz_report, "fuzz-report/7");
-      (stats, Report.shackled_stats, "shackled-stats/1") ]
+      (stats, Report.shackled_stats, "shackled-stats/1") ];
+  (* the bench envelope's integer "schema_version", which bench wrote
+     before it carried a "schema" tag, is not read either *)
+  let schema_version = Json.Obj (("schema_version", Json.Int 1) :: bench_fields) in
+  match Report.check schema_version with
+  | Ok tag -> Alcotest.failf "schema_version envelope accepted as %s" tag
+  | Error msg ->
+    Alcotest.(check string) "schema_version refused"
+      "no \"schema\" field — not a report" msg
+
+(* Report.write checks before it writes, and Report.read names the file
+   in every error: missing, not JSON, or failing its schema. *)
+let test_report_write_read () =
+  let dir = temp_dir "shk-report" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "BENCH.json" in
+  let doc = Json.Obj (("schema", Json.Str Report.bench) :: bench_fields) in
+  let invalid =
+    Json.Obj [ ("schema", Json.Str Report.bench); ("figures", Json.List []) ]
+  in
+  (match Report.write path invalid with
+  | Ok () -> Alcotest.fail "an invalid document was written"
+  | Error msg ->
+    Alcotest.(check bool) "refusal names the file" true
+      (String.starts_with ~prefix:("refusing to write " ^ path) msg));
+  Alcotest.(check bool) "nothing written" false (Sys.file_exists path);
+  Alcotest.(check (result unit string)) "valid document written" (Ok ())
+    (Report.write path doc);
+  Alcotest.(check string) "pretty JSON plus a newline"
+    (Json.to_string ~pretty:true doc ^ "\n")
+    (In_channel.with_open_bin path In_channel.input_all);
+  (match Report.read path with
+  | Ok (tag, j) ->
+    Alcotest.(check string) "tag" Report.bench tag;
+    Alcotest.(check bool) "document round-trips" true (Json.equal doc j)
+  | Error msg -> Alcotest.failf "written report does not read back: %s" msg);
+  let refused what file =
+    match Report.read file with
+    | Ok (tag, _) -> Alcotest.failf "%s read as %s" what tag
+    | Error msg ->
+      Alcotest.(check bool) (what ^ " names the file") true
+        (String.starts_with ~prefix:(file ^ ": ") msg)
+  in
+  refused "missing file" (Filename.concat dir "missing.json");
+  let write_text name text =
+    let file = Filename.concat dir name in
+    Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc text);
+    file
+  in
+  refused "invalid JSON" (write_text "bad.json" "{\"schema\": ");
+  refused "schema_version envelope"
+    (write_text "old.json"
+       (Json.to_string
+          (Json.Obj (("schema_version", Json.Int 1) :: bench_fields))))
 
 let test_stats_v2_roundtrip () =
   (* the daemon's own snapshot must validate against the registry *)
@@ -1034,7 +1113,9 @@ let () =
         [ Alcotest.test_case "older versions are refused" `Quick
             test_old_schema_versions_refused;
           Alcotest.test_case "live stats validate as /2" `Quick
-            test_stats_v2_roundtrip ] );
+            test_stats_v2_roundtrip;
+          Alcotest.test_case "write refuses, read names the file" `Quick
+            test_report_write_read ] );
       ( "replay",
         [ Alcotest.test_case "trace roundtrips" `Quick
             test_replay_trace_roundtrip;

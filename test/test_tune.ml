@@ -114,9 +114,8 @@ let test_cold_warm_pass () =
 let test_report_schema () =
   let rp = matmul_report () in
   let j = Tune.report_to_json rp in
-  (match Tune.check_report_json j with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "self-check rejects the report: %s" msg);
+  Alcotest.(check (result string string)) "registry validates the report"
+    (Ok Report.tune_report) (Report.check j);
   (match Json.of_string (Json.to_string ~pretty:true j) with
   | Ok j' ->
     Alcotest.(check bool) "JSON round-trips" true (Json.equal j j')
@@ -133,7 +132,7 @@ let test_report_schema () =
     | j -> j
   in
   Alcotest.(check bool) "miscounted pruned_by_bound is refused" true
-    (Result.is_error (Tune.check_report_json (miscount j)));
+    (Result.is_error (Report.check (miscount j)));
   Alcotest.(check bool) "legality queries were counted" true
     (rp.Tune.rp_solver.Observe.Metrics.so_queries > 0);
   Alcotest.(check bool) "memo table was effective" true
@@ -156,9 +155,8 @@ let test_starved_tune_completes () =
   Alcotest.(check int) "none admitted" 0 rp.Tune.rp_counts.Tune.n_legal;
   Alcotest.(check bool) "solver counted the gave-ups" true
     (rp.Tune.rp_solver.Observe.Metrics.so_unknowns > 0);
-  match Tune.check_report_json (Tune.report_to_json rp) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "starved report fails validation: %s" msg
+  Alcotest.(check (result string string)) "starved report validates"
+    (Ok Report.tune_report) (Report.check (Tune.report_to_json rp))
 
 let test_generous_budget_matches_unbudgeted () =
   let budgeted =
@@ -306,9 +304,8 @@ let tune_small ?(domains = 1) ~kernel ~n ~sizes prog =
     prog
 
 let check_pruned_sound ~kernel ~n prog rp =
-  (match Tune.check_report_json (Tune.report_to_json rp) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "report fails validation: %s" msg);
+  Alcotest.(check (result string string)) "report validates"
+    (Ok Report.tune_report) (Report.check (Tune.report_to_json rp));
   let best =
     match Tune.best rp with
     | Some s -> s
