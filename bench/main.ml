@@ -52,7 +52,9 @@ let parse_args argv =
       Cli.string_opt "--check-json" ~docv:"PATH"
         ~doc:"validate a BENCH_*.json file and exit" check_json;
       Cli.string_pair_opt "--diff-json" ~docv:"A B"
-        ~doc:"compare the simulated rows/metrics of two BENCH files and exit"
+        ~doc:
+          "compare the simulated rows/metrics of two BENCH files (and their \
+           solver counters when both ran at one domain) and exit"
         diff_json;
       Cli.flag "--list-figures" ~doc:"print the known figure ids and exit"
         list_figures ]
@@ -100,14 +102,20 @@ let check_json path =
    accesses, per-level stats, cycles, mflops).  Wall-clock fields
    ("seconds", trace accounting) and run configuration ("domains") are
    ignored, so a run at any --domains must diff clean against the
-   committed golden trajectory.  Both files passed the registry, so every
-   figure has an id, rows and well-formed metrics. *)
+   committed golden trajectory.  When both files were written at one
+   domain, each figure's solver counters ("solver" and
+   "solves_per_sweep") must match too: concurrent domains may duplicate a
+   memo miss, so only a sequential run pins them.  Both files passed the
+   registry, so every figure has an id, rows and well-formed metrics. *)
 let diff_json path_a path_b =
-  let figures path =
-    Result.get_ok (Json.list_field "figures" (read_bench path))
+  let ja = read_bench path_a and jb = read_bench path_b in
+  let figures j =
+    Result.get_ok (Json.list_field "figures" j)
     |> List.map (fun fig -> (Result.get_ok (Json.str_field "id" fig), fig))
   in
-  let fa = figures path_a and fb = figures path_b in
+  let fa = figures ja and fb = figures jb in
+  let domains j = Json.int_opt "domains" j in
+  let solvers = domains ja = Some 1 && domains jb = Some 1 in
   let mismatch = ref [] in
   let complain fmt = Printf.ksprintf (fun s -> mismatch := s :: !mismatch) fmt in
   if List.map fst fa <> List.map fst fb then
@@ -117,8 +125,17 @@ let diff_json path_a path_b =
   else
     List.iter2
       (fun (id, ja) (_, jb) ->
-        let rows j = Json.to_string (Option.get (Json.member "rows" j)) in
-        if rows ja <> rows jb then complain "figure %s: rows differ" id;
+        let field k j = Option.map Json.to_string (Json.member k j) in
+        if field "rows" ja <> field "rows" jb then
+          complain "figure %s: rows differ" id;
+        if solvers then
+          List.iter
+            (fun k ->
+              if field k ja <> field k jb then
+                complain "figure %s: %s differs:\n  %s\n  %s" id k
+                  (Option.value ~default:"absent" (field k ja))
+                  (Option.value ~default:"absent" (field k jb)))
+            [ "solves_per_sweep"; "solver" ];
         let sims j =
           List.map
             (fun m ->
@@ -141,13 +158,25 @@ let diff_json path_a path_b =
                   a b)
             (List.combine sa sb))
       fa fb;
+  let compared =
+    if solvers then
+      "simulated rows, metrics and solver counters (both at one domain)"
+    else
+      let show j =
+        Option.fold ~none:"unknown" ~some:string_of_int (domains j)
+      in
+      Printf.sprintf
+        "simulated rows and metrics (solver counters not compared: domains %s \
+         and %s)"
+        (show ja) (show jb)
+  in
   match List.rev !mismatch with
   | [] ->
-    Printf.printf "%s and %s: simulated rows and metrics identical\n" path_a
-      path_b;
+    Printf.printf "%s and %s: %s identical\n" path_a path_b compared;
     exit 0
   | ms ->
     List.iter (fun m -> Printf.eprintf "bench: diff: %s\n" m) ms;
+    Printf.eprintf "bench: compared %s\n" compared;
     exit 1
 
 (* ------------------------------------------------------------------ *)

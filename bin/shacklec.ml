@@ -11,13 +11,7 @@
      shacklec tune matmul --size 16 --n 64 --json TUNE.json
      shacklec tune --check-json TUNE.json
 
-   Specs per kernel (see Experiments.Specs):
-     matmul:           c | ca | two-level
-     cholesky_right:   write | read | full | left
-     cholesky_banded:  write
-     qr:               columns
-     gmtry:            write
-     adi:              fused                                               *)
+   Each command's --help lists every kernel's specs (Experiments.Specs). *)
 
 module Ast = Loopir.Ast
 module K = Kernels.Builders
@@ -47,8 +41,18 @@ let kernel_positional cell =
       end )
 
 let spec_flag cell =
+  let per_kernel =
+    List.map
+      (fun (kernel, specs) ->
+        kernel ^ ": " ^ String.concat " | " (List.map fst specs))
+      Specs.table
+  in
   Cli.string_opt "--spec" ~docv:"SPEC"
-    ~doc:"which shackle to use (kernel-specific; see the file header)" cell
+    ~doc:
+      ("which shackle to use; a kernel's first is its default ("
+      ^ String.concat "; " per_kernel
+      ^ ")")
+    cell
 
 let size_flag cell = Cli.int "--size" ~docv:"B" ~doc:"block size (default 32)" cell
 let n_flag cell = Cli.int "--n" ~docv:"N" ~doc:"problem size (default 64)" cell
@@ -76,8 +80,11 @@ let spec_of ~prog (name, _p) spec ~size =
   | None ->
     raise
       (Usage
-         (Printf.sprintf "%s: kernel %s has no spec %S (try --help)" prog name
-            spec))
+         (match Specs.names name with
+         | [] -> Printf.sprintf "%s: kernel %s has no specs" prog name
+         | names ->
+           Printf.sprintf "%s: kernel %s has no spec %S (specs: %s)" prog name
+             spec (String.concat ", " names)))
 
 let params_of (name, _) ~n ~bw =
   if String.equal name "cholesky_banded" then [ ("N", n); ("BW", bw) ]

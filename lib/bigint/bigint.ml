@@ -14,10 +14,11 @@ let base_bits = 15
 type big = { sign : int; mag : int array }
 type t
 
-(* The coercions between the two representations. *)
-let is_small (x : t) = Obj.is_int (Obj.repr x)
-external of_small : int -> t = "%identity"
+(* The coercions between the two representations; the first three are
+   exported, see bigint.mli. *)
+external is_small : t -> bool = "%obj_is_int"
 external to_small : t -> int = "%identity"
+external of_small : int -> t = "%identity"
 external of_big : big -> t = "%identity"
 external to_big : t -> big = "%identity"
 

@@ -16,6 +16,25 @@
 
 type t
 
+(** {2 The immediate view}
+
+    These read and build immediates with no call: an [external] in an
+    interface inlines at every use, even in a build that does not inline
+    across modules.  Arithmetic on immediates that must return exactly what
+    {!add} or {!mul} returns detects overflow as they do (see bigint.ml)
+    and calls them otherwise. *)
+
+external is_small : t -> bool = "%obj_is_int"
+(** [is_small x] holds exactly when [x] lies in [[-max_int, max_int]]. *)
+
+external to_small : t -> int = "%identity"
+(** The native value of an [x] for which [is_small x] holds; meaningless
+    otherwise. *)
+
+external of_small : int -> t = "%identity"
+(** Unchecked: [of_small n] is [of_int n] for every [n <> min_int], and
+    invalid for [min_int].  For results already known to be in range. *)
+
 val zero : t
 val one : t
 val minus_one : t

@@ -68,26 +68,36 @@ let adi_fused () =
   let bref = Fexpr.ref_ "B" [ E.Sub (E.var "i", E.Const 1); E.var "k" ] in
   [ Spec.factor blk [ ("S1", bref); ("S2", bref) ] ]
 
-(* The symbolic (kernel, spec-name, size) -> spec table: the single
-   source of truth behind "shacklec --spec", the shackled daemon's
-   resolver and the bench server figure.  "default" picks each kernel's
-   canonical blocking. *)
+(* The symbolic (kernel, spec name) -> spec table: the single source of
+   truth behind "shacklec --spec", the shackled daemon's resolver and the
+   bench server figure.  A kernel's first spec is its canonical blocking,
+   which the name "default" also selects. *)
+let table =
+  let cholesky =
+    [ ("write", cholesky_write); ("read", cholesky_read);
+      ("full", cholesky_fully_blocked);
+      ("left", cholesky_left_looking_blocked) ]
+  in
+  [ ( "matmul",
+      [ ("c", matmul_c); ("ca", matmul_ca);
+        ( "two-level",
+          fun ~size ->
+            matmul_two_level ~outer:size ~inner:(max 2 (size / 8)) ) ] );
+    ("cholesky_right", cholesky);
+    ("cholesky_left", cholesky);
+    ("cholesky_banded", [ ("write", cholesky_banded_write) ]);
+    ("qr", [ ("columns", fun ~size -> qr_columns ~width:size) ]);
+    ("gmtry", [ ("write", gmtry_write) ]);
+    ("adi", [ ("fused", fun ~size:_ -> adi_fused ()) ]) ]
+
+let kernel_specs kernel = Option.value ~default:[] (List.assoc_opt kernel table)
+let names kernel = List.map fst (kernel_specs kernel)
+
 let lookup ~kernel ~spec ~size =
-  match (kernel, spec) with
-  | "matmul", ("c" | "default") -> Some (matmul_c ~size)
-  | "matmul", "ca" -> Some (matmul_ca ~size)
-  | "matmul", "two-level" ->
-    Some (matmul_two_level ~outer:size ~inner:(max 2 (size / 8)))
-  | ("cholesky_right" | "cholesky_left"), ("write" | "default") ->
-    Some (cholesky_write ~size)
-  | ("cholesky_right" | "cholesky_left"), "read" -> Some (cholesky_read ~size)
-  | ("cholesky_right" | "cholesky_left"), "full" ->
-    Some (cholesky_fully_blocked ~size)
-  | ("cholesky_right" | "cholesky_left"), "left" ->
-    Some (cholesky_left_looking_blocked ~size)
-  | "cholesky_banded", ("write" | "default") ->
-    Some (cholesky_banded_write ~size)
-  | "qr", ("columns" | "default") -> Some (qr_columns ~width:size)
-  | "gmtry", ("write" | "default") -> Some (gmtry_write ~size)
-  | "adi", ("fused" | "default") -> Some (adi_fused ())
-  | _ -> None
+  let specs = kernel_specs kernel in
+  let build =
+    match (spec, specs) with
+    | "default", (_, build) :: _ -> Some build
+    | _ -> List.assoc_opt spec specs
+  in
+  Option.map (fun build -> build ~size) build

@@ -267,23 +267,31 @@ let rec equal a b =
          xs ys
   | _ -> false
 
+(* Option-returning accessors, for fields a reader probes and may not
+   find: they build no message. *)
+let str_opt k j = match member k j with Some (Str s) -> Some s | _ -> None
+let int_opt k j = match member k j with Some (Int i) -> Some i | _ -> None
+
+let num_opt k j =
+  match member k j with
+  | Some (Float x) -> Some x
+  | Some (Int i) -> Some (float_of_int i)
+  | _ -> None
+
 (* Field accessors: each reads one field of an object and, on failure,
    names it, so a malformed report or checkpoint fails with the field it
    lacks. *)
 let field what get k j =
-  match Option.bind (member k j) get with
+  match get k j with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or non-%s field %S" what k)
 
-let str_field = field "string" (function Str s -> Some s | _ -> None)
-let int_field = field "int" (function Int i -> Some i | _ -> None)
-let bool_field = field "bool" (function Bool b -> Some b | _ -> None)
+let member_as get k j = Option.bind (member k j) get
+let str_field = field "string" str_opt
+let int_field = field "int" int_opt
+let bool_field = field "bool" (member_as (function Bool b -> Some b | _ -> None))
+let float_field = field "number" num_opt
+let list_field = field "list" (member_as (function List l -> Some l | _ -> None))
 
-let float_field =
-  field "number" (function
-    | Float x -> Some x
-    | Int i -> Some (float_of_int i)
-    | _ -> None)
-
-let list_field = field "list" (function List l -> Some l | _ -> None)
-let obj_field = field "object" (function Obj o -> Some o | _ -> None)
+let obj_field =
+  field "object" (member_as (function Obj o -> Some o | _ -> None))

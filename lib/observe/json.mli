@@ -36,9 +36,17 @@ val equal : t -> t -> bool
 
 (** {2 Field accessors}
 
-    Each reads field [k] of an [Obj].  [Error] names the field in one
-    wording shared by every report validator and loader:
-    [missing or non-int field "k"]. *)
+    Each reads field [k] of an [Obj].  The [*_opt] accessors answer [None]
+    for an absent or mistyped field and build no message, for readers that
+    probe fields most inputs lack.  The [*_field] accessors return [Error]
+    naming the field in one wording shared by every report validator and
+    loader: [missing or non-int field "k"]. *)
+
+val str_opt : string -> t -> string option
+val int_opt : string -> t -> int option
+
+val num_opt : string -> t -> float option
+(** A number: an [Int] reads as its float. *)
 
 val str_field : string -> t -> (string, string) result
 val int_field : string -> t -> (int, string) result

@@ -17,25 +17,92 @@ let var n i =
 let of_ints coeffs c =
   { coeffs = Array.of_list (List.map B.of_int coeffs); const = B.of_int c }
 
+(* zero is an immediate *)
+let[@inline] is_zero x = x == B.of_small 0
 let coeff a i = a.coeffs.(i)
 let const_of a = a.const
-let is_constant a = Array.for_all B.is_zero a.coeffs
+let is_constant a = Array.for_all is_zero a.coeffs
 
 let check_dim a b =
   if dim a <> dim b then invalid_arg "Affine: dimension mismatch"
 
+(* Per-coefficient arithmetic, inline on immediates.  [Bigint] is called
+   only for a boxed operand or when the native result overflows, detected
+   exactly as [Bigint.add] and [Bigint.mul] detect it, so each result is
+   the value [Bigint] returns.  The [B.is_small]/[B.to_small]/[B.of_small]
+   externals inline even where nothing else crosses a module boundary. *)
+let[@inline] add_c x y =
+  if B.is_small x && B.is_small y then
+    let a = B.to_small x and b = B.to_small y in
+    let s = a + b in
+    if (a lxor s) land (b lxor s) >= 0 && s <> min_int then B.of_small s
+    else B.add x y
+  else B.add x y
+
+let[@inline] sub_c x y =
+  if B.is_small x && B.is_small y then
+    let a = B.to_small x and b = B.to_small y in
+    let d = a - b in
+    if (a lxor b) land (a lxor d) >= 0 && d <> min_int then B.of_small d
+    else B.sub x y
+  else B.sub x y
+
+let[@inline] mul_c x y =
+  if B.is_small x && B.is_small y then
+    let a = B.to_small x and b = B.to_small y in
+    let p = a * b in
+    if
+      (abs a < 0x8000_0000 && abs b < 0x8000_0000)
+      || a = 0
+      || (p / a = b && p <> min_int)
+    then B.of_small p
+    else B.mul x y
+  else B.mul x y
+
+(* an immediate's negation is an immediate *)
+let[@inline] neg_c x =
+  if B.is_small x then B.of_small (-B.to_small x) else B.neg x
+
 let add a b =
   check_dim a b;
-  { coeffs = Array.map2 B.add a.coeffs b.coeffs; const = B.add a.const b.const }
+  let coeffs = Array.make (dim a) B.zero in
+  for i = 0 to dim a - 1 do
+    coeffs.(i) <- add_c a.coeffs.(i) b.coeffs.(i)
+  done;
+  { coeffs; const = add_c a.const b.const }
 
-let neg a = { coeffs = Array.map B.neg a.coeffs; const = B.neg a.const }
-let sub a b = add a (neg b)
+let sub a b =
+  check_dim a b;
+  let coeffs = Array.make (dim a) B.zero in
+  for i = 0 to dim a - 1 do
+    coeffs.(i) <- sub_c a.coeffs.(i) b.coeffs.(i)
+  done;
+  { coeffs; const = sub_c a.const b.const }
+
+let neg a =
+  let coeffs = Array.make (dim a) B.zero in
+  for i = 0 to dim a - 1 do
+    coeffs.(i) <- neg_c a.coeffs.(i)
+  done;
+  { coeffs; const = neg_c a.const }
 
 let scale k a =
-  { coeffs = Array.map (B.mul k) a.coeffs; const = B.mul k a.const }
+  let coeffs = Array.make (dim a) B.zero in
+  for i = 0 to dim a - 1 do
+    coeffs.(i) <- mul_c k a.coeffs.(i)
+  done;
+  { coeffs; const = mul_c k a.const }
 
 let scale_int k a = scale (B.of_int k) a
-let add_const a c = { a with const = B.add a.const c }
+let add_const a c = { a with const = add_c a.const c }
+
+let combine b u a l =
+  check_dim u l;
+  let coeffs = Array.make (dim u) B.zero in
+  for i = 0 to dim u - 1 do
+    coeffs.(i) <- sub_c (mul_c b u.coeffs.(i)) (mul_c a l.coeffs.(i))
+  done;
+  { coeffs; const = sub_c (mul_c b u.const) (mul_c a l.const) }
 
 let set_coeff a i v =
   let coeffs = Array.copy a.coeffs in
@@ -55,14 +122,16 @@ let eval_int a env = eval a (Array.map B.of_int env)
 
 let subst a k e =
   check_dim a e;
-  if not (B.is_zero e.coeffs.(k)) then
+  if not (is_zero e.coeffs.(k)) then
     invalid_arg "Affine.subst: replacement mentions the variable";
   let ak = a.coeffs.(k) in
-  if B.is_zero ak then a
+  if is_zero ak then a
   else begin
-    let scaled = scale ak e in
-    let a' = set_coeff a k B.zero in
-    add a' scaled
+    let coeffs = Array.make (dim a) B.zero in
+    for i = 0 to dim a - 1 do
+      if i <> k then coeffs.(i) <- add_c a.coeffs.(i) (mul_c ak e.coeffs.(i))
+    done;
+    { coeffs; const = add_c a.const (mul_c ak e.const) }
   end
 
 let extend a n =
@@ -84,13 +153,49 @@ let rename a perm n =
     a.coeffs;
   { coeffs; const = a.const }
 
-let content a = Array.fold_left B.gcd B.zero a.coeffs
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* The gcd stays native until a boxed coefficient, if any, hands it to
+   [Bigint.gcd]. *)
+let content a =
+  let n = dim a in
+  let rec native g i =
+    if i = n then B.of_small g
+    else
+      let x = a.coeffs.(i) in
+      if B.is_small x then native (gcd_int g (abs (B.to_small x))) (i + 1)
+      else boxed (B.gcd (B.of_small g) x) (i + 1)
+  and boxed g i = if i = n then g else boxed (B.gcd g a.coeffs.(i)) (i + 1) in
+  native 0 0
+
+(* Immediate quotients skip [Bigint.div_rem]'s tuple; an inexact one still
+   fails in [Bigint.divexact]. *)
+let[@inline] divexact_c x k =
+  if B.is_small x && B.is_small k then
+    let q = B.to_small x / B.to_small k in
+    if q * B.to_small k = B.to_small x then B.of_small q else B.divexact x k
+  else B.divexact x k
 
 let div_coeffs a k =
-  Array.map (fun c -> if B.is_zero c then c else B.divexact c k) a.coeffs
+  let coeffs = Array.make (dim a) B.zero in
+  for i = 0 to dim a - 1 do
+    let c = a.coeffs.(i) in
+    if not (is_zero c) then coeffs.(i) <- divexact_c c k
+  done;
+  coeffs
 
-let divexact a k = { coeffs = div_coeffs a k; const = B.divexact a.const k }
-let div_floor a k = { coeffs = div_coeffs a k; const = B.fdiv a.const k }
+let divexact a k = { coeffs = div_coeffs a k; const = divexact_c a.const k }
+
+let div_floor a k =
+  let const =
+    if B.is_small a.const && B.is_small k then
+      let c = B.to_small a.const and d = B.to_small k in
+      let q = c / d in
+      let r = c - (q * d) in
+      B.of_small (if r <> 0 && (r < 0) <> (d < 0) then q - 1 else q)
+    else B.fdiv a.const k
+  in
+  { coeffs = div_coeffs a k; const }
 
 let equal a b =
   dim a = dim b && B.equal a.const b.const
@@ -99,7 +204,7 @@ let equal a b =
 let vars a =
   let acc = ref [] in
   for i = dim a - 1 downto 0 do
-    if not (B.is_zero a.coeffs.(i)) then acc := i :: !acc
+    if not (is_zero a.coeffs.(i)) then acc := i :: !acc
   done;
   !acc
 

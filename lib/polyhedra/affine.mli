@@ -20,12 +20,24 @@ val coeff : t -> int -> Bigint.t
 val const_of : t -> Bigint.t
 val is_constant : t -> bool
 
+(** The row operations below, [subst], [content], [divexact] and
+    [div_floor] run each coefficient inline while its operands are
+    immediates, and call {!Bigint} only for a boxed operand or on an
+    overflow: every result is the value the per-coefficient {!Bigint}
+    operation returns. *)
+
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val scale : Bigint.t -> t -> t
 val scale_int : int -> t -> t
 val add_const : t -> Bigint.t -> t
+
+val combine : Bigint.t -> t -> Bigint.t -> t -> t
+(** [combine b u a l] is [b*u - a*l] in one pass: the Fourier-Motzkin
+    combination of a lower bound [b*x >= l] with an upper bound
+    [a*x <= u]. *)
+
 val set_coeff : t -> int -> Bigint.t -> t
 
 val eval : t -> Bigint.t array -> Bigint.t
@@ -44,9 +56,7 @@ val rename : t -> int array -> int -> t
     new [n]-dimensional space. *)
 
 val content : t -> Bigint.t
-(** Gcd of all coefficients (not the constant); zero for constant forms.
-    It runs on native ints while the coefficients are immediates, since
-    {!Bigint.gcd} does. *)
+(** Gcd of all coefficients (not the constant); zero for constant forms. *)
 
 val divexact : t -> Bigint.t -> t
 (** Divides every coefficient and the constant exactly. *)

@@ -13,23 +13,21 @@ let lt_of a b = ge (Affine.add_const (Affine.sub b a) B.minus_one)
 let gt_of a b = lt_of b a
 let dim c = Affine.dim c.aff
 
+(* A content of zero or one leaves the row as it is. *)
 let normalize c =
   let g = Affine.content c.aff in
-  if B.is_zero g then c
-  else begin
+  if B.is_small g && B.to_small g <= 1 then c
+  else
     match c.kind with
     | Eq ->
       if B.is_zero (B.frem (Affine.const_of c.aff) g) then
         { c with aff = Affine.divexact c.aff g }
       else c
-    | Ge -> if B.equal g B.one then c else { c with aff = Affine.div_floor c.aff g }
-  end
+    | Ge -> { c with aff = Affine.div_floor c.aff g }
 
-(* A coefficient's hash with no call into [Bigint]: bigint.mli documents
-   that every value in [-max_int, max_int] is an immediate [int] and every
-   other value is boxed, so an immediate hashes as itself. *)
-let hash_coeff (x : B.t) =
-  if Obj.is_int (Obj.repr x) then (Obj.obj (Obj.repr x) : int) else B.hash x
+(* A coefficient's hash with no call into [Bigint]: an immediate hashes as
+   itself. *)
+let hash_coeff (x : B.t) = if B.is_small x then B.to_small x else B.hash x
 
 (* A row's parallel class: its kind and coefficient vector, plus its
    constant for an equality.  Every coefficient enters the hash. *)
@@ -79,8 +77,13 @@ let dedupe cs =
             placed := true
           end
           else if hashes.(k) = h && same_class reps.(k) c then begin
-            if c.kind = Ge && B.compare c.aff.const reps.(k).aff.const < 0 then
-              reps.(k) <- c;
+            let x = c.aff.const and y = reps.(k).aff.const in
+            if
+              c.kind = Ge
+              &&
+              if B.is_small x && B.is_small y then B.to_small x < B.to_small y
+              else B.compare x y < 0
+            then reps.(k) <- c;
             placed := true
           end
           else i := (!i + 1) land mask

@@ -57,9 +57,7 @@ let eliminate s k =
           (fun (u : bound) ->
             (* l.coef*k >= l.form and u.coef*k <= u.form
                =>  l.coef * u.form - u.coef * l.form >= 0 *)
-            Constr.ge
-              (Affine.sub (Affine.scale l.coef u.form)
-                 (Affine.scale u.coef l.form)))
+            Constr.ge (Affine.combine l.coef u.form u.coef l.form))
           uppers)
       lowers
   in

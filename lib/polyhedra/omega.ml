@@ -145,8 +145,10 @@ let solve_for aff k =
   (* u*x + rest = 0  =>  x = -rest/u = -u*rest (u = +-1) *)
   Affine.scale (B.neg u) rest
 
+(* A lower bound keeps the rest of its row, [r = c - b*x], rather than
+   [l = -r], so that each bound costs one copy of the row. *)
 type split = {
-  lowers : (B.t * Affine.t) list; (* (b, l): b*x >= l, b > 0 *)
+  lowers : (B.t * Affine.t) list; (* (b, r): b*x + r >= 0, b > 0 *)
   uppers : (B.t * Affine.t) list; (* (a, u): a*x <= u, a > 0 *)
   rest : Constr.t list;
 }
@@ -161,7 +163,7 @@ let split_on cs k =
       else begin
         assert (c.kind = Constr.Ge);
         let form = Affine.set_coeff c.aff k B.zero in
-        if sign > 0 then lowers := (ck, Affine.neg form) :: !lowers
+        if sign > 0 then lowers := (ck, form) :: !lowers
         else uppers := (B.neg ck, form) :: !uppers
       end)
     cs;
@@ -182,13 +184,13 @@ type row = True_row | False_row | Row of Constr.t
 
 let normalize_row (c : Constr.t) =
   let g = Affine.content c.aff and k = Affine.const_of c.aff in
-  if B.is_zero g then begin
+  if g == B.zero then begin
     let holds =
       match c.kind with Constr.Eq -> B.is_zero k | Constr.Ge -> B.sign k >= 0
     in
     if holds then True_row else False_row
   end
-  else if B.equal g B.one then Row c
+  else if g == B.of_small 1 then Row c
   else
     match c.kind with
     | Constr.Eq ->
@@ -274,25 +276,132 @@ let prepare cs =
    [Bigint].  The native attempt charges its sweeps only once it has
    finished, one unit at a time, so the abandoned attempt charges nothing
    and the fuel, the point where a budget gives up and the verdict are
-   those of [exact_intervals] on every system. *)
+   those of [exact_intervals] on every system.
+
+   Many calls creep: a lower bound rises by a unit or so per sweep, no
+   interval can empty, and the loop runs all [max_sweeps] sweeps for
+   nothing (d >= s + 1 and s = d raise s and d by one each sweep).  The
+   native loop proves that outcome early and returns it, charging the same
+   [max_sweeps] units.  Whether a term can move a bound (its co-terms are
+   bounded on the sides it reads) depends only on which bounds are present,
+   and presence only grows.  So after a sweep that moved a bound but gave
+   no variable its first bound on either side, every later sweep sees the
+   same active terms, and presence is final.  If then no variable has both
+   bounds, no interval can ever empty.  It remains to show that no later
+   sweep leaves every bound unchanged, so the loop would run to
+   [max_sweeps]; a bound leaving the native range on the way only hands the
+   call to [exact_intervals], which runs the same sweeps on [Bigint] and so
+   also charges [max_sweeps] without refuting.
+   The witness is a cycle of lower-bound raises.  From the variable whose
+   lower bound moved last, step to a co-term of the term that last raised
+   it, one that reads a lower bound (negative coefficient), choosing the
+   one whose bound moved last; every variable has one successor, so [dim]
+   steps land on a cycle.  Relax each raise on the cycle to
+   [a*v_out >= K + m*v_in], where [-m] is [v_in]'s coefficient and [K]
+   holds the form's other co-terms at their current bounds, and compose
+   the raises (dividing by gcds, in checked arithmetic) into
+   [D*v >= A*v + B] for the cycle's first variable.  Bounds only tighten,
+   and a raise only grows as its co-terms' bounds tighten, so a sweep that
+   moved nothing would leave every raise on the cycle below its bound, and
+   the current lower bound [L] of [v], or any later one [L' >= L], would
+   satisfy [D*L' >= A*L' + B].  That is impossible when [A >= D] and
+   [(A - D)*L + B > 0].  A cycle that fails this test, or overflows, proves
+   nothing, and the sweeps go on. *)
 let max_sweeps = 16
 let native_bound = 1 lsl 30
 let sum_bound = 1 lsl 61
 
 exception Out_of_range
+exception Uncertified
 
 let in_range v = v >= -native_bound && v <= native_bound
 
-(* bigint.mli documents that every value in [-max_int, max_int] is an
-   immediate [int] and every other value is boxed, so [is_imm] and [imm]
-   read an immediate with no call into [Bigint]. *)
-let is_imm (x : B.t) = Obj.is_int (Obj.repr x)
-let imm (x : B.t) : int = Obj.obj (Obj.repr x)
-
 let native_of x =
-  if is_imm x && in_range (imm x) then imm x else raise Out_of_range
+  if B.is_small x && in_range (B.to_small x) then B.to_small x
+  else raise Out_of_range
 
-(* The number of sweeps run and whether an interval emptied. *)
+(* Arithmetic for the certificate: operands and results stay in
+   [-max_int, max_int], or the certificate is given up. *)
+let checked_add a b =
+  let s = a + b in
+  if (a lxor s) land (b lxor s) < 0 || s = min_int then raise Uncertified;
+  s
+
+let checked_mul a b =
+  let p = a * b in
+  if
+    (abs a < 0x8000_0000 && abs b < 0x8000_0000)
+    || a = 0
+    || (p / a = b && p <> min_int)
+  then p
+  else raise Uncertified
+
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* The certificate above, after a sweep of [native_intervals] whose
+   presence is final, from the forms' layout, the bounds, and for each
+   lower bound the form that last raised it and when.  A top-level
+   function, so that a call that never reaches it allocates nothing for
+   it. *)
+let creeps ~first ~var ~coef ~const ~lo ~hi ~has_lo ~has_hi ~lo_form ~lo_at =
+  let dim = Array.length lo in
+  (* the co-term of [v]'s last raise that reads a lower bound and moved
+     last, as a term index *)
+  let feeder v =
+    if not has_lo.(v) then raise Uncertified;
+    let f = lo_form.(v) and w = ref (-1) in
+    for t = first.(f) to first.(f + 1) - 1 do
+      if coef.(t) < 0 && (!w < 0 || lo_at.(var.(t)) > lo_at.(var.(!w))) then
+        w := t
+    done;
+    if !w < 0 then raise Uncertified;
+    !w
+  in
+  let two_sided = ref false in
+  for v = 0 to dim - 1 do
+    if has_lo.(v) && has_hi.(v) then two_sided := true
+  done;
+  (not !two_sided)
+  &&
+  match
+    (* [dim] steps from the variable whose lower bound moved last *)
+    let v = ref 0 in
+    for j = 1 to dim - 1 do
+      if lo_at.(j) > lo_at.(!v) then v := j
+    done;
+    for _ = 1 to dim do
+      v := var.(feeder !v)
+    done;
+    let v0 = !v in
+    (* [d*v0 >= a*v + b] for each [v] on the cycle in turn, back to [v0]:
+       compose it with [v]'s raise relaxed to [av*v >= k + m*var.(u)] *)
+    let a = ref 1 and b = ref 0 and d = ref 1 and continue = ref true in
+    while !continue do
+      let u = feeder !v and f = lo_form.(!v) in
+      let av = ref 0 and k = ref (-const.(f)) in
+      for t = first.(f) to first.(f + 1) - 1 do
+        let j = var.(t) in
+        if j = !v then av := coef.(t)
+        else if t <> u then begin
+          k := !k - (coef.(t) * if coef.(t) > 0 then hi.(j) else lo.(j));
+          if !k > sum_bound || !k < -sum_bound then raise Uncertified
+        end
+      done;
+      let a' = checked_mul !a (-coef.(u)) and d' = checked_mul !d !av in
+      let b' = checked_add (checked_mul !a !k) (checked_mul !b !av) in
+      let g = gcd_int (gcd_int a' d') (abs b') in
+      a := a' / g;
+      b := b' / g;
+      d := d' / g;
+      v := var.(u);
+      continue := !v <> v0
+    done;
+    !a >= !d && checked_add (checked_mul (!a - !d) lo.(v0)) !b > 0
+  with
+  | holds -> holds
+  | exception Uncertified -> false
+
+(* The sweeps charged, whether an interval emptied, and the sweeps run. *)
 let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
   let nforms = List.length ges + (2 * List.length eqs) in
   (* A form has at most [dim] terms.  Arrays past 256 words would bypass
@@ -303,7 +412,7 @@ let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
     else
       let terms (c : Constr.t) =
         Array.fold_left
-          (fun n x -> if is_imm x && imm x = 0 then n else n + 1)
+          (fun n x -> if x == B.zero then n else n + 1)
           0 (c.aff : Affine.t).coeffs
       in
       List.fold_left (fun n c -> n + terms c) 0 ges
@@ -318,8 +427,8 @@ let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
     const.(!laid) <- native_of c.aff.const;
     for j = 0 to Array.length coeffs - 1 do
       let x = coeffs.(j) in
-      if not (is_imm x) then raise Out_of_range;
-      let v = imm x in
+      if not (B.is_small x) then raise Out_of_range;
+      let v = B.to_small x in
       if v <> 0 then begin
         if not (in_range v) then raise Out_of_range;
         var.(!nterms) <- j;
@@ -346,10 +455,16 @@ let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
   first.(nforms) <- !nterms;
   let lo = Array.make dim 0 and hi = Array.make dim 0 in
   let has_lo = Array.make dim false and has_hi = Array.make dim false in
+  (* the form that last raised each lower bound, and when, counted in
+     lower-bound moves *)
+  let lo_form = Array.make dim 0 and lo_at = Array.make dim 0 in
+  let moves = ref 0 in
   let empty = ref false and changed = ref true and sweeps = ref 0 in
-  while !changed && (not !empty) && !sweeps < max_sweeps do
+  let certified = ref false in
+  while !changed && (not !empty) && (not !certified) && !sweeps < max_sweeps do
     changed := false;
     incr sweeps;
+    let fresh = ref false in
     let f = ref 0 in
     while (not !empty) && !f < nforms do
       let t0 = first.(!f) and t1 = first.(!f + 1) in
@@ -379,8 +494,12 @@ let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
             in
             if not (in_range b) then raise Out_of_range;
             if (not has_lo.(k)) || lo.(k) < b then begin
+              if not has_lo.(k) then fresh := true;
               lo.(k) <- b;
               has_lo.(k) <- true;
+              incr moves;
+              lo_form.(k) <- !f;
+              lo_at.(k) <- !moves;
               changed := true;
               if has_hi.(k) && b > hi.(k) then empty := true
             end
@@ -395,6 +514,7 @@ let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
             in
             if not (in_range b) then raise Out_of_range;
             if (not has_hi.(k)) || hi.(k) > b then begin
+              if not has_hi.(k) then fresh := true;
               hi.(k) <- b;
               has_hi.(k) <- true;
               changed := true;
@@ -404,9 +524,14 @@ let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
         end
       done;
       incr f
-    done
+    done;
+    if !changed && (not !empty) && (not !fresh) && !sweeps < max_sweeps then
+      certified :=
+        creeps ~first ~var ~coef ~const ~lo ~hi ~has_lo ~has_hi ~lo_form
+          ~lo_at
   done;
-  (!sweeps, !empty)
+  if !certified then (max_sweeps, false, !sweeps)
+  else (!sweeps, !empty, !sweeps)
 
 let exact_intervals bgt dim (eqs : Constr.t list) (ges : Constr.t list) =
   let lo = Array.make dim None and hi = Array.make dim None in
@@ -482,14 +607,26 @@ let exact_intervals bgt dim (eqs : Constr.t list) (ges : Constr.t list) =
   done;
   !empty
 
-let refuted_by_intervals bgt dim eqs ges =
+(* Whether the pre-pass refuted, and the sweeps it ran. *)
+let intervals bgt dim eqs ges =
   match native_intervals dim eqs ges with
-  | sweeps, empty ->
-    for _ = 1 to sweeps do
+  | charged, empty, run ->
+    for _ = 1 to charged do
       charge bgt 1
     done;
-    empty
-  | exception Out_of_range -> exact_intervals bgt dim eqs ges
+    (empty, run)
+  | exception Out_of_range ->
+    let spent = bgt.spent in
+    let empty = exact_intervals bgt dim eqs ges in
+    (empty, bgt.spent - spent)
+
+let prepass dim eqs ges =
+  let bgt =
+    { remaining = max_int; spent = 0; deadline = infinity; cancel = None;
+      tick = 0 }
+  in
+  let refuted, run = intervals bgt dim eqs ges in
+  (bgt.spent, refuted, run)
 
 let rec solve ctx bgt dim (cs : Constr.t list) =
   charge bgt 1;
@@ -498,7 +635,7 @@ let rec solve ctx bgt dim (cs : Constr.t list) =
   | eqs, ges -> solve_split ctx bgt dim eqs ges
 
 and solve_split ctx bgt dim eqs ges =
-  if refuted_by_intervals bgt dim eqs ges then false
+  if fst (intervals bgt dim eqs ges) then false
   else begin
     match eqs with
     | [] -> solve_ineqs ctx bgt dim ges
@@ -508,9 +645,14 @@ and solve_split ctx bgt dim eqs ges =
 and solve_eq ctx bgt dim (eq : Constr.t) others =
   (* Prefer a variable with a unit coefficient. *)
   let unit_var =
-    List.find_opt
-      (fun k -> B.equal (B.abs (Affine.coeff eq.aff k)) B.one)
-      (Affine.vars eq.aff)
+    let coeffs = (eq.aff : Affine.t).coeffs in
+    let rec find k =
+      if k = Array.length coeffs then None
+      else
+        let c = coeffs.(k) in
+        if B.is_small c && abs (B.to_small c) = 1 then Some k else find (k + 1)
+    in
+    find 0
   in
   match unit_var with
   | Some k ->
@@ -567,15 +709,16 @@ and solve_ineqs ctx bgt dim ges =
       let coeffs = (c.aff : Affine.t).coeffs in
       for k = 0 to dim - 1 do
         let ck = coeffs.(k) in
-        match B.sign ck with
-        | 0 -> ()
-        | 1 ->
+        (* a boxed coefficient counts by its sign, as a non-unit *)
+        let v = if B.is_small ck then B.to_small ck else 2 * B.sign ck in
+        if v > 0 then begin
           n_lo.(k) <- n_lo.(k) + 1;
-          if not (B.equal ck B.one) then nonunit_lo.(k) <- nonunit_lo.(k) + 1
-        | _ ->
+          if v <> 1 then nonunit_lo.(k) <- nonunit_lo.(k) + 1
+        end
+        else if v < 0 then begin
           n_up.(k) <- n_up.(k) + 1;
-          if not (B.equal ck B.minus_one) then
-            nonunit_up.(k) <- nonunit_up.(k) + 1
+          if v <> -1 then nonunit_up.(k) <- nonunit_up.(k) + 1
+        end
       done)
     ges;
   let choice = ref (-1) and exact = ref false and cost = ref 0 in
@@ -603,14 +746,15 @@ and solve_ineqs ctx bgt dim ges =
     charge bgt (max 1 cost);
     let combine extra_slack =
       List.concat_map
-        (fun (b, l) ->
+        (fun (b, r) ->
           List.map
             (fun (a, u) ->
-              (* b*x >= l, a*x <= u => a*l <= ab*x <= b*u *)
-              let gap = Affine.sub (Affine.scale b u) (Affine.scale a l) in
+              (* b*x >= -r, a*x <= u => -a*r <= ab*x <= b*u *)
+              let gap = Affine.combine b u (B.neg a) r in
+              let slack = extra_slack a b in
               Constr.ge
-                (Affine.add_const gap
-                   (B.neg (extra_slack a b))))
+                (if B.is_zero slack then gap
+                 else Affine.add_const gap (B.neg slack)))
             uppers)
         lowers
     in
@@ -623,13 +767,13 @@ and solve_ineqs ctx bgt dim ges =
         let dark_slack a b = B.mul (B.pred a) (B.pred b) in
         if solve ctx bgt dim (combine dark_slack @ rest) then true
         else begin
-          (* Splinter: any integer solution has some lower bound b*x >= l
-             with b*x <= l + (b*amax - b - amax)/amax. *)
+          (* Splinter: any integer solution has some lower bound b*x >= -r
+             with b*x <= -r + (b*amax - b - amax)/amax. *)
           let amax =
             List.fold_left (fun acc (a, _) -> B.max acc a) B.one uppers
           in
           List.exists
-            (fun (b, l) ->
+            (fun (b, r) ->
               let kmax =
                 B.fdiv
                   (B.sub (B.mul b amax) (B.add b amax))
@@ -640,13 +784,10 @@ and solve_ineqs ctx bgt dim ges =
                 else begin
                   Atomic.incr ctx.Ctx.splinters;
                   charge bgt 1;
+                  (* b*x + r - i = 0; [r] does not mention x *)
                   let eq =
                     Constr.eq
-                      (Affine.add_const
-                         (Affine.sub
-                            (Affine.scale b (Affine.var dim k))
-                            l)
-                         (B.neg i))
+                      (Affine.add_const (Affine.set_coeff r k b) (B.neg i))
                   in
                   if solve ctx bgt dim (eq :: ges) then true
                   else try_i (B.succ i)
@@ -683,8 +824,8 @@ let add_varint buf v =
   Buffer.add_char buf (Char.unsafe_chr !v)
 
 let add_value buf x =
-  if is_imm x then
-    let n = imm x in
+  if B.is_small x then
+    let n = B.to_small x in
     add_varint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
   else begin
     let digits = B.to_string x in
@@ -699,7 +840,7 @@ let row_bytes buf (c : Constr.t) =
   let coeffs = (c.aff : Affine.t).coeffs in
   for i = 0 to Array.length coeffs - 1 do
     let x = coeffs.(i) in
-    if not (is_imm x && imm x = 0) then begin
+    if x != B.zero then begin
       add_varint buf (i + 1);
       add_value buf x
     end

@@ -138,3 +138,11 @@ val implies : ctx:Ctx.t -> System.t -> Constr.t -> bool
 (** [implies ~ctx s c] is true when every integer point of [s] satisfies
     [c].  Built on {!satisfiable}, so a budget exhaustion conservatively
     answers false ("could not prove the implication"). *)
+
+val prepass : int -> Constr.t list -> Constr.t list -> int * bool * int
+(** Test-only: the solver's interval pre-pass, unbudgeted, on a system of
+    the given dimension split into equalities and inequalities, each
+    normalized as {!decide} normalizes it.  Returns the sweeps it charges,
+    whether it refuted the system, and the sweeps it actually ran: fewer
+    than it charges when it proved that the remaining sweeps could not
+    refute. *)

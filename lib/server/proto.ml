@@ -127,15 +127,6 @@ let error_to_payload e =
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let str k j = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-let int k j = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-
-let flt k j =
-  match Json.member k j with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 let bad_payload msg = Error (error "bad_payload" msg)
 
 let parse_json payload k =
@@ -158,12 +149,15 @@ let request_of_payload ~op payload =
   | Wire.Shutdown -> Ok Shutdown
   | Wire.Parse ->
     parse_json payload (fun j ->
-        match str "text" j with
+        match Json.str_opt "text" j with
         | Some text -> Ok (Parse { text })
         | None -> bad_payload "parse: missing string field \"text\"")
   | Wire.Probe | Wire.Legal ->
     parse_json payload (fun j ->
-        match (str "kernel" j, str "spec" j, int "size" j, budget j) with
+        match
+          ( Json.str_opt "kernel" j, Json.str_opt "spec" j,
+            Json.int_opt "size" j, budget j )
+        with
         | Some kernel, Some spec, Some size, Some budget_ms when size > 0 ->
           Ok
             (if op = Wire.Probe then Probe { kernel; spec; size; budget_ms }
@@ -174,7 +168,10 @@ let request_of_payload ~op payload =
              \"size\" (optional positive int \"budget_ms\")")
   | Wire.Tune ->
     parse_json payload (fun j ->
-        match (str "kernel" j, int "size" j, int "n" j, budget j) with
+        match
+          ( Json.str_opt "kernel" j, Json.int_opt "size" j,
+            Json.int_opt "n" j, budget j )
+        with
         | Some kernel, Some size, Some n, Some budget_ms
           when size > 0 && n > 0 ->
           Ok (Tune { kernel; size; n; budget_ms })
@@ -191,8 +188,9 @@ let request_of_payload ~op payload =
           | _ -> None
         in
         match
-          (str "kernel" j, spec, int "size" j, int "n" j, str "machine" j,
-           str "quality" j, budget j)
+          ( Json.str_opt "kernel" j, spec, Json.int_opt "size" j,
+            Json.int_opt "n" j, Json.str_opt "machine" j,
+            Json.str_opt "quality" j, budget j )
         with
         | Some kernel, Some spec, Some size, Some n, Some machine,
           Some quality, Some budget_ms
@@ -213,22 +211,26 @@ let reply_of_payload ~op payload =
     | Error msg -> Error ("reply payload is not JSON: " ^ msg)
     | Ok j -> (
       match
-        ( str "pretty" j, str "verdict" j, str "label" j,
-          Json.member "stats" j, Json.member "bye" j, flt "cycles" j )
+        ( Json.str_opt "pretty" j, Json.str_opt "verdict" j,
+          Json.str_opt "label" j, Json.member "stats" j, Json.member "bye" j,
+          Json.num_opt "cycles" j )
       with
       | Some pretty, _, _, _, _, _ -> (
-        match int "deps" j with
+        match Json.int_opt "deps" j with
         | Some deps -> Ok (R_parsed { pretty; deps })
         | None -> Error "parsed reply lacks \"deps\"")
       | _, Some verdict, _, _, _, _ -> Ok (R_verdict { verdict })
       | _, _, Some label, _, _, Some cycles -> (
-        match int "candidates" j with
+        match Json.int_opt "candidates" j with
         | Some candidates -> Ok (R_tuned { label; cycles; candidates })
         | None -> Error "tuned reply lacks \"candidates\"")
       | _, _, _, Some stats, _, _ -> Ok (R_stats stats)
       | _, _, _, _, Some (Json.Bool true), _ -> Ok R_bye
       | _, _, _, _, _, Some cycles -> (
-        match (flt "mflops" j, int "flops" j, int "accesses" j) with
+        match
+          ( Json.num_opt "mflops" j, Json.int_opt "flops" j,
+            Json.int_opt "accesses" j )
+        with
         | Some mflops, Some flops, Some accesses ->
           Ok (R_sim { cycles; mflops; flops; accesses })
         | _ -> Error "sim reply lacks mflops/flops/accesses")
@@ -238,7 +240,7 @@ let error_of_payload payload =
   match Json.of_string payload with
   | Error msg -> Error ("error payload is not JSON: " ^ msg)
   | Ok j -> (
-    match (str "code" j, str "message" j) with
+    match (Json.str_opt "code" j, Json.str_opt "message" j) with
     | Some e_code, Some e_message ->
       let e_retry_after_ms =
         match Json.member "retry_after_ms" j with

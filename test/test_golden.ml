@@ -39,6 +39,48 @@ let check_case (name, prog) =
   let expected = read_file (path name) in
   Alcotest.(check string) (name ^ " matches golden file") expected got
 
+(* The spec table behind shacklec --spec, the daemon's resolver and
+   perfbench: every name Specs.names lists for a kernel resolves to a spec
+   that fits the kernel, "default" is the first of them, and a name the
+   kernel does not list, or any name for a kernel with none, resolves to
+   nothing. *)
+let test_spec_names () =
+  let all_names =
+    List.sort_uniq compare
+      (List.concat_map (fun (k, _) -> Specs.names k) (K.all ()))
+  in
+  let show spec = Format.asprintf "%a" Shackle.Spec.pp spec in
+  List.iter
+    (fun (kernel, p) ->
+      let names = Specs.names kernel in
+      let lookup spec = Specs.lookup ~kernel ~spec ~size:8 in
+      List.iter
+        (fun spec ->
+          let listed = List.mem spec names in
+          match lookup spec with
+          | Some s -> (
+            if not listed then
+              Alcotest.failf "%s: %S resolves but is not listed" kernel spec;
+            match Shackle.Spec.validate p s with
+            | Ok () -> ()
+            | Error e ->
+              Alcotest.failf "%s --spec %s does not fit: %s" kernel spec e)
+          | None ->
+            if listed then
+              Alcotest.failf "%s: listed %S does not resolve" kernel spec)
+        ("nonexistent" :: all_names);
+      match (names, lookup "default") with
+      | [], None -> ()
+      | first :: _, Some d ->
+        Alcotest.(check string) (kernel ^ ": default is the first spec")
+          (show (Option.get (lookup first))) (show d)
+      | [], Some _ -> Alcotest.failf "%s has no specs but a default" kernel
+      | _ :: _, None -> Alcotest.failf "%s has specs but no default" kernel)
+    (K.all ());
+  Alcotest.(check (list string)) "matmul's specs" [ "c"; "ca"; "two-level" ]
+    (Specs.names "matmul");
+  Alcotest.(check (list string)) "syrk has none" [] (Specs.names "syrk")
+
 let () =
   if Array.length Sys.argv > 1 && String.equal Sys.argv.(1) "--regen" then begin
     List.iter
@@ -53,4 +95,7 @@ let () =
           List.map
             (fun ((name, _) as case) ->
               Alcotest.test_case name `Quick (fun () -> check_case case))
-            (cases ()) ) ]
+            (cases ()) );
+        ( "specs",
+          [ Alcotest.test_case "names = lookup for every kernel" `Quick
+              test_spec_names ] ) ]

@@ -724,6 +724,334 @@ let test_omega_wide_coefficients () =
     [ 110; 47; 3998; 27 ]
     [ !sat; !unsat; Omega.Ctx.fuel_spent ctx; Omega.Ctx.splinters ctx ]
 
+(* --- row arithmetic across the immediate/boxed boundary ---
+
+   Affine's row operations and Constr.normalize run each coefficient
+   inline while its operands are immediates and call Bigint otherwise, so
+   each must return exactly what a per-coefficient fold of the Bigint
+   function it replaces returns.  One representation per value makes
+   structural equality exact.  Values are drawn around 0, +-2^30, +-2^31
+   (the native product bound), +-2^61, +-max_int and min_int. *)
+
+let gen_edge =
+  let open QCheck.Gen in
+  let near base =
+    map (fun o -> B.add (B.of_int base) (B.of_int o)) (int_range (-2) 2)
+  in
+  frequency
+    [ (2, map B.of_int (int_range (-3) 3));
+      ( 5,
+        oneofl
+          [ 1 lsl 30; -(1 lsl 30); 1 lsl 31; -(1 lsl 31); 1 lsl 61; -(1 lsl 61);
+            max_int; -max_int ]
+        >>= near );
+      ( 1,
+        map (fun o -> B.sub (B.of_int min_int) (B.of_int o)) (int_range 0 2) ) ]
+
+let map_row f (a : A.t) = A.make (Array.map f a.A.coeffs) (f a.A.const)
+
+let map_row2 f (a : A.t) (b : A.t) =
+  A.make (Array.map2 f a.A.coeffs b.A.coeffs) (f a.A.const b.A.const)
+
+let reference_content (a : A.t) = Array.fold_left B.gcd B.zero a.A.coeffs
+
+let reference_divexact (a : A.t) g =
+  A.make
+    (Array.map (fun c -> if B.is_zero c then c else B.divexact c g) a.A.coeffs)
+    (B.divexact a.A.const g)
+
+let reference_div_floor (a : A.t) g =
+  A.make
+    (Array.map (fun c -> if B.is_zero c then c else B.divexact c g) a.A.coeffs)
+    (B.fdiv a.A.const g)
+
+let reference_normalize (c : C.t) =
+  let g = reference_content c.C.aff in
+  if B.is_zero g then c
+  else
+    match c.C.kind with
+    | C.Eq ->
+      if B.is_zero (B.frem c.C.aff.A.const g) then
+        C.eq (reference_divexact c.C.aff g)
+      else c
+    | C.Ge ->
+      if B.equal g B.one then c else C.ge (reference_div_floor c.C.aff g)
+
+let prop_row_arithmetic =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 4 >>= fun dim ->
+    let row =
+      map2
+        (fun cs c -> A.make (Array.of_list cs) c)
+        (list_repeat dim gen_edge) gen_edge
+    in
+    tup4 (pair row row) (pair row row) (tup3 gen_edge gen_edge gen_edge)
+      (int_bound (dim - 1))
+  in
+  let print ((a, _), _, _, _) = Format.asprintf "%a" (A.pp [||]) a in
+  QCheck.Test.make ~count:2000 ~name:"row arithmetic = per-coefficient Bigint"
+    (QCheck.make ~print gen)
+    (fun ((a, b), (e, r), (k, k2, g), j) ->
+      let e = A.set_coeff e j B.zero in
+      let akj = a.A.coeffs.(j) in
+      let subst =
+        if B.is_zero akj then a
+        else
+          A.make
+            (Array.mapi
+               (fun i c ->
+                 if i = j then B.zero else B.add c (B.mul akj e.A.coeffs.(i)))
+               a.A.coeffs)
+            (B.add a.A.const (B.mul akj e.A.const))
+      in
+      let g = if B.is_zero g then B.two else g in
+      (* multiples of [g], with an arbitrary constant for the floor *)
+      let m = map_row (B.mul g) r and gabs = B.abs g in
+      let m_floor = A.make (map_row (B.mul gabs) r).A.coeffs b.A.const in
+      let normalized c = C.normalize c = reference_normalize c in
+      A.add a b = map_row2 B.add a b
+      && A.sub a b = map_row2 B.sub a b
+      && A.neg a = map_row B.neg a
+      && A.scale k a = map_row (B.mul k) a
+      && A.add_const a k = A.make a.A.coeffs (B.add a.A.const k)
+      && A.subst a j e = subst
+      && A.content a = reference_content a
+      && A.content m = reference_content m
+      && A.divexact m g = reference_divexact m g
+      && A.div_floor m_floor gabs = reference_div_floor m_floor gabs
+      && A.combine k a k2 b
+         = map_row2 (fun u l -> B.sub (B.mul k u) (B.mul k2 l)) a b
+      && List.for_all normalized
+           [ C.ge a; C.eq a; C.ge m; C.eq m; C.ge m_floor; C.eq m_floor ])
+
+let test_row_arithmetic () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 32 |]) prop_row_arithmetic
+
+(* --- the interval pre-pass ---
+
+   The pre-pass proves, a few sweeps in, that a creeping call can never
+   refute, and then charges the sweeps the full run would have charged.
+   Its outcome must be that of the plain sweep loop, kept here on Bigint
+   with no proof: at most 16 sweeps, each tightening every variable a form
+   bounds, until no bound moves or an interval empties. *)
+let reference_prepass dim eqs ges =
+  let lo = Array.make dim None and hi = Array.make dim None in
+  let forms =
+    List.concat_map
+      (fun (c : C.t) ->
+        match c.C.kind with
+        | C.Ge -> [ c.C.aff ]
+        | C.Eq -> [ c.C.aff; A.neg c.C.aff ])
+      (eqs @ ges)
+  in
+  let empty = ref false and changed = ref true and sweeps = ref 0 in
+  while !changed && (not !empty) && !sweeps < 16 do
+    changed := false;
+    incr sweeps;
+    List.iter
+      (fun aff ->
+        let vars = A.vars aff in
+        if not !empty then
+          List.iter
+            (fun k ->
+              let rest_max =
+                List.fold_left
+                  (fun acc j ->
+                    if j = k then acc
+                    else
+                      let aj = A.coeff aff j in
+                      match (acc, if B.sign aj > 0 then hi.(j) else lo.(j)) with
+                      | Some sum, Some v -> Some (B.add sum (B.mul aj v))
+                      | _ -> None)
+                  (Some (A.const_of aff)) vars
+              in
+              match rest_max with
+              | None -> ()
+              | Some rm ->
+                let ak = A.coeff aff k in
+                if B.sign ak > 0 then begin
+                  let b = B.cdiv (B.neg rm) ak in
+                  match lo.(k) with
+                  | Some old when B.compare old b >= 0 -> ()
+                  | _ ->
+                    lo.(k) <- Some b;
+                    changed := true;
+                    (match hi.(k) with
+                    | Some h when B.compare b h > 0 -> empty := true
+                    | _ -> ())
+                end
+                else begin
+                  let b = B.fdiv rm (B.neg ak) in
+                  match hi.(k) with
+                  | Some old when B.compare old b <= 0 -> ()
+                  | _ ->
+                    hi.(k) <- Some b;
+                    changed := true;
+                    (match lo.(k) with
+                    | Some l when B.compare l b > 0 -> empty := true
+                    | _ -> ())
+                end)
+            vars)
+      forms
+  done;
+  (!sweeps, !empty)
+
+(* A system's rows as the solver's first level hands them to the pre-pass:
+   normalized, constant rows dropped, equalities first. *)
+let prepass_input (rows : C.t list) =
+  let rows =
+    List.filter
+      (fun (c : C.t) -> not (A.is_constant c.C.aff))
+      (List.map C.normalize rows)
+  in
+  List.partition (fun (c : C.t) -> c.C.kind = C.Eq) rows
+
+(* Systems the certificate is for: free parameters, one-sided orderings
+   [a*x >= b*y + c] and equalities [x = y + c] that make bounds creep, block
+   pairs [k*y <= x <= k*y + k - 1] with [y >= 1], each with a row that
+   contradicts it, anchors [x >= c], and some doubly bounded variables. *)
+let gen_prepass_system =
+  let open QCheck.Gen in
+  int_range 2 6 >>= fun dim ->
+  let var = int_bound (dim - 1) and v i = A.var dim i in
+  let k c = A.of_int dim c in
+  let coef = frequency [ (3, return 1); (1, int_range 2 3) ] in
+  let row =
+    frequency
+      [ ( 4,
+          map3
+            (fun (x, a) (y, b) c ->
+              [ C.ge_of (A.scale_int a (v x))
+                  (A.add_const (A.scale_int b (v y)) (B.of_int c)) ])
+            (pair var coef) (pair var coef) (int_range (-2) 9) );
+        ( 1,
+          map3 (fun x y c -> [ C.eq_of (v x) (A.add_const (v y) (B.of_int c)) ])
+            var var (int_range (-1) 1) );
+        (2, map2 (fun x c -> [ C.ge_of (v x) (k c) ]) var (int_range (-3) 5));
+        ( 2,
+          map3
+            (fun (x, y) kk above ->
+              let ky = A.scale_int kk (v y) in
+              [ C.ge_of (v y) (k 1); C.ge_of (v x) ky;
+                C.le_of (v x) (A.add_const ky (B.of_int (kk - 1)));
+                (if above then C.ge_of (v x) (A.add_const ky (B.of_int kk))
+                 else C.le_of (v x) (A.add_const ky B.minus_one)) ])
+            (pair var var) (int_range 2 64) bool );
+        ( 1,
+          map3 (fun x l w -> [ C.ge_of (v x) (k l); C.le_of (v x) (k (l + w)) ])
+            var (int_range (-5) 5) (int_range 0 40) ) ]
+  in
+  map (fun rows -> (dim, List.concat rows)) (list_size (int_range 1 7) row)
+
+let prepass_runs = ref 0 and prepass_certified = ref 0
+
+let prop_prepass =
+  let print (dim, rows) =
+    Format.asprintf "%a" S.pp
+      (S.make (Array.init dim (fun i -> "x" ^ string_of_int i)) rows)
+  in
+  QCheck.Test.make ~count:1500 ~name:"pre-pass = plain sweep loop"
+    (QCheck.make ~print gen_prepass_system)
+    (fun (dim, rows) ->
+      let eqs, ges = prepass_input rows in
+      let charged, refuted, run = Omega.prepass dim eqs ges in
+      incr prepass_runs;
+      if run < charged then incr prepass_certified;
+      (charged, refuted) = reference_prepass dim eqs ges)
+
+let test_prepass_property () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 32 |]) prop_prepass;
+  if 5 * !prepass_certified < !prepass_runs then
+    Alcotest.failf
+      "the pre-pass stopped early on %d of %d systems, under a fifth"
+      !prepass_certified !prepass_runs
+
+(* Hand-written pre-pass cases: the system, whether the pre-pass stops
+   early on it, and the verdict and total fuel of commit e64edeb, which
+   always ran every sweep, computed on a checkout of it.  There, under
+   every fuel cap below the total, each query gave up after spending one
+   unit more than the cap; every cap must still do exactly that. *)
+let prepass_cases =
+  let v n i = A.var n i and k n c = A.of_int n c in
+  let p21 = 1 lsl 21 in
+  let xy = [| "x"; "y" |] in
+  [ (* lower bounds creep one unit per sweep *)
+    ( "s >= 1, d >= s + 1, s = d", [| "s"; "d" |],
+      [ C.ge_of (v 2 0) (k 2 1); C.ge_of (v 2 1) (A.add_const (v 2 0) B.one);
+        C.eq_of (v 2 0) (v 2 1) ],
+      true, Omega.Unsat, 18 );
+    ( "block pair x2 >= 1, x4 >= 32 x2 - 31, x4 <= 32 x2 - 32",
+      [| "x0"; "x1"; "x2"; "x3"; "x4" |],
+      [ C.ge_of (v 5 2) (k 5 1);
+        C.ge_of (v 5 4) (A.add_const (A.scale_int 32 (v 5 2)) (B.of_int (-31)));
+        C.le_of (v 5 4)
+          (A.add_const (A.scale_int 32 (v 5 2)) (B.of_int (-32))) ],
+      true, Omega.Unsat, 19 );
+    (* cycles whose raises converge: nothing to certify *)
+    ( "x >= 1, 2x >= y + 1, y >= x", xy,
+      [ C.ge_of (v 2 0) (k 2 1);
+        C.ge_of (A.scale_int 2 (v 2 0)) (A.add_const (v 2 1) B.one);
+        C.ge_of (v 2 1) (v 2 0) ],
+      false, Omega.Sat, 10 );
+    ( "x >= 1, 2x >= y + 9, y >= x", xy,
+      [ C.ge_of (v 2 0) (k 2 1);
+        C.ge_of (A.scale_int 2 (v 2 0)) (A.add_const (v 2 1) (B.of_int 9));
+        C.ge_of (v 2 1) (v 2 0) ],
+      false, Omega.Sat, 14 );
+    (* a creeping cycle of three raises by (2^21 + 1)/2^21, whose
+       composition overflows native ints *)
+    ( "creep with an overflowing composition", [| "x"; "y"; "z" |],
+      [ C.ge_of (v 3 0) (k 3 0);
+        C.ge (A.of_ints [ p21; -(p21 + 1); 0 ] (-1));
+        C.ge (A.of_ints [ 0; p21; -(p21 + 1) ] (-1));
+        C.ge (A.of_ints [ -(p21 + 1); 0; p21 ] (-1)) ],
+      false, Omega.Unsat, 38 );
+    (* bounds grow eightfold per sweep and would leave the native range
+       in the eleventh *)
+    ( "y >= 1, x >= 8y + 1, y >= x", xy,
+      [ C.ge_of (v 2 1) (k 2 1);
+        C.ge_of (v 2 0) (A.add_const (A.scale_int 8 (v 2 1)) B.one);
+        C.ge_of (v 2 1) (v 2 0) ],
+      true, Omega.Unsat, 20 );
+    (* a cycle s <-> d that creeps and certifies after sweep 1 if
+       presence were final; but w <= 9 comes after w >= s, so s gets its
+       upper bound only in sweep 2, and the interval empties in sweep 6 *)
+    ( "w >= s, w <= 9, s >= 1, d >= s + 1, s >= d", [| "s"; "d"; "w" |],
+      [ C.ge_of (v 3 2) (v 3 0); C.le_of (v 3 2) (k 3 9);
+        C.ge_of (v 3 0) (k 3 1); C.ge_of (v 3 1) (A.add_const (v 3 0) B.one);
+        C.ge_of (v 3 0) (v 3 1) ],
+      false, Omega.Unsat, 7 );
+    (* x is bounded on both sides, so an interval may still empty *)
+    ( "0 <= x <= 100, y >= x + 1, x >= y", xy,
+      [ C.ge_of (v 2 0) (k 2 0); C.le_of (v 2 0) (k 2 100);
+        C.ge_of (v 2 1) (A.add_const (v 2 0) B.one); C.ge_of (v 2 0) (v 2 1) ],
+      false, Omega.Unsat, 19 ) ]
+
+let test_prepass_cases () =
+  List.iter
+    (fun (what, names, rows, stops_early, verdict, total) ->
+      let s = S.make names rows in
+      let eqs, ges = prepass_input rows in
+      let charged, refuted, run = Omega.prepass (Array.length names) eqs ges in
+      if (charged, refuted) <> reference_prepass (Array.length names) eqs ges
+      then
+        Alcotest.failf "%s: the pre-pass disagrees with the sweep loop" what;
+      Alcotest.(check bool)
+        (what ^ ": stops early") stops_early (run < charged);
+      for cap = 0 to total do
+        let ctx = Omega.Ctx.create ~fuel:cap () in
+        let got = Omega.decide ~ctx s in
+        let want, spent =
+          if cap < total then (Omega.Unknown "fuel", cap + 1)
+          else (verdict, total)
+        in
+        if got <> want || Omega.Ctx.fuel_spent ctx <> spent then
+          Alcotest.failf "%s, fuel %d: spent %d, want %d" what cap
+            (Omega.Ctx.fuel_spent ctx) spent
+      done)
+    prepass_cases
+
 (* --- budget soundness: three-valued verdicts never lie ---
 
    The fuel/deadline machinery must degrade, not corrupt: a generously
@@ -851,6 +1179,8 @@ let () =
           Alcotest.test_case "pretty-print" `Quick test_affine_pp ] );
       ( "constr",
         [ Alcotest.test_case "normalize" `Quick test_constr_normalize;
+          Alcotest.test_case "row arithmetic = per-coefficient Bigint" `Quick
+            test_row_arithmetic;
           Alcotest.test_case "satisfied_by" `Quick test_constr_satisfied;
           Alcotest.test_case "dedupe = reference" `Quick
             test_dedupe_reference ] );
@@ -886,6 +1216,11 @@ let () =
             test_omega_implies_vs_brute_sampled;
           Alcotest.test_case "wide coefficients = enumeration" `Quick
             test_omega_wide_coefficients ] );
+      ( "pre-pass",
+        [ Alcotest.test_case "pre-pass = plain sweep loop" `Quick
+            test_prepass_property;
+          Alcotest.test_case "hand-written systems, every fuel cap" `Quick
+            test_prepass_cases ] );
       ( "budget",
         [ Alcotest.test_case "budgeted verdicts never lie (sampled)" `Quick
             test_budget_soundness_sampled;
