@@ -48,15 +48,13 @@ let repro_command ~quick ~timeout_ms ~fuel ~inject seed =
   Buffer.contents buf
 
 let run_seed ?(hooks = Oracle.default_hooks) ?timeout_ms ?fuel
-    ?(inject = Fault.none) ?token ~config ~quick seed =
+    ?(inject = Fault.none) ~config ~quick seed =
   let repro = repro_command ~quick ~timeout_ms ~fuel ~inject seed in
   (* pre-oracle faults first: an injected crash/delay hits before any real
      work, like a worker dying on startup would *)
   Fault.apply_pre inject ~seed;
-  Option.iter Runner.Token.check token;
-  let budget =
-    { Oracle.fuel; starve_after = Fault.starve_for inject ~seed; token }
-  in
+  Runner.check ();
+  let budget = { Oracle.fuel; starve_after = Fault.starve_for inject ~seed } in
   let prog = Gen.program ~quick (Rng.create seed) in
   match Oracle.check ~hooks ~budget config prog with
   | Ok stats -> Ok stats
@@ -98,19 +96,20 @@ let checkpoint_batch = 8
 
 type row = Row_ok of Oracle.stats | Row_fail of failure_report
 
-let stats_to_json (s : Oracle.stats) =
-  Json.Obj
-    [ ("specs", Json.Int s.Oracle.specs);
-      ("legal_specs", Json.Int s.Oracle.legal_specs);
-      ("verified", Json.Int s.Oracle.verified);
-      ("skipped", Json.Int s.Oracle.skipped);
-      ("tune_checked", Json.Int s.Oracle.tune_checked);
-      ("par_checked", Json.Int s.Oracle.par_checked);
-      ("wire_checked", Json.Int s.Oracle.wire_checked);
-      ("chaos_checked", Json.Int s.Oracle.chaos_checked);
-      ("stage_checked", Json.Int s.Oracle.stage_checked);
-      ("bound_checked", Json.Int s.Oracle.bound_checked);
-      ("gave_up", Json.Int s.Oracle.gave_up) ]
+(* The 11 counters, in the order the checkpoint rows and the final report
+   both write them. *)
+let stats_fields (s : Oracle.stats) =
+  [ ("specs", Json.Int s.Oracle.specs);
+    ("legal_specs", Json.Int s.Oracle.legal_specs);
+    ("verified", Json.Int s.Oracle.verified);
+    ("skipped", Json.Int s.Oracle.skipped);
+    ("tune_checked", Json.Int s.Oracle.tune_checked);
+    ("par_checked", Json.Int s.Oracle.par_checked);
+    ("wire_checked", Json.Int s.Oracle.wire_checked);
+    ("chaos_checked", Json.Int s.Oracle.chaos_checked);
+    ("stage_checked", Json.Int s.Oracle.stage_checked);
+    ("bound_checked", Json.Int s.Oracle.bound_checked);
+    ("gave_up", Json.Int s.Oracle.gave_up) ]
 
 (* Strict: a row lacking any counter is dropped like a torn line, and its
    seed re-runs.  [load_checkpoint] only reads files whose meta line
@@ -167,7 +166,7 @@ let row_to_json seed = function
     Json.Obj
       [ ("seed", Json.Int seed);
         ("outcome", Json.Str "ok");
-        ("stats", stats_to_json s) ]
+        ("stats", Json.Obj (stats_fields s)) ]
   | Row_fail f ->
     Json.Obj
       [ ("seed", Json.Int seed);
@@ -187,15 +186,16 @@ let row_of_json j =
 
 let opt_int = function Some i -> Json.Int i | None -> Json.Null
 
-let meta_json ~first_seed ~seeds ~quick ~timeout_ms ~fuel ~inject =
-  Json.Obj
-    [ ("schema", Json.Str Report.fuzz_checkpoint);
-      ("first_seed", Json.Int first_seed);
-      ("seeds", Json.Int seeds);
-      ("quick", Json.Bool quick);
-      ("timeout_ms", opt_int timeout_ms);
-      ("fuel", opt_int fuel);
-      ("inject", Json.Str (Fault.to_string inject)) ]
+(* The campaign configuration, under [schema]: the checkpoint's meta line
+   and the head of the final report. *)
+let campaign_fields ~schema ~first_seed ~seeds ~quick ~timeout_ms ~fuel ~inject =
+  [ ("schema", Json.Str schema);
+    ("first_seed", Json.Int first_seed);
+    ("seeds", Json.Int seeds);
+    ("quick", Json.Bool quick);
+    ("timeout_ms", opt_int timeout_ms);
+    ("fuel", opt_int fuel);
+    ("inject", Json.Str inject) ]
 
 let read_lines path =
   let ic = open_in path in
@@ -240,7 +240,11 @@ let run ?(domains = 1) ?timeout_ms ?fuel ?(retries = 0) ?(inject = Fault.none)
     ?checkpoint ?(resume = false) ~quick ~seeds ~first_seed () =
   let config = if quick then Oracle.quick else Oracle.thorough in
   let seed_list = List.init seeds (fun i -> first_seed + i) in
-  let meta = meta_json ~first_seed ~seeds ~quick ~timeout_ms ~fuel ~inject in
+  let meta =
+    Json.Obj
+      (campaign_fields ~schema:Report.fuzz_checkpoint ~first_seed ~seeds ~quick
+         ~timeout_ms ~fuel ~inject:(Fault.to_string inject))
+  in
   let completed : (int, row) Hashtbl.t = Hashtbl.create 64 in
   (match checkpoint with
   | Some path when resume -> (
@@ -305,7 +309,7 @@ let run ?(domains = 1) ?timeout_ms ?fuel ?(retries = 0) ?(inject = Fault.none)
         (blank_failure Oracle.Timeout
            (match timeout_ms with
            | Some t -> Printf.sprintf "no result within %d ms" t
-           | None -> "cancelled")
+           | None -> "no result before the caller's deadline")
            (Fault.is_faulty inject ~seed))
   in
   let pending_arr = Array.of_list pending_seeds in
@@ -314,8 +318,7 @@ let run ?(domains = 1) ?timeout_ms ?fuel ?(retries = 0) ?(inject = Fault.none)
       ~on_outcome:(fun i o ->
         let seed = pending_arr.(i) in
         write_row seed (row_of_outcome seed o))
-      (fun token seed ->
-        run_seed ?timeout_ms ?fuel ~inject ~token ~config ~quick seed)
+      (fun seed -> run_seed ?timeout_ms ?fuel ~inject ~config ~quick seed)
       pending_seeds
   in
   flush_sink ();
@@ -386,22 +389,8 @@ let failure_to_string f =
 
 let to_json r =
   Json.Obj
-    [ ("schema", Json.Str Report.fuzz_report);
-      ("first_seed", Json.Int r.first_seed);
-      ("seeds", Json.Int r.seeds);
-      ("quick", Json.Bool r.quick);
-      ("timeout_ms", opt_int r.timeout_ms);
-      ("fuel", opt_int r.fuel);
-      ("inject", Json.Str r.inject);
-      ("specs", Json.Int r.stats.Oracle.specs);
-      ("legal_specs", Json.Int r.stats.Oracle.legal_specs);
-      ("verified", Json.Int r.stats.Oracle.verified);
-      ("skipped", Json.Int r.stats.Oracle.skipped);
-      ("tune_checked", Json.Int r.stats.Oracle.tune_checked);
-      ("par_checked", Json.Int r.stats.Oracle.par_checked);
-      ("wire_checked", Json.Int r.stats.Oracle.wire_checked);
-      ("chaos_checked", Json.Int r.stats.Oracle.chaos_checked);
-      ("stage_checked", Json.Int r.stats.Oracle.stage_checked);
-      ("bound_checked", Json.Int r.stats.Oracle.bound_checked);
-      ("gave_up", Json.Int r.stats.Oracle.gave_up);
-      ("failures", Json.List (List.map failure_to_json r.failures)) ]
+    (campaign_fields ~schema:Report.fuzz_report ~first_seed:r.first_seed
+       ~seeds:r.seeds ~quick:r.quick ~timeout_ms:r.timeout_ms ~fuel:r.fuel
+       ~inject:r.inject
+    @ stats_fields r.stats
+    @ [ ("failures", Json.List (List.map failure_to_json r.failures)) ])

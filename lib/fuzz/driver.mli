@@ -41,7 +41,6 @@ val run_seed :
   ?timeout_ms:int ->
   ?fuel:int ->
   ?inject:Fault.plan ->
-  ?token:Runner.Token.t ->
   config:Oracle.config ->
   quick:bool ->
   int ->
@@ -49,9 +48,10 @@ val run_seed :
 (** Generate the program for one seed, apply the seed's pre-oracle faults,
     run the (budgeted) oracle, and on failure shrink greedily while the
     same failure kind reproduces.  Raises {!Fault.Injected} for an injected
-    crash and [Runner.Token.Expired] for an expired token — the supervisor
-    in {!run} converts both into failure rows.  [timeout_ms] only labels
-    the repro command; the deadline itself lives on [token]. *)
+    crash and {!Runner.Expired} once the ambient deadline has passed — the
+    supervisor in {!run} converts both into failure rows.  [timeout_ms]
+    only labels the repro command; the deadline itself is the one
+    {!Runner.map_outcomes} installs around the seed. *)
 
 val run :
   ?domains:int ->
@@ -69,8 +69,9 @@ val run :
 (** Run the campaign to completion, whatever individual seeds do:
     - a seed whose task raises becomes a [Crash] failure row (backtrace in
       [detail]; [injected = true] if it was the fault plan's crash);
-    - a seed that exceeds [timeout_ms] (cooperatively, via the token wired
-      into the solver) becomes a [Timeout] row;
+    - a seed that exceeds [timeout_ms] becomes a [Timeout] row: the
+      seed runs under that deadline, which its solver queries honour and
+      its oracle phases poll;
     - transient crashes are retried [retries] times (default 0) with
       jittered backoff before the row is written.
 

@@ -32,26 +32,16 @@ let default_hooks =
 
 let always_legal_hooks = { legality = (fun _ _ ~deps:_ -> Verdict.Legal) }
 
-(* Solver bounds for one oracle run, carried into the pipeline's context:
-   [fuel]/[starve_after] map onto the context budget, [token] becomes its
-   cooperative cancel hook (and is polled between phases, so an expired
-   task bails out promptly with [Runner.Token.Expired]). *)
-type budget = {
-  fuel : int option;
-  starve_after : int option;
-  token : Runner.Token.t option;
-}
+(* Solver bounds for one oracle run, carried into the pipeline's context.
+   The wall-clock bound is the ambient deadline, which every solver
+   context honours and [check_exn] polls between phases. *)
+type budget = { fuel : int option; starve_after : int option }
 
-let no_budget = { fuel = None; starve_after = None; token = None }
+let no_budget = { fuel = None; starve_after = None }
 
 let solver_of_budget b =
   Polyhedra.Omega.Ctx.create ~cache:true ?fuel:b.fuel
-    ?starve_after:b.starve_after
-    ?cancel:
-      (match b.token with
-      | None -> None
-      | Some t -> Some (fun () -> Runner.Token.cancelled t))
-    ()
+    ?starve_after:b.starve_after ()
 
 type config = {
   ns : int list;
@@ -401,12 +391,11 @@ let check_par ?spec_text pipe ~spec ~n ~domains_list =
   List.length domains_list
 
 let check_exn hooks ~budget cfg prog =
-  let poll () = Option.iter Runner.Token.check budget.token in
   (* 1. the printed text is a fixpoint of print-parse-print — the parse
      goes through the Pipeline facade, which also gives us the memoizing
      solver context every later layer charges its Omega queries to; the
      context carries this run's budget, so every legality query below is
-     bounded and cancellable *)
+     bounded *)
   let s = Ast.program_to_string prog in
   let pipe =
     match Pipeline.parse ~solver:(solver_of_budget budget) s with
@@ -470,7 +459,7 @@ let check_exn hooks ~budget cfg prog =
           fail ?spec_text:(if with_spec then Some (Lazy.force st) else None) kind detail)
         fmt
     in
-    poll ();
+    Runner.check ();
     stats := { !stats with specs = !stats.specs + 1 };
     (* 2. legality: symbolic and per-N verdicts vs exhaustive enumeration.
        An [Unknown] verdict is a budget artifact, not a bug: it is counted
@@ -557,7 +546,7 @@ let check_exn hooks ~budget cfg prog =
      Skipped on fuel-bounded runs: the consistency property only holds
      for exact verdicts, and a starved run would compare two artifacts. *)
   if budget.fuel = None && budget.starve_after = None then begin
-    poll ();
+    Runner.check ();
     match Tune.consistency_step ~sizes:cfg.block_sizes prog with
     | Ok n -> stats := { !stats with tune_checked = !stats.tune_checked + n }
     | Error msg -> fail Tune msg
@@ -567,7 +556,7 @@ let check_exn hooks ~budget cfg prog =
      structured and deterministic whatever bytes arrive.  The storm seed
      derives from the program text, so a seed's storm is reproducible
      without threading campaign state here. *)
-  poll ();
+  Runner.check ();
   (match Wire.storm ~seed:(Hashtbl.hash s) prog with
   | Ok (n, chaos) ->
     stats :=
@@ -577,13 +566,17 @@ let check_exn hooks ~budget cfg prog =
   | Error msg -> fail Wire msg);
   Ok !stats
 
+(* An expired deadline is not a verdict on the program: the supervisor
+   turns [Runner.Expired] into the task's [Timed_out] outcome.  Every
+   layer's solver queries run under that deadline and give up past it,
+   so a layer that failed after it may have failed because of it: the
+   deadline is checked before a failure is reported. *)
 let check ?(hooks = default_hooks) ?(budget = no_budget) cfg prog =
   try check_exn hooks ~budget cfg prog with
-  | Fail f -> Error f
-  | Runner.Token.Expired ->
-    (* not a verdict on the program: the supervisor converts this into the
-       task's [Timed_out] outcome *)
-    raise Runner.Token.Expired
-  | e ->
-    Error
-      { kind = Crash; detail = Printexc.to_string e; spec_text = None }
+  | Runner.Expired -> raise Runner.Expired
+  | e -> (
+    Runner.check ();
+    match e with
+    | Fail f -> Error f
+    | e ->
+      Error { kind = Crash; detail = Printexc.to_string e; spec_text = None })

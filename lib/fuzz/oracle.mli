@@ -96,14 +96,10 @@ val always_legal_hooks : hooks
     shrinker minimizes them. *)
 
 (** Solver bounds for one oracle run: [fuel]/[starve_after] configure the
-    pipeline's solver context, [token] is wired in as its cooperative
-    cancel hook and polled between phases (an expired token aborts the run
-    with [Runner.Token.Expired]). *)
-type budget = {
-  fuel : int option;
-  starve_after : int option;
-  token : Runner.Token.t option;
-}
+    pipeline's solver context.  The wall-clock bound is the ambient
+    deadline ({!Runner.with_deadline}): every layer's solver queries give
+    up past it, and {!check} polls it between phases. *)
+type budget = { fuel : int option; starve_after : int option }
 
 type config = {
   ns : int list;  (** N values for the brute-force legality cross-check *)
@@ -152,10 +148,12 @@ val check :
   config ->
   Loopir.Ast.program ->
   (stats, failure) result
-(** Run every layer.  Never raises except [Runner.Token.Expired] (an
-    expired budget token is the supervisor's business, not a verdict on
-    the program): any other exception from any layer is reported as a
-    {!Crash} failure.  The tune layer is skipped on fuel-bounded runs,
+(** Run every layer.  Never raises except {!Runner.Expired} (an expired
+    deadline is the supervisor's business, not a verdict on the program):
+    any other exception from any layer is reported as a {!Crash} failure.
+    A layer that fails once the deadline has passed raises
+    {!Runner.Expired} instead of reporting the failure, since its solver
+    queries may have given up at the deadline.  The tune layer is skipped on fuel-bounded runs,
     whose verdicts are not exact.  Every other layer runs under a budget
     too: a starved scheduler plan degrades to the sequential chain, which
     must still be bit-equivalent; a starved daemon may answer

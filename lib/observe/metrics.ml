@@ -291,13 +291,13 @@ let collect f =
 (* Record once, replay per series                                      *)
 (* ------------------------------------------------------------------ *)
 
-let record_replay ?(poll = ignore) run series =
-  poll ();
+let record_replay run series =
+  Runner.check ();
   let recording, record_seconds = timed run in
   let tr = recording.Model.rec_trace in
   List.mapi
     (fun i (label, (machine : Model.t), (quality : Model.quality)) ->
-      poll ();
+      Runner.check ();
       let r, replay_seconds =
         timed (fun () -> Model.consume ~machine ~quality recording)
       in

@@ -128,7 +128,6 @@ val collect : (unit -> 'a) -> 'a * sim list
 (** {2 Record once, replay per series} *)
 
 val record_replay :
-  ?poll:(unit -> unit) ->
   (unit -> Machine.Model.recording) ->
   (string * Machine.Model.t * Machine.Model.quality) list ->
   Machine.Model.result list
@@ -137,6 +136,6 @@ val record_replay :
     {!record}s one row per series, labeled [label], with its
     {!trace_info}: the execution and its seconds are charged to the first
     row, so the rows' [tr_executions] sum to 1.  Returns the results in
-    series order.  [poll] (default: nothing) runs before the recording and
-    before each replay — a cancellation hook such as
-    [Runner.Token.check]. *)
+    series order.  {!Runner.check} runs before the recording and before
+    each replay, so work under a deadline stops between series with
+    {!Runner.Expired}. *)

@@ -6,22 +6,6 @@ module B = Bigint
 
 type verdict = Sat | Unsat | Unknown of string
 
-(* Ambient per-domain deadline: a server handling one client's budgeted
-   request wraps the computation in [with_deadline], and every query the
-   wrapped code issues — however deep, on whatever shared context — is
-   additionally capped by that wall-clock instant.  Nesting takes the
-   tighter deadline; the previous value is restored on exit, including on
-   exceptions. *)
-let ambient_deadline : float Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> infinity)
-
-let with_deadline ~until f =
-  let prev = Domain.DLS.get ambient_deadline in
-  Domain.DLS.set ambient_deadline (Float.min prev until);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set ambient_deadline prev)
-    f
-
 (* ------------------------------------------------------------------ *)
 (* Solver contexts                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -54,15 +38,13 @@ module Ctx = struct
     backing : backing option; (* external verdict store (disk cache) *)
     fuel : int option; (* per-query work-unit cap *)
     timeout_ms : int option; (* per-query wall-clock deadline *)
-    cancel : (unit -> bool) option; (* cooperative cancellation *)
     starve_after : int option; (* fault injection: zero fuel from this
                                   query index on *)
     table : (string, bool) Hashtbl.t option; (* keyed by [digest] *)
     lock : Mutex.t;
   }
 
-  let create ?(cache = false) ?backing ?fuel ?timeout_ms ?cancel ?starve_after
-      () =
+  let create ?(cache = false) ?backing ?fuel ?timeout_ms ?starve_after () =
     { queries = Atomic.make 0;
       splinters = Atomic.make 0;
       hits = Atomic.make 0;
@@ -73,7 +55,6 @@ module Ctx = struct
       backing;
       fuel;
       timeout_ms;
-      cancel;
       starve_after;
       table = (if cache then Some (Hashtbl.create 1024) else None);
       lock = Mutex.create () }
@@ -95,15 +76,14 @@ end
 
 (* The per-query budget threaded through the recursion.  [remaining =
    max_int] means unlimited fuel; the deadline is an absolute wall-clock
-   time ([infinity] when none).  Deadline and cancellation are only polled
-   every 64 charged units: a gettimeofday per work unit would dominate the
-   cheap eliminations, and 64 units bound the overshoot to well under a
+   time ([infinity] when none).  The deadline is only polled every 64
+   charged units: a gettimeofday per work unit would dominate the cheap
+   eliminations, and 64 units bound the overshoot to well under a
    millisecond. *)
 type budget = {
   mutable remaining : int;
   mutable spent : int;
   deadline : float;
-  cancel : (unit -> bool) option;
   mutable tick : int;
 }
 
@@ -118,9 +98,6 @@ let charge b cost =
   b.tick <- b.tick + cost;
   if b.tick >= 64 then begin
     b.tick <- 0;
-    (match b.cancel with
-    | Some cancelled when cancelled () -> raise (Give_up "cancelled")
-    | _ -> ());
     if b.deadline < infinity && Unix.gettimeofday () > b.deadline then
       raise (Give_up "deadline")
   end
@@ -622,8 +599,7 @@ let intervals bgt dim eqs ges =
 
 let prepass dim eqs ges =
   let bgt =
-    { remaining = max_int; spent = 0; deadline = infinity; cancel = None;
-      tick = 0 }
+    { remaining = max_int; spent = 0; deadline = infinity; tick = 0 }
   in
   let refuted, run = intervals bgt dim eqs ges in
   (bgt.spent, refuted, run)
@@ -857,10 +833,10 @@ let rows_digest rows =
 let digest s = rows_digest (prepare (System.constraints s)).rows
 
 (* One budgeted query on its prepared rows: build the per-query budget
-   from the context's configuration (a starved query index forces fuel 0),
-   run the solver, account the fuel, and turn budget exhaustion into
-   [Unknown].  The first level is [solve]'s, with the rows [prepare]
-   already normalized. *)
+   from the context's configuration (a starved query index forces fuel 0)
+   and the domain's ambient deadline, run the solver, account the fuel,
+   and turn budget exhaustion into [Unknown].  The first level is
+   [solve]'s, with the rows [prepare] already normalized. *)
 let solve_sys ctx ~query_index dim p =
   let starved =
     match ctx.Ctx.starve_after with
@@ -873,12 +849,10 @@ let solve_sys ctx ~query_index dim p =
          else match ctx.Ctx.fuel with Some f -> max 0 f | None -> max_int);
       spent = 0;
       deadline =
-        Float.min
-          (Domain.DLS.get ambient_deadline)
+        Float.min (Runner.deadline ())
           (match ctx.Ctx.timeout_ms with
           | Some ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0)
           | None -> infinity);
-      cancel = ctx.Ctx.cancel;
       tick = 0 }
   in
   let account () = ignore (Atomic.fetch_and_add ctx.Ctx.fuel_spent bgt.spent) in

@@ -7,28 +7,20 @@
     in the wrong order)" has no integer solution.
 
     The test is worst-case exponential, so every query can be bounded by a
-    fuel counter and/or a wall-clock deadline carried on the solver context.
-    A query that exhausts its budget answers {!Unknown} instead of running
-    unbounded; see {!decide} for the exact three-valued semantics and
-    {!satisfiable} for the conservative boolean collapse. *)
+    fuel counter and a wall-clock deadline carried on the solver context,
+    and is always capped by the domain's ambient deadline
+    ({!Runner.with_deadline}).  A query that exhausts its budget answers
+    {!Unknown} instead of running unbounded; see {!decide} for the exact
+    three-valued semantics and {!satisfiable} for the conservative boolean
+    collapse. *)
 
 type verdict =
   | Sat  (** an integer solution exists (exact) *)
   | Unsat  (** no integer solution exists (exact) *)
   | Unknown of string
       (** the budget ran out before a proof either way; the payload is the
-          reason (["fuel"], ["deadline"] or ["cancelled"]).  Never cached,
-          never to be reported as an exact verdict. *)
-
-val with_deadline : until:float -> (unit -> 'a) -> 'a
-(** [with_deadline ~until f] runs [f] with an ambient, domain-local
-    wall-clock deadline: every query issued inside [f] on this domain —
-    on any context, however deep in the pipeline — is additionally capped
-    by the absolute time [until] (seconds, [Unix.gettimeofday] clock) and
-    answers [Unknown "deadline"] once it passes.  Nesting takes the
-    tighter deadline; the previous ambient value is restored when [f]
-    returns or raises.  This is how a server propagates a client's
-    request budget into shared solver contexts without mutating them. *)
+          reason (["fuel"] or ["deadline"]).  Never cached, never to be
+          reported as an exact verdict. *)
 
 type backing = {
   bk_find : string -> bool option;
@@ -73,7 +65,6 @@ module Ctx : sig
     ?backing:backing ->
     ?fuel:int ->
     ?timeout_ms:int ->
-    ?cancel:(unit -> bool) ->
     ?starve_after:int ->
     unit ->
     t
@@ -83,10 +74,10 @@ module Ctx : sig
         memo misses and filled on fresh exact verdicts (the on-disk cache).
       - [fuel] caps the solver work units any single query may spend
         (default unlimited).
-      - [timeout_ms] is a per-query wall-clock deadline (default none).
-      - [cancel] is a cooperative cancellation hook polled during solving —
-        the work pool threads its task tokens through here; a query aborted
-        this way answers [Unknown "cancelled"].
+      - [timeout_ms] is a per-query wall-clock deadline (default none);
+        each query takes the earlier of it and the domain's ambient
+        deadline ({!Runner.deadline}), so work run under a request's or a
+        task's deadline needs no context of its own.
       - [starve_after] forces zero fuel on every query whose 0-based index
         on this context is [>= starve_after] — a deterministic fault-injection
         hook for testing degradation paths. *)
@@ -120,8 +111,8 @@ end
 val decide : ctx:Ctx.t -> System.t -> verdict
 (** The three-valued entry point: exact [Sat]/[Unsat] via equality
     reduction, Fourier-Motzkin with real/dark shadows, and splintering when
-    the projection is inexact; [Unknown] when the context's budget (fuel,
-    deadline or cancellation) runs out first.  Counts the query (and
+    the projection is inexact; [Unknown] when the budget (the context's
+    fuel or deadline, or the ambient deadline) runs out first.  Counts the query (and
     consults the memo cache) on [ctx].  Memoization is sound: only exact
     verdicts enter the table, so a cache hit is never a laundered
     [Unknown]. *)

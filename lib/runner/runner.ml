@@ -1,25 +1,23 @@
-(* Cancellation is cooperative: OCaml domains cannot be killed, so a
-   "timeout" is a deadline the task itself polls — directly via
-   [Token.check] between work items, or indirectly by wiring
-   [Token.cancelled] into a solver context's cancel hook.  A task that
-   never polls runs to completion and counts as [Ok]. *)
-module Token = struct
-  type t = { deadline : float; (* infinity = none *) flag : bool Atomic.t }
+(* Stopping on time is cooperative: OCaml domains cannot be killed, so a
+   deadline is a wall-clock instant the running code polls.  There is one
+   per domain, ambient: the solver reads it on every query, replay and
+   the fuzz oracle poll it through [check] between work items, and
+   [map_outcomes] installs one per attempt.  Code that never polls runs
+   to completion. *)
+exception Expired
 
-  exception Expired
+let ambient : float Domain.DLS.key = Domain.DLS.new_key (fun () -> infinity)
 
-  let none () = { deadline = infinity; flag = Atomic.make false }
+let deadline () = Domain.DLS.get ambient
 
-  let with_deadline_ms ms =
-    { deadline = Unix.gettimeofday () +. (float_of_int ms /. 1000.);
-      flag = Atomic.make false }
+let with_deadline ~until f =
+  let prev = Domain.DLS.get ambient in
+  Domain.DLS.set ambient (Float.min prev until);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient prev) f
 
-  let cancelled t =
-    Atomic.get t.flag
-    || (t.deadline < infinity && Unix.gettimeofday () > t.deadline)
-
-  let check t = if cancelled t then raise Expired
-end
+let check () =
+  let d = Domain.DLS.get ambient in
+  if d < infinity && Unix.gettimeofday () > d then raise Expired
 
 type 'b outcome =
   | Ok of 'b
@@ -30,39 +28,44 @@ type 'b outcome =
    slot [i] is [backoff_ms * 2^(k-1)] scaled by a jitter in [0.75, 1.25)
    derived from (i, k) — reproducible across runs, yet de-synchronized
    across slots so retried workers do not stampede in lockstep. *)
-let backoff_sleep ~backoff_ms ~index ~attempt =
+let backoff_ms = 20
+
+let backoff_sleep ~index ~attempt =
   let base = float_of_int (backoff_ms * (1 lsl (attempt - 1))) /. 1000. in
   let jitter =
     float_of_int (Hashtbl.hash (index, attempt) land 0xff) /. 512.
   in
   Unix.sleepf (base *. (0.75 +. jitter))
 
-let map_outcomes ?(domains = 1) ?timeout_ms ?(retries = 0) ?(backoff_ms = 20)
-    ?on_outcome f xs =
+let map_outcomes ?(domains = 1) ?timeout_ms ?(retries = 0) ?on_outcome f xs =
   let lock = Mutex.create () in
   let notify i o =
     match on_outcome with
     | None -> ()
     | Some g -> Mutex.protect lock (fun () -> g i o)
   in
-  let fresh_token () =
-    match timeout_ms with
-    | None -> Token.none ()
-    | Some ms -> Token.with_deadline_ms ms
-  in
-  (* Every attempt gets a fresh token, so a retry is not born expired.
-     [Token.Expired] is terminal — a deadline is not a transient fault —
-     while any other exception retries up to [retries] times. *)
+  (* Read once in the calling domain: a spawned worker's own ambient
+     deadline is none, so every attempt installs the caller's explicitly. *)
+  let caller = deadline () in
+  (* Every attempt gets a fresh deadline, so a retry is not born expired.
+     [Expired] is terminal — a deadline is not a transient fault — while
+     any other exception retries up to [retries] times. *)
   let run_one i x =
     let rec attempt k =
-      let tok = fresh_token () in
-      match f tok x with
+      let until =
+        match timeout_ms with
+        | None -> caller
+        | Some ms ->
+          Float.min caller
+            (Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+      in
+      match with_deadline ~until (fun () -> f x) with
       | y -> Ok y
-      | exception Token.Expired -> Timed_out
+      | exception Expired -> Timed_out
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         if k < retries then begin
-          backoff_sleep ~backoff_ms ~index:i ~attempt:(k + 1);
+          backoff_sleep ~index:i ~attempt:(k + 1);
           attempt (k + 1)
         end
         else Failed (e, bt)
@@ -95,12 +98,12 @@ let map_outcomes ?(domains = 1) ?timeout_ms ?(retries = 0) ?(backoff_ms = 20)
       (Array.map (function Some o -> o | None -> assert false) out)
 
 (* The plain pool: every task runs, then the lowest failing index's
-   exception propagates with its backtrace.  The tasks take no token, so
-   none can time out unless one raises [Token.Expired] itself. *)
+   exception propagates with its backtrace.  No task can time out unless
+   the caller's deadline passes. *)
 let map ?domains f xs =
   List.map
     (function
       | Ok y -> y
       | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | Timed_out -> raise Token.Expired)
-    (map_outcomes ?domains (fun _ x -> f x) xs)
+      | Timed_out -> raise Expired)
+    (map_outcomes ?domains f xs)

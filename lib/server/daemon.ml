@@ -12,8 +12,8 @@
    by answering fast instead of queueing unboundedly.  A request's
    optional [budget_ms] becomes an absolute deadline at receipt:
    expired-in-queue requests are answered [deadline_exceeded] without
-   compute, and in-flight solver work is cut off through the ambient
-   domain-local deadline ({!Polyhedra.Omega.with_deadline}). *)
+   compute, and in-flight work is cut off through the ambient
+   domain-local deadline ({!Runner.with_deadline}). *)
 
 module Json = Observe.Json
 module Metrics = Observe.Metrics
@@ -157,26 +157,14 @@ let admit_or_shed t req =
 (* Deadlines                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let deadline_of req =
+(* A request's absolute deadline, from its receipt time [now]. *)
+let deadline_of ~now req =
   match Proto.budget_ms_of req with
-  | Some ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0)
+  | Some ms -> now +. (float_of_int ms /. 1000.0)
   | None -> infinity
 
 let deadline_err =
   Proto.error "deadline_exceeded" "request budget expired before completion"
-
-let remaining_ms deadline =
-  if deadline = infinity then None
-  else
-    Some
-      (max 1
-         (int_of_float (ceil ((deadline -. Unix.gettimeofday ()) *. 1000.0))))
-
-let clamp_timeout_ms cfg deadline =
-  match (cfg, remaining_ms deadline) with
-  | None, r -> r
-  | Some c, None -> Some c
-  | Some c, Some r -> Some (min c r)
 
 (* ------------------------------------------------------------------ *)
 (* Request computation                                                 *)
@@ -237,7 +225,7 @@ let stats_json t =
         | None -> Json.Null
         | Some dc -> Metrics.diskcache_to_json (dc_metrics dc) ) ]
 
-let compute t ~deadline (req : Proto.request) :
+let compute t (req : Proto.request) :
     (Proto.reply, Proto.error) result =
   match req with
   | Proto.Parse { text } -> (
@@ -265,12 +253,12 @@ let compute t ~deadline (req : Proto.request) :
     match List.assoc_opt kernel (t.resolve.rv_kernels ()) with
     | None -> err "unknown_kernel" (Printf.sprintf "no kernel %S" kernel)
     | Some prog ->
+      (* the request's deadline is ambient here, so the sweep's queries
+         and evaluation groups stop at it without a budget of their own *)
       let options =
         { Tune.default_options with
           Tune.sizes = [ size ];
-          (* the sweep's own per-query budget is additionally clamped to
-             what remains of the client's deadline *)
-          timeout_ms = clamp_timeout_ms t.config.cfg_timeout_ms deadline;
+          timeout_ms = t.config.cfg_timeout_ms;
           fuel = t.config.cfg_fuel }
       in
       let report =
@@ -320,8 +308,8 @@ let compute t ~deadline (req : Proto.request) :
     shutdown t;
     Ok Proto.R_bye
 
-let compute_safe t ~deadline req =
-  try compute t ~deadline req
+let compute_safe t req =
+  try compute t req
   with exn -> err "failed" (Printexc.to_string exn)
 
 (* ------------------------------------------------------------------ *)
@@ -335,7 +323,7 @@ let batchable = function
   | Proto.Parse _ | Proto.Probe _ | Proto.Legal _ | Proto.Tune _
   | Proto.Sim _ -> true
 
-let handle_batched t ~deadline req =
+let handle_batched t req =
   let key = Proto.request_key req in
   Mutex.lock t.inflight_lock;
   match Hashtbl.find_opt t.inflight key with
@@ -358,7 +346,7 @@ let handle_batched t ~deadline req =
     Hashtbl.add t.inflight key entry;
     Mutex.unlock t.inflight_lock;
     (match t.config.cfg_hold with Some hold -> hold key | None -> ());
-    let r = compute_safe t ~deadline req in
+    let r = compute_safe t req in
     Mutex.lock t.inflight_lock;
     entry.result <- Some r;
     Hashtbl.remove t.inflight key;
@@ -367,7 +355,7 @@ let handle_batched t ~deadline req =
     r
 
 (* The post-admission path: deadline pre-check (an expired request costs
-   no compute), solver work capped by the ambient deadline, and a
+   no compute), all work under the ambient deadline, and a
    post-check so a result the caller has already given up on is reported
    as [deadline_exceeded] rather than as a phantom success. *)
 let handle_admitted t ~deadline req =
@@ -380,9 +368,9 @@ let handle_admitted t ~deadline req =
       if Unix.gettimeofday () > deadline then Error deadline_err
       else
         let r =
-          Omega.with_deadline ~until:deadline (fun () ->
-              if batchable req then handle_batched t ~deadline req
-              else compute_safe t ~deadline req)
+          Runner.with_deadline ~until:deadline (fun () ->
+              if batchable req then handle_batched t req
+              else compute_safe t req)
         in
         if Unix.gettimeofday () > deadline then Error deadline_err else r
     in
@@ -394,7 +382,7 @@ let handle_admitted t ~deadline req =
   end
 
 let handle t req =
-  let deadline = deadline_of req in
+  let deadline = deadline_of ~now:(Unix.gettimeofday ()) req in
   match admit_or_shed t req with
   | Error e -> Error e
   | Ok () ->
@@ -619,11 +607,7 @@ let serve t ~socket =
       match admit_or_shed t req with
       | Error e -> conn_queue c (error_frame ~id e)
       | Ok () ->
-        let deadline =
-          match Proto.budget_ms_of req with
-          | Some ms -> now +. (float_of_int ms /. 1000.0)
-          | None -> infinity
-        in
+        let deadline = deadline_of ~now req in
         Mutex.protect c.c_lock (fun () -> c.c_jobs <- c.c_jobs + 1);
         Mutex.lock qlock;
         Queue.push { j_conn = c; j_id = id; j_req = req; j_deadline = deadline } jobs;

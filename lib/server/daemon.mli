@@ -18,8 +18,8 @@
     [overloaded] error carrying a deterministic retry-after hint.  A
     request's optional [budget_ms] becomes an absolute deadline at
     receipt: expired requests are answered [deadline_exceeded] without
-    compute, and in-flight solver work is cut off at the deadline via
-    {!Polyhedra.Omega.with_deadline}.
+    compute, and in-flight work (solver queries, a tune's evaluation
+    groups) is cut off at the deadline via {!Runner.with_deadline}.
 
     The request layer ({!handle}, {!Session}) is transport-free and runs
     in-process (the wire fuzzer drives it directly); {!serve} adds the
@@ -91,7 +91,7 @@ val admitted_weight : t -> int
 val handle : t -> Proto.request -> (Proto.reply, Proto.error) result
 (** Decode-free entry point: admit (or shed with [overloaded] + a
     retry-after hint), start the deadline clock from the request's
-    [budget_ms], batch, compute under the ambient solver deadline,
+    [budget_ms], batch, compute under that ambient deadline,
     account.  Never raises — handler exceptions become [failed] errors.
     A result that lands after the deadline is reported as
     [deadline_exceeded]. *)

@@ -19,7 +19,7 @@ type t =
       (** no proved violation, but the solver budget ran out before every
           system was refuted — conservatively treated as illegal by the
           boolean entry points.  The payload is the solver's reason
-          (["fuel"], ["deadline"], ["cancelled"]). *)
+          (["fuel"] or ["deadline"]). *)
 
 val is_legal : t -> bool
 (** [true] iff {!Legal} — the conservative boolean collapse

@@ -381,15 +381,15 @@ let record_at (_, params, init) prog =
    ([Metrics.record_replay]), with one metrics row per series; the rows
    come back labeled with their size suffix only ("" or "/N=n"), the
    caller prefixes its group label.  Programs fan out over the supervised
-   pool: one that crashes or blows past [opts.timeout_ms] comes back as
-   [Error reason] instead of aborting the campaign.  The worker polls its
-   token before each recording and each replay, so a timeout is observed
-   cooperatively at series granularity. *)
+   pool: one that crashes or blows past [opts.timeout_ms] (or the
+   caller's deadline) comes back as [Error reason] instead of aborting
+   the campaign.  Replay checks the deadline before each recording and
+   each replay, so a timeout is observed at series granularity. *)
 let evaluate_groups opts ~sweeps progs =
   let series = series_of opts in
   let outcomes =
     Runner.map_outcomes ~domains:opts.domains ?timeout_ms:opts.timeout_ms
-      (fun token prog_v ->
+      (fun prog_v ->
         Metrics.collect (fun () ->
             List.map
               (fun ((n, _, _) as point) ->
@@ -400,7 +400,6 @@ let evaluate_groups opts ~sweeps progs =
                 in
                 let results =
                   Metrics.record_replay
-                    ~poll:(fun () -> Runner.Token.check token)
                     (fun () -> record_at point prog_v)
                     (List.map (fun (m, q) -> (suffix, m, q)) series)
                 in

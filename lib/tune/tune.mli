@@ -18,7 +18,9 @@
     generated programs coincide share one interpreter recording, replayed
     per (machine x quality) series over a supervised
     {!Runner.map_outcomes} pool — a group that crashes or exceeds
-    [timeout_ms] becomes a failure row, not a campaign abort.
+    [timeout_ms] or the caller's deadline ({!Runner.with_deadline}, which
+    also caps every legality query) becomes a failure row, not a campaign
+    abort.
     Enumeration, legality, pruning and code generation are sequential, so
     everything in the report except wall-clock timing is independent of
     [domains]. *)

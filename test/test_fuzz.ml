@@ -250,6 +250,38 @@ let test_resume_rejects_mismatched_config () =
   Sys.remove ck;
   Alcotest.(check bool) "mismatched campaign rejected" true raised
 
+(* An expired deadline is the supervisor's timeout, never a verdict on the
+   program: [Oracle.check] raises [Runner.Expired] and returns no failure,
+   both when a phase polls the deadline and when a layer fails after it
+   passed (its solver queries may have given up because of it). *)
+let test_oracle_expired_deadline () =
+  let prog = Gen.program ~quick:true (Rng.create 1) in
+  let expires what run =
+    match run () with
+    | Ok _ -> Alcotest.failf "%s: Ok past the deadline" what
+    | Error f ->
+      Alcotest.failf "%s: reported a %s failure" what
+        (Oracle.kind_string f.Oracle.kind)
+    | exception Runner.Expired -> ()
+  in
+  expires "expired on entry" (fun () ->
+      Runner.with_deadline ~until:0.0 (fun () -> Oracle.check Oracle.quick prog));
+  (* a checker that outlives the deadline, if there is one, then crashes *)
+  let crash_late =
+    { Oracle.legality =
+        (fun _ _ ~deps:_ ->
+          let d = Runner.deadline () in
+          if d < infinity then
+            Unix.sleepf (Float.max 0.0 (d -. Unix.gettimeofday ()) +. 0.001);
+          failwith "checker crashed") }
+  in
+  (match Oracle.check ~hooks:crash_late Oracle.quick prog with
+  | Error { Oracle.kind = Oracle.Crash; _ } -> ()
+  | _ -> Alcotest.fail "with no deadline the crash is reported");
+  expires "layer failed after the deadline" (fun () ->
+      Runner.with_deadline ~until:(Unix.gettimeofday () +. 0.3) (fun () ->
+          Oracle.check ~hooks:crash_late Oracle.quick prog))
+
 (* --- shrinker --- *)
 
 let test_shrinker_minimizes () =
@@ -314,7 +346,9 @@ let () =
           Alcotest.test_case "checkpoint resume is byte-identical" `Quick
             test_checkpoint_resume_byte_identical;
           Alcotest.test_case "resume rejects a mismatched config" `Quick
-            test_resume_rejects_mismatched_config ] );
+            test_resume_rejects_mismatched_config;
+          Alcotest.test_case "expired deadline is a timeout, not a failure"
+            `Quick test_oracle_expired_deadline ] );
       ( "shrinker",
         [ Alcotest.test_case "minimizes to the core" `Quick test_shrinker_minimizes;
           Alcotest.test_case "respects keep" `Quick test_shrinker_respects_keep ] ) ]

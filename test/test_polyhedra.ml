@@ -1114,8 +1114,8 @@ let test_budget_zero_fuel_always_unknown () =
 
 (* A sampled system whose unbudgeted decision costs at least [min_fuel]
    work units, with that decision — found by scanning seeds, so the test
-   stays generator-agnostic.  Used to guarantee the deadline and
-   cancellation poll (every 64 units) actually fires. *)
+   stays generator-agnostic.  Used to guarantee the deadline poll (every
+   64 units) actually fires. *)
 let expensive_system ~min_fuel =
   let rec scan seed =
     if seed > 5000 then
@@ -1136,7 +1136,7 @@ let test_budget_unknown_not_cached () =
      proves the Unknown was never stored in the memo table. *)
   let sys, exact = expensive_system ~min_fuel:128 in
   let ctx = Omega.Ctx.create ~cache:true () in
-  (match Omega.with_deadline ~until:0.0 (fun () -> Omega.decide ~ctx sys) with
+  (match Runner.with_deadline ~until:0.0 (fun () -> Omega.decide ~ctx sys) with
   | Omega.Unknown reason ->
     Alcotest.(check string) "gave up at the deadline" "deadline" reason
   | _ -> Alcotest.fail "expected the query past its deadline to give up");
@@ -1147,13 +1147,26 @@ let test_budget_unknown_not_cached () =
     if v <> exact then Alcotest.fail "cached context flipped the verdict");
   Alcotest.(check int) "exact verdict stored" 1 (Omega.Ctx.cache_size ctx)
 
-let test_budget_cancel () =
+(* A task's [timeout_ms] reaches a query on a context that has no budget
+   of its own: inside an attempt whose deadline has passed the query gives
+   up, and the attempt comes back [Timed_out]. *)
+let test_budget_attempt_deadline () =
   let sys, _ = expensive_system ~min_fuel:128 in
-  let ctx = Omega.Ctx.create ~cancel:(fun () -> true) () in
-  match Omega.decide ~ctx sys with
-  | Omega.Unknown reason ->
-    Alcotest.(check string) "cancel reason" "cancelled" reason
-  | _ -> Alcotest.fail "a cancelled query must answer Unknown"
+  let answered = ref None in
+  let task () =
+    Unix.sleepf 0.01;
+    answered := Some (Omega.decide ~ctx:(Omega.Ctx.create ()) sys);
+    Runner.check ()
+  in
+  (match Runner.map_outcomes ~timeout_ms:1 task [ () ] with
+  | [ Runner.Timed_out ] -> ()
+  | _ -> Alcotest.fail "the attempt past its deadline must time out");
+  match !answered with
+  | Some (Omega.Unknown reason) ->
+    Alcotest.(check string) "gave up at the attempt's deadline" "deadline"
+      reason
+  | Some _ -> Alcotest.fail "the query answered exactly past its deadline"
+  | None -> Alcotest.fail "the query never ran"
 
 let test_budget_starve_after () =
   let sys = Fuzzing.Gen.system (Fuzzing.Rng.create 3) ~dim:3 in
@@ -1228,6 +1241,7 @@ let () =
             test_budget_zero_fuel_always_unknown;
           Alcotest.test_case "Unknown is never cached" `Quick
             test_budget_unknown_not_cached;
-          Alcotest.test_case "cancellation hook" `Quick test_budget_cancel;
+          Alcotest.test_case "attempt deadline reaches the solver" `Quick
+            test_budget_attempt_deadline;
           Alcotest.test_case "starve_after fault injection" `Quick
             test_budget_starve_after ] ) ]

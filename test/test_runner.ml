@@ -78,15 +78,15 @@ let test_outcomes_all_ok_equals_map () =
     (List.map (fun x -> "ok:" ^ string_of_int (f x)) xs)
     (List.map outcome_ints
        (Runner.map_outcomes ~domains:3
-          (fun token x ->
-            Runner.Token.check token;
+          (fun x ->
+            Runner.check ();
             f x)
           xs))
 
 let test_outcomes_failed_preserves_exn () =
   let outcomes =
     Runner.map_outcomes ~domains:1
-      (fun _ x -> if x = 2 then raise (Boom x) else x * 10)
+      (fun x -> if x = 2 then raise (Boom x) else x * 10)
       [ 0; 1; 2; 3 ]
   in
   match outcomes with
@@ -99,7 +99,7 @@ let test_outcomes_failed_preserves_exn () =
 
 let test_outcomes_deterministic_across_domains () =
   let xs = List.init 40 Fun.id in
-  let f _ x = if x mod 7 = 3 then raise (Boom x) else x * x in
+  let f x = if x mod 7 = 3 then raise (Boom x) else x * x in
   let show os = String.concat ";" (List.map outcome_ints os) in
   Alcotest.(check string) "domains 1 = domains 4"
     (show (Runner.map_outcomes ~domains:1 f xs))
@@ -107,11 +107,11 @@ let test_outcomes_deterministic_across_domains () =
 
 let test_outcomes_timeout_does_not_poison () =
   (* one slot sleeps past its deadline; the slots after it must still
-     complete normally (fresh tokens per task, nothing shared) *)
-  let f token x =
+     complete normally (a fresh deadline per attempt, nothing shared) *)
+  let f x =
     if x = 1 then begin
       Unix.sleepf 0.08;
-      Runner.Token.check token;
+      Runner.check ();
       x
     end
     else x * 2
@@ -127,13 +127,11 @@ let test_outcomes_retry_recovers () =
   (* flaky task: fails on the first attempt, succeeds on the second; with
      retries:1 the slot must come back Ok *)
   let attempts = Array.make 3 0 in
-  let f _ x =
+  let f x =
     attempts.(x) <- attempts.(x) + 1;
     if x = 1 && attempts.(x) = 1 then raise (Boom x) else x
   in
-  let outcomes =
-    Runner.map_outcomes ~domains:1 ~retries:1 ~backoff_ms:1 f [ 0; 1; 2 ]
-  in
+  let outcomes = Runner.map_outcomes ~domains:1 ~retries:1 f [ 0; 1; 2 ] in
   (match outcomes with
   | [ Runner.Ok 0; Runner.Ok 1; Runner.Ok 2 ] -> ()
   | os ->
@@ -146,11 +144,64 @@ let test_outcomes_on_outcome_sees_every_slot () =
   let _ =
     Runner.map_outcomes ~domains:4
       ~on_outcome:(fun i _ -> seen.(i) <- true)
-      (fun _ x -> x)
+      Fun.id
       (List.init 10 Fun.id)
   in
   Alcotest.(check bool) "all slots notified" true
     (Array.for_all Fun.id seen)
+
+(* --- the ambient deadline --- *)
+
+let test_deadline_nesting () =
+  Alcotest.(check (float 0.)) "none by default" infinity (Runner.deadline ());
+  Runner.with_deadline ~until:100.0 (fun () ->
+      Alcotest.(check (float 0.)) "installed" 100.0 (Runner.deadline ());
+      Runner.with_deadline ~until:200.0 (fun () ->
+          Alcotest.(check (float 0.)) "a later deadline keeps the earlier"
+            100.0 (Runner.deadline ()));
+      Runner.with_deadline ~until:50.0 (fun () ->
+          Alcotest.(check (float 0.)) "an earlier deadline wins" 50.0
+            (Runner.deadline ()));
+      Alcotest.(check (float 0.)) "restored on return" 100.0
+        (Runner.deadline ());
+      (match
+         Runner.with_deadline ~until:10.0 (fun () -> raise (Boom 0))
+       with
+      | () -> Alcotest.fail "the raise was swallowed"
+      | exception Boom 0 -> ());
+      Alcotest.(check (float 0.)) "restored on a raise" 100.0
+        (Runner.deadline ());
+      (* 100 s after the epoch is long past *)
+      match Runner.check () with
+      | () -> Alcotest.fail "check passed a deadline in the past"
+      | exception Runner.Expired -> ());
+  Alcotest.(check (float 0.)) "none again outside" infinity
+    (Runner.deadline ());
+  Runner.check ()
+
+(* Under an expired caller deadline every slot that polls times out, on
+   every domain: workers spawned by the pool start from the caller's
+   deadline, not from none.  Each task sleeps so that the spawned workers
+   take some of the slots. *)
+let test_outcomes_caller_deadline () =
+  let f x =
+    Unix.sleepf 0.005;
+    if x mod 3 <> 0 then Runner.check ();
+    x
+  in
+  let expect =
+    List.init 12 (fun x ->
+        if x mod 3 <> 0 then "timeout" else "ok:" ^ string_of_int x)
+  in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "domains:%d" domains)
+        expect
+        (List.map outcome_ints
+           (Runner.with_deadline ~until:0.0 (fun () ->
+                Runner.map_outcomes ~domains f (List.init 12 Fun.id)))))
+    [ 1; 3 ]
 
 (* --- parallel vs sequential figures --- *)
 
@@ -420,7 +471,12 @@ let () =
           Alcotest.test_case "retry recovers a flaky slot" `Quick
             test_outcomes_retry_recovers;
           Alcotest.test_case "on_outcome sees every slot" `Quick
-            test_outcomes_on_outcome_sees_every_slot ] );
+            test_outcomes_on_outcome_sees_every_slot;
+          Alcotest.test_case "caller's deadline reaches every worker" `Quick
+            test_outcomes_caller_deadline ] );
+      ( "deadline",
+        [ Alcotest.test_case "nesting keeps the earlier, restores the previous"
+            `Quick test_deadline_nesting ] );
       ( "figures",
         [ Alcotest.test_case "parallel = sequential rows" `Quick
             test_figure_rows_identical;

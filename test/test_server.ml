@@ -579,6 +579,24 @@ let test_budget_deadline_exceeded () =
   | Ok _ -> Alcotest.fail "unexpected reply shape"
   | Error e -> Alcotest.failf "budget-less request failed: %s" e.P.e_message
 
+(* A Tune request's budget is the ambient deadline its legality queries
+   and evaluation groups run under (test_tune's "caller's deadline stops
+   every group" shows they stop at it): once it runs out the caller sees
+   deadline_exceeded, and the same request without a budget succeeds. *)
+let test_budget_tune_deadline_exceeded () =
+  let srv = D.create (resolver ()) in
+  let tune budget_ms =
+    D.handle srv (P.Tune { kernel = "matmul"; size = 16; n = 64; budget_ms })
+  in
+  (match tune (Some 20) with
+  | Error e ->
+    Alcotest.(check string) "deadline code" "deadline_exceeded" e.P.e_code
+  | Ok _ -> Alcotest.fail "an expired tune budget must not produce a success");
+  match tune None with
+  | Ok (P.R_tuned _) -> ()
+  | Ok _ -> Alcotest.fail "unexpected reply shape"
+  | Error e -> Alcotest.failf "budget-less tune failed: %s" e.P.e_message
+
 (* ------------------------------------------------------------------ *)
 (* Hostile clients against a live socket                               *)
 (* ------------------------------------------------------------------ *)
@@ -1105,6 +1123,8 @@ let () =
             test_admission_sheds_deterministically;
           Alcotest.test_case "budget deadline exceeded" `Quick
             test_budget_deadline_exceeded;
+          Alcotest.test_case "tune budget deadline exceeded" `Quick
+            test_budget_tune_deadline_exceeded;
           Alcotest.test_case "mid-frame disconnect keeps serving" `Quick
             test_mid_frame_disconnect_keeps_serving;
           Alcotest.test_case "slow writer evicted" `Quick

@@ -205,6 +205,43 @@ let test_pruned_path_deadline () =
     rp.Tune.rp_failures;
   Alcotest.(check int) "nothing ranked" 0 (List.length rp.Tune.rp_table)
 
+(* Under the caller's deadline, not a timeout of its own: once it has
+   passed, every evaluation group stops before recording and comes back
+   as a "timed out" failure row.  The program has no dependences, so its
+   candidates are legal without a solver query that could give up. *)
+let test_caller_deadline_stops_groups () =
+  let prog =
+    Loopir.Parser.program
+      "! scale (params: N)\n\
+       real A(N, N)\n\
+       real B(N, N)\n\
+       do I = 1, N\n\
+       do J = 1, N\n\
+       S1: A(I, J) = B(I, J) * 2.0\n\
+       end do\n\
+       end do\n"
+  in
+  let tune () =
+    Tune.tune
+      ~options:{ Tune.default_options with sizes = [ 8 ]; depth = 1 }
+      ~init:(fun _ _ -> 1.0)
+      ~kernel:"scale" ~params:[ ("N", 32) ] prog
+  in
+  let rp = Runner.with_deadline ~until:0.0 tune in
+  Alcotest.(check bool) "some candidate was legal" true
+    (rp.Tune.rp_counts.Tune.n_legal > 0);
+  Alcotest.(check bool) "failure rows were written" true
+    (rp.Tune.rp_failures <> []);
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (f.Tune.ef_label ^ " timed out") "timed out"
+        f.Tune.ef_reason)
+    rp.Tune.rp_failures;
+  Alcotest.(check int) "nothing ranked" 0 (List.length rp.Tune.rp_table);
+  Alcotest.(check int) "with no deadline every legal candidate ranks"
+    rp.Tune.rp_counts.Tune.n_legal
+    (List.length (tune ()).Tune.rp_table)
+
 (* --- golden geometries --- *)
 
 (* N=64 with 16x16 blocks: one 16x64 panel of A (8 KB) plus a 16x16 tile
@@ -415,7 +452,9 @@ let () =
           Alcotest.test_case "generous budget = unbudgeted" `Quick
             test_generous_budget_matches_unbudgeted;
           Alcotest.test_case "pruned path honours the deadline" `Quick
-            test_pruned_path_deadline ] );
+            test_pruned_path_deadline;
+          Alcotest.test_case "caller's deadline stops every group" `Quick
+            test_caller_deadline_stops_groups ] );
       ( "golden",
         [ Alcotest.test_case "matmul picks C x A, bit-for-bit" `Slow
             test_matmul_golden;
