@@ -2,8 +2,10 @@
 
     The space of a statement is [params ++ loop variables (outer to inner)].
     The domain contains the loop-bound constraints and the enclosing guards.
-    Only analysable (affine) programs are accepted; blocked code produced by
-    the code generator is executed, never re-analysed. *)
+    Only analysable programs are accepted: affine subscripts and guards, and
+    loop bounds whose pieces (a [max] of lower bounds, a [min] of upper
+    bounds) are each affine or the floor or ceiling of an affine form over
+    a positive divisor, as the code generator writes them. *)
 
 exception Not_affine of string
 
@@ -17,7 +19,9 @@ val depth : space -> int
 (** Number of loop variables. *)
 
 val domain_of : Ast.program -> Ast.context -> Polyhedra.System.t
-(** @raise Not_affine on non-affine bounds or guards. *)
+(** @raise Not_affine on a bound or guard outside that class (a [max] in
+    an upper bound, a [min] in a lower bound, either in a guard),
+    carrying the expression. *)
 
 val access : space -> Fexpr.ref_ -> Polyhedra.Affine.t list
 (** Affine forms of each subscript, over the space.

@@ -28,9 +28,28 @@ let create ?solver prog =
   in
   { prog; solver; deps = None; gen_cache = []; lock = Mutex.create () }
 
+(* The parser accepts what the code generator prints, and some of that
+   (a [max] in an upper bound) falls outside the class [Domain] analyzes:
+   every statement's domain and subscripts are built once here, so such a
+   program is an [Error] naming the expression, not a raise in [deps]. *)
+let analyzable prog =
+  let module Dom = Loopir.Domain in
+  List.iter
+    (fun (ctx, (s : Ast.stmt)) ->
+      ignore (Dom.domain_of prog ctx);
+      let sp = Dom.space_of prog ctx in
+      List.iter
+        (fun r -> ignore (Dom.access sp r))
+        (s.lhs :: Loopir.Fexpr.reads s.rhs))
+    (Ast.statements prog)
+
 let parse ?solver text =
   match Loopir.Parser.program text with
-  | prog -> Ok (create ?solver prog)
+  | prog -> (
+    match analyzable prog with
+    | () -> Ok (create ?solver prog)
+    | exception Loopir.Domain.Not_affine e ->
+      Error (Printf.sprintf "not analyzable: %s is not affine" e))
   | exception Loopir.Parser.Parse_error (line, msg) ->
     Error (Printf.sprintf "line %d: %s" line msg)
 

@@ -16,7 +16,11 @@ val create : ?solver:Polyhedra.Omega.Ctx.t -> Loopir.Ast.program -> t
     [Omega.Ctx.create ~cache:true ()]. *)
 
 val parse : ?solver:Polyhedra.Omega.Ctx.t -> string -> (t, string) result
-(** Parse concrete syntax; errors are ["line %d: %s"]. *)
+(** Parse concrete syntax; errors are ["line %d: %s"].  A program the
+    parser accepts but dependence analysis cannot represent (a [max] in an
+    upper bound, a [min] in a lower bound, either in a guard or a
+    subscript) is an error naming the expression:
+    ["not analyzable: EXPR is not affine"]. *)
 
 val program : t -> Loopir.Ast.program
 val solver : t -> Polyhedra.Omega.Ctx.t

@@ -117,6 +117,11 @@ val decide : ctx:Ctx.t -> System.t -> verdict
     verdicts enter the table, so a cache hit is never a laundered
     [Unknown]. *)
 
+val decide_exact : ctx:Ctx.t -> System.t -> verdict
+(** Test-only: {!decide} on the [Bigint] recursion alone, with no memo
+    lookup, the reference the native path must match in verdict, fuel and
+    splinters. *)
+
 val satisfiable : ctx:Ctx.t -> System.t -> bool
 (** [decide] collapsed to a boolean, mapping [Unknown -> true] ("may be
     satisfiable").  This direction is conservative for every caller in the

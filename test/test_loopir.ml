@@ -202,20 +202,23 @@ let test_access_matrix () =
   Alcotest.(check bool) "B access matrix" true
     (Linalg.Mat.equal mb (Linalg.Mat.of_int_rows [ [ 0; 0; 1 ]; [ 0; 1; 0 ] ]))
 
+(* A floor piece is exactly affine once multiplied out ([2i <= N]); a max
+   among the upper bounds is a disjunction no system represents. *)
 let test_domain_nonaffine_rejected () =
   let bad =
     { Ast.p_name = "bad";
       params = [ "N" ];
       arrays = [ { Ast.a_name = "A"; extents = [ E.Var "N" ] } ];
       body =
-        [ Ast.loop "i" (E.Const 1) (E.FloorDiv (E.Var "N", 2))
+        [ Ast.loop "i" (E.Const 1)
+            (E.Max (E.FloorDiv (E.Var "N", 2), E.Const 3))
             [ Ast.stmt ~id:0 ~label:"S1"
                 (Fx.ref_ "A" [ E.Var "i" ])
                 (Fx.f 1.0) ] ] }
   in
   let ctx, _ = find_stmt bad "S1" in
   Alcotest.check_raises "non-affine bound"
-    (Dom.Not_affine "floor((N)/2)")
+    (Dom.Not_affine "max(floor((N)/2), 3)")
     (fun () -> ignore (Dom.domain_of bad ctx))
 
 let () =

@@ -239,6 +239,81 @@ let test_fuzzed_roundtrip () =
         /. 8.0)
   done
 
+(* Every named shackle's generated code at size 8, printed and parsed
+   back, as [shacklec block] then [shacklec parse] does it: its floor and
+   ceiling bound pieces are exactly affine, so dependence analysis runs on
+   it; a [max] in an upper bound or a [min] in a lower bound is not, and
+   [Pipeline.parse] names it in an [Error] instead of the analysis
+   raising. *)
+let refused =
+  [ ("cholesky_right", "read"); ("cholesky_right", "left");
+    ("cholesky_left", "read"); ("cholesky_left", "left");
+    ("cholesky_banded", "write"); ("gmtry", "write") ]
+
+let test_blocked_analysis () =
+  let analyzed = ref 0 in
+  List.iter
+    (fun (kernel, specs) ->
+      let p = List.assoc kernel (K.all ()) in
+      List.iter
+        (fun (name, build) ->
+          let what = kernel ^ "/" ^ name in
+          let text = Ast.program_to_string (tighten p (build ~size:8)) in
+          match Pipeline.parse text with
+          | Ok pipe ->
+            if List.mem (kernel, name) refused then
+              Alcotest.failf "%s: parsed, but it has a max or min bound" what;
+            ignore (Pipeline.deps pipe);
+            incr analyzed
+          | Error msg ->
+            if not (List.mem (kernel, name) refused) then
+              Alcotest.failf "%s: %s" what msg;
+            let names_minmax =
+              String.starts_with ~prefix:"not analyzable: max(" msg
+              || String.starts_with ~prefix:"not analyzable: min(" msg
+            in
+            if not names_minmax then
+              Alcotest.failf "%s: the error names no max or min: %s" what msg)
+        specs)
+    Experiments.Specs.table;
+  Alcotest.(check int) "analyzed" 9 !analyzed
+
+(* The four floor and ceiling pieces, each alone as a bound of [t] under a
+   parameter [N]: the domain holds exactly the points the loop visits. *)
+let test_floor_ceil_bounds () =
+  let module E = Loopir.Expr in
+  let n = E.var "N" in
+  let pieces =
+    [ E.FloorDiv (E.(n + int 5), 4); E.CeilDiv (E.(n - int 3), 3);
+      E.FloorDiv (E.((2 * n) - int 7), 5); E.CeilDiv (E.(n + int 1), 2) ]
+  in
+  let stmt =
+    Ast.stmt ~id:0 ~label:"S1"
+      (Loopir.Fexpr.ref_ "A" [ E.var "t" ])
+      (Loopir.Fexpr.f 0.0)
+  in
+  List.iter
+    (fun (lo, hi) ->
+      let prog =
+        { Ast.p_name = "bounds"; params = [ "N" ];
+          arrays = [ { Ast.a_name = "A"; extents = [ E.int 64 ] } ];
+          body = [ Ast.loop "t" lo hi [ stmt ] ] }
+      in
+      let ctx, _ = List.hd (Ast.statements prog) in
+      let dom = Loopir.Domain.domain_of prog ctx in
+      for nv = -12 to 12 do
+        let env x = if x = "N" then nv else invalid_arg x in
+        for t = -12 to 12 do
+          let visits = E.eval env lo <= t && t <= E.eval env hi in
+          if Polyhedra.System.satisfied_by_ints dom [| nv; t |] <> visits then
+            Alcotest.failf "t = %d, N = %d: %s to %s" t nv (E.to_string lo)
+              (E.to_string hi)
+        done
+      done)
+    (List.concat_map
+       (fun lo -> List.map (fun hi -> (lo, hi)) (n :: pieces))
+       (E.int 0 :: pieces))
+
 let () =
   Alcotest.run "parser"
     [ ( "roundtrip",
@@ -263,6 +338,10 @@ let () =
           Alcotest.test_case "subscript count" `Quick test_subscript_count ] );
       ( "integration",
         [ Alcotest.test_case "analysis after parse" `Quick
-            test_analysis_after_parse ] );
+            test_analysis_after_parse;
+          Alcotest.test_case "floor and ceiling bounds are exact" `Quick
+            test_floor_ceil_bounds;
+          Alcotest.test_case "blocked programs analyze or fail cleanly" `Quick
+            test_blocked_analysis ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest [ prop_iexpr_roundtrip ] ) ]

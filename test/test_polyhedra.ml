@@ -1183,6 +1183,134 @@ let test_budget_starve_after () =
   | Omega.Unknown r -> Alcotest.failf "un-starved query gave up (%s)" r
   | v -> if v <> exact then Alcotest.fail "un-starved query flipped the verdict"
 
+(* --- the native twin against the Bigint recursion ---
+
+   [Omega.decide] runs a query on native int rows while every value stays
+   within 2^30, and runs it again from its start on the Bigint recursion
+   ([Omega.decide_exact], the reference) once one leaves that range.  So
+   on every system the two must agree in verdict, fuel and splinters,
+   budgeted or not.  Values are drawn around 0, small non-units (for
+   inexact eliminations and splinters), 2^8, 2^11 and 2^15 (whose products
+   pass 2^30 one or two eliminations in), 2^29 and 2^30 (the entry bound,
+   on both sides). *)
+
+let gen_near_bound =
+  let open QCheck.Gen in
+  let signed base = map2 (fun neg o -> let v = base + o in if neg then -v else v)
+      bool (int_range (-2) 2) in
+  frequency
+    [ (6, int_range (-3) 3);
+      (3, oneofl [ 2; 3; 5; -2; -3; -5; 7 ]);
+      (2, signed (1 lsl 8));
+      (4, signed (1 lsl 11));
+      (1, signed (1 lsl 15));
+      (1, signed (1 lsl 29));
+      (1, signed (1 lsl 30)) ]
+
+let gen_near_bound_system =
+  let open QCheck.Gen in
+  int_range 2 4 >>= fun dim ->
+  (* a third of the systems keep to small values, whose inexact
+     eliminations splinter without leaving the native range *)
+  frequency [ (2, return gen_near_bound); (1, return (int_range (-7) 7)) ]
+  >>= fun value ->
+  let row =
+    pair (frequency [ (4, return C.Ge); (1, return C.Eq) ])
+      (pair
+         (list_repeat dim (frequency [ (2, return 0); (3, value) ]))
+         value)
+  in
+  (* a box keeps most systems' eliminations short *)
+  let box =
+    list_repeat dim (pair (int_range (-6) 2) (int_range 0 8))
+  in
+  (* thin strips [l <= a.x <= l + d] whose rational shadow holds points
+     its integer one lacks, so eliminations splinter *)
+  let strip =
+    map3
+      (fun coeffs l d ->
+        [ C.ge (A.of_ints coeffs (-l));
+          C.ge (A.neg (A.of_ints coeffs (-(l + d)))) ])
+      (list_repeat dim (int_range (-13) 13))
+      (int_range (-20) 40) (int_range 0 3)
+  in
+  map3
+    (fun rows strips box ->
+      let rows =
+        List.map
+          (fun (kind, (coeffs, c)) ->
+            let a = A.of_ints coeffs c in
+            if kind = C.Eq then C.eq a else C.ge a)
+          rows
+        @ List.concat strips
+      in
+      let box =
+        List.concat
+          (List.mapi
+             (fun i (lo, w) ->
+               [ C.ge_of (A.var dim i) (A.of_int dim lo);
+                 C.le_of (A.var dim i) (A.of_int dim (lo + w)) ])
+             box)
+      in
+      S.make (Array.init dim (fun i -> "x" ^ string_of_int i)) (rows @ box))
+    (list_size (int_range 2 6) row)
+    (frequency [ (2, return []); (1, list_size (int_range 1 2) strip) ])
+    (frequency [ (1, box); (1, return []) ])
+
+(* One query on each solver, each on a fresh context with [fuel]: the
+   verdicts, fuel and splinters, or the first difference. *)
+let native_agrees ?fuel sys =
+  let run decide =
+    let ctx = Omega.Ctx.create ?fuel () in
+    let v = decide ~ctx sys in
+    (v, Omega.Ctx.fuel_spent ctx, Omega.Ctx.splinters ctx)
+  in
+  run Omega.decide = run Omega.decide_exact
+
+let native_splinters = ref 0 and native_unknowns = ref 0
+
+let prop_native =
+  let print s = Format.asprintf "%a" S.pp s in
+  QCheck.Test.make ~count:2000 ~name:"native = exact on near-bound systems"
+    (QCheck.make ~print gen_near_bound_system)
+    (fun sys ->
+      (* a generous cap bounds the few systems that splinter for long *)
+      let ctx = Omega.Ctx.create ~fuel:20_000 () in
+      (match Omega.decide_exact ~ctx sys with
+      | Omega.Unknown _ -> incr native_unknowns
+      | _ -> ());
+      native_splinters := !native_splinters + Omega.Ctx.splinters ctx;
+      List.for_all (fun fuel -> native_agrees ~fuel sys) [ 1; 5; 20; 20_000 ])
+
+let test_native_property () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 34 |]) prop_native;
+  if !native_splinters = 0 then Alcotest.fail "no system splintered"
+
+(* x = 2^12 (y + z) has a unit coefficient, and substituting it leaves
+   two rows with coefficients near 2^24 at the second level, within the
+   native range; eliminating y there forms products near 2^48.  So the
+   twin gives up only after the first level's pre-pass and substitution
+   and the second level's pre-pass and elimination charge, and the query
+   runs again on Bigint (Sat, 17 units).  Under every cap it must give up
+   where the Bigint recursion does: the abandoned attempt's charges must
+   not count. *)
+let test_native_late_overflow () =
+  let p12 = 1 lsl 12 in
+  let sys =
+    S.make names3
+      [ C.eq (A.of_ints [ 1; -p12; -p12 ] 0);
+        C.ge (A.of_ints [ p12; -3; 5 ] (-1));
+        C.ge (A.of_ints [ -p12; 7; 11 ] 2) ]
+  in
+  let ctx = Omega.Ctx.create () in
+  Alcotest.(check bool) "Sat" true (Omega.decide_exact ~ctx sys = Omega.Sat);
+  Alcotest.(check int) "exact fuel" 17 (Omega.Ctx.fuel_spent ctx);
+  for cap = 0 to 18 do
+    if not (native_agrees ~fuel:cap sys) then
+      Alcotest.failf "fuel %d: native and exact differ" cap
+  done;
+  Alcotest.(check bool) "unbudgeted" true (native_agrees sys)
+
 let () =
   Alcotest.run "polyhedra"
     [ ( "affine",
@@ -1234,6 +1362,11 @@ let () =
             test_prepass_property;
           Alcotest.test_case "hand-written systems, every fuel cap" `Quick
             test_prepass_cases ] );
+      ( "native",
+        [ Alcotest.test_case "native = exact on near-bound systems" `Quick
+            test_native_property;
+          Alcotest.test_case "overflow past the first level, every fuel cap"
+            `Quick test_native_late_overflow ] );
       ( "budget",
         [ Alcotest.test_case "budgeted verdicts never lie (sampled)" `Quick
             test_budget_soundness_sampled;

@@ -242,6 +242,55 @@ let test_caller_deadline_stops_groups () =
     rp.Tune.rp_counts.Tune.n_legal
     (List.length (tune ()).Tune.rp_table)
 
+(* Past the caller's deadline the bound analysis that orders the visit
+   stops as well: every candidate goes unanalyzed, and the tune costs less
+   than the analyses it skips.  A dependence-free program's candidates are
+   legal without a query that could give up; their specs come from a
+   cheap tune at N = 8, and each analysis, from one shared preparation as
+   the tune does it, is timed at N = 48, where the 30 analyses take about
+   4 times the rest of a tune under an expired deadline.  Before, that
+   tune ran every one of them. *)
+let test_caller_deadline_stops_analysis () =
+  let prog =
+    Loopir.Parser.program
+      "! outer (params: N)\n\
+       real C(N, N, N)\n\
+       real A(N, N)\n\
+       real B(N, N)\n\
+       real D(N, N)\n\
+       do I = 1, N\n\
+       do J = 1, N\n\
+       do K = 1, N\n\
+       S1: C(I, J, K) = A(I, K) * B(K, J) + D(I, J)\n\
+       end do\n\
+       end do\n\
+       end do\n"
+  in
+  let tune n () =
+    Tune.tune
+      ~options:{ Tune.default_options with sizes = [ 4; 8 ]; depth = 2 }
+      ~init:(fun _ _ -> 1.0)
+      ~kernel:"outer" ~params:[ ("N", n) ] prog
+  in
+  let specs =
+    List.map (fun s -> s.Tune.s_cand.Tune.c_spec) (tune 8 ()).Tune.rp_table
+  in
+  let prepared = Bounds.prepare ~params:[ ("N", 48) ] prog in
+  let (), analyses =
+    Observe.Metrics.timed (fun () ->
+        List.iter
+          (fun spec -> ignore (Bounds.analyze_prepared ~spec prepared))
+          specs)
+  in
+  let rp, expired =
+    Observe.Metrics.timed (fun () -> Runner.with_deadline ~until:0.0 (tune 48))
+  in
+  Alcotest.(check int) "every candidate is legal" (List.length specs)
+    rp.Tune.rp_counts.Tune.n_legal;
+  if expired >= analyses then
+    Alcotest.failf "the expired tune took %.3f s, its %d analyses %.3f s"
+      expired (List.length specs) analyses
+
 (* --- golden geometries --- *)
 
 (* N=64 with 16x16 blocks: one 16x64 panel of A (8 KB) plus a 16x16 tile
@@ -454,7 +503,9 @@ let () =
           Alcotest.test_case "pruned path honours the deadline" `Quick
             test_pruned_path_deadline;
           Alcotest.test_case "caller's deadline stops every group" `Quick
-            test_caller_deadline_stops_groups ] );
+            test_caller_deadline_stops_groups;
+          Alcotest.test_case "caller's deadline stops the bound analysis"
+            `Quick test_caller_deadline_stops_analysis ] );
       ( "golden",
         [ Alcotest.test_case "matmul picks C x A, bit-for-bit" `Slow
             test_matmul_golden;
