@@ -31,6 +31,16 @@ let dim_of info = Array.length info.names
 (* Building F_S                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The index of the variable named [n] in [names]. *)
+let lookup_in names n =
+  let dim = Array.length names in
+  let rec find j =
+    if j >= dim then None
+    else if String.equal names.(j) n then Some j
+    else find (j + 1)
+  in
+  find 0
+
 let build_info ~solver prog spec coord_names (ctx, (stmt : Ast.stmt)) =
   let params = prog.Ast.params in
   let pc = List.length params in
@@ -53,15 +63,7 @@ let build_info ~solver prog spec coord_names (ctx, (stmt : Ast.stmt)) =
     in
     List.map
       (fun e ->
-        let lookup n =
-          let rec find j =
-            if j >= dim then None
-            else if String.equal names.(j) n then Some j
-            else find (j + 1)
-          in
-          find 0
-        in
-        match E.to_affine ~lookup ~dim e with
+        match E.to_affine ~lookup:(lookup_in names) ~dim e with
         | Some a -> a
         | None -> raise (Dom.Not_affine (E.to_string e)))
       decl.extents
@@ -203,15 +205,6 @@ let constr_to_guard names (c : C.t) =
 (* The context is a list of one-sided facts (var, expr, is_lower) collected
    from already-emitted loops with unambiguous affine bounds. *)
 type ctx_fact = string * E.t * bool
-
-let lookup_in names n =
-  let dim = Array.length names in
-  let rec find j =
-    if j >= dim then None
-    else if String.equal names.(j) n then Some j
-    else find (j + 1)
-  in
-  find 0
 
 let ctx_le ~solver (ctx : ctx_fact list) names a b =
   let dim = Array.length names in

@@ -241,22 +241,20 @@ let prepare cs =
    produce, where pure Fourier-Motzkin recursion is at its worst.
 
    A call sweeps the forms until no bound moves, an interval empties, or
-   [max_sweeps] sweeps have run, charging one fuel unit per sweep.  It runs
-   on native ints: the forms are laid out once as flat arrays (per term its
-   variable index and coefficient, per form its constant and first term),
-   and each bound is an [int] with a presence flag.  Every input value and
-   every bound must lie in [-native_bound, native_bound] (2^30), so a
-   product of a coefficient and a bound stays within 2^60; a partial sum
-   must stay within 2^61, so adding the next product cannot overflow.  Any
-   value outside those ranges raises [Out_of_range], and the whole call
-   runs again from scratch in [exact_intervals], the same algorithm over
-   [Bigint].  The native attempt charges its sweeps only once it has
-   finished, one unit at a time, so the abandoned attempt charges nothing
-   and the fuel, the point where a budget gives up and the verdict are
-   those of [exact_intervals] on every system.  The native twin below runs
-   the same loop, [sweep], on forms it lays out itself; there a value out
-   of range abandons the whole query, which runs again on [Bigint] with
-   its budget restored, so the outcome is the same.
+   [max_sweeps] sweeps have run, charging one fuel unit per sweep.  Each
+   level of the native twin below runs it as [sweep], on native ints: the
+   level's [scan] lays the forms out as flat arrays (per term its variable
+   index and coefficient, per form its constant and first term), and each
+   bound is an [int] with a presence flag.  Every input value and every
+   bound must lie in [-native_bound, native_bound] (2^30), so a product of
+   a coefficient and a bound stays within 2^60; a partial sum must stay
+   within 2^61, so adding the next product cannot overflow.  Any value
+   outside those ranges raises [Out_of_range], which abandons the whole
+   query; it runs again on the [Bigint] recursion with its budget
+   restored, and there each level runs [exact_intervals], the same loop
+   over [Bigint].  The twin charges a level's sweeps once they have run,
+   one unit at a time, so the fuel, the point where a budget gives up and
+   the verdict are those of [exact_intervals] on every system.
 
    Many calls creep: a lower bound rises by a unit or so per sweep, no
    interval can empty, and the loop runs all [max_sweeps] sweeps for
@@ -270,8 +268,8 @@ let prepare cs =
    bounds, no interval can ever empty.  It remains to show that no later
    sweep leaves every bound unchanged, so the loop would run to
    [max_sweeps]; a bound leaving the native range on the way only hands the
-   call to [exact_intervals], which runs the same sweeps on [Bigint] and so
-   also charges [max_sweeps] without refuting.
+   query to the [Bigint] recursion, whose [exact_intervals] runs the same
+   sweeps and so also charges [max_sweeps] without refuting.
    The witness is a cycle of lower-bound raises.  From the variable whose
    lower bound moved last, step to a co-term of the term that last raised
    it, one that reads a lower bound (negative coefficient), choosing the
@@ -500,63 +498,8 @@ let sweep l nforms dim =
   l.run <- !sweeps;
   if !certified then max_sweeps else if !empty then - !sweeps else !sweeps
 
-(* The sweep loop on a level of the [Bigint] solver: the rows laid out in
-   a layout of their own, or [Out_of_range].  The sweeps to charge
-   (negated when an interval emptied) and the sweeps run. *)
-let native_intervals dim (eqs : Constr.t list) (ges : Constr.t list) =
-  let nforms = List.length ges + (2 * List.length eqs) in
-  (* A form has at most [dim] terms.  Arrays past 256 words would bypass
-     the minor heap, so only a call whose forms could need more counts
-     its terms first. *)
-  let terms =
-    if nforms * dim <= 256 then nforms * dim
-    else
-      let terms (c : Constr.t) =
-        Array.fold_left
-          (fun n x -> if x == B.zero then n else n + 1)
-          0 (c.aff : Affine.t).coeffs
-      in
-      List.fold_left (fun n c -> n + terms c) 0 ges
-      + List.fold_left (fun n c -> n + (2 * terms c)) 0 eqs
-  in
-  let l = make_layout ~forms:nforms ~terms ~dim in
-  let first = l.first and const = l.const and var = l.var and coef = l.coef in
-  let nterms = ref 0 and laid = ref 0 in
-  let lay_out (c : Constr.t) =
-    let coeffs = (c.aff : Affine.t).coeffs in
-    first.(!laid) <- !nterms;
-    const.(!laid) <- native_of c.aff.const;
-    for j = 0 to Array.length coeffs - 1 do
-      let x = coeffs.(j) in
-      if not (B.is_small x) then raise Out_of_range;
-      let v = B.to_small x in
-      if v <> 0 then begin
-        if not (in_range v) then raise Out_of_range;
-        var.(!nterms) <- j;
-        coef.(!nterms) <- v;
-        incr nterms
-      end
-    done;
-    incr laid
-  in
-  (* an equality's second form is its first, negated *)
-  let lay_out_negated () =
-    let t0 = first.(!laid - 1) and t1 = !nterms in
-    first.(!laid) <- t1;
-    const.(!laid) <- -const.(!laid - 1);
-    for t = t0 to t1 - 1 do
-      var.(!nterms) <- var.(t);
-      coef.(!nterms) <- -coef.(t);
-      incr nterms
-    done;
-    incr laid
-  in
-  List.iter (fun c -> lay_out c; lay_out_negated ()) eqs;
-  List.iter lay_out ges;
-  first.(nforms) <- !nterms;
-  let outcome = sweep l nforms dim in
-  (outcome, l.run)
-
+(* The sweep loop on a level of the [Bigint] recursion, charging each
+   sweep as it starts: whether an interval emptied. *)
 let exact_intervals bgt dim (eqs : Constr.t list) (ges : Constr.t list) =
   let lo = Array.make dim None and hi = Array.make dim None in
   let forms =
@@ -631,26 +574,6 @@ let exact_intervals bgt dim (eqs : Constr.t list) (ges : Constr.t list) =
   done;
   !empty
 
-(* Whether the pre-pass refuted, and the sweeps it ran. *)
-let intervals bgt dim eqs ges =
-  match native_intervals dim eqs ges with
-  | outcome, run ->
-    for _ = 1 to abs outcome do
-      charge bgt 1
-    done;
-    (outcome < 0, run)
-  | exception Out_of_range ->
-    let spent = bgt.spent in
-    let empty = exact_intervals bgt dim eqs ges in
-    (empty, bgt.spent - spent)
-
-let prepass dim eqs ges =
-  let bgt =
-    { remaining = max_int; spent = 0; deadline = infinity; tick = 0 }
-  in
-  let refuted, run = intervals bgt dim eqs ges in
-  (bgt.spent, refuted, run)
-
 let rec solve ctx bgt dim (cs : Constr.t list) =
   charge bgt 1;
   match normalize_split cs with
@@ -658,7 +581,7 @@ let rec solve ctx bgt dim (cs : Constr.t list) =
   | eqs, ges -> solve_split ctx bgt dim eqs ges
 
 and solve_split ctx bgt dim eqs ges =
-  if fst (intervals bgt dim eqs ges) then false
+  if exact_intervals bgt dim eqs ges then false
   else begin
     match eqs with
     | [] -> solve_ineqs ctx bgt dim ges
@@ -955,13 +878,14 @@ let reserve st dim neq n =
    refuting otherwise), [Constr.dedupe] on the inequalities (one row per
    coefficient vector, in first-seen order, keeping the smallest
    constant), the pre-pass layout of the kept rows (each equality and its
-   negation, then each inequality, as [native_intervals] lays them out),
-   and for each variable the counts of the inequalities that bound it from
-   below and above, and of those with a non-unit coefficient, by which
-   [solve_ineqs] chooses.  A row's nonzero terms are laid out as they are
-   read, and taken back when the row is dropped or merged.  Kept rows are
-   compacted in place.  The rows kept, with [st.eqs] set to the
-   equalities among them, or -1 when a row is false. *)
+   negation, then each inequality, the order [exact_intervals] sweeps
+   them in), and for each variable the counts of the inequalities that
+   bound it from below and above, and of those with a non-unit
+   coefficient, by which [solve_ineqs] chooses.  A row's nonzero terms
+   are laid out as they are read, and taken back when the row is dropped
+   or merged.  Kept rows are compacted in place.  The rows kept, with
+   [st.eqs] set to the equalities among them, or -1 when a row is
+   false. *)
 let scan st dim base neq n =
   reserve st dim neq n;
   let w = dim + 1 and m = st.rows and l = st.lay in
@@ -1088,15 +1012,6 @@ let scan st dim base neq n =
   st.eqs <- !eqs;
   if !refuted then -1 else !kept
 
-(* [intervals] on the forms [scan] laid out for [n] rows, [neq] of them
-   equalities. *)
-let nat_intervals st bgt dim neq n =
-  let outcome = sweep st.lay (n + neq) dim in
-  for _ = 1 to abs outcome do
-    charge bgt 1
-  done;
-  outcome < 0
-
 (* [solve] on the [n] rows at [base], of which the first [neq] are
    equalities. *)
 let rec nat_solve st bgt dim base neq n =
@@ -1104,8 +1019,15 @@ let rec nat_solve st bgt dim base neq n =
   let n = scan st dim base neq n in
   n >= 0 && nat_solve_split st bgt dim base st.eqs n
 
+(* The pre-pass runs on the forms [scan] laid out; its sweeps are charged
+   one unit at a time once it has finished, so a budget gives up where
+   [exact_intervals]'s would. *)
 and nat_solve_split st bgt dim base neq n =
-  if nat_intervals st bgt dim neq n then false
+  let outcome = sweep st.lay (n + neq) dim in
+  for _ = 1 to abs outcome do
+    charge bgt 1
+  done;
+  if outcome < 0 then false
   else if neq = 0 then nat_solve_ineqs st bgt dim base n
   else nat_solve_eq st bgt dim base neq n
 
@@ -1281,12 +1203,12 @@ and nat_solve_ineqs st bgt dim base n =
     end
   end
 
-(* The first level of a query on the twin: [prepare]'s rows laid out as
-   one matrix, or [Out_of_range] when a value is not within
-   [native_bound]. *)
-let nat_first_level st bgt dim (p : prepared) =
-  let neq = List.length p.eqs in
-  let n = neq + List.length p.ges and w = dim + 1 in
+(* A query's normalized rows on the twin, equalities first, laid out as
+   one matrix at the bottom of the stack and [scan]ned: the rows kept, or
+   [Out_of_range] when a value is not within [native_bound]. *)
+let nat_rows st dim (eqs : Constr.t list) (ges : Constr.t list) =
+  let neq = List.length eqs in
+  let n = neq + List.length ges and w = dim + 1 in
   st.top <- 0;
   let base = alloc st (n * w) in
   let m = st.rows in
@@ -1300,11 +1222,33 @@ let nat_first_level st bgt dim (p : prepared) =
       done;
       put (r + 1) cs
   in
-  put 0 p.eqs;
-  put neq p.ges;
+  put 0 eqs;
+  put neq ges;
   (* the rows are normalized already, so [scan] only dedupes and lays out *)
-  let n = scan st dim base neq n in
-  nat_solve_split st bgt dim base st.eqs n
+  scan st dim base neq n
+
+let nat_first_level st bgt dim (p : prepared) =
+  let n = nat_rows st dim p.eqs p.ges in
+  nat_solve_split st bgt dim 0 st.eqs n
+
+let prepass dim eqs ges =
+  let st = acquire () in
+  match
+    Fun.protect
+      ~finally:(fun () -> release st)
+      (fun () ->
+        let n = nat_rows st dim eqs ges in
+        if n < 0 then invalid_arg "Omega.prepass: a row is false";
+        let outcome = sweep st.lay (n + st.eqs) dim in
+        (abs outcome, outcome < 0, st.lay.run))
+  with
+  | result -> result
+  | exception Out_of_range ->
+    let bgt =
+      { remaining = max_int; spent = 0; deadline = infinity; tick = 0 }
+    in
+    let refuted = exact_intervals bgt dim eqs (Constr.dedupe ges) in
+    (bgt.spent, refuted, bgt.spent)
 
 (* A system's identity, shared by the memo and the disk cache: the MD5 of
    a binary rendering of its normalized rows.  Each row is gcd-divided

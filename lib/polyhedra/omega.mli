@@ -136,9 +136,15 @@ val implies : ctx:Ctx.t -> System.t -> Constr.t -> bool
     answers false ("could not prove the implication"). *)
 
 val prepass : int -> Constr.t list -> Constr.t list -> int * bool * int
-(** Test-only: the solver's interval pre-pass, unbudgeted, on a system of
-    the given dimension split into equalities and inequalities, each
-    normalized as {!decide} normalizes it.  Returns the sweeps it charges,
-    whether it refuted the system, and the sweeps it actually ran: fewer
-    than it charges when it proved that the remaining sweeps could not
-    refute. *)
+(** Test-only: the interval pre-pass of a query's first level, unbudgeted,
+    on a system of the given dimension split into equalities and
+    inequalities, each normalized as {!decide} normalizes it (no constant
+    row).  It runs what the query runs: the inequalities deduplicated (one
+    per coefficient vector, in first-seen order, with the smallest
+    constant), the rows laid out as the native solver lays them out, and
+    its native sweep loop; when a value leaves ±2^30 it runs the [Bigint]
+    sweep loop on the same rows instead, as the query would.  Returns the
+    sweeps it charges, whether it refuted the system, and the sweeps it
+    actually ran: fewer than it charges when it proved that the remaining
+    sweeps could not refute.  Raises [Invalid_argument] when a row is false
+    on its face. *)

@@ -376,6 +376,16 @@ let series_of opts =
 let record_at (_, params, init) prog =
   Model.record (Loopir.Stages.specialize ~params prog) ~params ~init
 
+(* The failure reason of a group that timed out. *)
+let timed_out opts =
+  match opts.timeout_ms with
+  | Some ms -> Printf.sprintf "timed out (no result within %d ms)" ms
+  | None -> "timed out"
+
+(* Whether the caller's deadline has passed. *)
+let expired () =
+  match Runner.check () with () -> false | exception Runner.Expired -> true
+
 (* Evaluate one batch's distinct programs.  At every sweep point a
    program is recorded once and replayed per (machine x quality) series
    ([Metrics.record_replay]), with one metrics row per series; the rows
@@ -415,11 +425,7 @@ let evaluate_groups opts ~sweeps progs =
       | Runner.Ok result -> Ok result
       | Runner.Failed (e, _) ->
         Error (Printf.sprintf "crash: %s" (Printexc.to_string e))
-      | Runner.Timed_out ->
-        Error
-          (match opts.timeout_ms with
-          | Some ms -> Printf.sprintf "timed out (no result within %d ms)" ms
-          | None -> "timed out"))
+      | Runner.Timed_out -> Error (timed_out opts))
     outcomes
 
 (* Candidates are visited in batches of this many.  A constant, never
@@ -458,16 +464,15 @@ type program = {
    through {!evaluate_groups}.  A failed program's candidates drop out of
    the ranked table.  The incumbent moves only between batches.  Metrics
    rows and failures are listed per program in enumeration order, so they
-   do not depend on the visit order. *)
+   do not depend on the visit order.  Once the caller's deadline has
+   passed, no further batch is generated: each candidate left unvisited
+   gets a failure row, after the programs' own and in enumeration order,
+   with the reason a timed-out group gets. *)
 let evaluate pipe opts ~sweeps cands =
   let prepared = prepare (Pipeline.program pipe) ~sweeps in
   (* once the caller's deadline has passed, the remaining candidates go
      unanalyzed, as unanalyzable ones do *)
-  let analysis c =
-    match Runner.check () with
-    | () -> analyze prepared c.c_spec
-    | exception Runner.Expired -> None
-  in
+  let analysis c = if expired () then None else analyze prepared c.c_spec in
   let head = match series_of opts with s :: _ -> Some s | [] -> None in
   let visit =
     let key (_, c, a) =
@@ -521,8 +526,11 @@ let evaluate pipe opts ~sweeps cands =
       List.map (fun m -> (m.Model.m_name, misses t m)) opts.machines
     | _ -> []
   in
+  let unvisited = ref [] in
   let rec batches visit =
-    if visit <> [] then begin
+    if visit = [] then ()
+    else if expired () then unvisited := visit
+    else begin
       let batch, rest = split_at batch_size visit in
       let generated =
         List.map
@@ -599,7 +607,10 @@ let evaluate pipe opts ~sweeps cands =
           match p.outcome with
           | Error ef_reason -> Some { ef_label = label p; ef_reason }
           | Ok _ -> None)
-        programs }
+        programs
+      @ List.map
+          (fun (_, c, _) -> { ef_label = c.c_label; ef_reason = timed_out opts })
+          (List.sort (fun (i, _, _) (j, _, _) -> compare i j) !unvisited) }
 
 (* ------------------------------------------------------------------ *)
 (* The tuner                                                           *)
@@ -664,17 +675,18 @@ let tune ?(options = default_options) ?arrays ?init ~kernel ~params prog =
     Metrics.timed (fun () -> evaluate pipe options ~sweeps cands)
   in
   (* the input baseline walks the same sweep, so speedup = input / best
-     compares like with like *)
+     compares like with like; past the caller's deadline it is not
+     recorded *)
   let input_cycles =
     match series_of options with
-    | (machine, quality) :: _ ->
+    | (machine, quality) :: _ when not (expired ()) ->
       List.fold_left
         (fun acc point ->
           acc
           +. (Model.consume ~machine ~quality (record_at point prog))
                .Model.r_cycles)
         0.0 sweeps
-    | [] -> 0.0
+    | _ -> 0.0
   in
   { rp_kernel = kernel;
     rp_params = params;

@@ -107,7 +107,10 @@ type eval_failure = {
 }
 (** One recording group that crashed or timed out under the supervised
     pool: its candidates are excluded from [rp_table], the campaign
-    completes and reports the row instead of aborting. *)
+    completes and reports the row instead of aborting.  A candidate still
+    unvisited when the caller's deadline ({!Runner.with_deadline}) has
+    passed is not generated; it gets a row of its own, with the reason a
+    timed-out group gets. *)
 
 type bound_pruned = {
   bp_cand : candidate;
@@ -136,10 +139,14 @@ type report = {
   rp_timing : timing;
   rp_input_cycles : float;
       (** the unshackled program on the head series, summed over the same
-          evaluation sweep as the candidates *)
+          evaluation sweep as the candidates; [0.0] when there is no
+          series, or when the caller's deadline had passed before it was
+          recorded *)
   rp_table : scored list;  (** ranked, best first *)
   rp_bound_pruned : bound_pruned list;  (** in visit order *)
-  rp_failures : eval_failure list;  (** evaluation groups that did not finish *)
+  rp_failures : eval_failure list;
+      (** evaluation groups that did not finish, then the candidates left
+          unvisited past the caller's deadline *)
   rp_metrics : Observe.Metrics.sim list;
 }
 

@@ -898,14 +898,16 @@ let reference_prepass dim eqs ges =
   (!sweeps, !empty)
 
 (* A system's rows as the solver's first level hands them to the pre-pass:
-   normalized, constant rows dropped, equalities first. *)
+   normalized, constant rows dropped, equalities first, the inequalities
+   deduplicated. *)
 let prepass_input (rows : C.t list) =
   let rows =
     List.filter
       (fun (c : C.t) -> not (A.is_constant c.C.aff))
       (List.map C.normalize rows)
   in
-  List.partition (fun (c : C.t) -> c.C.kind = C.Eq) rows
+  let eqs, ges = List.partition (fun (c : C.t) -> c.C.kind = C.Eq) rows in
+  (eqs, C.dedupe ges)
 
 (* Systems the certificate is for: free parameters, one-sided orderings
    [a*x >= b*y + c] and equalities [x = y + c] that make bounds creep, block

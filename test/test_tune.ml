@@ -242,40 +242,43 @@ let test_caller_deadline_stops_groups () =
     rp.Tune.rp_counts.Tune.n_legal
     (List.length (tune ()).Tune.rp_table)
 
+(* A dependence-free outer product: its candidates are legal without a
+   solver query that could give up. *)
+let outer =
+  Loopir.Parser.program
+    "! outer (params: N)\n\
+     real C(N, N, N)\n\
+     real A(N, N)\n\
+     real B(N, N)\n\
+     real D(N, N)\n\
+     do I = 1, N\n\
+     do J = 1, N\n\
+     do K = 1, N\n\
+     S1: C(I, J, K) = A(I, K) * B(K, J) + D(I, J)\n\
+     end do\n\
+     end do\n\
+     end do\n"
+
+let tune_outer n () =
+  Tune.tune
+    ~options:{ Tune.default_options with sizes = [ 4; 8 ]; depth = 2 }
+    ~init:(fun _ _ -> 1.0)
+    ~kernel:"outer" ~params:[ ("N", n) ] outer
+
 (* Past the caller's deadline the bound analysis that orders the visit
    stops as well: every candidate goes unanalyzed, and the tune costs less
-   than the analyses it skips.  A dependence-free program's candidates are
-   legal without a query that could give up; their specs come from a
+   than the analyses it skips.  The outer product's specs come from a
    cheap tune at N = 8, and each analysis, from one shared preparation as
-   the tune does it, is timed at N = 48, where the 30 analyses take about
-   4 times the rest of a tune under an expired deadline.  Before, that
-   tune ran every one of them. *)
+   the tune does it, is timed at N = 48, where the 30 analyses take over
+   a hundred times the rest of a tune under an expired deadline.  Before,
+   that tune ran every one of them. *)
 let test_caller_deadline_stops_analysis () =
-  let prog =
-    Loopir.Parser.program
-      "! outer (params: N)\n\
-       real C(N, N, N)\n\
-       real A(N, N)\n\
-       real B(N, N)\n\
-       real D(N, N)\n\
-       do I = 1, N\n\
-       do J = 1, N\n\
-       do K = 1, N\n\
-       S1: C(I, J, K) = A(I, K) * B(K, J) + D(I, J)\n\
-       end do\n\
-       end do\n\
-       end do\n"
-  in
-  let tune n () =
-    Tune.tune
-      ~options:{ Tune.default_options with sizes = [ 4; 8 ]; depth = 2 }
-      ~init:(fun _ _ -> 1.0)
-      ~kernel:"outer" ~params:[ ("N", n) ] prog
-  in
   let specs =
-    List.map (fun s -> s.Tune.s_cand.Tune.c_spec) (tune 8 ()).Tune.rp_table
+    List.map
+      (fun s -> s.Tune.s_cand.Tune.c_spec)
+      (tune_outer 8 ()).Tune.rp_table
   in
-  let prepared = Bounds.prepare ~params:[ ("N", 48) ] prog in
+  let prepared = Bounds.prepare ~params:[ ("N", 48) ] outer in
   let (), analyses =
     Observe.Metrics.timed (fun () ->
         List.iter
@@ -283,13 +286,37 @@ let test_caller_deadline_stops_analysis () =
           specs)
   in
   let rp, expired =
-    Observe.Metrics.timed (fun () -> Runner.with_deadline ~until:0.0 (tune 48))
+    Observe.Metrics.timed (fun () ->
+        Runner.with_deadline ~until:0.0 (tune_outer 48))
   in
   Alcotest.(check int) "every candidate is legal" (List.length specs)
     rp.Tune.rp_counts.Tune.n_legal;
   if expired >= analyses then
     Alcotest.failf "the expired tune took %.3f s, its %d analyses %.3f s"
       expired (List.length specs) analyses
+
+(* Past the caller's deadline no code is generated and no baseline is
+   recorded: each legal candidate of the outer product gets a "timed out"
+   failure row of its own.  Before, a tune at N = 64 under an expired
+   deadline generated every batch's code (26 to 31 ms of its 57) and
+   recorded the input baseline. *)
+let test_caller_deadline_stops_codegen () =
+  let rp = Runner.with_deadline ~until:0.0 (tune_outer 64) in
+  Alcotest.(check (float 0.0)) "no code generated" 0.0
+    rp.Tune.rp_timing.Tune.t_codegen;
+  Alcotest.(check (float 0.0)) "no baseline recorded" 0.0
+    rp.Tune.rp_input_cycles;
+  Alcotest.(check int) "nothing ranked" 0 (List.length rp.Tune.rp_table);
+  Alcotest.(check bool) "some candidate was legal" true
+    (rp.Tune.rp_counts.Tune.n_legal > 0);
+  Alcotest.(check int) "a failure row per legal candidate"
+    rp.Tune.rp_counts.Tune.n_legal
+    (List.length rp.Tune.rp_failures);
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (f.Tune.ef_label ^ " timed out") "timed out"
+        f.Tune.ef_reason)
+    rp.Tune.rp_failures
 
 (* --- golden geometries --- *)
 
@@ -505,7 +532,9 @@ let () =
           Alcotest.test_case "caller's deadline stops every group" `Quick
             test_caller_deadline_stops_groups;
           Alcotest.test_case "caller's deadline stops the bound analysis"
-            `Quick test_caller_deadline_stops_analysis ] );
+            `Quick test_caller_deadline_stops_analysis;
+          Alcotest.test_case "caller's deadline stops codegen and the baseline"
+            `Quick test_caller_deadline_stops_codegen ] );
       ( "golden",
         [ Alcotest.test_case "matmul picks C x A, bit-for-bit" `Slow
             test_matmul_golden;
