@@ -255,7 +255,7 @@ let prune_union ~keep_if_dominates ctx names pieces =
 (* The generator                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let generate ?(collapse = true) ?(stages = []) ~solver prog spec =
+let generate ?(stages = []) ~solver prog spec =
   (match Spec.validate prog spec with
    | Ok () -> ()
    | Error e -> invalid_arg ("Codegen.Tighten.generate: " ^ e));
@@ -349,22 +349,23 @@ let generate ?(collapse = true) ?(stages = []) ~solver prog spec =
     | Ast.If (_, body) ->
       (* original guards live in F_S; re-emitted per statement if needed *)
       List.concat_map (build ctx) body
-    | Ast.Loop l ->
-      let members = descendants node in
-      let k =
-        (* position of this loop among the enclosing loops of any member *)
-        let i = List.hd members in
-        let rec find j =
-          if j >= Array.length i.names then
-            invalid_arg "Tighten: loop variable not in space"
-          else if String.equal i.names.(j) l.var then j
-          else find (j + 1)
+    | Ast.Loop l -> (
+      match descendants node with
+      | [] -> [] (* a loop that holds no statement generates nothing *)
+      | i :: _ as members ->
+        let k =
+          (* position of this loop among the enclosing loops of any member *)
+          let rec find j =
+            if j >= Array.length i.names then
+              invalid_arg "Tighten: loop variable not in space"
+            else if String.equal i.names.(j) l.var then j
+            else find (j + 1)
+          in
+          find (pc + m)
         in
-        find (pc + m)
-      in
-      let lo, hi = emitted_bounds ctx members k in
-      let ctx' = extend_ctx ctx l.var (lo, hi) in
-      [ Ast.Loop { l with lo; hi; body = List.concat_map (build ctx') l.body } ]
+        let lo, hi = emitted_bounds ctx members k in
+        let ctx' = extend_ctx ctx l.var (lo, hi) in
+        [ Ast.Loop { l with lo; hi; body = List.concat_map (build ctx') l.body } ])
   in
   (* Parameters are at least 1; block loops come first (they contain every
      statement). *)
@@ -391,7 +392,7 @@ let generate ?(collapse = true) ?(stages = []) ~solver prog spec =
   (* The post-pass is the staged pipeline: guard hoisting and degenerate
      collapse exactly as before (golden output is byte-identical), plus any
      caller-composed stages (e.g. the --stages flag). *)
-  Stages.run (Stages.tighten_pipeline ~collapse @ stages) result
+  Stages.run (Stages.tighten_pipeline @ stages) result
 
 let stats prog =
   let loops = ref 0 and guards = ref 0 in

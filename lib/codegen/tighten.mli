@@ -11,17 +11,16 @@
     test suite. *)
 
 val generate :
-  ?collapse:bool ->
   ?stages:Loopir.Stages.stage list ->
   solver:Polyhedra.Omega.Ctx.t ->
   Loopir.Ast.program ->
   Shackle.Spec.t ->
   Loopir.Ast.program
 (** Blocked program with tightened loop bounds and minimized guards.
-    [collapse] (default true) substitutes away loops whose range is a single
-    affine point, as the paper does for the ADI kernel (Figure 14).  The
-    post-pass is {!Loopir.Stages.tighten_pipeline} followed by [stages]
-    (default none) — extra named stages composed after the standard ones.
+    Loops whose range is a single affine point are substituted away, as
+    the paper does for the ADI kernel (Figure 14).  The post-pass is
+    {!Loopir.Stages.tighten_pipeline} followed by [stages] (default none)
+    — extra named stages composed after the standard ones.
     [solver] is the context charged for the Omega pruning queries
     ({!Pipeline.codegen} passes the pipeline's own); the generated program
     does not depend on it. *)

@@ -134,40 +134,33 @@ let rec depth (e : Fexpr.t) =
 (* A right-hand side compiles to code that leaves its value in
    [sc.(r)]: floats stay unboxed in the statement's scratch array, the
    operator is matched here rather than per evaluation, and operands are
-   evaluated left to right so the trace reads them in textual order. *)
-let rec compile_fexpr env store sink flops (sc : float array) r (e : Fexpr.t)
+   evaluated left to right, the order the address-only path emits their
+   words, so both raise at the same out-of-range access. *)
+let rec compile_fexpr env store flops (sc : float array) r (e : Fexpr.t)
     : int array -> unit =
   match e with
   | Fexpr.Ref rf ->
     let arr = Store.find store rf.array in
     let off = compile_offset env arr rf.idx in
-    let data = arr.Store.data and base = arr.Store.base in
-    (* the sink is matched once, at compile time, so the no-trace path
-       carries no per-access dispatch *)
-    (match sink with
-     | Trace.No_trace -> fun f -> sc.(r) <- data.(off f)
-     | Trace.Record rc ->
-       fun f ->
-         let o = off f in
-         append rc ((base + o) lsl 1);
-         sc.(r) <- data.(o))
+    let data = arr.Store.data in
+    fun f -> sc.(r) <- data.(off f)
   | Fexpr.Const x -> fun _ -> sc.(r) <- x
   | Fexpr.Neg a ->
-    let ca = compile_fexpr env store sink flops sc r a in
+    let ca = compile_fexpr env store flops sc r a in
     fun f ->
       ca f;
       incr flops;
       sc.(r) <- -.sc.(r)
   | Fexpr.Sqrt a ->
-    let ca = compile_fexpr env store sink flops sc r a in
+    let ca = compile_fexpr env store flops sc r a in
     fun f ->
       ca f;
       incr flops;
       sc.(r) <- sqrt sc.(r)
   | Fexpr.Bin (op, a, b) ->
     let r' = r + 1 in
-    let ca = compile_fexpr env store sink flops sc r a
-    and cb = compile_fexpr env store sink flops sc r' b in
+    let ca = compile_fexpr env store flops sc r a
+    and cb = compile_fexpr env store flops sc r' b in
     (match op with
      | Fexpr.Fadd ->
        fun f ->
@@ -205,23 +198,15 @@ let compile_guard env (g : Ast.guard) =
 
 (* One statement on the value path: the right-hand side's reads come
    before the write. *)
-let compile_stmt env store sink flops (s : Ast.stmt) : int array -> unit =
+let compile_stmt env store flops (s : Ast.stmt) : int array -> unit =
   let sc = Array.make (depth s.rhs) 0.0 in
-  let rhs = compile_fexpr env store sink flops sc 0 s.rhs in
+  let rhs = compile_fexpr env store flops sc 0 s.rhs in
   let arr = Store.find store s.lhs.array in
   let off = compile_offset env arr s.lhs.idx in
-  let data = arr.Store.data and base = arr.Store.base in
-  match sink with
-  | Trace.No_trace ->
-    fun frame ->
-      rhs frame;
-      data.(off frame) <- sc.(0)
-  | Trace.Record rc ->
-    fun frame ->
-      rhs frame;
-      let o = off frame in
-      append rc (((base + o) lsl 1) lor 1);
-      data.(o) <- sc.(0)
+  let data = arr.Store.data in
+  fun frame ->
+    rhs frame;
+    data.(off frame) <- sc.(0)
 
 (* The control structure both compiles share.  [stmt] compiles one
    statement; [whole] may compile a loop's whole range at once, as code
@@ -530,9 +515,14 @@ let prepare_with (prog : Ast.program) compile =
   let frame = Array.make env.count 0 in
   { p_env = env; p_main = main; p_frame = frame; p_flops = flops }
 
-let prepare ?(sink = Trace.No_trace) store (prog : Ast.program) =
+let prepare store (prog : Ast.program) =
   prepare_with prog (fun env flops body ->
-      compile_body env (compile_stmt env store sink flops) (fun _ _ -> None) body)
+      compile_body env (compile_stmt env store flops) (fun _ _ -> None) body)
+
+let prepare_addresses store rc (prog : Ast.program) =
+  prepare_with prog (fun env flops body ->
+      compile_body env (compile_words env store rc flops)
+        (compile_strided env store rc flops) body)
 
 let invoke p ~params =
   List.iter
@@ -547,12 +537,7 @@ let invoke p ~params =
   p.p_main p.p_frame;
   !(p.p_flops) - before
 
-let run ?sink store (prog : Ast.program) ~params =
-  invoke (prepare ?sink store prog) ~params
+let run store (prog : Ast.program) ~params = invoke (prepare store prog) ~params
 
 let addresses store rc (prog : Ast.program) ~params =
-  invoke
-    (prepare_with prog (fun env flops body ->
-         compile_body env (compile_words env store rc flops)
-           (compile_strided env store rc flops) body))
-    ~params
+  invoke (prepare_addresses store rc prog) ~params

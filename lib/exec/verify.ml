@@ -1,6 +1,6 @@
-let run_program ?layouts ?sink prog ~params ~init =
+let run_program ?layouts prog ~params ~init =
   let store = Store.create ?layouts prog ~params ~init in
-  let flops = Interp.run ?sink store prog ~params in
+  let flops = Interp.run store prog ~params in
   (store, flops)
 
 let max_diff ?layouts p1 p2 ~params ~init =
@@ -8,5 +8,5 @@ let max_diff ?layouts p1 p2 ~params ~init =
   let s2, _ = run_program ?layouts p2 ~params ~init in
   Store.max_abs_diff s1 s2
 
-let equivalent ?(tol = 1e-9) ?layouts p1 p2 ~params ~init =
-  max_diff ?layouts p1 p2 ~params ~init <= tol
+let equivalent ?layouts p1 p2 ~params ~init =
+  max_diff ?layouts p1 p2 ~params ~init <= 1e-9

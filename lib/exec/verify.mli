@@ -6,13 +6,12 @@
 
 val run_program :
   ?layouts:(string * Store.layout) list ->
-  ?sink:Trace.sink ->
   Loopir.Ast.program ->
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   Store.t * int
-(** Fresh store, execute, return (final store, flop count).  [sink]
-    receives every element access (default [Trace.No_trace]). *)
+(** Fresh store, execute on the value path, return (final store, flop
+    count). *)
 
 val max_diff :
   ?layouts:(string * Store.layout) list ->
@@ -24,11 +23,11 @@ val max_diff :
 (** Largest elementwise difference between the two final stores. *)
 
 val equivalent :
-  ?tol:float ->
   ?layouts:(string * Store.layout) list ->
   Loopir.Ast.program ->
   Loopir.Ast.program ->
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   bool
-(** [max_diff <= tol] (default [1e-9], scaled for reassociation noise). *)
+(** [max_diff <= 1e-9], a tolerance for reassociation noise; a check that
+    wants bit-equal stores compares [max_diff] with [0.0]. *)

@@ -44,6 +44,14 @@ let accesses (prog : Ast.program) ~params =
   List.iter (go params) prog.Ast.body;
   List.rev !out
 
+let record store rc prog ~params =
+  List.iter
+    (fun a ->
+      let arr = Exec.Store.find store a.array in
+      let off = Exec.Store.offset arr (Array.of_list a.index) in
+      Trace.emit rc ~write:a.is_write ~addr:(arr.Exec.Store.base + off))
+    (accesses prog ~params)
+
 let lex_lt a b =
   let n = min (Array.length a) (Array.length b) in
   let rec go i =

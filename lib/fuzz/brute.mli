@@ -1,9 +1,11 @@
 (** Ground truth by exhaustive enumeration.
 
     Everything here works by actually running things at small concrete sizes:
-    interpret the program to record every array access, test shackle legality
-    by checking every dependent instance pair against the block order, and
-    decide constraint systems by trying every integer point of a box.  Slow
+    interpret the program to record every array access (and lay those
+    accesses out as the trace a cache simulation replays), test shackle
+    legality by checking every dependent instance pair against the block
+    order, and decide constraint systems by trying every integer point of
+    a box.  Slow
     and obviously correct — the reference the clever layers are diffed
     against. *)
 
@@ -19,6 +21,22 @@ type access = {
 val accesses : Loopir.Ast.program -> params:(string * int) list -> access list
 (** Interpret the program (loops, guards) and record every read and write in
     execution order.  All accesses of one statement instance share a [seq]. *)
+
+val record :
+  Exec.Store.t ->
+  Trace.recorder ->
+  Loopir.Ast.program ->
+  params:(string * int) list ->
+  unit
+(** The reference recording: emits each of {!accesses}, in order, into the
+    recorder at its element address, the array's base plus the
+    {!Exec.Store.offset} of its index in the store's layout (the store
+    needs only that layout, {!Exec.Store.plan}).  Finished from a recorder
+    of the same chunk size, its trace must equal
+    {!Machine.Model.record}'s in words, chunks and bytes: the fuzz
+    oracle's [Replay] layer and test_machine check exactly that.
+    @raise Invalid_argument as {!Exec.Store.offset} does, at the first
+    access outside its array, where the interpreter raises too. *)
 
 val lex_lt : int array -> int array -> bool
 (** Strict lexicographic order (over the common prefix). *)

@@ -165,8 +165,10 @@ let enumerate cfg pipe =
 
 (* 4th oracle layer: record/replay cache simulation vs the direct
    streaming path.  A tiny chunk size forces many flush boundaries.
-   [Model.record]'s address-only execution must record the value path's
-   words, chunks and flops, and every (machine x quality) pair is replayed
+   [Model.record]'s address-only execution must record [Brute.record]'s
+   words, chunks and bytes (the enumerated accesses laid out through
+   Store.offset) and count the value path's flops, and every
+   (machine x quality) pair is replayed
    from ONE recording: the stored-trace [consume] path, which walks each
    machine once, must reproduce the direct [simulate] result, which
    streams the same walk in 256-word chunks, exactly (structural equality:
@@ -195,19 +197,24 @@ let check_replay ?spec_text prog ~n =
     try Model.record ~chunk_words:64 prog ~params ~init
     with e -> failf "Model.record raised %s at N=%d" (Printexc.to_string e) n
   in
-  let r = Trace.create_recorder ~chunk_words:64 () in
-  let _, flops = Verify.run_program ~sink:(Trace.Record r) prog ~params ~init in
-  let want = Trace.finish r and got = recording.Model.rec_trace in
+  let _, flops = Verify.run_program prog ~params ~init in
   if flops <> recording.Model.rec_flops then
     failf "Model.record counts %d flops, the value path %d, at N=%d"
       recording.Model.rec_flops flops n;
-  if not (Trace.equal want got && Trace.num_chunks want = Trace.num_chunks got)
+  let r = Trace.create_recorder ~chunk_words:64 () in
+  Brute.record (Store.plan prog ~params) r prog ~params;
+  let want = Trace.finish r and got = recording.Model.rec_trace in
+  if
+    not
+      (Trace.equal want got
+      && Trace.num_chunks want = Trace.num_chunks got
+      && Trace.bytes want = Trace.bytes got)
   then
     failf
-      "Model.record's trace (%d words, %d chunks) differs from the value \
-       path's (%d words, %d chunks) at N=%d"
-      (Trace.length got) (Trace.num_chunks got) (Trace.length want)
-      (Trace.num_chunks want) n;
+      "Model.record's trace (%d words, %d chunks, %d bytes) differs from \
+       Brute.record's (%d words, %d chunks, %d bytes) at N=%d"
+      (Trace.length got) (Trace.num_chunks got) (Trace.bytes got)
+      (Trace.length want) (Trace.num_chunks want) (Trace.bytes want) n;
   List.iter2
     (fun (machine, quality) want ->
       let got = Model.consume ~machine ~quality recording in
@@ -260,9 +267,11 @@ let check_stage ?spec_text prog ~ns =
           failf "Stages.specialize raised %s at N=%d" (Printexc.to_string e) n
       in
       let execute label p =
-        let r = Trace.create_recorder ~chunk_words:64 () in
-        match Verify.run_program ~sink:(Trace.Record r) p ~params ~init with
-        | store, flops -> (store, flops, Trace.finish r)
+        match
+          ( Verify.run_program p ~params ~init,
+            Model.record ~chunk_words:64 p ~params ~init )
+        with
+        | (store, flops), recording -> (store, flops, recording.Model.rec_trace)
         | exception e ->
           failf "%s program raised %s at N=%d" label (Printexc.to_string e) n
       in
@@ -322,9 +331,9 @@ let check_bound ?spec_text ?spec ~sim_prog prog ~n =
       variants;
     List.length variants
 
-(* 6th oracle layer: parallel block execution vs sequential.  One
-   sequential execution ([Pipeline.record_full]) provides the reference
-   store, trace and flop count; the scheduler then executes the same
+(* 6th oracle layer: parallel block execution vs sequential.  The
+   sequential value path provides the reference store and flop count, and
+   [Model.record] the reference trace; the scheduler then executes the same
    variant's block-task DAG over 1, 2 and 3 workers.  Everything is
    compared at the bit level: stores word for word (Int64 bit patterns,
    so -0.0 vs 0.0 and NaN payloads count as divergence), the merged trace
@@ -337,9 +346,9 @@ let check_par ?spec_text pipe ~spec ~n ~domains_list =
   let failf fmt =
     Printf.ksprintf (fun detail -> fail ?spec_text Par detail) fmt
   in
-  let seq_rec, seq_store =
-    Pipeline.record_full ~chunk_words:64 ?spec pipe ~params ~init
-  in
+  let prog = Pipeline.variant pipe spec in
+  let seq_store, seq_flops = Verify.run_program prog ~params ~init in
+  let seq_rec = Model.record ~chunk_words:64 prog ~params ~init in
   let plan =
     try Sched.plan pipe ~spec ~params
     with e -> failf "Sched.plan raised %s at N=%d" (Printexc.to_string e) n
@@ -360,9 +369,9 @@ let check_par ?spec_text pipe ~spec ~n ~domains_list =
            (%d tasks in %d levels)"
           n domains (Sched.tasks plan)
           (List.length (Sched.levels plan));
-      if recording.Model.rec_flops <> seq_rec.Model.rec_flops then
+      if recording.Model.rec_flops <> seq_flops then
         failf "parallel flop count %d <> sequential %d at N=%d over %d domains"
-          recording.Model.rec_flops seq_rec.Model.rec_flops n domains;
+          recording.Model.rec_flops seq_flops n domains;
       let tp = recording.Model.rec_trace and ts = seq_rec.Model.rec_trace in
       if not (Trace.equal tp ts) then
         failf

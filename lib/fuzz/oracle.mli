@@ -18,7 +18,9 @@
       verification size (up to reassociation tolerance).
     - {b Replay}: record-once/replay-many cache simulation: with a tiny
       chunk size to force flush boundaries, [Model.record]'s address-only
-      execution must record the value path's words, chunks and flops, and
+      execution must record {!Brute.record}'s words, chunks and bytes (the
+      enumerated accesses laid out through [Store.offset]) and count the
+      value path's flops, and
       the stored-trace [consume] path (one walk per machine, forwarding
       derived) must reproduce the direct streaming simulation (the same
       walk, fed 256-word chunks as they are recorded) exactly — every
@@ -33,7 +35,8 @@
       seeded storm of mutated protocol frames.
     - {b Par}: the dependence-aware block scheduler ({!Sched}) executed
       over 1, 2 and 3 worker domains must be bit-identical to one
-      sequential execution — stores compared as Int64 bit patterns, the
+      sequential execution (the value path's store and flops, and
+      [Model.record]'s trace) — stores compared as Int64 bit patterns, the
       deterministically merged trace word for word including chunk
       accounting, flop counts exactly, and the shared-L2 multicore replay
       identical across worker counts — on the original program and on
@@ -41,8 +44,9 @@
     - {b Stage}: per-size specialization ({!Loopir.Stages.specialize})
       must be trace-preserving — at every verification size, executing
       the specialized program end to end must agree bit for bit with the
-      symbolic one (stores as Int64 bit patterns, flop counts, and the
-      recorded access trace including chunk accounting) — on the original
+      symbolic one (the value path's stores as Int64 bit patterns and flop
+      counts, and [Model.record]'s trace including chunk accounting) — on
+      the original
       program and on the first legal blocked variant, where the
       simplification stages do real work.
     - {b Bound}: the {!Bounds} analytic communication lower bound must

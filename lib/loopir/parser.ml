@@ -328,52 +328,58 @@ let classify lineno raw =
   end
   else begin
     let c = { toks = tokenize lineno s; line = lineno } in
-    match next c with
-    | Id "real" -> begin
+    let l =
       match next c with
-      | Id name ->
-        let r = parse_ref c name in
-        Some (Ldecl { Ast.a_name = name; extents = r.Fexpr.idx })
-      | t -> fail lineno ("expected array name, got " ^ tok_to_string t)
-    end
-    | Id "do" -> begin
-      match next c with
-      | Id var ->
-        expect c Assign;
-        let lo = iexpr c in
-        expect c Comma;
-        let hi = iexpr c in
-        Some (Ldo (var, lo, hi))
-      | t -> fail lineno ("expected loop variable, got " ^ tok_to_string t)
-    end
-    | Id "end" -> begin
-      match next c with
-      | Id "do" -> Some Lend_do
-      | Id "if" -> Some Lend_if
-      | t -> fail lineno ("expected do/if after end, got " ^ tok_to_string t)
-    end
-    | Id "if" ->
-      expect c LP;
-      let gs = guards c in
-      expect c RP;
-      (match next c with
-       | Id "then" -> Some (Lif gs)
-       | t -> fail lineno ("expected then, got " ^ tok_to_string t))
-    | Id label -> begin
-      match next c with
-      | Colon -> begin
+      | Id "real" -> begin
         match next c with
-        | Id arr ->
-          let lhs = parse_ref c arr in
-          expect c Assign;
-          let rhs = fexpr c in
-          if c.toks <> [] then fail lineno "trailing tokens after statement";
-          Some (Lstmt (label, lhs, rhs))
-        | t -> fail lineno ("expected array reference, got " ^ tok_to_string t)
+        | Id name ->
+          let r = parse_ref c name in
+          Ldecl { Ast.a_name = name; extents = r.Fexpr.idx }
+        | t -> fail lineno ("expected array name, got " ^ tok_to_string t)
       end
-      | t -> fail lineno ("expected ':', got " ^ tok_to_string t)
-    end
-    | t -> fail lineno ("unexpected line start: " ^ tok_to_string t)
+      | Id "do" -> begin
+        match next c with
+        | Id var ->
+          expect c Assign;
+          let lo = iexpr c in
+          expect c Comma;
+          let hi = iexpr c in
+          Ldo (var, lo, hi)
+        | t -> fail lineno ("expected loop variable, got " ^ tok_to_string t)
+      end
+      | Id "end" -> begin
+        match next c with
+        | Id "do" -> Lend_do
+        | Id "if" -> Lend_if
+        | t -> fail lineno ("expected do/if after end, got " ^ tok_to_string t)
+      end
+      | Id "if" ->
+        expect c LP;
+        let gs = guards c in
+        expect c RP;
+        (match next c with
+         | Id "then" -> Lif gs
+         | t -> fail lineno ("expected then, got " ^ tok_to_string t))
+      | Id label -> begin
+        match next c with
+        | Colon -> begin
+          match next c with
+          | Id arr ->
+            let lhs = parse_ref c arr in
+            expect c Assign;
+            Lstmt (label, lhs, fexpr c)
+          | t -> fail lineno ("expected array reference, got " ^ tok_to_string t)
+        end
+        | t -> fail lineno ("expected ':', got " ^ tok_to_string t)
+      end
+      | t -> fail lineno ("unexpected line start: " ^ tok_to_string t)
+    in
+    (* every line's syntax ends at the end of the line: text after it
+       would otherwise be dropped *)
+    if c.toks <> [] then
+      fail lineno
+        ("trailing tokens: " ^ String.concat " " (List.map tok_to_string c.toks));
+    Some l
   end
 
 (* A name in a loop bound, guard or subscript must be an enclosing loop

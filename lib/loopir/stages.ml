@@ -378,8 +378,7 @@ let of_names ns =
 
 (* The Tighten post-pass: exactly the rewrites the generator has always
    applied, now as named stages (golden codegen output is byte-identical). *)
-let tighten_pipeline ~collapse =
-  guard_hoist :: (if collapse then [ collapse_degenerate ] else [])
+let tighten_pipeline = [ guard_hoist; collapse_degenerate ]
 
 (* Naive codegen only folds constants: its membership guards are the
    figure-5 form and must stay textually recognizable. *)

@@ -49,9 +49,9 @@ val of_names : string list -> stage list
 (** @raise Invalid_argument on an unknown stage name (message lists the
     known ones) — the [--stages] flag parser. *)
 
-val tighten_pipeline : collapse:bool -> stage list
+val tighten_pipeline : stage list
 (** The post-pass [Codegen.Tighten] runs after emitting blocked code:
-    [guard-hoist], then [collapse-degenerate] unless [collapse:false]. *)
+    [guard-hoist], then [collapse-degenerate]. *)
 
 val naive_pipeline : stage list
 (** [constant-fold] only: Figure-5 membership guards stay recognizable. *)

@@ -102,9 +102,9 @@ type recording = private {
     one recording serves every (machine x quality) series. *)
 
 val recording : Trace.t -> flops:int -> recording
-(** A recording of a trace recorded elsewhere (the value path's
-    [Pipeline.record_full], the block scheduler's merge), with no walk
-    memoized yet. *)
+(** A recording of a trace recorded elsewhere (the block scheduler's
+    merge of its tasks' address-only traces), with no walk memoized
+    yet. *)
 
 val record :
   ?layouts:(string * Exec.Store.layout) list ->
@@ -113,10 +113,11 @@ val record :
   params:(string * int) list ->
   init:(string -> int array -> float) ->
   recording
-(** Execute the program once on the interpreter's address-only path,
-    capturing the full access trace: the words, chunks and flops the value
-    path would record.  [init] is not evaluated: no element value reaches
-    the trace.  It stays in the signature for callers that pass it.
+(** Execute the program once on the interpreter's address-only path
+    ({!Exec.Interp.addresses}), capturing the full access trace in chunks
+    of [chunk_words] and the flops the value path counts.  [init] is not
+    evaluated: no element value reaches the trace.  It stays in the
+    signature for callers that pass it.
     @raise Invalid_argument as {!Exec.Store.plan} and {!Exec.Interp.run}
     would. *)
 

@@ -1,5 +1,5 @@
 (* The one front door to the compiler: parse -> dependence analysis ->
-   legality -> code generation -> execution/simulation.
+   legality -> code generation -> execution/recording.
 
    A [t] pairs a program with a solver context ([Omega.Ctx]) and a cached
    dependence analysis.  Everything downstream threads that one context, so
@@ -108,21 +108,7 @@ let specialize ?spec t ~params =
 
 let record t ~params ~init = Machine.Model.record t.prog ~params ~init
 
-(* One execution yielding both the replayable recording and the final
-   store — the sequential half of a par=seq equivalence check, where
-   executing twice would double the cost of every oracle probe. *)
-let record_full ?layouts ?chunk_words ?spec t ~params ~init =
-  let r = Trace.create_recorder ?chunk_words () in
-  let store, flops =
-    Exec.Verify.run_program ?layouts ~sink:(Trace.Record r) (variant t spec)
-      ~params ~init
-  in
-  (Machine.Model.recording (Trace.finish r) ~flops, store)
-
 let consume = Machine.Model.consume
-
-let simulate ?spec t ~machine ~quality ~params ~init =
-  Machine.Model.simulate ~machine ~quality (variant t spec) ~params ~init
 
 let run t ~params ~init = Exec.Verify.run_program t.prog ~params ~init
 

@@ -95,36 +95,12 @@ val record :
     {!Machine.Model.record}: it computes addresses only, so [init] is not
     called; it stays in the signature for the callers that pass it. *)
 
-val record_full :
-  ?layouts:(string * Exec.Store.layout) list ->
-  ?chunk_words:int ->
-  ?spec:Shackle.Spec.t ->
-  t ->
-  params:(string * int) list ->
-  init:(string -> int array -> float) ->
-  Machine.Model.recording * Exec.Store.t
-(** Like {!record}, but runs the value path, filling the store through
-    [init], and also returns the final store from the same single
-    execution — the sequential reference for a par=seq equivalence check
-    (store, trace and flops all from one run). *)
-
 val consume :
   machine:Machine.Model.t ->
   quality:Machine.Model.quality ->
   Machine.Model.recording ->
   Machine.Model.result
 (** Re-exported {!Machine.Model.consume}. *)
-
-val simulate :
-  ?spec:Shackle.Spec.t ->
-  t ->
-  machine:Machine.Model.t ->
-  quality:Machine.Model.quality ->
-  params:(string * int) list ->
-  init:(string -> int array -> float) ->
-  Machine.Model.result
-(** One-shot simulation of the chosen variant ({!Machine.Model.simulate}:
-    addresses only, so [init] is not called). *)
 
 val run :
   t ->

@@ -350,18 +350,21 @@ type result = {
   x_stalls : int;  (* barrier waits: dynamic, vary run to run *)
 }
 
-(* Per-worker execution state: each worker compiles the task body once
-   against the shared store.  Its interpreter appends each access to the
-   worker's one recorder itself, and [Trace.finish] seals a task's trace
-   and leaves the recorder holding no chunk for the next task. *)
+(* Per-worker execution state: each worker compiles the task body twice
+   against the shared store, once on the value path, which computes the
+   elements, and once on the address-only path, which appends each access
+   to the worker's one recorder.  [Trace.finish] seals a task's trace and
+   leaves the recorder holding no chunk for the next task. *)
 type worker_ctx = {
-  w_prepared : Interp.prepared;
+  w_values : Interp.prepared;
+  w_addresses : Interp.prepared;
   w_recorder : Trace.recorder;
 }
 
 let make_worker ~task_chunk store task_prog =
   let recorder = Trace.create_recorder ~chunk_words:task_chunk () in
-  { w_prepared = Interp.prepare ~sink:(Trace.Record recorder) store task_prog;
+  { w_values = Interp.prepare store task_prog;
+    w_addresses = Interp.prepare_addresses store recorder task_prog;
     w_recorder = recorder }
 
 let run_task plan wctx parts task_flops t =
@@ -372,7 +375,8 @@ let run_task plan wctx parts task_flops t =
         plan.pl_band
         (Array.to_list plan.pl_coords.(t))
   in
-  task_flops.(t) <- Interp.invoke wctx.w_prepared ~params:bindings;
+  task_flops.(t) <- Interp.invoke wctx.w_values ~params:bindings;
+  ignore (Interp.invoke wctx.w_addresses ~params:bindings);
   parts.(t) <- Trace.finish wctx.w_recorder
 
 (* Level-synchronous execution: the levels run in order, separated by a

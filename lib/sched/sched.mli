@@ -17,9 +17,11 @@
     to the workers by an atomic index.  The same levels are the groups the
     shared-L2 multicore replay ({!smp}) interleaves.
 
-    Each task records its own access trace; the deterministic merge
-    ({!Trace.concat} in task order) is byte-identical to a sequential
-    recording of the same variant for any domain count, which is what
+    Each worker runs a task twice: on the interpreter's value path, which
+    computes the elements, and on its address-only path, which records
+    the task's access trace.  The deterministic merge ({!Trace.concat} in
+    task order) is byte-identical to a sequential recording of the same
+    variant ({!Machine.Model.record}) for any domain count, which is what
     [test_sched] and the fuzz [Par] oracle layer check. *)
 
 type plan

@@ -47,7 +47,7 @@ let flush r =
    [emit] through the module's block.  The interpreter, whose loop runs
    once per trace word, appends in place instead and calls [flush] only
    when a chunk fills or none is held; so do the scheduler's parallel
-   workers, through the interpreter. *)
+   workers, through its address-only compile. *)
 let[@inline] emit r ~write ~addr =
   if r.len = Array.length r.buf then flush r;
   Array.unsafe_set r.buf r.len ((addr lsl 1) lor (if write then 1 else 0));
@@ -123,7 +123,3 @@ let equal a b =
      Array.iteri (fun i w -> if w <> wb.(i) then (ok := false; raise Exit)) wa
    with Exit -> ());
   !ok
-
-type sink =
-  | No_trace
-  | Record of recorder

@@ -47,7 +47,7 @@ type recorder = {
 (** The fields are public so that a loop in another module can append a
     word without a call: when [len = Array.length buf] call {!flush},
     then write [buf.(len)] and add one to [len].  The interpreter's
-    [Record] sink does exactly this; outside this module, nothing else
+    address-only path does exactly this; outside this module, nothing else
     may write the fields.  A recorder allocates its first chunk when its
     first word arrives, not when it is created. *)
 
@@ -115,13 +115,3 @@ val concat : ?chunk_words:int -> t list -> t
 
 val equal : t -> t -> bool
 (** Stored streams are word-for-word identical (chunking ignored). *)
-
-(** {2 The interpreter-facing sink} *)
-
-(** What the interpreter's value path should do with the access stream.
-    [No_trace] is the fast path (no per-access work compiled in); [Record]
-    feeds a recorder, stored or streaming.  The interpreter's address-only
-    path takes a recorder directly. *)
-type sink =
-  | No_trace
-  | Record of recorder

@@ -132,8 +132,8 @@ let test_sound_all_tilings () =
       List.iter
         (fun spec ->
           let r =
-            Pipeline.simulate pipe ~spec ~machine:tiny ~quality:Model.untuned
-              ~params ~init
+            Model.simulate ~machine:tiny ~quality:Model.untuned
+              (Pipeline.codegen pipe spec) ~params ~init
           in
           check_sound ~what:(name ^ "/order-free") t0 tiny r;
           (* the spec-aware bound is sound for that spec's execution *)

@@ -20,8 +20,7 @@ let rf a idx = Fexpr.ref_ a (List.map v idx)
 
 (* Each generation charges its Omega queries to a context of its own;
    legality goes through a pipeline, which owns one. *)
-let generate ?collapse p spec =
-  Tighten.generate ?collapse ~solver:(Omega.Ctx.create ()) p spec
+let generate p spec = Tighten.generate ~solver:(Omega.Ctx.create ()) p spec
 
 let is_legal p spec = Pipeline.is_legal (Pipeline.create p) spec
 
@@ -160,7 +159,7 @@ let test_order_matches_refsem_matmul () =
   let p = K.matmul () in
   let spec = matmul_c_spec 4 in
   let params = [ ("N", 9) ] in
-  let g = generate ~collapse:false p spec in
+  let g = generate p spec in
   let got =
     instances_of_generated g ~params ~loop_vars:[ "I"; "J"; "K" ]
   in
@@ -179,7 +178,7 @@ let test_order_matches_refsem_cholesky () =
   let p = K.cholesky_right () in
   let spec = cholesky_write_spec 5 in
   let params = [ ("N", 11) ] in
-  let g = generate ~collapse:false p spec in
+  let g = generate p spec in
   let acc = ref [] in
   Walk.iter_instances g ~params ~f:(fun s env ->
       let vars = match s.Ast.label with
@@ -307,6 +306,38 @@ let test_adi_equivalence () =
   let spec = [ Spec.factor blk [ ("S1", bref); ("S2", bref) ] ] in
   equiv "adi" p spec [ ("N", 23) ] (Kernels.Inits.for_kernel "adi" ~n:23)
 
+(* A loop whose subtree holds no statement generates nothing: the parser
+   accepts an empty [do] (here one inside an [if] inside a loop, beside a
+   statement that is blocked), and the tightened generator used to fail
+   looking for the loop's first statement. *)
+let test_empty_loop () =
+  let p =
+    Loopir.Parser.program
+      "! empty_loop (params: N)\n\
+       real A(N, N)\n\
+       do J = 1, N\n\
+      \  do I = 1, N\n\
+      \    S1: A(I, J) = 2.0 * A(I, J)\n\
+      \  end do\n\
+      \  do K = 1, N\n\
+      \    if (K >= J) then\n\
+      \      do L = 1, K\n\
+      \      end do\n\
+      \    end if\n\
+      \  end do\n\
+       end do\n"
+  in
+  let spec =
+    [ Spec.factor (Blocking.blocks_2d ~array:"A" ~size:3)
+        [ ("S1", rf "A" [ "I"; "J" ]) ] ]
+  in
+  Alcotest.(check bool) "legal" true (is_legal p spec);
+  let text = Ast.program_to_string (generate p spec) in
+  Alcotest.(check bool) "no K or L loop" false
+    (contains text "do K" || contains text "do L");
+  equiv "empty loop" p spec [ ("N", 8) ] (fun _ idx ->
+      float_of_int ((3 * idx.(0)) + idx.(1)))
+
 let test_banded_cholesky_shackle () =
   let p = K.cholesky_banded () in
   let spec =
@@ -350,7 +381,7 @@ let prop_random_blocks_preserve_order =
       let p = K.matmul () in
       let spec = matmul_c_spec b in
       let params = [ ("N", n) ] in
-      let g = generate ~collapse:false p spec in
+      let g = generate p spec in
       let got =
         instances_of_generated g ~params ~loop_vars:[ "I"; "J"; "K" ]
       in
@@ -404,6 +435,8 @@ let () =
           Alcotest.test_case "gmtry" `Quick test_gmtry_shackle;
           Alcotest.test_case "qr columns" `Slow test_qr_column_shackle;
           Alcotest.test_case "adi" `Quick test_adi_equivalence;
+          Alcotest.test_case "empty loop generates nothing" `Quick
+            test_empty_loop;
           Alcotest.test_case "banded cholesky + band storage" `Slow
             test_banded_cholesky_shackle;
           Alcotest.test_case "two-level matmul" `Slow test_two_level_equivalence ] );

@@ -72,15 +72,17 @@ let test_out_of_range () =
      with Invalid_argument _ -> true)
 
 (* The interpreter tests each reference's range inline and hands a failing
-   index to Store.offset: under every sink, and on the address-only path,
+   index to Store.offset: on the value path and on the address-only path,
    an out-of-range reference raises exactly the error a direct
-   Store.offset call would.  The address-only path checks a strided
-   innermost loop at the two ends of its range, so most cases leave the
-   array or band only at one end: a shifted read on the last iteration or
-   on the first, a loop-invariant subscript only on the last outer
-   iteration, the shifted write (after its in-range read) on the last
-   iteration, the band on the last iteration, and, with the loop variable
-   as the column, the band on the first. *)
+   Store.offset call would, and so does Brute.record, the reference
+   recording that lays out each enumerated access through Store.offset.
+   The address-only path checks a strided innermost loop at the two ends
+   of its range, so most cases leave the array or band only at one end: a
+   shifted read on the last iteration or on the first, a loop-invariant
+   subscript only on the last outer iteration, the shifted write (after
+   its in-range read) on the last iteration, the band on the last
+   iteration, and, with the loop variable as the column, the band on the
+   first. *)
 let test_interp_range_checks () =
   let parse = Loopir.Parser.program in
   let shifted =
@@ -161,21 +163,21 @@ let test_interp_range_checks () =
       ("banded below the band at the first column", banded_row,
        [ ("A", Store.Banded 2) ], "Store.offset: A(4,1) outside band 2") ]
   in
-  let run sink prog ~layouts =
-    let st =
-      Store.create ~layouts prog ~params:(params 4) ~init:(fun _ _ -> 1.0)
-    in
-    ignore (Interp.run ~sink st prog ~params:(params 4))
-  in
+  let plan prog ~layouts = Store.plan ~layouts prog ~params:(params 4) in
   let paths =
-    [ ("no trace", run Trace.No_trace);
-      ("record", fun prog ~layouts ->
-          run (Trace.Record (Trace.create_recorder ())) prog ~layouts);
+    [ ("value path", fun prog ~layouts ->
+          let st =
+            Store.create ~layouts prog ~params:(params 4)
+              ~init:(fun _ _ -> 1.0)
+          in
+          ignore (Interp.run st prog ~params:(params 4)));
       ("address-only", fun prog ~layouts ->
           ignore
-            (Interp.addresses
-               (Store.plan ~layouts prog ~params:(params 4))
-               (Trace.create_recorder ()) prog ~params:(params 4))) ]
+            (Interp.addresses (plan prog ~layouts) (Trace.create_recorder ())
+               prog ~params:(params 4)));
+      ("Brute.record", fun prog ~layouts ->
+          Fuzzing.Brute.record (plan prog ~layouts) (Trace.create_recorder ())
+            prog ~params:(params 4)) ]
   in
   List.iter
     (fun (what, prog, layouts, msg) ->
@@ -292,7 +294,7 @@ let test_left_right_cholesky_agree () =
   let n = 12 in
   let init = Kernels.Inits.for_kernel "cholesky_right" ~n in
   Alcotest.(check bool) "same factor" true
-    (Exec.Verify.equivalent ~tol:1e-9 (K.cholesky_right ()) (K.cholesky_left ())
+    (Exec.Verify.equivalent (K.cholesky_right ()) (K.cholesky_left ())
        ~params:(params n) ~init)
 
 let test_banded_matches_dense_inside_band () =
@@ -324,13 +326,14 @@ let test_banded_matches_dense_inside_band () =
 
 (* --- tracing --- *)
 
-(* The value path's recorded accesses of matmul at size [n], in order. *)
+(* The address-only path's recorded accesses of matmul at size [n], in
+   order. *)
 let matmul_accesses n =
   let r = Trace.create_recorder () in
-  let init = Kernels.Inits.for_kernel "matmul" ~n in
-  let _ =
-    Exec.Verify.run_program ~sink:(Trace.Record r) (K.matmul ()) ~params:(params n) ~init
-  in
+  let prog = K.matmul () in
+  ignore
+    (Interp.addresses (Store.plan prog ~params:(params n)) r prog
+       ~params:(params n));
   let events = ref [] in
   Trace.iter (Trace.finish r) (fun ~write ~addr -> events := (write, addr) :: !events);
   List.rev !events

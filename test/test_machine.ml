@@ -211,12 +211,13 @@ let test_two_level_machine () =
 (* --- closed-form cycle accounting & the record/replay pipeline --- *)
 
 (* A reference simulator re-implementing the pre-refactor per-access float
-   accumulation over the value path's recorded trace: walk a (spec, cache)
-   list per access, dropping a forwarded access before it reaches any
-   cache, and adding the hit or memory cost to a float the moment it is
-   incurred.  The production Sim walks without forwarding, derives a
-   forwarding quality's counters from that walk, accumulates only integer
-   counters and folds costs in closed form when the result is built;
+   accumulation over Model.record's trace and the value path's flops:
+   walk a (spec, cache) list per access, dropping a forwarded access
+   before it reaches any cache, and adding the hit or memory cost to a
+   float the moment it is incurred.  The production Sim walks without
+   forwarding, derives a forwarding quality's counters from that walk,
+   accumulates only integer counters and folds costs in closed form when
+   the result is built;
    because every cost constant is an integer or dyadic rational and every
    counter is far below 2^53, the two must agree bit-for-bit — not just
    within tolerance.  This reference is the one check of the derived
@@ -245,11 +246,8 @@ let reference_simulate ~machine ~quality prog ~params ~init =
       probe levels
     end
   in
-  let r = Trace.create_recorder () in
-  let _, flops =
-    Exec.Verify.run_program ~sink:(Trace.Record r) prog ~params ~init
-  in
-  Trace.iter (Trace.finish r) trace;
+  let _, flops = Exec.Verify.run_program prog ~params ~init in
+  Trace.iter (Model.record prog ~params ~init).Model.rec_trace trace;
   let cycles =
     (float_of_int flops *. machine.Model.flop_cycles)
     +. !hier
@@ -402,16 +400,16 @@ let test_record_replay_matches_direct () =
         = Model.consume ~machine ~quality recording))
     trace_test_points
 
-(* --- the address-only recording against the value path --- *)
+(* --- the address-only recording against Brute.record --- *)
 
 (* Model.record runs the interpreter's address-only path (and its strided
-   innermost loops); the value path recording the same program must give
-   the same words in the same chunks, and the same flops. *)
-let check_record_matches_value ?layouts ?chunk_words tag prog ~params ~init =
+   innermost loops); Brute.record, which enumerates the same program's
+   accesses and lays each out through Store.offset, must give the same
+   words in the same chunks, and the value path the same flops. *)
+let check_record_matches_brute ?layouts ?chunk_words tag prog ~params ~init =
+  let _, flops = Exec.Verify.run_program ?layouts prog ~params ~init in
   let r = Trace.create_recorder ?chunk_words () in
-  let _, flops =
-    Exec.Verify.run_program ?layouts ~sink:(Trace.Record r) prog ~params ~init
-  in
+  Fuzzing.Brute.record (Exec.Store.plan ?layouts prog ~params) r prog ~params;
   let want = Trace.finish r in
   let got = Model.record ?layouts ?chunk_words prog ~params ~init in
   let tr = got.Model.rec_trace in
@@ -428,7 +426,7 @@ let kernel_params kernel n =
 
 (* Every kernel at two sizes, at the default chunk size and at 7 words;
    the banded kernel also in band storage. *)
-let test_record_matches_value_kernels () =
+let test_record_matches_brute_kernels () =
   List.iter
     (fun (kernel, prog) ->
       List.iter
@@ -438,9 +436,9 @@ let test_record_matches_value_kernels () =
           List.iter
             (fun chunk_words ->
               let tag = Printf.sprintf "%s N=%d chunk %d" kernel n chunk_words in
-              check_record_matches_value ~chunk_words tag prog ~params ~init;
+              check_record_matches_brute ~chunk_words tag prog ~params ~init;
               if kernel = "cholesky_banded" then
-                check_record_matches_value ~chunk_words
+                check_record_matches_brute ~chunk_words
                   ~layouts:[ ("A", Exec.Store.Banded (List.assoc "BW" params)) ]
                   (tag ^ " banded") prog ~params ~init)
             [ Trace.default_chunk_words; 7 ])
@@ -451,7 +449,7 @@ let test_record_matches_value_kernels () =
    relation and with coefficients of both signs, some of them empty on
    part of the outer range, at sizes that start and stop their ranges at
    every offset. *)
-let test_record_matches_value_guards () =
+let test_record_matches_brute_guards () =
   let guarded =
     Loopir.Parser.program
       "! guarded (params: N)\n\
@@ -482,7 +480,7 @@ let test_record_matches_value_guards () =
   in
   List.iter
     (fun n ->
-      check_record_matches_value ~chunk_words:5
+      check_record_matches_brute ~chunk_words:5
         (Printf.sprintf "guarded N=%d" n)
         guarded ~params:[ ("N", n) ] ~init:(fun _ _ -> 1.0))
     [ 1; 2; 3; 4; 5; 8; 13 ]
@@ -511,7 +509,7 @@ let strided_guard_program ~lo conjuncts =
           [ Loopir.Ast.loop "I" (E.int lo) (v "N")
               [ Loopir.Ast.If (List.map guard conjuncts, [ s1 ]) ] ] ] }
 
-let prop_strided_guards_match_value =
+let prop_strided_guards_match_brute =
   let conjunct =
     QCheck.Gen.(
       quad (int_range (-3) 3) (int_range (-2) 2) (int_range (-9) 9)
@@ -525,10 +523,10 @@ let prop_strided_guards_match_value =
     Printf.sprintf "N=%d\n%s" n
       (Loopir.Ast.program_to_string (strided_guard_program ~lo conjuncts))
   in
-  QCheck.Test.make ~count:500 ~name:"record = value path under random guards"
+  QCheck.Test.make ~count:500 ~name:"record = Brute.record"
     (QCheck.make ~print case)
     (fun (lo, n, conjuncts) ->
-      check_record_matches_value ~chunk_words:5
+      check_record_matches_brute ~chunk_words:5
         (Printf.sprintf "strided guards lo=%d N=%d" lo n)
         (strided_guard_program ~lo conjuncts)
         ~params:[ ("N", n) ] ~init:(fun _ _ -> 1.0);
@@ -539,7 +537,7 @@ let prop_strided_guards_match_value =
    band storage, and the perfbench deck's matmul two-level:16 (innermost
    loops of two trips) and cholesky_right full:16 (innermost loops under a
    guard). *)
-let test_record_matches_value_specs () =
+let test_record_matches_brute_specs () =
   let specs =
     [ ("matmul", "c"); ("matmul", "ca"); ("matmul", "two-level");
       ("cholesky_right", "write"); ("cholesky_right", "read");
@@ -555,9 +553,9 @@ let test_record_matches_value_specs () =
     let params = kernel_params kernel n in
     let init = Kernels.Inits.for_kernel kernel ~n in
     let tag = Printf.sprintf "%s %s:%d N=%d" kernel spec_name size n in
-    check_record_matches_value ?layouts tag
+    check_record_matches_brute ?layouts tag
       (Pipeline.codegen_cached pipe spec) ~params ~init;
-    check_record_matches_value ?layouts (tag ^ " specialized")
+    check_record_matches_brute ?layouts (tag ^ " specialized")
       (Pipeline.specialize ~spec pipe ~params) ~params ~init
   in
   List.iter
@@ -650,9 +648,10 @@ let test_walk_memo_across_domains () =
    allocates the same minor words on a 131,072-word trace as on a
    16,384-word one: each measured call gets a fresh recording, since a
    second consume on one recording and geometry reads the memoized walk
-   and walks nothing.  Recording the larger trace from a prepared program
-   allocates a bounded handful of words (bindings and one chunk
-   hand-over), and the address-only recording of the larger trace
+   and walks nothing.  Executing the larger program on a prepared value
+   path, or recording its trace from a prepared address-only compile,
+   allocates a bounded handful of words (bindings and the chunk
+   hand-overs), and the address-only recording of the larger trace
    allocates at most a few words per stored chunk more than of the
    smaller. *)
 let minor_words f =
@@ -686,11 +685,15 @@ let test_no_allocation_per_access () =
       (small_cache, Model.untuned) ];
   let params = [ ("N", 32) ] in
   let store = Exec.Store.create prog ~params ~init:(init 32) in
-  let rc = Trace.create_recorder () in
-  let prepared = Exec.Interp.prepare ~sink:(Trace.Record rc) store prog in
-  let words =
+  let prepared_words prepared =
     minor_words (fun () -> ignore (Exec.Interp.invoke prepared ~params))
   in
+  let words = prepared_words (Exec.Interp.prepare store prog) in
+  Alcotest.(check bool)
+    (Printf.sprintf "executing N=32 allocates %.0f minor words (< 100)" words)
+    true (words < 100.0);
+  let rc = Trace.create_recorder () in
+  let words = prepared_words (Exec.Interp.prepare_addresses store rc prog) in
   Alcotest.(check int) "recorded words" 131_072
     (Trace.length (Trace.finish rc));
   Alcotest.(check bool)
@@ -795,7 +798,7 @@ let () =
     [ ( "cache-property",
         List.map QCheck_alcotest.to_alcotest [ prop_lru_matches_reference ] );
       ( "guard-property",
-        List.map QCheck_alcotest.to_alcotest [ prop_strided_guards_match_value ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_strided_guards_match_brute ] );
       ( "cache",
         [ Alcotest.test_case "basics" `Quick test_cache_basics;
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
@@ -818,12 +821,12 @@ let () =
             test_record_replay_matches_direct;
           Alcotest.test_case "no allocation per access" `Quick
             test_no_allocation_per_access;
-          Alcotest.test_case "record = value path on every kernel" `Quick
-            test_record_matches_value_kernels;
-          Alcotest.test_case "record = value path on every spec" `Quick
-            test_record_matches_value_specs;
-          Alcotest.test_case "record = value path under guards" `Quick
-            test_record_matches_value_guards;
+          Alcotest.test_case "record = Brute.record, every kernel" `Quick
+            test_record_matches_brute_kernels;
+          Alcotest.test_case "record = Brute.record, every spec" `Quick
+            test_record_matches_brute_specs;
+          Alcotest.test_case "record = Brute.record under guards" `Quick
+            test_record_matches_brute_guards;
           Alcotest.test_case "one walk per geometry" `Quick
             test_walk_once_per_geometry;
           Alcotest.test_case "walk memo across domains" `Quick

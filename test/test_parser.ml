@@ -19,7 +19,7 @@ let text_roundtrip name p =
 let semantic_roundtrip name p ~params ~init =
   let p2 = P.roundtrip p in
   Alcotest.(check bool) (name ^ " same results") true
-    (Exec.Verify.equivalent ~tol:0.0 p p2 ~params ~init)
+    (Exec.Verify.max_diff p p2 ~params ~init = 0.0)
 
 let test_kernels_roundtrip () =
   List.iter (fun (name, p) -> text_roundtrip name p) (K.all ())
@@ -173,6 +173,29 @@ let test_subscript_count () =
   bad_at 8
     (matmul_with_header "do K = 1, N" "A(I) * B(K, J)")
     "array A has rank 2 but is referenced with 1 subscripts"
+
+(* Text after a line's syntax is a parse error on its line, whatever the
+   line: only statement lines used to check, and on a declaration, loop,
+   guard or end line the rest was dropped (a second array, a statement,
+   a stray word). *)
+let test_trailing_tokens () =
+  let square body =
+    String.concat "\n"
+      ([ "! t (params: N)"; "real A(N, N)"; "do J = 1, N" ] @ body @ [ "end do" ])
+  in
+  bad_at 2
+    "! t (params: N)\nreal A(N, N) B(N)\nS1: A(1, 1) = 1.0"
+    "trailing tokens: B ( N )";
+  bad_at 4
+    (square [ "if (J >= 2) then S9: A(J, J) = 5.0"; "end if" ])
+    "trailing tokens: S9 : A ( J , J ) = 5.";
+  bad_at 6
+    (square [ "S1: A(J, J) = 1.0"; "do K = 1, N"; "end do S2: A(1, 1) = 3.0" ])
+    "trailing tokens: S2 : A ( 1 , 1 ) = 3.";
+  bad_at 7
+    (matmul_with_header "do K = 1, N junk" "A(I, K) * B(K, J)")
+    "trailing tokens: junk";
+  bad_at 4 (square [ "S1: A(J, J) = 1.0 2.0" ]) "trailing tokens: 2."
 
 let test_analysis_after_parse () =
   (* a parsed program is a first-class citizen: dependence analysis and
@@ -335,7 +358,8 @@ let () =
           Alcotest.test_case "undeclared extent name" `Quick
             test_undeclared_extent;
           Alcotest.test_case "undeclared array" `Quick test_undeclared_array;
-          Alcotest.test_case "subscript count" `Quick test_subscript_count ] );
+          Alcotest.test_case "subscript count" `Quick test_subscript_count;
+          Alcotest.test_case "trailing tokens" `Quick test_trailing_tokens ] );
       ( "integration",
         [ Alcotest.test_case "analysis after parse" `Quick
             test_analysis_after_parse;

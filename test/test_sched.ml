@@ -66,13 +66,14 @@ let stores_bit_equal a b =
          end)
     (arrs a) (arrs b)
 
-(* One sequential reference against scheduler executions over each worker
+(* One sequential reference (the value path's store and flops, and
+   Model.record's trace) against scheduler executions over each worker
    count; a small chunk size forces several flush boundaries through the
    deterministic merge. *)
 let check_par_eq ?layouts ~what pipe ~spec ~params ~init =
-  let seq_rec, seq_store =
-    Pipeline.record_full ?layouts ~chunk_words:128 ?spec pipe ~params ~init
-  in
+  let prog = Pipeline.variant pipe spec in
+  let seq_store, seq_flops = Exec.Verify.run_program ?layouts prog ~params ~init in
+  let seq_rec = Model.record ?layouts ~chunk_words:128 prog ~params ~init in
   let plan = Sched.plan pipe ~spec ~params in
   List.iter
     (fun domains ->
@@ -85,7 +86,7 @@ let check_par_eq ?layouts ~what pipe ~spec ~params ~init =
         (label "store bits") true
         (stores_bit_equal seq_store res.Sched.x_store);
       Alcotest.(check int)
-        (label "flops") seq_rec.Model.rec_flops recording.Model.rec_flops;
+        (label "flops") seq_flops recording.Model.rec_flops;
       let tp = recording.Model.rec_trace and ts = seq_rec.Model.rec_trace in
       Alcotest.(check bool) (label "trace words") true (Trace.equal tp ts);
       Alcotest.(check int)

@@ -70,11 +70,8 @@ let test_affine_delta () =
 (* --- per-stage equivalence ---------------------------------------- *)
 
 let run_traced prog ~params ~init =
-  let r = Trace.create_recorder () in
-  let store, flops =
-    Exec.Verify.run_program ~sink:(Trace.Record r) prog ~params ~init
-  in
-  (store, flops, Trace.finish r)
+  let store, flops = Exec.Verify.run_program prog ~params ~init in
+  (store, flops, (Machine.Model.record prog ~params ~init).Machine.Model.rec_trace)
 
 let stores_identical (prog : Ast.program) s1 s2 =
   List.for_all

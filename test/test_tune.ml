@@ -344,8 +344,8 @@ let test_matmul_golden () =
   Alcotest.(check bool) "winner is fully constrained (Theorem 2)" true
     best.Tune.s_cand.Tune.c_fully_constrained;
   let r =
-    Pipeline.simulate (Pipeline.create p) ~spec:golden ~machine:Model.sp2_like
-      ~quality:Model.untuned
+    Model.simulate ~machine:Model.sp2_like ~quality:Model.untuned
+      (Pipeline.codegen (Pipeline.create p) golden)
       ~params:[ ("N", n) ]
       ~init:(Kernels.Inits.for_kernel "matmul" ~n)
   in
@@ -374,7 +374,8 @@ let test_cholesky_golden () =
   let init = Kernels.Inits.for_kernel "cholesky_right" ~n in
   let pipe = Pipeline.create p in
   let sim spec =
-    (Pipeline.simulate pipe ~spec ~machine:Model.sp2_like ~quality:Model.tuned
+    (Model.simulate ~machine:Model.sp2_like ~quality:Model.tuned
+       (Pipeline.codegen pipe spec)
        ~params:[ ("N", n) ]
        ~init)
       .Model.r_cycles
@@ -430,8 +431,8 @@ let check_pruned_sound ~kernel ~n prog rp =
     (fun p ->
       let label = p.Tune.bp_cand.Tune.c_label in
       let r =
-        Pipeline.simulate pipe ~spec:p.Tune.bp_cand.Tune.c_spec
-          ~machine:small_cache ~quality:Model.untuned
+        Model.simulate ~machine:small_cache ~quality:Model.untuned
+          (Pipeline.codegen pipe p.Tune.bp_cand.Tune.c_spec)
           ~params:[ ("N", n) ]
           ~init
       in

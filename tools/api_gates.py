@@ -26,7 +26,7 @@ import re
 import subprocess
 import sys
 
-EXPECTED_LABELS, EXPECTED_FIELDS = 69, 21
+EXPECTED_LABELS, EXPECTED_FIELDS = 60, 21
 
 
 def strip_comments(text):
