@@ -195,7 +195,8 @@ let block_cmd =
                 2
               | stages ->
                 let g =
-                  Pipeline.codegen ~naive:!naive ~stages (Pipeline.create p) s
+                  Loopir.Stages.run stages
+                    (Pipeline.codegen ~naive:!naive (Pipeline.create p) s)
                 in
                 print_string (Ast.program_to_string g);
                 if !n > 0 then begin

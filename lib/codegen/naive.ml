@@ -26,7 +26,7 @@ let all_vars prog =
     (Ast.statements prog);
   List.sort_uniq String.compare (prog.Ast.params @ !vs)
 
-let generate ?(stages = []) prog spec =
+let generate prog spec =
   (match Spec.validate prog spec with
    | Ok () -> ()
    | Error e -> invalid_arg ("Codegen.Naive.generate: " ^ e));
@@ -68,5 +68,5 @@ let generate ?(stages = []) prog spec =
   in
   let result = { prog with Ast.p_name = prog.p_name ^ "_naive_shackled"; body } in
   (* Figure-5 form stays structurally intact: the naive pipeline only folds
-     constants; callers may compose further stages after it. *)
-  Loopir.Stages.run (Loopir.Stages.naive_pipeline @ stages) result
+     constants. *)
+  Loopir.Stages.run Loopir.Stages.naive_pipeline result

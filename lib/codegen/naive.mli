@@ -5,14 +5,12 @@
     semantic reference for the simplifier. *)
 
 val generate :
-  ?stages:Loopir.Stages.stage list ->
   Loopir.Ast.program ->
   Shackle.Spec.t ->
   Loopir.Ast.program
 (** The result has the coordinate loops [t1..tm] outermost (bounds derived
     from the blocked arrays' extents) and is directly executable.  The
-    post-pass is {!Loopir.Stages.naive_pipeline} (constant folding only)
-    followed by [stages].
+    post-pass is {!Loopir.Stages.naive_pipeline} (constant folding only).
     @raise Invalid_argument if a coordinate name collides with an existing
     variable or a choice is missing. *)
 

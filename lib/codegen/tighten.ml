@@ -255,7 +255,7 @@ let prune_union ~keep_if_dominates ctx names pieces =
 (* The generator                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let generate ?(stages = []) ~solver prog spec =
+let generate ~solver prog spec =
   (match Spec.validate prog spec with
    | Ok () -> ()
    | Error e -> invalid_arg ("Codegen.Tighten.generate: " ^ e));
@@ -372,27 +372,29 @@ let generate ?(stages = []) ~solver prog spec =
   let ctx0 =
     List.map (fun p -> (p, E.Const 1, true)) prog.Ast.params
   in
-  let ctx, block_loops =
-    List.fold_left
-      (fun (ctx, acc) (i, name) ->
-        let bounds = emitted_bounds ctx infos (pc + i) in
-        (extend_ctx ctx name bounds, acc @ [ (name, bounds) ]))
-      (ctx0, [])
-      (List.mapi (fun i n -> (i, n)) coord_names)
-  in
-  let inner = List.concat_map (build ctx) prog.Ast.body in
   let body =
-    List.fold_right
-      (fun (name, (lo, hi)) acc -> [ Ast.loop name lo hi acc ])
-      block_loops inner
+    match infos with
+    | [] -> [] (* no statement: nothing to take block-loop bounds from *)
+    | _ ->
+      let ctx, block_loops =
+        List.fold_left
+          (fun (ctx, acc) (i, name) ->
+            let bounds = emitted_bounds ctx infos (pc + i) in
+            (extend_ctx ctx name bounds, acc @ [ (name, bounds) ]))
+          (ctx0, [])
+          (List.mapi (fun i n -> (i, n)) coord_names)
+      in
+      let inner = List.concat_map (build ctx) prog.Ast.body in
+      List.fold_right
+        (fun (name, (lo, hi)) acc -> [ Ast.loop name lo hi acc ])
+        block_loops inner
   in
   let result =
     { prog with Ast.p_name = prog.Ast.p_name ^ "_shackled"; body }
   in
   (* The post-pass is the staged pipeline: guard hoisting and degenerate
-     collapse exactly as before (golden output is byte-identical), plus any
-     caller-composed stages (e.g. the --stages flag). *)
-  Stages.run (Stages.tighten_pipeline @ stages) result
+     collapse. *)
+  Stages.run Stages.tighten_pipeline result
 
 let stats prog =
   let loops = ref 0 and guards = ref 0 in

@@ -11,7 +11,6 @@
     test suite. *)
 
 val generate :
-  ?stages:Loopir.Stages.stage list ->
   solver:Polyhedra.Omega.Ctx.t ->
   Loopir.Ast.program ->
   Shackle.Spec.t ->
@@ -19,8 +18,7 @@ val generate :
 (** Blocked program with tightened loop bounds and minimized guards.
     Loops whose range is a single affine point are substituted away, as
     the paper does for the ADI kernel (Figure 14).  The post-pass is
-    {!Loopir.Stages.tighten_pipeline} followed by [stages] (default none)
-    — extra named stages composed after the standard ones.
+    {!Loopir.Stages.tighten_pipeline}.
     [solver] is the context charged for the Omega pruning queries
     ({!Pipeline.codegen} passes the pipeline's own); the generated program
     does not depend on it. *)

@@ -3,54 +3,73 @@ module E = Loopir.Expr
 module F = Loopir.Fexpr
 module S = Polyhedra.System
 
-type access = {
+type instance = {
   seq : int;
   stmt : Ast.stmt;
   env : (string * int) list;
+}
+
+type access = {
+  inst : instance;
   array : string;
   index : int list;
   is_write : bool;
 }
 
-let accesses (prog : Ast.program) ~params =
+let rec lookup env v =
+  match env with
+  | (name, x) :: rest -> if String.equal name v then x else lookup rest v
+  | [] -> invalid_arg ("Brute: unbound variable " ^ v)
+
+(* The one walker: every other enumeration here is built on it. *)
+let iter_instances (prog : Ast.program) ~params ~f =
   let seq = ref 0 in
-  let out = ref [] in
   let rec go env node =
-    let lookup v = List.assoc v env in
     match node with
     | Ast.Loop l ->
-      let lo = E.eval lookup l.lo and hi = E.eval lookup l.hi in
+      let lo = E.eval (lookup env) l.Ast.lo and hi = E.eval (lookup env) l.Ast.hi in
       for v = lo to hi do
         List.iter (go ((l.Ast.var, v) :: env)) l.Ast.body
       done
     | Ast.If (gs, body) ->
-      if List.for_all (Ast.eval_guard lookup) gs then List.iter (go env) body
-    | Ast.Stmt s ->
-      let k = !seq in
-      incr seq;
-      let record is_write (r : F.ref_) =
-        out :=
-          { seq = k;
-            stmt = s;
-            env;
-            array = r.F.array;
-            index = List.map (E.eval lookup) r.F.idx;
-            is_write }
-          :: !out
-      in
-      List.iter (record false) (F.reads s.Ast.rhs);
-      record true s.Ast.lhs
+      if List.for_all (Ast.eval_guard (lookup env)) gs then List.iter (go env) body
+    | Ast.Stmt stmt ->
+      f { seq = !seq; stmt; env };
+      incr seq
   in
-  List.iter (go params) prog.Ast.body;
+  List.iter (go params) prog.Ast.body
+
+let instances prog ~params =
+  let out = ref [] in
+  iter_instances prog ~params ~f:(fun i -> out := i :: !out);
+  List.rev !out
+
+(* An instance's accesses in execution order: its reads left to right,
+   then its write. *)
+let iter_touches inst ~f =
+  let touch is_write (r : F.ref_) =
+    f
+      { inst;
+        array = r.F.array;
+        index = List.map (E.eval (lookup inst.env)) r.F.idx;
+        is_write }
+  in
+  List.iter (touch false) (F.reads inst.stmt.Ast.rhs);
+  touch true inst.stmt.Ast.lhs
+
+let iter_accesses prog ~params ~f =
+  iter_instances prog ~params ~f:(fun inst -> iter_touches inst ~f)
+
+let accesses prog ~params =
+  let out = ref [] in
+  iter_accesses prog ~params ~f:(fun a -> out := a :: !out);
   List.rev !out
 
 let record store rc prog ~params =
-  List.iter
-    (fun a ->
+  iter_accesses prog ~params ~f:(fun a ->
       let arr = Exec.Store.find store a.array in
       let off = Exec.Store.offset arr (Array.of_list a.index) in
       Trace.emit rc ~write:a.is_write ~addr:(arr.Exec.Store.base + off))
-    (accesses prog ~params)
 
 let lex_lt a b =
   let n = min (Array.length a) (Array.length b) in
@@ -62,51 +81,65 @@ let lex_lt a b =
   in
   go 0
 
+let block spec i = Shackle.Spec.block_vector spec i.stmt (lookup i.env)
+
+let order prog spec ~params =
+  let by_block (a, _) (b, _) = if lex_lt a b then -1 else if lex_lt b a then 1 else 0 in
+  List.map snd
+    (List.stable_sort by_block
+       (List.map (fun i -> (block spec i, i)) (instances prog ~params)))
+
+let same_instances a b =
+  let keys l =
+    List.sort compare (List.map (fun i -> (i.stmt.Ast.id, List.sort compare i.env)) l)
+  in
+  keys a = keys b
+
+(* A touch [dst] completes a violated pair with an earlier touch [src] of
+   its element exactly when [src]'s block vector is lexicographically
+   above [dst]'s and one of them writes; so it suffices to compare [dst]
+   with the greatest block vector among the element's earlier touches
+   (for a write) or earlier writes (for a read).  Earlier touches of
+   [dst]'s own instance share its block vector and never compare above
+   it. *)
 let first_violation prog spec ~params =
+  let exception Violation of access * access in
   let cells = Hashtbl.create 256 in
-  List.iter
-    (fun a ->
-      let key = (a.array, a.index) in
-      let bv = Shackle.Spec.block_vector spec a.stmt (fun v -> List.assoc v a.env) in
-      Hashtbl.replace cells key ((a, bv) :: (try Hashtbl.find cells key with Not_found -> [])))
-    (accesses prog ~params);
-  let result = ref None in
-  Hashtbl.iter
-    (fun _ touches ->
-      if Option.is_none !result then begin
-        (* [touches] is in reverse execution order; restore it *)
-        let touches = List.rev touches in
-        let rec pairs = function
-          | [] -> ()
-          | (src, bv_src) :: rest ->
-            List.iter
-              (fun (dst, bv_dst) ->
-                if
-                  Option.is_none !result
-                  && src.seq < dst.seq
-                  && (src.is_write || dst.is_write)
-                  && lex_lt bv_dst bv_src
-                then result := Some (src, dst))
-              rest;
-            if Option.is_none !result then pairs rest
-        in
-        pairs touches
-      end)
-    cells;
-  !result
+  let raise_to top a bv =
+    match top with
+    | Some (_, top_bv) when not (lex_lt top_bv bv) -> top
+    | _ -> Some (a, bv)
+  in
+  try
+    iter_instances prog ~params ~f:(fun inst ->
+        let bv = block spec inst in
+        iter_touches inst ~f:(fun dst ->
+            let key = (dst.array, dst.index) in
+            let any, writes =
+              Option.value (Hashtbl.find_opt cells key) ~default:(None, None)
+            in
+            (match if dst.is_write then any else writes with
+             | Some (src, src_bv) when lex_lt bv src_bv ->
+               raise (Violation (src, dst))
+             | _ -> ());
+            Hashtbl.replace cells key
+              ( raise_to any dst bv,
+                if dst.is_write then raise_to writes dst bv else writes )));
+    None
+  with Violation (src, dst) -> Some (src, dst)
 
 let legal prog spec ~params = Option.is_none (first_violation prog spec ~params)
 
 let access_string a =
   let loop_vars =
-    List.filter (fun (v, _) -> not (String.equal v "N")) (List.rev a.env)
+    List.filter (fun (v, _) -> not (String.equal v "N")) (List.rev a.inst.env)
   in
-  Printf.sprintf "%s[%s] %s %s(%s) #%d" a.stmt.Ast.label
+  Printf.sprintf "%s[%s] %s %s(%s) #%d" a.inst.stmt.Ast.label
     (String.concat " " (List.map (fun (v, x) -> Printf.sprintf "%s=%d" v x) loop_vars))
     (if a.is_write then "write" else "read")
     a.array
     (String.concat ", " (List.map string_of_int a.index))
-    a.seq
+    a.inst.seq
 
 let feasible sys ~bound =
   let dim = S.dim sys in

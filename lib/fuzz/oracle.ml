@@ -510,8 +510,9 @@ let check_exn hooks ~budget cfg prog =
     if Verdict.is_legal sym then begin
       stats := { !stats with legal_specs = !stats.legal_specs + 1 };
       let blocked =
-        try Pipeline.codegen pipe spec
-        with e -> failf Codegen "Pipeline.codegen raised %s" (Printexc.to_string e)
+        try Pipeline.codegen_cached pipe spec
+        with e ->
+          failf Codegen "Pipeline.codegen_cached raised %s" (Printexc.to_string e)
       in
       if not !replayed_blocked then begin
         replayed_blocked := true;

@@ -75,9 +75,9 @@ let is_legal t spec = Shackle.Verdict.is_legal (probe t spec)
 
 let choices t ~array = Shackle.Legality.enumerate_choices t.prog ~array
 
-let codegen ?(naive = false) ?stages t spec =
-  if naive then Codegen.Naive.generate ?stages t.prog spec
-  else Codegen.Tighten.generate ?stages ~solver:t.solver t.prog spec
+let codegen ?(naive = false) t spec =
+  if naive then Codegen.Naive.generate t.prog spec
+  else Codegen.Tighten.generate ~solver:t.solver t.prog spec
 
 (* Spec.pp renders the blocking and every per-statement choice, so its
    output is a faithful structural key. *)
@@ -96,7 +96,7 @@ let codegen_cached t spec =
 
 let variant t = function
   | None -> t.prog
-  | Some spec -> codegen t spec
+  | Some spec -> codegen_cached t spec
 
 let specialize ?spec t ~params =
   let symbolic =

@@ -54,25 +54,20 @@ val choices :
 (** Per-statement reference choices for shackling [array]
     (see {!Shackle.Legality.enumerate_choices}). *)
 
-val codegen :
-  ?naive:bool ->
-  ?stages:Loopir.Stages.stage list ->
-  t ->
-  Shackle.Spec.t ->
-  Loopir.Ast.program
+val codegen : ?naive:bool -> t -> Shackle.Spec.t -> Loopir.Ast.program
 (** Blocked code for a legal spec; [naive] (default false) selects the
-    Figure-5 form instead of the tightened form.  [stages] composes extra
-    named simplifier stages after the generator's standard post-pass. *)
+    Figure-5 form instead of the tightened form. *)
 
 val codegen_cached : t -> Shackle.Spec.t -> Loopir.Ast.program
-(** Like {!codegen} (tightened, no extra stages), but memoized per spec on
+(** Like {!codegen} (tightened), but memoized per spec on
     this pipeline — the single symbolic derivation (legality systems,
     Omega pruning, bound tightening) that an entire N sweep shares.
     Thread-safe; concurrent first calls may both generate, one result is
     kept. *)
 
 val variant : t -> Shackle.Spec.t option -> Loopir.Ast.program
-(** The original program for [None], tightened blocked code for [Some]. *)
+(** The original program for [None], tightened blocked code
+    ({!codegen_cached}) for [Some]. *)
 
 val specialize :
   ?spec:Shackle.Spec.t -> t -> params:(string * int) list -> Loopir.Ast.program

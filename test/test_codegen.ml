@@ -6,11 +6,10 @@
 module Ast = Loopir.Ast
 module Fexpr = Loopir.Fexpr
 module E = Loopir.Expr
-module Walk = Loopir.Walk
 module K = Kernels.Builders
 module Blocking = Shackle.Blocking
 module Spec = Shackle.Spec
-module Refsem = Shackle.Refsem
+module Brute = Fuzzing.Brute
 module Naive = Codegen.Naive
 module Tighten = Codegen.Tighten
 module Omega = Polyhedra.Omega
@@ -145,58 +144,30 @@ let test_cholesky_tightened_structure () =
 
 (* --- order preservation against the reference semantics --- *)
 
-let instances_of_generated g ~params ~loop_vars =
-  (* project each executed instance onto the original loop variables *)
-  let acc = ref [] in
-  Walk.iter_instances g ~params ~f:(fun s env ->
-      let vals =
-        List.map (fun v -> (v, Walk.lookup env v)) loop_vars
-      in
-      acc := (s.Ast.id, vals) :: !acc);
-  List.rev !acc
+(* Each instance as its statement and its values of the original loop
+   variables [vars stmt]: generated code binds extra block-coordinate and
+   loop variables. *)
+let project vars (i : Brute.instance) =
+  (i.stmt.Ast.id, List.map (fun v -> (v, List.assoc v i.env)) (vars i.stmt))
+
+let same_order p spec ~params ~vars =
+  List.map (project vars) (Brute.instances (generate p spec) ~params)
+  = List.map (project vars) (Brute.order p spec ~params)
+
+let ijk _ = [ "I"; "J"; "K" ]
 
 let test_order_matches_refsem_matmul () =
-  let p = K.matmul () in
-  let spec = matmul_c_spec 4 in
-  let params = [ ("N", 9) ] in
-  let g = generate p spec in
-  let got =
-    instances_of_generated g ~params ~loop_vars:[ "I"; "J"; "K" ]
-  in
-  let expect =
-    List.map
-      (fun i ->
-        ( i.Refsem.stmt.Ast.id,
-          List.map
-            (fun v -> (v, Walk.lookup i.Refsem.env v))
-            [ "I"; "J"; "K" ] ))
-      (Refsem.order p spec ~params)
-  in
-  Alcotest.(check bool) "same execution order" true (got = expect)
+  Alcotest.(check bool) "same execution order" true
+    (same_order (K.matmul ()) (matmul_c_spec 4) ~params:[ ("N", 9) ] ~vars:ijk)
 
 let test_order_matches_refsem_cholesky () =
-  let p = K.cholesky_right () in
-  let spec = cholesky_write_spec 5 in
-  let params = [ ("N", 11) ] in
-  let g = generate p spec in
-  let acc = ref [] in
-  Walk.iter_instances g ~params ~f:(fun s env ->
-      let vars = match s.Ast.label with
-        | "S1" -> [ "J" ] | "S2" -> [ "J"; "I" ] | _ -> [ "J"; "L"; "K" ]
-      in
-      acc := (s.Ast.id, List.map (fun v -> (v, Walk.lookup env v)) vars) :: !acc);
-  let got = List.rev !acc in
-  let expect =
-    List.map
-      (fun i ->
-        let vars = match i.Refsem.stmt.Ast.label with
-          | "S1" -> [ "J" ] | "S2" -> [ "J"; "I" ] | _ -> [ "J"; "L"; "K" ]
-        in
-        ( i.Refsem.stmt.Ast.id,
-          List.map (fun v -> (v, Walk.lookup i.Refsem.env v)) vars ))
-      (Refsem.order p spec ~params)
+  let vars (s : Ast.stmt) =
+    match s.label with
+    | "S1" -> [ "J" ] | "S2" -> [ "J"; "I" ] | _ -> [ "J"; "L"; "K" ]
   in
-  Alcotest.(check bool) "same execution order" true (got = expect)
+  Alcotest.(check bool) "same execution order" true
+    (same_order (K.cholesky_right ()) (cholesky_write_spec 5)
+       ~params:[ ("N", 11) ] ~vars)
 
 (* --- numeric equivalence across kernels and boundary cases --- *)
 
@@ -338,6 +309,23 @@ let test_empty_loop () =
   equiv "empty loop" p spec [ ("N", 8) ] (fun _ idx ->
       float_of_int ((3 * idx.(0)) + idx.(1)))
 
+(* No statement at all under a blocking: the block loops have nothing to
+   take their bounds from, and nothing to enumerate. *)
+let test_no_statement () =
+  let p =
+    Loopir.Parser.program
+      "! no_statement (params: N)\n\
+       real A(N, N)\n\
+       do K = 1, N\n\
+       end do\n"
+  in
+  let spec = [ Spec.factor (Blocking.blocks_2d ~array:"A" ~size:4) [] ] in
+  let pipe = Pipeline.create p in
+  Alcotest.(check int) "codegen" 0
+    (List.length (Pipeline.codegen pipe spec).Ast.body);
+  Alcotest.(check int) "codegen_cached" 0
+    (List.length (Pipeline.codegen_cached pipe spec).Ast.body)
+
 let test_banded_cholesky_shackle () =
   let p = K.cholesky_banded () in
   let spec =
@@ -378,23 +366,7 @@ let prop_random_blocks_preserve_order =
   QCheck.Test.make ~count:25 ~name:"random blocks match refsem order"
     QCheck.(pair (int_range 2 17) (int_range 5 26))
     (fun (b, n) ->
-      let p = K.matmul () in
-      let spec = matmul_c_spec b in
-      let params = [ ("N", n) ] in
-      let g = generate p spec in
-      let got =
-        instances_of_generated g ~params ~loop_vars:[ "I"; "J"; "K" ]
-      in
-      let expect =
-        List.map
-          (fun i ->
-            ( i.Refsem.stmt.Ast.id,
-              List.map
-                (fun v -> (v, Walk.lookup i.Refsem.env v))
-                [ "I"; "J"; "K" ] ))
-          (Refsem.order p spec ~params)
-      in
-      got = expect)
+      same_order (K.matmul ()) (matmul_c_spec b) ~params:[ ("N", n) ] ~vars:ijk)
 
 let prop_random_blocks_equivalent =
   QCheck.Test.make ~count:15 ~name:"random cholesky blocks compute the factor"
@@ -437,6 +409,8 @@ let () =
           Alcotest.test_case "adi" `Quick test_adi_equivalence;
           Alcotest.test_case "empty loop generates nothing" `Quick
             test_empty_loop;
+          Alcotest.test_case "no statement generates nothing" `Quick
+            test_no_statement;
           Alcotest.test_case "banded cholesky + band storage" `Slow
             test_banded_cholesky_shackle;
           Alcotest.test_case "two-level matmul" `Slow test_two_level_equivalence ] );

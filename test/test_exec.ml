@@ -5,7 +5,7 @@ module Ast = Loopir.Ast
 module K = Kernels.Builders
 module Store = Exec.Store
 module Interp = Exec.Interp
-module Walk = Loopir.Walk
+module Brute = Fuzzing.Brute
 
 let params n = [ ("N", n) ]
 
@@ -176,7 +176,7 @@ let test_interp_range_checks () =
             (Interp.addresses (plan prog ~layouts) (Trace.create_recorder ())
                prog ~params:(params 4)));
       ("Brute.record", fun prog ~layouts ->
-          Fuzzing.Brute.record (plan prog ~layouts) (Trace.create_recorder ())
+          Brute.record (plan prog ~layouts) (Trace.create_recorder ())
             prog ~params:(params 4)) ]
   in
   List.iter
@@ -359,7 +359,7 @@ let test_trace_read_before_write () =
 let test_walk_counts () =
   let n = 6 in
   Alcotest.(check int) "matmul instances" (n * n * n)
-    (List.length (Walk.instances (K.matmul ()) ~params:(params n)));
+    (List.length (Brute.instances (K.matmul ()) ~params:(params n)));
   (* right-looking cholesky: N + N(N-1)/2 + sum_j sum_{l>j} (l-j) *)
   let s3 = ref 0 in
   for j = 1 to n do
@@ -369,7 +369,7 @@ let test_walk_counts () =
   done;
   Alcotest.(check int) "cholesky instances"
     (n + (n * (n - 1) / 2) + !s3)
-    (List.length (Walk.instances (K.cholesky_right ()) ~params:(params n)))
+    (List.length (Brute.instances (K.cholesky_right ()) ~params:(params n)))
 
 (* invoke with a name the program never mentions must raise, not silently
    drop the binding (a typo would otherwise read a stale slot value) *)
@@ -384,11 +384,12 @@ let test_invoke_unknown_param_raises () =
       ignore (Interp.invoke prep ~params:[ ("N", 4); ("M", 7) ]))
 
 let test_walk_env () =
-  let p = K.matmul () in
-  let seen = ref [] in
-  Walk.iter_instances p ~params:(params 2) ~f:(fun _ env ->
-      seen := (Walk.lookup env "I", Walk.lookup env "J", Walk.lookup env "K") :: !seen);
-  let first = List.rev !seen in
+  let first =
+    List.map
+      (fun (i : Brute.instance) ->
+        (List.assoc "I" i.env, List.assoc "J" i.env, List.assoc "K" i.env))
+      (Brute.instances (K.matmul ()) ~params:(params 2))
+  in
   Alcotest.(check bool) "first instance" true (List.hd first = (1, 1, 1));
   Alcotest.(check int) "count" 8 (List.length first)
 

@@ -210,8 +210,22 @@ let test_two_level_machine () =
 
 (* --- closed-form cycle accounting & the record/replay pipeline --- *)
 
+(* Brute.record's trace and the value path's flops, made once per
+   program and size and shared by every variant replayed on them. *)
+let brute_runs = Hashtbl.create 8
+
+let brute_run kernel prog ~params ~init =
+  match Hashtbl.find_opt brute_runs (kernel, params) with
+  | Some run -> run
+  | None ->
+    let r = Trace.create_recorder () in
+    Fuzzing.Brute.record (Exec.Store.plan prog ~params) r prog ~params;
+    let run = (Trace.finish r, snd (Exec.Verify.run_program prog ~params ~init)) in
+    Hashtbl.add brute_runs (kernel, params) run;
+    run
+
 (* A reference simulator re-implementing the pre-refactor per-access float
-   accumulation over Model.record's trace and the value path's flops:
+   accumulation over Brute.record's trace and the value path's flops:
    walk a (spec, cache) list per access, dropping a forwarded access
    before it reaches any cache, and adding the hit or memory cost to a
    float the moment it is incurred.  The production Sim walks without
@@ -222,7 +236,7 @@ let test_two_level_machine () =
    counter is far below 2^53, the two must agree bit-for-bit — not just
    within tolerance.  This reference is the one check of the derived
    forwarding against forwarding done for real. *)
-let reference_simulate ~machine ~quality prog ~params ~init =
+let reference_simulate ~machine ~quality kernel prog ~params ~init =
   let levels =
     List.map
       (fun (l : Model.level_spec) -> (l, Cache.create l.Model.l_cache))
@@ -246,8 +260,8 @@ let reference_simulate ~machine ~quality prog ~params ~init =
       probe levels
     end
   in
-  let _, flops = Exec.Verify.run_program prog ~params ~init in
-  Trace.iter (Model.record prog ~params ~init).Model.rec_trace trace;
+  let brute_trace, flops = brute_run kernel prog ~params ~init in
+  Trace.iter brute_trace trace;
   let cycles =
     (float_of_int flops *. machine.Model.flop_cycles)
     +. !hier
@@ -316,7 +330,7 @@ let test_closed_form_matches_per_access () =
               quality.Model.q_name
           in
           let cycles, flops, accesses, instances, levels =
-            reference_simulate ~machine ~quality prog ~params ~init
+            reference_simulate ~machine ~quality kernel prog ~params ~init
           in
           let r = Model.simulate ~machine ~quality prog ~params ~init in
           Alcotest.(check int) (tag ^ " flops") flops r.Model.r_flops;

@@ -7,7 +7,6 @@
 module Ast = Loopir.Ast
 module Fexpr = Loopir.Fexpr
 module E = Loopir.Expr
-module Walk = Loopir.Walk
 module K = Kernels.Builders
 module Blocking = Shackle.Blocking
 module Spec = Shackle.Spec
@@ -15,7 +14,7 @@ module Legality = Shackle.Legality
 module Verdict = Shackle.Verdict
 module Omega = Polyhedra.Omega
 module Span = Shackle.Span
-module Refsem = Shackle.Refsem
+module Brute = Fuzzing.Brute
 
 let v = E.var
 let rf a idx = Fexpr.ref_ a (List.map v idx)
@@ -132,9 +131,9 @@ let test_dummy_reference () =
     [ Spec.factor blk [ ("S1", rf "X" [ "i"; "k" ]); ("S2", rf "X" [ "i"; "k" ]) ] ]
   in
   Alcotest.(check bool) "validates" true (Spec.validate p spec = Ok ());
-  let order = Refsem.order p spec ~params:[ ("N", 12) ] in
+  let order = Brute.order p spec ~params:[ ("N", 12) ] in
   Alcotest.(check bool) "permutation of instances" true
-    (Refsem.same_instances order (Refsem.original_order p ~params:[ ("N", 12) ]))
+    (Brute.same_instances order (Brute.instances p ~params:[ ("N", 12) ]))
 
 (* --- legality --- *)
 
@@ -402,6 +401,9 @@ let test_span_cholesky () =
 
 (* --- reference semantics --- *)
 
+let block_of spec (i : Brute.instance) =
+  Spec.block_vector spec i.stmt (fun v -> List.assoc v i.env)
+
 let test_refsem_permutation () =
   let p = K.cholesky_right () in
   let spec =
@@ -410,13 +412,13 @@ let test_refsem_permutation () =
           ("S3", rf "A" [ "L"; "K" ]) ] ]
   in
   let params = [ ("N", 13) ] in
-  let order = Refsem.order p spec ~params in
+  let order = Brute.order p spec ~params in
   Alcotest.(check bool) "permutation" true
-    (Refsem.same_instances order (Refsem.original_order p ~params));
+    (Brute.same_instances order (Brute.instances p ~params));
   (* block vectors are lexicographically non-decreasing *)
   let rec nondecreasing = function
     | a :: (b :: _ as tl) ->
-      compare a.Refsem.block b.Refsem.block <= 0 && nondecreasing tl
+      compare (block_of spec a) (block_of spec b) <= 0 && nondecreasing tl
     | _ -> true
   in
   Alcotest.(check bool) "blocks in lex order" true (nondecreasing order)
@@ -428,18 +430,16 @@ let test_refsem_within_block_order () =
         [ ("S1", rf "C" [ "I"; "J" ]) ] ]
   in
   let params = [ ("N", 8) ] in
-  let order = Refsem.order p spec ~params in
+  let order = Brute.order p spec ~params in
   (* within one block, instances appear in original lexicographic (I,J,K)
      order *)
   let in_block =
-    List.filter (fun i -> i.Refsem.block = [| 1; 1 |]) order
+    List.filter (fun i -> block_of spec i = [| 1; 1 |]) order
   in
   let keys =
     List.map
-      (fun i ->
-        ( Walk.lookup i.Refsem.env "I",
-          Walk.lookup i.Refsem.env "J",
-          Walk.lookup i.Refsem.env "K" ))
+      (fun (i : Brute.instance) ->
+        (List.assoc "I" i.env, List.assoc "J" i.env, List.assoc "K" i.env))
       in_block
   in
   Alcotest.(check bool) "sorted" true (List.sort compare keys = keys);

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""The two interface gates over lib/*/*.mli, run from the repo root.
+"""The three interface gates over lib/, run from the repo root.
 
-    python3 tools/api_gates.py            # both gates
+    python3 tools/api_gates.py            # all three gates
     python3 tools/api_gates.py exports    # unused exports only
     python3 tools/api_gates.py options    # option count only
+    python3 tools/api_gates.py modules    # modules only tests reach
 
 Unused exports: every val in a lib/*/*.mli must be named by some tracked
 .ml/.mli under lib, bin, bench, test, examples or perfbench other than its
@@ -12,6 +13,15 @@ submodule S) counts as named where a file writes M.v (S.v), writes A.v
 after declaring module A = ...M (...S), or writes a bare v in a file that
 opens M, A or S (open, let open ... in, or M.( ... )).  A name another
 module merely shares does not count.
+
+Modules only tests reach: every lib/*/*.ml module must be named by some
+tracked .ml/.mli under lib, bin, bench, examples or perfbench, other than
+its own pair and other than a test (a file under test/ or named test_*).
+A module M of library L counts as named by the rules above, with L in the
+place of M and M in the place of v: where a file writes L.M, or A.M after
+declaring module A = ...L, or a bare M in a file that opens L or A.  A
+library whose one module bears its name (lib/trace/trace.ml) is named by
+a bare Trace, and a file of the same library names its neighbours bare.
 
 Option count: the optional labels (?name:) and the fields of the config
 records (types named options or *config) declared in lib/*/*.mli,
@@ -26,7 +36,7 @@ import re
 import subprocess
 import sys
 
-EXPECTED_LABELS, EXPECTED_FIELDS = 60, 21
+EXPECTED_LABELS, EXPECTED_FIELDS = 57, 21
 
 
 def strip_comments(text):
@@ -88,6 +98,45 @@ def unused_exports(sources):
     return unused
 
 
+def library_names():
+    names = {}
+    for dune in tracked("lib"):
+        if dune.endswith("/dune"):
+            name = re.search(r"\(name\s+(\w+)\)", open(dune).read())
+            names[dune.rsplit("/", 1)[0]] = name.group(1)
+    return names
+
+
+def is_test(f):
+    return f.startswith("test/") or f.rsplit("/", 1)[-1].startswith("test_")
+
+
+def bare(name, text):
+    return re.search(r"(?<![\w'.])" + name + r"(?![\w'])", text) is not None
+
+
+def unreached_modules(sources):
+    libraries = library_names()
+    unreached = []
+    for ml in sorted(f for f in sources
+                     if re.fullmatch(r"lib/[^/]+/[^/]+\.ml", f)):
+        directory, base = ml.rsplit("/", 1)
+        base = base[:-3]
+        module = base[0].upper() + base[1:]
+        library = libraries[directory]
+        wrapper = library[0].upper() + library[1:]
+
+        def named(f, text):
+            if base == library or f.startswith(directory + "/"):
+                return bare(module, text)
+            return used(module, wrapper, text)
+
+        if not any(named(f, text) for f, text in sources.items()
+                   if f not in {ml, ml + "i"} and not is_test(f)):
+            unreached.append(ml)
+    return unreached
+
+
 def option_count(sources):
     labels = fields = 0
     for mli in sorted(f for f in sources if is_lib_mli(f)):
@@ -108,6 +157,14 @@ def exports_gate(sources):
     return not unused
 
 
+def modules_gate(sources):
+    unreached = unreached_modules(sources)
+    for line in unreached:
+        print(line)
+    print(f"{len(unreached)} modules reached only by tests")
+    return not unreached
+
+
 def options_gate(sources):
     labels, fields = option_count(sources)
     print(f"{labels} optional labels, {fields} config fields")
@@ -118,7 +175,8 @@ def options_gate(sources):
     return True
 
 
-GATES = {"exports": exports_gate, "options": options_gate}
+GATES = {"exports": exports_gate, "options": options_gate,
+         "modules": modules_gate}
 
 
 def main(args):
